@@ -15,8 +15,7 @@ from .forms import CategoryPresentation, CorruptFormError, FormInstance, Morphis
 from .lattice import FiniteLattice, GaloisPair, MonotoneMap
 from .report import Report, Violation
 from .topogenous import (
-    ClosureOperator,
-    InteriorOperator,
+    Operator,
     OrderClass,
     TopogenousOrder,
     classify_order,
@@ -35,14 +34,13 @@ from .topogenous import (
 
 __all__ = [
     "CategoryPresentation",
-    "ClosureOperator",
     "CorruptFormError",
     "FiniteLattice",
     "FormInstance",
     "GaloisPair",
-    "InteriorOperator",
     "MonotoneMap",
     "MorphismKind",
+    "Operator",
     "OrderClass",
     "Report",
     "TopogenousOrder",

@@ -21,12 +21,22 @@ from typing import Optional
 import click
 
 from . import __version__
-from .forms import FormInstance
+from .checks import (
+    BATTERY,
+    CHECKS,
+    FORM_CHECKS,
+    WITNESS_SCHEMA,
+    CheckContext,
+    CheckResult,
+    battery_selection,
+    check_from_report,
+    make_witness,
+    run_checks,
+)
 from .groups import (
     build_grp_form,
     normal_interval_order,
     normal_subgroup_masks,
-    preserves_normals,
     standard_corpus,
     subgroup_masks,
 )
@@ -46,73 +56,27 @@ from .jsonio import (
     topology_to_dict,
 )
 from .lattice import bits
-from .morphisms import (
-    DISPUTED_CHECKS,
-    classify_morphism,
-    cohereditary_operator_check,
-    final_thick_check,
-    is_final,
-    is_strict,
-    strict_characterization,
-    strict_via_operators,
-    transfer_laws_check,
-)
+from .morphisms import classify_morphism
 from .partitions import build_quot_form, enumerate_partitions
-from .report import Report
+from .report import InputError, Report
 from .search import CLAIMS, run_case, run_search
 from .topogenous import (
-    TopogenousOrder,
-    check_T3_pull_form,
-    classify_order,
-    closure_from_order,
-    interior_from_order,
+    OPERATOR_KINDS,
     leq_order,
-    order_from_closure,
-    order_from_interior,
-    roundtrip_check,
-    verify_closure,
-    verify_interior,
-    verify_order,
+    operator_from_order,
+    order_from_operator,
 )
 from .topologies import (
     b_order,
     b_relation,
     build_top_form,
     enumerate_topologies,
-    is_clopen_map,
     theta_order,
     theta_relation,
 )
 
-WITNESS_SCHEMA = 1
-
 
 # -- run report ------------------------------------------------------------------
-
-
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # pass | fail | reported | skipped
-    checks_run: int = 0
-    violations: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    data: Optional[dict] = None
-    witness: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "status": self.status,
-            "checks_run": self.checks_run,
-            "violations": self.violations,
-            "notes": self.notes,
-        }
-        if self.data is not None:
-            out["data"] = self.data
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 @dataclass
@@ -154,25 +118,6 @@ class RunReport:
         return "\n".join(lines)
 
 
-def check_from_report(
-    name: str,
-    rep: Report,
-    witness: Optional[dict] = None,
-    reported_only: bool = False,
-    data: Optional[dict] = None,
-) -> CheckResult:
-    status = "pass" if rep.ok else ("reported" if reported_only else "fail")
-    return CheckResult(
-        name=name,
-        status=status,
-        checks_run=rep.checks_run,
-        violations=[v.to_dict() for v in sorted(rep.violations, key=lambda v: (v.check, v.where, str(v.witness)))],
-        notes=list(rep.notes),
-        data=data,
-        witness=witness if not rep.ok else None,
-    )
-
-
 def emit(ctx: click.Context, report: RunReport, started: float) -> None:
     fmt = ctx.obj["format"]
     if fmt == "json":
@@ -183,11 +128,6 @@ def emit(ctx: click.Context, report: RunReport, started: float) -> None:
     ctx.exit(0 if report.ok else 1)
 
 
-def digest_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
 def fail_usage(message: str) -> None:
     raise click.UsageError(message)
 
@@ -195,39 +135,27 @@ def fail_usage(message: str) -> None:
 # -- input loading -----------------------------------------------------------------
 
 
-def load_form_file(path: str, report: RunReport) -> FormInstance:
-    report.inputs[path] = digest_file(path)
-    return form_from_dict(load_json(path), where=path)
-
-
-def load_order_file(path: str, report: RunReport) -> TopogenousOrder:
-    report.inputs[path] = digest_file(path)
-    return order_from_dict(load_json(path), where=path)
+def read_file(path: str, parse, inputs: dict[str, str]):
+    """Parse a JSON input file and record its digest in ``inputs``."""
+    doc = load_json(path)
+    with open(path, "rb") as fh:
+        inputs[path] = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    return parse(doc, where=path)
 
 
 NAMED_ORDERS = ("leq", "theta", "b", "normal-interval")
 
 
-@dataclass
-class InstanceBundle:
-    kind: str
-    recipe: dict
-    form: FormInstance
-    bundle: object  # TopForm | SubgroupForm | PartitionForm | None
-
-    def named_order(self, name: str) -> TopogenousOrder:
-        from .groups import SubgroupForm
-        from .topologies import TopForm
-
-        if name == "leq":
-            return leq_order(self.form)
-        if name == "theta" and isinstance(self.bundle, TopForm):
-            return theta_order(self.bundle)
-        if name == "b" and isinstance(self.bundle, TopForm):
-            return b_order(self.bundle)
-        if name == "normal-interval" and isinstance(self.bundle, SubgroupForm):
-            return normal_interval_order(self.bundle)
-        fail_usage(f"order {name!r} is not defined for instance kind {self.kind!r}")
+def named_order(name: str, form, bundle, kind: Optional[str]):
+    if name == "leq":
+        return leq_order(form)
+    if (kind, name) == ("top", "theta"):
+        return theta_order(bundle)
+    if (kind, name) == ("top", "b"):
+        return b_order(bundle)
+    if (kind, name) == ("grp", "normal-interval"):
+        return normal_interval_order(bundle)
+    fail_usage(f"order {name!r} is not defined for instance kind {kind!r}")
 
 
 def parse_sizes(text: str) -> list[int]:
@@ -237,287 +165,101 @@ def parse_sizes(text: str) -> list[int]:
         fail_usage(f"--sizes expects comma-separated integers, got {text!r}")
 
 
-def build_instance(kind: str, sizes: Optional[str], corpus: str, max_order: int) -> InstanceBundle:
-    if kind == "top":
-        ns = parse_sizes(sizes or "2")
-        b = build_top_form(ns)
-        return InstanceBundle("top", {"kind": "top", "sizes": ns}, b.form, b)
+def instance_recipe(kind: str, sizes: Optional[str], corpus: str, max_order: int) -> dict:
     if kind == "grp":
-        if corpus != "standard":
-            fail_usage(f"unknown corpus {corpus!r}; only 'standard' is built in")
-        b = build_grp_form(standard_corpus(max_order))
-        return InstanceBundle(
-            "grp", {"kind": "grp", "corpus": corpus, "max_order": max_order}, b.form, b
-        )
-    if kind == "quot":
-        ns = parse_sizes(sizes or "2")
-        b = build_quot_form(ns)
-        return InstanceBundle("quot", {"kind": "quot", "sizes": ns}, b.form, b)
+        return {"kind": "grp", "corpus": corpus, "max_order": max_order}
+    return {"kind": kind, "sizes": parse_sizes(sizes or "2")}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _field(recipe: dict, key: str, ok, where: str, default=None):
+    value = recipe.get(key, default)
+    if not ok(value):
+        raise SchemaError(f"{where}: recipe field {key!r} has an unusable value {value!r}")
+    return value
+
+
+def build_instance(recipe: dict, where: str):
+    """The built-in instance an instance recipe names."""
+    kind = recipe["kind"]
+    if kind == "grp":
+        if recipe.get("corpus", "standard") != "standard":
+            fail_usage(f"unknown corpus {recipe['corpus']!r}; only 'standard' is built in")
+        return build_grp_form(standard_corpus(_field(recipe, "max_order", _is_int, where, 8)))
+    if kind in ("top", "quot"):
+        sizes = _field(recipe, "sizes", lambda v: isinstance(v, list) and all(map(_is_int, v)), where, [])
+        return (build_top_form if kind == "top" else build_quot_form)(sizes or [2])
     fail_usage(f"unknown instance kind {kind!r}")
 
 
-def resolve_form_order(
-    report: RunReport,
+def recipe_from_flags(
     form_path: Optional[str],
     order_path: Optional[str],
+    order_name: Optional[str],
     instance: Optional[str],
     sizes: Optional[str],
     corpus: str,
     max_order: int,
-    order_name: Optional[str],
-) -> tuple[FormInstance, TopogenousOrder, dict]:
-    """The two ways checks get their inputs: files, or an instance recipe
-    with a named order."""
+) -> dict:
+    """The recipe the input flags describe: an instance with a named order
+    or an order file, or a form file with an order file or the leq order.
+    Witnesses carry it, so replay rebuilds the same inputs."""
     if instance is not None:
-        bundle = build_instance(instance, sizes, corpus, max_order)
-        name = order_name or "leq"
+        recipe = instance_recipe(instance, sizes, corpus, max_order)
         if order_path is not None:
-            order = load_order_file(order_path, report)
-            recipe = dict(bundle.recipe, order_file=order_path)
+            recipe["order_file"] = order_path
         else:
-            order = bundle.named_order(name)
-            recipe = dict(bundle.recipe, order=name)
-        return bundle.form, order, recipe
+            recipe["order"] = order_name or "leq"
+        return recipe
     if form_path is None:
         fail_usage("provide --form FILE (with --order FILE) or --instance KIND")
-    form = load_form_file(form_path, report)
-    if order_path is None:
-        if order_name == "leq" or order_name is None:
-            return form, leq_order(form), {"form_file": form_path, "order": "leq"}
-        fail_usage("named orders other than 'leq' need --instance; otherwise pass --order FILE")
-    order = load_order_file(order_path, report)
-    return form, order, {"form_file": form_path, "order_file": order_path}
+    if order_path is not None:
+        return {"form_file": form_path, "order_file": order_path}
+    if order_name in (None, "leq"):
+        return {"form_file": form_path, "order": "leq"}
+    fail_usage("named orders other than 'leq' need --instance; otherwise pass --order FILE")
 
 
-# -- witnesses ----------------------------------------------------------------------
+def load_recipe(recipe: dict, inputs: dict[str, str], where: str = "recipe") -> CheckContext:
+    """Build what a recipe describes, recording the files read in
+    ``inputs``: a built-in instance, a form file, or an inline form, each
+    with the order, and an inline form also with the operator, it names."""
+    if recipe.get("kind") == "inline":
+        form = form_from_dict(recipe.get("form"), where=f"{where}#form")
+        order = order_from_dict(recipe["order"], where=f"{where}#order") if "order" in recipe else None
+        operator = None
+        if "operator" in recipe:
+            kind = _field(recipe, "operator_kind", lambda v: v in OPERATOR_KINDS, where)
+            operator = operator_from_dict(recipe["operator"], kind, where=f"{where}#operator")
+        return CheckContext(form, order, operator, recipe=recipe)
+    if "kind" in recipe:
+        bundle = build_instance(recipe, where)
+        form = bundle.form
+        kind = recipe["kind"]
+    else:
+        bundle = None
+        form = read_file(_field(recipe, "form_file", lambda v: isinstance(v, str), where), form_from_dict, inputs)
+        kind = None
+    order = None
+    if "order_file" in recipe:
+        order = read_file(_field(recipe, "order_file", lambda v: isinstance(v, str), where), order_from_dict, inputs)
+    elif "order" in recipe:
+        order = named_order(recipe["order"], form, bundle, kind)
+    return CheckContext(form, order, bundle=bundle, recipe=recipe)
 
 
-def make_witness(check: str, recipe: dict, **extra) -> dict:
-    w = {"schema": WITNESS_SCHEMA, "check": check, "recipe": recipe}
-    w.update({k: v for k, v in extra.items() if v is not None})
-    return w
-
-
-def witness_inline(check: str, form: FormInstance, order: Optional[TopogenousOrder] = None, **extra) -> dict:
-    recipe = {"kind": "inline", "form": form_to_dict(form)}
-    if order is not None:
-        recipe["order"] = order_to_dict(order)
-    return make_witness(check, recipe, **extra)
-
-
-# -- the theorem battery -------------------------------------------------------------
-
-
-def theorem_checks(
-    form: FormInstance,
-    order: TopogenousOrder,
-    recipe: dict,
-    bundle: Optional[InstanceBundle],
-    selected: tuple[str, ...],
-) -> list[CheckResult]:
-    out: list[CheckResult] = []
-
-    def wanted(name: str) -> bool:
-        return not selected or name in selected
-
-    axioms = verify_order(form, order)
-    if wanted("order-axioms") or not axioms.ok:
-        out.append(check_from_report("order-axioms", axioms, make_witness("order-axioms", recipe)))
-    if not axioms.ok:
-        return out
-    cls = classify_order(form, order)
-    if wanted("order-class"):
-        out.append(
-            CheckResult("order-class", "pass", checks_run=1, data=cls.to_dict())
-        )
-
-    if wanted("t3-pull-agreement"):
-        out.append(
-            check_from_report(
-                "t3-pull-agreement",
-                check_T3_pull_form(form, order),
-                make_witness("t3-pull-agreement", recipe),
-            )
-        )
-
-    if wanted("strict-iff-push"):
-        rep = Report()
-        for f in form.base.morphisms():
-            one = strict_characterization(form, order, f)
-            rep.checks_run += one.checks_run
-            rep.violations.extend(one.violations)
-        out.append(
-            check_from_report("strict-iff-push", rep, make_witness("strict-iff-push", recipe))
-        )
-
-    if wanted("final-thick"):
-        out.append(
-            check_from_report(
-                "final-thick",
-                final_thick_check(form, order, cls=cls),
-                make_witness("final-thick", recipe),
-            )
-        )
-
-    if wanted("strict-via-operators"):
-        rep = Report()
-        for f in form.base.morphisms():
-            one = strict_via_operators(form, order, f, cls=cls)
-            rep.checks_run += one.checks_run
-            rep.violations.extend(one.violations)
-        if not cls.is_TM and not cls.is_TJ:
-            out.append(CheckResult("strict-via-operators", "skipped", notes=["order is neither meet- nor join-stable"]))
-        else:
-            out.append(
-                check_from_report(
-                    "strict-via-operators", rep, make_witness("strict-via-operators", recipe)
-                )
-            )
-
-    if wanted("transfer-laws"):
-        rep = transfer_laws_check(form, order)
-        gating = Report()
-        gating.checks_run = rep.checks_run
-        disputed = Report()
-        disputed.checks_run = rep.checks_run
-        for v in rep.violations:
-            (disputed if v.check in DISPUTED_CHECKS else gating).violations.append(v)
-        out.append(
-            check_from_report("transfer-laws", gating, make_witness("transfer-laws", recipe))
-        )
-        out.append(
-            check_from_report(
-                "transfer-laws-disputed-clauses",
-                disputed,
-                make_witness("transfer-laws-disputed-clauses", recipe),
-                reported_only=True,
-            )
-        )
-
-    if wanted("cohereditary-operator"):
-        if cls.is_TM:
-            out.append(
-                check_from_report(
-                    "cohereditary-operator",
-                    cohereditary_operator_check(form, order, cls=cls),
-                    make_witness("cohereditary-operator", recipe),
-                )
-            )
-        else:
-            out.append(CheckResult("cohereditary-operator", "skipped", notes=["order is not meet-stable"]))
-
-    if wanted("roundtrip"):
-        if cls.is_TM or cls.is_TJ:
-            out.append(
-                check_from_report("roundtrip", roundtrip_check(form, order), make_witness("roundtrip", recipe))
-            )
-        else:
-            out.append(CheckResult("roundtrip", "skipped", notes=["order is neither meet- nor join-stable"]))
-
-    out.extend(instance_checks(form, order, recipe, bundle, selected))
-    return out
-
-
-def instance_checks(
-    form: FormInstance,
-    order: TopogenousOrder,
-    recipe: dict,
-    bundle: Optional[InstanceBundle],
-    selected: tuple[str, ...],
-) -> list[CheckResult]:
-    """The example propositions, checked as stated on the built instances."""
-    from .groups import SubgroupForm
-    from .topologies import TopForm
-
-    def wanted(name: str) -> bool:
-        return not selected or name in selected
-
-    out: list[CheckResult] = []
-    if bundle is None:
-        return out
-    b = bundle.bundle
-    if isinstance(b, TopForm) and recipe.get("order") == "theta":
-        if wanted("theta-surjections-final"):
-            rep = Report()
-            for f in form.base.morphisms():
-                if b.functions[f].is_surjective():
-                    rep.count("theta-surjections-final")
-                    if not is_final(form, order, f):
-                        rep.add("theta-surjections-final", where=f)
-            out.append(check_from_report("theta-surjections-final", rep, make_witness("theta-surjections-final", recipe)))
-        if wanted("theta-clopen-strict-literal"):
-            rep = Report()
-            for f in form.base.morphisms():
-                fn = b.functions[f]
-                if not fn.is_surjective():
-                    continue
-                x, y = form.base.dom[f], form.base.cod[f]
-                if all(
-                    is_clopen_map(fn, tx, ty)
-                    for tx in b.topologies[x]
-                    for ty in b.topologies[y]
-                ):
-                    rep.count("theta-clopen-strict-literal")
-                    if not is_strict(form, order, f):
-                        rep.add("theta-clopen-strict-literal", where=f)
-            out.append(check_from_report("theta-clopen-strict-literal", rep, make_witness("theta-clopen-strict-literal", recipe)))
-        if wanted("theta-clopen-strict-per-pair"):
-            # The weaker reading: restrict the strictness implication to
-            # fibre pairs the map is clopen for. Reported, not gating.
-            rep = Report()
-            for f in form.base.morphisms():
-                fn = b.functions[f]
-                if not fn.is_surjective():
-                    continue
-                x, y = form.base.dom[f], form.base.cod[f]
-                push, pull = form.push_maps[f].table, form.pull_maps[f].table
-                rows_x, rows_y = order.rel[x], order.rel[y]
-                for ai, tx in enumerate(b.topologies[x]):
-                    for bi, ty in enumerate(b.topologies[y]):
-                        if not is_clopen_map(fn, tx, ty):
-                            continue
-                        rep.count("theta-clopen-strict-per-pair")
-                        if (rows_x[ai] >> pull[bi]) & 1 and not (rows_y[push[ai]] >> bi) & 1:
-                            rep.add("theta-clopen-strict-per-pair", where=f, witness=(ai, bi))
-            out.append(
-                check_from_report(
-                    "theta-clopen-strict-per-pair",
-                    rep,
-                    make_witness("theta-clopen-strict-per-pair", recipe),
-                    reported_only=True,
-                )
-            )
-    if isinstance(b, TopForm) and recipe.get("order") == "b":
-        if wanted("b-all-strict"):
-            rep = Report()
-            for f in form.base.morphisms():
-                rep.count("b-all-strict")
-                if not is_strict(form, order, f):
-                    rep.add("b-all-strict", where=f)
-            out.append(check_from_report("b-all-strict", rep, make_witness("b-all-strict", recipe)))
-        if wanted("b-all-final"):
-            rep = Report()
-            for f in form.base.morphisms():
-                rep.count("b-all-final")
-                if not is_final(form, order, f):
-                    rep.add("b-all-final", where=f)
-            out.append(check_from_report("b-all-final", rep, make_witness("b-all-final", recipe)))
-    if isinstance(b, SubgroupForm) and recipe.get("order") == "normal-interval":
-        if wanted("strict-iff-preserves-normals"):
-            rep = Report()
-            for f in form.base.morphisms():
-                rep.count("strict-iff-preserves-normals")
-                if is_strict(form, order, f) != preserves_normals(b.homs[f]):
-                    rep.add("strict-iff-preserves-normals", where=f)
-            out.append(check_from_report("strict-iff-preserves-normals", rep, make_witness("strict-iff-preserves-normals", recipe)))
-        if wanted("final-iff-surjective"):
-            rep = Report()
-            for f in form.base.morphisms():
-                rep.count("final-iff-surjective")
-                if is_final(form, order, f) != b.homs[f].is_surjective():
-                    rep.add("final-iff-surjective", where=f)
-            out.append(check_from_report("final-iff-surjective", rep, make_witness("final-iff-surjective", recipe)))
-    return out
+def inline_recipe(ctx: CheckContext) -> dict:
+    """A recipe that carries its form (and order or operator) in full."""
+    recipe = {"kind": "inline", "form": form_to_dict(ctx.form)}
+    if ctx.order is not None:
+        recipe["order"] = order_to_dict(ctx.order)
+    if ctx.operator is not None:
+        recipe["operator"] = operator_to_dict(ctx.operator)
+        recipe["operator_kind"] = ctx.operator.kind
+    return recipe
 
 
 # -- click wiring ---------------------------------------------------------------------
@@ -527,26 +269,28 @@ def instance_checks(
 @click.version_option(__version__, prog_name="formkit")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="seed for randomized subcommands")
-@click.option("--jobs", type=int, default=1, show_default=True, help="worker threads for sweep subcommands")
 @click.pass_context
-def main(ctx: click.Context, fmt: str, seed: int, jobs: int) -> None:
+def main(ctx: click.Context, fmt: str, seed: int) -> None:
     """Compute with finite forms: fibre lattices, transfer maps, topogenous
     orders, closure/interior operators, and morphism classes."""
-    ctx.obj = {"format": fmt, "seed": seed, "jobs": jobs, "started": time.monotonic()}
+    ctx.obj = {"format": fmt, "seed": seed, "started": time.monotonic()}
 
 
 def run_guarded(fn):
-    """SchemaErrors become exit code 2 with a location message."""
+    """Input errors become exit code 2 with a location message."""
 
     def wrapper(ctx, *args, **kwargs):
         try:
             return fn(ctx, *args, **kwargs)
-        except SchemaError as exc:
+        except InputError as exc:
             raise click.UsageError(str(exc)) from exc
 
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
     return wrapper
+
+
+FILE = click.Path(exists=True, dir_okay=False)
 
 
 @main.group()
@@ -555,91 +299,60 @@ def verify() -> None:
 
 
 @verify.command("lattice")
-@click.option("--file", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--file", "path", required=True, type=FILE)
 @click.pass_context
 @run_guarded
 def verify_lattice_cmd(ctx: click.Context, path: str) -> None:
     report = RunReport(command=["verify", "lattice", path])
-    report.inputs[path] = digest_file(path)
-    lat = lattice_from_dict(load_json(path), where=path)
-    rep = lat.verify()
+    lat = read_file(path, lattice_from_dict, report.inputs)
     witness = make_witness("lattice", {"kind": "lattice-file", "file": path})
-    report.checks.append(check_from_report("lattice-axioms", rep, witness))
+    report.checks.append(check_from_report("lattice-axioms", lat.verify(), witness))
+    emit(ctx, report, ctx.obj["started"])
+
+
+def run_verify(ctx: click.Context, report: RunReport, checked: CheckContext, names: tuple[str, ...]) -> None:
+    """Run checks on inputs read from files; failing ones carry the inputs
+    inline in their witnesses."""
+    report.checks.extend(run_checks(checked, names, inline_recipe(checked)))
     emit(ctx, report, ctx.obj["started"])
 
 
 @verify.command("form")
-@click.option("--file", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--file", "path", required=True, type=FILE)
 @click.pass_context
 @run_guarded
 def verify_form_cmd(ctx: click.Context, path: str) -> None:
     report = RunReport(command=["verify", "form", path])
-    form = load_form_file(path, report)
-    base_rep = form.base.verify()
-    report.checks.append(
-        check_from_report("base-category", base_rep, witness_inline("base-category", form))
-    )
-    laws = form.verify_laws()
-    report.checks.append(check_from_report("form-laws", laws, witness_inline("form-laws", form)))
-    lifting = form.verify_lifting_iso_laws()
-    report.checks.append(
-        check_from_report("lifting-iso-laws", lifting, witness_inline("lifting-iso-laws", form))
-    )
-    emit(ctx, report, ctx.obj["started"])
+    run_verify(ctx, report, CheckContext(read_file(path, form_from_dict, report.inputs)), FORM_CHECKS)
 
 
 @verify.command("order")
-@click.option("--form", "form_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--order", "order_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--form", "form_path", required=True, type=FILE)
+@click.option("--order", "order_path", required=True, type=FILE)
 @click.pass_context
 @run_guarded
 def verify_order_cmd(ctx: click.Context, form_path: str, order_path: str) -> None:
     report = RunReport(command=["verify", "order", form_path, order_path])
-    form = load_form_file(form_path, report)
-    order = load_order_file(order_path, report)
-    try:
-        rep = verify_order(form, order)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    report.checks.append(
-        check_from_report("order-axioms", rep, witness_inline("order-axioms", form, order))
-    )
-    if rep.ok:
-        cls = classify_order(form, order)
-        report.checks.append(CheckResult("order-class", "pass", checks_run=1, data=cls.to_dict()))
-    emit(ctx, report, ctx.obj["started"])
+    form = read_file(form_path, form_from_dict, report.inputs)
+    order = read_file(order_path, order_from_dict, report.inputs)
+    run_verify(ctx, report, CheckContext(form, order), ("order-axioms", "order-class"))
 
 
-def _verify_operator(ctx: click.Context, kind: str, form_path: str, op_path: str) -> None:
-    report = RunReport(command=["verify", kind, form_path, op_path])
-    form = load_form_file(form_path, report)
-    report.inputs[op_path] = digest_file(op_path)
-    op = operator_from_dict(load_json(op_path), kind, where=op_path)
-    try:
-        rep = verify_closure(form, op) if kind == "closure" else verify_interior(form, op)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    recipe = {"kind": "inline", "form": form_to_dict(form), "operator": operator_to_dict(op), "operator_kind": kind}
-    report.checks.append(check_from_report(f"{kind}-axioms", rep, make_witness(f"{kind}-axioms", recipe)))
-    emit(ctx, report, ctx.obj["started"])
+def read_operator(path: str, kind: str, inputs: dict[str, str]):
+    return read_file(path, lambda doc, where: operator_from_dict(doc, kind, where), inputs)
 
 
-@verify.command("closure")
-@click.option("--form", "form_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--operator", "op_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.pass_context
-@run_guarded
-def verify_closure_cmd(ctx: click.Context, form_path: str, op_path: str) -> None:
-    _verify_operator(ctx, "closure", form_path, op_path)
-
-
-@verify.command("interior")
-@click.option("--form", "form_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--operator", "op_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.pass_context
-@run_guarded
-def verify_interior_cmd(ctx: click.Context, form_path: str, op_path: str) -> None:
-    _verify_operator(ctx, "interior", form_path, op_path)
+def verify_operator_cmd(kind: str) -> None:
+    @verify.command(kind)
+    @click.option("--form", "form_path", required=True, type=FILE)
+    @click.option("--operator", "op_path", required=True, type=FILE)
+    @click.pass_context
+    @run_guarded
+    def command(ctx: click.Context, form_path: str, op_path: str) -> None:
+        report = RunReport(command=["verify", kind, form_path, op_path])
+        form = read_file(form_path, form_from_dict, report.inputs)
+        operator = read_operator(op_path, kind, report.inputs)
+        run_verify(ctx, report, CheckContext(form, operator=operator), (f"{kind}-axioms",))
 
 
 @main.group()
@@ -657,97 +370,68 @@ def _emit_derived(ctx: click.Context, report: RunReport, doc: dict, out: Optiona
     emit(ctx, report, ctx.obj["started"])
 
 
-@derive.command("closure")
-@click.option("--form", "form_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--order", "order_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False))
-@click.pass_context
-@run_guarded
-def derive_closure_cmd(ctx, form_path, order_path, out) -> None:
-    report = RunReport(command=["derive", "closure", form_path, order_path])
-    form = load_form_file(form_path, report)
-    order = load_order_file(order_path, report)
-    clo = closure_from_order(form, order)
-    _emit_derived(ctx, report, operator_to_dict(clo), out)
+def derive_operator_cmd(kind: str) -> None:
+    @derive.command(kind)
+    @click.option("--form", "form_path", required=True, type=FILE)
+    @click.option("--order", "order_path", required=True, type=FILE)
+    @click.option("--out", type=click.Path(dir_okay=False))
+    @click.pass_context
+    @run_guarded
+    def command(ctx, form_path, order_path, out) -> None:
+        report = RunReport(command=["derive", kind, form_path, order_path])
+        form = read_file(form_path, form_from_dict, report.inputs)
+        order = read_file(order_path, order_from_dict, report.inputs)
+        _emit_derived(ctx, report, operator_to_dict(operator_from_order(form, order, kind)), out)
 
 
-@derive.command("interior")
-@click.option("--form", "form_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--order", "order_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False))
-@click.pass_context
-@run_guarded
-def derive_interior_cmd(ctx, form_path, order_path, out) -> None:
-    report = RunReport(command=["derive", "interior", form_path, order_path])
-    form = load_form_file(form_path, report)
-    order = load_order_file(order_path, report)
-    _emit_derived(ctx, report, operator_to_dict(interior_from_order(form, order)), out)
+def derive_order_cmd(kind: str) -> None:
+    @derive.command(f"order-from-{kind}")
+    @click.option("--form", "form_path", required=True, type=FILE)
+    @click.option("--operator", "op_path", required=True, type=FILE)
+    @click.option("--out", type=click.Path(dir_okay=False))
+    @click.pass_context
+    @run_guarded
+    def command(ctx, form_path, op_path, out) -> None:
+        report = RunReport(command=["derive", f"order-from-{kind}", form_path, op_path])
+        form = read_file(form_path, form_from_dict, report.inputs)
+        operator = read_operator(op_path, kind, report.inputs)
+        _emit_derived(ctx, report, order_to_dict(order_from_operator(form, operator)), out)
 
 
-@derive.command("order-from-closure")
-@click.option("--form", "form_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--operator", "op_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False))
-@click.pass_context
-@run_guarded
-def derive_ofc_cmd(ctx, form_path, op_path, out) -> None:
-    report = RunReport(command=["derive", "order-from-closure", form_path, op_path])
-    form = load_form_file(form_path, report)
-    report.inputs[op_path] = digest_file(op_path)
-    clo = operator_from_dict(load_json(op_path), "closure", where=op_path)
-    _emit_derived(ctx, report, order_to_dict(order_from_closure(form, clo)), out)
+for _kind in OPERATOR_KINDS:
+    verify_operator_cmd(_kind)
+    derive_operator_cmd(_kind)
+    derive_order_cmd(_kind)
 
 
-@derive.command("order-from-interior")
-@click.option("--form", "form_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--operator", "op_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False))
-@click.pass_context
-@run_guarded
-def derive_ofi_cmd(ctx, form_path, op_path, out) -> None:
-    report = RunReport(command=["derive", "order-from-interior", form_path, op_path])
-    form = load_form_file(form_path, report)
-    report.inputs[op_path] = digest_file(op_path)
-    intr = operator_from_dict(load_json(op_path), "interior", where=op_path)
-    _emit_derived(ctx, report, order_to_dict(order_from_interior(form, intr)), out)
+def derive_topology_order_cmd(name: str, relation) -> None:
+    @derive.command(name)
+    @click.option("--n", required=True, type=int)
+    @click.option("--out", type=click.Path(dir_okay=False))
+    @click.pass_context
+    @run_guarded
+    def command(ctx, n, out) -> None:
+        report = RunReport(command=["derive", name, str(n)])
+        rows = relation(n)
+        size = len(rows)
+        doc = {
+            "form": f"top[{n}]",
+            "rel": {f"{n}pt": [[bool((rows[a] >> b) & 1) for b in range(size)] for a in range(size)]},
+        }
+        _emit_derived(ctx, report, doc, out)
 
 
-@derive.command("theta")
-@click.option("--n", required=True, type=int)
-@click.option("--out", type=click.Path(dir_okay=False))
-@click.pass_context
-@run_guarded
-def derive_theta_cmd(ctx, n, out) -> None:
-    report = RunReport(command=["derive", "theta", str(n)])
-    rows = theta_relation(n)
-    size = len(rows)
-    doc = {
-        "form": f"top[{n}]",
-        "rel": {f"{n}pt": [[bool((rows[a] >> b) & 1) for b in range(size)] for a in range(size)]},
-    }
-    _emit_derived(ctx, report, doc, out)
+derive_topology_order_cmd("theta", theta_relation)
+derive_topology_order_cmd("b", b_relation)
 
 
-@derive.command("b")
-@click.option("--n", required=True, type=int)
-@click.option("--out", type=click.Path(dir_okay=False))
-@click.pass_context
-@run_guarded
-def derive_b_cmd(ctx, n, out) -> None:
-    report = RunReport(command=["derive", "b", str(n)])
-    rows = b_relation(n)
-    size = len(rows)
-    doc = {
-        "form": f"top[{n}]",
-        "rel": {f"{n}pt": [[bool((rows[a] >> b) & 1) for b in range(size)] for a in range(size)]},
-    }
-    _emit_derived(ctx, report, doc, out)
+INSTANCE_KINDS = click.Choice(["top", "grp", "quot"])
 
 
 @main.command("classify")
-@click.option("--form", "form_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--order", "order_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--instance", type=click.Choice(["top", "grp", "quot"]))
+@click.option("--form", "form_path", type=FILE)
+@click.option("--order", "order_path", type=FILE)
+@click.option("--instance", type=INSTANCE_KINDS)
 @click.option("--sizes", type=str)
 @click.option("--corpus", type=str, default="standard", show_default=True)
 @click.option("--max-order", type=int, default=8, show_default=True)
@@ -758,24 +442,23 @@ def derive_b_cmd(ctx, n, out) -> None:
 def classify_cmd(ctx, form_path, order_path, instance, sizes, corpus, max_order, order_name, morphism) -> None:
     """Strict/final/thick status, per morphism, as a MorphismReport array."""
     report = RunReport(command=["classify"])
-    form, order, recipe = resolve_form_order(
-        report, form_path, order_path, instance, sizes, corpus, max_order, order_name
-    )
-    axioms = verify_order(form, order)
-    report.checks.append(check_from_report("order-axioms", axioms, make_witness("order-axioms", recipe)))
-    if axioms.ok:
+    recipe = recipe_from_flags(form_path, order_path, order_name, instance, sizes, corpus, max_order)
+    checked = load_recipe(recipe, report.inputs)
+    report.checks.extend(run_checks(checked, ("order-axioms",), recipe))
+    if checked.axioms.ok:
+        form = checked.form
         targets = [morphism] if morphism else list(form.base.morphisms())
         for f in targets:
             if f not in form.base.dom:
                 fail_usage(f"unknown morphism {f!r}")
-        report.payload = {"morphisms": [classify_morphism(form, order, f).to_dict() for f in targets]}
+        report.payload = {"morphisms": [classify_morphism(form, checked.order, f).to_dict() for f in targets]}
     emit(ctx, report, ctx.obj["started"])
 
 
 @main.command("check-theorems")
-@click.option("--form", "form_path", type=click.Path(exists=True, dir_okay=False))
+@click.option("--form", "form_path", type=FILE)
 @click.option("--order", "order_spec", type=str, help="order file, or a named order with --instance")
-@click.option("--instance", type=click.Choice(["top", "grp", "quot"]))
+@click.option("--instance", type=INSTANCE_KINDS)
 @click.option("--sizes", type=str)
 @click.option("--corpus", type=str, default="standard", show_default=True)
 @click.option("--max-order", type=int, default=8, show_default=True)
@@ -784,24 +467,16 @@ def classify_cmd(ctx, form_path, order_path, instance, sizes, corpus, max_order,
 @run_guarded
 def check_theorems_cmd(ctx, form_path, order_spec, instance, sizes, corpus, max_order, selected) -> None:
     """Run the whole theorem battery for a form and order."""
+    for name in selected:
+        if name not in BATTERY:
+            fail_usage(f"unknown check {name!r}; known: {', '.join(BATTERY)}")
     report = RunReport(command=["check-theorems"])
-    order_name = order_spec if (order_spec in NAMED_ORDERS or order_spec is None) else None
-    order_path = order_spec if order_name is None else None
-    bundle = None
-    if instance is not None:
-        bundle = build_instance(instance, sizes, corpus, max_order)
-        if order_path is not None:
-            order = load_order_file(order_path, report)
-            recipe = dict(bundle.recipe, order_file=order_path)
-        else:
-            order = bundle.named_order(order_name or "leq")
-            recipe = dict(bundle.recipe, order=order_name or "leq")
-        form = bundle.form
-    else:
-        form, order, recipe = resolve_form_order(
-            report, form_path, order_path, None, sizes, corpus, max_order, order_name
-        )
-    report.checks.extend(theorem_checks(form, order, recipe, bundle, selected))
+    named = order_spec is None or order_spec in NAMED_ORDERS
+    recipe = recipe_from_flags(
+        form_path, None if named else order_spec, order_spec if named else None,
+        instance, sizes, corpus, max_order,
+    )
+    report.checks.extend(run_checks(load_recipe(recipe, report.inputs), battery_selection(selected), recipe))
     emit(ctx, report, ctx.obj["started"])
 
 
@@ -816,17 +491,14 @@ def enumerate_group() -> None:
 @run_guarded
 def enum_top_cmd(ctx, n) -> None:
     report = RunReport(command=["enumerate", "topologies", str(n)])
-    try:
-        tops = enumerate_topologies(n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    tops = enumerate_topologies(n)
     report.payload = {"n": n, "count": len(tops), "topologies": [topology_to_dict(t) for t in tops]}
     emit(ctx, report, ctx.obj["started"])
 
 
 @enumerate_group.command("subgroups")
 @click.option("--group", "name", type=str, help="a corpus group name such as S3 or Q8")
-@click.option("--file", "path", type=click.Path(exists=True, dir_okay=False), help="a Cayley-table JSON file")
+@click.option("--file", "path", type=FILE, help="a Cayley-table JSON file")
 @click.pass_context
 @run_guarded
 def enum_sub_cmd(ctx, name, path) -> None:
@@ -834,8 +506,7 @@ def enum_sub_cmd(ctx, name, path) -> None:
     if (name is None) == (path is None):
         fail_usage("provide exactly one of --group or --file")
     if path is not None:
-        report.inputs[path] = digest_file(path)
-        group = group_from_dict(load_json(path), where=path)
+        group = read_file(path, group_from_dict, report.inputs)
     else:
         matches = [g for g in standard_corpus(12) if g.name == name]
         if not matches:
@@ -863,10 +534,7 @@ def enum_sub_cmd(ctx, name, path) -> None:
 @run_guarded
 def enum_part_cmd(ctx, n) -> None:
     report = RunReport(command=["enumerate", "partitions", str(n)])
-    try:
-        parts = enumerate_partitions(n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    parts = enumerate_partitions(n)
     report.payload = {"n": n, "count": len(parts), "partitions": [partition_to_dict(p) for p in parts]}
     emit(ctx, report, ctx.obj["started"])
 
@@ -876,29 +544,34 @@ def instance() -> None:
     """Build a built-in instance and emit its form descriptor."""
 
 
-def _emit_instance(ctx: click.Context, bundle: InstanceBundle, emit_path: Optional[str], command: list[str]) -> None:
+def _emit_instance(ctx: click.Context, recipe: dict, emit_path: Optional[str], command: list[str]) -> None:
     report = RunReport(command=command)
-    doc = form_to_dict(bundle.form)
+    form = build_instance(recipe, "instance").form
+    doc = form_to_dict(form)
     if emit_path:
         dump_json(doc, emit_path)
         report.payload = {
             "written": emit_path,
-            "objects": list(bundle.form.base.objects),
-            "morphisms": sum(1 for _ in bundle.form.base.morphisms()),
+            "objects": list(form.base.objects),
+            "morphisms": sum(1 for _ in form.base.morphisms()),
         }
     else:
         report.payload = doc
     emit(ctx, report, ctx.obj["started"])
 
 
-@instance.command("top")
-@click.option("--sizes", required=True, type=str)
-@click.option("--emit", "emit_path", type=click.Path(dir_okay=False))
-@click.pass_context
-@run_guarded
-def instance_top_cmd(ctx, sizes, emit_path) -> None:
-    bundle = build_instance("top", sizes, "standard", 8)
-    _emit_instance(ctx, bundle, emit_path, ["instance", "top", sizes])
+def instance_sizes_cmd(kind: str) -> None:
+    @instance.command(kind)
+    @click.option("--sizes", required=True, type=str)
+    @click.option("--emit", "emit_path", type=click.Path(dir_okay=False))
+    @click.pass_context
+    @run_guarded
+    def command(ctx, sizes, emit_path) -> None:
+        _emit_instance(ctx, instance_recipe(kind, sizes, "standard", 8), emit_path, ["instance", kind, sizes])
+
+
+instance_sizes_cmd("top")
+instance_sizes_cmd("quot")
 
 
 @instance.command("grp")
@@ -908,23 +581,13 @@ def instance_top_cmd(ctx, sizes, emit_path) -> None:
 @click.pass_context
 @run_guarded
 def instance_grp_cmd(ctx, corpus, max_order, emit_path) -> None:
-    bundle = build_instance("grp", None, corpus, max_order)
-    _emit_instance(ctx, bundle, emit_path, ["instance", "grp", corpus, str(max_order)])
-
-
-@instance.command("quot")
-@click.option("--sizes", required=True, type=str)
-@click.option("--emit", "emit_path", type=click.Path(dir_okay=False))
-@click.pass_context
-@run_guarded
-def instance_quot_cmd(ctx, sizes, emit_path) -> None:
-    bundle = build_instance("quot", sizes, "standard", 8)
-    _emit_instance(ctx, bundle, emit_path, ["instance", "quot", sizes])
+    recipe = instance_recipe("grp", None, corpus, max_order)
+    _emit_instance(ctx, recipe, emit_path, ["instance", "grp", corpus, str(max_order)])
 
 
 @main.command("search")
 @click.option("--claim", required=True, type=str)
-@click.option("--budget", type=int, default=1000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.pass_context
 @run_guarded
 def search_cmd(ctx, claim, budget) -> None:
@@ -932,9 +595,9 @@ def search_cmd(ctx, claim, budget) -> None:
     fails the run and is replayable from (seed, index)."""
     if claim not in CLAIMS:
         fail_usage(f"unknown claim {claim!r}; known: {', '.join(sorted(CLAIMS))}")
-    seed, jobs = ctx.obj["seed"], ctx.obj["jobs"]
+    seed = ctx.obj["seed"]
     report = RunReport(command=["search", claim, str(budget), str(seed)])
-    outcome = run_search(claim, budget, seed, jobs=jobs)
+    outcome = run_search(claim, budget, seed)
     rep = Report()
     rep.checks_run = budget
     for ce in outcome["counterexamples"]:
@@ -957,70 +620,46 @@ def search_cmd(ctx, claim, budget) -> None:
 
 
 @main.command("replay")
-@click.argument("witness_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("witness_file", type=FILE)
 @click.pass_context
 @run_guarded
 def replay_cmd(ctx, witness_file) -> None:
     """Re-run the single check a witness came from."""
     report = RunReport(command=["replay", witness_file])
-    report.inputs[witness_file] = digest_file(witness_file)
-    doc = load_json(witness_file)
-    if doc.get("schema") != WITNESS_SCHEMA:
-        fail_usage(f"{witness_file}: unsupported witness schema {doc.get('schema')!r}")
+    doc = read_file(witness_file, lambda doc, where: doc, report.inputs)
+    if not isinstance(doc, dict) or doc.get("schema") != WITNESS_SCHEMA:
+        fail_usage(f"{witness_file}: not a witness of schema {WITNESS_SCHEMA}")
     check = doc.get("check")
-    recipe = doc.get("recipe", {})
+    recipe = _field(doc, "recipe", lambda v: isinstance(v, dict), witness_file, {})
     kind = recipe.get("kind")
     if kind == "search":
-        ce = run_case(recipe["claim"], recipe["seed"], recipe["index"])
+        claim = _field(recipe, "claim", lambda v: v in CLAIMS, witness_file)
+        seed, index = (_field(recipe, key, _is_int, witness_file) for key in ("seed", "index"))
+        ce = run_case(claim, seed, index)
         rep = Report()
         rep.checks_run = 1
         if ce is not None:
             for v in ce.violations:
                 rep.add("counterexample", where=f"index {ce.index}", detail=json.dumps(v, sort_keys=True))
-        report.checks.append(check_from_report(f"replay:search:{recipe['claim']}", rep))
-        emit(ctx, report, ctx.obj["started"])
-        return
-    if kind == "lattice-file":
-        lat = lattice_from_dict(load_json(recipe["file"]), where=recipe["file"])
+        report.checks.append(check_from_report(f"replay:search:{claim}", rep))
+    elif kind == "lattice-file":
+        path = _field(recipe, "file", lambda v: isinstance(v, str), witness_file)
+        lat = lattice_from_dict(load_json(path), where=path)
         report.checks.append(check_from_report("replay:lattice-axioms", lat.verify()))
-        emit(ctx, report, ctx.obj["started"])
-        return
-    if kind == "inline":
-        form = form_from_dict(recipe["form"], where=f"{witness_file}#form")
-        order = order_from_dict(recipe["order"], where=f"{witness_file}#order") if "order" in recipe else None
-        bundle = None
     else:
-        bundle = build_instance(
-            recipe.get("kind"), ",".join(map(str, recipe.get("sizes", []))) or None,
-            recipe.get("corpus", "standard"), recipe.get("max_order", 8),
-        )
-        form = bundle.form
-        if "order_file" in recipe:
-            order = load_order_file(recipe["order_file"], report)
-        elif "order" in recipe:
-            order = bundle.named_order(recipe["order"])
-        else:
-            order = None
-    if check == "base-category":
-        report.checks.append(check_from_report("replay:base-category", form.base.verify()))
-    elif check == "form-laws":
-        report.checks.append(check_from_report("replay:form-laws", form.verify_laws()))
-    elif check == "lifting-iso-laws":
-        report.checks.append(check_from_report("replay:lifting-iso-laws", form.verify_lifting_iso_laws()))
-    elif check in ("closure-axioms", "interior-axioms"):
-        op = operator_from_dict(recipe["operator"], recipe["operator_kind"], where=witness_file)
-        rep = verify_closure(form, op) if recipe["operator_kind"] == "closure" else verify_interior(form, op)
-        report.checks.append(check_from_report(f"replay:{check}", rep))
-    elif order is not None:
-        report.checks.extend(
-            c
-            for c in theorem_checks(form, order, recipe, bundle, (check,))
-            if c.name == check
-        )
-        for c in report.checks:
-            c.name = f"replay:{c.name}"
-    else:
-        fail_usage(f"{witness_file}: witness for {check!r} carries no order to replay with")
+        if check not in CHECKS:
+            fail_usage(f"{witness_file}: unknown check {check!r}")
+        needs = CHECKS[check].needs
+        checked = load_recipe(recipe, report.inputs, where=witness_file)
+        if needs == "order" and checked.order is None:
+            fail_usage(f"{witness_file}: witness for {check!r} carries no order to replay with")
+        if needs == "operator" and checked.operator is None:
+            fail_usage(f"{witness_file}: witness for {check!r} carries no operator to replay with")
+        # Replayed order checks carry their witness again; form and
+        # operator checks do not.
+        for result in run_checks(checked, (check,), recipe if needs == "order" else None):
+            result.name = f"replay:{result.name}"
+            report.checks.append(result)
     emit(ctx, report, ctx.obj["started"])
 
 

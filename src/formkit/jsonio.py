@@ -15,18 +15,41 @@ from .forms import CategoryPresentation, FormInstance
 from .groups import FiniteGroup
 from .lattice import FiniteLattice, MonotoneMap
 from .partitions import Partition
-from .topogenous import ClosureOperator, InteriorOperator, TopogenousOrder
+from .report import InputError
+from .topogenous import Operator, TopogenousOrder
 from .topologies import FiniteTopology
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     """Malformed input document; the message carries the offending path."""
 
 
-def _need(doc: dict, key: str, where: str) -> Any:
+def _need(doc: dict, key: str, where: str, kind: type | None = None) -> Any:
     if not isinstance(doc, dict) or key not in doc:
         raise SchemaError(f"{where}: missing key {key!r}")
-    return doc[key]
+    value = doc[key]
+    if kind is not None and not isinstance(value, kind):
+        raise SchemaError(f"{where}.{key}: expected {_NAMES[kind]}")
+    return value
+
+
+_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _ints(value: Any, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+        raise SchemaError(f"{where}: expected a list of integers")
+    return tuple(value)
+
+
+def _strs(value: Any, where: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SchemaError(f"{where}: expected a list of strings")
+    return value
 
 
 # -- lattice ------------------------------------------------------------------
@@ -41,6 +64,8 @@ def lattice_to_dict(lat: FiniteLattice) -> dict:
 
 def lattice_from_dict(doc: dict, where: str = "lattice") -> FiniteLattice:
     size = _need(doc, "size", where)
+    if not _is_int(size) or size < 0:
+        raise SchemaError(f"{where}.size: expected a nonnegative integer")
     leq = _need(doc, "leq", where)
     if not isinstance(leq, list) or len(leq) != size:
         raise SchemaError(f"{where}.leq: expected {size} rows")
@@ -48,12 +73,9 @@ def lattice_from_dict(doc: dict, where: str = "lattice") -> FiniteLattice:
         if not isinstance(row, list) or len(row) != size:
             raise SchemaError(f"{where}.leq[{i}]: expected {size} entries")
     labels = doc.get("labels")
-    if labels is not None and (not isinstance(labels, list) or len(labels) != size):
+    if labels is not None and len(_strs(labels, f"{where}.labels")) != size:
         raise SchemaError(f"{where}.labels: expected {size} names")
-    try:
-        return FiniteLattice([[bool(v) for v in row] for row in leq], labels)
-    except (ValueError, IndexError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return FiniteLattice([[bool(v) for v in row] for row in leq], labels)
 
 
 # -- form ---------------------------------------------------------------------
@@ -73,48 +95,63 @@ def form_to_dict(form: FormInstance) -> dict:
 
 
 def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
-    objects = _need(doc, "objects", where)
+    """A form whose structure is sound: every fibre a lattice, every table
+    typed and in range, every composite a declared morphism of the right
+    hom-set. Its laws are left to the verifiers."""
+    objects = _strs(_need(doc, "objects", where), f"{where}.objects")
     if any("," in x for x in objects):
         raise SchemaError(f"{where}.objects: names may not contain commas")
-    homs_doc = _need(doc, "homs", where)
     homs: dict[tuple[str, str], list[str]] = {}
-    for key, ms in homs_doc.items():
+    for key, ms in _need(doc, "homs", where, dict).items():
         parts = key.split(",")
         if len(parts) != 2 or parts[0] not in objects or parts[1] not in objects:
             raise SchemaError(f"{where}.homs[{key!r}]: key must be 'X,Y' over declared objects")
-        homs[(parts[0], parts[1])] = list(ms)
-    compose_doc = _need(doc, "compose", where)
+        homs[(parts[0], parts[1])] = _strs(ms, f"{where}.homs[{key!r}]")
     compose: dict[tuple[str, str], str] = {}
-    for key, h in compose_doc.items():
+    for key, h in _need(doc, "compose", where, dict).items():
         parts = key.split(";")
-        if len(parts) != 2:
-            raise SchemaError(f"{where}.compose[{key!r}]: key must be 'g;f'")
+        if len(parts) != 2 or not isinstance(h, str):
+            raise SchemaError(f"{where}.compose[{key!r}]: key must be 'g;f' and the value a morphism name")
         compose[(parts[0], parts[1])] = h
-    identities = _need(doc, "identities", where)
+    identities = _need(doc, "identities", where, dict)
+    if not all(isinstance(i, str) for i in identities.values()):
+        raise SchemaError(f"{where}.identities: expected morphism names")
     try:
         base = CategoryPresentation(objects, homs, compose, identities)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
-    fibres_doc = _need(doc, "fibres", where)
-    fibres = {
-        x: lattice_from_dict(_need(fibres_doc, x, f"{where}.fibres"), f"{where}.fibres[{x}]")
-        for x in objects
-    }
-    push_doc = _need(doc, "push", where)
-    pull_doc = _need(doc, "pull", where)
+    for x in objects:
+        if x not in identities:
+            raise SchemaError(f"{where}.identities: object {x!r} has no identity")
+    for (g, f), h in compose.items():
+        if not {g, f, h} <= base.dom.keys():
+            raise SchemaError(f"{where}.compose[{g + ';' + f!r}]: names an undeclared morphism")
+        if base.cod[f] != base.dom[g] or (base.dom[h], base.cod[h]) != (base.dom[f], base.cod[g]):
+            raise SchemaError(f"{where}.compose[{g + ';' + f!r}]: {h!r} is not a composite of {g!r} after {f!r}")
+    for g, f in base.composable_pairs():
+        if (g, f) not in compose:
+            raise SchemaError(f"{where}.compose: {g!r} after {f!r} is undefined")
+    fibres_doc = _need(doc, "fibres", where, dict)
+    fibres = {}
+    for x in objects:
+        at = f"{where}.fibres[{x}]"
+        fib = lattice_from_dict(_need(fibres_doc, x, f"{where}.fibres"), at)
+        bad = fib.verify()
+        if fib.size == 0 or not bad.ok:
+            raise SchemaError(f"{at}: not a lattice ({bad.violations[0].check if bad.violations else 'empty'})")
+        fibres[x] = fib
+    push_doc = _need(doc, "push", where, dict)
+    pull_doc = _need(doc, "pull", where, dict)
     push = {}
     pull = {}
     for f in base.morphisms():
         x, y = base.dom[f], base.cod[f]
         try:
-            push[f] = MonotoneMap(fibres[x], fibres[y], _need(push_doc, f, f"{where}.push"))
-            pull[f] = MonotoneMap(fibres[y], fibres[x], _need(pull_doc, f, f"{where}.pull"))
+            push[f] = MonotoneMap(fibres[x], fibres[y], _ints(_need(push_doc, f, f"{where}.push"), f"{where}.push[{f}]"))
+            pull[f] = MonotoneMap(fibres[y], fibres[x], _ints(_need(pull_doc, f, f"{where}.pull"), f"{where}.pull[{f}]"))
         except (ValueError, IndexError) as exc:
             raise SchemaError(f"{where}: morphism {f!r}: {exc}") from exc
-    try:
-        return FormInstance(base, fibres, push, pull)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return FormInstance(base, fibres, push, pull)
 
 
 # -- order and operators --------------------------------------------------------
@@ -129,9 +166,10 @@ def order_to_dict(order: TopogenousOrder, form_id: str | None = None) -> dict:
 
 
 def order_from_dict(doc: dict, where: str = "order") -> TopogenousOrder:
-    rel_doc = _need(doc, "rel", where)
     rel = {}
-    for x, rows in rel_doc.items():
+    for x, rows in _need(doc, "rel", where, dict).items():
+        if not isinstance(rows, list):
+            raise SchemaError(f"{where}.rel[{x}]: expected a list of rows")
         n = len(rows)
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != n:
@@ -142,18 +180,13 @@ def order_from_dict(doc: dict, where: str = "order") -> TopogenousOrder:
     return TopogenousOrder(rel)
 
 
-def operator_to_dict(op: ClosureOperator | InteriorOperator) -> dict:
+def operator_to_dict(op: Operator) -> dict:
     return {"map": {x: list(t) for x, t in sorted(op.maps.items())}}
 
 
-def operator_from_dict(doc: dict, kind: str, where: str = "operator"):
-    maps_doc = _need(doc, "map", where)
-    maps = {x: tuple(t) for x, t in maps_doc.items()}
-    if kind == "closure":
-        return ClosureOperator(maps)
-    if kind == "interior":
-        return InteriorOperator(maps)
-    raise ValueError(f"kind must be 'closure' or 'interior', got {kind!r}")
+def operator_from_dict(doc: dict, kind: str, where: str = "operator") -> Operator:
+    maps = {x: _ints(t, f"{where}.map[{x}]") for x, t in _need(doc, "map", where, dict).items()}
+    return Operator(kind, maps)
 
 
 # -- instance payloads ----------------------------------------------------------
@@ -178,7 +211,7 @@ def group_to_dict(g: FiniteGroup) -> dict:
 
 def group_from_dict(doc: dict, where: str = "group") -> FiniteGroup:
     order = _need(doc, "order", where)
-    cayley = _need(doc, "cayley", where)
+    cayley = [_ints(row, f"{where}.cayley[{i}]") for i, row in enumerate(_need(doc, "cayley", where, list))]
     if len(cayley) != order:
         raise SchemaError(f"{where}.cayley: expected {order} rows")
     try:
@@ -208,8 +241,12 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise SchemaError(f"{path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not UTF-8 text") from None
 
 
 def dump_json(doc: dict, path: str) -> None:

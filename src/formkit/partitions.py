@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .forms import FormInstance
 from .lattice import FiniteLattice, MonotoneMap
+from .report import InputError
 from .setmaps import SetFunction, function_category
 
 MAX_GROUND = 5
@@ -63,7 +64,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of {0..n-1} as restricted growth strings, in
     lexicographic order."""
     if not 0 <= n <= MAX_GROUND:
-        raise ValueError(f"ground size must be between 0 and {MAX_GROUND}")
+        raise InputError(f"ground size must be between 0 and {MAX_GROUND}, got {n}")
     if n == 0:
         return [Partition(())]
     out: list[Partition] = []
@@ -143,7 +144,7 @@ def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
     push is the pushout, pull the kernel of the composite."""
     for n in sizes:
         if n > MAX_GROUND:
-            raise ValueError(f"ground size {n} exceeds the cap of {MAX_GROUND}")
+            raise InputError(f"ground size {n} exceeds the cap of {MAX_GROUND}")
     base, size_of, fn_of = function_category(sizes)
     fibres = {}
     parts = {}

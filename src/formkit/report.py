@@ -5,6 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+class InputError(ValueError):
+    """Input formkit cannot work on: a malformed document, a relation or
+    operator that does not fit its form, or a size beyond a builder's cap.
+    The message says where; the command line exits 2 on it."""
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed check with enough context to replay it.

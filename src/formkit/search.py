@@ -14,18 +14,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
+from .checks import CHECKS, CheckContext
 from .forms import CategoryPresentation, FormInstance
 from .lattice import FiniteLattice, GaloisPair, MonotoneMap, bits
-from .morphisms import (
-    DISPUTED_CHECKS,
-    final_thick_check,
-    strict_characterization,
-    transfer_laws_check,
-    cohereditary_operator_check,
-)
-from .topogenous import TopogenousOrder, roundtrip_check, verify_order
+from .topogenous import TopogenousOrder, verify_order
 
 MAX_POSET_POINTS = 3
 MAX_FIBRE = 6
@@ -254,50 +248,15 @@ class Counterexample:
         }
 
 
-def _check_roundtrip_tm(form: FormInstance, rng: random.Random):
-    order = random_order(rng, form, "TM")
-    rep = roundtrip_check(form, order)
-    return rep.violations
-
-
-def _check_roundtrip_tj(form: FormInstance, rng: random.Random):
-    order = random_order(rng, form, "TJ")
-    rep = roundtrip_check(form, order)
-    return rep.violations
-
-
-def _check_strict_iff_push(form: FormInstance, rng: random.Random):
-    order = random_order(rng, form, "any")
-    out = []
-    for f in form.base.morphisms():
-        out.extend(strict_characterization(form, order, f).violations)
-    return out
-
-
-def _check_final_thick(form: FormInstance, rng: random.Random):
-    out = list(final_thick_check(form, random_order(rng, form, "any")).violations)
-    out.extend(final_thick_check(form, random_order(rng, form, "TM")).violations)
-    return out
-
-
-def _check_transfer_laws(form: FormInstance, rng: random.Random):
-    order = random_order(rng, form, "any")
-    rep = transfer_laws_check(form, order)
-    return [v for v in rep.violations if v.check not in DISPUTED_CHECKS]
-
-
-def _check_cohereditary_operator(form: FormInstance, rng: random.Random):
-    order = random_order(rng, form, "TM")
-    return list(cohereditary_operator_check(form, order).violations)
-
-
-CLAIMS: dict[str, Callable] = {
-    "roundtrip-TM": _check_roundtrip_tm,
-    "roundtrip-TJ": _check_roundtrip_tj,
-    "strict-iff-push": _check_strict_iff_push,
-    "final-thick": _check_final_thick,
-    "transfer-laws": _check_transfer_laws,
-    "cohereditary-operator": _check_cohereditary_operator,
+# Each claim is a registry check, run on one generated form with orders
+# drawn, in this sequence, from the listed classes ("any", "TM" or "TJ").
+CLAIMS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "roundtrip-TM": ("roundtrip", ("TM",)),
+    "roundtrip-TJ": ("roundtrip", ("TJ",)),
+    "strict-iff-push": ("strict-iff-push", ("any",)),
+    "final-thick": ("final-thick", ("any", "TM")),
+    "transfer-laws": ("transfer-laws", ("any",)),
+    "cohereditary-operator": ("cohereditary-operator", ("TM",)),
 }
 
 
@@ -309,25 +268,21 @@ def run_case(claim: str, seed: int, index: int) -> Optional[Counterexample]:
     """One generated form checked against one claim; None when clean."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {sorted(CLAIMS)}")
+    check, classes = CLAIMS[claim]
     rng = case_rng(seed, index)
     form = random_form(rng)
-    violations = CLAIMS[claim](form, rng)
+    violations = []
+    for want in classes:
+        violations.extend(CHECKS[check].run(CheckContext(form, random_order(rng, form, want))).violations)
     if not violations:
         return None
     return Counterexample(seed, index, claim, [v.to_dict() for v in violations])
 
 
-def run_search(claim: str, budget: int, seed: int, jobs: int = 1) -> dict:
+def run_search(claim: str, budget: int, seed: int) -> dict:
     """Check ``budget`` generated forms against the claim; deterministic in
-    (claim, budget, seed) regardless of the worker count."""
-    indices = range(budget)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            found = list(pool.map(lambda i: run_case(claim, seed, i), indices))
-    else:
-        found = [run_case(claim, seed, i) for i in indices]
+    (claim, budget, seed)."""
+    found = [run_case(claim, seed, i) for i in range(budget)]
     counterexamples = [c.to_dict() for c in found if c is not None]
     return {
         "claim": claim,

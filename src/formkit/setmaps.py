@@ -11,6 +11,7 @@ from itertools import product
 from typing import Sequence
 
 from .forms import CategoryPresentation
+from .report import InputError
 
 MORPHISM_BUDGET = 5000
 
@@ -68,7 +69,7 @@ def function_category(sizes: Sequence[int]) -> tuple[CategoryPresentation, dict[
     seen: dict[int, int] = {}
     for n in sizes:
         if n < 0:
-            raise ValueError("carrier sizes must be nonnegative")
+            raise InputError(f"carrier sizes must be nonnegative, got {n}")
         k = seen.get(n, 0)
         seen[n] = k + 1
         names.append(f"{n}pt" if k == 0 else f"{n}pt_{k}")
@@ -76,7 +77,7 @@ def function_category(sizes: Sequence[int]) -> tuple[CategoryPresentation, dict[
 
     total = sum(size_of[y] ** size_of[x] if size_of[x] > 0 else 1 for x in names for y in names)
     if total > MORPHISM_BUDGET:
-        raise ValueError(f"{total} morphisms exceed the budget of {MORPHISM_BUDGET}")
+        raise InputError(f"{total} morphisms exceed the budget of {MORPHISM_BUDGET}")
 
     homs: dict[tuple[str, str], list[str]] = {}
     fn_of: dict[str, SetFunction] = {}

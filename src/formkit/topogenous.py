@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .forms import FormInstance
 from .lattice import FiniteLattice, bits
-from .report import Report
+from .report import InputError, Report
 
 EXHAUSTIVE_SUBSET_LIMIT = 12
 
@@ -53,11 +53,21 @@ class TopogenousOrder:
         )
 
 
-@dataclass(frozen=True)
-class ClosureOperator:
-    """Per-object self-maps, expected extensive and transfer-compatible."""
+OPERATOR_KINDS = ("closure", "interior")
 
+
+@dataclass(frozen=True)
+class Operator:
+    """Per-object self-maps of the fibres. A closure operator is expected
+    extensive and transfer-compatible, an interior operator contractive,
+    monotone and pull-compatible; ``kind`` says which one this is."""
+
+    kind: str
     maps: Mapping[str, tuple[int, ...]]
+
+    def __post_init__(self) -> None:
+        if self.kind not in OPERATOR_KINDS:
+            raise ValueError(f"kind must be 'closure' or 'interior', got {self.kind!r}")
 
     def table(self, x: str) -> tuple[int, ...]:
         return self.maps[x]
@@ -66,29 +76,10 @@ class ClosureOperator:
         return self.maps[x][a]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ClosureOperator) and dict(self.maps) == dict(other.maps)
+        return isinstance(other, Operator) and self.kind == other.kind and dict(self.maps) == dict(other.maps)
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.maps.items())))
-
-
-@dataclass(frozen=True)
-class InteriorOperator:
-    """Per-object self-maps, expected contractive, monotone, pull-compatible."""
-
-    maps: Mapping[str, tuple[int, ...]]
-
-    def table(self, x: str) -> tuple[int, ...]:
-        return self.maps[x]
-
-    def apply(self, x: str, a: int) -> int:
-        return self.maps[x][a]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, InteriorOperator) and dict(self.maps) == dict(other.maps)
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.maps.items())))
+        return hash((self.kind, tuple(sorted(self.maps.items()))))
 
 
 @dataclass(frozen=True)
@@ -108,17 +99,20 @@ class OrderClass:
 
 
 def _check_shape(form: FormInstance, order: TopogenousOrder) -> None:
+    for x in order.rel:
+        if x not in form.fibres:
+            raise InputError(f"order relates object {x!r}, which the form does not have")
     for x in form.base.objects:
         rows = order.rel.get(x)
         if rows is None:
-            raise ValueError(f"order has no relation for object {x!r}")
+            raise InputError(f"order has no relation for object {x!r}")
         fib = form.fibre(x)
         if len(rows) != fib.size:
-            raise ValueError(f"relation rows for {x!r} do not match the fibre size")
+            raise InputError(f"relation rows for {x!r} do not match the fibre size")
         full = (1 << fib.size) - 1
         for a, row in enumerate(rows):
             if row & ~full:
-                raise ValueError(f"relation row {a} of {x!r} indexes outside the fibre")
+                raise InputError(f"relation row {a} of {x!r} indexes outside the fibre")
 
 
 def leq_order(form: FormInstance) -> TopogenousOrder:
@@ -311,7 +305,7 @@ def _and_all(masks: Iterable[int]) -> int:
 # -- operators ----------------------------------------------------------------
 
 
-def closure_from_order(form: FormInstance, order: TopogenousOrder) -> ClosureOperator:
+def closure_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
     """Each element goes to the meet of everything related above it.
 
     Meaningful (extensive, transfer-compatible) when the order is
@@ -323,11 +317,12 @@ def closure_from_order(form: FormInstance, order: TopogenousOrder) -> ClosureOpe
         fib = form.fibre(x)
         rows = order.rel[x]
         maps[x] = tuple(fib.meet(bits(rows[a])) for a in range(fib.size))
-    return ClosureOperator(maps)
+    return Operator("closure", maps)
 
 
-def order_from_closure(form: FormInstance, clo: ClosureOperator) -> TopogenousOrder:
+def order_from_closure(form: FormInstance, clo: Operator) -> TopogenousOrder:
     """a related to b iff the closure of a is below b."""
+    _check_operator_shape(form, clo.maps)
     rel = {}
     for x in form.base.objects:
         fib = form.fibre(x)
@@ -336,7 +331,7 @@ def order_from_closure(form: FormInstance, clo: ClosureOperator) -> TopogenousOr
     return TopogenousOrder(rel)
 
 
-def interior_from_order(form: FormInstance, order: TopogenousOrder) -> InteriorOperator:
+def interior_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
     """Each element goes to the join of everything related below it."""
     _check_shape(form, order)
     maps = {}
@@ -347,11 +342,12 @@ def interior_from_order(form: FormInstance, order: TopogenousOrder) -> InteriorO
             fib.join([a for a in range(fib.size) if (rows[a] >> b) & 1])
             for b in range(fib.size)
         )
-    return InteriorOperator(maps)
+    return Operator("interior", maps)
 
 
-def order_from_interior(form: FormInstance, intr: InteriorOperator) -> TopogenousOrder:
+def order_from_interior(form: FormInstance, intr: Operator) -> TopogenousOrder:
     """a related to b iff a is below the interior of b."""
+    _check_operator_shape(form, intr.maps)
     rel = {}
     for x in form.base.objects:
         fib = form.fibre(x)
@@ -364,16 +360,19 @@ def order_from_interior(form: FormInstance, intr: InteriorOperator) -> Topogenou
 
 
 def _check_operator_shape(form: FormInstance, maps: Mapping[str, tuple[int, ...]]) -> None:
+    for x in maps:
+        if x not in form.fibres:
+            raise InputError(f"operator maps object {x!r}, which the form does not have")
     for x in form.base.objects:
         t = maps.get(x)
         if t is None:
-            raise ValueError(f"operator has no table for object {x!r}")
+            raise InputError(f"operator has no table for object {x!r}")
         fib = form.fibre(x)
         if len(t) != fib.size or any(not 0 <= v < fib.size for v in t):
-            raise ValueError(f"operator table for {x!r} does not fit the fibre")
+            raise InputError(f"operator table for {x!r} does not fit the fibre")
 
 
-def verify_closure(form: FormInstance, clo: ClosureOperator) -> Report:
+def verify_closure(form: FormInstance, clo: Operator) -> Report:
     """Extensivity plus transfer-compatibility in its four equivalent
     phrasings, with a cross-check that all four verdicts coincide."""
     _check_operator_shape(form, clo.maps)
@@ -421,7 +420,7 @@ def verify_closure(form: FormInstance, clo: ClosureOperator) -> Report:
     return rep
 
 
-def verify_interior(form: FormInstance, intr: InteriorOperator) -> Report:
+def verify_interior(form: FormInstance, intr: Operator) -> Report:
     """Contractivity, monotonicity, and pull-compatibility."""
     _check_operator_shape(form, intr.maps)
     rep = Report()
@@ -448,88 +447,82 @@ def verify_interior(form: FormInstance, intr: InteriorOperator) -> Report:
     return rep
 
 
-def is_idempotent(op: ClosureOperator | InteriorOperator) -> bool:
+def verify_operator(form: FormInstance, op: Operator) -> Report:
+    """The axioms of the operator's kind."""
+    return verify_closure(form, op) if op.kind == "closure" else verify_interior(form, op)
+
+
+def operator_from_order(form: FormInstance, order: TopogenousOrder, kind: str) -> Operator:
+    """The derived operator of the given kind."""
+    return closure_from_order(form, order) if kind == "closure" else interior_from_order(form, order)
+
+
+def order_from_operator(form: FormInstance, op: Operator) -> TopogenousOrder:
+    """The order the operator induces, by its kind."""
+    return order_from_closure(form, op) if op.kind == "closure" else order_from_interior(form, op)
+
+
+def is_idempotent(op: Operator) -> bool:
     return all(
         all(t[t[a]] == t[a] for a in range(len(t))) for t in op.maps.values()
     )
 
 
-def roundtrip_check(form: FormInstance, obj) -> Report:
+def roundtrip_check(form: FormInstance, obj, cls: Optional[OrderClass] = None) -> Report:
     """The order/operator correspondences, round-tripped exactly.
 
     Orders must be meet-stable (closure side) or join-stable (interior
     side); wrong-class inputs are reported as skipped. Also asserts that
-    idempotency of the derived operator matches interpolativity."""
+    idempotency of the derived operator matches interpolativity. ``cls``,
+    when given, is the class of an order whose axioms the caller has
+    already verified, and neither is computed again."""
     rep = Report()
     if isinstance(obj, TopogenousOrder):
-        bad = verify_order(form, obj)
-        if not bad.ok:
-            rep.merge(bad)
-            rep.notes.append("input order fails its axioms; round trip skipped")
-            return rep
-        cls = classify_order(form, obj)
+        if cls is None:
+            bad = verify_order(form, obj)
+            if not bad.ok:
+                rep.merge(bad)
+                rep.notes.append("input order fails its axioms; round trip skipped")
+                return rep
+            cls = classify_order(form, obj)
         if not cls.is_TM and not cls.is_TJ:
             rep.notes.append("order is neither meet- nor join-stable; round trip skipped")
             return rep
-        if cls.is_TM:
-            clo = closure_from_order(form, obj)
-            rep.merge(verify_closure(form, clo))
-            back = order_from_closure(form, clo)
-            rep.count("order-closure-order")
+        for kind, stable in (("closure", cls.is_TM), ("interior", cls.is_TJ)):
+            if not stable:
+                continue
+            op = operator_from_order(form, obj, kind)
+            rep.merge(verify_operator(form, op))
+            back = order_from_operator(form, op)
+            rep.count(f"order-{kind}-order")
             if back != obj:
-                rep.add("order-closure-order", detail="derived order differs from the input")
-            rep.count("idempotent-iff-interpolative")
-            if is_idempotent(clo) != cls.is_interpolative:
-                rep.add("idempotent-iff-interpolative", witness=(is_idempotent(clo), cls.is_interpolative))
-        if cls.is_TJ:
-            intr = interior_from_order(form, obj)
-            rep.merge(verify_interior(form, intr))
-            back = order_from_interior(form, intr)
-            rep.count("order-interior-order")
-            if back != obj:
-                rep.add("order-interior-order", detail="derived order differs from the input")
-            rep.count("idempotent-iff-interpolative")
-            if is_idempotent(intr) != cls.is_interpolative:
-                rep.add("idempotent-iff-interpolative", witness=(is_idempotent(intr), cls.is_interpolative))
+                rep.add(f"order-{kind}-order", detail="derived order differs from the input")
+            _check_idempotent(rep, op, cls)
         return rep
-    if isinstance(obj, ClosureOperator):
-        bad = verify_closure(form, obj)
+    if isinstance(obj, Operator):
+        kind = obj.kind
+        bad = verify_operator(form, obj)
         if not bad.ok:
             rep.merge(bad)
-            rep.notes.append("input closure fails its axioms; round trip skipped")
+            rep.notes.append(f"input {kind} fails its axioms; round trip skipped")
             return rep
-        order = order_from_closure(form, obj)
+        order = order_from_operator(form, obj)
         rep.merge(verify_order(form, order))
         cls = classify_order(form, order)
-        rep.count("derived-order-is-TM")
-        if not cls.is_TM:
-            rep.add("derived-order-is-TM")
-        back = closure_from_order(form, order)
-        rep.count("closure-order-closure")
+        stable, flag = ("TM", cls.is_TM) if kind == "closure" else ("TJ", cls.is_TJ)
+        rep.count(f"derived-order-is-{stable}")
+        if not flag:
+            rep.add(f"derived-order-is-{stable}")
+        back = operator_from_order(form, order, kind)
+        rep.count(f"{kind}-order-{kind}")
         if back != obj:
-            rep.add("closure-order-closure", detail="derived closure differs from the input")
-        rep.count("idempotent-iff-interpolative")
-        if is_idempotent(obj) != cls.is_interpolative:
-            rep.add("idempotent-iff-interpolative", witness=(is_idempotent(obj), cls.is_interpolative))
-        return rep
-    if isinstance(obj, InteriorOperator):
-        bad = verify_interior(form, obj)
-        if not bad.ok:
-            rep.merge(bad)
-            rep.notes.append("input interior fails its axioms; round trip skipped")
-            return rep
-        order = order_from_interior(form, obj)
-        rep.merge(verify_order(form, order))
-        cls = classify_order(form, order)
-        rep.count("derived-order-is-TJ")
-        if not cls.is_TJ:
-            rep.add("derived-order-is-TJ")
-        back = interior_from_order(form, order)
-        rep.count("interior-order-interior")
-        if back != obj:
-            rep.add("interior-order-interior", detail="derived interior differs from the input")
-        rep.count("idempotent-iff-interpolative")
-        if is_idempotent(obj) != cls.is_interpolative:
-            rep.add("idempotent-iff-interpolative", witness=(is_idempotent(obj), cls.is_interpolative))
+            rep.add(f"{kind}-order-{kind}", detail=f"derived {kind} differs from the input")
+        _check_idempotent(rep, obj, cls)
         return rep
     raise TypeError(f"expected an order or operator, got {type(obj).__name__}")
+
+
+def _check_idempotent(rep: Report, op: Operator, cls: OrderClass) -> None:
+    rep.count("idempotent-iff-interpolative")
+    if is_idempotent(op) != cls.is_interpolative:
+        rep.add("idempotent-iff-interpolative", witness=(is_idempotent(op), cls.is_interpolative))

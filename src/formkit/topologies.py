@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .forms import FormInstance
 from .lattice import FiniteLattice, MonotoneMap
+from .report import InputError
 from .setmaps import SetFunction, function_category
 from .topogenous import TopogenousOrder
 
@@ -79,7 +80,7 @@ def enumerate_topologies(n: int) -> list[FiniteTopology]:
     naive filter over all subset families as an independent oracle.
     """
     if not 0 <= n <= MAX_POINTS:
-        raise ValueError(f"carrier size must be between 0 and {MAX_POINTS}")
+        raise InputError(f"carrier size must be between 0 and {MAX_POINTS}, got {n}")
     if n == 0:
         return [FiniteTopology(0, frozenset({0}))]
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -213,7 +214,7 @@ class TopForm:
 def build_top_form(sizes: Sequence[int]) -> TopForm:
     for n in sizes:
         if n > MAX_POINTS:
-            raise ValueError(f"carrier size {n} exceeds the cap of {MAX_POINTS}")
+            raise InputError(f"carrier size {n} exceeds the cap of {MAX_POINTS}")
     base, size_of, fn_of = function_category(sizes)
     fibres: dict[str, FiniteLattice] = {}
     tops: dict[str, list[FiniteTopology]] = {}

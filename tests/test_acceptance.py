@@ -30,7 +30,7 @@ from formkit.morphisms import (
 )
 from formkit.search import run_search
 from formkit.topogenous import (
-    ClosureOperator,
+    Operator,
     check_T3_pull_form,
     classify_order,
     closure_from_order,
@@ -86,12 +86,14 @@ def test_criterion_2_closure_roundtrip(top123, theta123, grp8, ni8):
         ok &= equiv
         notes.append(f"{name}: idempotent<->interpolative={equiv}")
     closures = {
-        "identity/top": (top123.form, ClosureOperator(
+        "identity/top": (top123.form, Operator(
+            "closure",
             {x: tuple(range(top123.form.fibre(x).size)) for x in top123.form.base.objects}
         )),
         "theta/top": (top123.form, closure_from_order(top123.form, theta123)),
         "normal-closure/grp": (grp8.form, closure_from_order(grp8.form, ni8)),
-        "identity/grp": (grp8.form, ClosureOperator(
+        "identity/grp": (grp8.form, Operator(
+            "closure",
             {x: tuple(range(grp8.form.fibre(x).size)) for x in grp8.form.base.objects}
         )),
     }

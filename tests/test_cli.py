@@ -308,13 +308,6 @@ def test_search_unknown_claim_exits_2(runner):
     assert res.exit_code == 2
 
 
-def test_search_jobs_flag_keeps_output_identical(runner):
-    one = invoke(runner, ["--seed", "3", "--jobs", "1", "search", "--claim", "final-thick", "--budget", "40"])
-    two = invoke(runner, ["--seed", "3", "--jobs", "3", "search", "--claim", "final-thick", "--budget", "40"])
-    assert one.exit_code == two.exit_code == 0
-    assert one.stdout == two.stdout
-
-
 def test_version_flag(runner):
     res = invoke(runner, ["--version"])
     assert res.exit_code == 0

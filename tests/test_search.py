@@ -48,12 +48,6 @@ def test_generator_produces_varied_shapes():
     assert len(shapes) >= 4
 
 
-def test_search_deterministic_across_jobs():
-    a = run_search("roundtrip-TM", 60, 99, jobs=1)
-    b = run_search("roundtrip-TM", 60, 99, jobs=3)
-    assert a == b
-
-
 def test_run_case_is_replayable():
     assert run_case("strict-iff-push", 5, 17) == run_case("strict-iff-push", 5, 17)
 
@@ -82,9 +76,9 @@ def test_roundtrip_checker_detects_planted_fault():
         pytest.skip("fibre too small to corrupt")
     t = list(clo.table(x))
     t[fib.top] = fib.bottom
-    from formkit.topogenous import ClosureOperator, verify_closure
+    from formkit.topogenous import Operator, verify_closure
 
-    bad = ClosureOperator(dict(clo.maps, **{x: tuple(t)}))
+    bad = Operator("closure", dict(clo.maps, **{x: tuple(t)}))
     assert not verify_closure(form, bad).ok
 
 

@@ -8,8 +8,7 @@ import pytest
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap
 from formkit.topogenous import (
-    ClosureOperator,
-    InteriorOperator,
+    Operator,
     TopogenousOrder,
     check_T3_pull_form,
     classify_order,
@@ -214,13 +213,14 @@ def test_closure_from_leq_is_identity(top12, grp8):
 
 def test_order_from_identity_closure_is_leq(top12):
     form = top12.form
-    ident = ClosureOperator({x: tuple(range(form.fibre(x).size)) for x in form.base.objects})
+    ident = Operator("closure", {x: tuple(range(form.fibre(x).size)) for x in form.base.objects})
     assert order_from_closure(form, ident) == leq_order(form)
 
 
 def test_constant_to_top_closure(top12):
     form = top12.form
-    const = ClosureOperator(
+    const = Operator(
+        "closure",
         {x: tuple(form.fibre(x).top for _ in range(form.fibre(x).size)) for x in form.base.objects}
     )
     assert verify_closure(form, const).ok
@@ -237,7 +237,7 @@ def test_constant_to_bottom_interior():
     # on the topology form the initial topology of a constant map is the
     # fibre top, so contractivity transfer (I3) genuinely fails there
     form = single_object_form(FiniteLattice.chain(3))
-    const = InteriorOperator({"X": (0, 0, 0)})
+    const = Operator("interior", {"X": (0, 0, 0)})
     assert verify_interior(form, const).ok
     T = order_from_interior(form, const)
     assert verify_order(form, T).ok
@@ -246,7 +246,8 @@ def test_constant_to_bottom_interior():
 
 def test_constant_to_bottom_interior_fails_I3_on_top_form(top12):
     form = top12.form
-    const = InteriorOperator(
+    const = Operator(
+        "interior",
         {x: tuple(form.fibre(x).bottom for _ in range(form.fibre(x).size)) for x in form.base.objects}
     )
     rep = verify_interior(form, const)
@@ -254,7 +255,8 @@ def test_constant_to_bottom_interior_fails_I3_on_top_form(top12):
 
 
 def test_verify_closure_four_forms_agree_on_instances(top12, theta123, top123):
-    ident = ClosureOperator(
+    ident = Operator(
+        "closure",
         {x: tuple(range(top12.form.fibre(x).size)) for x in top12.form.base.objects}
     )
     rep = verify_closure(top12.form, ident)
@@ -282,7 +284,7 @@ def test_fault_injected_interior_reports_I1(top12):
     t = list(bad["2pt"])
     t[fib.bottom] = fib.top
     bad["2pt"] = tuple(t)
-    rep = verify_interior(form, InteriorOperator(bad))
+    rep = verify_interior(form, Operator("interior", bad))
     assert any(v.check == "I1" for v in rep.violations)
 
 
@@ -291,7 +293,7 @@ def test_fault_injected_closure_reports_C1_and_form_disagreement(top123, theta12
     maps = {x: list(t) for x, t in clo.maps.items()}
     fib = top123.form.fibre("3pt")
     maps["3pt"][fib.top] = fib.bottom
-    rep = verify_closure(top123.form, ClosureOperator({x: tuple(t) for x, t in maps.items()}))
+    rep = verify_closure(top123.form, Operator("closure", {x: tuple(t) for x, t in maps.items()}))
     assert not rep.ok
     assert any(v.check == "C1" for v in rep.violations)
 
@@ -314,7 +316,8 @@ def test_roundtrip_from_closures(top123, theta123, grp8, ni8):
     for form, order in ((top123.form, theta123), (grp8.form, ni8)):
         clo = closure_from_order(form, order)
         assert roundtrip_check(form, clo).ok
-        ident = ClosureOperator(
+        ident = Operator(
+            "closure",
             {x: tuple(range(form.fibre(x).size)) for x in form.base.objects}
         )
         assert roundtrip_check(form, ident).ok
@@ -371,7 +374,8 @@ def test_monotone_assignments_interiors(top123, b123):
 
 def test_constant_top_closure_roundtrip_on_quot(quot123):
     form = quot123.form
-    const = ClosureOperator(
+    const = Operator(
+        "closure",
         {x: tuple(form.fibre(x).top for _ in range(form.fibre(x).size)) for x in form.base.objects}
     )
     assert roundtrip_check(form, const).ok
