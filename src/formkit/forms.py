@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .lattice import FiniteLattice, MonotoneMap
-from .report import Report
+from .report import InputError, Report
 
 
-class CorruptFormError(Exception):
+class CorruptFormError(InputError):
     """Raised when the two equivalent transfer tests disagree, which can
     only happen if the push/pull tables are inconsistent."""
 

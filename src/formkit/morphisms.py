@@ -143,11 +143,14 @@ def final_thick_check(
 def transfer_laws_check(form: FormInstance, order: TopogenousOrder) -> Report:
     """The closure/transfer laws for strict and final morphisms.
 
-    Sound clauses (violations gate a run):
+    Gating clauses (violations fail a run):
       retraction-final-strict: final retractions are strict, under the
         retraction reflection flag;
       section-strict-final: strict sections are final, under the section
-        reflection flag;
+        reflection flag. This printed clause is refuted: non-surjective
+        sections (for example the point inclusions 1pt->2pt on the
+        topology instance) are strict but not final. It is kept gating so
+        that the refutation stays visible, as README says;
       iso-strict / iso-final: isomorphisms are both, under the iso flag;
       compose-strict / compose-final: both classes compose;
       cancel-strict / cancel-final: when g∘f is in the class and f is a

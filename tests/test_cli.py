@@ -2,13 +2,19 @@
 replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from formkit.checks import REGISTRY
 from formkit.cli import main
 from formkit.groups import symmetric3
-from formkit.jsonio import dump_json, group_to_dict
+from formkit.jsonio import dump_json, form_to_dict, group_to_dict, operator_to_dict, order_to_dict
+from formkit.topogenous import closure_from_order
+from formkit.topologies import b_order, build_top_form, theta_order
 
 
 @pytest.fixture()
@@ -133,15 +139,142 @@ def test_handwritten_form_json_verifies_like_generated(runner, tmp_path):
     assert galois and all(v["where"] == "f" for v in galois)
 
 
-def test_malformed_input_exits_2(runner, tmp_path):
-    bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
-    res = invoke(runner, ["verify", "form", "--file", str(bad)])
+def _top2_inputs(tmp_path):
+    """top[2] with its theta order and derived closure, as files."""
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("form", "order", "closure")}
+    form = build_top_form([2])
+    order = theta_order(form)
+    dump_json(form_to_dict(form.form), paths["form"])
+    dump_json(order_to_dict(order), paths["order"])
+    dump_json(operator_to_dict(closure_from_order(form.form, order)), paths["closure"])
+    return paths
+
+
+def _write(tmp_path, doc, name="bad.json"):
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def _with(doc, path, value):
+    """A copy of doc with the entry at path replaced."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _good(paths, key):
+    return json.load(open(paths[key]))
+
+
+MALFORMED = {
+    "invalid-json": lambda t, p: ["verify", "form", "--file", _write(t, "{not json")],
+    "form-missing-key": lambda t, p: ["verify", "form", "--file", _write(t, {"objects": ["X"]})],
+    "operator-non-int-entry": lambda t, p: [
+        "verify", "closure", "--form", p["form"],
+        "--operator", _write(t, _with(_good(p, "closure"), ("map", "2pt", 0), "x")),
+    ],
+    "form-float-push-entry": lambda t, p: [
+        "verify", "form", "--file", _write(t, _with(_good(p, "form"), ("push", "2pt->2pt:0.1", 0), 1.5)),
+    ],
+    "order-rel-not-rows": lambda t, p: [
+        "verify", "order", "--form", p["form"], "--order", _write(t, {"form": None, "rel": {"2pt": 5}}),
+    ],
+    "order-extra-object": lambda t, p: [
+        "verify", "order", "--form", p["form"],
+        "--order", _write(t, _with(_good(p, "order"), ("rel", "ghost"), [[True]])),
+    ],
+    "order-from-closure-out-of-range": lambda t, p: [
+        "derive", "order-from-closure", "--form", p["form"],
+        "--operator", _write(t, {"map": {"2pt": [9, 9, 9, 9]}}),
+    ],
+    "witness-is-a-list": lambda t, p: ["replay", _write(t, [1, 2])],
+    "instance-top-over-cap": lambda t, p: ["instance", "top", "--sizes", "5"],
+    "instance-quot-over-cap": lambda t, p: ["instance", "quot", "--sizes", "6"],
+    "derive-theta-over-cap": lambda t, p: ["derive", "theta", "--n", "9"],
+    "search-budget-negative": lambda t, p: ["search", "--claim", "roundtrip-TM", "--budget", "-3"],
+}
+
+# A fragment of the message that locates the fault.
+MALFORMED_WHERE = {
+    "invalid-json": "bad.json:1:2",
+    "form-missing-key": "missing key 'homs'",
+    "operator-non-int-entry": "map[2pt]",
+    "form-float-push-entry": "push[2pt->2pt:0.1]",
+    "order-rel-not-rows": "rel[2pt]",
+    "order-extra-object": "'ghost'",
+    "order-from-closure-out-of-range": "'2pt'",
+    "witness-is-a-list": "bad.json",
+    "instance-top-over-cap": "carrier size 5",
+    "instance-quot-over-cap": "ground size 6",
+    "derive-theta-over-cap": "between 0 and 4, got 9",
+    "search-budget-negative": "--budget",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(runner, tmp_path, case):
+    res = invoke(runner, MALFORMED[case](tmp_path, _top2_inputs(tmp_path)))
     assert res.exit_code == 2
-    missing_key = tmp_path / "missing.json"
-    dump_json({"objects": ["X"]}, str(missing_key))
-    res = invoke(runner, ["verify", "form", "--file", str(missing_key)])
-    assert res.exit_code == 2
+    assert "Traceback" not in res.stderr
+    assert MALFORMED_WHERE[case] in res.stderr
+
+
+def _paths_into(doc, prefix=()):
+    """Every path to an entry of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths_into(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(allow_nan=False, width=16) | st.text("2pt,;x", max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("2pt", max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+FUZZED = {
+    "form": lambda p, bad: [
+        ["verify", "form", "--file", bad],
+        ["check-theorems", "--form", bad],
+    ],
+    "order": lambda p, bad: [
+        ["verify", "order", "--form", p["form"], "--order", bad],
+        ["check-theorems", "--form", p["form"], "--order", bad],
+    ],
+    "closure": lambda p, bad: [
+        ["verify", "closure", "--form", p["form"], "--operator", bad],
+        ["derive", "order-from-closure", "--form", p["form"], "--operator", bad],
+    ],
+}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_input_files_never_crash(data):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        paths = _top2_inputs(Path("."))
+        target = data.draw(st.sampled_from(sorted(FUZZED)))
+        doc = _good(paths, target)
+        path = data.draw(st.sampled_from(list(_paths_into(doc))))
+        if data.draw(st.booleans()) and isinstance(path[-1], str):
+            doc = json.loads(json.dumps(doc))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+        else:
+            doc = _with(doc, path, data.draw(JSON_VALUES))
+        bad = _write(Path("."), doc, "mutated.json")
+        for args in FUZZED[target](paths, bad):
+            res = runner.invoke(main, args, catch_exceptions=False)
+            assert res.exit_code in (0, 1, 2), args
+            assert "Traceback" not in res.stderr
 
 
 def test_unknown_subcommand_exits_2(runner):
@@ -380,3 +513,58 @@ def test_timing_goes_to_stderr_not_stdout(runner):
     res = invoke(runner, ["enumerate", "partitions", "--n", "3"])
     assert "elapsed" not in res.stdout
     assert "elapsed" in res.stderr
+
+
+def test_unknown_check_name_exits_2(runner, tmp_path):
+    res = invoke(runner, ["check-theorems", "--instance", "top", "--sizes", "1,2", "--order", "theta",
+                          "--check", "bogus"])
+    assert res.exit_code == 2
+    assert "bogus" in res.stderr
+    w = {"schema": 1, "check": "bogus", "recipe": {"kind": "top", "sizes": [1, 2], "order": "theta"}}
+    wpath = tmp_path / "w.json"
+    dump_json(w, str(wpath))
+    res = invoke(runner, ["replay", str(wpath)])
+    assert res.exit_code == 2
+    assert "bogus" in res.stderr
+
+
+def test_disputed_clauses_selectable_and_replayable(runner, tmp_path):
+    res = invoke(runner, ["check-theorems", "--instance", "grp", "--max-order", "4", "--order", "normal-interval",
+                          "--check", "transfer-laws-disputed-clauses"])
+    assert res.exit_code == 0
+    (check,) = parse(res)["checks"]
+    assert check["name"] == "transfer-laws-disputed-clauses"
+    assert check["status"] == "reported"
+    assert len(check["violations"]) == 83
+    wpath = tmp_path / "w.json"
+    dump_json(check["witness"], str(wpath))
+    res = invoke(runner, ["replay", str(wpath)])
+    assert res.exit_code == 0
+    (replayed,) = parse(res)["checks"]
+    assert replayed["name"] == "replay:transfer-laws-disputed-clauses"
+    assert replayed["status"] == "reported"
+    assert replayed["violations"] == check["violations"]
+
+
+def test_witness_of_file_inputs_replays(runner, tmp_path):
+    form_path, order_path = tmp_path / "top12.json", tmp_path / "b12.json"
+    top12 = build_top_form([1, 2])
+    dump_json(form_to_dict(top12.form), str(form_path))
+    dump_json(order_to_dict(b_order(top12)), str(order_path))
+    res = invoke(runner, ["check-theorems", "--form", str(form_path), "--order", str(order_path)])
+    assert res.exit_code == 1
+    failed = next(c for c in parse(res)["checks"] if c["name"] == "transfer-laws")
+    assert failed["status"] == "fail"
+    wpath = tmp_path / "w.json"
+    dump_json(failed["witness"], str(wpath))
+    res = invoke(runner, ["replay", str(wpath)])
+    assert res.exit_code == 1
+    (replayed,) = parse(res)["checks"]
+    assert replayed["name"] == "replay:transfer-laws"
+    assert replayed["violations"] == failed["violations"]
+
+
+def test_readme_names_every_registry_check():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [c.name for c in REGISTRY if f"`{c.name}`" not in readme]
+    assert not missing
