@@ -279,14 +279,13 @@ REGISTRY: tuple[Check, ...] = (
         stable="TM",
     ),
     Check("roundtrip", lambda ctx: roundtrip_check(ctx.form, ctx.order, cls=ctx.cls), stable="TM|TJ"),
-    *(_proposition_check(*row) for row in PROPOSITIONS[:2]),
+    *(_proposition_check(*row) for row in PROPOSITIONS),
     Check(
         "theta-clopen-strict-per-pair",
         _theta_clopen_per_pair,
         applies=lambda ctx: ctx.on(TopForm, "theta"),
         reported_only=True,
     ),
-    *(_proposition_check(*row) for row in PROPOSITIONS[2:]),
 )
 
 CHECKS: dict[str, Check] = {c.name: c for c in REGISTRY}

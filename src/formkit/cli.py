@@ -46,6 +46,7 @@ from .jsonio import (
     form_from_dict,
     form_to_dict,
     group_from_dict,
+    is_int,
     lattice_from_dict,
     load_json,
     operator_from_dict,
@@ -62,6 +63,7 @@ from .report import InputError, Report
 from .search import CLAIMS, run_case, run_search
 from .topogenous import (
     OPERATOR_KINDS,
+    TopogenousOrder,
     leq_order,
     operator_from_order,
     order_from_operator,
@@ -171,10 +173,6 @@ def instance_recipe(kind: str, sizes: Optional[str], corpus: str, max_order: int
     return {"kind": kind, "sizes": parse_sizes(sizes or "2")}
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _field(recipe: dict, key: str, ok, where: str, default=None):
     value = recipe.get(key, default)
     if not ok(value):
@@ -188,9 +186,9 @@ def build_instance(recipe: dict, where: str):
     if kind == "grp":
         if recipe.get("corpus", "standard") != "standard":
             fail_usage(f"unknown corpus {recipe['corpus']!r}; only 'standard' is built in")
-        return build_grp_form(standard_corpus(_field(recipe, "max_order", _is_int, where, 8)))
+        return build_grp_form(standard_corpus(_field(recipe, "max_order", is_int, where, 8)))
     if kind in ("top", "quot"):
-        sizes = _field(recipe, "sizes", lambda v: isinstance(v, list) and all(map(_is_int, v)), where, [])
+        sizes = _field(recipe, "sizes", lambda v: isinstance(v, list) and all(map(is_int, v)), where, [])
         return (build_top_form if kind == "top" else build_quot_form)(sizes or [2])
     fail_usage(f"unknown instance kind {kind!r}")
 
@@ -311,9 +309,15 @@ def verify_lattice_cmd(ctx: click.Context, path: str) -> None:
 
 
 def run_verify(ctx: click.Context, report: RunReport, checked: CheckContext, names: tuple[str, ...]) -> None:
-    """Run checks on inputs read from files; failing ones carry the inputs
-    inline in their witnesses."""
-    report.checks.extend(run_checks(checked, names, inline_recipe(checked)))
+    """Run checks on inputs read from files; those with violations carry
+    the inputs inline in their witnesses."""
+    results = run_checks(checked, names)
+    flagged = [r for r in results if r.violations]
+    if flagged:
+        recipe = inline_recipe(checked)
+        for r in flagged:
+            r.witness = make_witness(r.name, recipe)
+    report.checks.extend(results)
     emit(ctx, report, ctx.obj["started"])
 
 
@@ -412,12 +416,7 @@ def derive_topology_order_cmd(name: str, relation) -> None:
     @run_guarded
     def command(ctx, n, out) -> None:
         report = RunReport(command=["derive", name, str(n)])
-        rows = relation(n)
-        size = len(rows)
-        doc = {
-            "form": f"top[{n}]",
-            "rel": {f"{n}pt": [[bool((rows[a] >> b) & 1) for b in range(size)] for a in range(size)]},
-        }
+        doc = order_to_dict(TopogenousOrder({f"{n}pt": relation(n)}), form_id=f"top[{n}]")
         _emit_derived(ctx, report, doc, out)
 
 
@@ -633,8 +632,8 @@ def replay_cmd(ctx, witness_file) -> None:
     recipe = _field(doc, "recipe", lambda v: isinstance(v, dict), witness_file, {})
     kind = recipe.get("kind")
     if kind == "search":
-        claim = _field(recipe, "claim", lambda v: v in CLAIMS, witness_file)
-        seed, index = (_field(recipe, key, _is_int, witness_file) for key in ("seed", "index"))
+        claim = _field(recipe, "claim", lambda v: isinstance(v, str) and v in CLAIMS, witness_file)
+        seed, index = (_field(recipe, key, is_int, witness_file) for key in ("seed", "index"))
         ce = run_case(claim, seed, index)
         rep = Report()
         rep.checks_run = 1
@@ -647,7 +646,7 @@ def replay_cmd(ctx, witness_file) -> None:
         lat = lattice_from_dict(load_json(path), where=path)
         report.checks.append(check_from_report("replay:lattice-axioms", lat.verify()))
     else:
-        if check not in CHECKS:
+        if not isinstance(check, str) or check not in CHECKS:
             fail_usage(f"{witness_file}: unknown check {check!r}")
         needs = CHECKS[check].needs
         checked = load_recipe(recipe, report.inputs, where=witness_file)

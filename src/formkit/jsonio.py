@@ -24,6 +24,9 @@ class SchemaError(InputError):
     """Malformed input document; the message carries the offending path."""
 
 
+_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
 def _need(doc: dict, key: str, where: str, kind: type | None = None) -> Any:
     if not isinstance(doc, dict) or key not in doc:
         raise SchemaError(f"{where}: missing key {key!r}")
@@ -33,15 +36,13 @@ def _need(doc: dict, key: str, where: str, kind: type | None = None) -> Any:
     return value
 
 
-_NAMES = {dict: "an object", list: "a list", str: "a string"}
-
-
-def _is_int(v: Any) -> bool:
+def is_int(v: Any) -> bool:
+    """A JSON integer; booleans excluded."""
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _ints(value: Any, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+    if not isinstance(value, list) or not all(is_int(v) for v in value):
         raise SchemaError(f"{where}: expected a list of integers")
     return tuple(value)
 
@@ -64,7 +65,7 @@ def lattice_to_dict(lat: FiniteLattice) -> dict:
 
 def lattice_from_dict(doc: dict, where: str = "lattice") -> FiniteLattice:
     size = _need(doc, "size", where)
-    if not _is_int(size) or size < 0:
+    if not is_int(size) or size < 0:
         raise SchemaError(f"{where}.size: expected a nonnegative integer")
     leq = _need(doc, "leq", where)
     if not isinstance(leq, list) or len(leq) != size:

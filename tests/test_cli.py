@@ -140,13 +140,15 @@ def test_handwritten_form_json_verifies_like_generated(runner, tmp_path):
 
 
 def _top2_inputs(tmp_path):
-    """top[2] with its theta order and derived closure, as files."""
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("form", "order", "closure")}
+    """top[2] with its theta order and derived closure, and a witness, as files."""
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("form", "order", "closure", "witness")}
     form = build_top_form([2])
     order = theta_order(form)
     dump_json(form_to_dict(form.form), paths["form"])
     dump_json(order_to_dict(order), paths["order"])
     dump_json(operator_to_dict(closure_from_order(form.form, order)), paths["closure"])
+    witness = {"schema": 1, "check": "b-all-final", "recipe": {"kind": "top", "sizes": [1, 2], "order": "b"}}
+    dump_json(witness, paths["witness"])
     return paths
 
 
@@ -156,13 +158,17 @@ def _write(tmp_path, doc, name="bad.json"):
     return str(path)
 
 
-def _with(doc, path, value):
-    """A copy of doc with the entry at path replaced."""
+def _with(doc, path, *value):
+    """A copy of doc with the entry at path replaced, or deleted when no
+    value is given."""
     doc = json.loads(json.dumps(doc))
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value:
+        target[path[-1]] = value[0]
+    else:
+        del target[path[-1]]
     return doc
 
 
@@ -250,12 +256,15 @@ FUZZED = {
         ["verify", "closure", "--form", p["form"], "--operator", bad],
         ["derive", "order-from-closure", "--form", p["form"], "--operator", bad],
     ],
+    "witness": lambda p, bad: [["replay", bad]],
 }
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_mutated_input_files_never_crash(data):
+    """Form, order, operator and witness files mutated at one entry exit
+    0, 1 or 2, never with an uncaught exception."""
     runner = CliRunner()
     with runner.isolated_filesystem():
         paths = _top2_inputs(Path("."))
@@ -263,11 +272,7 @@ def test_mutated_input_files_never_crash(data):
         doc = _good(paths, target)
         path = data.draw(st.sampled_from(list(_paths_into(doc))))
         if data.draw(st.booleans()) and isinstance(path[-1], str):
-            doc = json.loads(json.dumps(doc))
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            del parent[path[-1]]
+            doc = _with(doc, path)
         else:
             doc = _with(doc, path, data.draw(JSON_VALUES))
         bad = _write(Path("."), doc, "mutated.json")
