@@ -43,6 +43,8 @@ class FiniteLattice:
         )
         self.labels = tuple(labels) if labels is not None else None
         self._full = (1 << n) - 1
+        self._is_order: Optional[bool] = None
+        self._covers: Optional[tuple[tuple[int, ...], ...]] = None
 
     @classmethod
     def from_up_masks(cls, up: Sequence[int], labels: Optional[Sequence[str]] = None) -> "FiniteLattice":
@@ -143,6 +145,30 @@ class FiniteLattice:
                 rep.add("missing-bottom")
         return rep
 
+    def is_partial_order(self) -> bool:
+        """Reflexive, antisymmetric and transitive; memoised. Fast paths
+        that reason along covers or chain inequalities rely on it."""
+        if self._is_order is None:
+            up = self.up
+            self._is_order = all(
+                (up[a] >> a) & 1
+                and not any((up[b] >> a) & 1 or up[b] & ~up[a] for b in bits(up[a] & ~(1 << a)))
+                for a in range(self.size)
+            )
+        return self._is_order
+
+    def covers(self) -> tuple[tuple[int, ...], ...]:
+        """``covers()[a]``: every b > a with nothing strictly between, in
+        increasing order; memoised. On a finite partial order, a <= b iff a
+        chain of covers leads from a to b."""
+        if self._covers is None:
+            out = []
+            for a in range(self.size):
+                above = self.up[a] & ~(1 << a)
+                out.append(tuple(b for b in bits(above) if not above & self.down[b] & ~(1 << b)))
+            self._covers = tuple(out)
+        return self._covers
+
     @staticmethod
     def _has_bound(common: int, cones: tuple) -> bool:
         return any(common & ~cones[c] == 0 for c in bits(common))
@@ -182,7 +208,30 @@ class MonotoneMap:
         return self.table[a]
 
     def monotone_violation(self) -> Optional[tuple[int, int]]:
-        """First pair a <= b with table[a] !<= table[b], or None."""
+        """First pair a <= b with table[a] !<= table[b], or None.
+
+        Only the cover pairs of the source are tested: when source and
+        target are partial orders, every a <= b is a chain of covers, so a
+        map that preserves each cover is monotone by transitivity of the
+        target. When a cover fails, or either side is not a partial order,
+        this falls back to :meth:`monotone_violation_dense`, so the pair
+        returned is the first one of the full scan."""
+        if self.source.is_partial_order() and self.target.is_partial_order() and self._preserves_covers():
+            return None
+        return self.monotone_violation_dense()
+
+    def _preserves_covers(self) -> bool:
+        up, t = self.target.up, self.table
+        for a, above in enumerate(self.source.covers()):
+            fa = up[t[a]]
+            for b in above:
+                if not (fa >> t[b]) & 1:
+                    return False
+        return True
+
+    def monotone_violation_dense(self) -> Optional[tuple[int, int]]:
+        """The full scan over every pair a <= b of the source: the oracle
+        that :meth:`monotone_violation` is cross-checked against."""
         for a in range(self.source.size):
             fa = self.table[a]
             for b in bits(self.source.up[a]):

@@ -1,0 +1,199 @@
+"""The reduced law sweeps against the dense sweeps they replace.
+
+`CategoryPresentation.verify` tests associativity with a generator in the
+middle, `FormInstance.verify_laws` tests functoriality at generators and
+skips the Galois sweep where monotonicity, unit and counit hold, and
+`MonotoneMap.monotone_violation` tests cover pairs only. Each falls back to
+its dense sweep on failure, so the violations must always be those of
+`verify_dense`, `verify_laws_dense` and `monotone_violation_dense`.
+"""
+
+import random
+from collections import Counter
+
+from formkit.forms import CategoryPresentation, FormInstance
+from formkit.groups import build_grp_form, standard_corpus
+from formkit.lattice import FiniteLattice, MonotoneMap
+from formkit.partitions import build_quot_form
+from formkit.search import case_rng, random_form
+from formkit.topologies import build_top_form, topology_fibre
+
+SEED = 20230130
+
+
+def violations(rep):
+    return rep.to_dict()["violations"]
+
+
+def with_compose(form: FormInstance, pair: tuple[str, str], h: str) -> FormInstance:
+    base = form.base
+    compose = dict(base.compose_table)
+    compose[pair] = h
+    changed = CategoryPresentation(base.objects, base.homs, compose, base.identities)
+    return FormInstance(changed, form.fibres, form.push_maps, form.pull_maps)
+
+
+def with_table(form: FormInstance, direction: str, f: str, index: int, value: int) -> FormInstance:
+    maps = form.push_maps if direction == "push" else form.pull_maps
+    old = maps[f]
+    table = list(old.table)
+    table[index] = value
+    changed = dict(maps, **{f: MonotoneMap(old.source, old.target, table)})
+    if direction == "push":
+        return FormInstance(form.base, form.fibres, changed, form.pull_maps)
+    return FormInstance(form.base, form.fibres, form.push_maps, changed)
+
+
+def corrupt(form: FormInstance, rng: random.Random):
+    """One random change: a compose entry moved to another member of its
+    hom-set, or one entry of a push or pull table; None when the drawn
+    kind has no room for a change on this form."""
+    base = form.base
+    kind = rng.choice(("compose", "push", "pull"))
+    if kind == "compose":
+        pairs = [(g, f) for g, f in base.composable_pairs() if len(base.hom(base.dom[f], base.cod[g])) > 1]
+        if not pairs:
+            return None
+        g, f = rng.choice(pairs)
+        others = [h for h in base.hom(base.dom[f], base.cod[g]) if h != base.compose(g, f)]
+        return with_compose(form, (g, f), rng.choice(others))
+    f = rng.choice(list(base.morphisms()))
+    m = (form.push_maps if kind == "push" else form.pull_maps)[f]
+    if m.target.size < 2:
+        return None
+    index = rng.randrange(m.source.size)
+    value = rng.choice([v for v in range(m.target.size) if v != m.table[index]])
+    return with_table(form, kind, f, index, value)
+
+
+def assert_agrees(form: FormInstance) -> set[str]:
+    """Fast and dense sweeps report the same violations; returns the names
+    of the checks that failed."""
+    fast_base, dense_base = form.base.verify(), form.base.verify_dense()
+    assert violations(fast_base) == violations(dense_base)
+    fast_laws, dense_laws = form.verify_laws(), form.verify_laws_dense()
+    assert violations(fast_laws) == violations(dense_laws)
+    return {v.check for v in fast_base.violations + fast_laws.violations}
+
+
+def test_fast_sweeps_match_dense_oracles_under_corruption():
+    # (form, corruptions drawn); quot[2,3] gets few because its dense
+    # sweeps are the slowest here
+    cases = [
+        (build_top_form([1, 2]).form, 250),
+        (build_top_form([2, 2]).form, 250),
+        (build_top_form([0, 1, 2]).form, 250),
+        (build_quot_form([2, 3]).form, 40),
+    ]
+    cases += [(random_form(case_rng(SEED, i)), 20) for i in range(30)]
+    rng = random.Random(SEED)
+    generator_swept = {"associative", "identity-left", "identity-right", "functorial-push", "functorial-pull"}
+    tried = certified = 0
+    failed: Counter = Counter()
+    for form, draws in cases:
+        assert not assert_agrees(form)
+        for _ in range(draws):
+            changed = corrupt(form, rng)
+            if changed is None:
+                continue
+            tried += 1
+            found = assert_agrees(changed)
+            failed.update(found)
+            certified += not found & generator_swept
+    assert tried >= 1000
+    # every fallback was taken, and some corruptions left the category and
+    # functoriality intact, so the generator sweeps certified them
+    for check in ("associative", "identity-left", "functorial-push", "functorial-pull", "galois", "unit"):
+        assert failed[check] > 0, check
+    assert certified > 0
+
+
+def closure_of_generators(base: CategoryPresentation) -> set[str]:
+    reached = set(base.identities.values())
+    todo = list(reached)
+    while todo:
+        x = todo.pop()
+        for s in base.generators:
+            if base.dom[s] == base.cod[x]:
+                y = base.compose(s, x)
+                if y not in reached:
+                    reached.add(y)
+                    todo.append(y)
+    return reached
+
+
+def test_generators_generate_every_morphism():
+    for base in (
+        build_top_form([3]).form.base,
+        build_quot_form([3]).form.base,
+        build_grp_form(standard_corpus(4)).form.base,
+    ):
+        morphisms = set(base.morphisms())
+        assert closure_of_generators(base) == morphisms
+        assert len(base.generators) < len(morphisms)
+
+
+def test_generator_counts_on_benchmark_instances():
+    assert len(build_top_form([3, 3, 3]).form.base.generators) == 7
+    assert len(build_quot_form([3, 3, 3]).form.base.generators) == 7
+
+
+def test_composite_middle_violation_reports_dense_witness():
+    # break h∘m for a composite m until the dense sweep's first witness has
+    # a composite in the middle: the generator sweep never tests that
+    # triple, yet the report must carry it
+    form = build_quot_form([3]).form
+    base = form.base
+    plain = set(base.generators) | set(base.identities.values())
+    composites = [m for m in base.morphisms() if m not in plain]
+    for h in composites:
+        for m in composites:
+            right = base.compose(h, m)
+            wrong = next(x for x in base.hom(base.dom[m], base.cod[h]) if x != right)
+            changed = with_compose(form, (h, m), wrong).base
+            dense = changed.verify_dense()
+            assert not dense.ok
+            middle = dense.violations[0].witness[1]
+            if dense.violations[0].check == "associative" and middle not in plain:
+                fast = changed.verify()
+                assert violations(fast) == violations(dense)
+                return
+    raise AssertionError("no corruption with a composite middle in the dense witness")
+
+
+def test_monotone_violation_matches_dense_scan_on_topology_lattice():
+    lat, _ = topology_fibre(3)
+    assert lat.size == 29
+    rng = random.Random(SEED)
+    form = build_top_form([3]).form
+    monotone = [form.push_maps[f].table for f in form.base.morphisms()]
+    outcomes = set()
+    for trial in range(600):
+        if trial % 3 == 0:
+            table = [rng.randrange(lat.size) for _ in range(lat.size)]
+        else:
+            table = list(rng.choice(monotone))
+            if trial % 3 == 2:
+                table[rng.randrange(lat.size)] = rng.randrange(lat.size)
+        m = MonotoneMap(lat, lat, table)
+        got = m.monotone_violation()
+        assert got == m.monotone_violation_dense()
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_covers_of_a_diamond():
+    # bottom 0 < 1, 2 < top 3
+    lat = FiniteLattice.from_up_masks([0b1111, 0b1010, 0b1100, 0b1000])
+    assert lat.is_partial_order()
+    assert lat.covers() == ((1, 2), (3,), (3,), ())
+
+
+def test_monotone_violation_falls_back_on_a_non_order():
+    # 0 <= 1 and 1 <= 2 but not 0 <= 2: the identity out of a chain keeps
+    # every cover, yet it is not monotone into this relation
+    rel = FiniteLattice.from_up_masks([0b011, 0b110, 0b100])
+    assert not rel.is_partial_order()
+    m = MonotoneMap(FiniteLattice.chain(3), rel, [0, 1, 2])
+    assert m._preserves_covers()
+    assert m.monotone_violation() == m.monotone_violation_dense() == (0, 2)

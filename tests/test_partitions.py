@@ -154,6 +154,13 @@ def test_quot_form_laws():
         assert qf.form.verify_laws().ok
 
 
+def test_quot_form_laws_at_four_points():
+    qf = build_quot_form([4])
+    assert sum(1 for _ in qf.form.base.morphisms()) == 256
+    assert qf.form.base.verify().ok
+    assert qf.form.verify_laws().ok
+
+
 def test_quot_form_cap():
     with pytest.raises(ValueError):
         build_quot_form([6])

@@ -231,8 +231,9 @@ def test_build_top_form_at_cap_boundary():
     tf = build_top_form([4])
     assert tf.form.fibre("4pt").size == 355
     assert sum(1 for _ in tf.form.base.morphisms()) == 256
-    # spot-check the adjunction on one non-trivial morphism instead of the
-    # full law sweep, which is a minute-scale run at this size
+    assert tf.form.base.verify().ok
+    assert tf.form.verify_laws().ok
+    # and the adjunction directly on one non-trivial morphism
     f = "4pt->4pt:0.0.1.2"
     push, pull = tf.form.push_maps[f], tf.form.pull_maps[f]
     fib = tf.form.fibre("4pt")
