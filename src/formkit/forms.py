@@ -218,11 +218,13 @@ class CategoryPresentation:
         for fi in range(n):
             for gi in by_source[cod[fi]]:
                 gf = comp[gi * n + fi]
-                for hi in by_source[cod[gi]]:
-                    rep.count("associative")
+                row = by_source[cod[gi]]
+                for k, hi in enumerate(row):
                     if comp[hi * n + gf] != comp[comp[hi * n + gi] * n + fi]:
+                        rep.count("associative", k + 1)
                         rep.add("associative", witness=(names[hi], names[gi], names[fi]))
                         return
+                rep.count("associative", len(row))
 
 
 class _IntView:
@@ -509,13 +511,13 @@ class FormInstance:
             mk = self.morphism_kind(f)
             push, pull = self.push_maps[f], self.pull_maps[f]
             if mk.is_section:
+                rep.count("section-roundtrip", push.source.size)
                 for a in range(push.source.size):
-                    rep.count("section-roundtrip")
                     if pull.table[push.table[a]] != a:
                         rep.add("section-roundtrip", where=f, witness=(a,))
             if mk.is_retraction:
+                rep.count("retraction-roundtrip", pull.source.size)
                 for b in range(pull.source.size):
-                    rep.count("retraction-roundtrip")
                     if push.table[pull.table[b]] != b:
                         rep.add("retraction-roundtrip", where=f, witness=(b,))
             if mk.is_iso:

@@ -32,6 +32,8 @@ class FiniteGroup:
             if len(row) != n or any(not 0 <= v < n for v in row):
                 raise ValueError("cayley table must be square over 0..n-1")
         self.inverse = tuple(self._find_inverse(a) for a in range(n))
+        self._subgroups: Optional[tuple[int, ...]] = None
+        self._normals: Optional[tuple[int, ...]] = None
 
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -46,17 +48,20 @@ class FiniteGroup:
         """Associativity, identity at index 0, two-sided inverses."""
         rep = Report()
         n = self.n
+        t = self.table
+        rep.count("identity", 2 * n)
         for a in range(n):
-            rep.count("identity", 2)
-            if self.table[0][a] != a or self.table[a][0] != a:
+            if t[0][a] != a or t[a][0] != a:
                 rep.add("identity", where=self.name, witness=(a,))
         for a in range(n):
             for b in range(n):
+                ab, ta, tb = t[t[a][b]], t[a], t[b]
                 for c in range(n):
-                    rep.count("associative")
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
+                    if ab[c] != ta[tb[c]]:
+                        rep.count("associative", c + 1)
                         rep.add("associative", where=self.name, witness=(a, b, c))
                         return rep
+                rep.count("associative", n)
         return rep
 
     def conjugate(self, g: int, a: int) -> int:
@@ -158,9 +163,16 @@ def close_subset(g: FiniteGroup, mask: int) -> int:
 
 
 def subgroup_masks(g: FiniteGroup) -> list[int]:
-    """All subgroups as bit vectors, sorted by (order, mask)."""
+    """All subgroups as bit vectors, sorted by (order, mask); computed once
+    per group."""
     if g.n > MAX_GROUP_ORDER:
         raise ValueError(f"group order {g.n} exceeds the cap of {MAX_GROUP_ORDER}")
+    if g._subgroups is None:
+        g._subgroups = _find_subgroups(g)
+    return list(g._subgroups)
+
+
+def _find_subgroups(g: FiniteGroup) -> tuple[int, ...]:
     found = {1}
     frontier = [1]
     while frontier:
@@ -172,7 +184,7 @@ def subgroup_masks(g: FiniteGroup) -> list[int]:
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
-    return sorted(found, key=lambda m: (m.bit_count(), m))
+    return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 
 
 def is_subgroup(g: FiniteGroup, mask: int) -> bool:
@@ -196,7 +208,11 @@ def is_normal(g: FiniteGroup, mask: int) -> bool:
 
 
 def normal_subgroup_masks(g: FiniteGroup) -> list[int]:
-    return [m for m in subgroup_masks(g) if is_normal(g, m)]
+    """The normal subgroups in :func:`subgroup_masks` order; computed once
+    per group."""
+    if g._normals is None:
+        g._normals = tuple(m for m in subgroup_masks(g) if is_normal(g, m))
+    return list(g._normals)
 
 
 def subgroup_lattice(g: FiniteGroup) -> tuple[FiniteLattice, list[int]]:
@@ -274,56 +290,60 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
     return gens
 
 
-def _words(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int]]:
-    """For each element, (parent element, generator index) reaching it by a
-    right multiplication; the identity is its own root."""
-    parent: list[Optional[tuple[int, int]]] = [None] * g.n
-    parent[0] = (0, -1)
+def _words(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
+    """Breadth-first from the identity by right multiplication: one
+    (element, parent element, generator index) per non-identity element,
+    every parent listed before its children."""
+    seen = [True] + [False] * (g.n - 1)
+    steps = []
     frontier = [0]
     while frontier:
         x = frontier.pop(0)
         for k, gen in enumerate(gens):
             y = g.op(x, gen)
-            if parent[y] is None:
-                parent[y] = (x, k)
+            if not seen[y]:
+                seen[y] = True
+                steps.append((y, x, k))
                 frontier.append(y)
-    if any(p is None for p in parent):
+    if len(steps) != g.n - 1:
         raise ValueError("generators do not span the group")
-    return parent  # type: ignore[return-value]
+    return steps
 
 
 def enumerate_homs_generators(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
-    """All homomorphisms, found by assigning generator images and checking
-    the full multiplication law on the induced table."""
+    """All homomorphisms, found by assigning generator images.
+
+    Each assignment of images to :func:`generating_sequence` extends along
+    the words of :func:`_words` to one table t with t[0] = 0 and
+    t[x·s] = t[x]·t[s] whenever x·s was reached from x by s. The law is then
+    checked for every other x and generator s; it is enough: with
+    y = s1⋯sk, t[x·y] = t[x]·t[s1]⋯t[sk] and t[y] = t[s1]⋯t[sk], so t is a
+    homomorphism. Distinct assignments give distinct tables."""
     gens = generating_sequence(g)
-    parent = _words(g, gens)
+    steps = _words(g, gens)
+    tree = {(x, k) for _, x, k in steps}
+    gt, ht = g.table, h.table
+    checks = [
+        (x, gt[x][s], k)
+        for x in range(g.n)
+        for k, s in enumerate(gens)
+        if (x, k) not in tree
+    ]
     homs = []
     for images in product(range(h.n), repeat=len(gens)):
         table = [0] * g.n
-        # fill in BFS order so parents are resolved first
-        resolved = [False] * g.n
-        resolved[0] = True
-        pending = [x for x in range(g.n) if x != 0]
-        while pending:
-            nxt = []
-            for x in pending:
-                px, k = parent[x]
-                if resolved[px]:
-                    table[x] = h.op(table[px], images[k])
-                    resolved[x] = True
-                else:
-                    nxt.append(x)
-            pending = nxt
-        cand = GroupHom(g, h, tuple(table))
-        if cand.is_hom():
-            homs.append(cand)
+        for x, px, k in steps:
+            table[x] = ht[table[px]][images[k]]
+        if all(table[xs] == ht[table[x]][images[k]] for x, xs, k in checks):
+            homs.append(GroupHom(g, h, tuple(table)))
     homs.sort(key=lambda m: m.table)
     return homs
 
 
 def enumerate_homs_bruteforce(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
-    """Filter all value tables with the identity pinned; the independent
-    route for small sources."""
+    """Filter all value tables with the identity pinned: the independent
+    oracle :func:`enumerate_homs_generators` is tested against on sources
+    of order at most BRUTE_FORCE_ORDER."""
     if g.n > BRUTE_FORCE_ORDER:
         raise ValueError(f"brute force capped at source order {BRUTE_FORCE_ORDER}")
     homs = []
@@ -344,11 +364,12 @@ def enumerate_homs_bruteforce(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
 
 
 def enumerate_homs(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
-    """All homomorphisms between groups within the cap, sorted by table."""
+    """All homomorphisms between groups within the cap, sorted by table.
+
+    Every source goes through :func:`enumerate_homs_generators`;
+    :func:`enumerate_homs_bruteforce` is kept as its test oracle."""
     if g.n > MAX_HOM_ORDER or h.n > MAX_HOM_ORDER:
         raise ValueError(f"hom enumeration capped at order {MAX_HOM_ORDER}")
-    if g.n <= BRUTE_FORCE_ORDER:
-        return enumerate_homs_bruteforce(g, h)
     return enumerate_homs_generators(g, h)
 
 

@@ -115,24 +115,25 @@ class FiniteLattice:
         """Check the poset axioms and existence of all bounds."""
         rep = Report()
         n = self.size
+        rep.count("reflexive", n)
         for a in range(n):
-            rep.count("reflexive")
             if not (self.up[a] >> a) & 1:
                 rep.add("reflexive", witness=(a,))
         for a in range(n):
-            for b in bits(self.up[a] & ~(1 << a)):
-                rep.count("antisymmetric")
+            above = self.up[a] & ~(1 << a)
+            rep.count("antisymmetric", above.bit_count())
+            rep.count("transitive", above.bit_count())
+            for b in bits(above):
                 if (self.up[b] >> a) & 1:
                     rep.add("antisymmetric", witness=(a, b))
-                rep.count("transitive")
                 if self.up[b] & ~self.up[a]:
                     c = next(bits(self.up[b] & ~self.up[a]))
                     rep.add("transitive", witness=(a, b, c))
         if rep.violations:
             return rep
         for a in range(n):
+            rep.count("bounds", 2 * (n - a))
             for b in range(a, n):
-                rep.count("bounds", 2)
                 if not self._has_bound(self.down[a] & self.down[b], self.down):
                     rep.add("missing-meet", witness=(a, b))
                 if not self._has_bound(self.up[a] & self.up[b], self.up):

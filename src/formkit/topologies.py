@@ -10,6 +10,7 @@ discrete topology is the fibre bottom and the indiscrete one the top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .forms import FormInstance
@@ -116,7 +117,8 @@ def topology_fibre(n: int) -> tuple[FiniteLattice, list[FiniteTopology]]:
 
 def final_topology(f: SetFunction, t: FiniteTopology) -> FiniteTopology:
     """Finest topology on the codomain making f continuous: V is open iff
-    its preimage is."""
+    its preimage is. One entry of :func:`build_top_form`'s push table,
+    computed on its own: the oracle that table is tested against."""
     if f.dom_size != t.n:
         raise ValueError("function domain does not match the topology carrier")
     opens = frozenset(
@@ -126,7 +128,9 @@ def final_topology(f: SetFunction, t: FiniteTopology) -> FiniteTopology:
 
 
 def initial_topology(f: SetFunction, t: FiniteTopology) -> FiniteTopology:
-    """Coarsest topology on the domain making f continuous: the preimages."""
+    """Coarsest topology on the domain making f continuous: the preimages.
+    One entry of :func:`build_top_form`'s pull table, computed on its own:
+    the oracle that table is tested against."""
     if f.cod_size != t.n:
         raise ValueError("function codomain does not match the topology carrier")
     return FiniteTopology(f.dom_size, frozenset(f.preimage_mask(v) for v in t.opens))
@@ -212,6 +216,16 @@ class TopForm:
 
 
 def build_top_form(sizes: Sequence[int]) -> TopForm:
+    """The forgetful form over finite sets of the given sizes (each at most
+    MAX_POINTS), with the topology lattice as each fibre.
+
+    Transfer tables come from one preimage table per set function,
+    ``pre[v] = f.preimage_mask(v)``, with each topology encoded as one int
+    whose bit s is set when subset s is open: push (the final topology)
+    keeps v iff pre[v] is open, pull (the initial topology) is the set of
+    pre[v] over open v. :func:`final_topology` and
+    :func:`initial_topology` compute the same entries one topology at a
+    time and are the oracle the tables are tested against."""
     for n in sizes:
         if n > MAX_POINTS:
             raise InputError(f"carrier size {n} exceeds the cap of {MAX_POINTS}")
@@ -219,21 +233,30 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
     fibres: dict[str, FiniteLattice] = {}
     tops: dict[str, list[FiniteTopology]] = {}
     index: dict[str, dict[tuple[int, ...], int]] = {}
+    opens: dict[str, list[tuple[int, ...]]] = {}  # [t]: the open sets of t
+    codes: dict[str, dict[int, int]] = {}  # sum of 1 << s over open s -> element
+    flags: dict[str, list[list[int]]] = {}  # [t][s]: 1 when subset s is open in t
     for x in base.objects:
         fibres[x], tops[x] = topology_fibre(size_of[x])
         index[x] = {t.key(): i for i, t in enumerate(tops[x])}
+        opens[x] = list(index[x])
+        codes[x] = {sum(1 << s for s in o): i for i, o in enumerate(opens[x])}
+        flags[x] = [[(c >> s) & 1 for s in range(1 << size_of[x])] for c in codes[x]]
     push = {}
     pull = {}
     for f in base.morphisms():
         fn = fn_of[f]
         x, y = base.dom[f], base.cod[f]
+        pre = [fn.preimage_mask(v) for v in range(1 << fn.cod_size)]
+        bit_v = [1 << v for v in range(len(pre))]
+        bit_pre = [1 << p for p in pre]  # distinct powers of two sum to their union
         push[f] = MonotoneMap(
             fibres[x], fibres[y],
-            [index[y][final_topology(fn, t).key()] for t in tops[x]],
+            [codes[y][sum(compress(bit_v, map(fl.__getitem__, pre)))] for fl in flags[x]],
         )
         pull[f] = MonotoneMap(
             fibres[y], fibres[x],
-            [index[x][initial_topology(fn, t).key()] for t in tops[y]],
+            [codes[x][sum(set(map(bit_pre.__getitem__, o)))] for o in opens[y]],
         )
     form = FormInstance(base, fibres, push, pull)
     return TopForm(form, size_of, tops, index, fn_of)

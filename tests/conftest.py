@@ -19,6 +19,11 @@ def top123():
 
 
 @pytest.fixture(scope="session")
+def top4():
+    return build_top_form([4])
+
+
+@pytest.fixture(scope="session")
 def grp8():
     return build_grp_form(standard_corpus(8))
 

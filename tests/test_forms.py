@@ -132,6 +132,18 @@ def test_lifting_iso_laws_clean_on_instances(top12, quot123):
         assert bundle.form.verify_lifting_iso_laws().ok
 
 
+def test_lifting_iso_laws_count_one_check_per_fibre_element(top12, quot123):
+    for bundle in (top12, quot123):
+        form = bundle.form
+        expected = 3  # flag agreement, one per kind
+        for f in form.base.morphisms():
+            mk = form.morphism_kind(f)
+            expected += mk.is_section * form.push_maps[f].source.size
+            expected += mk.is_retraction * form.pull_maps[f].source.size
+            expected += mk.is_iso
+        assert form.verify_lifting_iso_laws().checks_run == expected
+
+
 def test_retraction_roundtrip_on_partitions(quot123):
     # a split surjection recovers every partition by pull-then-push
     form = quot123.form
@@ -184,6 +196,24 @@ def test_base_category_verify_catches_bad_associativity():
     )
     rep = bad.verify()
     assert not rep.ok
+
+
+def test_dense_associativity_counts_triples_up_to_its_witness(top12):
+    base = top12.form.base
+    compose = dict(base.compose_table)
+    swap = "2pt->2pt:1.0"
+    compose[(swap, swap)] = "2pt->2pt:0.0"  # was the identity
+    bad = CategoryPresentation(base.objects, base.homs, compose, base.identities)
+    names = list(base.morphisms())
+    pairs = [(g, f) for f in names for g in names if bad.dom[g] == bad.cod[f]]
+    triples = [(h, g, f) for g, f in pairs for h in names if bad.dom[h] == bad.cod[g]]
+    first = next(
+        i for i, (h, g, f) in enumerate(triples)
+        if compose[(h, compose[(g, f)])] != compose[(compose[(h, g)], f)]
+    )
+    rep = bad.verify_dense()
+    assert [v.witness for v in rep.violations] == [triples[first]]
+    assert rep.checks_run == len(pairs) + 2 * len(names) + first + 1
 
 
 def test_empty_carrier_handled_by_general_enumeration():

@@ -1,11 +1,12 @@
 """Group instance: subgroup enumeration against the subset-filter oracle,
 hom enumeration both routes, transfer maps, the normal-interval order."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from formkit.groups import (
+    FiniteGroup,
     GroupHom,
     build_grp_form,
     close_subset,
@@ -41,6 +42,21 @@ def test_corpus_tables_are_groups():
     for g in standard_corpus(8):
         assert g.verify().ok, g.name
         assert g.table[0] == tuple(range(g.n))
+
+
+def test_verify_counts_triples_up_to_the_first_failure():
+    clean = cyclic(3)
+    assert clean.verify().checks_run == 2 * 3 + 3 ** 3
+    t = [list(row) for row in clean.table]
+    t[1][1] = 1  # inverses survive, associativity does not
+    bad = FiniteGroup(t, "bad")
+    triples = list(product(range(3), repeat=3))
+    first = next(
+        i for i, (a, b, c) in enumerate(triples) if t[t[a][b]][c] != t[a][t[b][c]]
+    )
+    rep = bad.verify()
+    assert [v.witness for v in rep.violations] == [triples[first]]
+    assert rep.checks_run == 2 * 3 + first + 1
 
 
 SUBGROUP_COUNTS = {

@@ -1,5 +1,8 @@
 """Serialization round trips and malformed-input diagnostics."""
 
+import hashlib
+import json
+
 import pytest
 
 from formkit.groups import symmetric3
@@ -128,3 +131,21 @@ def test_partition_roundtrip():
     assert partition_from_dict(doc) == p
     with pytest.raises(SchemaError):
         partition_from_dict({"n": 2, "blocks": [0, 0, 1]})
+
+
+# sha256 of the canonical JSON of each built-in form, recorded while push
+# and pull were still computed one topology at a time and small group
+# sources went through brute-force hom enumeration; perfbench/references.json
+# holds the same digests for `instance ... --emit`.
+EMITTED_DIGESTS = {
+    "top4": "f0d5c1508bef06f052c83c556c4c326a87625e52718a50ce22b2abfb0ac674b7",
+    "grp8": "cdfcb0c391fe29691fb3bf14c6ae1255bdd84e8a65ceab53b5b0b9f520f6f915",
+    "quot1234": "8e4308fef51838e7f133025f8a803e7997b9c4f30d6426e48873c79d1b4fd463",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMITTED_DIGESTS))
+def test_emitted_forms_are_pinned(name, request):
+    form = request.getfixturevalue(name).form
+    text = json.dumps(form_to_dict(form), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_DIGESTS[name]

@@ -99,6 +99,18 @@ def test_antichain_reports_missing_bounds():
     assert "missing-meet" in checks or "missing-top" in checks
 
 
+def test_verify_counts_every_relation_check():
+    # 4 reflexive, 2 x 6 strict pairs, 2 x 10 unordered pairs for bounds, 2 global
+    assert FiniteLattice.chain(4).verify().checks_run == 4 + 12 + 20 + 2
+    rows = [
+        [True, True, False],
+        [False, True, True],
+        [False, False, True],
+    ]
+    # stops before the bounds: 3 reflexive, 2 x 2 strict pairs
+    assert FiniteLattice(rows).verify().checks_run == 3 + 4
+
+
 def test_broken_transitivity_reported():
     rows = [
         [True, True, False],

@@ -227,8 +227,22 @@ def test_build_top_form_cap():
         build_top_form([5])
 
 
-def test_build_top_form_at_cap_boundary():
-    tf = build_top_form([4])
+@pytest.mark.parametrize("sizes", [[1, 2, 3], [0, 2, 3]])
+def test_transfer_tables_match_final_and_initial_topology(sizes):
+    tf = build_top_form(sizes)
+    base = tf.form.base
+    for f in base.morphisms():
+        fn, x, y = tf.functions[f], base.dom[f], base.cod[f]
+        assert tf.form.push_maps[f].table == tuple(
+            tf.index[y][final_topology(fn, t).key()] for t in tf.topologies[x]
+        ), f
+        assert tf.form.pull_maps[f].table == tuple(
+            tf.index[x][initial_topology(fn, t).key()] for t in tf.topologies[y]
+        ), f
+
+
+def test_build_top_form_at_cap_boundary(top4):
+    tf = top4
     assert tf.form.fibre("4pt").size == 355
     assert sum(1 for _ in tf.form.base.morphisms()) == 256
     assert tf.form.base.verify().ok
