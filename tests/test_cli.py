@@ -467,6 +467,24 @@ def test_unselected_failing_axioms_still_fail_the_run(runner, tmp_path):
     assert names.get("order-axioms") == "fail"
 
 
+def test_broken_adjunction_exits_2_with_the_transfer_message(runner, tmp_path):
+    # push of one morphism still monotone but no longer left adjoint to its
+    # pull: the order axioms pass, the closure sweep meets the disagreement
+    form_path = tmp_path / "top12.json"
+    invoke(runner, ["instance", "top", "--sizes", "1,2", "--emit", str(form_path)])
+    doc = json.loads(form_path.read_text())
+    doc["push"]["2pt->2pt:1.0"] = [3, 3, 3, 3]
+    form_path.write_text(json.dumps(doc))
+    res = invoke(runner, ["check-theorems", "--form", str(form_path)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert (
+        "transfer tests disagree for morphism '2pt->2pt:1.0' at (0, 0); "
+        "push/pull tables are not an adjoint pair"
+    ) in res.stderr
+    assert invoke(runner, ["verify", "form", "--file", str(form_path)]).exit_code == 1
+
+
 def test_witness_replay_roundtrip(runner, tmp_path):
     res = invoke(runner, ["check-theorems", "--instance", "top", "--sizes", "1,2", "--order", "b"])
     report = parse(res)

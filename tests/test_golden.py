@@ -23,7 +23,7 @@ import pytest
 from click.testing import CliRunner
 
 from formkit.cli import main
-from formkit.jsonio import dump_json, form_to_dict, order_to_dict
+from formkit.jsonio import dump_json, form_to_dict, load_json, order_to_dict
 from formkit.search import case_rng, random_form, random_order
 from formkit.topologies import b_order, build_top_form
 
@@ -41,6 +41,8 @@ CASES: dict[str, list[str]] = {
     "ct-files-top12-b": ["check-theorems", "--form", "top12.json", "--order", "b12.json"],
     "ct-files-top2-leq": ["check-theorems", "--form", "top2.json"],
     "ct-files-neither-class": ["check-theorems", "--form", "rand.json", "--order", "rand-order.json"],
+    # push and pull of one morphism are no adjoint pair: exit 2, stdout empty
+    "ct-files-broken-adjunction": ["check-theorems", "--form", "top12-broken.json"],
     # --check filters
     "ct-check-axioms-b-strict": [
         "check-theorems", *TOP12, "--order", "b", "--check", "order-axioms", "--check", "b-all-strict",
@@ -131,6 +133,9 @@ def _write_inputs() -> None:
         ["derive", "interior", "--form", "top2.json", "--order", "b2.json", "--out", "intr2.json"],
     ):
         assert _run(args).exit_code == 0, args
+    broken = load_json("top12.json")
+    broken["push"]["2pt->2pt:1.0"] = [3, 3, 3, 3]  # still monotone, but no longer left adjoint to pull
+    dump_json(broken, "top12-broken.json")
     dump_json(order_to_dict(b_order(build_top_form([1, 2]))), "b12.json")
     dump_json({"form": None, "rel": {"2pt": [[True] * 4 for _ in range(4)]}}, "full2.json")
     rng = case_rng(1, 1)  # an order neither meet- nor join-stable: emits skipped checks
