@@ -16,13 +16,14 @@ from typing import Callable, Collection, Optional
 
 from .forms import FormInstance
 from .groups import SubgroupForm, preserves_normals
+from .lattice import bits
 from .morphisms import (
     DISPUTED_CHECKS,
     cohereditary_operator_check,
+    final_table,
     final_thick_check,
-    is_final,
-    is_strict,
     strict_characterization,
+    strict_table,
     strict_via_operators,
     transfer_laws_check,
 )
@@ -33,12 +34,14 @@ from .topogenous import (
     TopogenousOrder,
     check_T3_pull_form,
     classify_order,
+    closure_from_order,
+    interior_from_order,
     roundtrip_check,
     verify_closure,
     verify_interior,
     verify_order,
 )
-from .topologies import TopForm, is_clopen_map
+from .topologies import TopForm, clopen_targets
 
 WITNESS_SCHEMA = 1
 
@@ -95,7 +98,21 @@ def make_witness(check: str, recipe: dict) -> dict:
 @dataclass(eq=False)
 class CheckContext:
     """What checks run on. Facts derived from the order are computed on
-    first use and shared by every check of one command."""
+    first use and shared by every check of one command: its axioms and
+    class, the derived closure and interior operators, each morphism's
+    strictness and finality, and the clopen table of a topology instance.
+    Each fact is computed only when a check asks for it, so a context that
+    runs one check pays for what that check reads.
+
+    The strict and final tables come from the mask kernels of
+    :func:`formkit.morphisms.strict_violation` and
+    :func:`formkit.morphisms.final_violation`, exact for any order; the
+    derived operators are checked by :func:`formkit.topogenous.verify_closure`,
+    whose mask sweep runs under a per-morphism adjunction certificate and
+    falls back to the pair sweep when a morphism lacks it. Theorem checks
+    still compute their other side on their own: strict-iff-push
+    recomputes strictness next to push preservation, and the operator
+    checks compare the verdict tables against the operators."""
 
     form: FormInstance
     order: Optional[TopogenousOrder] = None
@@ -112,13 +129,52 @@ class CheckContext:
         return classify_order(self.form, self.order)
 
     @cached_property
+    def closure(self) -> Operator:
+        return closure_from_order(self.form, self.order)
+
+    @cached_property
+    def interior(self) -> Operator:
+        return interior_from_order(self.form, self.order)
+
+    @cached_property
+    def strict(self) -> dict[str, bool]:
+        return strict_table(self.form, self.order)
+
+    @cached_property
+    def final(self) -> dict[str, bool]:
+        return final_table(self.form, self.order)
+
+    @cached_property
     def transfer(self) -> tuple[Report, Report]:
         """The transfer laws, split into gating and disputed clauses."""
-        rep = transfer_laws_check(self.form, self.order)
+        rep = transfer_laws_check(self.form, self.order, self.strict, self.final)
         gating, disputed = Report(checks_run=rep.checks_run), Report(checks_run=rep.checks_run)
         for v in rep.violations:
             (disputed if v.check in DISPUTED_CHECKS else gating).violations.append(v)
         return gating, disputed
+
+    @cached_property
+    def clopen(self) -> dict[str, list[int]]:
+        """Per surjection of a topology instance, per domain topology: the
+        mask of the codomain topologies it is a clopen map for
+        (:func:`formkit.topologies.clopen_targets`)."""
+        b = self.bundle
+        out = {}
+        for f in self.form.base.morphisms():
+            fn = b.functions[f]
+            if fn.is_surjective():
+                x, y = self.form.base.dom[f], self.form.base.cod[f]
+                out[f] = clopen_targets(fn, b.topologies[x], b.topologies[y])
+        return out
+
+    def derived(self) -> dict[str, Operator]:
+        """The operators the order's class makes meaningful, by kind."""
+        out = {}
+        if self.cls.is_TM:
+            out["closure"] = self.closure
+        if self.cls.is_TJ:
+            out["interior"] = self.interior
+        return out
 
     def on(self, instance: type, order_name: str) -> bool:
         """Whether this is the named order on a built instance of that type."""
@@ -154,6 +210,14 @@ def _per_morphism(ctx: CheckContext, one: Callable[[str], Report]) -> Report:
     return rep
 
 
+def _strict_via_operators(ctx: CheckContext) -> Report:
+    ops = ctx.derived()
+    return _per_morphism(
+        ctx,
+        lambda f: strict_via_operators(ctx.form, f, ctx.strict[f], ctx.cls, ops.get("closure"), ops.get("interior")),
+    )
+
+
 def _proposition(name: str, hypothesis, conclusion) -> Callable[[CheckContext], Report]:
     """Per morphism: wherever the hypothesis holds, the conclusion must."""
 
@@ -175,12 +239,10 @@ def _surjective(ctx: CheckContext, f: str) -> bool:
 
 def _clopen_surjection(ctx: CheckContext, f: str) -> bool:
     """A surjection clopen for every pair of topologies on its carriers."""
-    b = ctx.bundle
-    fn = b.functions[f]
-    if not fn.is_surjective():
+    if f not in ctx.clopen:
         return False
-    x, y = ctx.form.base.dom[f], ctx.form.base.cod[f]
-    return all(is_clopen_map(fn, tx, ty) for tx in b.topologies[x] for ty in b.topologies[y])
+    full = (1 << len(ctx.bundle.topologies[ctx.form.base.cod[f]])) - 1
+    return all(m == full for m in ctx.clopen[f])
 
 
 def _everywhere(ctx: CheckContext, f: str) -> bool:
@@ -188,33 +250,32 @@ def _everywhere(ctx: CheckContext, f: str) -> bool:
 
 
 def _strict(ctx: CheckContext, f: str) -> bool:
-    return is_strict(ctx.form, ctx.order, f)
+    return ctx.strict[f]
 
 
 def _final(ctx: CheckContext, f: str) -> bool:
-    return is_final(ctx.form, ctx.order, f)
+    return ctx.final[f]
 
 
 def _theta_clopen_per_pair(ctx: CheckContext) -> Report:
     """The weaker reading of theta-clopen-strict-literal: the strictness
-    implication restricted to the fibre pairs the map is clopen for."""
+    implication restricted to the fibre pairs the map is clopen for.
+
+    Per surjection f and domain topology a, the clopen pairs are the bits
+    of ``ctx.clopen[f][a]``, and the violations among them the bits also in
+    ``pull.preimage(rows_x[a])`` (b with pull(b) related to a) and outside
+    ``rows_y[push a]``."""
     name = "theta-clopen-strict-per-pair"
-    form, order, b = ctx.form, ctx.order, ctx.bundle
+    form, order = ctx.form, ctx.order
     rep = Report()
-    for f in form.base.morphisms():
-        fn = b.functions[f]
-        if not fn.is_surjective():
-            continue
+    for f, targets in ctx.clopen.items():
         x, y = form.base.dom[f], form.base.cod[f]
-        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        push, pull = form.push_maps[f].table, form.pull_maps[f]
         rows_x, rows_y = order.rel[x], order.rel[y]
-        for ai, tx in enumerate(b.topologies[x]):
-            for bi, ty in enumerate(b.topologies[y]):
-                if not is_clopen_map(fn, tx, ty):
-                    continue
-                rep.count(name)
-                if (rows_x[ai] >> pull[bi]) & 1 and not (rows_y[push[ai]] >> bi) & 1:
-                    rep.add(name, where=f, witness=(ai, bi))
+        for ai, clopen in enumerate(targets):
+            rep.count(name, clopen.bit_count())
+            for bi in bits(clopen & pull.preimage(rows_x[ai]) & ~rows_y[push[ai]]):
+                rep.add(name, where=f, witness=(ai, bi))
     return rep
 
 
@@ -260,12 +321,8 @@ REGISTRY: tuple[Check, ...] = (
         "strict-iff-push",
         lambda ctx: _per_morphism(ctx, lambda f: strict_characterization(ctx.form, ctx.order, f)),
     ),
-    Check("final-thick", lambda ctx: final_thick_check(ctx.form, ctx.order, cls=ctx.cls)),
-    Check(
-        "strict-via-operators",
-        lambda ctx: _per_morphism(ctx, lambda f: strict_via_operators(ctx.form, ctx.order, f, cls=ctx.cls)),
-        stable="TM|TJ",
-    ),
+    Check("final-thick", lambda ctx: final_thick_check(ctx.form, ctx.order, cls=ctx.cls, final=ctx.final)),
+    Check("strict-via-operators", _strict_via_operators, stable="TM|TJ"),
     Check("transfer-laws", lambda ctx: ctx.transfer[0]),
     Check(
         "transfer-laws-disputed-clauses",
@@ -275,10 +332,14 @@ REGISTRY: tuple[Check, ...] = (
     ),
     Check(
         "cohereditary-operator",
-        lambda ctx: cohereditary_operator_check(ctx.form, ctx.order, cls=ctx.cls),
+        lambda ctx: cohereditary_operator_check(ctx.form, ctx.cls, ctx.derived().get("closure"), ctx.final),
         stable="TM",
     ),
-    Check("roundtrip", lambda ctx: roundtrip_check(ctx.form, ctx.order, cls=ctx.cls), stable="TM|TJ"),
+    Check(
+        "roundtrip",
+        lambda ctx: roundtrip_check(ctx.form, ctx.order, cls=ctx.cls, derived=ctx.derived()),
+        stable="TM|TJ",
+    ),
     *(_proposition_check(*row) for row in PROPOSITIONS),
     Check(
         "theta-clopen-strict-per-pair",

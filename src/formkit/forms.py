@@ -147,7 +147,7 @@ class CategoryPresentation:
         for fi, f in enumerate(names):
             for gi in by_source[cod[fi]]:
                 comp[gi * n + fi] = ids[self.compose_table[(names[gi], f)]]
-        return _IntView(names, dom, cod, by_source, by_target, comp)
+        return _IntView(names, ids, dom, cod, by_source, by_target, comp)
 
     @cached_property
     def generators(self) -> tuple[str, ...]:
@@ -229,13 +229,15 @@ class CategoryPresentation:
 
 class _IntView:
     """A category presentation with morphisms and objects as integers:
-    ``comp[g * n + f]`` is g∘f (-1 where not composable), ``by_source[x]``
-    and ``by_target[x]`` list the morphisms out of and into object x."""
+    ``ids`` numbers the ``names``, ``comp[g * n + f]`` is g∘f (-1 where not
+    composable), ``by_source[x]`` and ``by_target[x]`` list the morphisms
+    out of and into object x."""
 
-    __slots__ = ("names", "dom", "cod", "by_source", "by_target", "comp")
+    __slots__ = ("names", "ids", "dom", "cod", "by_source", "by_target", "comp")
 
-    def __init__(self, names, dom, cod, by_source, by_target, comp):
+    def __init__(self, names, ids, dom, cod, by_source, by_target, comp):
         self.names: list[str] = names
+        self.ids: dict[str, int] = ids
         self.dom: list[int] = dom
         self.cod: list[int] = cod
         self.by_source: list[list[int]] = by_source
@@ -284,7 +286,7 @@ class FormInstance:
         for f in base.morphisms():
             if f not in self.push_maps or f not in self.pull_maps:
                 raise ValueError(f"missing transfer tables for morphism {f!r}")
-        self._kind_cache: dict[str, MorphismKind] = {}
+        self._adjoint: dict[str, bool] = {}
 
     def fibre(self, x: str) -> FiniteLattice:
         try:
@@ -321,24 +323,77 @@ class FormInstance:
         top_src = self.fibre(self.base.dom[f]).top
         return self.push(f, top_src) == self.fibre(self.base.cod[f]).top
 
+    def is_adjoint(self, f: str) -> bool:
+        """Whether push and pull of ``f`` are certified an adjoint pair:
+        they connect the fibres of dom f and cod f, both fibres are partial
+        orders, both maps are monotone (tested on covers, see
+        :meth:`MonotoneMap.monotone_violation`), a <= pull(push a) for
+        every a and push(pull b) <= b for every b. On partial orders this
+        is equivalent to push(a) <= b iff a <= pull(b) for all a and b (a
+        Galois connection; Davey & Priestley, *Introduction to Lattices and
+        Order*, 2nd ed., ch. 7), so :meth:`leq_over` cannot raise for
+        ``f``. Costs O(covers + |fibres|) once; memoised per morphism."""
+        known = self._adjoint.get(f)
+        if known is None:
+            fx, fy = self.fibre(self.base.dom[f]), self.fibre(self.base.cod[f])
+            push, pull = self.push_maps[f], self.pull_maps[f]
+            pt, qt = push.table, pull.table
+            known = (
+                push.source == fx and push.target == fy and pull.source == fy and pull.target == fx
+                and fx.is_partial_order() and fy.is_partial_order()
+                and push.monotone_violation() is None and pull.monotone_violation() is None
+                and all((fx.up[a] >> qt[pt[a]]) & 1 for a in range(fx.size))
+                and all((fy.up[pt[qt[b]]] >> b) & 1 for b in range(fy.size))
+            )
+            self._adjoint[f] = known
+        return known
+
     def morphism_kind(self, f: str) -> MorphismKind:
-        """Section/retraction/iso status inside the presented hom-sets."""
-        if f in self._kind_cache:
-            return self._kind_cache[f]
+        """Section/retraction/iso status inside the presented hom-sets.
+
+        Read from a table of every morphism's kind, built once on the
+        integer view of the base: for f: x -> y, the candidates are the
+        morphisms y -> x in ``by_source[y]``, and g∘f, f∘g are entries of
+        the flat composition table. :meth:`morphism_kind_dense` is the
+        name-keyed scan it is tested against."""
+        return self._kinds[self.base._view.ids[f]]
+
+    @cached_property
+    def _kinds(self) -> list[MorphismKind]:
+        base = self.base
+        v = base._view
+        n, comp, dom, cod = len(v.names), v.comp, v.dom, v.cod
+        identity = [v.ids[base.identity(x)] for x in base.objects]
+        kinds = []
+        for f in range(n):
+            x, y = dom[f], cod[f]
+            back = [g for g in v.by_source[y] if cod[g] == x]
+            left = [g for g in back if comp[g * n + f] == identity[x]]
+            right = {g for g in back if comp[f * n + g] == identity[y]}
+            two_sided = [g for g in left if g in right]
+            kinds.append(MorphismKind(
+                is_section=bool(left),
+                is_retraction=bool(right),
+                is_iso=bool(two_sided),
+                inverse=v.names[two_sided[0]] if two_sided else None,
+            ))
+        return kinds
+
+    def morphism_kind_dense(self, f: str) -> MorphismKind:
+        """The same status from the hom-set lists and the name-keyed
+        composition table, one morphism at a time: the oracle."""
         base = self.base
         x, y = base.dom[f], base.cod[f]
         idx, idy = base.identity(x), base.identity(y)
         left_inverses = [g for g in base.hom(y, x) if base.compose(g, f) == idx]
         right_inverses = [g for g in base.hom(y, x) if base.compose(f, g) == idy]
         two_sided = [g for g in left_inverses if g in right_inverses]
-        kind = MorphismKind(
+        return MorphismKind(
             is_section=bool(left_inverses),
             is_retraction=bool(right_inverses),
             is_iso=bool(two_sided),
             inverse=two_sided[0] if two_sided else None,
         )
-        self._kind_cache[f] = kind
-        return kind
 
     # -- law verification ---------------------------------------------------
 
@@ -483,8 +538,7 @@ class FormInstance:
         """
         if kind not in ("section", "retraction", "iso"):
             raise ValueError(f"unknown kind {kind!r}")
-        for f in self.base.morphisms():
-            mk = self.morphism_kind(f)
+        for f, mk in zip(self.base._view.names, self._kinds):
             if kind == "section" and mk.is_section:
                 push, pull = self.push_maps[f], self.pull_maps[f]
                 for a in range(push.source.size):

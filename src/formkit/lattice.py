@@ -20,6 +20,11 @@ def bits(mask: int):
         mask ^= low
 
 
+def low_bit(mask: int) -> int:
+    """The least set-bit position of a non-zero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
 class FiniteLattice:
     """A finite poset with all meets and joins (checked by :meth:`verify`).
 
@@ -203,6 +208,8 @@ class MonotoneMap:
         self.source = source
         self.target = target
         self.table = tuple(table)
+        self._fibres: Optional[dict[int, int]] = None
+        self._image = 0
 
     def __call__(self, a: int) -> int:
         self.source._check(a)
@@ -239,6 +246,24 @@ class MonotoneMap:
                 if not (self.target.up[fa] >> self.table[b]) & 1:
                     return (a, b)
         return None
+
+    def preimage(self, mask: int) -> int:
+        """The mask of every source element the map sends into ``mask``.
+
+        The fibres ``{a : table[a] = v}`` are built once per map, as masks;
+        a call then ORs the fibres of the values in ``mask`` that the map
+        takes, so it costs the popcount of ``mask``, not the source size."""
+        if self._fibres is None:
+            fibres: dict[int, int] = {}
+            for a, v in enumerate(self.table):
+                fibres[v] = fibres.get(v, 0) | (1 << a)
+            self._fibres = fibres
+            self._image = sum(1 << v for v in fibres)
+        fibres = self._fibres
+        out = 0
+        for v in bits(mask & self._image):
+            out |= fibres[v]
+        return out
 
     def is_monotone(self) -> bool:
         return self.monotone_violation() is None

@@ -9,18 +9,12 @@ between the general claims and a small finite model would surface here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .forms import FormInstance, MorphismKind
-from .lattice import bits
+from .lattice import bits, low_bit
 from .report import Report
-from .topogenous import (
-    OrderClass,
-    TopogenousOrder,
-    classify_order,
-    closure_from_order,
-    interior_from_order,
-)
+from .topogenous import Operator, OrderClass, TopogenousOrder, classify_order
 
 # Cancellation clauses whose printed hypotheses are under dispute; they are
 # evaluated and reported but do not gate a run (see transfer_laws_check).
@@ -55,7 +49,24 @@ class MorphismReport:
 
 
 def strict_violation(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
-    """First (a, b) with a related to pull(b) but push(a) not related to b."""
+    """First (a, b) with a related to pull(b) but push(a) not related to b.
+
+    Per a, ``pull.preimage(row_a)`` is every b with pull(b) related to a
+    (:meth:`MonotoneMap.preimage`); its bits outside ``rows_y[push a]`` are
+    the violations at a, so the first witness is the one of the pair sweep
+    :func:`strict_violation_dense`."""
+    x, y = form.base.dom[f], form.base.cod[f]
+    rows_x, rows_y = order.rel[x], order.rel[y]
+    push, pull = form.push_maps[f].table, form.pull_maps[f]
+    for a, row_a in enumerate(rows_x):
+        bad = pull.preimage(row_a) & ~rows_y[push[a]]
+        if bad:
+            return (a, low_bit(bad))
+    return None
+
+
+def strict_violation_dense(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
+    """The same witness from a sweep of every pair (a, b): the oracle."""
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push, pull = form.push_maps[f].table, form.pull_maps[f].table
@@ -72,7 +83,27 @@ def is_strict(form: FormInstance, order: TopogenousOrder, f: str) -> bool:
 
 
 def final_violation(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
-    """First (b, b') related after pulling but not before."""
+    """First (b, b') related after pulling but not before.
+
+    The b' whose pull is related to pull(b) are ``pull.preimage(rows_x[pull
+    b])``, one mask per value of pull; its bits outside ``rows_y[b]`` are
+    the violations at b, so the first witness is the one of
+    :func:`final_violation_dense`."""
+    x, y = form.base.dom[f], form.base.cod[f]
+    rows_x, rows_y = order.rel[x], order.rel[y]
+    pull = form.pull_maps[f]
+    pulled: dict[int, int] = {}
+    for b, c in enumerate(pull.table):
+        if c not in pulled:
+            pulled[c] = pull.preimage(rows_x[c])
+        bad = pulled[c] & ~rows_y[b]
+        if bad:
+            return (b, low_bit(bad))
+    return None
+
+
+def final_violation_dense(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
+    """The same witness from a sweep of every pair (b, b'): the oracle."""
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     pull = form.pull_maps[f].table
@@ -86,6 +117,16 @@ def final_violation(form: FormInstance, order: TopogenousOrder, f: str) -> Optio
 
 def is_final(form: FormInstance, order: TopogenousOrder, f: str) -> bool:
     return final_violation(form, order, f) is None
+
+
+def strict_table(form: FormInstance, order: TopogenousOrder) -> dict[str, bool]:
+    """Whether each morphism is strict for the order."""
+    return {f: is_strict(form, order, f) for f in form.base.morphisms()}
+
+
+def final_table(form: FormInstance, order: TopogenousOrder) -> dict[str, bool]:
+    """Whether each morphism is final for the order."""
+    return {f: is_final(form, order, f) for f in form.base.morphisms()}
 
 
 def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
@@ -114,7 +155,6 @@ def strict_characterization(form: FormInstance, order: TopogenousOrder, f: str) 
             witness=(sv, pv),
             detail=f"strict={sv is None} push-preserving={pv is None}",
         )
-    rep.notes.append(f"{f}: strict={sv is None} push_preserving={pv is None}")
     return rep
 
 
@@ -123,9 +163,11 @@ def final_thick_check(
     order: TopogenousOrder,
     f: Optional[str] = None,
     cls: Optional[OrderClass] = None,
+    final: Optional[Mapping[str, bool]] = None,
 ) -> Report:
     """Final morphisms must be thick when the fibre top is self-related (or
-    the order is meet-stable, which forces that)."""
+    the order is meet-stable, which forces that). ``final``, when given,
+    holds each morphism's finality for the order."""
     rep = Report()
     if cls is None:
         cls = classify_order(form, order)
@@ -135,12 +177,17 @@ def final_thick_check(
         top_y = form.fibre(y).top
         hypothesis = cls.is_TM or order.has(y, top_y, top_y)
         rep.count("final-thick")
-        if hypothesis and is_final(form, order, m) and not form.is_thick(m):
+        if hypothesis and (final[m] if final is not None else is_final(form, order, m)) and not form.is_thick(m):
             rep.add("final-thick", where=m)
     return rep
 
 
-def transfer_laws_check(form: FormInstance, order: TopogenousOrder) -> Report:
+def transfer_laws_check(
+    form: FormInstance,
+    order: TopogenousOrder,
+    strict: Optional[Mapping[str, bool]] = None,
+    final: Optional[Mapping[str, bool]] = None,
+) -> Report:
     """The closure/transfer laws for strict and final morphisms.
 
     Gating clauses (violations fail a run):
@@ -159,26 +206,111 @@ def transfer_laws_check(form: FormInstance, order: TopogenousOrder) -> Report:
     The dual cancellation clause is evaluated in the two printed/derived
     readings and reported without gating (DISPUTED_CHECKS): as printed the
     second factor is a retraction; the other reading makes the first factor
-    a section."""
+    a section.
+
+    ``strict`` and ``final``, when given, hold each morphism's verdict
+    (:func:`strict_table`, :func:`final_table`). The composable pairs are
+    walked on the integer view of the base (``by_source`` lists and the
+    flat ``comp`` table), with verdicts and kinds in lists by morphism
+    number; names are looked up only to build a violation. Counts and
+    violations are those of :func:`transfer_laws_check_dense`."""
+    rep = Report()
+    v = form.base._view
+    names, n, comp = v.names, len(v.names), v.comp
+    refl_sec, _ = form.check_reflects("section")
+    refl_ret, _ = form.check_reflects("retraction")
+    refl_iso, _ = form.check_reflects("iso")
+    strict = [(strict or strict_table(form, order))[m] for m in names]
+    final = [(final or final_table(form, order))[m] for m in names]
+    kinds = [form.morphism_kind(m) for m in names]
+    retraction = [k.is_retraction for k in kinds]
+    section = [k.is_section for k in kinds]
+
+    for i, m in enumerate(names):
+        k = kinds[i]
+        if refl_ret and k.is_retraction and final[i]:
+            rep.count("retraction-final-strict")
+            if not strict[i]:
+                rep.add("retraction-final-strict", where=m, witness=(strict_violation(form, order, m),))
+        if refl_sec and k.is_section and strict[i]:
+            rep.count("section-strict-final")
+            if not final[i]:
+                rep.add("section-strict-final", where=m, witness=(final_violation(form, order, m),))
+        if refl_iso and k.is_iso:
+            rep.count("iso-strict")
+            if not strict[i]:
+                rep.add("iso-strict", where=m)
+            rep.count("iso-final")
+            if not final[i]:
+                rep.add("iso-final", where=m)
+
+    def pair(g: int, f: int) -> str:
+        return f"{names[g]};{names[f]}"
+
+    for f in range(n):
+        for g in v.by_source[v.cod[f]]:
+            gf = comp[g * n + f]
+            if strict[f] and strict[g]:
+                rep.count("compose-strict")
+                if not strict[gf]:
+                    rep.add("compose-strict", where=pair(g, f))
+            if final[f] and final[g]:
+                rep.count("compose-final")
+                if not final[gf]:
+                    rep.add("compose-final", where=pair(g, f))
+            if refl_ret and retraction[f]:
+                if strict[gf]:
+                    rep.count("cancel-strict")
+                    if not strict[g]:
+                        rep.add("cancel-strict", where=pair(g, f))
+                if final[gf]:
+                    rep.count("cancel-final")
+                    if not final[g]:
+                        rep.add("cancel-final", where=pair(g, f))
+            if refl_sec and retraction[g]:
+                if strict[gf]:
+                    rep.count("cancel-strict-as-printed")
+                    if not strict[f]:
+                        rep.add("cancel-strict-as-printed", where=pair(g, f))
+                if final[gf]:
+                    rep.count("cancel-final-as-printed")
+                    if not final[f]:
+                        rep.add("cancel-final-as-printed", where=pair(g, f))
+            if refl_sec and section[f]:
+                if strict[gf]:
+                    rep.count("cancel-strict-first-factor-section")
+                    if not strict[f]:
+                        rep.add("cancel-strict-first-factor-section", where=pair(g, f))
+                if final[gf]:
+                    rep.count("cancel-final-first-factor-section")
+                    if not final[f]:
+                        rep.add("cancel-final-first-factor-section", where=pair(g, f))
+    return rep
+
+
+def transfer_laws_check_dense(form: FormInstance, order: TopogenousOrder) -> Report:
+    """The laws of :func:`transfer_laws_check` over name-keyed composable
+    pairs, string composition, per-morphism kind scans and the pair sweeps
+    for strictness and finality: the oracle."""
     rep = Report()
     base = form.base
     refl_sec, _ = form.check_reflects("section")
     refl_ret, _ = form.check_reflects("retraction")
     refl_iso, _ = form.check_reflects("iso")
-    strict = {m: is_strict(form, order, m) for m in base.morphisms()}
-    final = {m: is_final(form, order, m) for m in base.morphisms()}
-    kinds = {m: form.morphism_kind(m) for m in base.morphisms()}
+    strict = {m: strict_violation_dense(form, order, m) is None for m in base.morphisms()}
+    final = {m: final_violation_dense(form, order, m) is None for m in base.morphisms()}
+    kinds = {m: form.morphism_kind_dense(m) for m in base.morphisms()}
 
     for m in base.morphisms():
         k = kinds[m]
         if refl_ret and k.is_retraction and final[m]:
             rep.count("retraction-final-strict")
             if not strict[m]:
-                rep.add("retraction-final-strict", where=m, witness=(strict_violation(form, order, m),))
+                rep.add("retraction-final-strict", where=m, witness=(strict_violation_dense(form, order, m),))
         if refl_sec and k.is_section and strict[m]:
             rep.count("section-strict-final")
             if not final[m]:
-                rep.add("section-strict-final", where=m, witness=(final_violation(form, order, m),))
+                rep.add("section-strict-final", where=m, witness=(final_violation_dense(form, order, m),))
         if refl_iso and k.is_iso:
             rep.count("iso-strict")
             if not strict[m]:
@@ -229,27 +361,31 @@ def transfer_laws_check(form: FormInstance, order: TopogenousOrder) -> Report:
 
 def strict_via_operators(
     form: FormInstance,
-    order: TopogenousOrder,
     f: str,
-    cls: Optional[OrderClass] = None,
+    strict: bool,
+    cls: OrderClass,
+    closure: Optional[Operator],
+    interior: Optional[Operator],
 ) -> Report:
     """Strictness through the derived operators.
+
+    ``strict`` is f's verdict for the order (:func:`is_strict`); ``closure``
+    and ``interior`` are the operators derived from the same order
+    (:func:`closure_from_order` when it is meet-stable,
+    :func:`interior_from_order` when it is join-stable, else None), which
+    the caller derives once for all morphisms.
 
     Meet-stable branch: strict iff push commutes with the derived closure.
     Join-stable branch: pull commuting with the derived interior implies
     strict (one direction only). Wrong class: skipped with a notice."""
     rep = Report()
-    if cls is None:
-        cls = classify_order(form, order)
     if not cls.is_TM and not cls.is_TJ:
         rep.notes.append(f"{f}: order neither meet- nor join-stable; skipped")
         return rep
     x, y = form.base.dom[f], form.base.cod[f]
     push, pull = form.push_maps[f].table, form.pull_maps[f].table
-    strict = is_strict(form, order, f)
     if cls.is_TM:
-        clo = closure_from_order(form, order)
-        cx, cy = clo.table(x), clo.table(y)
+        cx, cy = closure.table(x), closure.table(y)
         commutes = all(push[cx[a]] == cy[push[a]] for a in range(form.fibre(x).size))
         rep.count("strict-iff-closure-commutes")
         if strict != commutes:
@@ -259,8 +395,7 @@ def strict_via_operators(
                 witness=(strict, commutes),
             )
     if cls.is_TJ:
-        intr = interior_from_order(form, order)
-        ix, iy = intr.table(x), intr.table(y)
+        ix, iy = interior.table(x), interior.table(y)
         commutes = all(pull[iy[b]] == ix[pull[b]] for b in range(form.fibre(y).size))
         rep.count("interior-commutes-implies-strict")
         if commutes and not strict:
@@ -283,19 +418,20 @@ def is_cohereditary(form: FormInstance, order: TopogenousOrder) -> bool:
 
 def cohereditary_operator_check(
     form: FormInstance,
-    order: TopogenousOrder,
-    cls: Optional[OrderClass] = None,
+    cls: OrderClass,
+    closure: Optional[Operator],
+    final: Mapping[str, bool],
 ) -> Report:
     """For meet-stable orders: cohereditary iff the derived closure is
-    computed on every retraction by pulling, closing, and pushing back."""
+    computed on every retraction by pulling, closing, and pushing back.
+    ``closure`` is the closure derived from the order (None when the order
+    is not meet-stable) and ``final`` each morphism's finality for it
+    (:func:`final_table`); the order side reads only ``final``."""
     rep = Report()
-    if cls is None:
-        cls = classify_order(form, order)
     if not cls.is_TM:
         rep.notes.append("order is not meet-stable; skipped")
         return rep
-    clo = closure_from_order(form, order)
-    cohered = is_cohereditary(form, order)
+    cohered = all(final[f] for f in form.base.morphisms() if form.morphism_kind(f).is_retraction)
     operator_side = True
     witness = None
     for f in form.base.morphisms():
@@ -303,7 +439,7 @@ def cohereditary_operator_check(
             continue
         x, y = form.base.dom[f], form.base.cod[f]
         push, pull = form.push_maps[f].table, form.pull_maps[f].table
-        cx, cy = clo.table(x), clo.table(y)
+        cx, cy = closure.table(x), closure.table(y)
         for b in range(form.fibre(y).size):
             if cy[b] != push[cx[pull[b]]]:
                 operator_side = False

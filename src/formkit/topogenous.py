@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, bits
+from .lattice import FiniteLattice, MonotoneMap, bits, low_bit
 from .report import InputError, Report
 
 EXHAUSTIVE_SUBSET_LIMIT = 12
@@ -121,17 +121,60 @@ def leq_order(form: FormInstance) -> TopogenousOrder:
 
 
 def verify_order(form: FormInstance, order: TopogenousOrder) -> Report:
-    """Report every T1/T2/T3 violation with witnesses."""
+    """Report every T1/T2/T3 violation with witnesses.
+
+    T3 is swept with masks, per morphism f: x -> y. ``pull.preimage(row_a)``
+    is the mask of every b with pull(b) related to a (one OR per member of
+    the row, :meth:`MonotoneMap.preimage`), and the T3 violations at a are
+    the bits of ``rows_y[push a]`` outside it. That is the same set of
+    pairs, in the same order, as the bit-by-bit sweep of
+    :func:`verify_order_dense`, so it needs no certificate and no
+    fallback."""
+    return _verify_order(form, order, _t3_bad)
+
+
+def verify_order_dense(form: FormInstance, order: TopogenousOrder) -> Report:
+    """The same axioms with T3 swept over every fibre pair (a, b): the oracle
+    :func:`verify_order` is tested against."""
+    return _verify_order(form, order, _t3_bad_dense)
+
+
+def _t3_bad(form: FormInstance, order: TopogenousOrder, f: str) -> list[int]:
+    """Per element a of the domain fibre, the b related to push(a) whose
+    pull is not related to a."""
+    x, y = form.base.dom[f], form.base.cod[f]
+    rows_x, rows_y = order.rel[x], order.rel[y]
+    push, pull = form.push_maps[f].table, form.pull_maps[f]
+    return [rows_y[push[a]] & ~pull.preimage(row_a) for a, row_a in enumerate(rows_x)]
+
+
+def _t3_bad_dense(form: FormInstance, order: TopogenousOrder, f: str) -> list[int]:
+    x, y = form.base.dom[f], form.base.cod[f]
+    rows_x, rows_y = order.rel[x], order.rel[y]
+    push, pull = form.push_maps[f].table, form.pull_maps[f].table
+    size_y = form.fibre(y).size
+    out = []
+    for a in range(form.fibre(x).size):
+        allowed = 0
+        row_a = rows_x[a]
+        for b in range(size_y):
+            if (row_a >> pull[b]) & 1:
+                allowed |= 1 << b
+        out.append(rows_y[push[a]] & ~allowed)
+    return out
+
+
+def _verify_order(form: FormInstance, order: TopogenousOrder, t3_bad) -> Report:
     _check_shape(form, order)
     rep = Report()
     for x in form.base.objects:
         fib = form.fibre(x)
         rows = order.rel[x]
+        rep.count("T1", fib.size)
         for a in range(fib.size):
-            rep.count("T1")
             stray = rows[a] & ~fib.up[a]
             if stray:
-                rep.add("T1", where=x, witness=(a, next(bits(stray))))
+                rep.add("T1", where=x, witness=(a, low_bit(stray)))
         # T2: the up-closure of row a must sit inside every row below a.
         upclosed = []
         for a in range(fib.size):
@@ -140,26 +183,17 @@ def verify_order(form: FormInstance, order: TopogenousOrder) -> Report:
                 m |= fib.up[b]
             upclosed.append(m)
         for a in range(fib.size):
+            rep.count("T2", fib.down[a].bit_count())
             for a2 in bits(fib.down[a]):
-                rep.count("T2")
                 missing = upclosed[a] & ~rows[a2]
                 if missing:
-                    rep.add("T2", where=x, witness=(a2, a, next(bits(missing))))
+                    rep.add("T2", where=x, witness=(a2, a, low_bit(missing)))
     for f in form.base.morphisms():
-        x, y = form.base.dom[f], form.base.cod[f]
-        rows_x, rows_y = order.rel[x], order.rel[y]
-        push, pull = form.push_maps[f].table, form.pull_maps[f].table
-        size_y = form.fibre(y).size
-        for a in range(form.fibre(x).size):
-            allowed = 0
-            row_a = rows_x[a]
-            for b in range(size_y):
-                if (row_a >> pull[b]) & 1:
-                    allowed |= 1 << b
-            rep.count("T3")
-            bad = rows_y[push[a]] & ~allowed
-            if bad:
-                rep.add("T3", where=f, witness=(a, next(bits(bad))))
+        bad = t3_bad(form, order, f)
+        rep.count("T3", len(bad))
+        for a, mask in enumerate(bad):
+            if mask:
+                rep.add("T3", where=f, witness=(a, low_bit(mask)))
     return rep
 
 
@@ -167,7 +201,35 @@ def check_T3_pull_form(form: FormInstance, order: TopogenousOrder) -> Report:
     """The pull formulation of transfer stability: related pairs in the
     codomain fibre pull back to related pairs. Also cross-checks that, per
     morphism, its verdict coincides with T3's (they are equivalent under
-    T1 and T2)."""
+    T1 and T2).
+
+    Both sides are mask tests per morphism f: x -> y. The pull-form
+    violations at a in the codomain fibre are the bits of ``rows_y[a]``
+    outside ``pull.preimage(rows_x[pull a])``; T3 fails when some
+    ``rows_y[push a]`` leaves ``pull.preimage(rows_x[a])``. Same pairs as
+    the pair loops of :func:`check_T3_pull_form_dense`."""
+    _check_shape(form, order)
+    rep = Report()
+    for f in form.base.morphisms():
+        x, y = form.base.dom[f], form.base.cod[f]
+        rows_x, rows_y = order.rel[x], order.rel[y]
+        push, pull = form.push_maps[f].table, form.pull_maps[f]
+        pulled = [pull.preimage(row) for row in rows_x]
+        pull_ok = True
+        for a, row in enumerate(rows_y):
+            rep.count("pull-form", row.bit_count())
+            for b in bits(row & ~pulled[pull.table[a]]):
+                rep.add("pull-form", where=f, witness=(a, b))
+                pull_ok = False
+        t3_ok = not any(rows_y[push[a]] & ~pulled[a] for a in range(len(rows_x)))
+        rep.count("pull-form-agrees-T3")
+        if pull_ok != t3_ok:
+            rep.add("pull-form-agrees-T3", where=f, witness=(pull_ok, t3_ok))
+    return rep
+
+
+def check_T3_pull_form_dense(form: FormInstance, order: TopogenousOrder) -> Report:
+    """The same checks as pair loops: the oracle."""
     _check_shape(form, order)
     rep = Report()
     for f in form.base.morphisms():
@@ -346,7 +408,21 @@ def interior_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
 
 
 def order_from_interior(form: FormInstance, intr: Operator) -> TopogenousOrder:
-    """a related to b iff a is below the interior of b."""
+    """a related to b iff a is below the interior of b: row a is the
+    preimage of ``up[a]`` under the interior table
+    (:meth:`MonotoneMap.preimage`), the set :func:`order_from_interior_dense`
+    collects one pair at a time."""
+    _check_operator_shape(form, intr.maps)
+    rel = {}
+    for x in form.base.objects:
+        fib = form.fibre(x)
+        t = MonotoneMap(fib, fib, intr.table(x))
+        rel[x] = tuple(t.preimage(up) for up in fib.up)
+    return TopogenousOrder(rel)
+
+
+def order_from_interior_dense(form: FormInstance, intr: Operator) -> TopogenousOrder:
+    """The same order from one ``leq`` test per pair: the oracle."""
     _check_operator_shape(form, intr.maps)
     rel = {}
     for x in form.base.objects:
@@ -374,7 +450,70 @@ def _check_operator_shape(form: FormInstance, maps: Mapping[str, tuple[int, ...]
 
 def verify_closure(form: FormInstance, clo: Operator) -> Report:
     """Extensivity plus transfer-compatibility in its four equivalent
-    phrasings, with a cross-check that all four verdicts coincide."""
+    phrasings, with a cross-check that all four verdicts coincide.
+
+    When every morphism's push and pull are certified an adjoint pair
+    (:meth:`FormInstance.is_adjoint`), :meth:`FormInstance.leq_over` cannot
+    raise and equals ``push(a) <= b``, and each phrasing is one mask test
+    per element. Per object, ``above[e] = {b : e <= c(b)}`` and
+    ``below[e] = {a : c(a) <= e}`` are preimages of ``up[e]`` and
+    ``down[e]`` under the closure table. For f: x -> y, the C2 violations
+    at a are the bits of ``up_y[push a] & ~above_y[push c_x(a)]``, in
+    (a, b) order; the push phrasing is that same test; the pull phrasing
+    fails at b when ``down_x[pull b] & ~below_x[pull c_y(b)]`` is not
+    empty; the split phrasing tests push c_x(a) <= c_y(push a) per a and
+    monotonicity of c on covers. When a morphism is not certified, the
+    pair sweep of :func:`verify_closure_dense` runs instead, so a
+    disagreement of the transfer tables raises the same
+    :class:`CorruptFormError` there."""
+    _check_operator_shape(form, clo.maps)
+    if not all(form.is_adjoint(f) for f in form.base.morphisms()):
+        return verify_closure_dense(form, clo)
+    rep = Report()
+    maps, above, below = {}, {}, {}
+    for x in form.base.objects:
+        fib = form.fibre(x)
+        t = maps[x] = MonotoneMap(fib, fib, clo.table(x))
+        rep.count("C1", fib.size)
+        for a in range(fib.size):
+            if not (fib.up[a] >> t.table[a]) & 1:
+                rep.add("C1", where=x, witness=(a,))
+        above[x] = [t.preimage(m) for m in fib.up]
+        below[x] = [t.preimage(m) for m in fib.down]
+    v_main = v_pull = v_split = True
+    for f in form.base.morphisms():
+        x, y = form.base.dom[f], form.base.cod[f]
+        fx, fy = form.fibre(x), form.fibre(y)
+        cx, cy = maps[x].table, maps[y].table
+        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        above_y, below_x = above[y], below[x]
+        rep.count("C2", fx.size * fy.size)
+        for a in range(fx.size):
+            for b in bits(fy.up[push[a]] & ~above_y[push[cx[a]]]):
+                rep.add("C2", where=f, witness=(a, b))
+                v_main = False
+        if v_pull and any(fx.down[pull[b]] & ~below_x[pull[cy[b]]] for b in range(fy.size)):
+            v_pull = False
+        if v_split and not all((fy.up[push[cx[a]]] >> cy[push[a]]) & 1 for a in range(fx.size)):
+            v_split = False
+    # leq_over is the push test here, so the push phrasing is the main one
+    v_push = v_main
+    if v_split and any(t.monotone_violation() for t in maps.values()):
+        v_split = False
+    rep.count("C2-form-agreement")
+    if not (v_main == v_push == v_pull == v_split):
+        rep.add(
+            "C2-form-agreement",
+            witness=(v_main, v_push, v_pull, v_split),
+            detail="equivalent phrasings of transfer-compatibility disagree",
+        )
+    return rep
+
+
+def verify_closure_dense(form: FormInstance, clo: Operator) -> Report:
+    """The same checks as a sweep over every fibre pair (a, b) of every
+    morphism, through :meth:`FormInstance.leq_over`: the oracle, and the
+    fallback that raises on inconsistent transfer tables."""
     _check_operator_shape(form, clo.maps)
     rep = Report()
     for x in form.base.objects:
@@ -421,7 +560,40 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
 
 
 def verify_interior(form: FormInstance, intr: Operator) -> Report:
-    """Contractivity, monotonicity, and pull-compatibility."""
+    """Contractivity, monotonicity, and pull-compatibility.
+
+    Mask tests, with the same violations and counts as the pair loops of
+    :func:`verify_interior_dense`: the I2 violations at a are the bits of
+    ``up[a]`` outside the preimage of ``up[i(a)]`` under the interior
+    table, and I1 and I3 are one bit test per element."""
+    _check_operator_shape(form, intr.maps)
+    rep = Report()
+    for x in form.base.objects:
+        fib = form.fibre(x)
+        t = MonotoneMap(fib, fib, intr.table(x))
+        up, table = fib.up, t.table
+        for a in range(fib.size):
+            rep.count("I1")
+            if not (up[table[a]] >> a) & 1:
+                rep.add("I1", where=x, witness=(a,))
+            rep.count("I2", up[a].bit_count())
+            for b in bits(up[a] & ~t.preimage(up[table[a]])):
+                rep.add("I2", where=x, witness=(a, b))
+    for f in form.base.morphisms():
+        x, y = form.base.dom[f], form.base.cod[f]
+        up_x = form.fibre(x).up
+        ix, iy = intr.table(x), intr.table(y)
+        pull = form.pull_maps[f].table
+        size_y = form.fibre(y).size
+        rep.count("I3", size_y)
+        for b in range(size_y):
+            if not (up_x[pull[iy[b]]] >> ix[pull[b]]) & 1:
+                rep.add("I3", where=f, witness=(b,))
+    return rep
+
+
+def verify_interior_dense(form: FormInstance, intr: Operator) -> Report:
+    """The same axioms as pair loops of ``leq`` tests: the oracle."""
     _check_operator_shape(form, intr.maps)
     rep = Report()
     for x in form.base.objects:
@@ -468,14 +640,20 @@ def is_idempotent(op: Operator) -> bool:
     )
 
 
-def roundtrip_check(form: FormInstance, obj, cls: Optional[OrderClass] = None) -> Report:
+def roundtrip_check(
+    form: FormInstance,
+    obj,
+    cls: Optional[OrderClass] = None,
+    derived: Optional[Mapping[str, Operator]] = None,
+) -> Report:
     """The order/operator correspondences, round-tripped exactly.
 
     Orders must be meet-stable (closure side) or join-stable (interior
     side); wrong-class inputs are reported as skipped. Also asserts that
     idempotency of the derived operator matches interpolativity. ``cls``,
     when given, is the class of an order whose axioms the caller has
-    already verified, and neither is computed again."""
+    already verified, and neither is computed again; ``derived`` may hold
+    the operators already derived from that order, by kind."""
     rep = Report()
     if isinstance(obj, TopogenousOrder):
         if cls is None:
@@ -491,7 +669,7 @@ def roundtrip_check(form: FormInstance, obj, cls: Optional[OrderClass] = None) -
         for kind, stable in (("closure", cls.is_TM), ("interior", cls.is_TJ)):
             if not stable:
                 continue
-            op = operator_from_order(form, obj, kind)
+            op = derived[kind] if derived and kind in derived else operator_from_order(form, obj, kind)
             rep.merge(verify_operator(form, op))
             back = order_from_operator(form, op)
             rep.count(f"order-{kind}-order")
@@ -524,5 +702,6 @@ def roundtrip_check(form: FormInstance, obj, cls: Optional[OrderClass] = None) -
 
 def _check_idempotent(rep: Report, op: Operator, cls: OrderClass) -> None:
     rep.count("idempotent-iff-interpolative")
-    if is_idempotent(op) != cls.is_interpolative:
-        rep.add("idempotent-iff-interpolative", witness=(is_idempotent(op), cls.is_interpolative))
+    idempotent = is_idempotent(op)
+    if idempotent != cls.is_interpolative:
+        rep.add("idempotent-iff-interpolative", witness=(idempotent, cls.is_interpolative))

@@ -200,6 +200,38 @@ def is_clopen_map(f: SetFunction, t_dom: FiniteTopology, t_cod: FiniteTopology) 
     return True
 
 
+def clopen_targets(f: SetFunction, t_doms: Sequence[FiniteTopology], t_cods: Sequence[FiniteTopology]) -> list[int]:
+    """Per domain topology, the mask of the codomain topologies (by list
+    index) for which f is a clopen map.
+
+    f is clopen for (t, t') when t' has every image of an open of t among
+    its opens and every image of a closed set among its closed sets. With
+    ``open_in[s]`` the mask of the codomain topologies where subset s is
+    open (``closed_in`` likewise), that is the AND of ``open_in`` over the
+    images of the opens of t and of ``closed_in`` over the images of its
+    closed sets: one AND per image, not one test per pair.
+    :func:`is_clopen_map` decides one pair at a time and is the oracle."""
+    if any(t.n != f.dom_size for t in t_doms) or any(t.n != f.cod_size for t in t_cods):
+        raise ValueError("carrier sizes do not match")
+    image = [f.image_mask(s) for s in range(1 << f.dom_size)]
+    open_in = [0] * (1 << f.cod_size)
+    closed_in = [0] * (1 << f.cod_size)
+    for j, t in enumerate(t_cods):
+        for s in t.opens:
+            open_in[s] |= 1 << j
+        for s in t.closed_sets():
+            closed_in[s] |= 1 << j
+    out = []
+    for t in t_doms:
+        m = (1 << len(t_cods)) - 1
+        for s in {image[o] for o in t.opens}:
+            m &= open_in[s]
+        for s in {image[c] for c in t.closed_sets()}:
+            m &= closed_in[s]
+        out.append(m)
+    return out
+
+
 @dataclass
 class TopForm:
     """The forgetful form over chosen finite carriers: fibres are topology

@@ -10,6 +10,7 @@ from formkit.morphisms import (
     DISPUTED_CHECKS,
     classify_morphism,
     cohereditary_operator_check,
+    final_table,
     final_thick_check,
     final_violation,
     is_cohereditary,
@@ -19,7 +20,14 @@ from formkit.morphisms import (
     strict_via_operators,
     transfer_laws_check,
 )
-from formkit.topogenous import TopogenousOrder, classify_order, leq_order, verify_order
+from formkit.topogenous import (
+    TopogenousOrder,
+    classify_order,
+    closure_from_order,
+    interior_from_order,
+    leq_order,
+    verify_order,
+)
 
 S3_PERMS = sorted(permutations(range(3)))
 
@@ -185,8 +193,10 @@ def test_disputed_clauses_are_separated(grp8, ni8):
 def test_strict_via_operators_all_instances(top123, theta123, b123, grp8, ni8, quot1234):
     for form, order in all_sweeps(top123, theta123, b123, grp8, ni8, quot1234):
         cls = classify_order(form, order)
+        clo = closure_from_order(form, order) if cls.is_TM else None
+        intr = interior_from_order(form, order) if cls.is_TJ else None
         for f in form.base.morphisms():
-            rep = strict_via_operators(form, order, f, cls=cls)
+            rep = strict_via_operators(form, f, is_strict(form, order, f), cls, clo, intr)
             assert rep.ok, (f, rep.violations)
 
 
@@ -196,7 +206,7 @@ def test_strict_via_operators_skips_unclassified():
     ident = MonotoneMap.identity(form_lat)
     form = FormInstance(base, {"X": form_lat}, {"id": ident}, {"id": ident})
     empty = TopogenousOrder({"X": (0, 0)})
-    rep = strict_via_operators(form, empty, "id")
+    rep = strict_via_operators(form, "id", is_strict(form, empty, "id"), classify_order(form, empty), None, None)
     assert rep.ok and rep.notes
 
 
@@ -206,15 +216,17 @@ def test_cohereditary_on_instances(top123, theta123, b123, grp8, ni8, quot1234):
 
 
 def test_cohereditary_operator_equivalence(top123, theta123, grp8, ni8, quot1234):
-    assert cohereditary_operator_check(top123.form, theta123).ok
-    assert cohereditary_operator_check(grp8.form, ni8).ok
-    assert cohereditary_operator_check(quot1234.form, leq_order(quot1234.form)).ok
+    for form, order in ((top123.form, theta123), (grp8.form, ni8), (quot1234.form, leq_order(quot1234.form))):
+        cls = classify_order(form, order)
+        assert cls.is_TM
+        closure = closure_from_order(form, order)
+        assert cohereditary_operator_check(form, cls, closure, final_table(form, order)).ok
 
 
 def test_cohereditary_operator_skips_non_tm(top123, b123):
     cls = classify_order(top123.form, b123)
     if not cls.is_TM:
-        rep = cohereditary_operator_check(top123.form, b123)
+        rep = cohereditary_operator_check(top123.form, cls, None, final_table(top123.form, b123))
         assert rep.ok and rep.notes
 
 
