@@ -172,12 +172,14 @@ def final_thick_check(
     if cls is None:
         cls = classify_order(form, order)
     targets = [f] if f is not None else list(form.base.morphisms())
+    if final is None:
+        final = {m: is_final(form, order, m) for m in targets}
     for m in targets:
         y = form.base.cod[m]
         top_y = form.fibre(y).top
         hypothesis = cls.is_TM or order.has(y, top_y, top_y)
         rep.count("final-thick")
-        if hypothesis and (final[m] if final is not None else is_final(form, order, m)) and not form.is_thick(m):
+        if hypothesis and final[m] and not form.is_thick(m):
             rep.add("final-thick", where=m)
     return rep
 
@@ -220,8 +222,11 @@ def transfer_laws_check(
     refl_sec, _ = form.check_reflects("section")
     refl_ret, _ = form.check_reflects("retraction")
     refl_iso, _ = form.check_reflects("iso")
-    strict = [(strict or strict_table(form, order))[m] for m in names]
-    final = [(final or final_table(form, order))[m] for m in names]
+    if strict is None:
+        strict = strict_table(form, order)
+    if final is None:
+        final = final_table(form, order)
+    strict, final = [strict[m] for m in names], [final[m] for m in names]  # by morphism number
     kinds = [form.morphism_kind(m) for m in names]
     retraction = [k.is_retraction for k in kinds]
     section = [k.is_section for k in kinds]

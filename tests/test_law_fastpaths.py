@@ -1,4 +1,5 @@
-"""The reduced law sweeps against the dense sweeps they replace.
+"""The reduced law sweeps and the mask kernels against the dense sweeps
+they replace.
 
 `CategoryPresentation.verify` tests associativity with a generator in the
 middle, `FormInstance.verify_laws` tests functoriality at generators and
@@ -6,17 +7,48 @@ skips the Galois sweep where monotonicity, unit and counit hold, and
 `MonotoneMap.monotone_violation` tests cover pairs only. Each falls back to
 its dense sweep on failure, so the violations must always be those of
 `verify_dense`, `verify_laws_dense` and `monotone_violation_dense`.
+
+The order and operator battery runs on masks: `verify_closure` under a
+per-morphism adjunction certificate with a fallback to its pair sweep, the
+other kernels exactly. Each must agree with its `*_dense` oracle, raised
+`CorruptFormError` messages included.
 """
 
 import random
 from collections import Counter
 
-from formkit.forms import CategoryPresentation, FormInstance
-from formkit.groups import build_grp_form, standard_corpus
-from formkit.lattice import FiniteLattice, MonotoneMap
+from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance
+from formkit.groups import build_grp_form, normal_interval_order, standard_corpus
+from formkit.lattice import FiniteLattice, MonotoneMap, bits
+from formkit.morphisms import (
+    final_violation,
+    final_violation_dense,
+    strict_violation,
+    strict_violation_dense,
+    transfer_laws_check,
+    transfer_laws_check_dense,
+)
 from formkit.partitions import build_quot_form
-from formkit.search import case_rng, random_form
-from formkit.topologies import build_top_form, topology_fibre
+from formkit.report import Report
+from formkit.search import case_rng, random_form, random_order
+from formkit.topogenous import (
+    Operator,
+    TopogenousOrder,
+    check_T3_pull_form,
+    check_T3_pull_form_dense,
+    closure_from_order,
+    interior_from_order,
+    leq_order,
+    order_from_interior,
+    order_from_interior_dense,
+    verify_closure,
+    verify_closure_dense,
+    verify_interior,
+    verify_interior_dense,
+    verify_order,
+    verify_order_dense,
+)
+from formkit.topologies import b_order, build_top_form, theta_order, topology_fibre
 
 SEED = 20230130
 
@@ -197,3 +229,146 @@ def test_monotone_violation_falls_back_on_a_non_order():
     m = MonotoneMap(FiniteLattice.chain(3), rel, [0, 1, 2])
     assert m._preserves_covers()
     assert m.monotone_violation() == m.monotone_violation_dense() == (0, 2)
+
+
+# -- the order/operator battery ---------------------------------------------------
+
+
+def outcome(fn, *args):
+    """A result in comparable form: a report as its dict, a raised
+    CorruptFormError as its message."""
+    try:
+        out = fn(*args)
+    except CorruptFormError as exc:
+        return ("raises", str(exc))
+    return out.to_dict() if isinstance(out, Report) else out
+
+
+def with_row(form: FormInstance, order: TopogenousOrder, rng: random.Random) -> TopogenousOrder:
+    """One bit of one order row flipped, inside the fibre."""
+    x = rng.choice(form.base.objects)
+    n = form.fibre(x).size
+    rows = list(order.rel[x])
+    rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    return TopogenousOrder(dict(order.rel, **{x: rows}))
+
+
+def with_entry(form: FormInstance, op: Operator, rng: random.Random):
+    """One operator entry moved to another fibre element; None on a
+    one-element fibre."""
+    x = rng.choice(form.base.objects)
+    n = form.fibre(x).size
+    if n < 2:
+        return None
+    table = list(op.maps[x])
+    a = rng.randrange(n)
+    table[a] = rng.choice([v for v in range(n) if v != table[a]])
+    return Operator(op.kind, dict(op.maps, **{x: tuple(table)}))
+
+
+def assert_kernels_agree(form: FormInstance, order: TopogenousOrder, clo: Operator, intr: Operator) -> set[str]:
+    """Every kernel equals its dense oracle; returns the names of the
+    checks that failed, plus "raises" when the closure sweep raised."""
+    found = set()
+    for kernel, dense, arg in (
+        (verify_order, verify_order_dense, order),
+        (check_T3_pull_form, check_T3_pull_form_dense, order),
+        (transfer_laws_check, transfer_laws_check_dense, order),
+        (verify_closure, verify_closure_dense, clo),
+        (verify_interior, verify_interior_dense, intr),
+    ):
+        got = outcome(kernel, form, arg)
+        assert got == outcome(dense, form, arg), kernel.__name__
+        if isinstance(got, tuple):
+            found.add("raises")
+        else:
+            found.update(v["check"] for v in got["violations"])
+    assert order_from_interior(form, intr) == order_from_interior_dense(form, intr)
+    for f in form.base.morphisms():
+        assert strict_violation(form, order, f) == strict_violation_dense(form, order, f), f
+        assert final_violation(form, order, f) == final_violation_dense(form, order, f), f
+        assert form.morphism_kind(f) == form.morphism_kind_dense(f), f
+    return found
+
+
+def battery_cases(rng: random.Random):
+    """(form, order, draws): the instances with their named orders, and
+    generated forms with generated orders of each class."""
+    top12, top012 = build_top_form([1, 2]), build_top_form([0, 1, 2])
+    grp4 = build_grp_form(standard_corpus(4))
+    quot23 = build_quot_form([2, 3]).form
+    cases = [
+        (top12.form, theta_order(top12), 40),
+        (top12.form, b_order(top12), 40),
+        (top012.form, theta_order(top012), 40),
+        (quot23, leq_order(quot23), 30),
+        (grp4.form, normal_interval_order(grp4), 30),
+        (grp4.form, leq_order(grp4.form), 20),
+    ]
+    for i in range(30):
+        form = random_form(case_rng(SEED, i))
+        cases.append((form, random_order(rng, form, ("any", "TM", "TJ")[i % 3]), 12))
+    return cases
+
+
+def test_order_kernels_match_dense_oracles_under_corruption():
+    rng = random.Random(SEED)
+    tried = fallbacks = 0
+    failed: Counter = Counter()
+    for form, order, draws in battery_cases(rng):
+        clo, intr = closure_from_order(form, order), interior_from_order(form, order)
+        assert not assert_kernels_agree(form, order, clo, intr) & {"raises", "T1", "T2", "T3"}
+        for _ in range(draws):
+            kind = rng.choice(("form", "row", "closure", "interior"))
+            args = [form, order, clo, intr]
+            if kind == "form":
+                args[0] = corrupt(form, rng)
+            elif kind == "row":
+                args[1] = with_row(form, order, rng)
+            else:
+                args[2 if kind == "closure" else 3] = with_entry(form, clo if kind == "closure" else intr, rng)
+            if any(a is None for a in args):
+                continue
+            tried += 1
+            found = assert_kernels_agree(*args)
+            failed.update(found)
+            if not all(args[0].is_adjoint(f) for f in args[0].base.morphisms()):
+                fallbacks += 1
+                assert "raises" in found  # the closure sweep fell back and raised
+    assert tried >= 400
+    # the certificate sent some corruptions to the pair sweep, and the mask
+    # sweeps found violations of every kind on the others
+    assert fallbacks > 0
+    for check in ("T1", "T2", "T3", "pull-form", "C1", "C2", "I1", "I2", "I3",
+                  "section-strict-final", "compose-strict", "compose-final"):
+        assert failed[check] > 0, check
+
+
+def test_preimage_masks_match_table_scan():
+    rng = random.Random(SEED)
+    for _ in range(200):
+        n, m = rng.randint(1, 9), rng.randint(1, 9)
+        source, target = FiniteLattice.chain(n), FiniteLattice.chain(m)
+        table = [rng.randrange(m) for _ in range(n)]
+        fn = MonotoneMap(source, target, table)
+        for _ in range(5):
+            mask = rng.randrange(1 << m)
+            assert set(bits(fn.preimage(mask))) == {a for a in range(n) if table[a] in set(bits(mask))}
+
+
+def test_morphism_kind_names_the_first_inverse_in_hom_order():
+    # a non-associative presentation where f has two two-sided inverses; in
+    # a category the inverse is unique, so only this input tells which one
+    # morphism_kind names: the first of hom(Y, X), as the dense scan does
+    objects = ["X", "Y"]
+    homs = {("X", "X"): ["idX"], ("Y", "Y"): ["idY"], ("X", "Y"): ["f"], ("Y", "X"): ["g1", "g2"]}
+    compose = {("idX", "idX"): "idX", ("idY", "idY"): "idY", ("f", "idX"): "f", ("idY", "f"): "f"}
+    for g in ("g1", "g2"):
+        compose.update({(g, "idY"): g, ("idX", g): g, (g, "f"): "idX", ("f", g): "idY"})
+    base = CategoryPresentation(objects, homs, compose, {"X": "idX", "Y": "idY"})
+    point = FiniteLattice.chain(1)
+    same = {m: MonotoneMap.identity(point) for m in ("idX", "idY", "f", "g1", "g2")}
+    form = FormInstance(base, {"X": point, "Y": point}, same, same)
+    for m in base.morphisms():
+        assert form.morphism_kind(m) == form.morphism_kind_dense(m)
+    assert form.morphism_kind("f").inverse == "g1"

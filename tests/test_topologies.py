@@ -18,6 +18,7 @@ from formkit.topologies import (
     b_relation,
     b_topology,
     build_top_form,
+    clopen_targets,
     discrete,
     enumerate_topologies,
     final_topology,
@@ -265,6 +266,23 @@ def test_clopen_examples():
     assert is_clopen_map(const, discrete(2), discrete(2))
     other = FiniteTopology(2, frozenset({0, 1, 3}))  # {0} open instead
     assert not is_clopen_map(ident, sierpinski(), other)
+
+
+def test_clopen_table_matches_pairwise_test(top123):
+    # every function between the carriers of top[1,2,3], every pair of
+    # topologies: the table's bit is is_clopen_map's verdict
+    tf = top123
+    kinds = set()
+    for f in tf.form.base.morphisms():
+        fn = tf.functions[f]
+        t_doms = tf.topologies[tf.form.base.dom[f]]
+        t_cods = tf.topologies[tf.form.base.cod[f]]
+        for i, mask in enumerate(clopen_targets(fn, t_doms, t_cods)):
+            for j, t in enumerate(t_cods):
+                clopen = is_clopen_map(fn, t_doms[i], t)
+                assert bool((mask >> j) & 1) == clopen, (f, i, j)
+                kinds.add(clopen)
+    assert kinds == {True, False}
 
 
 def test_leq_order_is_topogenous(top12):
