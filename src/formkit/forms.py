@@ -129,25 +129,33 @@ class CategoryPresentation:
 
     @cached_property
     def _view(self) -> "_IntView":
-        """Morphisms interned in :meth:`morphisms` order with a flat
-        composition table; built only once composition is known to be
-        total and to land in the right hom-sets."""
+        """Morphisms and objects interned in :meth:`morphisms` order, with
+        the morphisms out of and into each object."""
         names = list(self.morphisms())
-        n = len(names)
         ids = {m: i for i, m in enumerate(names)}
         obj_ids = {x: k for k, x in enumerate(self.objects)}
         dom = [obj_ids[self.dom[m]] for m in names]
         cod = [obj_ids[self.cod[m]] for m in names]
         by_source: list[list[int]] = [[] for _ in self.objects]
         by_target: list[list[int]] = [[] for _ in self.objects]
-        for i in range(n):
+        for i in range(len(names)):
             by_source[dom[i]].append(i)
             by_target[cod[i]].append(i)
+        return _IntView(names, ids, dom, cod, by_source, by_target)
+
+    @cached_property
+    def _comp(self) -> list[int]:
+        """The flat composition table of :attr:`_view`: ``_comp[g * n + f]``
+        is g∘f (-1 where not composable), n² entries. Built only once
+        composition is known to be total and to land in the right
+        hom-sets, and only by the sweeps that use it."""
+        v = self._view
+        names, ids, n = v.names, v.ids, len(v.names)
         comp = [-1] * (n * n)
         for fi, f in enumerate(names):
-            for gi in by_source[cod[fi]]:
+            for gi in v.by_source[v.cod[fi]]:
                 comp[gi * n + fi] = ids[self.compose_table[(names[gi], f)]]
-        return _IntView(names, ids, dom, cod, by_source, by_target, comp)
+        return comp
 
     @cached_property
     def generators(self) -> tuple[str, ...]:
@@ -164,7 +172,7 @@ class CategoryPresentation:
     @cached_property
     def _generator_ids(self) -> tuple[int, ...]:
         v = self._view
-        n, comp, dom, cod = len(v.names), v.comp, v.dom, v.cod
+        n, comp, dom, cod = len(v.names), self._comp, v.dom, v.cod
         identity_names = set(self.identities.values())
         reached = [m in identity_names for m in v.names]
         factorisations = [0] * n
@@ -198,7 +206,7 @@ class CategoryPresentation:
     def _associative_at_generators(self, rep: Report) -> bool:
         """(h∘s)∘f = h∘(s∘f) for every generator s; False at the first miss."""
         v = self._view
-        n, comp = len(v.names), v.comp
+        n, comp = len(v.names), self._comp
         for s in self._generator_ids:
             after = v.by_source[v.cod[s]]
             hs_rows = [comp[h * n + s] * n for h in after]
@@ -214,7 +222,7 @@ class CategoryPresentation:
         """Every composable triple in morphism order; stops at the first
         failure, which it reports."""
         v = self._view
-        names, n, comp, cod, by_source = v.names, len(v.names), v.comp, v.cod, v.by_source
+        names, n, comp, cod, by_source = v.names, len(v.names), self._comp, v.cod, v.by_source
         for fi in range(n):
             for gi in by_source[cod[fi]]:
                 gf = comp[gi * n + fi]
@@ -229,20 +237,18 @@ class CategoryPresentation:
 
 class _IntView:
     """A category presentation with morphisms and objects as integers:
-    ``ids`` numbers the ``names``, ``comp[g * n + f]`` is g∘f (-1 where not
-    composable), ``by_source[x]`` and ``by_target[x]`` list the morphisms
-    out of and into object x."""
+    ``ids`` numbers the ``names``, ``by_source[x]`` and ``by_target[x]``
+    list the morphisms out of and into object x."""
 
-    __slots__ = ("names", "ids", "dom", "cod", "by_source", "by_target", "comp")
+    __slots__ = ("names", "ids", "dom", "cod", "by_source", "by_target")
 
-    def __init__(self, names, ids, dom, cod, by_source, by_target, comp):
+    def __init__(self, names, ids, dom, cod, by_source, by_target):
         self.names: list[str] = names
         self.ids: dict[str, int] = ids
         self.dom: list[int] = dom
         self.cod: list[int] = cod
         self.by_source: list[list[int]] = by_source
         self.by_target: list[list[int]] = by_target
-        self.comp: list[int] = comp
 
 
 @dataclass(frozen=True)
@@ -351,31 +357,31 @@ class FormInstance:
     def morphism_kind(self, f: str) -> MorphismKind:
         """Section/retraction/iso status inside the presented hom-sets.
 
-        Read from a table of every morphism's kind, built once on the
-        integer view of the base: for f: x -> y, the candidates are the
-        morphisms y -> x in ``by_source[y]``, and g∘f, f∘g are entries of
-        the flat composition table. :meth:`morphism_kind_dense` is the
-        name-keyed scan it is tested against."""
+        Read from a table of every morphism's kind, built once over the
+        integer view of the base: for f: x -> y the candidates are the
+        morphisms y -> x in ``by_source[y]``, composed with f by one lookup
+        each in the composition table. :meth:`morphism_kind_dense` is the
+        per-morphism scan it is tested against."""
         return self._kinds[self.base._view.ids[f]]
 
     @cached_property
     def _kinds(self) -> list[MorphismKind]:
         base = self.base
-        v = base._view
-        n, comp, dom, cod = len(v.names), v.comp, v.dom, v.cod
-        identity = [v.ids[base.identity(x)] for x in base.objects]
+        v, compose = base._view, base.compose_table
+        names, cod = v.names, v.cod
+        identity = [base.identity(x) for x in base.objects]
         kinds = []
-        for f in range(n):
-            x, y = dom[f], cod[f]
-            back = [g for g in v.by_source[y] if cod[g] == x]
-            left = [g for g in back if comp[g * n + f] == identity[x]]
-            right = {g for g in back if comp[f * n + g] == identity[y]}
+        for fi, f in enumerate(names):
+            x, y = v.dom[fi], cod[fi]
+            back = [names[g] for g in v.by_source[y] if cod[g] == x]
+            left = [g for g in back if compose[g, f] == identity[x]]
+            right = {g for g in back if compose[f, g] == identity[y]}
             two_sided = [g for g in left if g in right]
             kinds.append(MorphismKind(
                 is_section=bool(left),
                 is_retraction=bool(right),
                 is_iso=bool(two_sided),
-                inverse=v.names[two_sided[0]] if two_sided else None,
+                inverse=two_sided[0] if two_sided else None,
             ))
         return kinds
 
@@ -496,14 +502,14 @@ class FormInstance:
     def _functorial_at_generators(self, rep: Report) -> bool:
         """push(s∘f) = push(s)∘push(f) and pull(s∘f) = pull(f)∘pull(s) for
         every generator s; False at the first miss."""
-        v = self.base._view
+        v, comp = self.base._view, self.base._comp
         n = len(v.names)
         push = [self.push_maps[m].table for m in v.names]
         pull = [self.pull_maps[m].table for m in v.names]
         for s in self.base._generator_ids:
             ps, qs = push[s], pull[s]
             for f in v.by_target[v.dom[s]]:
-                sf = v.comp[s * n + f]
+                sf = comp[s * n + f]
                 rep.count("functorial-push", len(push[f]))
                 if tuple(map(ps.__getitem__, push[f])) != push[sf]:
                     return False

@@ -212,13 +212,13 @@ def transfer_laws_check(
 
     ``strict`` and ``final``, when given, hold each morphism's verdict
     (:func:`strict_table`, :func:`final_table`). The composable pairs are
-    walked on the integer view of the base (``by_source`` lists and the
-    flat ``comp`` table), with verdicts and kinds in lists by morphism
-    number; names are looked up only to build a violation. Counts and
+    walked on the integer view of the base (its ``by_source`` lists), with
+    verdicts and kinds in lists by morphism number; each composite is one
+    lookup in the composition table, turned into its number. Counts and
     violations are those of :func:`transfer_laws_check_dense`."""
     rep = Report()
-    v = form.base._view
-    names, n, comp = v.names, len(v.names), v.comp
+    v, compose = form.base._view, form.base.compose_table
+    names, ids = v.names, v.ids
     refl_sec, _ = form.check_reflects("section")
     refl_ret, _ = form.check_reflects("retraction")
     refl_iso, _ = form.check_reflects("iso")
@@ -252,9 +252,9 @@ def transfer_laws_check(
     def pair(g: int, f: int) -> str:
         return f"{names[g]};{names[f]}"
 
-    for f in range(n):
+    for f, f_name in enumerate(names):
         for g in v.by_source[v.cod[f]]:
-            gf = comp[g * n + f]
+            gf = ids[compose[names[g], f_name]]
             if strict[f] and strict[g]:
                 rep.count("compose-strict")
                 if not strict[gf]:
