@@ -475,8 +475,8 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
         fib = form.fibre(x)
         t = maps[x] = MonotoneMap(fib, fib, clo.table(x))
         rep.count("C1", fib.size)
-        for a in range(fib.size):
-            if not (fib.up[a] >> t.table[a]) & 1:
+        for a, c in enumerate(t.table):
+            if not (fib.up[a] >> c) & 1:
                 rep.add("C1", where=x, witness=(a,))
         above[x] = [t.preimage(m) for m in fib.up]
         below[x] = [t.preimage(m) for m in fib.down]
@@ -484,7 +484,7 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
     for f in form.base.morphisms():
         x, y = form.base.dom[f], form.base.cod[f]
         fx, fy = form.fibre(x), form.fibre(y)
-        cx, cy = maps[x].table, maps[y].table
+        cx, cy = clo.table(x), clo.table(y)
         push, pull = form.push_maps[f].table, form.pull_maps[f].table
         above_y, below_x = above[y], below[x]
         rep.count("C2", fx.size * fy.size)
@@ -572,8 +572,8 @@ def verify_interior(form: FormInstance, intr: Operator) -> Report:
         fib = form.fibre(x)
         t = MonotoneMap(fib, fib, intr.table(x))
         up, table = fib.up, t.table
+        rep.count("I1", fib.size)
         for a in range(fib.size):
-            rep.count("I1")
             if not (up[table[a]] >> a) & 1:
                 rep.add("I1", where=x, witness=(a,))
             rep.count("I2", up[a].bit_count())
