@@ -48,11 +48,11 @@ class CategoryPresentation:
         for x, i in self.identities.items():
             if self.dom.get(i) != x or self.cod.get(i) != x:
                 raise ValueError(f"identity of {x!r} must be an endomorphism of {x!r}")
+        self._morphisms = tuple(m for x in self.objects for y in self.objects for m in self.homs.get((x, y), ()))
 
-    def morphisms(self) -> Iterable[str]:
-        for x in self.objects:
-            for y in self.objects:
-                yield from self.homs.get((x, y), ())
+    def morphisms(self) -> tuple[str, ...]:
+        """Every morphism, hom-set by hom-set in object order."""
+        return self._morphisms
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self.homs.get((x, y), ())

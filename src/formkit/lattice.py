@@ -29,7 +29,8 @@ class FiniteLattice:
     """A finite poset with all meets and joins (checked by :meth:`verify`).
 
     ``up[a]`` is the bitmask of every b with a <= b; ``down[b]`` the dual.
-    Immutable after construction; safe to share between workers.
+    Immutable after construction, apart from memo tables that fill on
+    first use; safe to share between workers.
     """
 
     def __init__(self, leq_rows: Sequence[Sequence[bool]], labels: Optional[Sequence[str]] = None):
@@ -37,25 +38,36 @@ class FiniteLattice:
         for row in leq_rows:
             if len(row) != n:
                 raise ValueError("leq matrix must be square")
+        self._init(tuple(sum(1 << b for b in range(n) if leq_rows[a][b]) for a in range(n)), labels)
+
+    def _init(self, up: tuple[int, ...], labels: Optional[Sequence[str]]) -> None:
+        n = len(up)
         if labels is not None and len(labels) != n:
             raise ValueError("labels length must match size")
         self.size = n
-        self.up = tuple(
-            sum(1 << b for b in range(n) if leq_rows[a][b]) for a in range(n)
-        )
-        self.down = tuple(
-            sum(1 << a for a in range(n) if leq_rows[a][b]) for b in range(n)
-        )
+        self.up = up
+        down = [0] * n
+        for a, m in enumerate(up):
+            for b in bits(m):
+                down[b] |= 1 << a
+        self.down = tuple(down)
         self.labels = tuple(labels) if labels is not None else None
         self._full = (1 << n) - 1
         self._is_order: Optional[bool] = None
         self._covers: Optional[tuple[tuple[int, ...], ...]] = None
+        self._by_cone: Optional[tuple[dict[int, int], dict[int, int]]] = None
+        self._meets: dict[int, int] = {}
+        self._joins: dict[int, int] = {}
+        self._up_closures: dict[int, int] = {0: 0}
 
     @classmethod
     def from_up_masks(cls, up: Sequence[int], labels: Optional[Sequence[str]] = None) -> "FiniteLattice":
-        n = len(up)
-        rows = [[bool((up[a] >> b) & 1) for b in range(n)] for a in range(n)]
-        return cls(rows, labels)
+        """The relation with ``up[a]`` as the mask of every b with a <= b;
+        bits at or beyond ``len(up)`` are dropped."""
+        lat = cls.__new__(cls)
+        full = (1 << len(up)) - 1
+        lat._init(tuple(m & full for m in up), labels)
+        return lat
 
     @classmethod
     def chain(cls, n: int) -> "FiniteLattice":
@@ -93,10 +105,7 @@ class FiniteLattice:
         for a in elems:
             self._check(a)
             common &= self.down[a]
-        for c in bits(common):
-            if common & ~self.down[c] == 0:
-                return c
-        raise ValueError("no greatest lower bound; not a lattice")
+        return self._scan(common, self.down, "no greatest lower bound; not a lattice")
 
     def join(self, elems: Iterable[int]) -> int:
         """Least upper bound; bottom for the empty family."""
@@ -104,10 +113,86 @@ class FiniteLattice:
         for a in elems:
             self._check(a)
             common &= self.up[a]
+        return self._scan(common, self.up, "no least upper bound; not a lattice")
+
+    @staticmethod
+    def _scan(common: int, cones: tuple, missing: str) -> int:
+        """The first c in ``common`` whose cone contains all of ``common``."""
         for c in bits(common):
-            if common & ~self.up[c] == 0:
+            if common & ~cones[c] == 0:
                 return c
-        raise ValueError("no least upper bound; not a lattice")
+        raise ValueError(missing)
+
+    def meet_mask(self, mask: int) -> int:
+        """:meth:`meet` of the members of ``mask``, without range checks;
+        memoised per mask.
+
+        The lower bounds of the members are the AND of their ``down``
+        masks. On a partial order the meet, when it exists, is the one
+        element whose ``down`` mask equals that AND (its down-set is all
+        of them, and antisymmetry makes it unique), so a dict from down
+        masks to elements, built once per lattice, finds it in one lookup.
+        When the relation is not a partial order, or the lookup misses,
+        :meth:`meet`'s scan runs on the same AND and returns or raises as
+        :meth:`meet` does."""
+        out = self._meets.get(mask)
+        if out is None:
+            common, down = self._full, self.down
+            m = mask
+            while m:
+                low = m & -m
+                common &= down[low.bit_length() - 1]
+                m ^= low
+            out = self._cone_index()[0].get(common)
+            if out is None:
+                out = self._scan(common, down, "no greatest lower bound; not a lattice")
+            self._meets[mask] = out
+        return out
+
+    def join_mask(self, mask: int) -> int:
+        """:meth:`join` of the members of ``mask``, the dual of
+        :meth:`meet_mask`: the AND of their ``up`` masks, looked up among
+        the elements' ``up`` masks, with :meth:`join`'s scan when the
+        relation is not a partial order or the lookup misses."""
+        out = self._joins.get(mask)
+        if out is None:
+            common, up = self._full, self.up
+            m = mask
+            while m:
+                low = m & -m
+                common &= up[low.bit_length() - 1]
+                m ^= low
+            out = self._cone_index()[1].get(common)
+            if out is None:
+                out = self._scan(common, up, "no least upper bound; not a lattice")
+            self._joins[mask] = out
+        return out
+
+    def _cone_index(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(down mask -> element, up mask -> element), the lowest index
+        winning; both empty unless this is a partial order."""
+        if self._by_cone is None:
+            by_down: dict[int, int] = {}
+            by_up: dict[int, int] = {}
+            if self.is_partial_order():
+                for c in range(self.size - 1, -1, -1):
+                    by_down[self.down[c]] = c
+                    by_up[self.up[c]] = c
+            self._by_cone = (by_down, by_up)
+        return self._by_cone
+
+    def up_closure(self, mask: int) -> int:
+        """The mask of every element above some member of ``mask``;
+        memoised per mask."""
+        out = self._up_closures.get(mask)
+        if out is None:
+            out, up, m = 0, self.up, mask
+            while m:
+                low = m & -m
+                out |= up[low.bit_length() - 1]
+                m ^= low
+            self._up_closures[mask] = out
+        return out
 
     def bound(self, kind: str, elems: Iterable[int]) -> int:
         if kind == "meet":
@@ -210,6 +295,7 @@ class MonotoneMap:
         self.table = tuple(table)
         self._fibres: Optional[dict[int, int]] = None
         self._image = 0
+        self._preimages: dict[int, int] = {}
 
     def __call__(self, a: int) -> int:
         self.source._check(a)
@@ -251,18 +337,24 @@ class MonotoneMap:
         """The mask of every source element the map sends into ``mask``.
 
         The fibres ``{a : table[a] = v}`` are built once per map, as masks;
-        a call then ORs the fibres of the values in ``mask`` that the map
-        takes, so it costs the popcount of ``mask``, not the source size."""
-        if self._fibres is None:
-            fibres: dict[int, int] = {}
-            for a, v in enumerate(self.table):
-                fibres[v] = fibres.get(v, 0) | (1 << a)
-            self._fibres = fibres
-            self._image = sum(1 << v for v in fibres)
-        fibres = self._fibres
-        out = 0
-        for v in bits(mask & self._image):
-            out |= fibres[v]
+        a first call with a mask ORs the fibres of the values in ``mask``
+        that the map takes, so it costs the popcount of ``mask``, not the
+        source size, and later calls with that mask are one lookup."""
+        out = self._preimages.get(mask)
+        if out is None:
+            if self._fibres is None:
+                fibres: dict[int, int] = {}
+                for a, v in enumerate(self.table):
+                    fibres[v] = fibres.get(v, 0) | (1 << a)
+                self._fibres = fibres
+                self._image = sum(1 << v for v in fibres)
+            fibres = self._fibres
+            out, m = 0, mask & self._image
+            while m:
+                low = m & -m
+                out |= fibres[low.bit_length() - 1]
+                m ^= low
+            self._preimages[mask] = out
         return out
 
     def is_monotone(self) -> bool:
@@ -326,13 +418,11 @@ class GaloisPair:
     @classmethod
     def from_left_adjoint(cls, left: MonotoneMap) -> "GaloisPair":
         """Derive the upper adjoint of a join-preserving map:
-        right(B) = join of every A with left(A) <= B."""
+        right(B) = join of every A with left(A) <= B, that is, of the
+        preimage of ``down[B]`` (:meth:`MonotoneMap.preimage`,
+        :meth:`FiniteLattice.join_mask`)."""
         src, tgt = left.source, left.target
-        table = tuple(
-            src.join([a for a in range(src.size) if tgt.leq(left.table[a], b)])
-            for b in range(tgt.size)
-        )
-        return cls(left, MonotoneMap(tgt, src, table))
+        return cls(left, MonotoneMap(tgt, src, tuple(src.join_mask(left.preimage(d)) for d in tgt.down)))
 
     def check(self) -> Report:
         """List every (A, B) where exactly one side of the adjunction holds."""

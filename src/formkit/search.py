@@ -39,23 +39,30 @@ def _random_poset(rng: random.Random) -> list[int]:
             for i in range(j):
                 if rng.random() < 0.4:
                     below[j] |= (1 << i) | below[i]
-        if len(_downsets(below)) <= MAX_FIBRE:
+        if _downset_lattice(below)[0].size <= MAX_FIBRE:
             return below
 
 
-def _downsets(below: list[int]) -> list[int]:
-    k = len(below)
-    return [
-        s for s in range(1 << k)
-        if all(below[j] & ~s == 0 for j in range(k) if (s >> j) & 1)
-    ]
+_LATTICES: dict[tuple[int, ...], tuple[FiniteLattice, list[int], dict[int, int]]] = {}
 
 
 def _downset_lattice(below: list[int]) -> tuple[FiniteLattice, list[int], dict[int, int]]:
-    masks = _downsets(below)
-    rows = [[m1 & ~m2 == 0 for m2 in masks] for m1 in masks]
-    idx = {m: i for i, m in enumerate(masks)}
-    return FiniteLattice(rows), masks, idx
+    """The down-sets of the poset as masks in increasing order (a linear
+    extension of inclusion), their lattice, and the index of each mask.
+    Memoised per poset: posets have at most MAX_POSET_POINTS points, so
+    only a few dozen ever exist, and the lattice is immutable. Callers
+    must not change the returned list or dict."""
+    key = tuple(below)
+    out = _LATTICES.get(key)
+    if out is None:
+        k = len(below)
+        masks = [
+            s for s in range(1 << k)
+            if all(below[j] & ~s == 0 for j in range(k) if (s >> j) & 1)
+        ]
+        up = [sum(1 << j for j, m2 in enumerate(masks) if m1 & ~m2 == 0) for m1 in masks]
+        out = _LATTICES[key] = (FiniteLattice.from_up_masks(up), masks, {m: i for i, m in enumerate(masks)})
+    return out
 
 
 def _random_left_adjoint(
@@ -89,25 +96,26 @@ def _random_left_adjoint(
 # -- random forms ---------------------------------------------------------------
 
 
-def random_form(rng: random.Random) -> FormInstance:
-    """A small form over one of four base shapes: a lone object, a single
-    arrow, a parallel pair, or a composable chain."""
-    shape = rng.randrange(4)
-    nobj = 1 if shape == 0 else (3 if shape == 3 else 2)
+# The four base shapes, by number: object count and generating arrows as
+# (name, domain index, codomain index). A chain also has the composite g.f.
+SHAPES: tuple[tuple[int, tuple[tuple[str, int, int], ...]], ...] = (
+    (1, ()),
+    (2, (("f", 0, 1),)),
+    (2, (("f", 0, 1), ("f'", 0, 1))),
+    (3, (("f", 0, 1), ("g", 1, 2))),
+)
+
+_BASES: dict[int, CategoryPresentation] = {}
+
+
+def _base(shape: int) -> CategoryPresentation:
+    """The base category of a shape; memoised, and shared by every form of
+    that shape, since a presentation does not change once built."""
+    base = _BASES.get(shape)
+    if base is not None:
+        return base
+    nobj, gens = SHAPES[shape]
     objects = [f"X{i}" for i in range(nobj)]
-    posets = [_random_poset(rng) for _ in objects]
-    data = [_downset_lattice(p) for p in posets]
-    fibres = {x: data[i][0] for i, x in enumerate(objects)}
-
-    gens: list[tuple[str, int, int]] = []
-    if shape in (1, 2):
-        gens.append(("f", 0, 1))
-        if shape == 2:
-            gens.append(("f'", 0, 1))
-    elif shape == 3:
-        gens.append(("f", 0, 1))
-        gens.append(("g", 1, 2))
-
     homs: dict[tuple[str, str], list[str]] = {(x, y): [] for x in objects for y in objects}
     dom_of: dict[str, int] = {}
     cod_of: dict[str, int] = {}
@@ -121,15 +129,6 @@ def random_form(rng: random.Random) -> FormInstance:
     if shape == 3:
         homs[(objects[0], objects[2])].append("g.f")
         dom_of["g.f"], cod_of["g.f"] = 0, 2
-
-    push: dict[str, MonotoneMap] = {}
-    for x_i, x in enumerate(objects):
-        push[f"id:{x}"] = MonotoneMap.identity(fibres[x])
-    for name, d, c in gens:
-        push[name] = _random_left_adjoint(rng, posets[d], data[d], data[c])
-    if shape == 3:
-        push["g.f"] = push["g"].compose(push["f"])
-
     compose: dict[tuple[str, str], str] = {}
     names = list(dom_of)
     for f in names:
@@ -143,9 +142,33 @@ def random_form(rng: random.Random) -> FormInstance:
             else:
                 compose[(g, f)] = "g.f"
     identities = {x: f"id:{x}" for x in objects}
-    base = CategoryPresentation(objects, homs, compose, identities)
+    base = _BASES[shape] = CategoryPresentation(objects, homs, compose, identities)
+    return base
 
-    pull = {name: GaloisPair.from_left_adjoint(m).right for name, m in push.items()}
+
+def random_form(rng: random.Random) -> FormInstance:
+    """A small form over one of four base shapes: a lone object, a single
+    arrow, a parallel pair, or a composable chain."""
+    shape = rng.randrange(4)
+    base = _base(shape)
+    objects = base.objects
+    posets = [_random_poset(rng) for _ in objects]
+    data = [_downset_lattice(p) for p in posets]
+    fibres = {x: data[i][0] for i, x in enumerate(objects)}
+
+    # The identity is its own upper adjoint, and pull(g.f) = pull f . pull g:
+    # upper adjoints on posets are unique, so these are the tables
+    # GaloisPair.from_left_adjoint would derive.
+    push: dict[str, MonotoneMap] = {}
+    pull: dict[str, MonotoneMap] = {}
+    for x in objects:
+        push[f"id:{x}"] = pull[f"id:{x}"] = MonotoneMap.identity(fibres[x])
+    for name, d, c in SHAPES[shape][1]:
+        push[name] = _random_left_adjoint(rng, posets[d], data[d], data[c])
+        pull[name] = GaloisPair.from_left_adjoint(push[name]).right
+    if shape == 3:
+        push["g.f"] = push["g"].compose(push["f"])
+        pull["g.f"] = pull["f"].compose(pull["g"])
     return FormInstance(base, fibres, push, pull)
 
 
@@ -153,9 +176,91 @@ def random_form(rng: random.Random) -> FormInstance:
 
 
 def _close_order(form: FormInstance, rel: dict[str, list[int]], want: str) -> None:
-    """Close the seeded pairs under T2, T3, and optionally the meet/join
-    stability laws, in place, to a joint fixpoint. Every step only adds
-    pairs that lie below the fibre order, so this terminates."""
+    """Close the seeded pairs under T2, T3 and, for ``want`` "TM" or "TJ",
+    the meet or join stability law, in place.
+
+    The result is the least relation that contains the seeds and is closed
+    under the rules. Each rule adds pairs that pairs already present force,
+    and the least closed relation holds every forced pair, so any strategy
+    that adds only forced pairs and stops after a pass that adds nothing
+    ends there: :func:`_close_order_dense`, one rule instance at a time,
+    reaches the same relation. This one works a row or a column at a time:
+
+    - T2: row a becomes the up-closure of itself and of the rows of the
+      covers of a. Fibres list down-sets in increasing order, a linear
+      extension, so one sweep from the top closes a fibre;
+    - TM: the T2-closed row becomes ``up[meet of the row]``, the meet being
+      a finite meet of members (top for an empty row);
+    - TJ: column b, the a related to b, gains ``down[join of the column]``;
+    - T3: per morphism f, row a of the domain gains the pull image of the
+      codomain row of push a, one memoised image per distinct row.
+
+    Every step only adds pairs below the fibre order, so this terminates."""
+    fibres = []
+    for x in form.base.objects:
+        fib = form.fibre(x)
+        above = fib.covers() if fib.is_partial_order() else [
+            tuple(bits(fib.up[a] & ~(1 << a))) for a in range(fib.size)
+        ]
+        fibres.append((fib, rel[x], above))
+    transfers = []
+    for f in form.base.morphisms():
+        x, y = form.base.dom[f], form.base.cod[f]
+        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        if x == y and push == pull == tuple(range(len(push))):
+            continue  # T3 along an identity adds nothing
+        transfers.append((rel[x], rel[y], push, pull, {}))
+    changed = True
+    while changed:
+        changed = False
+        for fib, rows, above in fibres:
+            up, up_closure, meet_mask = fib.up, fib.up_closure, fib.meet_mask
+            for a in range(fib.size - 1, -1, -1):
+                m = rows[a]
+                for c in above[a]:
+                    m |= rows[c]
+                m = up_closure(m)
+                if want == "TM":
+                    m = up[meet_mask(m)]
+                if m != rows[a]:
+                    rows[a] = m
+                    changed = True
+            if want == "TJ":
+                cols = [0] * fib.size
+                for a, row in enumerate(rows):
+                    bit = 1 << a
+                    while row:
+                        low = row & -row
+                        cols[low.bit_length() - 1] |= bit
+                        row ^= low
+                down, join_mask = fib.down, fib.join_mask
+                for b, col in enumerate(cols):
+                    missing = down[join_mask(col)] & ~col
+                    if missing:
+                        changed = True
+                        for a in bits(missing):
+                            rows[a] |= 1 << b
+        for rows_x, rows_y, push, pull, images in transfers:
+            for a, row in enumerate(rows_x):
+                src = rows_y[push[a]]
+                img = images.get(src)
+                if img is None:
+                    img, m = 0, src
+                    while m:
+                        low = m & -m
+                        img |= 1 << pull[low.bit_length() - 1]
+                        m ^= low
+                    images[src] = img
+                if img & ~row:
+                    rows_x[a] = row | img
+                    changed = True
+
+
+def _close_order_dense(form: FormInstance, rel: dict[str, list[int]], want: str) -> None:
+    """The same closure one rule instance at a time: T2 per pair of a
+    related pair and an element below, the stability laws per pair of row
+    or column members, T3 per related pair. The oracle :func:`_close_order`
+    is tested against."""
     changed = True
     while changed:
         changed = False

@@ -176,14 +176,14 @@ def _verify_order(form: FormInstance, order: TopogenousOrder, t3_bad) -> Report:
             if stray:
                 rep.add("T1", where=x, witness=(a, low_bit(stray)))
         # T2: the up-closure of row a must sit inside every row below a.
-        upclosed = []
+        # On a partial order that holds when every row is an up-set and
+        # contains the rows of its element's covers; otherwise the pair
+        # sweep finds the witnesses.
+        upclosed = [fib.up_closure(row) for row in rows]
+        rep.count("T2", sum(m.bit_count() for m in fib.down))
+        if _rows_t2(fib, rows, upclosed):
+            continue
         for a in range(fib.size):
-            m = 0
-            for b in bits(rows[a]):
-                m |= fib.up[b]
-            upclosed.append(m)
-        for a in range(fib.size):
-            rep.count("T2", fib.down[a].bit_count())
             for a2 in bits(fib.down[a]):
                 missing = upclosed[a] & ~rows[a2]
                 if missing:
@@ -195,6 +195,35 @@ def _verify_order(form: FormInstance, order: TopogenousOrder, t3_bad) -> Report:
             if mask:
                 rep.add("T3", where=f, witness=(a, low_bit(mask)))
     return rep
+
+
+def _rows_t2(fib: FiniteLattice, rows: Sequence[int], upclosed: Sequence[int]) -> bool:
+    """Whether the fibre is a partial order on which the rows satisfy T2:
+    each row equals its up-closure ``upclosed[a]`` and contains the rows
+    of the covers of a, hence, along chains of covers, of every element
+    above a."""
+    if not fib.is_partial_order():
+        return False
+    for a, above in enumerate(fib.covers()):
+        row = rows[a]
+        if upclosed[a] != row:
+            return False
+        for c in above:
+            if rows[c] & ~row:
+                return False
+    return True
+
+
+def _columns(rows: Sequence[int]) -> list[int]:
+    """The transpose: column b is the mask of every a whose row has b."""
+    cols = [0] * len(rows)
+    for a, row in enumerate(rows):
+        bit = 1 << a
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
 
 
 def check_T3_pull_form(form: FormInstance, order: TopogenousOrder) -> Report:
@@ -309,6 +338,58 @@ def classify_order(form: FormInstance, order: TopogenousOrder) -> OrderClass:
     """Meet-stability (second argument), join-stability (first argument),
     and interpolativity.
 
+    When every fibre is a partial order on which the rows satisfy T2 (each
+    row an up-set containing the rows above it, see :func:`_rows_t2`), the
+    stability laws are principal-filter tests. On a finite lattice an
+    up-set is closed under all meets, the empty meet top included, iff it
+    is non-empty and equals ``up[meet of its members]``; dually a down-set
+    is closed under all joins iff it is non-empty and equals ``down[join
+    of its members]`` (Davey & Priestley, *Introduction to Lattices and
+    Order*, 2nd ed., ch. 2). So the order is TM iff every row passes the
+    first test, and TJ iff every column, a down-set under T2, passes the
+    second, one :meth:`FiniteLattice.meet_mask` or
+    :meth:`FiniteLattice.join_mask` per row or column. Interpolativity is
+    ``row & ~OR(rows[c] for c in row) == 0`` for every row. Fibres are
+    taken to be lattices, as :class:`FormInstance` requires.
+
+    When some fibre is not a partial order, the rows break T2, or a meet
+    or join is missing, :func:`classify_order_dense` runs the subset scan
+    instead, so such inputs get its answer or its error. ``exhaustive``
+    keeps the scan's meaning: False when some fibre has more than
+    EXHAUSTIVE_SUBSET_LIMIT elements, where the scan tries only pairs and
+    the empty and full families."""
+    _check_shape(form, order)
+    fibres = [(form.fibre(x), order.rel[x]) for x in form.base.objects]
+    if not all(_rows_t2(fib, rows, [fib.up_closure(row) for row in rows]) for fib, rows in fibres):
+        return classify_order_dense(form, order)
+    is_tm = is_tj = is_int = True
+    try:
+        for fib, rows in fibres:
+            up, down = fib.up, fib.down
+            if is_tm:
+                is_tm = all(row and row == up[fib.meet_mask(row)] for row in rows)
+            if is_tj:
+                is_tj = all(col and col == down[fib.join_mask(col)] for col in _columns(rows))
+            if is_int:
+                for row in rows:
+                    reach, m = 0, row
+                    while m:
+                        low = m & -m
+                        reach |= rows[low.bit_length() - 1]
+                        m ^= low
+                    if row & ~reach:
+                        is_int = False
+                        break
+    except ValueError:
+        return classify_order_dense(form, order)
+    return OrderClass(is_tm, is_tj, is_int, all(fib.size <= EXHAUSTIVE_SUBSET_LIMIT for fib, _ in fibres))
+
+
+def classify_order_dense(form: FormInstance, order: TopogenousOrder) -> OrderClass:
+    """The subset scan :func:`classify_order` falls back to, and its
+    oracle: meet-stability (second argument), join-stability (first
+    argument), and interpolativity.
+
     Subset families are enumerated exhaustively on fibres of at most
     EXHAUSTIVE_SUBSET_LIMIT elements; beyond that only pairs plus the empty
     and full families are tried. On a finite lattice the two agree, since
@@ -378,7 +459,7 @@ def closure_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
     for x in form.base.objects:
         fib = form.fibre(x)
         rows = order.rel[x]
-        maps[x] = tuple(fib.meet(bits(rows[a])) for a in range(fib.size))
+        maps[x] = tuple(fib.meet_mask(row) for row in rows)
     return Operator("closure", maps)
 
 
@@ -400,10 +481,7 @@ def interior_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
     for x in form.base.objects:
         fib = form.fibre(x)
         rows = order.rel[x]
-        maps[x] = tuple(
-            fib.join([a for a in range(fib.size) if (rows[a] >> b) & 1])
-            for b in range(fib.size)
-        )
+        maps[x] = tuple(fib.join_mask(col) for col in _columns(rows))
     return Operator("interior", maps)
 
 
