@@ -327,7 +327,7 @@ class FormInstance:
     def is_thick(self, f: str) -> bool:
         """push sends the fibre top to the fibre top."""
         top_src = self.fibre(self.base.dom[f]).top
-        return self.push(f, top_src) == self.fibre(self.base.cod[f]).top
+        return self.push_maps[f].table[top_src] == self.fibre(self.base.cod[f]).top
 
     def is_adjoint(self, f: str) -> bool:
         """Whether push and pull of ``f`` are certified an adjoint pair:

@@ -55,6 +55,7 @@ class FiniteLattice:
         self._full = (1 << n) - 1
         self._is_order: Optional[bool] = None
         self._covers: Optional[tuple[tuple[int, ...], ...]] = None
+        self._is_lattice: Optional[bool] = None
         self._by_cone: Optional[tuple[dict[int, int], dict[int, int]]] = None
         self._meets: dict[int, int] = {}
         self._joins: dict[int, int] = {}
@@ -247,6 +248,20 @@ class FiniteLattice:
                 for a in range(self.size)
             )
         return self._is_order
+
+    def is_lattice(self) -> bool:
+        """A partial order with a top in which every pair has a meet, hence
+        one in which every family has a meet and a join; memoised. One
+        lookup per pair (see :meth:`meet_mask`), so :meth:`verify`'s
+        witnesses are not needed to take a fast path that relies on it."""
+        if self._is_lattice is None:
+            by_down, down, n = self._cone_index()[0], self.down, self.size
+            self._is_lattice = (
+                self.is_partial_order()
+                and self._full in by_down
+                and all(down[a] & down[b] in by_down for a in range(n) for b in range(a + 1, n))
+            )
+        return self._is_lattice
 
     def covers(self) -> tuple[tuple[int, ...], ...]:
         """``covers()[a]``: every b > a with nothing strictly between, in

@@ -130,7 +130,25 @@ def final_table(form: FormInstance, order: TopogenousOrder) -> dict[str, bool]:
 
 
 def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
-    """First related (a, b) in the domain fibre whose pushes are unrelated."""
+    """First related (a, b) in the domain fibre whose pushes are unrelated.
+
+    Per a, ``push.preimage(rows_y[push a])`` is every b whose push is
+    related to push(a) (:meth:`MonotoneMap.preimage`); the bits of
+    ``rows_x[a]`` outside it are the violations at a, so the first witness
+    is the one of the pair sweep :func:`push_preserves_order_dense`."""
+    x, y = form.base.dom[f], form.base.cod[f]
+    rows_x, rows_y = order.rel[x], order.rel[y]
+    push = form.push_maps[f]
+    table = push.table
+    for a, row_a in enumerate(rows_x):
+        bad = row_a & ~push.preimage(rows_y[table[a]])
+        if bad:
+            return (a, low_bit(bad))
+    return None
+
+
+def push_preserves_order_dense(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
+    """The same witness from a sweep of every related pair: the oracle."""
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push = form.push_maps[f].table

@@ -338,50 +338,47 @@ def classify_order(form: FormInstance, order: TopogenousOrder) -> OrderClass:
     """Meet-stability (second argument), join-stability (first argument),
     and interpolativity.
 
-    When every fibre is a partial order on which the rows satisfy T2 (each
-    row an up-set containing the rows above it, see :func:`_rows_t2`), the
-    stability laws are principal-filter tests. On a finite lattice an
-    up-set is closed under all meets, the empty meet top included, iff it
-    is non-empty and equals ``up[meet of its members]``; dually a down-set
-    is closed under all joins iff it is non-empty and equals ``down[join
-    of its members]`` (Davey & Priestley, *Introduction to Lattices and
-    Order*, 2nd ed., ch. 2). So the order is TM iff every row passes the
-    first test, and TJ iff every column, a down-set under T2, passes the
-    second, one :meth:`FiniteLattice.meet_mask` or
-    :meth:`FiniteLattice.join_mask` per row or column. Interpolativity is
-    ``row & ~OR(rows[c] for c in row) == 0`` for every row. Fibres are
-    taken to be lattices, as :class:`FormInstance` requires.
+    When every fibre is a lattice (:meth:`FiniteLattice.is_lattice`) on
+    which the rows satisfy T2 (each row an up-set containing the rows
+    above it, see :func:`_rows_t2`), the stability laws are
+    principal-filter tests. On a finite lattice an up-set is closed under
+    all meets, the empty meet top included, iff it is non-empty and equals
+    ``up[meet of its members]``; dually a down-set is closed under all
+    joins iff it is non-empty and equals ``down[join of its members]``
+    (Davey & Priestley, *Introduction to Lattices and Order*, 2nd ed.,
+    ch. 2). So the order is TM iff every row passes the first test, and TJ
+    iff every column, a down-set under T2, passes the second: one
+    :meth:`FiniteLattice.meet_mask` or :meth:`FiniteLattice.join_mask` per
+    row or column. Interpolativity is ``row & ~OR(rows[c] for c in row) ==
+    0`` for every row.
 
-    When some fibre is not a partial order, the rows break T2, or a meet
-    or join is missing, :func:`classify_order_dense` runs the subset scan
-    instead, so such inputs get its answer or its error. ``exhaustive``
-    keeps the scan's meaning: False when some fibre has more than
-    EXHAUSTIVE_SUBSET_LIMIT elements, where the scan tries only pairs and
-    the empty and full families."""
+    When some fibre is not a lattice or the rows break T2,
+    :func:`classify_order_dense` runs the subset scan instead, so such
+    inputs get its answer or its error. ``exhaustive`` keeps the scan's
+    meaning: False when some fibre has more than EXHAUSTIVE_SUBSET_LIMIT
+    elements, where the scan tries only pairs and the empty and full
+    families."""
     _check_shape(form, order)
     fibres = [(form.fibre(x), order.rel[x]) for x in form.base.objects]
-    if not all(_rows_t2(fib, rows, [fib.up_closure(row) for row in rows]) for fib, rows in fibres):
+    if not all(fib.is_lattice() and _rows_t2(fib, rows, [fib.up_closure(row) for row in rows]) for fib, rows in fibres):
         return classify_order_dense(form, order)
     is_tm = is_tj = is_int = True
-    try:
-        for fib, rows in fibres:
-            up, down = fib.up, fib.down
-            if is_tm:
-                is_tm = all(row and row == up[fib.meet_mask(row)] for row in rows)
-            if is_tj:
-                is_tj = all(col and col == down[fib.join_mask(col)] for col in _columns(rows))
-            if is_int:
-                for row in rows:
-                    reach, m = 0, row
-                    while m:
-                        low = m & -m
-                        reach |= rows[low.bit_length() - 1]
-                        m ^= low
-                    if row & ~reach:
-                        is_int = False
-                        break
-    except ValueError:
-        return classify_order_dense(form, order)
+    for fib, rows in fibres:
+        up, down = fib.up, fib.down
+        if is_tm:
+            is_tm = all(row and row == up[fib.meet_mask(row)] for row in rows)
+        if is_tj:
+            is_tj = all(col and col == down[fib.join_mask(col)] for col in _columns(rows))
+        if is_int:
+            for row in rows:
+                reach, m = 0, row
+                while m:
+                    low = m & -m
+                    reach |= rows[low.bit_length() - 1]
+                    m ^= low
+                if row & ~reach:
+                    is_int = False
+                    break
     return OrderClass(is_tm, is_tj, is_int, all(fib.size <= EXHAUSTIVE_SUBSET_LIMIT for fib, _ in fibres))
 
 

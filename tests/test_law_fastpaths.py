@@ -12,17 +12,27 @@ The order and operator battery runs on masks: `verify_closure` under a
 per-morphism adjunction certificate with a fallback to its pair sweep, the
 other kernels exactly. Each must agree with its `*_dense` oracle, raised
 `CorruptFormError` messages included.
+
+The search runs on mask tables: `FiniteLattice.meet_mask`/`join_mask`
+against the `meet`/`join` scans, `classify_order`'s principal-filter test
+against the subset scan `classify_order_dense`, the order closure
+`_close_order` against the pair closure `_close_order_dense`, and
+`GaloisPair.from_left_adjoint` against the `leq` comprehension it
+replaced.
 """
 
 import random
 from collections import Counter
+from itertools import combinations
 
 from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, normal_interval_order, standard_corpus
-from formkit.lattice import FiniteLattice, MonotoneMap, bits
+from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap, bits
 from formkit.morphisms import (
     final_violation,
     final_violation_dense,
+    push_preserves_order,
+    push_preserves_order_dense,
     strict_violation,
     strict_violation_dense,
     transfer_laws_check,
@@ -30,12 +40,22 @@ from formkit.morphisms import (
 )
 from formkit.partitions import build_quot_form
 from formkit.report import Report
-from formkit.search import case_rng, random_form, random_order
+from formkit.search import (
+    MAX_POSET_POINTS,
+    _close_order,
+    _close_order_dense,
+    _downset_lattice,
+    case_rng,
+    random_form,
+    random_order,
+)
 from formkit.topogenous import (
     Operator,
     TopogenousOrder,
     check_T3_pull_form,
     check_T3_pull_form_dense,
+    classify_order,
+    classify_order_dense,
     closure_from_order,
     interior_from_order,
     leq_order,
@@ -288,6 +308,10 @@ def assert_kernels_agree(form: FormInstance, order: TopogenousOrder, clo: Operat
         assert strict_violation(form, order, f) == strict_violation_dense(form, order, f), f
         assert final_violation(form, order, f) == final_violation_dense(form, order, f), f
         assert form.morphism_kind(f) == form.morphism_kind_dense(f), f
+        pushed = push_preserves_order(form, order, f)
+        assert pushed == push_preserves_order_dense(form, order, f), f
+        if pushed is not None:
+            found.add("push-unrelated")
     return found
 
 
@@ -340,7 +364,7 @@ def test_order_kernels_match_dense_oracles_under_corruption():
     # sweeps found violations of every kind on the others
     assert fallbacks > 0
     for check in ("T1", "T2", "T3", "pull-form", "C1", "C2", "I1", "I2", "I3",
-                  "section-strict-final", "compose-strict", "compose-final"):
+                  "section-strict-final", "compose-strict", "compose-final", "push-unrelated"):
         assert failed[check] > 0, check
 
 
@@ -372,3 +396,204 @@ def test_morphism_kind_names_the_first_inverse_in_hom_order():
     for m in base.morphisms():
         assert form.morphism_kind(m) == form.morphism_kind_dense(m)
     assert form.morphism_kind("f").inverse == "g1"
+
+
+# -- the search on mask tables ----------------------------------------------------------
+
+
+def search_posets() -> list[list[int]]:
+    """Every poset the generator can draw: at most MAX_POSET_POINTS points,
+    indices a linear extension, strict down-sets transitively closed."""
+    out = []
+    for k in range(MAX_POSET_POINTS + 1):
+        edges = [(i, j) for j in range(k) for i in range(j)]
+        seen = set()
+        for chosen in range(1 << len(edges)):
+            below = [0] * k
+            for e, (i, j) in enumerate(edges):
+                if (chosen >> e) & 1:
+                    below[j] |= 1 << i
+            for j in range(k):
+                for i in bits(below[j]):
+                    below[j] |= below[i]
+            if tuple(below) not in seen:
+                seen.add(tuple(below))
+                out.append(below)
+    return out
+
+
+def assert_bounds_agree(lat: FiniteLattice, masks) -> None:
+    """meet_mask and join_mask return what the scans return, or raise the
+    same error."""
+    for mask in masks:
+        for fast, scan in ((lat.meet_mask, lat.meet), (lat.join_mask, lat.join)):
+            try:
+                expected = scan(bits(mask))
+            except ValueError as exc:
+                try:
+                    fast(mask)
+                except ValueError as got:
+                    assert str(got) == str(exc)
+                else:
+                    raise AssertionError(f"{fast.__name__}({mask:#x}) did not raise")
+            else:
+                assert fast(mask) == expected, (fast.__name__, mask)
+
+
+def test_bound_lookups_match_scans():
+    import formkit.search as search
+
+    posets = search_posets()
+    assert len(posets) == 1 + 1 + 2 + 7
+    lattices = [_downset_lattice(p)[0] for p in posets]
+    for i in range(300):
+        random_form(case_rng(SEED, i))
+    assert set(search._LATTICES) <= {tuple(p) for p in posets}
+    for lat in lattices:
+        assert lat.is_lattice()
+        assert_bounds_agree(lat, range(1 << lat.size))
+        for m in range(1 << lat.size):
+            assert set(bits(lat.up_closure(m))) == {c for c in range(lat.size) if any(lat.leq(b, c) for b in bits(m))}
+    # the top[3] topology lattice: every family of at most three
+    # topologies, and seeded larger ones
+    lat, _ = topology_fibre(3)
+    rng = random.Random(SEED)
+    small = [sum(1 << b for b in combo) for k in range(4) for combo in combinations(range(lat.size), k)]
+    assert_bounds_agree(lat, small + [rng.randrange(1 << lat.size) for _ in range(2000)])
+
+
+def test_bound_lookups_take_the_scan_off_partial_orders():
+    # 0 and 1 are below each other: not antisymmetric, so no lookup table
+    # exists and every bound comes from the scan
+    rel = FiniteLattice.from_up_masks([0b011, 0b011, 0b100 | 0b011])
+    assert not rel.is_partial_order() and not rel.is_lattice()
+    assert rel._cone_index() == ({}, {})
+    assert_bounds_agree(rel, range(1 << rel.size))
+    assert rel.meet_mask(0b011) == rel.meet((0, 1)) == 0
+    # a partial order without a bottom: the lookup misses, and the scan
+    # raises as meet does
+    antichain = FiniteLattice.from_up_masks([0b01, 0b10])
+    assert antichain.is_partial_order() and not antichain.is_lattice()
+    assert_bounds_agree(antichain, range(4))
+
+
+def test_from_up_masks_matches_the_bool_matrix():
+    rng = random.Random(SEED)
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        up = [rng.randrange(1 << (n + 2)) for _ in range(n)]  # stray high bits are dropped
+        lat = FiniteLattice.from_up_masks(up)
+        rows = [[bool((up[a] >> b) & 1) for b in range(n)] for a in range(n)]
+        ref = FiniteLattice(rows)
+        assert (lat.size, lat.up, lat.down) == (ref.size, ref.up, ref.down)
+
+
+def search_relations(rng: random.Random):
+    """(form, rows per object): seeds as random_order draws them, inside
+    the fibre order, and arbitrary rows that break T1 and T2."""
+    for i in range(120):
+        form = random_form(case_rng(SEED, i))
+        for inside in (True, False):
+            rel = {}
+            for x in form.base.objects:
+                fib = form.fibre(x)
+                rows = [0] * fib.size
+                for _ in range(rng.randint(0, fib.size)):
+                    a = rng.randrange(fib.size)
+                    rows[a] |= 1 << (rng.choice(list(bits(fib.up[a]))) if inside else rng.randrange(fib.size))
+                rel[x] = rows
+            yield form, rel
+
+
+def test_close_order_matches_pair_closure():
+    rng = random.Random(SEED)
+    grew = 0
+    for form, seeds in search_relations(rng):
+        for want in ("any", "TM", "TJ"):
+            fast = {x: list(rows) for x, rows in seeds.items()}
+            dense = {x: list(rows) for x, rows in seeds.items()}
+            _close_order(form, fast, want)
+            _close_order_dense(form, dense, want)
+            assert fast == dense, want
+            grew += fast != seeds
+    assert grew > 300
+
+
+def test_classify_order_matches_subset_scan(monkeypatch):
+    import formkit.topogenous as tp
+
+    scans = []
+    monkeypatch.setattr(tp, "classify_order_dense", lambda form, order: scans.append(1) or classify_order_dense(form, order))
+    rng = random.Random(SEED)
+    cases = [(form, order) for form, order, _ in battery_cases(rng)]
+    cases += [(form, with_row(form, order, rng)) for form, order in list(cases) for _ in range(6)]
+    cases += [(form, TopogenousOrder(rel)) for form, rel in search_relations(rng)]
+    taken = Counter()
+    verdicts = set()
+    for form, order in cases:
+        before = len(scans)
+        got = classify_order(form, order)
+        assert got == classify_order_dense(form, order)
+        scanned = len(scans) > before
+        taken[scanned] += 1
+        if any(v.check == "T2" for v in verify_order(form, order).violations):
+            assert scanned  # rows that break T2 take the subset scan
+        verdicts.add((got.is_TM, got.is_TJ, got.is_interpolative))
+    assert taken[True] > 50 and taken[False] > 50
+    assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {v[2] for v in verdicts} == {True, False}
+
+
+def test_classify_order_scans_fibres_that_are_not_lattices():
+    # 0 < 1, 2 < 3, 4 < 5 with 1 and 2 both below 3 and 4: a bounded poset
+    # where {3, 4} has two maximal lower bounds, so its meet is missing
+    up = [0b111111, 0b111010, 0b111100, 0b101000, 0b110000, 0b100000]
+    fib = FiniteLattice.from_up_masks(up)
+    assert fib.is_partial_order() and not fib.is_lattice()
+    base = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
+    same = MonotoneMap.identity(fib)
+    form = FormInstance(base, {"X": fib}, {"id": same}, {"id": same})
+    order = leq_order(form)
+    assert verify_order(form, order).ok
+    assert outcome_of(classify_order, form, order) == outcome_of(classify_order_dense, form, order)
+    assert outcome_of(classify_order, form, order)[0] == "raises"
+
+
+def outcome_of(fn, *args):
+    try:
+        return ("returns", fn(*args))
+    except ValueError as exc:
+        return ("raises", str(exc))
+
+
+def test_derived_operators_match_scans():
+    # closure_from_order and interior_from_order take each meet and join
+    # from the lookups; the scans give the same tables
+    rng = random.Random(SEED)
+    for form, order, _ in battery_cases(rng):
+        clo, intr = closure_from_order(form, order), interior_from_order(form, order)
+        for x in form.base.objects:
+            fib, rows = form.fibre(x), order.rel[x]
+            assert clo.table(x) == tuple(fib.meet(bits(row)) for row in rows)
+            cols = [[a for a in range(fib.size) if (rows[a] >> b) & 1] for b in range(fib.size)]
+            assert intr.table(x) == tuple(fib.join(col) for col in cols)
+
+
+def test_from_left_adjoint_matches_leq_comprehension():
+    def comprehension(left):
+        src, tgt = left.source, left.target
+        return tuple(
+            src.join([a for a in range(src.size) if tgt.leq(left.table[a], b)]) for b in range(tgt.size)
+        )
+
+    forms = [random_form(case_rng(SEED, i)) for i in range(200)]
+    forms.append(build_top_form([1, 2]).form)
+    forms.append(build_grp_form(standard_corpus(4)).form)
+    derived = 0
+    for form in forms:
+        for f in form.base.morphisms():
+            right = GaloisPair.from_left_adjoint(form.push_maps[f]).right
+            assert right.table == comprehension(form.push_maps[f]), f
+            # the generator takes identities and composites without deriving
+            assert right.table == form.pull_maps[f].table, f
+            derived += 1
+    assert derived > 500

@@ -113,16 +113,19 @@ def test_classification_examples(top123, theta123, b123):
 
 def test_subset_reduction_agrees_with_exhaustive(top12):
     # same verdicts with the exhaustive sweep and the pairs+empty+full one
+    # of the subset scan; the principal-filter test reports the same flag
     import formkit.topogenous as tp
 
     orders = [leq_order(top12.form), theta_order(top12), b_order(top12)]
-    verdicts_full = [classify_order(top12.form, T) for T in orders]
+    verdicts_full = [tp.classify_order_dense(top12.form, T) for T in orders]
     old = tp.EXHAUSTIVE_SUBSET_LIMIT
     tp.EXHAUSTIVE_SUBSET_LIMIT = 0
     try:
-        verdicts_reduced = [classify_order(top12.form, T) for T in orders]
+        verdicts_reduced = [tp.classify_order_dense(top12.form, T) for T in orders]
+        assert [classify_order(top12.form, T) for T in orders] == verdicts_reduced
     finally:
         tp.EXHAUSTIVE_SUBSET_LIMIT = old
+    assert [classify_order(top12.form, T) for T in orders] == verdicts_full
     for v_full, v_red in zip(verdicts_full, verdicts_reduced):
         assert (v_full.is_TM, v_full.is_TJ, v_full.is_interpolative) == (
             v_red.is_TM,
