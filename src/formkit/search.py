@@ -43,23 +43,23 @@ def _random_poset(rng: random.Random) -> list[int]:
             return below
 
 
-_LATTICES: dict[tuple[int, ...], tuple[FiniteLattice, list[int], dict[int, int]]] = {}
+_LATTICES: dict[tuple[int, ...], tuple[FiniteLattice, tuple[int, ...], dict[int, int]]] = {}
 
 
-def _downset_lattice(below: list[int]) -> tuple[FiniteLattice, list[int], dict[int, int]]:
+def _downset_lattice(below: list[int]) -> tuple[FiniteLattice, tuple[int, ...], dict[int, int]]:
     """The down-sets of the poset as masks in increasing order (a linear
     extension of inclusion), their lattice, and the index of each mask.
-    Memoised per poset: posets have at most MAX_POSET_POINTS points, so
-    only a few dozen ever exist, and the lattice is immutable. Callers
-    must not change the returned list or dict."""
+    Memoised per poset: with at most MAX_POSET_POINTS points, indexed in a
+    linear extension, eleven posets exist, and the lattice is immutable. Callers
+    must not change the returned dict."""
     key = tuple(below)
     out = _LATTICES.get(key)
     if out is None:
         k = len(below)
-        masks = [
+        masks = tuple(
             s for s in range(1 << k)
             if all(below[j] & ~s == 0 for j in range(k) if (s >> j) & 1)
-        ]
+        )
         up = [sum(1 << j for j, m2 in enumerate(masks) if m1 & ~m2 == 0) for m1 in masks]
         out = _LATTICES[key] = (FiniteLattice.from_up_masks(up), masks, {m: i for i, m in enumerate(masks)})
     return out
@@ -68,8 +68,8 @@ def _downset_lattice(below: list[int]) -> tuple[FiniteLattice, list[int], dict[i
 def _random_left_adjoint(
     rng: random.Random,
     below_src: list[int],
-    src: tuple[FiniteLattice, list[int], dict[int, int]],
-    tgt: tuple[FiniteLattice, list[int], dict[int, int]],
+    src: tuple[FiniteLattice, tuple[int, ...], dict[int, int]],
+    tgt: tuple[FiniteLattice, tuple[int, ...], dict[int, int]],
 ) -> MonotoneMap:
     """Join-preserving map out of a down-set lattice: choose a monotone
     image for each poset point, then push a down-set to the union of its
