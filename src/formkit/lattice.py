@@ -25,6 +25,17 @@ def low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def columns(rows: Sequence[int]) -> list[int]:
+    """The transpose of a square relation given by row masks: column b is
+    the mask of every a whose row has bit b."""
+    cols = [0] * len(rows)
+    for a, row in enumerate(rows):
+        bit = 1 << a
+        for b in bits(row):
+            cols[b] |= bit
+    return cols
+
+
 class FiniteLattice:
     """A finite poset with all meets and joins (checked by :meth:`verify`).
 
@@ -138,16 +149,7 @@ class FiniteLattice:
         :meth:`meet` does."""
         out = self._meets.get(mask)
         if out is None:
-            common, down = self._full, self.down
-            m = mask
-            while m:
-                low = m & -m
-                common &= down[low.bit_length() - 1]
-                m ^= low
-            out = self._cone_index()[0].get(common)
-            if out is None:
-                out = self._scan(common, down, "no greatest lower bound; not a lattice")
-            self._meets[mask] = out
+            out = self._meets[mask] = self._bound_mask(mask, self.down, 0, "no greatest lower bound; not a lattice")
         return out
 
     def join_mask(self, mask: int) -> int:
@@ -157,17 +159,15 @@ class FiniteLattice:
         relation is not a partial order or the lookup misses."""
         out = self._joins.get(mask)
         if out is None:
-            common, up = self._full, self.up
-            m = mask
-            while m:
-                low = m & -m
-                common &= up[low.bit_length() - 1]
-                m ^= low
-            out = self._cone_index()[1].get(common)
-            if out is None:
-                out = self._scan(common, up, "no least upper bound; not a lattice")
-            self._joins[mask] = out
+            out = self._joins[mask] = self._bound_mask(mask, self.up, 1, "no least upper bound; not a lattice")
         return out
+
+    def _bound_mask(self, mask: int, cones: tuple, side: int, missing: str) -> int:
+        common = self._full
+        for b in bits(mask):
+            common &= cones[b]
+        out = self._cone_index()[side].get(common)
+        return self._scan(common, cones, missing) if out is None else out
 
     def _cone_index(self) -> tuple[dict[int, int], dict[int, int]]:
         """(down mask -> element, up mask -> element), the lowest index
@@ -187,11 +187,9 @@ class FiniteLattice:
         memoised per mask."""
         out = self._up_closures.get(mask)
         if out is None:
-            out, up, m = 0, self.up, mask
-            while m:
-                low = m & -m
-                out |= up[low.bit_length() - 1]
-                m ^= low
+            out = 0
+            for b in bits(mask):
+                out |= self.up[b]
             self._up_closures[mask] = out
         return out
 
@@ -363,12 +361,9 @@ class MonotoneMap:
                     fibres[v] = fibres.get(v, 0) | (1 << a)
                 self._fibres = fibres
                 self._image = sum(1 << v for v in fibres)
-            fibres = self._fibres
-            out, m = 0, mask & self._image
-            while m:
-                low = m & -m
-                out |= fibres[low.bit_length() - 1]
-                m ^= low
+            out = 0
+            for v in bits(mask & self._image):
+                out |= self._fibres[v]
             self._preimages[mask] = out
         return out
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .checks import CHECKS, CheckContext
 from .forms import CategoryPresentation, FormInstance
-from .lattice import FiniteLattice, GaloisPair, MonotoneMap, bits
+from .lattice import FiniteLattice, GaloisPair, MonotoneMap, bits, columns
 from .topogenous import TopogenousOrder, verify_order
 
 MAX_POSET_POINTS = 3
@@ -187,8 +187,10 @@ def _close_order(form: FormInstance, rel: dict[str, list[int]], want: str) -> No
     reaches the same relation. This one works a row or a column at a time:
 
     - T2: row a becomes the up-closure of itself and of the rows of the
-      covers of a. Fibres list down-sets in increasing order, a linear
-      extension, so one sweep from the top closes a fibre;
+      covers of a (generated fibres are partial orders, where covers
+      chain up to every element above a). Fibres list down-sets in
+      increasing order, a linear extension, so one sweep from the top
+      closes a fibre;
     - TM: the T2-closed row becomes ``up[meet of the row]``, the meet being
       a finite meet of members (top for an empty row);
     - TJ: column b, the a related to b, gains ``down[join of the column]``;
@@ -196,13 +198,7 @@ def _close_order(form: FormInstance, rel: dict[str, list[int]], want: str) -> No
       codomain row of push a, one memoised image per distinct row.
 
     Every step only adds pairs below the fibre order, so this terminates."""
-    fibres = []
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        above = fib.covers() if fib.is_partial_order() else [
-            tuple(bits(fib.up[a] & ~(1 << a))) for a in range(fib.size)
-        ]
-        fibres.append((fib, rel[x], above))
+    fibres = [(form.fibre(x), rel[x]) for x in form.base.objects]
     transfers = []
     for f in form.base.morphisms():
         x, y = form.base.dom[f], form.base.cod[f]
@@ -213,8 +209,8 @@ def _close_order(form: FormInstance, rel: dict[str, list[int]], want: str) -> No
     changed = True
     while changed:
         changed = False
-        for fib, rows, above in fibres:
-            up, up_closure, meet_mask = fib.up, fib.up_closure, fib.meet_mask
+        for fib, rows in fibres:
+            up, up_closure, meet_mask, above = fib.up, fib.up_closure, fib.meet_mask, fib.covers()
             for a in range(fib.size - 1, -1, -1):
                 m = rows[a]
                 for c in above[a]:
@@ -226,15 +222,8 @@ def _close_order(form: FormInstance, rel: dict[str, list[int]], want: str) -> No
                     rows[a] = m
                     changed = True
             if want == "TJ":
-                cols = [0] * fib.size
-                for a, row in enumerate(rows):
-                    bit = 1 << a
-                    while row:
-                        low = row & -row
-                        cols[low.bit_length() - 1] |= bit
-                        row ^= low
                 down, join_mask = fib.down, fib.join_mask
-                for b, col in enumerate(cols):
+                for b, col in enumerate(columns(rows)):
                     missing = down[join_mask(col)] & ~col
                     if missing:
                         changed = True
@@ -245,11 +234,9 @@ def _close_order(form: FormInstance, rel: dict[str, list[int]], want: str) -> No
                 src = rows_y[push[a]]
                 img = images.get(src)
                 if img is None:
-                    img, m = 0, src
-                    while m:
-                        low = m & -m
-                        img |= 1 << pull[low.bit_length() - 1]
-                        m ^= low
+                    img = 0
+                    for b in bits(src):
+                        img |= 1 << pull[b]
                     images[src] = img
                 if img & ~row:
                     rows_x[a] = row | img

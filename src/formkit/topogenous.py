@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, MonotoneMap, bits, low_bit
+from .lattice import FiniteLattice, MonotoneMap, bits, columns, low_bit
 from .report import InputError, Report
 
 EXHAUSTIVE_SUBSET_LIMIT = 12
@@ -214,18 +214,6 @@ def _rows_t2(fib: FiniteLattice, rows: Sequence[int], upclosed: Sequence[int]) -
     return True
 
 
-def _columns(rows: Sequence[int]) -> list[int]:
-    """The transpose: column b is the mask of every a whose row has b."""
-    cols = [0] * len(rows)
-    for a, row in enumerate(rows):
-        bit = 1 << a
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
-    return cols
-
-
 def check_T3_pull_form(form: FormInstance, order: TopogenousOrder) -> Report:
     """The pull formulation of transfer stability: related pairs in the
     codomain fibre pull back to related pairs. Also cross-checks that, per
@@ -368,14 +356,12 @@ def classify_order(form: FormInstance, order: TopogenousOrder) -> OrderClass:
         if is_tm:
             is_tm = all(row and row == up[fib.meet_mask(row)] for row in rows)
         if is_tj:
-            is_tj = all(col and col == down[fib.join_mask(col)] for col in _columns(rows))
+            is_tj = all(col and col == down[fib.join_mask(col)] for col in columns(rows))
         if is_int:
             for row in rows:
-                reach, m = 0, row
-                while m:
-                    low = m & -m
-                    reach |= rows[low.bit_length() - 1]
-                    m ^= low
+                reach = 0
+                for c in bits(row):
+                    reach |= rows[c]
                 if row & ~reach:
                     is_int = False
                     break
@@ -478,7 +464,7 @@ def interior_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
     for x in form.base.objects:
         fib = form.fibre(x)
         rows = order.rel[x]
-        maps[x] = tuple(fib.join_mask(col) for col in _columns(rows))
+        maps[x] = tuple(fib.join_mask(col) for col in columns(rows))
     return Operator("interior", maps)
 
 
