@@ -543,6 +543,14 @@ def test_classify_order_matches_subset_scan(monkeypatch):
     assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {v[2] for v in verdicts} == {True, False}
 
 
+def outcome_of(fn, *args):
+    """A result or a raised ValueError's message, in comparable form."""
+    try:
+        return ("returns", fn(*args))
+    except ValueError as exc:
+        return ("raises", str(exc))
+
+
 def test_classify_order_scans_fibres_that_are_not_lattices():
     # 0 < 1, 2 < 3, 4 < 5 with 1 and 2 both below 3 and 4: a bounded poset
     # where {3, 4} has two maximal lower bounds, so its meet is missing
@@ -556,13 +564,6 @@ def test_classify_order_scans_fibres_that_are_not_lattices():
     assert verify_order(form, order).ok
     assert outcome_of(classify_order, form, order) == outcome_of(classify_order_dense, form, order)
     assert outcome_of(classify_order, form, order)[0] == "raises"
-
-
-def outcome_of(fn, *args):
-    try:
-        return ("returns", fn(*args))
-    except ValueError as exc:
-        return ("raises", str(exc))
 
 
 def test_derived_operators_match_scans():
