@@ -57,20 +57,13 @@ class FiniteLattice:
             raise ValueError("labels length must match size")
         self.size = n
         self.up = up
-        down = [0] * n
-        for a, m in enumerate(up):
-            for b in bits(m):
-                down[b] |= 1 << a
-        self.down = tuple(down)
+        self.down = tuple(columns(up))
         self.labels = tuple(labels) if labels is not None else None
         self._full = (1 << n) - 1
         self._is_order: Optional[bool] = None
         self._covers: Optional[tuple[tuple[int, ...], ...]] = None
         self._is_lattice: Optional[bool] = None
         self._by_cone: Optional[tuple[dict[int, int], dict[int, int]]] = None
-        self._meets: dict[int, int] = {}
-        self._joins: dict[int, int] = {}
-        self._up_closures: dict[int, int] = {0: 0}
 
     @classmethod
     def from_up_masks(cls, up: Sequence[int], labels: Optional[Sequence[str]] = None) -> "FiniteLattice":
@@ -136,8 +129,7 @@ class FiniteLattice:
         raise ValueError(missing)
 
     def meet_mask(self, mask: int) -> int:
-        """:meth:`meet` of the members of ``mask``, without range checks;
-        memoised per mask.
+        """:meth:`meet` of the members of ``mask``, without range checks.
 
         The lower bounds of the members are the AND of their ``down``
         masks. On a partial order the meet, when it exists, is the one
@@ -147,20 +139,14 @@ class FiniteLattice:
         When the relation is not a partial order, or the lookup misses,
         :meth:`meet`'s scan runs on the same AND and returns or raises as
         :meth:`meet` does."""
-        out = self._meets.get(mask)
-        if out is None:
-            out = self._meets[mask] = self._bound_mask(mask, self.down, 0, "no greatest lower bound; not a lattice")
-        return out
+        return self._bound_mask(mask, self.down, 0, "no greatest lower bound; not a lattice")
 
     def join_mask(self, mask: int) -> int:
         """:meth:`join` of the members of ``mask``, the dual of
         :meth:`meet_mask`: the AND of their ``up`` masks, looked up among
         the elements' ``up`` masks, with :meth:`join`'s scan when the
         relation is not a partial order or the lookup misses."""
-        out = self._joins.get(mask)
-        if out is None:
-            out = self._joins[mask] = self._bound_mask(mask, self.up, 1, "no least upper bound; not a lattice")
-        return out
+        return self._bound_mask(mask, self.up, 1, "no least upper bound; not a lattice")
 
     def _bound_mask(self, mask: int, cones: tuple, side: int, missing: str) -> int:
         common = self._full
@@ -183,14 +169,10 @@ class FiniteLattice:
         return self._by_cone
 
     def up_closure(self, mask: int) -> int:
-        """The mask of every element above some member of ``mask``;
-        memoised per mask."""
-        out = self._up_closures.get(mask)
-        if out is None:
-            out = 0
-            for b in bits(mask):
-                out |= self.up[b]
-            self._up_closures[mask] = out
+        """The mask of every element above some member of ``mask``."""
+        out = 0
+        for b in bits(mask):
+            out |= self.up[b]
         return out
 
     def bound(self, kind: str, elems: Iterable[int]) -> int:
@@ -308,7 +290,6 @@ class MonotoneMap:
         self.table = tuple(table)
         self._fibres: Optional[dict[int, int]] = None
         self._image = 0
-        self._preimages: dict[int, int] = {}
 
     def __call__(self, a: int) -> int:
         self.source._check(a)
@@ -350,21 +331,18 @@ class MonotoneMap:
         """The mask of every source element the map sends into ``mask``.
 
         The fibres ``{a : table[a] = v}`` are built once per map, as masks;
-        a first call with a mask ORs the fibres of the values in ``mask``
-        that the map takes, so it costs the popcount of ``mask``, not the
-        source size, and later calls with that mask are one lookup."""
-        out = self._preimages.get(mask)
-        if out is None:
-            if self._fibres is None:
-                fibres: dict[int, int] = {}
-                for a, v in enumerate(self.table):
-                    fibres[v] = fibres.get(v, 0) | (1 << a)
-                self._fibres = fibres
-                self._image = sum(1 << v for v in fibres)
-            out = 0
-            for v in bits(mask & self._image):
-                out |= self._fibres[v]
-            self._preimages[mask] = out
+        a call then ORs the fibres of the values in ``mask`` that the map
+        takes, so it costs the popcount of ``mask``, not the source size."""
+        if self._fibres is None:
+            fibres: dict[int, int] = {}
+            for a, v in enumerate(self.table):
+                fibres[v] = fibres.get(v, 0) | (1 << a)
+            self._fibres = fibres
+            self._image = sum(1 << v for v in fibres)
+        fibres = self._fibres
+        out = 0
+        for v in bits(mask & self._image):
+            out |= fibres[v]
         return out
 
     def is_monotone(self) -> bool:
