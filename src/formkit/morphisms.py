@@ -133,15 +133,18 @@ def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: str) -> 
     """First related (a, b) in the domain fibre whose pushes are unrelated.
 
     Per a, ``push.preimage(rows_y[push a])`` is every b whose push is
-    related to push(a) (:meth:`MonotoneMap.preimage`); the bits of
-    ``rows_x[a]`` outside it are the violations at a, so the first witness
-    is the one of the pair sweep :func:`push_preserves_order_dense`."""
+    related to push(a) (:meth:`MonotoneMap.preimage`), one mask per value
+    of push; the bits of ``rows_x[a]`` outside it are the violations at a,
+    so the first witness is the one of the pair sweep
+    :func:`push_preserves_order_dense`."""
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push = form.push_maps[f]
-    table = push.table
-    for a, row_a in enumerate(rows_x):
-        bad = row_a & ~push.preimage(rows_y[table[a]])
+    pushed: dict[int, int] = {}
+    for a, v in enumerate(push.table):
+        if v not in pushed:
+            pushed[v] = push.preimage(rows_y[v])
+        bad = rows_x[a] & ~pushed[v]
         if bad:
             return (a, low_bit(bad))
     return None
