@@ -40,8 +40,9 @@ class FiniteLattice:
     """A finite poset with all meets and joins (checked by :meth:`verify`).
 
     ``up[a]`` is the bitmask of every b with a <= b; ``down[b]`` the dual.
-    Immutable after construction, apart from memo tables that fill on
-    first use; safe to share between workers.
+    Immutable after construction, apart from facts memoised on first use
+    (partial order, lattice, covers, cone index); safe to share between
+    workers.
     """
 
     def __init__(self, leq_rows: Sequence[Sequence[bool]], labels: Optional[Sequence[str]] = None):
