@@ -12,11 +12,12 @@ isolation: save it to a file and run `formkit replay <witness.json>`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NoReturn, Optional
 
 import click
 
@@ -120,18 +121,18 @@ class RunReport:
         return "\n".join(lines)
 
 
-def emit(ctx: click.Context, report: RunReport, started: float) -> None:
-    fmt = ctx.obj["format"]
-    if fmt == "json":
+def emit(report: RunReport) -> None:
+    ctx = click.get_current_context()
+    if ctx.obj["format"] == "json":
         click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         click.echo(report.render_text())
-    click.echo(f"elapsed: {time.monotonic() - started:.3f}s", err=True)
+    click.echo(f"elapsed: {time.monotonic() - ctx.obj['started']:.3f}s", err=True)
     ctx.exit(0 if report.ok else 1)
 
 
-def fail_usage(message: str) -> None:
-    raise click.UsageError(message)
+def fail_usage(message: str) -> NoReturn:
+    raise InputError(message)
 
 
 # -- input loading -----------------------------------------------------------------
@@ -224,29 +225,31 @@ def recipe_from_flags(
 def load_recipe(recipe: dict, inputs: dict[str, str], where: str = "recipe") -> CheckContext:
     """Build what a recipe describes, recording the files read in
     ``inputs``: a built-in instance, a form file, or an inline form, each
-    with the order, and an inline form also with the operator, it names."""
-    if recipe.get("kind") == "inline":
-        form = form_from_dict(recipe.get("form"), where=f"{where}#form")
-        order = order_from_dict(recipe["order"], where=f"{where}#order") if "order" in recipe else None
-        operator = None
-        if "operator" in recipe:
-            kind = _field(recipe, "operator_kind", lambda v: v in OPERATOR_KINDS, where)
-            operator = operator_from_dict(recipe["operator"], kind, where=f"{where}#operator")
-        return CheckContext(form, order, operator, recipe=recipe)
-    if "kind" in recipe:
+    with the order it names (a named order, an order file, or inline) and,
+    for a form file or an inline form, the operator it names."""
+    inline = recipe.get("kind") == "inline"
+
+    def read(key: str, parse):
+        """The inline document under ``key``, or the file ``key_file`` names."""
+        if inline:
+            return parse(recipe.get(key), where=f"{where}#{key}")
+        return read_file(_field(recipe, f"{key}_file", lambda v: isinstance(v, str), where), parse, inputs)
+
+    bundle = None
+    if inline or "kind" not in recipe:
+        form = read("form", form_from_dict)
+    else:
         bundle = build_instance(recipe, where)
         form = bundle.form
-        kind = recipe["kind"]
-    else:
-        bundle = None
-        form = read_file(_field(recipe, "form_file", lambda v: isinstance(v, str), where), form_from_dict, inputs)
-        kind = None
-    order = None
-    if "order_file" in recipe:
-        order = read_file(_field(recipe, "order_file", lambda v: isinstance(v, str), where), order_from_dict, inputs)
+    order = operator = None
+    if ("order" if inline else "order_file") in recipe:
+        order = read("order", order_from_dict)
     elif "order" in recipe:
-        order = named_order(recipe["order"], form, bundle, kind)
-    return CheckContext(form, order, bundle=bundle, recipe=recipe)
+        order = named_order(recipe["order"], form, bundle, recipe.get("kind"))
+    if ("operator" if inline else "operator_file") in recipe:
+        kind = _field(recipe, "operator_kind", lambda v: v in OPERATOR_KINDS, where)
+        operator = read("operator", lambda doc, where: operator_from_dict(doc, kind, where))
+    return CheckContext(form, order, operator, bundle=bundle, recipe=recipe)
 
 
 def inline_recipe(ctx: CheckContext) -> dict:
@@ -263,7 +266,23 @@ def inline_recipe(ctx: CheckContext) -> dict:
 # -- click wiring ---------------------------------------------------------------------
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class GuardedCommand(click.Command):
+    """A subcommand on which input errors exit 2: an InputError becomes a
+    usage error, printed under the subcommand's usage line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except InputError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class CommandGroup(click.Group):
+    command_class = GuardedCommand
+    group_class = type  # subgroups are CommandGroups too
+
+
+@click.group(cls=CommandGroup, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(__version__, prog_name="formkit")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="seed for randomized subcommands")
@@ -274,21 +293,8 @@ def main(ctx: click.Context, fmt: str, seed: int) -> None:
     ctx.obj = {"format": fmt, "seed": seed, "started": time.monotonic()}
 
 
-def run_guarded(fn):
-    """Input errors become exit code 2 with a location message."""
-
-    def wrapper(ctx, *args, **kwargs):
-        try:
-            return fn(ctx, *args, **kwargs)
-        except InputError as exc:
-            raise click.UsageError(str(exc)) from exc
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
 FILE = click.Path(exists=True, dir_okay=False)
+OUT = click.option("--out", type=click.Path(dir_okay=False))
 
 
 @main.group()
@@ -298,65 +304,12 @@ def verify() -> None:
 
 @verify.command("lattice")
 @click.option("--file", "path", required=True, type=FILE)
-@click.pass_context
-@run_guarded
-def verify_lattice_cmd(ctx: click.Context, path: str) -> None:
+def verify_lattice_cmd(path: str) -> None:
     report = RunReport(command=["verify", "lattice", path])
     lat = read_file(path, lattice_from_dict, report.inputs)
     witness = make_witness("lattice", {"kind": "lattice-file", "file": path})
     report.checks.append(check_from_report("lattice-axioms", lat.verify(), witness))
-    emit(ctx, report, ctx.obj["started"])
-
-
-def run_verify(ctx: click.Context, report: RunReport, checked: CheckContext, names: tuple[str, ...]) -> None:
-    """Run checks on inputs read from files; those with violations carry
-    the inputs inline in their witnesses."""
-    results = run_checks(checked, names)
-    flagged = [r for r in results if r.violations]
-    if flagged:
-        recipe = inline_recipe(checked)
-        for r in flagged:
-            r.witness = make_witness(r.name, recipe)
-    report.checks.extend(results)
-    emit(ctx, report, ctx.obj["started"])
-
-
-@verify.command("form")
-@click.option("--file", "path", required=True, type=FILE)
-@click.pass_context
-@run_guarded
-def verify_form_cmd(ctx: click.Context, path: str) -> None:
-    report = RunReport(command=["verify", "form", path])
-    run_verify(ctx, report, CheckContext(read_file(path, form_from_dict, report.inputs)), FORM_CHECKS)
-
-
-@verify.command("order")
-@click.option("--form", "form_path", required=True, type=FILE)
-@click.option("--order", "order_path", required=True, type=FILE)
-@click.pass_context
-@run_guarded
-def verify_order_cmd(ctx: click.Context, form_path: str, order_path: str) -> None:
-    report = RunReport(command=["verify", "order", form_path, order_path])
-    form = read_file(form_path, form_from_dict, report.inputs)
-    order = read_file(order_path, order_from_dict, report.inputs)
-    run_verify(ctx, report, CheckContext(form, order), ("order-axioms", "order-class"))
-
-
-def read_operator(path: str, kind: str, inputs: dict[str, str]):
-    return read_file(path, lambda doc, where: operator_from_dict(doc, kind, where), inputs)
-
-
-def verify_operator_cmd(kind: str) -> None:
-    @verify.command(kind)
-    @click.option("--form", "form_path", required=True, type=FILE)
-    @click.option("--operator", "op_path", required=True, type=FILE)
-    @click.pass_context
-    @run_guarded
-    def command(ctx: click.Context, form_path: str, op_path: str) -> None:
-        report = RunReport(command=["verify", kind, form_path, op_path])
-        form = read_file(form_path, form_from_dict, report.inputs)
-        operator = read_operator(op_path, kind, report.inputs)
-        run_verify(ctx, report, CheckContext(form, operator=operator), (f"{kind}-axioms",))
+    emit(report)
 
 
 @main.group()
@@ -365,59 +318,82 @@ def derive() -> None:
     topology orders."""
 
 
-def _emit_derived(ctx: click.Context, report: RunReport, doc: dict, out: Optional[str]) -> None:
+def emit_document(report: RunReport, doc: dict, out: Optional[str], **written) -> None:
+    """Report ``doc`` as the payload, or write it to ``out`` and report
+    that, with the ``written`` facts, instead."""
     if out:
         dump_json(doc, out)
-        report.payload = {"written": out}
+        report.payload = {"written": out, **written}
     else:
         report.payload = doc
-    emit(ctx, report, ctx.obj["started"])
+    emit(report)
 
 
-def derive_operator_cmd(kind: str) -> None:
-    @derive.command(kind)
-    @click.option("--form", "form_path", required=True, type=FILE)
-    @click.option("--order", "order_path", required=True, type=FILE)
-    @click.option("--out", type=click.Path(dir_okay=False))
-    @click.pass_context
-    @run_guarded
-    def command(ctx, form_path, order_path, out) -> None:
-        report = RunReport(command=["derive", kind, form_path, order_path])
-        form = read_file(form_path, form_from_dict, report.inputs)
-        order = read_file(order_path, order_from_dict, report.inputs)
-        _emit_derived(ctx, report, operator_to_dict(operator_from_order(form, order, kind)), out)
+# The recipe key each file option fills.
+FILE_OPTIONS = {"--file": "form_file", "--form": "form_file", "--order": "order_file", "--operator": "operator_file"}
+
+# The subcommands that read a form with an order or an operator from files:
+# (group, name, file options, action). A verify row's action names the
+# checks it runs; a derive row's maps the loaded inputs to the document it
+# emits. An --operator file is read as the kind the name ends in.
+FILE_COMMANDS = (
+    ("verify", "form", ("--file",), FORM_CHECKS),
+    ("verify", "order", ("--form", "--order"), ("order-axioms", "order-class")),
+    *(("verify", kind, ("--form", "--operator"), (f"{kind}-axioms",)) for kind in OPERATOR_KINDS),
+    *(
+        ("derive", kind, ("--form", "--order"),
+         lambda c, kind=kind: operator_to_dict(operator_from_order(c.form, c.order, kind)))
+        for kind in OPERATOR_KINDS
+    ),
+    *(
+        ("derive", f"order-from-{kind}", ("--form", "--operator"),
+         lambda c: order_to_dict(order_from_operator(c.form, c.operator)))
+        for kind in OPERATOR_KINDS
+    ),
+)
 
 
-def derive_order_cmd(kind: str) -> None:
-    @derive.command(f"order-from-{kind}")
-    @click.option("--form", "form_path", required=True, type=FILE)
-    @click.option("--operator", "op_path", required=True, type=FILE)
-    @click.option("--out", type=click.Path(dir_okay=False))
-    @click.pass_context
-    @run_guarded
-    def command(ctx, form_path, op_path, out) -> None:
-        report = RunReport(command=["derive", f"order-from-{kind}", form_path, op_path])
-        form = read_file(form_path, form_from_dict, report.inputs)
-        operator = read_operator(op_path, kind, report.inputs)
-        _emit_derived(ctx, report, order_to_dict(order_from_operator(form, operator)), out)
+def file_command(group: str, name: str, options: tuple[str, ...], action) -> None:
+    keys = [FILE_OPTIONS[option] for option in options]
+
+    def command(out: Optional[str] = None, **paths: str) -> None:
+        report = RunReport(command=[group, name, *(paths[key] for key in keys)])
+        recipe = {key: paths[key] for key in keys}
+        if "operator_file" in recipe:
+            recipe["operator_kind"] = name.rsplit("-", 1)[-1]
+        checked = load_recipe(recipe, report.inputs)
+        if group == "derive":
+            emit_document(report, action(checked), out)
+            return
+        # Checks with violations carry their inputs inline in their witnesses.
+        results = run_checks(checked, action)
+        flagged = [r for r in results if r.violations]
+        if flagged:
+            recipe = inline_recipe(checked)
+            for r in flagged:
+                r.witness = make_witness(r.name, recipe)
+        report.checks.extend(results)
+        emit(report)
+
+    if group == "derive":
+        command = OUT(command)
+    for option, key in reversed(list(zip(options, keys))):
+        command = click.option(option, key, required=True, type=FILE)(command)
+    main.commands[group].command(name)(command)
 
 
-for _kind in OPERATOR_KINDS:
-    verify_operator_cmd(_kind)
-    derive_operator_cmd(_kind)
-    derive_order_cmd(_kind)
+for _row in FILE_COMMANDS:
+    file_command(*_row)
 
 
 def derive_topology_order_cmd(name: str, relation) -> None:
     @derive.command(name)
     @click.option("--n", required=True, type=int)
-    @click.option("--out", type=click.Path(dir_okay=False))
-    @click.pass_context
-    @run_guarded
-    def command(ctx, n, out) -> None:
+    @OUT
+    def command(n, out) -> None:
         report = RunReport(command=["derive", name, str(n)])
         doc = order_to_dict(TopogenousOrder({f"{n}pt": relation(n)}), form_id=f"top[{n}]")
-        _emit_derived(ctx, report, doc, out)
+        emit_document(report, doc, out)
 
 
 derive_topology_order_cmd("theta", theta_relation)
@@ -427,21 +403,43 @@ derive_topology_order_cmd("b", b_relation)
 INSTANCE_KINDS = click.Choice(["top", "grp", "quot"])
 
 
+def input_options(order_option):
+    """The input options of classify and check-theorems, with the command's
+    own --order option second. The command receives, in place of the other
+    five, ``recipe_for(order_path, order_name)``: :func:`recipe_from_flags`
+    with those flags filled in."""
+
+    def decorate(fn):
+        def command(form_path, instance, sizes, corpus, max_order, **kwargs):
+            recipe_for = functools.partial(
+                recipe_from_flags, form_path=form_path, instance=instance, sizes=sizes, corpus=corpus,
+                max_order=max_order,
+            )
+            return fn(recipe_for=recipe_for, **kwargs)
+
+        functools.update_wrapper(command, fn)
+        for option in (
+            click.option("--max-order", type=int, default=8, show_default=True),
+            click.option("--corpus", type=str, default="standard", show_default=True),
+            click.option("--sizes", type=str),
+            click.option("--instance", type=INSTANCE_KINDS),
+            order_option,
+            click.option("--form", "form_path", type=FILE),
+        ):
+            command = option(command)
+        return command
+
+    return decorate
+
+
 @main.command("classify")
-@click.option("--form", "form_path", type=FILE)
-@click.option("--order", "order_path", type=FILE)
-@click.option("--instance", type=INSTANCE_KINDS)
-@click.option("--sizes", type=str)
-@click.option("--corpus", type=str, default="standard", show_default=True)
-@click.option("--max-order", type=int, default=8, show_default=True)
+@input_options(click.option("--order", "order_path", type=FILE))
 @click.option("--order-name", type=click.Choice(NAMED_ORDERS))
 @click.option("--morphism", "morphism", type=str)
-@click.pass_context
-@run_guarded
-def classify_cmd(ctx, form_path, order_path, instance, sizes, corpus, max_order, order_name, morphism) -> None:
+def classify_cmd(recipe_for, order_path, order_name, morphism) -> None:
     """Strict/final/thick status, per morphism, as a MorphismReport array."""
     report = RunReport(command=["classify"])
-    recipe = recipe_from_flags(form_path, order_path, order_name, instance, sizes, corpus, max_order)
+    recipe = recipe_for(order_path=order_path, order_name=order_name)
     checked = load_recipe(recipe, report.inputs)
     report.checks.extend(run_checks(checked, ("order-axioms",), recipe))
     if checked.axioms.ok:
@@ -451,32 +449,22 @@ def classify_cmd(ctx, form_path, order_path, instance, sizes, corpus, max_order,
             if f not in form.base.dom:
                 fail_usage(f"unknown morphism {f!r}")
         report.payload = {"morphisms": [classify_morphism(form, checked.order, f).to_dict() for f in targets]}
-    emit(ctx, report, ctx.obj["started"])
+    emit(report)
 
 
 @main.command("check-theorems")
-@click.option("--form", "form_path", type=FILE)
-@click.option("--order", "order_spec", type=str, help="order file, or a named order with --instance")
-@click.option("--instance", type=INSTANCE_KINDS)
-@click.option("--sizes", type=str)
-@click.option("--corpus", type=str, default="standard", show_default=True)
-@click.option("--max-order", type=int, default=8, show_default=True)
+@input_options(click.option("--order", "order_spec", type=str, help="order file, or a named order with --instance"))
 @click.option("--check", "selected", multiple=True, help="restrict to named checks")
-@click.pass_context
-@run_guarded
-def check_theorems_cmd(ctx, form_path, order_spec, instance, sizes, corpus, max_order, selected) -> None:
+def check_theorems_cmd(recipe_for, order_spec, selected) -> None:
     """Run the whole theorem battery for a form and order."""
     for name in selected:
         if name not in BATTERY:
             fail_usage(f"unknown check {name!r}; known: {', '.join(BATTERY)}")
     report = RunReport(command=["check-theorems"])
     named = order_spec is None or order_spec in NAMED_ORDERS
-    recipe = recipe_from_flags(
-        form_path, None if named else order_spec, order_spec if named else None,
-        instance, sizes, corpus, max_order,
-    )
+    recipe = recipe_for(order_path=None if named else order_spec, order_name=order_spec if named else None)
     report.checks.extend(run_checks(load_recipe(recipe, report.inputs), battery_selection(selected), recipe))
-    emit(ctx, report, ctx.obj["started"])
+    emit(report)
 
 
 @main.group("enumerate")
@@ -486,21 +474,17 @@ def enumerate_group() -> None:
 
 @enumerate_group.command("topologies")
 @click.option("--n", required=True, type=int)
-@click.pass_context
-@run_guarded
-def enum_top_cmd(ctx, n) -> None:
+def enum_top_cmd(n) -> None:
     report = RunReport(command=["enumerate", "topologies", str(n)])
     tops = enumerate_topologies(n)
     report.payload = {"n": n, "count": len(tops), "topologies": [topology_to_dict(t) for t in tops]}
-    emit(ctx, report, ctx.obj["started"])
+    emit(report)
 
 
 @enumerate_group.command("subgroups")
 @click.option("--group", "name", type=str, help="a corpus group name such as S3 or Q8")
 @click.option("--file", "path", type=FILE, help="a Cayley-table JSON file")
-@click.pass_context
-@run_guarded
-def enum_sub_cmd(ctx, name, path) -> None:
+def enum_sub_cmd(name, path) -> None:
     report = RunReport(command=["enumerate", "subgroups", name or path or ""])
     if (name is None) == (path is None):
         fail_usage("provide exactly one of --group or --file")
@@ -524,18 +508,16 @@ def enum_sub_cmd(ctx, name, path) -> None:
                 {"elements": list(bits(m)), "normal": m in normals} for m in masks
             ],
         }
-    emit(ctx, report, ctx.obj["started"])
+    emit(report)
 
 
 @enumerate_group.command("partitions")
 @click.option("--n", required=True, type=int)
-@click.pass_context
-@run_guarded
-def enum_part_cmd(ctx, n) -> None:
+def enum_part_cmd(n) -> None:
     report = RunReport(command=["enumerate", "partitions", str(n)])
     parts = enumerate_partitions(n)
     report.payload = {"n": n, "count": len(parts), "partitions": [partition_to_dict(p) for p in parts]}
-    emit(ctx, report, ctx.obj["started"])
+    emit(report)
 
 
 @main.group()
@@ -543,30 +525,20 @@ def instance() -> None:
     """Build a built-in instance and emit its form descriptor."""
 
 
-def _emit_instance(ctx: click.Context, recipe: dict, emit_path: Optional[str], command: list[str]) -> None:
-    report = RunReport(command=command)
+def _emit_instance(recipe: dict, emit_path: Optional[str], command: list[str]) -> None:
     form = build_instance(recipe, "instance").form
-    doc = form_to_dict(form)
-    if emit_path:
-        dump_json(doc, emit_path)
-        report.payload = {
-            "written": emit_path,
-            "objects": list(form.base.objects),
-            "morphisms": sum(1 for _ in form.base.morphisms()),
-        }
-    else:
-        report.payload = doc
-    emit(ctx, report, ctx.obj["started"])
+    emit_document(
+        RunReport(command=command), form_to_dict(form), emit_path,
+        objects=list(form.base.objects), morphisms=sum(1 for _ in form.base.morphisms()),
+    )
 
 
 def instance_sizes_cmd(kind: str) -> None:
     @instance.command(kind)
     @click.option("--sizes", required=True, type=str)
     @click.option("--emit", "emit_path", type=click.Path(dir_okay=False))
-    @click.pass_context
-    @run_guarded
-    def command(ctx, sizes, emit_path) -> None:
-        _emit_instance(ctx, instance_recipe(kind, sizes, "standard", 8), emit_path, ["instance", kind, sizes])
+    def command(sizes, emit_path) -> None:
+        _emit_instance(instance_recipe(kind, sizes, "standard", 8), emit_path, ["instance", kind, sizes])
 
 
 instance_sizes_cmd("top")
@@ -577,24 +549,20 @@ instance_sizes_cmd("quot")
 @click.option("--corpus", type=str, default="standard", show_default=True)
 @click.option("--max-order", type=int, default=8, show_default=True)
 @click.option("--emit", "emit_path", type=click.Path(dir_okay=False))
-@click.pass_context
-@run_guarded
-def instance_grp_cmd(ctx, corpus, max_order, emit_path) -> None:
+def instance_grp_cmd(corpus, max_order, emit_path) -> None:
     recipe = instance_recipe("grp", None, corpus, max_order)
-    _emit_instance(ctx, recipe, emit_path, ["instance", "grp", corpus, str(max_order)])
+    _emit_instance(recipe, emit_path, ["instance", "grp", corpus, str(max_order)])
 
 
 @main.command("search")
 @click.option("--claim", required=True, type=str)
 @click.option("--budget", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.pass_context
-@run_guarded
-def search_cmd(ctx, claim, budget) -> None:
+def search_cmd(claim, budget) -> None:
     """Check a claim against randomly generated forms; any counterexample
     fails the run and is replayable from (seed, index)."""
     if claim not in CLAIMS:
         fail_usage(f"unknown claim {claim!r}; known: {', '.join(sorted(CLAIMS))}")
-    seed = ctx.obj["seed"]
+    seed = click.get_current_context().obj["seed"]
     report = RunReport(command=["search", claim, str(budget), str(seed)])
     outcome = run_search(claim, budget, seed)
     rep = Report()
@@ -615,14 +583,12 @@ def search_cmd(ctx, claim, budget) -> None:
         )
     report.checks.append(check_from_report(f"search:{claim}", rep, witness))
     report.payload = {k: outcome[k] for k in ("claim", "budget", "seed", "forms_checked")}
-    emit(ctx, report, ctx.obj["started"])
+    emit(report)
 
 
 @main.command("replay")
 @click.argument("witness_file", type=FILE)
-@click.pass_context
-@run_guarded
-def replay_cmd(ctx, witness_file) -> None:
+def replay_cmd(witness_file) -> None:
     """Re-run the single check a witness came from."""
     report = RunReport(command=["replay", witness_file])
     doc = read_file(witness_file, lambda doc, where: doc, report.inputs)
@@ -650,16 +616,14 @@ def replay_cmd(ctx, witness_file) -> None:
             fail_usage(f"{witness_file}: unknown check {check!r}")
         needs = CHECKS[check].needs
         checked = load_recipe(recipe, report.inputs, where=witness_file)
-        if needs == "order" and checked.order is None:
-            fail_usage(f"{witness_file}: witness for {check!r} carries no order to replay with")
-        if needs == "operator" and checked.operator is None:
-            fail_usage(f"{witness_file}: witness for {check!r} carries no operator to replay with")
+        if getattr(checked, needs) is None:
+            fail_usage(f"{witness_file}: witness for {check!r} carries no {needs} to replay with")
         # Replayed order checks carry their witness again; form and
         # operator checks do not.
         for result in run_checks(checked, (check,), recipe if needs == "order" else None):
             result.name = f"replay:{result.name}"
             report.checks.append(result)
-    emit(ctx, report, ctx.obj["started"])
+    emit(report)
 
 
 if __name__ == "__main__":
