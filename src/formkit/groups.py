@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .forms import CategoryPresentation, FormInstance
+from .forms import FormInstance
 from .lattice import FiniteLattice, MonotoneMap, bits
 from .report import Report
+from .setmaps import concrete_category, distinct_names
 from .topogenous import TopogenousOrder
 
 MAX_GROUP_ORDER = 24
@@ -399,13 +400,7 @@ class SubgroupForm:
 def build_grp_form(groups: Sequence[FiniteGroup]) -> SubgroupForm:
     """Objects are the given groups, hom-sets all homomorphisms, fibres the
     subgroup lattices, push the image and pull the preimage."""
-    names = []
-    seen: dict[str, int] = {}
-    for g in groups:
-        k = seen.get(g.name, 0)
-        seen[g.name] = k + 1
-        names.append(g.name if k == 0 else f"{g.name}_{k}")
-    by_name = dict(zip(names, groups))
+    by_name = dict(zip(distinct_names([g.name for g in groups]), groups))
 
     fibres = {}
     masks = {}
@@ -414,30 +409,9 @@ def build_grp_form(groups: Sequence[FiniteGroup]) -> SubgroupForm:
         fibres[x], masks[x] = subgroup_lattice(g)
         index[x] = {m: i for i, m in enumerate(masks[x])}
 
-    homs: dict[tuple[str, str], list[str]] = {}
-    hom_of: dict[str, GroupHom] = {}
-    by_key: dict[tuple[str, str, tuple[int, ...]], str] = {}
-    for x in names:
-        for y in names:
-            ms = []
-            for hom in enumerate_homs(by_name[x], by_name[y]):
-                name = f"{x}->{y}:" + ".".join(map(str, hom.table))
-                ms.append(name)
-                hom_of[name] = hom
-                by_key[(x, y, hom.table)] = name
-            homs[(x, y)] = ms
-
-    compose: dict[tuple[str, str], str] = {}
-    for x in names:
-        for y in names:
-            for f in homs[(x, y)]:
-                tf = hom_of[f].table
-                for z in names:
-                    for g2 in homs[(y, z)]:
-                        tg = hom_of[g2].table
-                        compose[(g2, f)] = by_key[(x, z, tuple(tg[v] for v in tf))]
-    identities = {x: by_key[(x, x, tuple(range(by_name[x].n)))] for x in names}
-    base = CategoryPresentation(names, homs, compose, identities)
+    base, hom_of = concrete_category(
+        {x: g.n for x, g in by_name.items()}, lambda x, y: enumerate_homs(by_name[x], by_name[y])
+    )
 
     push = {}
     pull = {}

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .forms import CategoryPresentation
 from .report import InputError
@@ -59,50 +59,66 @@ def morphism_name(src: str, dst: str, table: Sequence[int]) -> str:
     return f"{src}->{dst}:" + ".".join(str(v) for v in table)
 
 
-def function_category(sizes: Sequence[int]) -> tuple[CategoryPresentation, dict[str, int], dict[str, SetFunction]]:
-    """The full subcategory of finite sets on the given carrier sizes.
+def distinct_names(labels: Sequence[str]) -> list[str]:
+    """The labels in order, the k-th repeat of a label suffixed ``_k``."""
+    seen: dict[str, int] = {}
+    names = []
+    for label in labels:
+        k = seen.get(label, 0)
+        seen[label] = k + 1
+        names.append(label if k == 0 else f"{label}_{k}")
+    return names
 
-    Returns the presentation, object name -> size, morphism name -> function.
-    Object names are disambiguated when sizes repeat.
-    """
-    names: list[str] = []
-    seen: dict[int, int] = {}
-    for n in sizes:
-        if n < 0:
-            raise InputError(f"carrier sizes must be nonnegative, got {n}")
-        k = seen.get(n, 0)
-        seen[n] = k + 1
-        names.append(f"{n}pt" if k == 0 else f"{n}pt_{k}")
-    size_of = dict(zip(names, sizes))
 
-    total = sum(size_of[y] ** size_of[x] if size_of[x] > 0 else 1 for x in names for y in names)
-    if total > MORPHISM_BUDGET:
-        raise InputError(f"{total} morphisms exceed the budget of {MORPHISM_BUDGET}")
-
+def concrete_category(
+    carriers: dict[str, int], arrows: Callable[[str, str], Iterable]
+) -> tuple[CategoryPresentation, dict]:
+    """The category on the named carriers whose morphisms x -> y are
+    ``arrows(x, y)``, each given by its value table ``.table`` and named
+    ``x->y:t0.t1...``; composites compose the tables and identities are the
+    identity tables. Returns the presentation and morphism name -> arrow."""
+    names = list(carriers)
     homs: dict[tuple[str, str], list[str]] = {}
-    fn_of: dict[str, SetFunction] = {}
+    arrow_of: dict = {}
     by_key: dict[tuple[str, str, tuple[int, ...]], str] = {}
     for x in names:
         for y in names:
             ms = []
-            for fn in all_functions(size_of[x], size_of[y]):
-                name = morphism_name(x, y, fn.table)
+            for arrow in arrows(x, y):
+                name = morphism_name(x, y, arrow.table)
                 ms.append(name)
-                fn_of[name] = fn
-                by_key[(x, y, fn.table)] = name
+                arrow_of[name] = arrow
+                by_key[(x, y, arrow.table)] = name
             homs[(x, y)] = ms
 
     compose: dict[tuple[str, str], str] = {}
     for x in names:
         for y in names:
             for f in homs[(x, y)]:
-                tf = fn_of[f].table
+                tf = arrow_of[f].table
                 for z in names:
                     for g in homs[(y, z)]:
-                        tg = fn_of[g].table
-                        composed = tuple(tg[v] for v in tf)
-                        compose[(g, f)] = by_key[(x, z, composed)]
+                        tg = arrow_of[g].table
+                        compose[(g, f)] = by_key[(x, z, tuple(tg[v] for v in tf))]
 
-    identities = {x: by_key[(x, x, tuple(range(size_of[x])))] for x in names}
-    base = CategoryPresentation(names, homs, compose, identities)
+    identities = {x: by_key[(x, x, tuple(range(carriers[x])))] for x in names}
+    return CategoryPresentation(names, homs, compose, identities), arrow_of
+
+
+def function_category(sizes: Sequence[int]) -> tuple[CategoryPresentation, dict[str, int], dict[str, SetFunction]]:
+    """The full subcategory of finite sets on the given carrier sizes.
+
+    Returns the presentation, object name -> size, morphism name -> function.
+    Object names are disambiguated when sizes repeat.
+    """
+    for n in sizes:
+        if n < 0:
+            raise InputError(f"carrier sizes must be nonnegative, got {n}")
+    size_of = dict(zip(distinct_names([f"{n}pt" for n in sizes]), sizes))
+
+    total = sum(size_of[y] ** size_of[x] if size_of[x] > 0 else 1 for x in size_of for y in size_of)
+    if total > MORPHISM_BUDGET:
+        raise InputError(f"{total} morphisms exceed the budget of {MORPHISM_BUDGET}")
+
+    base, fn_of = concrete_category(size_of, lambda x, y: all_functions(size_of[x], size_of[y]))
     return base, size_of, fn_of
