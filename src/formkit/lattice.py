@@ -88,9 +88,6 @@ class FiniteLattice:
         if not 0 <= a < self.size:
             raise IndexError(f"element {a} out of range for lattice of size {self.size}")
 
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
-
     @property
     def bottom(self) -> int:
         for a in range(self.size):
@@ -424,6 +421,3 @@ class GaloisPair:
                 if left.target.leq(fa, b) != left.source.leq(a, right.table[b]):
                     rep.add("galois", witness=(a, b))
         return rep
-
-    def is_valid(self) -> bool:
-        return self.check().ok

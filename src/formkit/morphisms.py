@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 from .forms import FormInstance, MorphismKind
 from .lattice import bits, low_bit
 from .report import Report
-from .topogenous import Operator, OrderClass, TopogenousOrder, classify_order
+from .topogenous import Operator, OrderClass, TopogenousOrder
 
 # Cancellation clauses whose printed hypotheses are under dispute; they are
 # evaluated and reported but do not gate a run (see transfer_laws_check).
@@ -52,14 +52,17 @@ def strict_violation(form: FormInstance, order: TopogenousOrder, f: str) -> Opti
     """First (a, b) with a related to pull(b) but push(a) not related to b.
 
     Per a, ``pull.preimage(row_a)`` is every b with pull(b) related to a
-    (:meth:`MonotoneMap.preimage`); its bits outside ``rows_y[push a]`` are
-    the violations at a, so the first witness is the one of the pair sweep
-    :func:`strict_violation_dense`."""
+    (:meth:`MonotoneMap.preimage`), one mask per distinct row; its bits
+    outside ``rows_y[push a]`` are the violations at a, so the first
+    witness is the one of the pair sweep :func:`strict_violation_dense`."""
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push, pull = form.push_maps[f].table, form.pull_maps[f]
+    pulled: dict[int, int] = {}
     for a, row_a in enumerate(rows_x):
-        bad = pull.preimage(row_a) & ~rows_y[push[a]]
+        if row_a not in pulled:
+            pulled[row_a] = pull.preimage(row_a)
+        bad = pulled[row_a] & ~rows_y[push[a]]
         if bad:
             return (a, low_bit(bad))
     return None
@@ -182,20 +185,15 @@ def strict_characterization(form: FormInstance, order: TopogenousOrder, f: str) 
 def final_thick_check(
     form: FormInstance,
     order: TopogenousOrder,
-    f: Optional[str] = None,
-    cls: Optional[OrderClass] = None,
-    final: Optional[Mapping[str, bool]] = None,
+    cls: OrderClass,
+    final: Mapping[str, bool],
 ) -> Report:
     """Final morphisms must be thick when the fibre top is self-related (or
-    the order is meet-stable, which forces that). ``final``, when given,
-    holds each morphism's finality for the order."""
+    the order is meet-stable, which forces that). ``cls`` is the order's
+    class and ``final`` holds each morphism's finality for it
+    (:func:`final_table`)."""
     rep = Report()
-    if cls is None:
-        cls = classify_order(form, order)
-    targets = [f] if f is not None else list(form.base.morphisms())
-    if final is None:
-        final = {m: is_final(form, order, m) for m in targets}
-    for m in targets:
+    for m in form.base.morphisms():
         y = form.base.cod[m]
         top_y = form.fibre(y).top
         hypothesis = cls.is_TM or order.has(y, top_y, top_y)
@@ -208,8 +206,8 @@ def final_thick_check(
 def transfer_laws_check(
     form: FormInstance,
     order: TopogenousOrder,
-    strict: Optional[Mapping[str, bool]] = None,
-    final: Optional[Mapping[str, bool]] = None,
+    strict: Mapping[str, bool],
+    final: Mapping[str, bool],
 ) -> Report:
     """The closure/transfer laws for strict and final morphisms.
 
@@ -231,7 +229,7 @@ def transfer_laws_check(
     second factor is a retraction; the other reading makes the first factor
     a section.
 
-    ``strict`` and ``final``, when given, hold each morphism's verdict
+    ``strict`` and ``final`` hold each morphism's verdict
     (:func:`strict_table`, :func:`final_table`). The composable pairs are
     walked on the integer view of the base (its ``by_source`` lists), with
     verdicts and kinds in lists by morphism number; each composite is one
@@ -243,10 +241,6 @@ def transfer_laws_check(
     refl_sec, _ = form.check_reflects("section")
     refl_ret, _ = form.check_reflects("retraction")
     refl_iso, _ = form.check_reflects("iso")
-    if strict is None:
-        strict = strict_table(form, order)
-    if final is None:
-        final = final_table(form, order)
     strict, final = [strict[m] for m in names], [final[m] for m in names]  # by morphism number
     kinds = [form.morphism_kind(m) for m in names]
     retraction = [k.is_retraction for k in kinds]

@@ -44,9 +44,6 @@ class Partition:
     def of(cls, blocks: Sequence[int]) -> "Partition":
         return cls(canonical_blocks(blocks))
 
-    def same_block(self, a: int, b: int) -> bool:
-        return self.blocks[a] == self.blocks[b]
-
     def refines(self, other: "Partition") -> bool:
         if self.n != other.n:
             raise ValueError("partitions of different ground sets")

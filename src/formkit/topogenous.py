@@ -26,14 +26,8 @@ class TopogenousOrder:
     def __init__(self, rel: Mapping[str, Sequence[int]]):
         self.rel = {x: tuple(rows) for x, rows in rel.items()}
 
-    def rows(self, x: str) -> tuple[int, ...]:
-        return self.rel[x]
-
     def has(self, x: str, a: int, b: int) -> bool:
         return bool((self.rel[x][a] >> b) & 1)
-
-    def objects(self) -> Iterable[str]:
-        return self.rel.keys()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TopogenousOrder) and self.rel == other.rel
@@ -71,9 +65,6 @@ class Operator:
 
     def table(self, x: str) -> tuple[int, ...]:
         return self.maps[x]
-
-    def apply(self, x: str, a: int) -> int:
-        return self.maps[x][a]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Operator) and self.kind == other.kind and dict(self.maps) == dict(other.maps)
@@ -713,26 +704,20 @@ def roundtrip_check(
 
     Orders must be meet-stable (closure side) or join-stable (interior
     side); wrong-class inputs are reported as skipped. Also asserts that
-    idempotency of the derived operator matches interpolativity. ``cls``,
-    when given, is the class of an order whose axioms the caller has
-    already verified, and neither is computed again; ``derived`` may hold
-    the operators already derived from that order, by kind."""
+    idempotency of the derived operator matches interpolativity. An order
+    comes with ``cls``, its class, its axioms already verified, and
+    ``derived``, the operators derived from it by kind for each class it
+    has (:meth:`formkit.checks.CheckContext.derived`); an operator needs
+    neither."""
     rep = Report()
     if isinstance(obj, TopogenousOrder):
-        if cls is None:
-            bad = verify_order(form, obj)
-            if not bad.ok:
-                rep.merge(bad)
-                rep.notes.append("input order fails its axioms; round trip skipped")
-                return rep
-            cls = classify_order(form, obj)
         if not cls.is_TM and not cls.is_TJ:
             rep.notes.append("order is neither meet- nor join-stable; round trip skipped")
             return rep
         for kind, stable in (("closure", cls.is_TM), ("interior", cls.is_TJ)):
             if not stable:
                 continue
-            op = derived[kind] if derived and kind in derived else operator_from_order(form, obj, kind)
+            op = derived[kind]
             rep.merge(verify_operator(form, op))
             back = order_from_operator(form, op)
             rep.count(f"order-{kind}-order")

@@ -42,9 +42,6 @@ class FiniteTopology:
     def closed_sets(self) -> frozenset[int]:
         return frozenset(self.full ^ o for o in self.opens)
 
-    def is_open(self, subset_mask: int) -> bool:
-        return subset_mask in self.opens
-
     def key(self) -> tuple[int, ...]:
         """Canonical identity: opens sorted numerically."""
         return tuple(sorted(self.opens))

@@ -23,6 +23,7 @@ from click.testing import CliRunner
 from formkit.cli import main as cli_main
 from formkit.groups import normal_closure, preserves_normals
 from formkit.morphisms import (
+    final_table,
     final_thick_check,
     is_final,
     is_strict,
@@ -156,7 +157,7 @@ def test_criterion_5_strict_iff_push_preserving(top123, theta123, b123, grp8, ni
 def test_criterion_6_final_implies_thick(top123, theta123, b123, grp8, ni8, quot1234):
     bad = []
     for name, form, order in _sweeps(top123, theta123, b123, grp8, ni8, quot1234):
-        rep = final_thick_check(form, order)
+        rep = final_thick_check(form, order, classify_order(form, order), final_table(form, order))
         if not rep.ok:
             bad.append((name, rep.violations[:2]))
     _line(6, not bad, f"final morphisms are thick under the stated hypotheses ({len(bad)} violations)")

@@ -17,6 +17,7 @@ from formkit.morphisms import (
     is_final,
     is_strict,
     strict_characterization,
+    strict_table,
     strict_via_operators,
     transfer_laws_check,
 )
@@ -128,7 +129,7 @@ def test_strict_characterization_zero_disagreements(top123, theta123, b123, grp8
 
 def test_final_thick_zero_violations(top123, theta123, b123, grp8, ni8, quot1234):
     for form, order in all_sweeps(top123, theta123, b123, grp8, ni8, quot1234):
-        assert final_thick_check(form, order).ok
+        assert final_thick_check(form, order, classify_order(form, order), final_table(form, order)).ok
 
 
 def test_final_thick_hypothesis_respected():
@@ -156,7 +157,12 @@ def test_final_thick_hypothesis_respected():
     # for the empty order, not thick, but the top is not self-related
     assert is_final(form, empty, "f")
     assert not form.is_thick("f")
-    assert final_thick_check(form, empty).ok
+    assert final_thick_check(form, empty, classify_order(form, empty), final_table(form, empty)).ok
+
+
+def transfer_laws(form, order):
+    """transfer_laws_check with the verdict tables the registry passes it."""
+    return transfer_laws_check(form, order, strict_table(form, order), final_table(form, order))
 
 
 def test_transfer_sound_clauses_clean(top123, theta123, b123, grp8, ni8, quot1234):
@@ -170,7 +176,7 @@ def test_transfer_sound_clauses_clean(top123, theta123, b123, grp8, ni8, quot123
         "cancel-final",
     }
     for form, order in all_sweeps(top123, theta123, b123, grp8, ni8, quot1234):
-        rep = transfer_laws_check(form, order)
+        rep = transfer_laws(form, order)
         bad = [v for v in rep.violations if v.check in sound]
         assert not bad, bad[:3]
 
@@ -178,13 +184,13 @@ def test_transfer_sound_clauses_clean(top123, theta123, b123, grp8, ni8, quot123
 def test_transfer_section_clause_fails_on_known_models(top123, theta123):
     # the printed section clause is refuted by non-surjective sections;
     # keep one concrete witness frozen
-    rep = transfer_laws_check(top123.form, theta123)
+    rep = transfer_laws(top123.form, theta123)
     failing = {v.where for v in rep.violations if v.check == "section-strict-final"}
     assert "1pt->2pt:0" in failing
 
 
 def test_disputed_clauses_are_separated(grp8, ni8):
-    rep = transfer_laws_check(grp8.form, ni8)
+    rep = transfer_laws(grp8.form, ni8)
     disputed = [v for v in rep.violations if v.check in DISPUTED_CHECKS]
     assert disputed  # the printed dual cancellation readings do fail here
     assert all(v.check in DISPUTED_CHECKS | {"section-strict-final"} for v in rep.violations)

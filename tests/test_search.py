@@ -3,6 +3,7 @@ ability to actually detect planted faults."""
 
 import pytest
 
+from formkit.checks import CheckContext
 from formkit.morphisms import strict_characterization
 from formkit.search import (
     CLAIMS,
@@ -108,7 +109,8 @@ def test_strict_characterization_detects_planted_fault():
         bad = []
         for f in form.base.morphisms():
             bad.extend(strict_characterization(form, tampered, f).violations)
-        trip = roundtrip_check(form, tampered)
+        ctx = CheckContext(form, tampered)
+        trip = roundtrip_check(form, tampered, ctx.cls, ctx.derived())
         assert bad or not trip.ok or order_from_closure(
             form, closure_from_order(form, tampered)
         ) != tampered
@@ -120,7 +122,7 @@ def case_payload(claim, seed, index):
     """Everything one generated case consists of, in canonical form: the
     fibres' up masks, the push and pull tables, then per order class drawn
     the order rows, the order's class and the claim check's report."""
-    from formkit.checks import CHECKS, CheckContext
+    from formkit.checks import CHECKS
 
     check, classes = CLAIMS[claim]
     rng = case_rng(seed, index)

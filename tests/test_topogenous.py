@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from formkit.checks import CheckContext
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap
 from formkit.topogenous import (
@@ -307,12 +308,20 @@ def test_idempotency(top123, theta123, b123, grp8, ni8):
     assert is_idempotent(closure_from_order(grp8.form, ni8))
 
 
+def order_roundtrip(form: FormInstance, order: TopogenousOrder):
+    """roundtrip_check on an order, with the class and the derived
+    operators the registry passes it."""
+    ctx = CheckContext(form, order)
+    assert ctx.axioms.ok
+    return roundtrip_check(form, order, ctx.cls, ctx.derived())
+
+
 def test_roundtrips_exact(top123, theta123, b123, grp8, ni8, quot123):
-    assert roundtrip_check(top123.form, theta123).ok
-    assert roundtrip_check(top123.form, b123).ok
-    assert roundtrip_check(grp8.form, ni8).ok
+    assert order_roundtrip(top123.form, theta123).ok
+    assert order_roundtrip(top123.form, b123).ok
+    assert order_roundtrip(grp8.form, ni8).ok
     for bundle in (top123, grp8, quot123):
-        assert roundtrip_check(bundle.form, leq_order(bundle.form)).ok
+        assert order_roundtrip(bundle.form, leq_order(bundle.form)).ok
 
 
 def test_roundtrip_from_closures(top123, theta123, grp8, ni8):
@@ -339,7 +348,7 @@ def test_roundtrip_skips_wrong_class():
     assert verify_order(form, empty).ok
     cls = classify_order(form, empty)
     assert not cls.is_TM and not cls.is_TJ
-    out = roundtrip_check(form, empty)
+    out = order_roundtrip(form, empty)
     assert out.ok
     assert any("skipped" in note for note in out.notes)
 
@@ -384,7 +393,7 @@ def test_constant_top_closure_roundtrip_on_quot(quot123):
     assert roundtrip_check(form, const).ok
     T = order_from_closure(form, const)
     assert classify_order(form, T).is_TM
-    assert roundtrip_check(form, T).ok
+    assert order_roundtrip(form, T).ok
 
 
 def test_derived_order_classes(top123, theta123, b123):
