@@ -472,13 +472,18 @@ def enumerate_group() -> None:
     """Enumerate topologies, subgroups, or partitions."""
 
 
-@enumerate_group.command("topologies")
-@click.option("--n", required=True, type=int)
-def enum_top_cmd(n) -> None:
-    report = RunReport(command=["enumerate", "topologies", str(n)])
-    tops = enumerate_topologies(n)
-    report.payload = {"n": n, "count": len(tops), "topologies": [topology_to_dict(t) for t in tops]}
-    emit(report)
+def enumerate_cmd(name: str, enumerate_all, to_dict) -> None:
+    @enumerate_group.command(name)
+    @click.option("--n", required=True, type=int)
+    def command(n) -> None:
+        report = RunReport(command=["enumerate", name, str(n)])
+        found = enumerate_all(n)
+        report.payload = {"n": n, "count": len(found), name: [to_dict(t) for t in found]}
+        emit(report)
+
+
+enumerate_cmd("topologies", enumerate_topologies, topology_to_dict)
+enumerate_cmd("partitions", enumerate_partitions, partition_to_dict)
 
 
 @enumerate_group.command("subgroups")
@@ -508,15 +513,6 @@ def enum_sub_cmd(name, path) -> None:
                 {"elements": list(bits(m)), "normal": m in normals} for m in masks
             ],
         }
-    emit(report)
-
-
-@enumerate_group.command("partitions")
-@click.option("--n", required=True, type=int)
-def enum_part_cmd(n) -> None:
-    report = RunReport(command=["enumerate", "partitions", str(n)])
-    parts = enumerate_partitions(n)
-    report.payload = {"n": n, "count": len(parts), "partitions": [partition_to_dict(p) for p in parts]}
     emit(report)
 
 
