@@ -1,7 +1,9 @@
 """Finite sets and all functions between them, presented as a category.
 
 Shared by the topology and partition instances, whose base is the same:
-objects are finite carriers {0..n-1}, morphisms are all value tables.
+objects are finite carriers {0..n-1}, morphisms are all value tables. The
+group instance builds its base, all homomorphisms as value tables, with
+the same :func:`concrete_category`.
 """
 
 from __future__ import annotations
