@@ -12,7 +12,6 @@ isolation: save it to a file and run `formkit replay <witness.json>`.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import time
@@ -225,8 +224,8 @@ def recipe_from_flags(
 def load_recipe(recipe: dict, inputs: dict[str, str], where: str = "recipe") -> CheckContext:
     """Build what a recipe describes, recording the files read in
     ``inputs``: a built-in instance, a form file, or an inline form, each
-    with the order it names (a named order, an order file, or inline) and,
-    for a form file or an inline form, the operator it names."""
+    with the order it names (a named order, an order file, or inline) and
+    the operator it names (an operator file, or inline)."""
     inline = recipe.get("kind") == "inline"
 
     def read(key: str, parse):
@@ -332,41 +331,13 @@ def emit_document(report: RunReport, doc: dict, out: Optional[str], **written) -
 # The recipe key each file option fills.
 FILE_OPTIONS = {"--file": "form_file", "--form": "form_file", "--order": "order_file", "--operator": "operator_file"}
 
-# The subcommands that read a form with an order or an operator from files:
-# (group, name, file options, action). A verify row's action names the
-# checks it runs; a derive row's maps the loaded inputs to the document it
-# emits. An --operator file is read as the kind the name ends in.
-FILE_COMMANDS = (
-    ("verify", "form", ("--file",), FORM_CHECKS),
-    ("verify", "order", ("--form", "--order"), ("order-axioms", "order-class")),
-    *(("verify", kind, ("--form", "--operator"), (f"{kind}-axioms",)) for kind in OPERATOR_KINDS),
-    *(
-        ("derive", kind, ("--form", "--order"),
-         lambda c, kind=kind: operator_to_dict(operator_from_order(c.form, c.order, kind)))
-        for kind in OPERATOR_KINDS
-    ),
-    *(
-        ("derive", f"order-from-{kind}", ("--form", "--operator"),
-         lambda c: order_to_dict(order_from_operator(c.form, c.operator)))
-        for kind in OPERATOR_KINDS
-    ),
-)
 
+def run_and_witness(checks: tuple[str, ...]):
+    """A verify action: run ``checks``; those with violations carry their
+    inputs inline in their witnesses."""
 
-def file_command(group: str, name: str, options: tuple[str, ...], action) -> None:
-    keys = [FILE_OPTIONS[option] for option in options]
-
-    def command(out: Optional[str] = None, **paths: str) -> None:
-        report = RunReport(command=[group, name, *(paths[key] for key in keys)])
-        recipe = {key: paths[key] for key in keys}
-        if "operator_file" in recipe:
-            recipe["operator_kind"] = name.rsplit("-", 1)[-1]
-        checked = load_recipe(recipe, report.inputs)
-        if group == "derive":
-            emit_document(report, action(checked), out)
-            return
-        # Checks with violations carry their inputs inline in their witnesses.
-        results = run_checks(checked, action)
+    def action(report: RunReport, checked: CheckContext) -> None:
+        results = run_checks(checked, checks)
         flagged = [r for r in results if r.violations]
         if flagged:
             recipe = inline_recipe(checked)
@@ -375,15 +346,46 @@ def file_command(group: str, name: str, options: tuple[str, ...], action) -> Non
         report.checks.extend(results)
         emit(report)
 
-    if group == "derive":
+    return action
+
+
+def emit_derived(derive_doc):
+    """A derive action: emit the document ``derive_doc`` makes of the inputs."""
+    return lambda report, checked, out: emit_document(report, derive_doc(checked), out)
+
+
+def file_command(group: str, name: str, files: tuple[str, ...], action, operator_kind=None, out=False) -> None:
+    """A subcommand that reads a form with an order or an operator (of
+    ``operator_kind``) from the ``files`` options and hands them to
+    ``action``, with the --out path when ``out``."""
+    keys = [FILE_OPTIONS[option] for option in files]
+
+    def command(**params) -> None:
+        recipe = {key: params.pop(key) for key in keys}
+        report = RunReport(command=[group, name, *recipe.values()])
+        if operator_kind is not None:
+            recipe["operator_kind"] = operator_kind
+        action(report, load_recipe(recipe, report.inputs), **params)
+
+    if out:
         command = OUT(command)
-    for option, key in reversed(list(zip(options, keys))):
+    for option, key in reversed(list(zip(files, keys))):
         command = click.option(option, key, required=True, type=FILE)(command)
     main.commands[group].command(name)(command)
 
 
-for _row in FILE_COMMANDS:
-    file_command(*_row)
+file_command("verify", "form", ("--file",), run_and_witness(FORM_CHECKS))
+file_command("verify", "order", ("--form", "--order"), run_and_witness(("order-axioms", "order-class")))
+for _kind in OPERATOR_KINDS:
+    file_command("verify", _kind, ("--form", "--operator"), run_and_witness((f"{_kind}-axioms",)), _kind)
+    file_command(
+        "derive", _kind, ("--form", "--order"),
+        emit_derived(lambda c, kind=_kind: operator_to_dict(operator_from_order(c.form, c.order, kind))), out=True,
+    )
+    file_command(
+        "derive", f"order-from-{_kind}", ("--form", "--operator"),
+        emit_derived(lambda c: order_to_dict(order_from_operator(c.form, c.operator))), _kind, out=True,
+    )
 
 
 def derive_topology_order_cmd(name: str, relation) -> None:
@@ -403,31 +405,23 @@ derive_topology_order_cmd("b", b_relation)
 INSTANCE_KINDS = click.Choice(["top", "grp", "quot"])
 
 
+INPUT_OPTIONS = (
+    click.option("--form", "form_path", type=FILE),
+    click.option("--instance", type=INSTANCE_KINDS),
+    click.option("--sizes", type=str),
+    click.option("--corpus", type=str, default="standard", show_default=True),
+    click.option("--max-order", type=int, default=8, show_default=True),
+)
+
+
 def input_options(order_option):
     """The input options of classify and check-theorems, with the command's
-    own --order option second. The command receives, in place of the other
-    five, ``recipe_for(order_path, order_name)``: :func:`recipe_from_flags`
-    with those flags filled in."""
+    own --order option second."""
 
     def decorate(fn):
-        def command(form_path, instance, sizes, corpus, max_order, **kwargs):
-            recipe_for = functools.partial(
-                recipe_from_flags, form_path=form_path, instance=instance, sizes=sizes, corpus=corpus,
-                max_order=max_order,
-            )
-            return fn(recipe_for=recipe_for, **kwargs)
-
-        functools.update_wrapper(command, fn)
-        for option in (
-            click.option("--max-order", type=int, default=8, show_default=True),
-            click.option("--corpus", type=str, default="standard", show_default=True),
-            click.option("--sizes", type=str),
-            click.option("--instance", type=INSTANCE_KINDS),
-            order_option,
-            click.option("--form", "form_path", type=FILE),
-        ):
-            command = option(command)
-        return command
+        for option in reversed((INPUT_OPTIONS[0], order_option, *INPUT_OPTIONS[1:])):
+            fn = option(fn)
+        return fn
 
     return decorate
 
@@ -436,10 +430,10 @@ def input_options(order_option):
 @input_options(click.option("--order", "order_path", type=FILE))
 @click.option("--order-name", type=click.Choice(NAMED_ORDERS))
 @click.option("--morphism", "morphism", type=str)
-def classify_cmd(recipe_for, order_path, order_name, morphism) -> None:
+def classify_cmd(form_path, order_path, instance, sizes, corpus, max_order, order_name, morphism) -> None:
     """Strict/final/thick status, per morphism, as a MorphismReport array."""
     report = RunReport(command=["classify"])
-    recipe = recipe_for(order_path=order_path, order_name=order_name)
+    recipe = recipe_from_flags(form_path, order_path, order_name, instance, sizes, corpus, max_order)
     checked = load_recipe(recipe, report.inputs)
     report.checks.extend(run_checks(checked, ("order-axioms",), recipe))
     if checked.axioms.ok:
@@ -455,14 +449,17 @@ def classify_cmd(recipe_for, order_path, order_name, morphism) -> None:
 @main.command("check-theorems")
 @input_options(click.option("--order", "order_spec", type=str, help="order file, or a named order with --instance"))
 @click.option("--check", "selected", multiple=True, help="restrict to named checks")
-def check_theorems_cmd(recipe_for, order_spec, selected) -> None:
+def check_theorems_cmd(form_path, order_spec, instance, sizes, corpus, max_order, selected) -> None:
     """Run the whole theorem battery for a form and order."""
     for name in selected:
         if name not in BATTERY:
             fail_usage(f"unknown check {name!r}; known: {', '.join(BATTERY)}")
     report = RunReport(command=["check-theorems"])
     named = order_spec is None or order_spec in NAMED_ORDERS
-    recipe = recipe_for(order_path=None if named else order_spec, order_name=order_spec if named else None)
+    recipe = recipe_from_flags(
+        form_path, None if named else order_spec, order_spec if named else None,
+        instance, sizes, corpus, max_order,
+    )
     report.checks.extend(run_checks(load_recipe(recipe, report.inputs), battery_selection(selected), recipe))
     emit(report)
 

@@ -52,17 +52,14 @@ def strict_violation(form: FormInstance, order: TopogenousOrder, f: str) -> Opti
     """First (a, b) with a related to pull(b) but push(a) not related to b.
 
     Per a, ``pull.preimage(row_a)`` is every b with pull(b) related to a
-    (:meth:`MonotoneMap.preimage`), one mask per distinct row; its bits
-    outside ``rows_y[push a]`` are the violations at a, so the first
-    witness is the one of the pair sweep :func:`strict_violation_dense`."""
+    (:meth:`MonotoneMap.preimage`); its bits outside ``rows_y[push a]`` are
+    the violations at a, so the first witness is the one of the pair sweep
+    :func:`strict_violation_dense`."""
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push, pull = form.push_maps[f].table, form.pull_maps[f]
-    pulled: dict[int, int] = {}
     for a, row_a in enumerate(rows_x):
-        if row_a not in pulled:
-            pulled[row_a] = pull.preimage(row_a)
-        bad = pulled[row_a] & ~rows_y[push[a]]
+        bad = pull.preimage(row_a) & ~rows_y[push[a]]
         if bad:
             return (a, low_bit(bad))
     return None

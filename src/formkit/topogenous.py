@@ -711,6 +711,8 @@ def roundtrip_check(
     neither."""
     rep = Report()
     if isinstance(obj, TopogenousOrder):
+        if cls is None or derived is None:
+            raise TypeError("an order needs its class and derived operators (CheckContext.cls, .derived())")
         if not cls.is_TM and not cls.is_TJ:
             rep.notes.append("order is neither meet- nor join-stable; round trip skipped")
             return rep

@@ -587,6 +587,24 @@ def test_witness_of_file_inputs_replays(runner, tmp_path):
     assert replayed["violations"] == failed["violations"]
 
 
+def test_witness_naming_an_operator_file_replays(runner, tmp_path):
+    """A witness may name its operator by file, next to a form file or a
+    built-in instance; one that names no order or operator exits 2."""
+    paths = _top2_inputs(tmp_path)
+    operator = {"operator_file": paths["closure"], "operator_kind": "closure"}
+    for recipe in ({"form_file": paths["form"], **operator}, {"kind": "top", "sizes": [2], **operator}):
+        wpath = _write(tmp_path, {"schema": 1, "check": "closure-axioms", "recipe": recipe}, "w.json")
+        res = invoke(runner, ["replay", wpath])
+        assert res.exit_code == 0
+        assert [c["name"] for c in parse(res)["checks"]] == ["replay:closure-axioms"]
+        assert paths["closure"] in parse(res)["inputs"]
+    for check, needs in (("closure-axioms", "operator"), ("order-axioms", "order")):
+        wpath = _write(tmp_path, {"schema": 1, "check": check, "recipe": {"form_file": paths["form"]}}, "w.json")
+        res = invoke(runner, ["replay", wpath])
+        assert res.exit_code == 2
+        assert f"{wpath}: witness for {check!r} carries no {needs} to replay with" in res.stderr
+
+
 def test_readme_names_every_registry_check():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     missing = [c.name for c in REGISTRY if f"`{c.name}`" not in readme]

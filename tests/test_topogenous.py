@@ -324,6 +324,11 @@ def test_roundtrips_exact(top123, theta123, b123, grp8, ni8, quot123):
         assert order_roundtrip(bundle.form, leq_order(bundle.form)).ok
 
 
+def test_roundtrip_of_an_order_needs_its_class_and_operators(top123, theta123):
+    with pytest.raises(TypeError, match="class and derived operators"):
+        roundtrip_check(top123.form, theta123)
+
+
 def test_roundtrip_from_closures(top123, theta123, grp8, ni8):
     for form, order in ((top123.form, theta123), (grp8.form, ni8)):
         clo = closure_from_order(form, order)
