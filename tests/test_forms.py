@@ -198,6 +198,35 @@ def test_base_category_verify_catches_bad_associativity():
     assert not rep.ok
 
 
+TWO_HOMS = {("X", "X"): ["idX"], ("Y", "Y"): ["idY"], ("X", "Y"): ["f"], ("Y", "X"): []}
+TWO_COMPOSE = {("idX", "idX"): "idX", ("idY", "idY"): "idY", ("f", "idX"): "f", ("idY", "f"): "f"}
+
+
+@pytest.mark.parametrize(
+    "homs, compose, identities, check, where, witness",
+    [
+        (TWO_HOMS, TWO_COMPOSE, {"X": "idX"}, "identity-missing", "Y", ()),
+        (
+            {("X", "X"): ["id", "e"]},
+            {("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "e"},
+            {"X": "id"},
+            "compose-undefined", "", ("e", "e"),
+        ),
+        (
+            TWO_HOMS, {**TWO_COMPOSE, ("f", "idX"): "idX"}, {"X": "idX", "Y": "idY"},
+            "compose-escapes-hom", "", ("f", "idX", "idX"),
+        ),
+    ],
+    ids=["identity-missing", "compose-undefined", "compose-escapes-hom"],
+)
+def test_presentation_axioms_report_their_witness(homs, compose, identities, check, where, witness):
+    objects = sorted({x for pair in homs for x in pair})
+    base = CategoryPresentation(objects, homs, compose, identities)
+    for rep in (base.verify(), base.verify_dense()):
+        assert [(v.check, v.where, v.witness) for v in rep.violations] == [(check, where, witness)]
+        assert rep.checks_run == 4  # one per composable pair; the later sweeps do not run
+
+
 def test_dense_associativity_counts_triples_up_to_its_witness(top12):
     base = top12.form.base
     compose = dict(base.compose_table)
