@@ -150,6 +150,8 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
         try:
             push[f] = MonotoneMap(fibres[x], fibres[y], _ints(_need(push_doc, f, f"{where}.push"), f"{where}.push[{f}]"))
             pull[f] = MonotoneMap(fibres[y], fibres[x], _ints(_need(pull_doc, f, f"{where}.pull"), f"{where}.pull[{f}]"))
+        except SchemaError:
+            raise
         except (ValueError, IndexError) as exc:
             raise SchemaError(f"{where}: morphism {f!r}: {exc}") from exc
     return FormInstance(base, fibres, push, pull)
