@@ -602,7 +602,7 @@ def replay_cmd(witness_file) -> None:
         report.checks.append(check_from_report(f"replay:search:{claim}", rep))
     elif kind == "lattice-file":
         path = _field(recipe, "file", lambda v: isinstance(v, str), witness_file)
-        lat = lattice_from_dict(load_json(path), where=path)
+        lat = read_file(path, lattice_from_dict, report.inputs)
         report.checks.append(check_from_report("replay:lattice-axioms", lat.verify()))
     else:
         if not isinstance(check, str) or check not in CHECKS:
