@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .lattice import FiniteLattice, MonotoneMap
 from .report import InputError, Report
@@ -18,24 +18,38 @@ class CorruptFormError(InputError):
 
 
 class CategoryPresentation:
-    """A finite category given by hom-set lists and a total composition table.
+    """A finite category with its objects and morphisms numbered.
 
-    Morphisms are string identifiers; ``compose[(g, f)]`` is g after f and is
-    defined exactly for the composable pairs.
+    Objects are numbered by their place in ``objects``, morphisms in
+    :meth:`morphisms` order, hom-set by hom-set in object order:
+    ``names[i]`` is morphism i and ``ids`` numbers the names. ``source[i]``
+    and ``target[i]`` are the object numbers of its domain and codomain;
+    ``by_source[x]`` and ``by_target[x]`` list the morphisms out of and into
+    object x in ascending order. Composition is held once, in the flat table
+    ``comp`` of n² entries for n morphisms: ``comp[g * n + f]`` is the
+    number of g∘f, and -1 where f and g are not composable or the composite
+    is undefined.
+
+    ``compose`` gives the composites: either a callable ``compose(g, f)`` on
+    morphism numbers, returning the number of g∘f (-1 if undefined) and
+    called once per composable pair, or a mapping from name pairs ``(g, f)``
+    to the composite's name, for hand-written input, where a pair left out
+    or a name that is not a morphism is undefined. The name-level ``dom``,
+    ``cod``, :meth:`hom`, :meth:`compose` and :attr:`compose_table` read the
+    same tables.
     """
 
     def __init__(
         self,
         objects: Sequence[str],
         homs: dict[tuple[str, str], Sequence[str]],
-        compose: dict[tuple[str, str], str],
+        compose: Callable[[int, int], int] | Mapping[tuple[str, str], str],
         identities: dict[str, str],
     ):
         self.objects = tuple(objects)
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate object names")
         self.homs = {pair: tuple(ms) for pair, ms in homs.items()}
-        self.compose_table = dict(compose)
         self.identities = dict(identities)
         self.dom: dict[str, str] = {}
         self.cod: dict[str, str] = {}
@@ -48,11 +62,28 @@ class CategoryPresentation:
         for x, i in self.identities.items():
             if self.dom.get(i) != x or self.cod.get(i) != x:
                 raise ValueError(f"identity of {x!r} must be an endomorphism of {x!r}")
-        self._morphisms = tuple(m for x in self.objects for y in self.objects for m in self.homs.get((x, y), ()))
+        self.names = tuple(m for x in self.objects for y in self.objects for m in self.homs.get((x, y), ()))
+        self.ids = {m: i for i, m in enumerate(self.names)}
+        number = {x: k for k, x in enumerate(self.objects)}
+        self.source = [number[self.dom[m]] for m in self.names]
+        self.target = [number[self.cod[m]] for m in self.names]
+        self.by_source: list[list[int]] = [[] for _ in self.objects]
+        self.by_target: list[list[int]] = [[] for _ in self.objects]
+        for i in range(len(self.names)):
+            self.by_source[self.source[i]].append(i)
+            self.by_target[self.target[i]].append(i)
+        if not callable(compose):
+            table, names, ids = compose, self.names, self.ids
+            compose = lambda g, f: ids.get(table.get((names[g], names[f])), -1)
+        n = len(self.names)
+        self.comp = comp = [-1] * (n * n)
+        for f in range(n):
+            for g in self.by_source[self.target[f]]:
+                comp[g * n + f] = compose(g, f)
 
     def morphisms(self) -> tuple[str, ...]:
-        """Every morphism, hom-set by hom-set in object order."""
-        return self._morphisms
+        """Every morphism name, in number order."""
+        return self.names
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self.homs.get((x, y), ())
@@ -61,18 +92,30 @@ class CategoryPresentation:
         return self.identities[x]
 
     def compose(self, g: str, f: str) -> str:
-        """g after f."""
+        """g after f, by name."""
         if self.cod[f] != self.dom[g]:
             raise ValueError(f"cannot compose {g!r} after {f!r}")
-        return self.compose_table[(g, f)]
+        h = self.comp[self.ids[g] * len(self.names) + self.ids[f]]
+        if h < 0:
+            raise KeyError((g, f))
+        return self.names[h]
 
     def composable_pairs(self) -> Iterable[tuple[str, str]]:
-        for x in self.objects:
-            for y in self.objects:
-                for f in self.homs.get((x, y), ()):
-                    for z in self.objects:
-                        for g in self.homs.get((y, z), ()):
-                            yield g, f
+        """Every composable (g, f) by name, f in number order, then g."""
+        names = self.names
+        for f, f_name in enumerate(names):
+            for g in self.by_source[self.target[f]]:
+                yield names[g], f_name
+
+    @property
+    def compose_table(self) -> dict[tuple[str, str], str]:
+        """The defined composites by name, ``(g, f) -> g∘f``: a view built
+        from :attr:`comp` on each access, for reports and tests."""
+        names, n, comp = self.names, len(self.names), self.comp
+        return {
+            (names[g], names[f]): names[comp[g * n + f]]
+            for f in range(n) for g in self.by_source[self.target[f]] if comp[g * n + f] >= 0
+        }
 
     def verify(self) -> Report:
         """Identity neutrality, closure of composition, associativity.
@@ -107,55 +150,28 @@ class CategoryPresentation:
         for x in self.objects:
             if x not in self.identities:
                 rep.add("identity-missing", where=x)
-        for g, f in self.composable_pairs():
-            rep.count("compose-defined")
-            h = self.compose_table.get((g, f))
-            if h is None:
-                rep.add("compose-undefined", witness=(g, f))
-                continue
-            if self.dom.get(h) != self.dom[f] or self.cod.get(h) != self.cod[g]:
-                rep.add("compose-escapes-hom", witness=(g, f, h))
+        names, n, comp, source, target = self.names, len(self.names), self.comp, self.source, self.target
+        for f in range(n):
+            after = self.by_source[target[f]]
+            rep.count("compose-defined", len(after))
+            for g in after:
+                h = comp[g * n + f]
+                if h < 0:
+                    rep.add("compose-undefined", witness=(names[g], names[f]))
+                elif source[h] != source[f] or target[h] != target[g]:
+                    rep.add("compose-escapes-hom", witness=(names[g], names[f], names[h]))
         if rep.violations:
             return rep
-        for f in self.morphisms():
+        identity = [self.ids[self.identities[x]] for x in self.objects]
+        for f in range(n):
             rep.count("identity-neutral", 2)
-            if self.compose(self.identity(self.cod[f]), f) != f:
-                rep.add("identity-left", witness=(f,))
-            if self.compose(f, self.identity(self.dom[f])) != f:
-                rep.add("identity-right", witness=(f,))
+            if comp[identity[target[f]] * n + f] != f:
+                rep.add("identity-left", witness=(names[f],))
+            if comp[f * n + identity[source[f]]] != f:
+                rep.add("identity-right", witness=(names[f],))
         if not (fast and rep.ok and self._associative_at_generators(rep)):
             self._dense_associativity(rep)
         return rep
-
-    @cached_property
-    def _view(self) -> "_IntView":
-        """Morphisms and objects interned in :meth:`morphisms` order, with
-        the morphisms out of and into each object."""
-        names = list(self.morphisms())
-        ids = {m: i for i, m in enumerate(names)}
-        obj_ids = {x: k for k, x in enumerate(self.objects)}
-        dom = [obj_ids[self.dom[m]] for m in names]
-        cod = [obj_ids[self.cod[m]] for m in names]
-        by_source: list[list[int]] = [[] for _ in self.objects]
-        by_target: list[list[int]] = [[] for _ in self.objects]
-        for i in range(len(names)):
-            by_source[dom[i]].append(i)
-            by_target[cod[i]].append(i)
-        return _IntView(names, ids, dom, cod, by_source, by_target)
-
-    @cached_property
-    def _comp(self) -> list[int]:
-        """The flat composition table of :attr:`_view`: ``_comp[g * n + f]``
-        is g∘f (-1 where not composable), n² entries. Built only once
-        composition is known to be total and to land in the right
-        hom-sets, and only by the sweeps that use it."""
-        v = self._view
-        names, ids, n = v.names, v.ids, len(v.names)
-        comp = [-1] * (n * n)
-        for fi, f in enumerate(names):
-            for gi in v.by_source[v.cod[fi]]:
-                comp[gi * n + fi] = ids[self.compose_table[(names[gi], f)]]
-        return comp
 
     @cached_property
     def generators(self) -> tuple[str, ...]:
@@ -167,51 +183,50 @@ class CategoryPresentation:
         :meth:`morphisms` order), so hard-to-factor morphisms come first; a
         candidate joins S when the closure of the identities under left
         composition by S does not reach it yet. Needs total composition."""
-        return tuple(self._view.names[i] for i in self._generator_ids)
+        return tuple(self.names[i] for i in self._generator_ids)
 
     @cached_property
     def _generator_ids(self) -> tuple[int, ...]:
-        v = self._view
-        n, comp, dom, cod = len(v.names), self._comp, v.dom, v.cod
-        identity_names = set(self.identities.values())
-        reached = [m in identity_names for m in v.names]
+        n, comp, source, target = len(self.names), self.comp, self.source, self.target
+        reached = [False] * n
+        for i in self.identities.values():
+            reached[self.ids[i]] = True
         factorisations = [0] * n
         for fi in range(n):
             if reached[fi]:
                 continue
-            for gi in v.by_source[cod[fi]]:
+            for gi in self.by_source[target[fi]]:
                 if not reached[gi]:
                     factorisations[comp[gi * n + fi]] += 1
         reached_at: list[list[int]] = [[] for _ in self.objects]  # by codomain
         for i in range(n):
             if reached[i]:
-                reached_at[cod[i]].append(i)
+                reached_at[target[i]].append(i)
         from_obj: list[list[int]] = [[] for _ in self.objects]  # generators by domain
         gens = []
         for m in sorted(range(n), key=lambda i: (factorisations[i], i)):
             if reached[m]:
                 continue
             gens.append(m)
-            from_obj[dom[m]].append(m)
-            todo = [comp[m * n + r] for r in reached_at[dom[m]]]
+            from_obj[source[m]].append(m)
+            todo = [comp[m * n + r] for r in reached_at[source[m]]]
             while todo:
                 x = todo.pop()
                 if reached[x]:
                     continue
                 reached[x] = True
-                reached_at[cod[x]].append(x)
-                todo.extend(comp[s * n + x] for s in from_obj[cod[x]])
+                reached_at[target[x]].append(x)
+                todo.extend(comp[s * n + x] for s in from_obj[target[x]])
         return tuple(gens)
 
     def _associative_at_generators(self, rep: Report) -> bool:
         """(h∘s)∘f = h∘(s∘f) for every generator s; False at the first miss."""
-        v = self._view
-        n, comp = len(v.names), self._comp
+        n, comp = len(self.names), self.comp
         for s in self._generator_ids:
-            after = v.by_source[v.cod[s]]
+            after = self.by_source[self.target[s]]
             hs_rows = [comp[h * n + s] * n for h in after]
             h_rows = [h * n for h in after]
-            for f in v.by_target[v.dom[s]]:
+            for f in self.by_target[self.source[s]]:
                 sf = comp[s * n + f]
                 rep.count("associative", len(after))
                 if [comp[r + f] for r in hs_rows] != [comp[r + sf] for r in h_rows]:
@@ -221,34 +236,17 @@ class CategoryPresentation:
     def _dense_associativity(self, rep: Report) -> None:
         """Every composable triple in morphism order; stops at the first
         failure, which it reports."""
-        v = self._view
-        names, n, comp, cod, by_source = v.names, len(v.names), self._comp, v.cod, v.by_source
+        names, n, comp, target, by_source = self.names, len(self.names), self.comp, self.target, self.by_source
         for fi in range(n):
-            for gi in by_source[cod[fi]]:
+            for gi in by_source[target[fi]]:
                 gf = comp[gi * n + fi]
-                row = by_source[cod[gi]]
+                row = by_source[target[gi]]
                 for k, hi in enumerate(row):
                     if comp[hi * n + gf] != comp[comp[hi * n + gi] * n + fi]:
                         rep.count("associative", k + 1)
                         rep.add("associative", witness=(names[hi], names[gi], names[fi]))
                         return
                 rep.count("associative", len(row))
-
-
-class _IntView:
-    """A category presentation with morphisms and objects as integers:
-    ``ids`` numbers the ``names``, ``by_source[x]`` and ``by_target[x]``
-    list the morphisms out of and into object x."""
-
-    __slots__ = ("names", "ids", "dom", "cod", "by_source", "by_target")
-
-    def __init__(self, names, ids, dom, cod, by_source, by_target):
-        self.names: list[str] = names
-        self.ids: dict[str, int] = ids
-        self.dom: list[int] = dom
-        self.cod: list[int] = cod
-        self.by_source: list[list[int]] = by_source
-        self.by_target: list[list[int]] = by_target
 
 
 @dataclass(frozen=True)
@@ -358,36 +356,35 @@ class FormInstance:
         """Section/retraction/iso status inside the presented hom-sets.
 
         Read from a table of every morphism's kind, built once over the
-        integer view of the base: for f: x -> y the candidates are the
+        morphism numbers of the base: for f: x -> y the candidates are the
         morphisms y -> x in ``by_source[y]``, composed with f by one lookup
         each in the composition table. :meth:`morphism_kind_dense` is the
         per-morphism scan it is tested against."""
-        return self._kinds[self.base._view.ids[f]]
+        return self._kinds[self.base.ids[f]]
 
     @cached_property
     def _kinds(self) -> list[MorphismKind]:
         base = self.base
-        v, compose = base._view, base.compose_table
-        names, cod = v.names, v.cod
-        identity = [base.identity(x) for x in base.objects]
+        names, n, comp, target = base.names, len(base.names), base.comp, base.target
+        identity = [base.ids[base.identity(x)] for x in base.objects]
         kinds = []
-        for fi, f in enumerate(names):
-            x, y = v.dom[fi], cod[fi]
-            back = [names[g] for g in v.by_source[y] if cod[g] == x]
-            left = [g for g in back if compose[g, f] == identity[x]]
-            right = {g for g in back if compose[f, g] == identity[y]}
+        for f in range(n):
+            x, y = base.source[f], target[f]
+            back = [g for g in base.by_source[y] if target[g] == x]
+            left = [g for g in back if comp[g * n + f] == identity[x]]
+            right = {g for g in back if comp[f * n + g] == identity[y]}
             two_sided = [g for g in left if g in right]
             kinds.append(MorphismKind(
                 is_section=bool(left),
                 is_retraction=bool(right),
                 is_iso=bool(two_sided),
-                inverse=two_sided[0] if two_sided else None,
+                inverse=names[two_sided[0]] if two_sided else None,
             ))
         return kinds
 
     def morphism_kind_dense(self, f: str) -> MorphismKind:
-        """The same status from the hom-set lists and the name-keyed
-        composition table, one morphism at a time: the oracle."""
+        """The same status from the hom-set lists and composition by name,
+        one morphism at a time: the oracle."""
         base = self.base
         x, y = base.dom[f], base.cod[f]
         idx, idy = base.identity(x), base.identity(y)
@@ -440,9 +437,11 @@ class FormInstance:
     def _check_laws(self, fast: bool) -> Report:
         rep = Report()
         base = self.base
-        for g, f in base.composable_pairs():
-            if (g, f) not in base.compose_table:
-                rep.add("compose-undefined", witness=(g, f))
+        names, n, comp = base.names, len(base.names), base.comp
+        for f in range(n):
+            for g in base.by_source[base.target[f]]:
+                if comp[g * n + f] < 0:
+                    rep.add("compose-undefined", witness=(names[g], names[f]))
         if not rep.ok:
             return rep
         for x in base.objects:
@@ -502,13 +501,13 @@ class FormInstance:
     def _functorial_at_generators(self, rep: Report) -> bool:
         """push(s∘f) = push(s)∘push(f) and pull(s∘f) = pull(f)∘pull(s) for
         every generator s; False at the first miss."""
-        v, comp = self.base._view, self.base._comp
-        n = len(v.names)
-        push = [self.push_maps[m].table for m in v.names]
-        pull = [self.pull_maps[m].table for m in v.names]
-        for s in self.base._generator_ids:
+        base = self.base
+        n, comp = len(base.names), base.comp
+        push = [self.push_maps[m].table for m in base.names]
+        pull = [self.pull_maps[m].table for m in base.names]
+        for s in base._generator_ids:
             ps, qs = push[s], pull[s]
-            for f in v.by_target[v.dom[s]]:
+            for f in base.by_target[base.source[s]]:
                 sf = comp[s * n + f]
                 rep.count("functorial-push", len(push[f]))
                 if tuple(map(ps.__getitem__, push[f])) != push[sf]:
@@ -521,18 +520,22 @@ class FormInstance:
     def _dense_functoriality(self, rep: Report) -> None:
         """Both functoriality laws over every composable pair."""
         base = self.base
-        for g, f in base.composable_pairs():
-            gf = base.compose(g, f)
-            tf, tg, tgf = self.push_maps[f].table, self.push_maps[g].table, self.push_maps[gf].table
-            rep.count("functorial-push", len(tf))
-            if any(tg[v] != tgf[a] for a, v in enumerate(tf)):
-                a = next(a for a, v in enumerate(tf) if tg[v] != tgf[a])
-                rep.add("functorial-push", where=f"{g};{f}", witness=(a,))
-            tf, tg, tgf = self.pull_maps[f].table, self.pull_maps[g].table, self.pull_maps[gf].table
-            rep.count("functorial-pull", len(tg))
-            if any(tf[v] != tgf[b] for b, v in enumerate(tg)):
-                b = next(b for b, v in enumerate(tg) if tf[v] != tgf[b])
-                rep.add("functorial-pull", where=f"{g};{f}", witness=(b,))
+        names, n, comp = base.names, len(base.names), base.comp
+        push = [self.push_maps[m].table for m in names]
+        pull = [self.pull_maps[m].table for m in names]
+        for f in range(n):
+            for g in base.by_source[base.target[f]]:
+                gf = comp[g * n + f]
+                tf, tg, tgf = push[f], push[g], push[gf]
+                rep.count("functorial-push", len(tf))
+                if any(tg[v] != tgf[a] for a, v in enumerate(tf)):
+                    a = next(a for a, v in enumerate(tf) if tg[v] != tgf[a])
+                    rep.add("functorial-push", where=f"{names[g]};{names[f]}", witness=(a,))
+                tf, tg, tgf = pull[f], pull[g], pull[gf]
+                rep.count("functorial-pull", len(tg))
+                if any(tf[v] != tgf[b] for b, v in enumerate(tg)):
+                    b = next(b for b, v in enumerate(tg) if tf[v] != tgf[b])
+                    rep.add("functorial-pull", where=f"{names[g]};{names[f]}", witness=(b,))
 
     def check_reflects(self, kind: str) -> tuple[bool, Optional[tuple]]:
         """Operational reflection test: the fibre-level consequence that the
@@ -544,7 +547,7 @@ class FormInstance:
         """
         if kind not in ("section", "retraction", "iso"):
             raise ValueError(f"unknown kind {kind!r}")
-        for f, mk in zip(self.base._view.names, self._kinds):
+        for f, mk in zip(self.base.names, self._kinds):
             if kind == "section" and mk.is_section:
                 push, pull = self.push_maps[f], self.pull_maps[f]
                 for a in range(push.source.size):

@@ -84,10 +84,14 @@ def lattice_from_dict(doc: dict, where: str = "lattice") -> FiniteLattice:
 
 def form_to_dict(form: FormInstance) -> dict:
     base = form.base
+    names, n, comp = base.names, len(base.names), base.comp
     return {
         "objects": list(base.objects),
         "homs": {f"{x},{y}": list(ms) for (x, y), ms in sorted(base.homs.items())},
-        "compose": {f"{g};{f}": h for (g, f), h in sorted(base.compose_table.items())},
+        "compose": {
+            f"{names[g]};{names[f]}": names[comp[g * n + f]]
+            for f in range(n) for g in base.by_source[base.target[f]] if comp[g * n + f] >= 0
+        },
         "identities": dict(sorted(base.identities.items())),
         "fibres": {x: lattice_to_dict(form.fibre(x)) for x in base.objects},
         "push": {f: list(form.push_maps[f].table) for f in base.morphisms()},

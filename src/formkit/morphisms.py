@@ -228,13 +228,13 @@ def transfer_laws_check(
 
     ``strict`` and ``final`` hold each morphism's verdict
     (:func:`strict_table`, :func:`final_table`). The composable pairs are
-    walked on the integer view of the base (its ``by_source`` lists), with
-    verdicts and kinds in lists by morphism number; each composite is one
-    lookup in the composition table, turned into its number. Counts and
-    violations are those of :func:`transfer_laws_check_dense`."""
+    walked by morphism number (the base's ``by_source`` lists), with
+    verdicts and kinds in lists by number; each composite is one lookup in
+    the base's flat composition table. Counts and violations are those of
+    :func:`transfer_laws_check_dense`."""
     rep = Report()
-    v, compose = form.base._view, form.base.compose_table
-    names, ids = v.names, v.ids
+    base = form.base
+    names, n, comp = base.names, len(base.names), base.comp
     refl_sec, _ = form.check_reflects("section")
     refl_ret, _ = form.check_reflects("retraction")
     refl_iso, _ = form.check_reflects("iso")
@@ -264,9 +264,9 @@ def transfer_laws_check(
     def pair(g: int, f: int) -> str:
         return f"{names[g]};{names[f]}"
 
-    for f, f_name in enumerate(names):
-        for g in v.by_source[v.cod[f]]:
-            gf = ids[compose[names[g], f_name]]
+    for f in range(n):
+        for g in base.by_source[base.target[f]]:
+            gf = comp[g * n + f]
             if strict[f] and strict[g]:
                 rep.count("compose-strict")
                 if not strict[gf]:

@@ -117,30 +117,20 @@ def _base(shape: int) -> CategoryPresentation:
     nobj, gens = SHAPES[shape]
     objects = [f"X{i}" for i in range(nobj)]
     homs: dict[tuple[str, str], list[str]] = {(x, y): [] for x in objects for y in objects}
-    dom_of: dict[str, int] = {}
-    cod_of: dict[str, int] = {}
-    for x_i, x in enumerate(objects):
-        name = f"id:{x}"
-        homs[(x, x)].append(name)
-        dom_of[name] = cod_of[name] = x_i
+    for x in objects:
+        homs[(x, x)].append(f"id:{x}")
     for name, d, c in gens:
         homs[(objects[d], objects[c])].append(name)
-        dom_of[name], cod_of[name] = d, c
     if shape == 3:
         homs[(objects[0], objects[2])].append("g.f")
-        dom_of["g.f"], cod_of["g.f"] = 0, 2
-    compose: dict[tuple[str, str], str] = {}
-    names = list(dom_of)
-    for f in names:
-        for g in names:
-            if cod_of[f] != dom_of[g]:
-                continue
-            if f.startswith("id:"):
-                compose[(g, f)] = g
-            elif g.startswith("id:"):
-                compose[(g, f)] = f
-            else:
-                compose[(g, f)] = "g.f"
+    # Morphism numbers in the presentation's order: the identities are the
+    # first of their hom-sets, and only a chain composes two non-identities.
+    names = [m for x in objects for y in objects for m in homs[(x, y)]]
+    identity = [m.startswith("id:") for m in names]
+
+    def compose(g: int, f: int) -> int:
+        return g if identity[f] else f if identity[g] else names.index("g.f")
+
     identities = {x: f"id:{x}" for x in objects}
     base = _BASES[shape] = CategoryPresentation(objects, homs, compose, identities)
     return base

@@ -79,32 +79,31 @@ def concrete_category(
     ``arrows(x, y)``, each given by its value table ``.table`` and named
     ``x->y:t0.t1...``; composites compose the tables and identities are the
     identity tables. Returns the presentation and morphism name -> arrow."""
-    names = list(carriers)
+    objects = list(carriers)
     homs: dict[tuple[str, str], list[str]] = {}
     arrow_of: dict = {}
-    by_key: dict[tuple[str, str, tuple[int, ...]], str] = {}
-    for x in names:
-        for y in names:
-            ms = []
+    # By morphism number, as the presentation numbers them: hom-set by
+    # hom-set in object order. number[x][y] maps a table of hom(x, y) to
+    # its morphism.
+    tables: list[tuple[int, ...]] = []
+    ends: list[tuple[int, int]] = []
+    number: list[list[dict]] = [[{} for _ in objects] for _ in objects]
+    for xi, x in enumerate(objects):
+        for yi, y in enumerate(objects):
+            ms = homs[(x, y)] = []
             for arrow in arrows(x, y):
                 name = morphism_name(x, y, arrow.table)
                 ms.append(name)
                 arrow_of[name] = arrow
-                by_key[(x, y, arrow.table)] = name
-            homs[(x, y)] = ms
+                number[xi][yi][arrow.table] = len(tables)
+                tables.append(arrow.table)
+                ends.append((xi, yi))
 
-    compose: dict[tuple[str, str], str] = {}
-    for x in names:
-        for y in names:
-            for f in homs[(x, y)]:
-                tf = arrow_of[f].table
-                for z in names:
-                    for g in homs[(y, z)]:
-                        tg = arrow_of[g].table
-                        compose[(g, f)] = by_key[(x, z, tuple(tg[v] for v in tf))]
+    def compose(g: int, f: int) -> int:
+        return number[ends[f][0]][ends[g][1]][tuple(map(tables[g].__getitem__, tables[f]))]
 
-    identities = {x: by_key[(x, x, tuple(range(carriers[x])))] for x in names}
-    return CategoryPresentation(names, homs, compose, identities), arrow_of
+    identities = {x: morphism_name(x, x, range(n)) for x, n in carriers.items()}
+    return CategoryPresentation(objects, homs, compose, identities), arrow_of
 
 
 def function_category(sizes: Sequence[int]) -> tuple[CategoryPresentation, dict[str, int], dict[str, SetFunction]]:

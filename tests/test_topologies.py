@@ -1,11 +1,12 @@
 """Topology instance: enumeration against the naive filter oracle,
 initial/final transfer, theta/b operators and orders."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from formkit.setmaps import SetFunction
+from formkit.setmaps import SetFunction, function_category
 from formkit.topogenous import (
     classify_order,
     closure_from_order,
@@ -306,3 +307,15 @@ def test_theta_table_is_monotone_on_two_point_fibre():
     index = {t.key(): i for i, t in enumerate(tops)}
     table = [index[theta_topology(t).key()] for t in tops]
     assert MonotoneMap(lat, lat, table).is_monotone()
+
+
+def test_function_category_memory_stays_low():
+    # 494 morphisms and 133,300 composable pairs: a string-keyed composition
+    # dict peaked at about 18 MB here, the flat id table needs under half
+    tracemalloc.start()
+    try:
+        function_category([1, 2, 3, 4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9_000_000
