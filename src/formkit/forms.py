@@ -64,18 +64,18 @@ class CategoryPresentation:
                 raise ValueError(f"identity of {x!r} must be an endomorphism of {x!r}")
         self.names = tuple(m for x in self.objects for y in self.objects for m in self.homs.get((x, y), ()))
         self.ids = {m: i for i, m in enumerate(self.names)}
+        n = len(self.names)
         number = {x: k for k, x in enumerate(self.objects)}
         self.source = [number[self.dom[m]] for m in self.names]
         self.target = [number[self.cod[m]] for m in self.names]
         self.by_source: list[list[int]] = [[] for _ in self.objects]
         self.by_target: list[list[int]] = [[] for _ in self.objects]
-        for i in range(len(self.names)):
+        for i in range(n):
             self.by_source[self.source[i]].append(i)
             self.by_target[self.target[i]].append(i)
         if not callable(compose):
             table, names, ids = compose, self.names, self.ids
             compose = lambda g, f: ids.get(table.get((names[g], names[f])), -1)
-        n = len(self.names)
         self.comp = comp = [-1] * (n * n)
         for f in range(n):
             for g in self.by_source[self.target[f]]:

@@ -123,8 +123,8 @@ def _base(shape: int) -> CategoryPresentation:
         homs[(objects[d], objects[c])].append(name)
     if shape == 3:
         homs[(objects[0], objects[2])].append("g.f")
-    # Morphism numbers in the presentation's order: the identities are the
-    # first of their hom-sets, and only a chain composes two non-identities.
+    # The morphisms by number, in the presentation's order; only a chain
+    # composes two non-identities.
     names = [m for x in objects for y in objects for m in homs[(x, y)]]
     identity = [m.startswith("id:") for m in names]
 
