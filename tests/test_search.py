@@ -1,7 +1,14 @@
-"""Random-form generator validity, determinism, and the claim checkers'
-ability to actually detect planted faults."""
+"""Random-form generator validity, determinism, the claim checkers'
+ability to actually detect planted faults, and the split search reporting
+what the serial one does."""
+
+import dataclasses
+import os
+import signal
 
 import pytest
+
+from formkit import search
 
 from formkit.checks import CheckContext
 from formkit.morphisms import strict_characterization
@@ -169,3 +176,132 @@ def test_generated_cases_are_pinned(claim):
             text = json.dumps(case_payload(claim, seed, index), sort_keys=True, separators=(",", ":"))
             digest.update(text.encode())
     assert digest.hexdigest() == PINNED_CASES[claim]
+
+
+# -- the search split over processes ----------------------------------------------
+
+
+def _widths(monkeypatch, cpus):
+    """Make the affinity set ``cpus`` CPUs wide."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.fixture
+def case_index(monkeypatch):
+    """The index of the case being generated, kept current by wrapping
+    case_rng; forked workers inherit the wrapper."""
+    current = [None]
+    real = search.case_rng
+
+    def recording(seed, index):
+        current[0] = index
+        return real(seed, index)
+
+    monkeypatch.setattr(search, "case_rng", recording)
+    return current
+
+
+# Indices the planted check fails on: in the parent's share and in workers'
+# shares at every width tested, and at both ends of the largest budget.
+PLANTED = {0, 1, 2, 3, 4, 6, 10, 501, 998, 999}
+
+
+@pytest.fixture
+def planted(monkeypatch, case_index):
+    """strict-iff-push replaced by a check that fails exactly on PLANTED."""
+    from formkit.checks import CHECKS
+    from formkit.report import Report
+
+    def run(ctx):
+        rep = Report()
+        rep.count("planted")
+        if case_index[0] in PLANTED:
+            rep.add("planted", where=f"index {case_index[0]}", witness=(case_index[0],))
+        return rep
+
+    monkeypatch.setitem(CHECKS, "strict-iff-push", dataclasses.replace(CHECKS["strict-iff-push"], run=run))
+
+
+@pytest.mark.parametrize("min_share", [1, search.MIN_CASES_PER_PROCESS])
+@pytest.mark.parametrize("budget", [1, 4, 7, 1000])
+def test_split_search_reports_what_the_serial_one_does(monkeypatch, planted, budget, min_share):
+    monkeypatch.setattr(search, "MIN_CASES_PER_PROCESS", min_share)
+    _widths(monkeypatch, 1)
+    serial = run_search("strict-iff-push", budget, 7)
+    assert [c["index"] for c in serial["counterexamples"]] == sorted(i for i in PLANTED if i < budget)
+
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    for cpus in (2, 3, 5):
+        _widths(monkeypatch, cpus)
+        forks.clear()
+        assert run_search("strict-iff-push", budget, 7) == serial
+        assert len(forks) == search.search_width(budget) - 1
+    assert search.search_width(1000) == 5
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("failing", [{7}, {6, 7}, {11, 13}])
+def test_a_failing_case_raises_what_the_serial_search_raises(monkeypatch, case_index, cpus, failing):
+    # index 7 lies in a worker's share at both widths, 6 in the parent's at
+    # both; 11 and 13 lie in different workers' shares at width 3
+    real = search.random_order
+
+    def failing_order(rng, form, want="any"):
+        if case_index[0] in failing:
+            raise RuntimeError(f"planted failure at index {case_index[0]}")
+        return real(rng, form, want)
+
+    monkeypatch.setattr(search, "random_order", failing_order)
+    _widths(monkeypatch, 1)
+    with pytest.raises(RuntimeError) as serial:
+        run_search("roundtrip-TM", 1000, 7)
+    _widths(monkeypatch, cpus)
+    assert search.search_width(1000) == cpus
+    with pytest.raises(RuntimeError) as split:
+        run_search("roundtrip-TM", 1000, 7)
+    assert str(split.value) == str(serial.value) == f"planted failure at index {min(failing)}"
+    _no_child_left()
+
+
+def test_a_worker_that_dies_has_its_share_run_again(monkeypatch, planted):
+    # the worker of the odd indices, four of them planted, is killed at
+    # index 7; the parent runs that share itself
+    parent, real = os.getpid(), search.run_case
+
+    def dying(claim, seed, index):
+        if index == 7 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(claim, seed, index)
+
+    monkeypatch.setattr(search, "run_case", dying)
+    _widths(monkeypatch, 1)
+    serial = run_search("strict-iff-push", 1000, 7)
+    _widths(monkeypatch, 2)
+    assert run_search("strict-iff-push", 1000, 7) == serial
+    _no_child_left()
+
+
+def test_shares_left_without_a_worker_run_in_the_parent(monkeypatch, planted):
+    # the second fork fails, as when the process limit is reached: shares
+    # 2 and 3 run in the parent, share 1 in its worker
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    _widths(monkeypatch, 1)
+    serial = run_search("strict-iff-push", 1000, 7)
+    monkeypatch.setattr(os, "fork", fork)
+    _widths(monkeypatch, 4)
+    assert run_search("strict-iff-push", 1000, 7) == serial
+    assert len(forks) == 2
+    _no_child_left()
