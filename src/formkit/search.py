@@ -21,7 +21,7 @@ import random
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import BinaryIO, NoReturn, Optional
+from typing import BinaryIO, Iterable, NoReturn, Optional
 
 from .checks import CHECKS, CheckContext
 from .forms import CategoryPresentation, FormInstance
@@ -393,14 +393,14 @@ def search_width(budget: int) -> int:
     return max(1, min(cpus, budget // MIN_CASES_PER_PROCESS))
 
 
-def _run_share(claim: str, seed: int, budget: int, width: int, share: int) -> list[dict]:
-    """The counterexamples among the indices i = share (mod width), as
+def _counterexamples(claim: str, seed: int, indices: Iterable[int]) -> list[dict]:
+    """The counterexamples among the cases ``indices``, in that order, as
     dicts."""
-    found = (run_case(claim, seed, i) for i in range(share, budget, width))
+    found = (run_case(claim, seed, i) for i in indices)
     return [c.to_dict() for c in found if c is not None]
 
 
-def _serve_share(write_end: int, claim: str, seed: int, budget: int, width: int, share: int) -> NoReturn:
+def _serve_share(write_end: int, claim: str, seed: int, share: range) -> NoReturn:
     """A forked worker: run one share and write its counterexamples into
     the pipe with ``marshal``, which keeps their ints, strings, lists and
     dicts as they are and is loaded already. It ends with ``os._exit``, so
@@ -408,7 +408,7 @@ def _serve_share(write_end: int, claim: str, seed: int, budget: int, width: int,
     failure is silent: exit 1 tells the parent to run the share itself."""
     code = 1
     try:
-        data = marshal.dumps(_run_share(claim, seed, budget, width, share))
+        data = marshal.dumps(_counterexamples(claim, seed, share))
         with os.fdopen(write_end, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -416,7 +416,7 @@ def _serve_share(write_end: int, claim: str, seed: int, budget: int, width: int,
         os._exit(code)
 
 
-def _fork_worker(claim: str, seed: int, budget: int, width: int, share: int) -> tuple[int, BinaryIO]:
+def _fork_worker(claim: str, seed: int, share: range) -> tuple[int, BinaryIO]:
     """Fork the worker of one share: its pid and the read end of its pipe."""
     read_end, write_end = os.pipe()
     try:
@@ -427,7 +427,7 @@ def _fork_worker(claim: str, seed: int, budget: int, width: int, share: int) -> 
         raise
     if pid == 0:
         os.close(read_end)
-        _serve_share(write_end, claim, seed, budget, width, share)
+        _serve_share(write_end, claim, seed, share)
     os.close(write_end)
     return pid, os.fdopen(read_end, "rb")
 
@@ -442,20 +442,21 @@ def _run_split(claim: str, seed: int, budget: int, width: int) -> list[dict]:
     case, so the first case to raise is the one the serial run raises at,
     with its exception. Every worker is reaped before this returns or
     raises."""
-    workers = []  # (share, pid, read end of its pipe)
+    shares = [range(w, budget, width) for w in range(width)]
+    workers = []  # (share number, pid, read end of its pipe)
     done: dict[int, list[dict]] = {}
     try:
-        for share in range(1, width):
+        for w in range(1, width):
             try:
-                workers.append((share, *_fork_worker(claim, seed, budget, width, share)))
+                workers.append((w, *_fork_worker(claim, seed, shares[w])))
             except OSError:
                 break  # no process or pipe to spare: the shares left run here
         try:
-            done[0] = _run_share(claim, seed, budget, width, 0)
+            done[0] = _counterexamples(claim, seed, shares[0])
         except Exception:
             pass  # raised again below, in index order
         while workers:
-            share, pid, pipe = workers[0]
+            w, pid, pipe = workers[0]
             try:
                 with pipe:
                     data = pipe.read()
@@ -464,16 +465,15 @@ def _run_split(claim: str, seed: int, budget: int, width: int) -> list[dict]:
             _, status = os.waitpid(pid, 0)
             del workers[0]
             if status == 0 and data is not None:
-                done[share] = marshal.loads(data)
+                done[w] = marshal.loads(data)
     finally:
         for _, pid, pipe in workers:
             pipe.close()
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    rerun = sorted(i for share in range(width) if share not in done for i in range(share, budget, width))
-    found = [c for share in done.values() for c in share]
-    found += (c.to_dict() for c in (run_case(claim, seed, i) for i in rerun) if c is not None)
+    rerun = sorted(i for w, share in enumerate(shares) if w not in done for i in share)
+    found = [c for part in done.values() for c in part] + _counterexamples(claim, seed, rerun)
     return sorted(found, key=lambda c: c["index"])
 
 
@@ -481,7 +481,7 @@ def run_search(claim: str, budget: int, seed: int) -> dict:
     """Check ``budget`` generated forms against the claim; deterministic in
     (claim, budget, seed), whatever :func:`search_width` gives."""
     width = search_width(budget)
-    found = _run_share(claim, seed, budget, 1, 0) if width == 1 else _run_split(claim, seed, budget, width)
+    found = _counterexamples(claim, seed, range(budget)) if width == 1 else _run_split(claim, seed, budget, width)
     return {
         "claim": claim,
         "budget": budget,

@@ -9,7 +9,6 @@ import signal
 import pytest
 
 from formkit import search
-
 from formkit.checks import CheckContext
 from formkit.morphisms import strict_characterization
 from formkit.search import (
@@ -246,10 +245,11 @@ def _no_child_left():
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.parametrize("failing", [{7}, {6, 7}, {11, 13}])
+@pytest.mark.parametrize("failing", [{7}, {6, 7}, {11, 13}, {5, 7, 8, 9}])
 def test_a_failing_case_raises_what_the_serial_search_raises(monkeypatch, case_index, cpus, failing):
     # index 7 lies in a worker's share at both widths, 6 in the parent's at
-    # both; 11 and 13 lie in different workers' shares at width 3
+    # both; 11 and 13 lie in different workers' shares at width 3; in the
+    # last set the parent fails at 8 or 9 after a worker failed at 5
     real = search.random_order
 
     def failing_order(rng, form, want="any"):
