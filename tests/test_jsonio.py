@@ -4,7 +4,9 @@ import hashlib
 import json
 
 import pytest
+from click.testing import CliRunner
 
+from formkit.cli import main
 from formkit.groups import symmetric3
 from formkit.jsonio import (
     SchemaError,
@@ -75,6 +77,67 @@ def test_form_schema_errors(top12):
     broken = dict(doc, objects=["a,b"])
     with pytest.raises(SchemaError):
         form_from_dict(broken)
+
+
+ID1, A0, A1 = "1pt->1pt:0", "1pt->2pt:0", "1pt->2pt:1"
+
+
+def _drop(compose, *keys):
+    for key in keys:
+        del compose[key]
+
+
+# Defects of a top[1,2] compose section, each with the exact message
+# form_from_dict gave before the reader's compose checks were made cheaper.
+COMPOSE_DEFECTS = {
+    "key-without-semicolon": (
+        lambda c: c.update({ID1: ID1}),
+        "form.compose['1pt->1pt:0']: key must be 'g;f' and the value a morphism name",
+    ),
+    "non-string-value": (
+        lambda c: c.update({f"{ID1};{ID1}": 0}),
+        "form.compose['1pt->1pt:0;1pt->1pt:0']: key must be 'g;f' and the value a morphism name",
+    ),
+    "undeclared-name": (
+        lambda c: c.update({f"ghost;{ID1}": ID1}),
+        "form.compose['ghost;1pt->1pt:0']: names an undeclared morphism",
+    ),
+    "undeclared-composite": (
+        lambda c: c.update({f"{ID1};{ID1}": "ghost"}),
+        "form.compose['1pt->1pt:0;1pt->1pt:0']: names an undeclared morphism",
+    ),
+    "wrong-composite": (
+        lambda c: c.update({f"{ID1};{ID1}": A0}),
+        "form.compose['1pt->1pt:0;1pt->1pt:0']: '1pt->2pt:0' is not a composite of '1pt->1pt:0' after '1pt->1pt:0'",
+    ),
+    "missing-pair": (
+        lambda c: _drop(c, f"{A0};{ID1}"),
+        "form.compose: '1pt->2pt:0' after '1pt->1pt:0' is undefined",
+    ),
+    "two-missing-pairs": (
+        lambda c: _drop(c, f"{A1};{ID1}", f"{A0};{ID1}"),
+        "form.compose: '1pt->2pt:0' after '1pt->1pt:0' is undefined",
+    ),
+    "non-composable-entry": (
+        lambda c: c.update({f"{ID1};{A0}": ID1}),
+        "form.compose['1pt->1pt:0;1pt->2pt:0']: '1pt->1pt:0' is not a composite of '1pt->1pt:0' after '1pt->2pt:0'",
+    ),
+    # As many entries as composable pairs, one of them at the wrong pair.
+    "missing-pair-and-non-composable-entry": (
+        lambda c: (_drop(c, f"{A0};{ID1}"), c.update({f"{ID1};{A0}": ID1})),
+        "form.compose['1pt->1pt:0;1pt->2pt:0']: '1pt->1pt:0' is not a composite of '1pt->1pt:0' after '1pt->2pt:0'",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(COMPOSE_DEFECTS))
+def test_compose_errors_are_pinned(defect, top12):
+    doc = form_to_dict(top12.form)
+    change, message = COMPOSE_DEFECTS[defect]
+    change(doc["compose"])
+    with pytest.raises(SchemaError) as exc:
+        form_from_dict(doc)
+    assert str(exc.value) == message
 
 
 def test_order_roundtrip(top12):
@@ -149,3 +212,28 @@ def test_emitted_forms_are_pinned(name, request):
     form = request.getfixturevalue(name).form
     text = json.dumps(form_to_dict(form), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_DIGESTS[name]
+
+
+# sha256 of the bytes formkit writes, recorded from json.dump(indent=2,
+# sort_keys=True): the --emit files and a check-theorems report on stdout.
+WRITTEN_DIGESTS = {
+    "top4": (["instance", "top", "--sizes", "4"], "d41d2af1adb4072dd94918030d9a427c27eed7785003ad757d417ee9d05f2c82"),
+    "grp8": (["instance", "grp"], "065651b1ea57519c2137943f8806ffc0d27809e6fb7b2aadb3f5ee020233dd9d"),
+    "quot1234": (["instance", "quot", "--sizes", "1,2,3,4"], "91e0359c66d3eb92a209a9a46c8c50a56074f5795a100c51333e6ca20236a554"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN_DIGESTS))
+def test_emitted_bytes_are_pinned(name, tmp_path):
+    args, digest = WRITTEN_DIGESTS[name]
+    path = tmp_path / f"{name}.json"
+    result = CliRunner().invoke(main, [*args, "--emit", str(path)])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_report_bytes_are_pinned():
+    result = CliRunner().invoke(main, ["check-theorems", "--instance", "quot", "--sizes", "1,2,3,4"])
+    assert result.exit_code == 1
+    digest = "796adce2a4d5c966c8b7138761b846b6e94bf8428e62599e21dafe7c3e115695"
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
