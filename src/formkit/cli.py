@@ -12,7 +12,6 @@ isolation: save it to a file and run `formkit replay <witness.json>`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -43,6 +42,7 @@ from .groups import (
 from .jsonio import (
     SchemaError,
     dump_json,
+    dumps,
     form_from_dict,
     form_to_dict,
     group_from_dict,
@@ -123,7 +123,7 @@ class RunReport:
 def emit(report: RunReport) -> None:
     ctx = click.get_current_context()
     if ctx.obj["format"] == "json":
-        click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        click.echo(dumps(report.to_dict()))
     else:
         click.echo(report.render_text())
     click.echo(f"elapsed: {time.monotonic() - ctx.obj['started']:.3f}s", err=True)
@@ -139,10 +139,7 @@ def fail_usage(message: str) -> NoReturn:
 
 def read_file(path: str, parse, inputs: dict[str, str]):
     """Parse a JSON input file and record its digest in ``inputs``."""
-    doc = load_json(path)
-    with open(path, "rb") as fh:
-        inputs[path] = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-    return parse(doc, where=path)
+    return parse(load_json(path, inputs), where=path)
 
 
 NAMED_ORDERS = ("leq", "theta", "b", "normal-interval")

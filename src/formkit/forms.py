@@ -34,7 +34,8 @@ class CategoryPresentation:
     morphism numbers, returning the number of g∘f (-1 if undefined) and
     called once per composable pair, or a mapping from name pairs ``(g, f)``
     to the composite's name, for hand-written input, where a pair left out
-    or a name that is not a morphism is undefined. The name-level ``dom``,
+    or a name that is not a morphism is undefined and an entry at a pair
+    that does not compose is ignored. The name-level ``dom``,
     ``cod``, :meth:`hom`, :meth:`compose` and :attr:`compose_table` read the
     same tables.
     """
@@ -73,13 +74,17 @@ class CategoryPresentation:
         for i in range(n):
             self.by_source[self.source[i]].append(i)
             self.by_target[self.target[i]].append(i)
-        if not callable(compose):
-            table, names, ids = compose, self.names, self.ids
-            compose = lambda g, f: ids.get(table.get((names[g], names[f])), -1)
         self.comp = comp = [-1] * (n * n)
-        for f in range(n):
-            for g in self.by_source[self.target[f]]:
-                comp[g * n + f] = compose(g, f)
+        if callable(compose):
+            for f in range(n):
+                for g in self.by_source[self.target[f]]:
+                    comp[g * n + f] = compose(g, f)
+        else:
+            ids, source, target = self.ids, self.source, self.target
+            for (g_name, f_name), h in compose.items():
+                g, f = ids.get(g_name), ids.get(f_name)
+                if g is not None and f is not None and source[g] == target[f]:
+                    comp[g * n + f] = ids.get(h, -1)
 
     def morphisms(self) -> tuple[str, ...]:
         """Every morphism name, in number order."""

@@ -8,8 +8,10 @@ may not contain semicolons.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterator
 
 from .forms import CategoryPresentation, FormInstance
 from .groups import FiniteGroup
@@ -25,6 +27,7 @@ class SchemaError(InputError):
 
 
 _NAMES = {dict: "an object", list: "a list", str: "a string"}
+_INT = {int}
 
 
 def _need(doc: dict, key: str, where: str, kind: type | None = None) -> Any:
@@ -42,7 +45,7 @@ def is_int(v: Any) -> bool:
 
 
 def _ints(value: Any, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(is_int(v) for v in value):
+    if not isinstance(value, list) or not _INT.issuperset(map(type, value)):
         raise SchemaError(f"{where}: expected a list of integers")
     return tuple(value)
 
@@ -128,14 +131,18 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
     for x in objects:
         if x not in identities:
             raise SchemaError(f"{where}.identities: object {x!r} has no identity")
+    dom, cod = base.dom, base.cod
     for (g, f), h in compose.items():
-        if not {g, f, h} <= base.dom.keys():
+        if g not in dom or f not in dom or h not in dom:
             raise SchemaError(f"{where}.compose[{g + ';' + f!r}]: names an undeclared morphism")
-        if base.cod[f] != base.dom[g] or (base.dom[h], base.cod[h]) != (base.dom[f], base.cod[g]):
+        if cod[f] != dom[g] or dom[h] != dom[f] or cod[h] != cod[g]:
             raise SchemaError(f"{where}.compose[{g + ';' + f!r}]: {h!r} is not a composite of {g!r} after {f!r}")
-    for g, f in base.composable_pairs():
-        if (g, f) not in compose:
-            raise SchemaError(f"{where}.compose: {g!r} after {f!r} is undefined")
+    # Every entry is now at a distinct composable pair, so all of them are
+    # defined exactly when there are as many entries as pairs.
+    if len(compose) != sum(len(i) * len(o) for i, o in zip(base.by_target, base.by_source)):
+        for g, f in base.composable_pairs():
+            if (g, f) not in compose:
+                raise SchemaError(f"{where}.compose: {g!r} after {f!r} is undefined")
     fibres_doc = _need(doc, "fibres", where, dict)
     fibres = {}
     for x in objects:
@@ -242,14 +249,20 @@ def partition_from_dict(doc: dict, where: str = "partition") -> Partition:
 # -- files ----------------------------------------------------------------------
 
 
-def load_json(path: str) -> dict:
+def load_json(path: str, digests: dict[str, str] | None = None) -> Any:
+    """The JSON document in the file at ``path``, read once; its sha256,
+    as ``"sha256:<hex>"``, goes into ``digests[path]`` when given."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise SchemaError(f"{path}: no such file") from None
     except OSError as exc:
         raise SchemaError(f"{path}: {exc.strerror}") from None
+    if digests is not None:
+        digests[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+    try:
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
     except UnicodeDecodeError:
@@ -258,5 +271,81 @@ def load_json(path: str) -> dict:
 
 def dump_json(doc: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.writelines(_chunks(doc, "\n"))
         fh.write("\n")
+
+
+# How each scalar type is written, for exact types only: a subclass (an
+# IntEnum, a str subclass) is written by the stdlib, which knows its rules.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+}
+
+# Entries of a string-to-string object joined into one chunk.
+_BLOCK = 1024
+
+
+def dumps(doc: Any) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, character for
+    character, for a tree of JSON values (a cycle raises RecursionError).
+
+    The stdlib encoder runs in pure Python whenever it indents, one call
+    per token; here a list of scalars of one type, or a run of string
+    values, is written with one ``join``. Floats, non-string keys and
+    subclasses go to the stdlib, re-indented to their depth."""
+    return "".join(_chunks(doc, "\n"))
+
+
+def _chunks(o: Any, nl: str) -> Iterator[str]:
+    """The text of ``o`` at the depth whose newline and indent is ``nl``,
+    in pieces: :func:`dump_json` writes them as they come, so a large
+    document is never held as one string."""
+    t = type(o)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        yield scalar(o)
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    if t is list or t is tuple:
+        if not o:
+            yield "[]"
+            return
+        types = set(map(type, o))
+        scalar = _SCALARS.get(types.pop()) if len(types) == 1 else None
+        if scalar is not None:
+            yield "[" + inner + sep.join(map(scalar, o)) + nl + "]"
+            return
+        prefix = "[" + inner
+        for v in o:
+            yield prefix
+            yield from _chunks(v, inner)
+            prefix = sep
+        yield nl + "]"
+    elif t is dict and set(map(type, o)) <= {str}:
+        if not o:
+            yield "{}"
+            return
+        keys = sorted(o)
+        prefix = "{" + inner
+        if set(map(type, o.values())) == {str}:
+            for i in range(0, len(keys), _BLOCK):
+                block = keys[i:i + _BLOCK]
+                values = map(encode_basestring_ascii, map(o.__getitem__, block))
+                yield prefix + sep.join(map(": ".join, zip(map(encode_basestring_ascii, block), values)))
+                prefix = sep
+        else:
+            for k in keys:
+                yield prefix + encode_basestring_ascii(k) + ": "
+                yield from _chunks(o[k], inner)
+                prefix = sep
+        yield nl + "}"
+    else:
+        yield _fallback(o, nl)
+
+
+def _fallback(o: Any, nl: str) -> str:
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", nl)
