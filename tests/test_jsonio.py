@@ -5,17 +5,23 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formkit.cli import main
+from formkit import jsonio
 from formkit.groups import symmetric3
 from formkit.jsonio import (
     SchemaError,
+    dump_json,
+    dumps,
     form_from_dict,
     form_to_dict,
     group_from_dict,
     group_to_dict,
     lattice_from_dict,
     lattice_to_dict,
+    load_json,
     operator_from_dict,
     operator_to_dict,
     order_from_dict,
@@ -237,3 +243,96 @@ def test_report_bytes_are_pinned():
     assert result.exit_code == 1
     digest = "796adce2a4d5c966c8b7138761b846b6e94bf8428e62599e21dafe7c3e115695"
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+# -- the indent-2 encoder --------------------------------------------------------
+
+TEXT = st.text(st.characters(exclude_categories=()), max_size=8)  # non-ASCII, controls, lone surrogates
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+KEYS = TEXT | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
+# Runs of one scalar type, the encoder's joined fast path.
+RUNS = st.lists(st.integers()) | st.lists(st.booleans()) | st.lists(TEXT) | st.dictionaries(TEXT, TEXT)
+TREES = st.recursive(
+    SCALARS | RUNS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=4)
+        | st.dictionaries(KEYS, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+def _stdlib(doc):
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True)
+    except TypeError as exc:  # keys of mixed types do not sort
+        return exc.__class__
+
+
+def _ours(doc):
+    try:
+        return dumps(doc)
+    except TypeError as exc:
+        return exc.__class__
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_dumps_is_the_stdlib_encoder(doc):
+    assert _ours(doc) == _stdlib(doc)
+
+
+def test_dumps_joins_long_runs_in_blocks():
+    doc = {"compose": {f"k{i};k{i % 7}": f"v{i}é" for i in range(2500)}, "empty": [{}, [], ()]}
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Every value that reaches the stdlib encoder, while the test runs."""
+    seen = []
+    stdlib = jsonio._fallback
+    monkeypatch.setattr(jsonio, "_fallback", lambda o, nl: seen.append(o) or stdlib(o, nl))
+    return seen
+
+
+@pytest.mark.parametrize("name", ["top12", "grp8", "quot123"])
+def test_form_documents_skip_the_stdlib_encoder(name, request, fallbacks, tmp_path):
+    doc = form_to_dict(request.getfixturevalue(name).form)
+    dump_json(doc, str(tmp_path / "form.json"))
+    assert fallbacks == []
+    assert (tmp_path / "form.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_reports_skip_the_stdlib_encoder(fallbacks):
+    result = CliRunner().invoke(main, ["check-theorems", "--instance", "quot", "--sizes", "1,2,3,4"])
+    assert result.exit_code == 1
+    assert fallbacks == []
+
+
+# -- reading files -----------------------------------------------------------------
+
+
+def test_load_json_reads_and_digests_once(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"a": [1, 2]}\n')
+    digests = {}
+    assert load_json(str(path), digests) == {"a": [1, 2]}
+    assert digests == {str(path): "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "no such file"),
+    (b"\xff\xfe{}", "not UTF-8 text"),
+    (b'{\n  "a": nope}', "2:8: invalid JSON"),
+])
+def test_load_json_errors_are_located(content, message, tmp_path):
+    path = tmp_path / "doc.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SchemaError) as exc:
+        load_json(str(path))
+    sep = ":" if message[0].isdigit() else ": "
+    assert str(exc.value) == f"{path}{sep}{message}"
