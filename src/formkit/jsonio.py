@@ -252,6 +252,15 @@ def partition_from_dict(doc: dict, where: str = "partition") -> Partition:
 def load_json(path: str, digests: dict[str, str] | None = None) -> Any:
     """The JSON document in the file at ``path``, read once; its sha256,
     as ``"sha256:<hex>"``, goes into ``digests[path]`` when given."""
+    text = _read_text(path, digests)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
+
+
+def _read_text(path: str, digests: dict[str, str] | None) -> str:
+    """The file's UTF-8 text; its bytes are gone before the parse."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -262,9 +271,7 @@ def load_json(path: str, digests: dict[str, str] | None = None) -> Any:
     if digests is not None:
         digests[path] = "sha256:" + hashlib.sha256(data).hexdigest()
     try:
-        return json.loads(data.decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
+        return data.decode("utf-8")
     except UnicodeDecodeError:
         raise SchemaError(f"{path}: not UTF-8 text") from None
 
