@@ -178,6 +178,24 @@ def test_thickness_examples(top12):
     assert not form.is_thick("2pt->2pt:0.0")
 
 
+def test_name_keyed_composition_matches_the_callable():
+    """A mapping's composites land where the callable puts them; an entry
+    at a pair that does not compose, or naming no morphism, stays -1."""
+    base = arrow_form([0, 2]).base
+    table = dict(base.compose_table)
+    table[("idX", "f")] = "f"  # f then idX: not composable
+    table[("idY", "idY")] = "ghost"
+    table[("ghost", "f")] = "f"
+    del table[("idX", "idX")]
+    named = CategoryPresentation(base.objects, base.homs, table, base.identities)
+    ids, n = base.ids, len(base.names)
+    expected = list(base.comp)
+    expected[ids["idY"] * n + ids["idY"]] = -1
+    expected[ids["idX"] * n + ids["idX"]] = -1
+    assert named.comp == expected
+    assert named.comp[ids["idX"] * n + ids["f"]] == -1
+
+
 def test_base_category_verify_catches_bad_associativity():
     base = CategoryPresentation(
         ["X"],

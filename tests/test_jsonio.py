@@ -146,6 +146,15 @@ def test_compose_errors_are_pinned(defect, top12):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("entry", [True, 1.0, "1"])
+def test_push_tables_hold_only_integers(entry, top12):
+    doc = form_to_dict(top12.form)
+    doc["push"] = dict(doc["push"], **{ID1: [entry]})
+    with pytest.raises(SchemaError) as exc:
+        form_from_dict(doc)
+    assert str(exc.value) == f"form.push[{ID1}]: expected a list of integers"
+
+
 def test_order_roundtrip(top12):
     order = leq_order(top12.form)
     doc = order_to_dict(order, form_id="top[1,2]")
@@ -278,7 +287,7 @@ def _ours(doc):
         return exc.__class__
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(TREES)
 def test_dumps_is_the_stdlib_encoder(doc):
     assert _ours(doc) == _stdlib(doc)
