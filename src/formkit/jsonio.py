@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator
+from operator import itemgetter
+from typing import Any, Callable, Iterator
 
 from .forms import CategoryPresentation, FormInstance
 from .groups import FiniteGroup
@@ -290,6 +291,8 @@ _SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda v: "null",
 }
+_STR = {str}
+_DICT = {dict}
 
 # Entries of a string-to-string object joined into one chunk.
 _BLOCK = 1024
@@ -300,9 +303,11 @@ def dumps(doc: Any) -> str:
     character, for a tree of JSON values (a cycle raises RecursionError).
 
     The stdlib encoder runs in pure Python whenever it indents, one call
-    per token; here a list of scalars of one type, or a run of string
-    values, is written with one ``join``. Floats, non-string keys and
-    subclasses go to the stdlib, re-indented to their depth."""
+    per token. Here each run of like values is written by one ``join``:
+    a list of scalars of one type, an object's string values, and a list
+    of objects that share their keys (a report's violations), column by
+    column. Floats, non-string keys and subclasses go to the stdlib,
+    re-indented to their depth."""
     return "".join(_chunks(doc, "\n"))
 
 
@@ -310,35 +315,32 @@ def _chunks(o: Any, nl: str) -> Iterator[str]:
     """The text of ``o`` at the depth whose newline and indent is ``nl``,
     in pieces: :func:`dump_json` writes them as they come, so a large
     document is never held as one string."""
-    t = type(o)
-    scalar = _SCALARS.get(t)
-    if scalar is not None:
-        yield scalar(o)
+    text = _flat(o, nl)
+    if text is not None:
+        yield text
         return
+    t = type(o)
     inner = nl + "  "
     sep = "," + inner
     if t is list or t is tuple:
-        if not o:
-            yield "[]"
-            return
-        types = set(map(type, o))
-        scalar = _SCALARS.get(types.pop()) if len(types) == 1 else None
-        if scalar is not None:
-            yield "[" + inner + sep.join(map(scalar, o)) + nl + "]"
+        records = _records(o, inner)
+        if records is not None:
+            yield "[" + inner + sep.join(records) + nl + "]"
             return
         prefix = "[" + inner
         for v in o:
-            yield prefix
-            yield from _chunks(v, inner)
+            text = _flat(v, inner)
+            if text is None:
+                yield prefix
+                yield from _chunks(v, inner)
+            else:
+                yield prefix + text
             prefix = sep
         yield nl + "]"
-    elif t is dict and set(map(type, o)) <= {str}:
-        if not o:
-            yield "{}"
-            return
+    elif t is dict and _STR.issuperset(map(type, o)):
         keys = sorted(o)
         prefix = "{" + inner
-        if set(map(type, o.values())) == {str}:
+        if _STR.issuperset(map(type, o.values())):
             for i in range(0, len(keys), _BLOCK):
                 block = keys[i:i + _BLOCK]
                 values = map(encode_basestring_ascii, map(o.__getitem__, block))
@@ -346,12 +348,71 @@ def _chunks(o: Any, nl: str) -> Iterator[str]:
                 prefix = sep
         else:
             for k in keys:
-                yield prefix + encode_basestring_ascii(k) + ": "
-                yield from _chunks(o[k], inner)
+                v = o[k]
+                text = _flat(v, inner)
+                if text is None:
+                    yield prefix + encode_basestring_ascii(k) + ": "
+                    yield from _chunks(v, inner)
+                else:
+                    yield prefix + encode_basestring_ascii(k) + ": " + text
                 prefix = sep
         yield nl + "}"
     else:
         yield _fallback(o, nl)
+
+
+def _flat(o: Any, nl: str) -> str | None:
+    """The text of ``o`` if it is a scalar, an empty list or object, or a
+    list of scalars of one type; None otherwise."""
+    t = type(o)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        return scalar(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        scalar = _one_scalar(o)
+        if scalar is not None:
+            inner = nl + "  "
+            return "[" + inner + ("," + inner).join(map(scalar, o)) + nl + "]"
+    elif t is dict and not o:
+        return "{}"
+    return None
+
+
+def _records(rows: list | tuple, nl: str) -> Iterator[str] | None:
+    """The texts of ``rows`` if they are objects with the same string keys
+    and :func:`_flat` values, filled into one template; None otherwise."""
+    if set(map(type, rows)) != _DICT or len(set(map(frozenset, rows))) != 1:
+        return None
+    keys = sorted(rows[0])
+    if not keys or not _STR.issuperset(map(type, keys)):
+        return None
+    inner = nl + "  "
+    columns = []
+    for k in keys:
+        texts = _column(list(map(itemgetter(k), rows)), inner)
+        if texts is None:
+            return None
+        columns.append(texts)
+    members = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{" + inner + ("," + inner).join(members) + nl + "}"
+    return map(template.__mod__, zip(*columns))
+
+
+def _column(values: list, nl: str) -> list[str] | None:
+    """The texts of ``values`` if each is :func:`_flat`; None otherwise."""
+    scalar = _one_scalar(values)
+    if scalar is not None:
+        return list(map(scalar, values))
+    texts = [_flat(v, nl) for v in values]
+    return None if None in texts else texts
+
+
+def _one_scalar(values: list | tuple) -> Callable[[Any], str] | None:
+    """The writer of ``values`` if they are scalars of one type."""
+    types = set(map(type, values))
+    return _SCALARS.get(types.pop()) if len(types) == 1 else None
 
 
 def _fallback(o: Any, nl: str) -> str:

@@ -259,10 +259,13 @@ def test_report_bytes_are_pinned():
 TEXT = st.text(st.characters(exclude_categories=()), max_size=8)  # non-ASCII, controls, lone surrogates
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
 KEYS = TEXT | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
-# Runs of one scalar type, the encoder's joined fast path.
+# Runs of like values, the encoder's joined fast paths.
 RUNS = st.lists(st.integers()) | st.lists(st.booleans()) | st.lists(TEXT) | st.dictionaries(TEXT, TEXT)
+RECORDS = st.lists(KEYS, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({k: SCALARS | RUNS | st.just([]) for k in keys}), min_size=1, max_size=4)
+)
 TREES = st.recursive(
-    SCALARS | RUNS,
+    SCALARS | RUNS | RECORDS,
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
@@ -294,7 +297,13 @@ def test_dumps_is_the_stdlib_encoder(doc):
 
 
 def test_dumps_joins_long_runs_in_blocks():
-    doc = {"compose": {f"k{i};k{i % 7}": f"v{i}é" for i in range(2500)}, "empty": [{}, [], ()]}
+    doc = {
+        "compose": {f"k{i};k{i % 7}": f"v{i}é" for i in range(2500)},
+        "empty": [{}, [], ()],
+        "records": [{"%s": i, "b%": [i] * (i % 3), "c": {} if i % 2 else "x"} for i in range(40)],
+        "not records": [{"a": 1}, {"b": 1}, {"a": [[1]]}],
+        "int keys": [{1: "a", 2: [3]}, {1: "b", 2: []}],
+    }
     assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
