@@ -1,6 +1,8 @@
 """Group instance: subgroup enumeration against the subset-filter oracle,
 hom enumeration both routes, transfer maps, the normal-interval order."""
 
+import hashlib
+import json
 from itertools import permutations, product
 
 import pytest
@@ -42,6 +44,33 @@ def test_corpus_tables_are_groups():
     for g in standard_corpus(8):
         assert g.verify().ok, g.name
         assert g.table[0] == tuple(range(g.n))
+
+
+# sha256 of json.dumps(g.table) for each group of standard_corpus(12),
+# recorded when V4, S3, D4 and Q8 were each built their own way (XOR rule,
+# all permutations, a closure, a table of signed units).
+CORPUS_TABLE_DIGESTS = {
+    "Z1": "db407f11d7ede59abaab0e98e097ff2dae10a048207b801745d7199ef19c2387",
+    "Z2": "c1b92cfd1182059c03f2934cec0ee71e1df9f08ff9f53dec0f3e468e62a0626c",
+    "Z3": "17d0eee91e6333e1187ad1a09da05518b40b225dd366ee32342d785c61a3eea4",
+    "Z4": "817530d43b21cd6b4da2490d0eff0e80139ee482e7ada0fcf951bad11fe0fbf2",
+    "Z5": "5e0a80ad1110516e0dde1c48f11cffc6d8f606455ddf4505a7b77a4a0bef7de2",
+    "Z6": "0c9f2a2b544b8808c85cde07de907b677871d08753017e06dd603e9375892293",
+    "Z7": "52360c657a054a64b8a211f634f7bdd49189a129e1bc55407dc9eb444e320721",
+    "Z8": "adacb0a8e923ba193275373de2aeff6dda59d2f51852a04c36e4f392f44eba9c",
+    "V4": "90b5779b7e261488f04c79165fc22dd6b6c6ce01003a762f5efc6173099b54b4",
+    "S3": "d306f7f3933e7339e6cfd86bc9d637c347c4fd56cdc2c0627eb667787b141aac",
+    "D4": "61c58e7c78ea86cb894105febc0fe02cba184308f84fcaccbedbf877fc10bcb6",
+    "Q8": "d9860ecae8b0c6b0ab97fd993d3aa65f9a766406ac51c91074d0f8ca2542d0f2",
+}
+
+
+def test_corpus_tables_are_pinned():
+    got = {
+        g.name: hashlib.sha256(json.dumps(g.table).encode()).hexdigest()
+        for g in standard_corpus(12)
+    }
+    assert got == CORPUS_TABLE_DIGESTS
 
 
 def test_verify_counts_triples_up_to_the_first_failure():

@@ -1,6 +1,8 @@
 """Topology instance: enumeration against the naive filter oracle,
 initial/final transfer, theta/b operators and orders."""
 
+import hashlib
+import json
 import tracemalloc
 from itertools import combinations
 
@@ -186,6 +188,31 @@ def test_b_order_tables():
         assert (rows[i_disc] >> j) & 1
     assert (rows[i_sier] >> i_ind) & 1
     assert not (rows[i_ind] >> i_sier) & 1
+
+
+# sha256 of json.dumps(rows) for the theta and b relations on n points,
+# recorded when theta_topology and b_topology were separate loops. The two
+# relations agree for every n here.
+RELATION_DIGESTS = {
+    (name, n): digest
+    for name in ("theta", "b")
+    for n, digest in enumerate([
+        "080a9ed428559ef602668b4c00f114f1a11c3f6b02a435f0bdc154578e4d7f22",
+        "080a9ed428559ef602668b4c00f114f1a11c3f6b02a435f0bdc154578e4d7f22",
+        "aed47a326e32665d8289375e2a7fbed09b7c09ec7cc6922649760a955c32a933",
+        "755223289d592ea8b0900c580b0c07dc2b72b054e82fa86cc90b872acbe6dd64",
+        "fe3286323b4432a6c8402ba5dcbc388c8e6124356051197cbbc450cf73aebc10",
+    ])
+}
+
+
+def test_theta_and_b_relations_are_pinned():
+    relation = {"theta": theta_relation, "b": b_relation}
+    got = {
+        (name, n): hashlib.sha256(json.dumps(relation[name](n)).encode()).hexdigest()
+        for name, n in RELATION_DIGESTS
+    }
+    assert got == RELATION_DIGESTS
 
 
 def test_orders_verify_and_classify(top123, theta123, b123):
