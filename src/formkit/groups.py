@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .forms import FormInstance
 from .lattice import FiniteLattice, MonotoneMap, bits
 from .report import Report
-from .setmaps import concrete_category, distinct_names
+from .setmaps import SetFunction, concrete_category, distinct_names
 from .topogenous import TopogenousOrder
 
 MAX_GROUP_ORDER = 24
@@ -76,71 +76,46 @@ def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup([[(a + b) % n for b in range(n)] for a in range(n)], f"Z{n}")
 
 
-def klein_four() -> FiniteGroup:
-    # pairs over Z2 x Z2, index = 2*a + b
-    def op(x, y):
-        return 2 * ((x // 2) ^ (y // 2)) + ((x % 2) ^ (y % 2))
-
-    return FiniteGroup([[op(a, b) for b in range(4)] for a in range(4)], "V4")
-
-
-def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    perms = sorted(set(perms))
-    idx = {p: i for i, p in enumerate(perms)}
-    table = [
-        [idx[tuple(p[q[i]] for i in range(len(q)))] for q in perms]
-        for p in perms
-    ]
-    return FiniteGroup(table, name)
-
-
-def symmetric3() -> FiniteGroup:
-    from itertools import permutations
-
-    return _perm_group([tuple(p) for p in permutations(range(3))], "S3")
-
-
-def dihedral4() -> FiniteGroup:
-    # symmetries of the square as permutations of its corners
-    r = (1, 2, 3, 0)
-    s = (0, 3, 2, 1)
-    elems = {(0, 1, 2, 3)}
-    frontier = [(0, 1, 2, 3)]
+def _perm_group(generators: Sequence[tuple[int, ...]], name: str) -> FiniteGroup:
+    """The group of permutations the generators generate, its elements in
+    sorted order (the identity first) and p·q the permutation p after q."""
+    identity = tuple(range(len(generators[0])))
+    elems = {identity}
+    frontier = [identity]
     while frontier:
         p = frontier.pop()
-        for g in (r, s):
-            q = tuple(g[p[i]] for i in range(4))
+        for g in generators:
+            q = tuple(g[i] for i in p)
             if q not in elems:
                 elems.add(q)
                 frontier.append(q)
-    return _perm_group(list(elems), "D4")
+    perms = sorted(elems)
+    idx = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup([[idx[tuple(p[i] for i in q)] for q in perms] for p in perms], name)
+
+
+def klein_four() -> FiniteGroup:
+    # the translations of Z2 x Z2, element 2a + b
+    return _perm_group([(1, 0, 3, 2), (2, 3, 0, 1)], "V4")
+
+
+def symmetric3() -> FiniteGroup:
+    return _perm_group([(1, 0, 2), (1, 2, 0)], "S3")
+
+
+def dihedral4() -> FiniteGroup:
+    # the rotation and a reflection of the square, on its corners
+    return _perm_group([(1, 2, 3, 0), (0, 3, 2, 1)], "D4")
 
 
 def quaternion8() -> FiniteGroup:
-    # elements 1,-1,i,-i,j,-j,k,-k encoded as (unit, sign) with unit in 1,i,j,k
-    units = "1ijk"
-    mul = {
-        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
-        ("i", "1"): ("i", 1), ("j", "1"): ("j", 1), ("k", "1"): ("k", 1),
-        ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
-        ("i", "j"): ("k", 1), ("j", "k"): ("i", 1), ("k", "i"): ("j", 1),
-        ("j", "i"): ("k", -1), ("k", "j"): ("i", -1), ("i", "k"): ("j", -1),
-    }
-
-    def idx(unit: str, sign: int) -> int:
-        return 2 * units.index(unit) + (0 if sign == 1 else 1)
-
-    def op(a: int, b: int) -> int:
-        ua, sa = units[a // 2], 1 if a % 2 == 0 else -1
-        ub, sb = units[b // 2], 1 if b % 2 == 0 else -1
-        uc, sc = mul[(ua, ub)]
-        return idx(uc, sa * sb * sc)
-
-    return FiniteGroup([[op(a, b) for b in range(8)] for a in range(8)], "Q8")
+    # left multiplication by i and by j on 1, -1, i, -i, j, -j, k, -k
+    return _perm_group([(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)], "Q8")
 
 
 def standard_corpus(max_order: int = 8) -> list[FiniteGroup]:
-    """The built-in corpus: cyclics Z1..Z8, V4, S3, D4, Q8 up to max_order."""
+    """The built-in corpus up to max_order: cyclics Z1..Z8, and V4, S3, D4,
+    Q8 as permutation groups generated by two permutations."""
     groups = [cyclic(n) for n in range(1, 9)]
     groups += [klein_four(), symmetric3(), dihedral4(), quaternion8()]
     return [g for g in groups if g.n <= max_order]
@@ -245,8 +220,15 @@ class GroupHom:
     target: FiniteGroup
     table: tuple[int, ...]
 
-    def __call__(self, a: int) -> int:
-        return self.table[a]
+    # SetFunction's value-table methods read only table and cod_size
+    @property
+    def cod_size(self) -> int:
+        return self.target.n
+
+    __call__ = SetFunction.__call__
+    image_mask = SetFunction.image_mask
+    preimage_mask = SetFunction.preimage_mask
+    is_surjective = SetFunction.is_surjective
 
     def is_hom(self) -> bool:
         return all(
@@ -254,31 +236,6 @@ class GroupHom:
             for a in range(self.source.n)
             for b in range(self.source.n)
         )
-
-    def image_mask(self, mask: int) -> int:
-        out = 0
-        for a in bits(mask):
-            out |= 1 << self.table[a]
-        return out
-
-    def preimage_mask(self, mask: int) -> int:
-        out = 0
-        for a, v in enumerate(self.table):
-            if (mask >> v) & 1:
-                out |= 1 << a
-        return out
-
-    def is_surjective(self) -> bool:
-        return len(set(self.table)) == self.target.n
-
-
-def image_subgroup(h: GroupHom, mask: int) -> int:
-    """h of a subgroup is a subgroup; no closing needed."""
-    return h.image_mask(mask)
-
-
-def preimage_subgroup(h: GroupHom, mask: int) -> int:
-    return h.preimage_mask(mask)
 
 
 def generating_sequence(g: FiniteGroup) -> list[int]:

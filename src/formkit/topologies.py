@@ -14,7 +14,7 @@ from itertools import compress
 from typing import Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, MonotoneMap
+from .lattice import FiniteLattice, MonotoneMap, bits
 from .report import InputError
 from .setmaps import SetFunction, function_category
 from .topogenous import TopogenousOrder
@@ -133,54 +133,37 @@ def initial_topology(f: SetFunction, t: FiniteTopology) -> FiniteTopology:
     return FiniteTopology(f.dom_size, frozenset(f.preimage_mask(v) for v in t.opens))
 
 
+def _neighbourhood_topology(t: FiniteTopology, pairs) -> FiniteTopology:
+    """The sets A in which every point x has a pair (p, q) among ``pairs``
+    with x in p and q inside A.
+
+    The theta- and b-topologies are this rule with their own pairs. The
+    family is closed under unions, and under intersections because both
+    pair sets are closed under pointwise intersection: a topology."""
+    pairs = set(pairs)
+    return FiniteTopology(t.n, frozenset(
+        a for a in range(1 << t.n)
+        if all(any((p >> x) & 1 and not q & ~a for p, q in pairs) for x in bits(a))
+    ))
+
+
 def theta_topology(t: FiniteTopology) -> FiniteTopology:
     """Sets in which every point has a closed neighbourhood inside the set.
 
     A is kept iff each x in A admits open O and closed U with
-    x in O, O within U, U within A. The family is union- and
-    intersection-closed (witnesses intersect/unite pointwise), hence a
-    topology, and it is always coarser than t.
+    x in O, O within U, U within A: the pairs (O, U). It is always coarser
+    than t.
     """
     closed = t.closed_sets()
-    opens = set()
-    for a in range(1 << t.n):
-        ok = True
-        for x in range(t.n):
-            if not (a >> x) & 1:
-                continue
-            if not any(
-                (o >> x) & 1 and not (o & ~u) and not (u & ~a)
-                for o in t.opens
-                for u in closed
-            ):
-                ok = False
-                break
-        if ok:
-            opens.add(a)
-    return FiniteTopology(t.n, frozenset(opens))
+    return _neighbourhood_topology(t, ((o, u) for o in t.opens for u in closed if not o & ~u))
 
 
 def b_topology(t: FiniteTopology) -> FiniteTopology:
     """Sets in which every point has a locally closed neighbourhood inside
-    the set: x in O & F within A with O open and F closed. Always finer
-    than t."""
+    the set: x in O & F within A with O open and F closed, the pairs
+    (O & F, O & F). Always finer than t."""
     closed = t.closed_sets()
-    opens = set()
-    for a in range(1 << t.n):
-        ok = True
-        for x in range(t.n):
-            if not (a >> x) & 1:
-                continue
-            if not any(
-                ((o & fc) >> x) & 1 and not (o & fc & ~a)
-                for o in t.opens
-                for fc in closed
-            ):
-                ok = False
-                break
-        if ok:
-            opens.add(a)
-    return FiniteTopology(t.n, frozenset(opens))
+    return _neighbourhood_topology(t, ((o & f, o & f) for o in t.opens for f in closed))
 
 
 def is_clopen_map(f: SetFunction, t_dom: FiniteTopology, t_cod: FiniteTopology) -> bool:
