@@ -202,6 +202,8 @@ def recipe_from_flags(
     """The recipe the input flags describe: an instance with a named order
     or an order file, or a form file with an order file or the leq order.
     Witnesses carry it, so replay rebuilds the same inputs."""
+    if instance is not None and form_path is not None:
+        fail_usage("--form and --instance both name the form; pass only one of them")
     if instance is not None:
         recipe = instance_recipe(instance, sizes, corpus, max_order)
         if order_path is not None:

@@ -29,6 +29,7 @@ class SchemaError(InputError):
 
 _NAMES = {dict: "an object", list: "a list", str: "a string"}
 _INT = {int}
+_BOOL = {bool}
 
 
 def _need(doc: dict, key: str, where: str, kind: type | None = None) -> Any:
@@ -49,6 +50,15 @@ def _ints(value: Any, where: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not _INT.issuperset(map(type, value)):
         raise SchemaError(f"{where}: expected a list of integers")
     return tuple(value)
+
+
+def _bool_rows(rows: list, n: int, where: str) -> None:
+    """Check that every row is a list of ``n`` booleans."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"{where}[{i}]: expected {n} entries")
+        if not _BOOL.issuperset(map(type, row)):
+            raise SchemaError(f"{where}[{i}]: expected booleans")
 
 
 def _strs(value: Any, where: str) -> list[str]:
@@ -74,13 +84,11 @@ def lattice_from_dict(doc: dict, where: str = "lattice") -> FiniteLattice:
     leq = _need(doc, "leq", where)
     if not isinstance(leq, list) or len(leq) != size:
         raise SchemaError(f"{where}.leq: expected {size} rows")
-    for i, row in enumerate(leq):
-        if not isinstance(row, list) or len(row) != size:
-            raise SchemaError(f"{where}.leq[{i}]: expected {size} entries")
+    _bool_rows(leq, size, f"{where}.leq")
     labels = doc.get("labels")
     if labels is not None and len(_strs(labels, f"{where}.labels")) != size:
         raise SchemaError(f"{where}.labels: expected {size} names")
-    return FiniteLattice([[bool(v) for v in row] for row in leq], labels)
+    return FiniteLattice(leq, labels)
 
 
 # -- form ---------------------------------------------------------------------
@@ -186,9 +194,7 @@ def order_from_dict(doc: dict, where: str = "order") -> TopogenousOrder:
         if not isinstance(rows, list):
             raise SchemaError(f"{where}.rel[{x}]: expected a list of rows")
         n = len(rows)
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
-                raise SchemaError(f"{where}.rel[{x}][{i}]: expected {n} entries")
+        _bool_rows(rows, n, f"{where}.rel[{x}]")
         rel[x] = tuple(
             sum(1 << b for b in range(n) if rows[a][b]) for a in range(n)
         )
@@ -226,11 +232,16 @@ def group_to_dict(g: FiniteGroup) -> dict:
 
 def group_from_dict(doc: dict, where: str = "group") -> FiniteGroup:
     order = _need(doc, "order", where)
+    if not is_int(order):
+        raise SchemaError(f"{where}.order: expected an integer")
+    name = doc.get("name", "G")
+    if not isinstance(name, str):
+        raise SchemaError(f"{where}.name: expected a string")
     cayley = [_ints(row, f"{where}.cayley[{i}]") for i, row in enumerate(_need(doc, "cayley", where, list))]
     if len(cayley) != order:
         raise SchemaError(f"{where}.cayley: expected {order} rows")
     try:
-        return FiniteGroup(cayley, doc.get("name", "G"))
+        return FiniteGroup(cayley, name)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

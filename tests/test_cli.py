@@ -173,7 +173,7 @@ def _with(doc, path, *value):
 
 
 def _good(paths, key):
-    return json.load(open(paths[key]))
+    return json.loads(Path(paths[key]).read_text())
 
 
 MALFORMED = {
@@ -198,6 +198,25 @@ MALFORMED = {
         "--operator", _write(t, {"map": {"2pt": [9, 9, 9, 9]}}),
     ],
     "witness-is-a-list": lambda t, p: ["replay", _write(t, [1, 2])],
+    "lattice-non-bool-entries": lambda t, p: [
+        "verify", "lattice", "--file", _write(t, {"size": 2, "leq": [["yes", "no"], [0, "true"]]}),
+    ],
+    "order-string-entry": lambda t, p: [
+        "verify", "order", "--form", p["form"],
+        "--order", _write(t, _with(_good(p, "order"), ("rel", "2pt", 1, 0), "false")),
+    ],
+    "group-string-order": lambda t, p: [
+        "enumerate", "subgroups", "--file", _write(t, {"order": "2", "cayley": [[0, 1], [1, 0]]}),
+    ],
+    "group-list-name": lambda t, p: [
+        "enumerate", "subgroups", "--file", _write(t, {"order": 2, "cayley": [[0, 1], [1, 0]], "name": ["Z2"]}),
+    ],
+    "check-theorems-form-and-instance": lambda t, p: [
+        "check-theorems", "--form", p["form"], "--instance", "quot", "--sizes", "1",
+    ],
+    "classify-form-and-instance": lambda t, p: [
+        "classify", "--form", p["form"], "--instance", "quot", "--sizes", "1",
+    ],
     "instance-top-over-cap": lambda t, p: ["instance", "top", "--sizes", "5"],
     "instance-quot-over-cap": lambda t, p: ["instance", "quot", "--sizes", "6"],
     "derive-theta-over-cap": lambda t, p: ["derive", "theta", "--n", "9"],
@@ -214,6 +233,12 @@ MALFORMED_WHERE = {
     "order-extra-object": "'ghost'",
     "order-from-closure-out-of-range": "'2pt'",
     "witness-is-a-list": "bad.json",
+    "lattice-non-bool-entries": "leq[0]: expected booleans",
+    "order-string-entry": "rel[2pt][1]: expected booleans",
+    "group-string-order": "order: expected an integer",
+    "group-list-name": "name: expected a string",
+    "check-theorems-form-and-instance": "--form and --instance",
+    "classify-form-and-instance": "--form and --instance",
     "instance-top-over-cap": "carrier size 5",
     "instance-quot-over-cap": "ground size 6",
     "derive-theta-over-cap": "between 0 and 4, got 9",
@@ -318,7 +343,7 @@ def test_derive_closure_chain(runner, tmp_path):
         ["derive", "order-from-closure", "--form", str(form_path), "--operator", str(clo_path), "--out", str(back_path)],
     )
     assert res.exit_code == 0
-    assert json.load(open(back_path))["rel"] == json.load(open(theta_path))["rel"]
+    assert json.loads(back_path.read_text())["rel"] == json.loads(theta_path.read_text())["rel"]
 
 
 def test_derive_interior_roundtrip(runner, tmp_path):
@@ -339,7 +364,7 @@ def test_derive_interior_roundtrip(runner, tmp_path):
         runner,
         ["derive", "order-from-interior", "--form", str(form_path), "--operator", str(intr_path), "--out", str(back)],
     )
-    assert json.load(open(back))["rel"] == json.load(open(b_path))["rel"]
+    assert json.loads(back.read_text())["rel"] == json.loads(b_path.read_text())["rel"]
 
 
 def test_check_theorems_instance_exit_zero(runner):

@@ -58,6 +58,8 @@ def test_lattice_schema_errors():
         lattice_from_dict({"size": 2, "leq": [[True]]})
     with pytest.raises(SchemaError):
         lattice_from_dict({"size": 1, "leq": [[True]], "labels": ["a", "b"]})
+    with pytest.raises(SchemaError, match=r"lattice.leq\[1\]: expected booleans"):
+        lattice_from_dict({"size": 2, "leq": [[True, True], [0, 1]]})
 
 
 def test_form_roundtrip(top12):
@@ -200,6 +202,8 @@ def test_group_roundtrip():
         group_from_dict({"order": 2, "cayley": [[0, 1]]})
     with pytest.raises(SchemaError):
         group_from_dict({"order": 2, "cayley": [[1, 1], [1, 1]]})
+    with pytest.raises(SchemaError, match="group.order: expected an integer"):
+        group_from_dict({"order": 2.0, "cayley": [[0, 1], [1, 0]]})
 
 
 def test_partition_roundtrip():
