@@ -60,6 +60,20 @@ def test_meet_join_empty_and_singleton():
         lat.bound("sup", (0,))
 
 
+def test_bounds_on_a_non_lattice_raise():
+    # an antichain of two: no bottom, no top, no meet or join of the pair
+    lat = FiniteLattice([[True, False], [False, True]])
+    for family in ((), (0, 1)):
+        with pytest.raises(ValueError, match=r"^no greatest lower bound; not a lattice$"):
+            lat.meet(family)
+        with pytest.raises(ValueError, match=r"^no least upper bound; not a lattice$"):
+            lat.join(family)
+    with pytest.raises(ValueError, match=r"^lattice has no top element$"):
+        lat.top
+    with pytest.raises(ValueError, match=r"^lattice has no bottom element$"):
+        lat.bottom
+
+
 def test_chain_leq_reflexive_transitive():
     lat = FiniteLattice.chain(3)
     assert lat.leq(0, 2)
@@ -170,6 +184,25 @@ def test_derived_adjoint_is_valid_and_preserves_bounds():
     assert pair.check().ok
     assert pair.left.preserves_joins()
     assert pair.right.preserves_meets()
+
+
+def test_preserving_bounds_fails_on_the_empty_bound_alone():
+    # on chains every monotone map keeps binary meets and joins
+    two, three = FiniteLattice.chain(2), FiniteLattice.chain(3)
+    raised = MonotoneMap(two, three, [1, 2])  # misses the bottom
+    assert not raised.preserves_joins() and raised.preserves_meets()
+    lowered = MonotoneMap(two, three, [0, 1])  # misses the top
+    assert not lowered.preserves_meets() and lowered.preserves_joins()
+
+
+def test_preserving_bounds_fails_on_a_binary_bound_alone():
+    # M3 onto the chain 0 < 1 < 2, every atom to 1: bottom and top are
+    # kept, but two atoms join to the top (sent to 2) and meet to the
+    # bottom (sent to 0), while their images join and meet to 1
+    squash = MonotoneMap(diamond(), FiniteLattice.chain(3), [0, 1, 1, 1, 2])
+    assert squash.is_monotone()
+    assert not squash.preserves_joins()
+    assert not squash.preserves_meets()
 
 
 def poset_downset_lattice(below):

@@ -53,6 +53,7 @@ from formkit.search import (
 )
 from formkit.topogenous import (
     Operator,
+    OrderClass,
     TopogenousOrder,
     check_T3_pull_form,
     check_T3_pull_form_dense,
@@ -376,15 +377,17 @@ def test_order_kernels_match_dense_oracles_under_corruption():
 
 
 def test_preimage_masks_match_table_scan():
+    # maps onto a random part of the target, several masks each
     rng = random.Random(SEED)
     for _ in range(200):
         n, m = rng.randint(1, 9), rng.randint(1, 9)
         source, target = FiniteLattice.chain(n), FiniteLattice.chain(m)
-        table = [rng.randrange(m) for _ in range(n)]
+        image = rng.sample(range(m), rng.randint(1, m))
+        table = [rng.choice(image) for _ in range(n)]
         fn = MonotoneMap(source, target, table)
-        for _ in range(5):
-            mask = rng.randrange(1 << m)
-            assert set(bits(fn.preimage(mask))) == {a for a in range(n) if table[a] in set(bits(mask))}
+        masks = [rng.randrange(1 << m) for _ in range(5)]
+        got = [fn.preimage(mask) for mask in masks]
+        assert got == [sum(1 << a for a in range(n) if (mask >> table[a]) & 1) for mask in masks]
 
 
 def test_morphism_kind_names_the_first_inverse_in_hom_order():
@@ -571,6 +574,29 @@ def test_classify_order_scans_fibres_that_are_not_lattices():
     assert verify_order(form, order).ok
     assert outcome_of(classify_order, form, order) == outcome_of(classify_order_dense, form, order)
     assert outcome_of(classify_order, form, order)[0] == "raises"
+
+
+def test_subset_scan_on_a_fibre_that_is_not_a_lattice(monkeypatch):
+    # the poset of the test above: {3, 4} has no meet and {1, 2} no join.
+    # The leq order meets {3, 4} first; in the second order row 0 misses
+    # the top, so it is not meet-stable, and column 2 holds 1 and 2
+    import formkit.topogenous as tp
+
+    fib = FiniteLattice.from_up_masks([0b111111, 0b111010, 0b111100, 0b101000, 0b110000, 0b100000])
+    base = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
+    same = MonotoneMap.identity(fib)
+    form = FormInstance(base, {"X": fib}, {"id": same}, {"id": same})
+    joins_missing = TopogenousOrder({"X": (0b011111, 0b000100, 0b000100, 0, 0, 0)})
+    empty = TopogenousOrder({"X": (0,) * 6})
+    for limit, exhaustive in ((12, True), (0, False)):
+        monkeypatch.setattr(tp, "EXHAUSTIVE_SUBSET_LIMIT", limit)
+        assert outcome_of(classify_order_dense, form, leq_order(form)) == (
+            "raises", "no greatest lower bound; not a lattice",
+        )
+        assert outcome_of(classify_order_dense, form, joins_missing) == (
+            "raises", "no least upper bound; not a lattice",
+        )
+        assert classify_order_dense(form, empty) == OrderClass(False, False, True, exhaustive)
 
 
 def test_derived_operators_match_scans():
