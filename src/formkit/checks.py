@@ -263,8 +263,8 @@ def _theta_clopen_per_pair(ctx: CheckContext) -> Report:
 
     Per surjection f and domain topology a, the clopen pairs are the bits
     of ``ctx.clopen[f][a]``, and the violations among them the bits also in
-    ``pull.preimage(rows_x[a])`` (b with pull(b) related to a) and outside
-    ``rows_y[push a]``."""
+    the preimage of ``rows_x[a]`` under pull (b with pull(b) related to a,
+    :meth:`MonotoneMap.preimages`) and outside ``rows_y[push a]``."""
     name = "theta-clopen-strict-per-pair"
     form, order = ctx.form, ctx.order
     rep = Report()
@@ -272,9 +272,9 @@ def _theta_clopen_per_pair(ctx: CheckContext) -> Report:
         x, y = form.base.dom[f], form.base.cod[f]
         push, pull = form.push_maps[f].table, form.pull_maps[f]
         rows_x, rows_y = order.rel[x], order.rel[y]
-        for ai, clopen in enumerate(targets):
+        for ai, (clopen, pre) in enumerate(zip(targets, pull.preimages(rows_x))):
             rep.count(name, clopen.bit_count())
-            for bi in bits(clopen & pull.preimage(rows_x[ai]) & ~rows_y[push[ai]]):
+            for bi in bits(clopen & pre & ~rows_y[push[ai]]):
                 rep.add(name, where=f, witness=(ai, bi))
     return rep
 

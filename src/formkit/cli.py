@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import NoReturn, Optional
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .checks import (
@@ -145,7 +146,7 @@ def read_file(path: str, parse, inputs: dict[str, str]):
 NAMED_ORDERS = ("leq", "theta", "b", "normal-interval")
 
 
-def named_order(name: str, form, bundle, kind: Optional[str]):
+def named_order(name: str, form, bundle, kind: Optional[str], where: str):
     if name == "leq":
         return leq_order(form)
     if (kind, name) == ("top", "theta"):
@@ -154,7 +155,7 @@ def named_order(name: str, form, bundle, kind: Optional[str]):
         return b_order(bundle)
     if (kind, name) == ("grp", "normal-interval"):
         return normal_interval_order(bundle)
-    fail_usage(f"order {name!r} is not defined for instance kind {kind!r}")
+    fail_usage(f"{where}: order {name!r} is not defined for instance kind {kind!r}")
 
 
 def parse_sizes(text: str) -> list[int]:
@@ -162,6 +163,10 @@ def parse_sizes(text: str) -> list[int]:
         return [int(s) for s in text.split(",") if s != ""]
     except ValueError:
         fail_usage(f"--sizes expects comma-separated integers, got {text!r}")
+
+
+# The input flags each instance kind does not read.
+IGNORED_FLAGS = {"grp": ("sizes",), "top": ("corpus", "max_order"), "quot": ("corpus", "max_order")}
 
 
 def instance_recipe(kind: str, sizes: Optional[str], corpus: str, max_order: int) -> dict:
@@ -182,12 +187,12 @@ def build_instance(recipe: dict, where: str):
     kind = recipe["kind"]
     if kind == "grp":
         if recipe.get("corpus", "standard") != "standard":
-            fail_usage(f"unknown corpus {recipe['corpus']!r}; only 'standard' is built in")
+            fail_usage(f"{where}: unknown corpus {recipe['corpus']!r}; only 'standard' is built in")
         return build_grp_form(standard_corpus(_field(recipe, "max_order", is_int, where, 8)))
     if kind in ("top", "quot"):
         sizes = _field(recipe, "sizes", lambda v: isinstance(v, list) and all(map(is_int, v)), where, [])
         return (build_top_form if kind == "top" else build_quot_form)(sizes or [2])
-    fail_usage(f"unknown instance kind {kind!r}")
+    fail_usage(f"{where}: unknown instance kind {kind!r}")
 
 
 def recipe_from_flags(
@@ -205,6 +210,10 @@ def recipe_from_flags(
     if instance is not None and form_path is not None:
         fail_usage("--form and --instance both name the form; pass only one of them")
     if instance is not None:
+        ctx = click.get_current_context()
+        for name in IGNORED_FLAGS[instance]:
+            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+                fail_usage(f"--{name.replace('_', '-')} does not apply to --instance {instance}")
         recipe = instance_recipe(instance, sizes, corpus, max_order)
         if order_path is not None:
             recipe["order_file"] = order_path
@@ -243,7 +252,7 @@ def load_recipe(recipe: dict, inputs: dict[str, str], where: str = "recipe") -> 
     if ("order" if inline else "order_file") in recipe:
         order = read("order", order_from_dict)
     elif "order" in recipe:
-        order = named_order(recipe["order"], form, bundle, recipe.get("kind"))
+        order = named_order(recipe["order"], form, bundle, recipe.get("kind"), where)
     if ("operator" if inline else "operator_file") in recipe:
         kind = _field(recipe, "operator_kind", lambda v: v in OPERATOR_KINDS, where)
         operator = read("operator", lambda doc, where: operator_from_dict(doc, kind, where))

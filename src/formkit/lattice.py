@@ -59,6 +59,7 @@ class FiniteLattice:
         self.size = n
         self.up = up
         self.down = tuple(columns(up))
+        self._cones = (self.down, self.up)  # by side: 0 for meets, 1 for joins
         self.labels = tuple(labels) if labels is not None else None
         self._full = (1 << n) - 1
         self._is_order: Optional[bool] = None
@@ -90,41 +91,43 @@ class FiniteLattice:
 
     @property
     def bottom(self) -> int:
-        for a in range(self.size):
-            if self.up[a] == self._full:
-                return a
-        raise ValueError("lattice has no bottom element")
+        return self._extreme(self.up, "bottom")
 
     @property
     def top(self) -> int:
-        for a in range(self.size):
-            if self.down[a] == self._full:
+        return self._extreme(self.down, "top")
+
+    def _extreme(self, cones: tuple, name: str) -> int:
+        """The first element whose cone is everything."""
+        for a, cone in enumerate(cones):
+            if cone == self._full:
                 return a
-        raise ValueError("lattice has no top element")
+        raise ValueError(f"lattice has no {name} element")
 
     def meet(self, elems: Iterable[int]) -> int:
         """Greatest lower bound; top for the empty family."""
-        common = self._full
-        for a in elems:
-            self._check(a)
-            common &= self.down[a]
-        return self._scan(common, self.down, "no greatest lower bound; not a lattice")
+        return self._bound(elems, 0)
 
     def join(self, elems: Iterable[int]) -> int:
         """Least upper bound; bottom for the empty family."""
+        return self._bound(elems, 1)
+
+    def _bound(self, elems: Iterable[int], side: int) -> int:
+        """The meet (side 0, on ``down`` masks) or the join (side 1, on
+        ``up`` masks) of ``elems``: :meth:`_scan` of the AND of their cones."""
+        cones = self._cones[side]
         common = self._full
         for a in elems:
             self._check(a)
-            common &= self.up[a]
-        return self._scan(common, self.up, "no least upper bound; not a lattice")
+            common &= cones[a]
+        return self._scan(common, side)
 
-    @staticmethod
-    def _scan(common: int, cones: tuple, missing: str) -> int:
+    def _scan(self, common: int, side: int) -> int:
         """The first c in ``common`` whose cone contains all of ``common``."""
         for c in bits(common):
-            if common & ~cones[c] == 0:
+            if common & ~self._cones[side][c] == 0:
                 return c
-        raise ValueError(missing)
+        raise ValueError(("no greatest lower bound", "no least upper bound")[side] + "; not a lattice")
 
     def meet_mask(self, mask: int) -> int:
         """:meth:`meet` of the members of ``mask``, without range checks.
@@ -137,21 +140,20 @@ class FiniteLattice:
         When the relation is not a partial order, or the lookup misses,
         :meth:`meet`'s scan runs on the same AND and returns or raises as
         :meth:`meet` does."""
-        return self._bound_mask(mask, self.down, 0, "no greatest lower bound; not a lattice")
+        return self._bound_mask(mask, 0)
 
     def join_mask(self, mask: int) -> int:
         """:meth:`join` of the members of ``mask``, the dual of
-        :meth:`meet_mask`: the AND of their ``up`` masks, looked up among
-        the elements' ``up`` masks, with :meth:`join`'s scan when the
-        relation is not a partial order or the lookup misses."""
-        return self._bound_mask(mask, self.up, 1, "no least upper bound; not a lattice")
+        :meth:`meet_mask` on ``up`` masks."""
+        return self._bound_mask(mask, 1)
 
-    def _bound_mask(self, mask: int, cones: tuple, side: int, missing: str) -> int:
+    def _bound_mask(self, mask: int, side: int) -> int:
+        cones = self._cones[side]
         common = self._full
         for b in bits(mask):
             common &= cones[b]
         out = self._cone_index()[side].get(common)
-        return self._scan(common, cones, missing) if out is None else out
+        return self._scan(common, side) if out is None else out
 
     def _cone_index(self) -> tuple[dict[int, int], dict[int, int]]:
         """(down mask -> element, up mask -> element), the lowest index
@@ -286,8 +288,6 @@ class MonotoneMap:
         self.source = source
         self.target = target
         self.table = tuple(table)
-        self._fibres: Optional[dict[int, int]] = None
-        self._image = 0
 
     def __call__(self, a: int) -> int:
         self.source._check(a)
@@ -325,22 +325,26 @@ class MonotoneMap:
                     return (a, b)
         return None
 
-    def preimage(self, mask: int) -> int:
-        """The mask of every source element the map sends into ``mask``.
+    def preimages(self, masks: Iterable[int]) -> list[int]:
+        """Per mask of ``masks``, the mask of every source element the map
+        sends into it.
 
-        The fibres ``{a : table[a] = v}`` are built once per map, as masks;
-        a call then ORs the fibres of the values in ``mask`` that the map
-        takes, so it costs the popcount of ``mask``, not the source size."""
-        if self._fibres is None:
-            fibres: dict[int, int] = {}
-            for a, v in enumerate(self.table):
-                fibres[v] = fibres.get(v, 0) | (1 << a)
-            self._fibres = fibres
-            self._image = sum(1 << v for v in fibres)
-        fibres = self._fibres
-        out = 0
-        for v in bits(mask & self._image):
-            out |= fibres[v]
+        The fibres ``{a : table[a] = v}`` are built once per call, as masks
+        indexed by v; each preimage then ORs the fibres of the values in
+        its mask that the map takes (the bit loop of :func:`bits`, inline),
+        so it costs the popcount of the mask, not the source size."""
+        fibres, image = [0] * self.target.size, 0
+        for a, v in enumerate(self.table):
+            fibres[v] |= 1 << a
+            image |= 1 << v
+        out = []
+        for mask in masks:
+            pre, mask = 0, mask & image
+            while mask:
+                low = mask & -mask
+                pre |= fibres[low.bit_length() - 1]
+                mask ^= low
+            out.append(pre)
         return out
 
     def is_monotone(self) -> bool:
@@ -348,24 +352,21 @@ class MonotoneMap:
 
     def preserves_joins(self) -> bool:
         """Empty and binary joins (hence all joins, the lattice is finite)."""
-        src, tgt, t = self.source, self.target, self.table
-        if t[src.bottom] != tgt.bottom:
-            return False
-        for a in range(src.size):
-            for b in range(a, src.size):
-                if t[src.join((a, b))] != tgt.join((t[a], t[b])):
-                    return False
-        return True
+        return self._preserves("bottom", "join")
 
     def preserves_meets(self) -> bool:
+        """Empty and binary meets, the dual of :meth:`preserves_joins`."""
+        return self._preserves("top", "meet")
+
+    def _preserves(self, empty: str, kind: str) -> bool:
         src, tgt, t = self.source, self.target, self.table
-        if t[src.top] != tgt.top:
+        if t[getattr(src, empty)] != getattr(tgt, empty):
             return False
-        for a in range(src.size):
-            for b in range(a, src.size):
-                if t[src.meet((a, b))] != tgt.meet((t[a], t[b])):
-                    return False
-        return True
+        return all(
+            t[src.bound(kind, (a, b))] == tgt.bound(kind, (t[a], t[b]))
+            for a in range(src.size)
+            for b in range(a, src.size)
+        )
 
     def compose(self, inner: "MonotoneMap") -> "MonotoneMap":
         """self after inner."""
@@ -405,10 +406,10 @@ class GaloisPair:
     def from_left_adjoint(cls, left: MonotoneMap) -> "GaloisPair":
         """Derive the upper adjoint of a join-preserving map:
         right(B) = join of every A with left(A) <= B, that is, of the
-        preimage of ``down[B]`` (:meth:`MonotoneMap.preimage`,
+        preimage of ``down[B]`` (:meth:`MonotoneMap.preimages`,
         :meth:`FiniteLattice.join_mask`)."""
         src, tgt = left.source, left.target
-        return cls(left, MonotoneMap(tgt, src, tuple(src.join_mask(left.preimage(d)) for d in tgt.down)))
+        return cls(left, MonotoneMap(tgt, src, tuple(src.join_mask(p) for p in left.preimages(tgt.down))))
 
     def check(self) -> Report:
         """List every (A, B) where exactly one side of the adjunction holds."""

@@ -51,15 +51,15 @@ class MorphismReport:
 def strict_violation(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
     """First (a, b) with a related to pull(b) but push(a) not related to b.
 
-    Per a, ``pull.preimage(row_a)`` is every b with pull(b) related to a
-    (:meth:`MonotoneMap.preimage`); its bits outside ``rows_y[push a]`` are
-    the violations at a, so the first witness is the one of the pair sweep
-    :func:`strict_violation_dense`."""
+    Per a, the preimage of row_a under pull is every b with pull(b)
+    related to a (:meth:`MonotoneMap.preimages`); its bits outside
+    ``rows_y[push a]`` are the violations at a, so the first witness is the
+    one of the pair sweep :func:`strict_violation_dense`."""
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push, pull = form.push_maps[f].table, form.pull_maps[f]
-    for a, row_a in enumerate(rows_x):
-        bad = pull.preimage(row_a) & ~rows_y[push[a]]
+    for a, pre in enumerate(pull.preimages(rows_x)):
+        bad = pre & ~rows_y[push[a]]
         if bad:
             return (a, low_bit(bad))
     return None
@@ -85,17 +85,15 @@ def is_strict(form: FormInstance, order: TopogenousOrder, f: str) -> bool:
 def final_violation(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
     """First (b, b') related after pulling but not before.
 
-    The b' whose pull is related to pull(b) are ``pull.preimage(rows_x[pull
-    b])``, one mask per value of pull; its bits outside ``rows_y[b]`` are
-    the violations at b, so the first witness is the one of
-    :func:`final_violation_dense`."""
+    The b' whose pull is related to pull(b) are the preimage of
+    ``rows_x[pull b]`` under pull (:meth:`MonotoneMap.preimages`); its bits
+    outside ``rows_y[b]`` are the violations at b, so the first witness is
+    the one of :func:`final_violation_dense`."""
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     pull = form.pull_maps[f]
-    pulled: dict[int, int] = {}
+    pulled = pull.preimages(rows_x)
     for b, c in enumerate(pull.table):
-        if c not in pulled:
-            pulled[c] = pull.preimage(rows_x[c])
         bad = pulled[c] & ~rows_y[b]
         if bad:
             return (b, low_bit(bad))
@@ -132,18 +130,15 @@ def final_table(form: FormInstance, order: TopogenousOrder) -> dict[str, bool]:
 def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
     """First related (a, b) in the domain fibre whose pushes are unrelated.
 
-    Per a, ``push.preimage(rows_y[push a])`` is every b whose push is
-    related to push(a) (:meth:`MonotoneMap.preimage`), one mask per value
-    of push; the bits of ``rows_x[a]`` outside it are the violations at a,
-    so the first witness is the one of the pair sweep
-    :func:`push_preserves_order_dense`."""
+    Per a, the preimage of ``rows_y[push a]`` under push is every b whose
+    push is related to push(a) (:meth:`MonotoneMap.preimages`); the bits
+    of ``rows_x[a]`` outside it are the violations at a, so the first
+    witness is the one of the pair sweep :func:`push_preserves_order_dense`."""
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push = form.push_maps[f]
-    pushed: dict[int, int] = {}
+    pushed = push.preimages(rows_y)
     for a, v in enumerate(push.table):
-        if v not in pushed:
-            pushed[v] = push.preimage(rows_y[v])
         bad = rows_x[a] & ~pushed[v]
         if bad:
             return (a, low_bit(bad))

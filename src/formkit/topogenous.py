@@ -10,7 +10,7 @@ both sides; (T3) transfer stability, push-related pairs pull back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .forms import FormInstance
@@ -114,11 +114,11 @@ def leq_order(form: FormInstance) -> TopogenousOrder:
 def verify_order(form: FormInstance, order: TopogenousOrder) -> Report:
     """Report every T1/T2/T3 violation with witnesses.
 
-    T3 is swept with masks, per morphism f: x -> y. ``pull.preimage(row_a)``
-    is the mask of every b with pull(b) related to a (one OR per member of
-    the row, :meth:`MonotoneMap.preimage`), and the T3 violations at a are
-    the bits of ``rows_y[push a]`` outside it. That is the same set of
-    pairs, in the same order, as the bit-by-bit sweep of
+    T3 is swept with masks, per morphism f: x -> y. The preimage of row_a
+    under pull is the mask of every b with pull(b) related to a (one OR
+    per member of the row, :meth:`MonotoneMap.preimages`), and the T3
+    violations at a are the bits of ``rows_y[push a]`` outside it. That is
+    the same set of pairs, in the same order, as the bit-by-bit sweep of
     :func:`verify_order_dense`, so it needs no certificate and no
     fallback. T2 is swept pair by pair only on a fibre where
     :func:`_rows_t2` does not certify it."""
@@ -138,7 +138,7 @@ def _t3_bad(form: FormInstance, order: TopogenousOrder, f: str) -> list[int]:
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push, pull = form.push_maps[f].table, form.pull_maps[f]
-    return [rows_y[push[a]] & ~pull.preimage(row_a) for a, row_a in enumerate(rows_x)]
+    return [rows_y[push[a]] & ~pre for a, pre in enumerate(pull.preimages(rows_x))]
 
 
 def _t3_bad_dense(form: FormInstance, order: TopogenousOrder, f: str) -> list[int]:
@@ -215,8 +215,9 @@ def check_T3_pull_form(form: FormInstance, order: TopogenousOrder) -> Report:
 
     Both sides are mask tests per morphism f: x -> y. The pull-form
     violations at a in the codomain fibre are the bits of ``rows_y[a]``
-    outside ``pull.preimage(rows_x[pull a])``; T3 fails when some
-    ``rows_y[push a]`` leaves ``pull.preimage(rows_x[a])``. Same pairs as
+    outside the preimage of ``rows_x[pull a]`` under pull; T3 fails when
+    some ``rows_y[push a]`` leaves the preimage of ``rows_x[a]``
+    (:meth:`MonotoneMap.preimages`). Same pairs as
     the pair loops of :func:`check_T3_pull_form_dense`."""
     _check_shape(form, order)
     rep = Report()
@@ -224,7 +225,7 @@ def check_T3_pull_form(form: FormInstance, order: TopogenousOrder) -> Report:
         x, y = form.base.dom[f], form.base.cod[f]
         rows_x, rows_y = order.rel[x], order.rel[y]
         push, pull = form.push_maps[f].table, form.pull_maps[f]
-        pulled = [pull.preimage(row) for row in rows_x]
+        pulled = pull.preimages(rows_x)
         pull_ok = True
         for a, row in enumerate(rows_y):
             rep.count("pull-form", row.bit_count())
@@ -269,50 +270,16 @@ def check_T3_pull_form_dense(form: FormInstance, order: TopogenousOrder) -> Repo
     return rep
 
 
-def _tm_for_row(fib: FiniteLattice, rows: Sequence[int], a: int, exhaustive: bool):
-    """First TM failure for element a, as (a, subset tuple, meet), or None."""
-    row = rows[a]
-    members = list(bits(row))
+def _closed(bound, mask: int, exhaustive: bool) -> bool:
+    """Whether ``bound`` (a fibre's meet or join) sends every family of
+    members of ``mask`` into ``mask``: all families when ``exhaustive``,
+    else the empty family, the pairs and all members, in that order."""
+    members = list(bits(mask))
     if exhaustive:
-        for k in range(len(members) + 1):
-            for subset in combinations(members, k):
-                m = fib.meet(subset)
-                if not (row >> m) & 1:
-                    return (a, subset, m)
-        return None
-    m = fib.meet(())
-    if not (row >> m) & 1:
-        return (a, (), m)
-    for b1, b2 in combinations(members, 2):
-        m = fib.meet((b1, b2))
-        if not (row >> m) & 1:
-            return (a, (b1, b2), m)
-    m = fib.meet(members)
-    if not (row >> m) & 1:
-        return (a, tuple(members), m)
-    return None
-
-
-def _tj_for_col(fib: FiniteLattice, rows: Sequence[int], b: int, exhaustive: bool):
-    col = [a for a in range(fib.size) if (rows[a] >> b) & 1]
-    if exhaustive:
-        for k in range(len(col) + 1):
-            for subset in combinations(col, k):
-                j = fib.join(subset)
-                if not (rows[j] >> b) & 1:
-                    return (b, subset, j)
-        return None
-    j = fib.join(())
-    if not (rows[j] >> b) & 1:
-        return (b, (), j)
-    for a1, a2 in combinations(col, 2):
-        j = fib.join((a1, a2))
-        if not (rows[j] >> b) & 1:
-            return (b, (a1, a2), j)
-    j = fib.join(col)
-    if not (rows[j] >> b) & 1:
-        return (b, tuple(col), j)
-    return None
+        families = chain.from_iterable(combinations(members, k) for k in range(len(members) + 1))
+    else:
+        families = chain([()], combinations(members, 2), [members])
+    return all((mask >> bound(family)) & 1 for family in families)
 
 
 def classify_order(form: FormInstance, order: TopogenousOrder) -> OrderClass:
@@ -366,35 +333,26 @@ def classify_order_dense(form: FormInstance, order: TopogenousOrder) -> OrderCla
     oracle: meet-stability (second argument), join-stability (first
     argument), and interpolativity.
 
-    Subset families are enumerated exhaustively on fibres of at most
-    EXHAUSTIVE_SUBSET_LIMIT elements; beyond that only pairs plus the empty
-    and full families are tried. On a finite lattice the two agree, since
-    arbitrary meets are iterated binary meets, but the reduced sweep is
-    recorded in ``exhaustive`` for the caller.
+    The order is TM when every row is closed under the fibre's meets and
+    TJ when every column is closed under its joins: one scan,
+    :func:`_closed`, for both. Subset families are enumerated exhaustively
+    on fibres of at most EXHAUSTIVE_SUBSET_LIMIT elements; beyond that only
+    pairs plus the empty and full families are tried. On a finite lattice
+    the two agree, since arbitrary meets are iterated binary meets, but the
+    reduced sweep is recorded in ``exhaustive`` for the caller.
     """
     _check_shape(form, order)
-    is_tm = True
-    is_tj = True
-    is_int = True
-    all_exhaustive = True
+    is_tm = is_tj = is_int = all_exhaustive = True
     for x in form.base.objects:
         fib = form.fibre(x)
         rows = order.rel[x]
         exhaustive = fib.size <= EXHAUSTIVE_SUBSET_LIMIT
         all_exhaustive = all_exhaustive and exhaustive
-        for a in range(fib.size):
-            if is_tm and _tm_for_row(fib, rows, a, exhaustive):
-                is_tm = False
-            if is_int:
-                for b in bits(rows[a]):
-                    if not any((rows[c] >> b) & 1 for c in bits(rows[a])):
-                        is_int = False
-                        break
-        if is_tj:
-            for b in range(fib.size):
-                if _tj_for_col(fib, rows, b, exhaustive):
-                    is_tj = False
-                    break
+        is_tm = is_tm and all(_closed(fib.meet, row, exhaustive) for row in rows)
+        is_int = is_int and all(
+            any((rows[c] >> b) & 1 for c in bits(row)) for row in rows for b in bits(row)
+        )
+        is_tj = is_tj and all(_closed(fib.join, col, exhaustive) for col in columns(rows))
     return OrderClass(is_tm, is_tj, is_int, all_exhaustive)
 
 
@@ -464,14 +422,13 @@ def interior_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
 def order_from_interior(form: FormInstance, intr: Operator) -> TopogenousOrder:
     """a related to b iff a is below the interior of b: row a is the
     preimage of ``up[a]`` under the interior table
-    (:meth:`MonotoneMap.preimage`), the set :func:`order_from_interior_dense`
+    (:meth:`MonotoneMap.preimages`), the set :func:`order_from_interior_dense`
     collects one pair at a time."""
     _check_operator_shape(form, intr.maps)
     rel = {}
     for x in form.base.objects:
         fib = form.fibre(x)
-        t = MonotoneMap(fib, fib, intr.table(x))
-        rel[x] = tuple(t.preimage(up) for up in fib.up)
+        rel[x] = tuple(MonotoneMap(fib, fib, intr.table(x)).preimages(fib.up))
     return TopogenousOrder(rel)
 
 
@@ -532,8 +489,7 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
         for a, c in enumerate(t.table):
             if not (fib.up[a] >> c) & 1:
                 rep.add("C1", where=x, witness=(a,))
-        above[x] = [t.preimage(m) for m in fib.up]
-        below[x] = [t.preimage(m) for m in fib.down]
+        above[x], below[x] = t.preimages(fib.up), t.preimages(fib.down)
     v_main = v_pull = v_split = True
     for f in form.base.morphisms():
         x, y = form.base.dom[f], form.base.cod[f]
@@ -619,19 +575,20 @@ def verify_interior(form: FormInstance, intr: Operator) -> Report:
     Mask tests, with the same violations and counts as the pair loops of
     :func:`verify_interior_dense`: the I2 violations at a are the bits of
     ``up[a]`` outside the preimage of ``up[i(a)]`` under the interior
-    table, and I1 and I3 are one bit test per element."""
+    table (:meth:`MonotoneMap.preimages`), and I1 and I3 are one bit test
+    per element."""
     _check_operator_shape(form, intr.maps)
     rep = Report()
     for x in form.base.objects:
         fib = form.fibre(x)
         t = MonotoneMap(fib, fib, intr.table(x))
-        up, table = fib.up, t.table
+        up, table, above = fib.up, t.table, t.preimages(fib.up)
         rep.count("I1", fib.size)
         for a in range(fib.size):
             if not (up[table[a]] >> a) & 1:
                 rep.add("I1", where=x, witness=(a,))
             rep.count("I2", up[a].bit_count())
-            for b in bits(up[a] & ~t.preimage(up[table[a]])):
+            for b in bits(up[a] & ~above[table[a]]):
                 rep.add("I2", where=x, witness=(a, b))
     for f in form.base.morphisms():
         x, y = form.base.dom[f], form.base.cod[f]

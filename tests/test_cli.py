@@ -172,6 +172,11 @@ def _with(doc, path, *value):
     return doc
 
 
+def _witness(recipe):
+    """A witness of order-axioms that replays from ``recipe``."""
+    return {"schema": 1, "check": "order-axioms", "recipe": {"order": "leq", **recipe}}
+
+
 def _good(paths, key):
     return json.loads(Path(paths[key]).read_text())
 
@@ -217,6 +222,15 @@ MALFORMED = {
     "classify-form-and-instance": lambda t, p: [
         "classify", "--form", p["form"], "--instance", "quot", "--sizes", "1",
     ],
+    "check-theorems-grp-sizes": lambda t, p: ["check-theorems", "--instance", "grp", "--sizes", "3"],
+    "check-theorems-top-corpus": lambda t, p: ["check-theorems", "--instance", "top", "--corpus", "other"],
+    "classify-quot-max-order": lambda t, p: ["classify", "--instance", "quot", "--max-order", "8"],
+    "replay-unknown-kind": lambda t, p: ["replay", _write(t, _witness({"kind": "foo"}))],
+    "replay-unknown-corpus": lambda t, p: ["replay", _write(t, _witness({"kind": "grp", "corpus": "other"}))],
+    "replay-undefined-order": lambda t, p: [
+        "replay", _write(t, _witness({"kind": "quot", "sizes": [1], "order": "theta"})),
+    ],
+    "replay-unusable-sizes": lambda t, p: ["replay", _write(t, _witness({"kind": "top", "sizes": "2"}))],
     "instance-top-over-cap": lambda t, p: ["instance", "top", "--sizes", "5"],
     "instance-quot-over-cap": lambda t, p: ["instance", "quot", "--sizes", "6"],
     "derive-theta-over-cap": lambda t, p: ["derive", "theta", "--n", "9"],
@@ -239,6 +253,13 @@ MALFORMED_WHERE = {
     "group-list-name": "name: expected a string",
     "check-theorems-form-and-instance": "--form and --instance",
     "classify-form-and-instance": "--form and --instance",
+    "check-theorems-grp-sizes": "--sizes does not apply to --instance grp",
+    "check-theorems-top-corpus": "--corpus does not apply to --instance top",
+    "classify-quot-max-order": "--max-order does not apply to --instance quot",
+    "replay-unknown-kind": "bad.json: unknown instance kind 'foo'",
+    "replay-unknown-corpus": "bad.json: unknown corpus 'other'",
+    "replay-undefined-order": "bad.json: order 'theta' is not defined for instance kind 'quot'",
+    "replay-unusable-sizes": "bad.json: recipe field 'sizes' has an unusable value '2'",
     "instance-top-over-cap": "carrier size 5",
     "instance-quot-over-cap": "ground size 6",
     "derive-theta-over-cap": "between 0 and 4, got 9",
@@ -252,6 +273,19 @@ def test_malformed_input_exits_2(runner, tmp_path, case):
     assert res.exit_code == 2
     assert "Traceback" not in res.stderr
     assert MALFORMED_WHERE[case] in res.stderr
+
+
+@pytest.mark.parametrize("command", ["classify", "check-theorems"])
+@pytest.mark.parametrize(
+    "kind, flag, value",
+    [("grp", "--sizes", "2"), ("top", "--corpus", "standard"), ("top", "--max-order", "8"),
+     ("quot", "--corpus", "standard"), ("quot", "--max-order", "8")],
+)
+def test_flags_the_instance_kind_does_not_read_exit_2(runner, command, kind, flag, value):
+    # given explicitly, even at their default values, the flags are refused
+    res = runner.invoke(main, [command, "--instance", kind, flag, value])
+    assert res.exit_code == 2
+    assert f"{flag} does not apply to --instance {kind}" in res.stderr
 
 
 def _paths_into(doc, prefix=()):

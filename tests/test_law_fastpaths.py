@@ -386,8 +386,9 @@ def test_preimage_masks_match_table_scan():
         table = [rng.choice(image) for _ in range(n)]
         fn = MonotoneMap(source, target, table)
         masks = [rng.randrange(1 << m) for _ in range(5)]
-        got = [fn.preimage(mask) for mask in masks]
-        assert got == [sum(1 << a for a in range(n) if (mask >> table[a]) & 1) for mask in masks]
+        assert fn.preimages(masks) == [sum(1 << a for a in range(n) if (mask >> table[a]) & 1) for mask in masks]
+        assert fn.preimages(()) == []
+        assert sorted(vars(fn)) == ["source", "table", "target"]  # nothing kept between batches
 
 
 def test_morphism_kind_names_the_first_inverse_in_hom_order():
