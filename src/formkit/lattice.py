@@ -127,7 +127,7 @@ class FiniteLattice:
         for c in bits(common):
             if common & ~self._cones[side][c] == 0:
                 return c
-        raise ValueError(("no greatest lower bound", "no least upper bound")[side] + "; not a lattice")
+        raise ValueError(("no greatest lower bound; not a lattice", "no least upper bound; not a lattice")[side])
 
     def meet_mask(self, mask: int) -> int:
         """:meth:`meet` of the members of ``mask``, without range checks.

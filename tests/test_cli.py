@@ -275,15 +275,14 @@ def test_malformed_input_exits_2(runner, tmp_path, case):
     assert MALFORMED_WHERE[case] in res.stderr
 
 
-@pytest.mark.parametrize("command", ["classify", "check-theorems"])
 @pytest.mark.parametrize(
     "kind, flag, value",
     [("grp", "--sizes", "2"), ("top", "--corpus", "standard"), ("top", "--max-order", "8"),
      ("quot", "--corpus", "standard"), ("quot", "--max-order", "8")],
 )
-def test_flags_the_instance_kind_does_not_read_exit_2(runner, command, kind, flag, value):
+def test_flags_the_instance_kind_does_not_read_exit_2(runner, kind, flag, value):
     # given explicitly, even at their default values, the flags are refused
-    res = runner.invoke(main, [command, "--instance", kind, flag, value])
+    res = runner.invoke(main, ["check-theorems", "--instance", kind, flag, value])
     assert res.exit_code == 2
     assert f"{flag} does not apply to --instance {kind}" in res.stderr
 
