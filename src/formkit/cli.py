@@ -165,8 +165,9 @@ def parse_sizes(text: str) -> list[int]:
         fail_usage(f"--sizes expects comma-separated integers, got {text!r}")
 
 
-# The input flags each instance kind does not read.
+# The input flags each instance kind does not read; a form file reads none.
 IGNORED_FLAGS = {"grp": ("sizes",), "top": ("corpus", "max_order"), "quot": ("corpus", "max_order")}
+INSTANCE_FLAGS = ("sizes", "corpus", "max_order")
 
 
 def instance_recipe(kind: str, sizes: Optional[str], corpus: str, max_order: int) -> dict:
@@ -209,19 +210,23 @@ def recipe_from_flags(
     Witnesses carry it, so replay rebuilds the same inputs."""
     if instance is not None and form_path is not None:
         fail_usage("--form and --instance both name the form; pass only one of them")
+    if instance is None and form_path is None:
+        fail_usage("provide --form FILE (with --order FILE) or --instance KIND")
     if instance is not None:
-        ctx = click.get_current_context()
-        for name in IGNORED_FLAGS[instance]:
-            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-                fail_usage(f"--{name.replace('_', '-')} does not apply to --instance {instance}")
+        ignored, source = IGNORED_FLAGS[instance], f"--instance {instance}"
+    else:
+        ignored, source = INSTANCE_FLAGS, "--form"
+    ctx = click.get_current_context()
+    for name in ignored:
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            fail_usage(f"--{name.replace('_', '-')} does not apply to {source}")
+    if instance is not None:
         recipe = instance_recipe(instance, sizes, corpus, max_order)
         if order_path is not None:
             recipe["order_file"] = order_path
         else:
             recipe["order"] = order_name or "leq"
         return recipe
-    if form_path is None:
-        fail_usage("provide --form FILE (with --order FILE) or --instance KIND")
     if order_path is not None:
         return {"form_file": form_path, "order_file": order_path}
     if order_name in (None, "leq"):

@@ -25,15 +25,19 @@ class CategoryPresentation:
     ``names[i]`` is morphism i and ``ids`` numbers the names. ``source[i]``
     and ``target[i]`` are the object numbers of its domain and codomain;
     ``by_source[x]`` and ``by_target[x]`` list the morphisms out of and into
-    object x in ascending order. Composition is held once, in the flat table
+    object x in ascending order, ``by_source[x]`` as a ``range`` since each
+    hom-set is numbered consecutively. Composition is held once, in the flat table
     ``comp`` of n² entries for n morphisms: ``comp[g * n + f]`` is the
     number of g∘f, and -1 where f and g are not composable or the composite
     is undefined.
 
-    ``compose`` gives the composites: either a callable ``compose(g, f)`` on
-    morphism numbers, returning the number of g∘f (-1 if undefined) and
-    called once per composable pair, or a mapping from name pairs ``(g, f)``
-    to the composite's name, for hand-written input, where a pair left out
+    ``compose`` gives the composites: either a callable ``compose(g, fs)``
+    on morphism numbers, called once per morphism g and nonempty hom-set
+    into its domain, with ``fs`` the range of that hom-set, and returning
+    the numbers of the composites g∘f for f in ``fs`` in order (-1 where
+    undefined), which fill the slice ``comp[g * n + fs.start : g * n +
+    fs.stop]``; or a mapping from name pairs ``(g, f)`` to the composite's
+    name, for hand-written input, where a pair left out
     or a name that is not a morphism is undefined and an entry at a pair
     that does not compose is ignored. The name-level ``dom``,
     ``cod``, :meth:`hom`, :meth:`compose` and :attr:`compose_table` read the
@@ -44,7 +48,7 @@ class CategoryPresentation:
         self,
         objects: Sequence[str],
         homs: dict[tuple[str, str], Sequence[str]],
-        compose: Callable[[int, int], int] | Mapping[tuple[str, str], str],
+        compose: Callable[[int, range], Sequence[int]] | Mapping[tuple[str, str], str],
         identities: dict[str, str],
     ):
         self.objects = tuple(objects)
@@ -69,16 +73,27 @@ class CategoryPresentation:
         number = {x: k for k, x in enumerate(self.objects)}
         self.source = [number[self.dom[m]] for m in self.names]
         self.target = [number[self.cod[m]] for m in self.names]
-        self.by_source: list[list[int]] = [[] for _ in self.objects]
-        self.by_target: list[list[int]] = [[] for _ in self.objects]
-        for i in range(n):
-            self.by_source[self.source[i]].append(i)
-            self.by_target[self.target[i]].append(i)
+        # into[y]: the range of each hom(x, y), x in object order
+        into: list[list[range]] = [[] for _ in self.objects]
+        self.by_source: list[range] = []
+        start = 0
+        for x in self.objects:
+            first = start
+            for k, y in enumerate(self.objects):
+                stop = start + len(self.homs.get((x, y), ()))
+                into[k].append(range(start, stop))
+                start = stop
+            self.by_source.append(range(first, start))
+        self.by_target: list[list[int]] = [[f for fs in blocks for f in fs] for blocks in into]
         self.comp = comp = [-1] * (n * n)
         if callable(compose):
-            for f in range(n):
-                for g in self.by_source[self.target[f]]:
-                    comp[g * n + f] = compose(g, f)
+            for g in range(n):
+                row = g * n
+                for fs in filter(None, into[self.source[g]]):
+                    composites = compose(g, fs)
+                    if len(composites) != len(fs):
+                        raise ValueError(f"compose({g}, {fs}) gave {len(composites)} composites for {len(fs)} morphisms")
+                    comp[row + fs.start : row + fs.stop] = composites
         else:
             ids, source, target = self.ids, self.source, self.target
             for (g_name, f_name), h in compose.items():

@@ -280,14 +280,15 @@ class MonotoneMap:
     """A table-backed map between lattices, expected order-preserving."""
 
     def __init__(self, source: FiniteLattice, target: FiniteLattice, table: Sequence[int]):
+        table = tuple(table)
         if len(table) != source.size:
             raise ValueError("table length must match source size")
-        for v in table:
-            if not 0 <= v < target.size:
-                raise IndexError(f"table value {v} out of range for target of size {target.size}")
+        if table and (min(table) < 0 or max(table) >= target.size):
+            v = next(v for v in table if not 0 <= v < target.size)
+            raise IndexError(f"table value {v} out of range for target of size {target.size}")
         self.source = source
         self.target = target
-        self.table = tuple(table)
+        self.table = table
 
     def __call__(self, a: int) -> int:
         self.source._check(a)

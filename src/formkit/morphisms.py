@@ -9,7 +9,7 @@ between the general claims and a small finite model would surface here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .forms import FormInstance, MorphismKind
 from .lattice import bits, low_bit
@@ -82,17 +82,25 @@ def is_strict(form: FormInstance, order: TopogenousOrder, f: str) -> bool:
     return strict_violation(form, order, f) is None
 
 
+def _rows_at(rows: Sequence[int], table: Sequence[int]) -> list[int]:
+    """``rows`` with every row at an index the table does not take set to
+    0, so a batch of preimages costs nothing where it is not read."""
+    taken = set(table)
+    return [row if v in taken else 0 for v, row in enumerate(rows)]
+
+
 def final_violation(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
     """First (b, b') related after pulling but not before.
 
     The b' whose pull is related to pull(b) are the preimage of
-    ``rows_x[pull b]`` under pull (:meth:`MonotoneMap.preimages`); its bits
-    outside ``rows_y[b]`` are the violations at b, so the first witness is
-    the one of :func:`final_violation_dense`."""
+    ``rows_x[pull b]`` under pull (:meth:`MonotoneMap.preimages`, taken
+    only of the rows at values of pull); its bits outside ``rows_y[b]``
+    are the violations at b, so the first witness is the one of
+    :func:`final_violation_dense`."""
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     pull = form.pull_maps[f]
-    pulled = pull.preimages(rows_x)
+    pulled = pull.preimages(_rows_at(rows_x, pull.table))
     for b, c in enumerate(pull.table):
         bad = pulled[c] & ~rows_y[b]
         if bad:
@@ -131,13 +139,14 @@ def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: str) -> 
     """First related (a, b) in the domain fibre whose pushes are unrelated.
 
     Per a, the preimage of ``rows_y[push a]`` under push is every b whose
-    push is related to push(a) (:meth:`MonotoneMap.preimages`); the bits
-    of ``rows_x[a]`` outside it are the violations at a, so the first
-    witness is the one of the pair sweep :func:`push_preserves_order_dense`."""
+    push is related to push(a) (:meth:`MonotoneMap.preimages`, taken only
+    of the rows at values of push); the bits of ``rows_x[a]`` outside it
+    are the violations at a, so the first witness is the one of the pair
+    sweep :func:`push_preserves_order_dense`."""
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push = form.push_maps[f]
-    pushed = push.preimages(rows_y)
+    pushed = push.preimages(_rows_at(rows_y, push.table))
     for a, v in enumerate(push.table):
         bad = rows_x[a] & ~pushed[v]
         if bad:

@@ -8,6 +8,7 @@ are first-occurrence ordinals; equality is then plain tuple equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from .forms import FormInstance
@@ -102,19 +103,25 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _glued(table: Sequence[int], blocks: Sequence[int], cod_size: int) -> bytes:
+    """Per codomain point, the root of its class when the images of each
+    block are glued: a label word of the pushout."""
+    uf = _UnionFind(cod_size)
+    reps: dict[int, int] = {}
+    for x, b in enumerate(blocks):
+        if b in reps:
+            uf.union(table[reps[b]], table[x])
+        else:
+            reps[b] = x
+    return bytes(map(uf.find, range(cod_size)))
+
+
 def push_partition(f: SetFunction, e: Partition) -> Partition:
     """Pushout along f: the smallest equivalence on the codomain gluing the
     images of glued points."""
     if f.dom_size != e.n:
         raise ValueError("function domain does not match the partition ground set")
-    uf = _UnionFind(f.cod_size)
-    reps: dict[int, int] = {}
-    for x, b in enumerate(e.blocks):
-        if b in reps:
-            uf.union(f(reps[b]), f(x))
-        else:
-            reps[b] = x
-    return Partition.of([uf.find(y) for y in range(f.cod_size)])
+    return Partition.of(_glued(f.table, e.blocks, f.cod_size))
 
 
 def pull_partition(f: SetFunction, d: Partition) -> Partition:
@@ -138,17 +145,33 @@ class PartitionForm:
 
 def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
     """The quotient form over finite sets: fibres are partition lattices,
-    push is the pushout, pull the kernel of the composite."""
+    push is the pushout, pull the kernel of the composite.
+
+    Each object x gets one dict from every label word of its length over
+    ``range(w)``, w the largest size, to the element of the partition the
+    word's blocks form. Pull translates the function's value table through
+    the codomain partition's block ids, padded to a translation table, and
+    looks the word up; push glues the images with a union-find and looks
+    its roots up. :func:`push_partition` and :func:`pull_partition` compute
+    the same entries one partition at a time and are the oracle the tables
+    are tested against."""
     for n in sizes:
         if n > MAX_GROUND:
             raise InputError(f"ground size {n} exceeds the cap of {MAX_GROUND}")
     base, size_of, fn_of = function_category(sizes)
+    width = max(size_of.values(), default=0)
     fibres = {}
     parts = {}
     index = {}
+    element: dict[str, dict[bytes, int]] = {}  # label word -> element
+    blocks: dict[str, list[bytes]] = {}  # [p]: the block ids of p, padded to 256 bytes
     for x in base.objects:
         fibres[x], parts[x] = partition_lattice(size_of[x])
         index[x] = {p.blocks: i for i, p in enumerate(parts[x])}
+        element[x] = {
+            bytes(word): index[x][canonical_blocks(word)] for word in product(range(width), repeat=size_of[x])
+        }
+        blocks[x] = [bytes(p.blocks).ljust(256, b"\0") for p in parts[x]]
     push = {}
     pull = {}
     for f in base.morphisms():
@@ -156,11 +179,11 @@ def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
         x, y = base.dom[f], base.cod[f]
         push[f] = MonotoneMap(
             fibres[x], fibres[y],
-            [index[y][push_partition(fn, p).blocks] for p in parts[x]],
+            [element[y][_glued(fn.table, p.blocks, fn.cod_size)] for p in parts[x]],
         )
         pull[f] = MonotoneMap(
             fibres[y], fibres[x],
-            [index[x][pull_partition(fn, p).blocks] for p in parts[y]],
+            list(map(element[x].__getitem__, map(bytes(fn.table).translate, blocks[y]))),
         )
     form = FormInstance(base, fibres, push, pull)
     return PartitionForm(form, size_of, parts, index, fn_of)

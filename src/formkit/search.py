@@ -135,8 +135,8 @@ def _base(shape: int) -> CategoryPresentation:
     names = [m for x in objects for y in objects for m in homs[(x, y)]]
     identity = [m.startswith("id:") for m in names]
 
-    def compose(g: int, f: int) -> int:
-        return g if identity[f] else f if identity[g] else names.index("g.f")
+    def compose(g: int, fs: range) -> list[int]:
+        return [g if identity[f] else f if identity[g] else names.index("g.f") for f in fs]
 
     identities = {x: f"id:{x}" for x in objects}
     base = _BASES[shape] = CategoryPresentation(objects, homs, compose, identities)

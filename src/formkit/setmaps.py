@@ -9,13 +9,15 @@ the same :func:`concrete_category`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, Iterable, Sequence
 
 from .forms import CategoryPresentation
 from .report import InputError
 
 MORPHISM_BUDGET = 5000
+# Value tables are bytes, and a table padded to 256 bytes translates them.
+MAX_CARRIER = 256
 
 
 @dataclass(frozen=True)
@@ -78,16 +80,27 @@ def concrete_category(
     """The category on the named carriers whose morphisms x -> y are
     ``arrows(x, y)``, each given by its value table ``.table`` and named
     ``x->y:t0.t1...``; composites compose the tables and identities are the
-    identity tables. Returns the presentation and morphism name -> arrow."""
+    identity tables. Returns the presentation and morphism name -> arrow.
+
+    Value tables are held as bytes, so a carrier has at most
+    :data:`MAX_CARRIER` points. The composites are filled a hom-block at a
+    time (see :class:`CategoryPresentation`): for g: y -> z and the
+    hom-set hom(x, y), g's table padded to a 256-byte translation table
+    turns each table f of the block into the table ``f.translate(g)`` of
+    g∘f, and one ``map`` looks them up in hom(x, z)."""
+    for x, size in carriers.items():
+        if size > MAX_CARRIER:
+            raise InputError(f"carrier {x!r} has {size} points; value tables hold at most {MAX_CARRIER}")
     objects = list(carriers)
     homs: dict[tuple[str, str], list[str]] = {}
     arrow_of: dict = {}
     # By morphism number, as the presentation numbers them: hom-set by
     # hom-set in object order. number[x][y] maps a table of hom(x, y) to
     # its morphism.
-    tables: list[tuple[int, ...]] = []
-    ends: list[tuple[int, int]] = []
-    number: list[list[dict]] = [[{} for _ in objects] for _ in objects]
+    tables: list[bytes] = []
+    source: list[int] = []
+    target: list[int] = []
+    number: list[list[dict[bytes, int]]] = [[{} for _ in objects] for _ in objects]
     for xi, x in enumerate(objects):
         for yi, y in enumerate(objects):
             ms = homs[(x, y)] = []
@@ -95,12 +108,16 @@ def concrete_category(
                 name = morphism_name(x, y, arrow.table)
                 ms.append(name)
                 arrow_of[name] = arrow
-                number[xi][yi][arrow.table] = len(tables)
-                tables.append(arrow.table)
-                ends.append((xi, yi))
+                table = bytes(arrow.table)
+                number[xi][yi][table] = len(tables)
+                tables.append(table)
+                source.append(xi)
+                target.append(yi)
 
-    def compose(g: int, f: int) -> int:
-        return number[ends[f][0]][ends[g][1]][tuple(map(tables[g].__getitem__, tables[f]))]
+    def compose(g: int, fs: range) -> list[int]:
+        into = number[source[fs.start]][target[g]]
+        pad = tables[g].ljust(256, b"\0")
+        return list(map(into.__getitem__, map(bytes.translate, tables[fs.start : fs.stop], repeat(pad))))
 
     identities = {x: morphism_name(x, x, range(n)) for x, n in carriers.items()}
     return CategoryPresentation(objects, homs, compose, identities), arrow_of

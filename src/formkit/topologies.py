@@ -10,7 +10,7 @@ discrete topology is the fibre bottom and the indiscrete one the top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import repeat
 from typing import Sequence
 
 from .forms import FormInstance
@@ -231,13 +231,17 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
     """The forgetful form over finite sets of the given sizes (each at most
     MAX_POINTS), with the topology lattice as each fibre.
 
-    Transfer tables come from one preimage table per set function,
-    ``pre[v] = f.preimage_mask(v)``, with each topology encoded as one int
-    whose bit s is set when subset s is open: push (the final topology)
-    keeps v iff pre[v] is open, pull (the initial topology) is the set of
-    pre[v] over open v. :func:`final_topology` and
-    :func:`initial_topology` compute the same entries one topology at a
-    time and are the oracle the tables are tested against."""
+    Transfer tables are filled a whole topology at a time from one preimage
+    table per set function, ``pre[v] = f.preimage_mask(v)`` as bytes, and
+    per topology t its flag table, b"1" at byte s when subset s is open in
+    t and b"0" otherwise. Push (the final topology) keeps v iff pre[v] is
+    open, so ``pre.translate(flags of t)`` is the flag word of the final
+    topology, looked up among the codomain's flag words. Pull (the initial
+    topology) is the family of pre[v] over open v: the open sets of t,
+    translated through ``pre``, looked up among the domain's open families.
+    :func:`final_topology` and :func:`initial_topology` compute the same
+    entries one topology at a time and are the oracle the tables are tested
+    against."""
     for n in sizes:
         if n > MAX_POINTS:
             raise InputError(f"carrier size {n} exceeds the cap of {MAX_POINTS}")
@@ -245,30 +249,35 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
     fibres: dict[str, FiniteLattice] = {}
     tops: dict[str, list[FiniteTopology]] = {}
     index: dict[str, dict[tuple[int, ...], int]] = {}
-    opens: dict[str, list[tuple[int, ...]]] = {}  # [t]: the open sets of t
-    codes: dict[str, dict[int, int]] = {}  # sum of 1 << s over open s -> element
-    flags: dict[str, list[list[int]]] = {}  # [t][s]: 1 when subset s is open in t
+    flags: dict[str, list[bytes]] = {}  # [t]: the flag table of t, 256 bytes
+    by_flags: dict[str, dict[bytes, int]] = {}  # flag word over the subsets -> element
+    opens: dict[str, list[bytes]] = {}  # [t]: the open sets of t
+    families: dict[str, dict[frozenset[int], int]] = {}  # open sets -> element
     for x in base.objects:
         fibres[x], tops[x] = topology_fibre(size_of[x])
         index[x] = {t.key(): i for i, t in enumerate(tops[x])}
-        opens[x] = list(index[x])
-        codes[x] = {sum(1 << s for s in o): i for i, o in enumerate(opens[x])}
-        flags[x] = [[(c >> s) & 1 for s in range(1 << size_of[x])] for c in codes[x]]
+        opens[x] = [bytes(key) for key in index[x]]
+        families[x] = {t.opens: i for i, t in enumerate(tops[x])}
+        flags[x] = []
+        for t in tops[x]:
+            table = bytearray(b"0" * 256)
+            for s in t.opens:
+                table[s] = ord("1")
+            flags[x].append(bytes(table))
+        by_flags[x] = {table[: 1 << size_of[x]]: i for i, table in enumerate(flags[x])}
     push = {}
     pull = {}
     for f in base.morphisms():
         fn = fn_of[f]
         x, y = base.dom[f], base.cod[f]
-        pre = [fn.preimage_mask(v) for v in range(1 << fn.cod_size)]
-        bit_v = [1 << v for v in range(len(pre))]
-        bit_pre = [1 << p for p in pre]  # distinct powers of two sum to their union
+        pre = bytes(fn.preimage_mask(v) for v in range(1 << fn.cod_size))
         push[f] = MonotoneMap(
             fibres[x], fibres[y],
-            [codes[y][sum(compress(bit_v, map(fl.__getitem__, pre)))] for fl in flags[x]],
+            list(map(by_flags[y].__getitem__, map(pre.translate, flags[x]))),
         )
         pull[f] = MonotoneMap(
             fibres[y], fibres[x],
-            [codes[x][sum(set(map(bit_pre.__getitem__, o)))] for o in opens[y]],
+            list(map(families[x].__getitem__, map(frozenset, map(bytes.translate, opens[y], repeat(pre.ljust(256, b"\0")))))),
         )
     form = FormInstance(base, fibres, push, pull)
     return TopForm(form, size_of, tops, index, fn_of)

@@ -224,6 +224,7 @@ MALFORMED = {
     ],
     "check-theorems-grp-sizes": lambda t, p: ["check-theorems", "--instance", "grp", "--sizes", "3"],
     "check-theorems-top-corpus": lambda t, p: ["check-theorems", "--instance", "top", "--corpus", "other"],
+    "check-theorems-form-sizes": lambda t, p: ["check-theorems", "--form", p["form"], "--sizes", "3"],
     "classify-quot-max-order": lambda t, p: ["classify", "--instance", "quot", "--max-order", "8"],
     "replay-unknown-kind": lambda t, p: ["replay", _write(t, _witness({"kind": "foo"}))],
     "replay-unknown-corpus": lambda t, p: ["replay", _write(t, _witness({"kind": "grp", "corpus": "other"}))],
@@ -255,6 +256,7 @@ MALFORMED_WHERE = {
     "classify-form-and-instance": "--form and --instance",
     "check-theorems-grp-sizes": "--sizes does not apply to --instance grp",
     "check-theorems-top-corpus": "--corpus does not apply to --instance top",
+    "check-theorems-form-sizes": "--sizes does not apply to --form",
     "classify-quot-max-order": "--max-order does not apply to --instance quot",
     "replay-unknown-kind": "bad.json: unknown instance kind 'foo'",
     "replay-unknown-corpus": "bad.json: unknown corpus 'other'",

@@ -148,8 +148,12 @@ def test_monotone_map_validation():
     lat = FiniteLattice.chain(2)
     with pytest.raises(ValueError):
         MonotoneMap(lat, lat, [0])
-    with pytest.raises(IndexError):
-        MonotoneMap(lat, lat, [0, 5])
+    # the error names the first value out of range
+    three = FiniteLattice.chain(3)
+    with pytest.raises(IndexError, match="table value 5 out of range"):
+        MonotoneMap(three, lat, [0, 5, -1])
+    with pytest.raises(IndexError, match="table value -1 out of range"):
+        MonotoneMap(three, lat, [-1, 5, 0])
 
 
 def test_galois_identity_pair_valid():

@@ -161,6 +161,20 @@ def test_quot_form_laws_at_four_points():
     assert qf.form.verify_laws().ok
 
 
+@pytest.mark.parametrize("sizes", [[0, 1, 2, 3], [2, 4]])
+def test_transfer_tables_match_push_and_pull_partition(sizes):
+    pf = build_quot_form(sizes)
+    base = pf.form.base
+    for f in base.morphisms():
+        fn, x, y = pf.functions[f], base.dom[f], base.cod[f]
+        assert pf.form.push_maps[f].table == tuple(
+            pf.index[y][push_partition(fn, p).blocks] for p in pf.partitions[x]
+        ), f
+        assert pf.form.pull_maps[f].table == tuple(
+            pf.index[x][pull_partition(fn, p).blocks] for p in pf.partitions[y]
+        ), f
+
+
 def test_quot_form_cap():
     with pytest.raises(ValueError):
         build_quot_form([6])

@@ -1,0 +1,53 @@
+"""The concrete base categories: composition tables filled a hom-block at
+a time, against value tables composed one pair at a time."""
+
+import pytest
+
+from formkit.forms import CategoryPresentation
+from formkit.groups import build_grp_form, standard_corpus
+from formkit.report import InputError
+from formkit.setmaps import MAX_CARRIER, concrete_category, function_category
+
+
+def composed_per_pair(base, arrow_of):
+    """The composition table rebuilt from every pair of morphisms: where
+    dom g = cod f, the table of g after f, looked up by its domain,
+    codomain and values."""
+    n = len(base.names)
+    table = [tuple(arrow_of[m].table) for m in base.names]
+    number = {(base.source[i], base.target[i], table[i]): i for i in range(n)}
+    expected = [-1] * (n * n)
+    for f in range(n):
+        for g in range(n):
+            if base.source[g] == base.target[f]:
+                gf = tuple(table[g][v] for v in table[f])
+                expected[g * n + f] = number[(base.source[f], base.target[g], gf)]
+    return expected
+
+
+@pytest.mark.parametrize("sizes", [[0, 1, 2], [3, 3, 3], [1, 2, 3, 4]])
+def test_function_category_composes_as_value_tables(sizes):
+    # an empty carrier, repeated sizes, and many codomain blocks
+    base, _, fn_of = function_category(sizes)
+    assert base.comp == composed_per_pair(base, fn_of)
+    assert [list(r) for r in base.by_source] == [
+        [i for i in range(len(base.names)) if base.source[i] == x] for x in range(len(base.objects))
+    ]
+
+
+def test_group_category_composes_as_value_tables():
+    sf = build_grp_form(standard_corpus(12))
+    assert sf.form.base.comp == composed_per_pair(sf.form.base, sf.homs)
+
+
+def test_carrier_beyond_byte_tables_is_refused_by_name():
+    with pytest.raises(InputError, match=f"'big' has {MAX_CARRIER + 1} points"):
+        concrete_category({"small": 2, "big": MAX_CARRIER + 1}, lambda x, y: [])
+
+
+def test_compose_callable_of_the_wrong_length_is_refused():
+    def compose(g, fs):
+        return [g, g]  # one hom-block of one morphism
+
+    with pytest.raises(ValueError, match="gave 2 composites for 1 morphisms"):
+        CategoryPresentation(["X"], {("X", "X"): ["id"]}, compose, {"X": "id"})
