@@ -26,10 +26,10 @@ class CategoryPresentation:
     and ``target[i]`` are the object numbers of its domain and codomain;
     ``by_source[x]`` and ``by_target[x]`` list the morphisms out of and into
     object x in ascending order, ``by_source[x]`` as a ``range`` since each
-    hom-set is numbered consecutively. Composition is held once, in the flat table
-    ``comp`` of n² entries for n morphisms: ``comp[g * n + f]`` is the
-    number of g∘f, and -1 where f and g are not composable or the composite
-    is undefined.
+    hom-set is numbered consecutively. Composition is held once, in the
+    flat table ``comp`` of n² entries for n morphisms: ``comp[g * n + f]``
+    is the number of g∘f, and -1 where f and g are not composable or the
+    composite is undefined.
 
     ``compose`` gives the composites: either a callable ``compose(g, fs)``
     on morphism numbers, called once per morphism g and nonempty hom-set
@@ -37,11 +37,10 @@ class CategoryPresentation:
     the numbers of the composites g∘f for f in ``fs`` in order (-1 where
     undefined), which fill the slice ``comp[g * n + fs.start : g * n +
     fs.stop]``; or a mapping from name pairs ``(g, f)`` to the composite's
-    name, for hand-written input, where a pair left out
-    or a name that is not a morphism is undefined and an entry at a pair
-    that does not compose is ignored. The name-level ``dom``,
-    ``cod``, :meth:`hom`, :meth:`compose` and :attr:`compose_table` read the
-    same tables.
+    name, for hand-written input, where a pair left out or a name that is
+    not a morphism is undefined and an entry at a pair that does not
+    compose is ignored. The name-level ``dom``, ``cod``, :meth:`hom`,
+    :meth:`compose` and :attr:`compose_table` read the same tables.
     """
 
     def __init__(

@@ -103,25 +103,35 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _glued(table: Sequence[int], blocks: Sequence[int], cod_size: int) -> bytes:
-    """Per codomain point, the root of its class when the images of each
-    block are glued: a label word of the pushout."""
-    uf = _UnionFind(cod_size)
-    reps: dict[int, int] = {}
-    for x, b in enumerate(blocks):
-        if b in reps:
-            uf.union(table[reps[b]], table[x])
-        else:
-            reps[b] = x
-    return bytes(map(uf.find, range(cod_size)))
-
-
 def push_partition(f: SetFunction, e: Partition) -> Partition:
     """Pushout along f: the smallest equivalence on the codomain gluing the
     images of glued points."""
     if f.dom_size != e.n:
         raise ValueError("function domain does not match the partition ground set")
-    return Partition.of(_glued(f.table, e.blocks, f.cod_size))
+    uf = _UnionFind(f.cod_size)
+    reps: dict[int, int] = {}
+    for x, b in enumerate(e.blocks):
+        if b in reps:
+            uf.union(f(reps[b]), f(x))
+        else:
+            reps[b] = x
+    return Partition.of([uf.find(y) for y in range(f.cod_size)])
+
+
+def _pushout_word(table: Sequence[int], blocks: Sequence[int], cod_size: int) -> bytes:
+    """A label word of the pushout of ``blocks`` along the value table: each
+    codomain point starts in its own class, and the class of each image is
+    relabelled to that of the first image of its block."""
+    label = list(range(cod_size))
+    first: dict[int, int] = {}
+    for x, b in enumerate(blocks):
+        if b in first:
+            old, new = label[table[x]], label[first[b]]
+            if old != new:
+                label = [new if c == old else c for c in label]
+        else:
+            first[b] = table[x]
+    return bytes(label)
 
 
 def pull_partition(f: SetFunction, d: Partition) -> Partition:
@@ -151,10 +161,10 @@ def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
     ``range(w)``, w the largest size, to the element of the partition the
     word's blocks form. Pull translates the function's value table through
     the codomain partition's block ids, padded to a translation table, and
-    looks the word up; push glues the images with a union-find and looks
-    its roots up. :func:`push_partition` and :func:`pull_partition` compute
-    the same entries one partition at a time and are the oracle the tables
-    are tested against."""
+    looks the word up; push merges the classes of the images block by
+    block and looks the labels up. :func:`push_partition` and
+    :func:`pull_partition` compute the same entries one partition at a time
+    and are the oracle the tables are tested against."""
     for n in sizes:
         if n > MAX_GROUND:
             raise InputError(f"ground size {n} exceeds the cap of {MAX_GROUND}")
@@ -179,7 +189,7 @@ def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
         x, y = base.dom[f], base.cod[f]
         push[f] = MonotoneMap(
             fibres[x], fibres[y],
-            [element[y][_glued(fn.table, p.blocks, fn.cod_size)] for p in parts[x]],
+            [element[y][_pushout_word(fn.table, p.blocks, fn.cod_size)] for p in parts[x]],
         )
         pull[f] = MonotoneMap(
             fibres[y], fibres[x],
