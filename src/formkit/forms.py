@@ -91,7 +91,9 @@ class CategoryPresentation:
                 for fs in filter(None, into[self.source[g]]):
                     composites = compose(g, fs)
                     if len(composites) != len(fs):
-                        raise ValueError(f"compose({g}, {fs}) gave {len(composites)} composites for {len(fs)} morphisms")
+                        raise ValueError(
+                            f"compose({g}, {fs}) gave {len(composites)} composites for {len(fs)} morphisms"
+                        )
                     comp[row + fs.start : row + fs.stop] = composites
         else:
             ids, source, target = self.ids, self.source, self.target

@@ -271,13 +271,14 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
         fn = fn_of[f]
         x, y = base.dom[f], base.cod[f]
         pre = bytes(fn.preimage_mask(v) for v in range(1 << fn.cod_size))
+        pad = pre.ljust(256, b"\0")
         push[f] = MonotoneMap(
             fibres[x], fibres[y],
             list(map(by_flags[y].__getitem__, map(pre.translate, flags[x]))),
         )
         pull[f] = MonotoneMap(
             fibres[y], fibres[x],
-            list(map(families[x].__getitem__, map(frozenset, map(bytes.translate, opens[y], repeat(pre.ljust(256, b"\0")))))),
+            list(map(families[x].__getitem__, map(frozenset, map(bytes.translate, opens[y], repeat(pad))))),
         )
     form = FormInstance(base, fibres, push, pull)
     return TopForm(form, size_of, tops, index, fn_of)
