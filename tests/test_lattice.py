@@ -148,12 +148,14 @@ def test_monotone_map_validation():
     lat = FiniteLattice.chain(2)
     with pytest.raises(ValueError):
         MonotoneMap(lat, lat, [0])
-    # the error names the first value out of range
+    # the error names the first value out of range, at either end
     three = FiniteLattice.chain(3)
     with pytest.raises(IndexError, match="table value 5 out of range"):
         MonotoneMap(three, lat, [0, 5, -1])
+    with pytest.raises(IndexError, match="table value 2 out of range"):
+        MonotoneMap(three, lat, [0, 2, 1])
     with pytest.raises(IndexError, match="table value -1 out of range"):
-        MonotoneMap(three, lat, [-1, 5, 0])
+        MonotoneMap(three, lat, [1, -1, 0])
 
 
 def test_galois_identity_pair_valid():
