@@ -121,6 +121,15 @@ class CategoryPresentation:
             raise KeyError((g, f))
         return self.names[h]
 
+    def after(self, f: int) -> Iterable[tuple[int, int]]:
+        """(g, g∘f) by number for every g out of the codomain of f, in
+        number order (g∘f -1 where undefined): one strided slice of
+        :attr:`comp`, since the morphisms out of an object are numbered
+        consecutively. Walks of the composable pairs read ``comp`` only
+        through here, so its layout stays inside this module."""
+        n, gs = len(self.names), self.by_source[self.target[f]]
+        return enumerate(self.comp[gs.start * n + f : gs.stop * n + f : n], gs.start)
+
     def composable_pairs(self) -> Iterable[tuple[str, str]]:
         """Every composable (g, f) by name, f in number order, then g."""
         names = self.names
@@ -132,11 +141,8 @@ class CategoryPresentation:
     def compose_table(self) -> dict[tuple[str, str], str]:
         """The defined composites by name, ``(g, f) -> g∘f``: a view built
         from :attr:`comp` on each access, for reports and tests."""
-        names, n, comp = self.names, len(self.names), self.comp
-        return {
-            (names[g], names[f]): names[comp[g * n + f]]
-            for f in range(n) for g in self.by_source[self.target[f]] if comp[g * n + f] >= 0
-        }
+        names = self.names
+        return {(names[g], names[f]): names[h] for f in range(len(names)) for g, h in self.after(f) if h >= 0}
 
     def verify(self) -> Report:
         """Identity neutrality, closure of composition, associativity.
@@ -173,10 +179,8 @@ class CategoryPresentation:
                 rep.add("identity-missing", where=x)
         names, n, comp, source, target = self.names, len(self.names), self.comp, self.source, self.target
         for f in range(n):
-            after = self.by_source[target[f]]
-            rep.count("compose-defined", len(after))
-            for g in after:
-                h = comp[g * n + f]
+            rep.count("compose-defined", len(self.by_source[target[f]]))
+            for g, h in self.after(f):
                 if h < 0:
                     rep.add("compose-undefined", witness=(names[g], names[f]))
                 elif source[h] != source[f] or target[h] != target[g]:
@@ -216,9 +220,9 @@ class CategoryPresentation:
         for fi in range(n):
             if reached[fi]:
                 continue
-            for gi in self.by_source[target[fi]]:
+            for gi, h in self.after(fi):
                 if not reached[gi]:
-                    factorisations[comp[gi * n + fi]] += 1
+                    factorisations[h] += 1
         reached_at: list[list[int]] = [[] for _ in self.objects]  # by codomain
         for i in range(n):
             if reached[i]:
@@ -259,8 +263,7 @@ class CategoryPresentation:
         failure, which it reports."""
         names, n, comp, target, by_source = self.names, len(self.names), self.comp, self.target, self.by_source
         for fi in range(n):
-            for gi in by_source[target[fi]]:
-                gf = comp[gi * n + fi]
+            for gi, gf in self.after(fi):
                 row = by_source[target[gi]]
                 for k, hi in enumerate(row):
                     if comp[hi * n + gf] != comp[comp[hi * n + gi] * n + fi]:
@@ -458,10 +461,10 @@ class FormInstance:
     def _check_laws(self, fast: bool) -> Report:
         rep = Report()
         base = self.base
-        names, n, comp = base.names, len(base.names), base.comp
-        for f in range(n):
-            for g in base.by_source[base.target[f]]:
-                if comp[g * n + f] < 0:
+        names = base.names
+        for f in range(len(names)):
+            for g, h in base.after(f):
+                if h < 0:
                     rep.add("compose-undefined", witness=(names[g], names[f]))
         if not rep.ok:
             return rep
@@ -541,12 +544,11 @@ class FormInstance:
     def _dense_functoriality(self, rep: Report) -> None:
         """Both functoriality laws over every composable pair."""
         base = self.base
-        names, n, comp = base.names, len(base.names), base.comp
+        names = base.names
         push = [self.push_maps[m].table for m in names]
         pull = [self.pull_maps[m].table for m in names]
-        for f in range(n):
-            for g in base.by_source[base.target[f]]:
-                gf = comp[g * n + f]
+        for f in range(len(names)):
+            for g, gf in base.after(f):
                 tf, tg, tgf = push[f], push[g], push[gf]
                 rep.count("functorial-push", len(tf))
                 if any(tg[v] != tgf[a] for a, v in enumerate(tf)):

@@ -96,13 +96,12 @@ def lattice_from_dict(doc: dict, where: str = "lattice") -> FiniteLattice:
 
 def form_to_dict(form: FormInstance) -> dict:
     base = form.base
-    names, n, comp = base.names, len(base.names), base.comp
+    names = base.names
     return {
         "objects": list(base.objects),
         "homs": {f"{x},{y}": list(ms) for (x, y), ms in sorted(base.homs.items())},
         "compose": {
-            f"{names[g]};{names[f]}": names[comp[g * n + f]]
-            for f in range(n) for g in base.by_source[base.target[f]] if comp[g * n + f] >= 0
+            f"{names[g]};{names[f]}": names[h] for f in range(len(names)) for g, h in base.after(f) if h >= 0
         },
         "identities": dict(sorted(base.identities.items())),
         "fibres": {x: lattice_to_dict(form.fibre(x)) for x in base.objects},

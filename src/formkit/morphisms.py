@@ -231,152 +231,111 @@ def transfer_laws_check(
     a section.
 
     ``strict`` and ``final`` hold each morphism's verdict
-    (:func:`strict_table`, :func:`final_table`). The composable pairs are
-    walked by morphism number (the base's ``by_source`` lists), with
-    verdicts and kinds in lists by number; each composite is one lookup in
-    the base's flat composition table. Counts and violations are those of
-    :func:`transfer_laws_check_dense`."""
-    rep = Report()
-    base = form.base
-    names, n, comp = base.names, len(base.names), base.comp
-    refl_sec, _ = form.check_reflects("section")
-    refl_ret, _ = form.check_reflects("retraction")
-    refl_iso, _ = form.check_reflects("iso")
-    strict, final = [strict[m] for m in names], [final[m] for m in names]  # by morphism number
-    kinds = [form.morphism_kind(m) for m in names]
-    retraction = [k.is_retraction for k in kinds]
-    section = [k.is_section for k in kinds]
-
-    for i, m in enumerate(names):
-        k = kinds[i]
-        if refl_ret and k.is_retraction and final[i]:
-            rep.count("retraction-final-strict")
-            if not strict[i]:
-                rep.add("retraction-final-strict", where=m, witness=(strict_violation(form, order, m),))
-        if refl_sec and k.is_section and strict[i]:
-            rep.count("section-strict-final")
-            if not final[i]:
-                rep.add("section-strict-final", where=m, witness=(final_violation(form, order, m),))
-        if refl_iso and k.is_iso:
-            rep.count("iso-strict")
-            if not strict[i]:
-                rep.add("iso-strict", where=m)
-            rep.count("iso-final")
-            if not final[i]:
-                rep.add("iso-final", where=m)
-
-    def pair(g: int, f: int) -> str:
-        return f"{names[g]};{names[f]}"
-
-    for f in range(n):
-        for g in base.by_source[base.target[f]]:
-            gf = comp[g * n + f]
-            if strict[f] and strict[g]:
-                rep.count("compose-strict")
-                if not strict[gf]:
-                    rep.add("compose-strict", where=pair(g, f))
-            if final[f] and final[g]:
-                rep.count("compose-final")
-                if not final[gf]:
-                    rep.add("compose-final", where=pair(g, f))
-            if refl_ret and retraction[f]:
-                if strict[gf]:
-                    rep.count("cancel-strict")
-                    if not strict[g]:
-                        rep.add("cancel-strict", where=pair(g, f))
-                if final[gf]:
-                    rep.count("cancel-final")
-                    if not final[g]:
-                        rep.add("cancel-final", where=pair(g, f))
-            if refl_sec and retraction[g]:
-                if strict[gf]:
-                    rep.count("cancel-strict-as-printed")
-                    if not strict[f]:
-                        rep.add("cancel-strict-as-printed", where=pair(g, f))
-                if final[gf]:
-                    rep.count("cancel-final-as-printed")
-                    if not final[f]:
-                        rep.add("cancel-final-as-printed", where=pair(g, f))
-            if refl_sec and section[f]:
-                if strict[gf]:
-                    rep.count("cancel-strict-first-factor-section")
-                    if not strict[f]:
-                        rep.add("cancel-strict-first-factor-section", where=pair(g, f))
-                if final[gf]:
-                    rep.count("cancel-final-first-factor-section")
-                    if not final[f]:
-                        rep.add("cancel-final-first-factor-section", where=pair(g, f))
-    return rep
+    (:func:`strict_table`, :func:`final_table`). The clauses, stated once in
+    :func:`_transfer_laws`, are walked here by morphism number, each f's
+    composites one slice of the composition table
+    (:meth:`CategoryPresentation.after`). Counts and violations are those
+    of :func:`transfer_laws_check_dense`."""
+    names = form.base.names
+    return _transfer_laws(
+        form, order, range(len(names)), names,
+        [strict[m] for m in names], [final[m] for m in names], form._kinds,
+        form.base.after, strict_violation, final_violation,
+    )
 
 
 def transfer_laws_check_dense(form: FormInstance, order: TopogenousOrder) -> Report:
-    """The laws of :func:`transfer_laws_check` over name-keyed composable
+    """The clauses of :func:`transfer_laws_check` over name-keyed composable
     pairs, string composition, per-morphism kind scans and the pair sweeps
     for strictness and finality: the oracle."""
-    rep = Report()
     base = form.base
+    names = base.morphisms()
+    after: dict[str, list[tuple[str, str]]] = {m: [] for m in names}
+    for g, f in base.composable_pairs():
+        after[f].append((g, base.compose(g, f)))
+    return _transfer_laws(
+        form, order, names, {m: m for m in names},
+        {m: strict_violation_dense(form, order, m) is None for m in names},
+        {m: final_violation_dense(form, order, m) is None for m in names},
+        {m: form.morphism_kind_dense(m) for m in names},
+        after.__getitem__, strict_violation_dense, final_violation_dense,
+    )
+
+
+def _transfer_laws(
+    form: FormInstance, order: TopogenousOrder, keys, names, strict, final, kinds, after, strict_witness, final_witness
+) -> Report:
+    """The clauses of :func:`transfer_laws_check`, stated once over morphism
+    keys, each a morphism's number or its name. ``keys`` lists them in
+    number order and ``names[m]`` is m's name; ``strict``, ``final`` and
+    ``kinds`` hold verdicts and :class:`MorphismKind` by key; ``after(f)``
+    gives (g, g∘f) for every g composable after f, in number order; the
+    witnesses are called as ``(form, order, name)``. Violations come per
+    morphism first, then per composable pair, f outer and g inner."""
+    rep = Report()
+    count, add = rep.count, rep.add
     refl_sec, _ = form.check_reflects("section")
     refl_ret, _ = form.check_reflects("retraction")
     refl_iso, _ = form.check_reflects("iso")
-    strict = {m: strict_violation_dense(form, order, m) is None for m in base.morphisms()}
-    final = {m: final_violation_dense(form, order, m) is None for m in base.morphisms()}
-    kinds = {m: form.morphism_kind_dense(m) for m in base.morphisms()}
 
-    for m in base.morphisms():
+    for m in keys:
         k = kinds[m]
         if refl_ret and k.is_retraction and final[m]:
-            rep.count("retraction-final-strict")
+            count("retraction-final-strict")
             if not strict[m]:
-                rep.add("retraction-final-strict", where=m, witness=(strict_violation_dense(form, order, m),))
+                add("retraction-final-strict", where=names[m], witness=(strict_witness(form, order, names[m]),))
         if refl_sec and k.is_section and strict[m]:
-            rep.count("section-strict-final")
+            count("section-strict-final")
             if not final[m]:
-                rep.add("section-strict-final", where=m, witness=(final_violation_dense(form, order, m),))
+                add("section-strict-final", where=names[m], witness=(final_witness(form, order, names[m]),))
         if refl_iso and k.is_iso:
-            rep.count("iso-strict")
+            count("iso-strict")
             if not strict[m]:
-                rep.add("iso-strict", where=m)
-            rep.count("iso-final")
+                add("iso-strict", where=names[m])
+            count("iso-final")
             if not final[m]:
-                rep.add("iso-final", where=m)
+                add("iso-final", where=names[m])
 
-    for g, f in base.composable_pairs():
-        gf = base.compose(g, f)
-        if strict[f] and strict[g]:
-            rep.count("compose-strict")
-            if not strict[gf]:
-                rep.add("compose-strict", where=f"{g};{f}")
-        if final[f] and final[g]:
-            rep.count("compose-final")
-            if not final[gf]:
-                rep.add("compose-final", where=f"{g};{f}")
-        if refl_ret and kinds[f].is_retraction:
-            if strict[gf]:
-                rep.count("cancel-strict")
-                if not strict[g]:
-                    rep.add("cancel-strict", where=f"{g};{f}")
-            if final[gf]:
-                rep.count("cancel-final")
-                if not final[g]:
-                    rep.add("cancel-final", where=f"{g};{f}")
-        if refl_sec and kinds[g].is_retraction:
-            if strict[gf]:
-                rep.count("cancel-strict-as-printed")
-                if not strict[f]:
-                    rep.add("cancel-strict-as-printed", where=f"{g};{f}")
-            if final[gf]:
-                rep.count("cancel-final-as-printed")
-                if not final[f]:
-                    rep.add("cancel-final-as-printed", where=f"{g};{f}")
-        if refl_sec and kinds[f].is_section:
-            if strict[gf]:
-                rep.count("cancel-strict-first-factor-section")
-                if not strict[f]:
-                    rep.add("cancel-strict-first-factor-section", where=f"{g};{f}")
-            if final[gf]:
-                rep.count("cancel-final-first-factor-section")
-                if not final[f]:
-                    rep.add("cancel-final-first-factor-section", where=f"{g};{f}")
+    for f in keys:
+        strict_f, final_f = strict[f], final[f]
+        cancel = refl_ret and kinds[f].is_retraction
+        first_section = refl_sec and kinds[f].is_section
+        for g, gf in after(f):
+            if strict_f and strict[g]:
+                count("compose-strict")
+                if not strict[gf]:
+                    add("compose-strict", where=f"{names[g]};{names[f]}")
+            if final_f and final[g]:
+                count("compose-final")
+                if not final[gf]:
+                    add("compose-final", where=f"{names[g]};{names[f]}")
+            if cancel:
+                if strict[gf]:
+                    count("cancel-strict")
+                    if not strict[g]:
+                        add("cancel-strict", where=f"{names[g]};{names[f]}")
+                if final[gf]:
+                    count("cancel-final")
+                    if not final[g]:
+                        add("cancel-final", where=f"{names[g]};{names[f]}")
+            if refl_sec and kinds[g].is_retraction:
+                if strict[gf]:
+                    count("cancel-strict-as-printed")
+                    if not strict_f:
+                        add("cancel-strict-as-printed", where=f"{names[g]};{names[f]}")
+                if final[gf]:
+                    count("cancel-final-as-printed")
+                    if not final_f:
+                        add("cancel-final-as-printed", where=f"{names[g]};{names[f]}")
+            if first_section:
+                if strict[gf]:
+                    count("cancel-strict-first-factor-section")
+                    if not strict_f:
+                        add("cancel-strict-first-factor-section", where=f"{names[g]};{names[f]}")
+                if final[gf]:
+                    count("cancel-final-first-factor-section")
+                    if not final_f:
+                        add("cancel-final-first-factor-section", where=f"{names[g]};{names[f]}")
     return rep
 
 

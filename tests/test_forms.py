@@ -6,6 +6,8 @@ import pytest
 from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, cyclic, symmetric3
 from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap
+from formkit.partitions import build_quot_form
+from formkit.topologies import build_top_form
 
 
 def arrow_form(push_table, src_size=2, tgt_size=3):
@@ -194,6 +196,20 @@ def test_name_keyed_composition_matches_the_callable():
     expected[ids["idX"] * n + ids["idX"]] = -1
     assert named.comp == expected
     assert named.comp[ids["idX"] * n + ids["f"]] == -1
+
+
+def test_after_reads_the_composites_after_f():
+    """after(f) is (g, comp[g * n + f]) for every g out of f's codomain, in
+    number order, -1 included where the composite is undefined."""
+    arrow = arrow_form([0, 2]).base
+    table = dict(arrow.compose_table)
+    del table[("idY", "f")]
+    named = CategoryPresentation(arrow.objects, arrow.homs, table, arrow.identities)
+    for base in (build_top_form([0, 1, 2]).form.base, build_quot_form([3, 3, 3]).form.base, named):
+        n, comp = len(base.names), base.comp
+        for f in range(n):
+            assert list(base.after(f)) == [(g, comp[g * n + f]) for g in base.by_source[base.target[f]]]
+    assert (named.ids["idY"], -1) in named.after(named.ids["f"])
 
 
 def test_base_category_verify_catches_bad_associativity():

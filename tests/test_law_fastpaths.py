@@ -367,12 +367,24 @@ def test_order_kernels_match_dense_oracles_under_corruption():
             if not all(args[0].is_adjoint(f) for f in args[0].base.morphisms()):
                 fallbacks += 1
                 assert "raises" in found  # the closure sweep fell back and raised
+    # no draw breaks retraction-final-strict: relating partition 0|0|1 to
+    # 0|1|0 in the leq order of quot[2,3] leaves the retractions
+    # 3pt->2pt:0.1.0 and 3pt->2pt:1.0.1 final but not strict
+    quot23 = build_quot_form([2, 3]).form
+    leq = leq_order(quot23)
+    rows = list(leq.rel["3pt"])
+    rows[1] |= 1 << 2
+    order = TopogenousOrder(dict(leq.rel, **{"3pt": rows}))
+    failed.update(assert_kernels_agree(quot23, order, closure_from_order(quot23, leq), interior_from_order(quot23, leq)))
     assert tried >= 400
     # the certificate sent some corruptions to the pair sweep, and the mask
     # sweeps found violations of every kind on the others
     assert fallbacks > 0
-    for check in ("T1", "T2", "T3", "pull-form", "C1", "C2", "I1", "I2", "I3",
-                  "section-strict-final", "compose-strict", "compose-final", "push-unrelated"):
+    for check in ("T1", "T2", "T3", "pull-form", "C1", "C2", "I1", "I2", "I3", "push-unrelated",
+                  "retraction-final-strict", "section-strict-final", "iso-strict", "iso-final",
+                  "compose-strict", "compose-final", "cancel-strict", "cancel-final",
+                  "cancel-strict-as-printed", "cancel-final-as-printed",
+                  "cancel-strict-first-factor-section", "cancel-final-first-factor-section"):
         assert failed[check] > 0, check
 
 

@@ -20,6 +20,7 @@ from formkit.morphisms import (
     strict_table,
     strict_via_operators,
     transfer_laws_check,
+    transfer_laws_check_dense,
 )
 from formkit.topogenous import (
     TopogenousOrder,
@@ -179,6 +180,20 @@ def test_transfer_sound_clauses_clean(top123, theta123, b123, grp8, ni8, quot123
         rep = transfer_laws(form, order)
         bad = [v for v in rep.violations if v.check in sound]
         assert not bad, bad[:3]
+
+
+def test_transfer_laws_match_dense_oracle_on_instances(top123, theta123, b123, grp8, ni8, quot1234):
+    # the numbered walk and the name-level oracle run one clause body:
+    # equal counts, and equal violations in emission order
+    for form, order in (
+        (quot1234.form, leq_order(quot1234.form)),
+        (grp8.form, ni8),
+        (top123.form, theta123),
+        (top123.form, b123),
+    ):
+        fast, dense = transfer_laws(form, order), transfer_laws_check_dense(form, order)
+        assert fast.checks_run == dense.checks_run > 0
+        assert fast.violations == dense.violations
 
 
 def test_transfer_section_clause_fails_on_known_models(top123, theta123):
