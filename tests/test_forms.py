@@ -1,8 +1,12 @@
 """Form instances: law verification, fault injection, morphism kinds,
 reflection surrogates, thickness."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import formkit
 from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, cyclic, symmetric3
 from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap
@@ -210,6 +214,21 @@ def test_after_reads_the_composites_after_f():
         for f in range(n):
             assert list(base.after(f)) == [(g, comp[g * n + f]) for g in base.by_source[base.target[f]]]
     assert (named.ids["idY"], -1) in named.after(named.ids["f"])
+
+
+def test_only_forms_reads_the_composition_table():
+    """The layout of ``CategoryPresentation.comp`` stays inside forms.py:
+    every other module walks composable pairs through ``after``, so a new
+    storage for the table changes one module."""
+    readers = []
+    for path in sorted(Path(formkit.__file__).parent.glob("*.py")):
+        if path.name == "forms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            named = isinstance(node, ast.Constant) and node.value == "comp"  # getattr(base, "comp")
+            if named or isinstance(node, ast.Attribute) and node.attr == "comp":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert not readers
 
 
 def test_base_category_verify_catches_bad_associativity():
