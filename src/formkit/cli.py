@@ -407,7 +407,7 @@ def derive_topology_order_cmd(name: str, relation) -> None:
     @OUT
     def command(n, out) -> None:
         report = RunReport(command=["derive", name, str(n)])
-        doc = order_to_dict(TopogenousOrder({f"{n}pt": relation(n)}), form_id=f"top[{n}]")
+        doc = order_to_dict(TopogenousOrder({f"{n}pt": relation(enumerate_topologies(n))}), form_id=f"top[{n}]")
         emit_document(report, doc, out)
 
 

@@ -284,10 +284,10 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
     return TopForm(form, size_of, tops, index, fn_of)
 
 
-def theta_relation(n: int) -> list[int]:
-    """Bitmask rows of the theta order on the n-point fibre:
-    T related to T' iff T' is contained in theta(T)."""
-    tops = enumerate_topologies(n)
+def theta_relation(tops: Sequence[FiniteTopology]) -> list[int]:
+    """Bitmask rows of the theta order on the fibre of the topologies
+    ``tops``, in :func:`enumerate_topologies` order: T related to T' iff T'
+    is contained in theta(T)."""
     theta = [theta_topology(t).opens for t in tops]
     return [
         sum(1 << j for j, t2 in enumerate(tops) if t2.opens <= theta[i])
@@ -295,10 +295,10 @@ def theta_relation(n: int) -> list[int]:
     ]
 
 
-def b_relation(n: int) -> list[int]:
-    """Bitmask rows of the b order: T related to T' iff b(T') is contained
-    in T."""
-    tops = enumerate_topologies(n)
+def b_relation(tops: Sequence[FiniteTopology]) -> list[int]:
+    """Bitmask rows of the b order on the fibre of the topologies ``tops``,
+    in :func:`enumerate_topologies` order: T related to T' iff b(T') is
+    contained in T."""
     bt = [b_topology(t).opens for t in tops]
     return [
         sum(1 << j for j in range(len(tops)) if bt[j] <= tops[i].opens)
@@ -307,8 +307,8 @@ def b_relation(n: int) -> list[int]:
 
 
 def theta_order(tf: TopForm) -> TopogenousOrder:
-    return TopogenousOrder({x: theta_relation(tf.sizes[x]) for x in tf.form.base.objects})
+    return TopogenousOrder({x: theta_relation(tf.topologies[x]) for x in tf.form.base.objects})
 
 
 def b_order(tf: TopForm) -> TopogenousOrder:
-    return TopogenousOrder({x: b_relation(tf.sizes[x]) for x in tf.form.base.objects})
+    return TopogenousOrder({x: b_relation(tf.topologies[x]) for x in tf.form.base.objects})
