@@ -65,6 +65,8 @@ from .search import CLAIMS, run_case, run_search
 from .topogenous import (
     OPERATOR_KINDS,
     TopogenousOrder,
+    check_operator_shape,
+    check_order_shape,
     leq_order,
     operator_from_order,
     order_from_operator,
@@ -238,14 +240,22 @@ def load_recipe(recipe: dict, inputs: dict[str, str], where: str = "recipe") -> 
     """Build what a recipe describes, recording the files read in
     ``inputs``: a built-in instance, a form file, or an inline form, each
     with the order it names (a named order, an order file, or inline) and
-    the operator it names (an operator file, or inline)."""
+    the operator it names (an operator file, or inline). An order or
+    operator read is checked against the form, its error located by the
+    file or by ``<where>#order``, ``<where>#operator``."""
     inline = recipe.get("kind") == "inline"
 
-    def read(key: str, parse):
-        """The inline document under ``key``, or the file ``key_file`` names."""
-        if inline:
-            return parse(recipe.get(key), where=f"{where}#{key}")
-        return read_file(_field(recipe, f"{key}_file", lambda v: isinstance(v, str), where), parse, inputs)
+    def read(key: str, parse, fits=None):
+        """The inline document under ``key``, or the file ``key_file`` names,
+        checked against the form by ``fits(form, doc)`` when given."""
+        source = f"{where}#{key}" if inline else _field(recipe, f"{key}_file", lambda v: isinstance(v, str), where)
+        doc = parse(recipe.get(key), where=source) if inline else read_file(source, parse, inputs)
+        if fits is not None:
+            try:
+                fits(form, doc)
+            except InputError as exc:
+                raise InputError(f"{source}: {exc}") from exc
+        return doc
 
     bundle = None
     if inline or "kind" not in recipe:
@@ -255,12 +265,12 @@ def load_recipe(recipe: dict, inputs: dict[str, str], where: str = "recipe") -> 
         form = bundle.form
     order = operator = None
     if ("order" if inline else "order_file") in recipe:
-        order = read("order", order_from_dict)
+        order = read("order", order_from_dict, check_order_shape)
     elif "order" in recipe:
         order = named_order(recipe["order"], form, bundle, recipe.get("kind"), where)
     if ("operator" if inline else "operator_file") in recipe:
         kind = _field(recipe, "operator_kind", lambda v: v in OPERATOR_KINDS, where)
-        operator = read("operator", lambda doc, where: operator_from_dict(doc, kind, where))
+        operator = read("operator", lambda doc, where: operator_from_dict(doc, kind, where), check_operator_shape)
     return CheckContext(form, order, operator, bundle=bundle, recipe=recipe)
 
 

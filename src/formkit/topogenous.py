@@ -89,7 +89,9 @@ class OrderClass:
         }
 
 
-def _check_shape(form: FormInstance, order: TopogenousOrder) -> None:
+def check_order_shape(form: FormInstance, order: TopogenousOrder) -> None:
+    """Raise InputError unless the order relates exactly the form's objects,
+    each by rows that fit its fibre."""
     for x in order.rel:
         if x not in form.fibres:
             raise InputError(f"order relates object {x!r}, which the form does not have")
@@ -158,7 +160,7 @@ def _t3_bad_dense(form: FormInstance, order: TopogenousOrder, f: str) -> list[in
 
 
 def _verify_order(form: FormInstance, order: TopogenousOrder, fast: bool) -> Report:
-    _check_shape(form, order)
+    check_order_shape(form, order)
     rep = Report()
     for x in form.base.objects:
         fib = form.fibre(x)
@@ -219,7 +221,7 @@ def check_T3_pull_form(form: FormInstance, order: TopogenousOrder) -> Report:
     some ``rows_y[push a]`` leaves the preimage of ``rows_x[a]``
     (:meth:`MonotoneMap.preimages`). Same pairs as
     the pair loops of :func:`check_T3_pull_form_dense`."""
-    _check_shape(form, order)
+    check_order_shape(form, order)
     rep = Report()
     for f in form.base.morphisms():
         x, y = form.base.dom[f], form.base.cod[f]
@@ -241,7 +243,7 @@ def check_T3_pull_form(form: FormInstance, order: TopogenousOrder) -> Report:
 
 def check_T3_pull_form_dense(form: FormInstance, order: TopogenousOrder) -> Report:
     """The same checks as pair loops: the oracle."""
-    _check_shape(form, order)
+    check_order_shape(form, order)
     rep = Report()
     for f in form.base.morphisms():
         x, y = form.base.dom[f], form.base.cod[f]
@@ -306,7 +308,7 @@ def classify_order(form: FormInstance, order: TopogenousOrder) -> OrderClass:
     meaning: False when some fibre has more than EXHAUSTIVE_SUBSET_LIMIT
     elements, where the scan tries only pairs and the empty and full
     families."""
-    _check_shape(form, order)
+    check_order_shape(form, order)
     fibres = [(form.fibre(x), order.rel[x]) for x in form.base.objects]
     if not all(fib.is_lattice() and _rows_t2(fib, rows, [fib.up_closure(row) for row in rows]) for fib, rows in fibres):
         return classify_order_dense(form, order)
@@ -341,7 +343,7 @@ def classify_order_dense(form: FormInstance, order: TopogenousOrder) -> OrderCla
     the two agree, since arbitrary meets are iterated binary meets, but the
     reduced sweep is recorded in ``exhaustive`` for the caller.
     """
-    _check_shape(form, order)
+    check_order_shape(form, order)
     is_tm = is_tj = is_int = all_exhaustive = True
     for x in form.base.objects:
         fib = form.fibre(x)
@@ -362,7 +364,7 @@ def intersect_orders(form: FormInstance, orders: Sequence[TopogenousOrder]) -> T
     if not orders:
         raise ValueError("need at least one order")
     for t in orders:
-        _check_shape(form, t)
+        check_order_shape(form, t)
     rel = {}
     for x in form.base.objects:
         n = form.fibre(x).size
@@ -388,7 +390,7 @@ def closure_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
     Meaningful (extensive, transfer-compatible) when the order is
     meet-stable; accepted for any order anyway, which is useful when mining
     for counterexamples."""
-    _check_shape(form, order)
+    check_order_shape(form, order)
     maps = {}
     for x in form.base.objects:
         fib = form.fibre(x)
@@ -399,7 +401,7 @@ def closure_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
 
 def order_from_closure(form: FormInstance, clo: Operator) -> TopogenousOrder:
     """a related to b iff the closure of a is below b."""
-    _check_operator_shape(form, clo.maps)
+    check_operator_shape(form, clo)
     rel = {}
     for x in form.base.objects:
         fib = form.fibre(x)
@@ -410,7 +412,7 @@ def order_from_closure(form: FormInstance, clo: Operator) -> TopogenousOrder:
 
 def interior_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
     """Each element goes to the join of everything related below it."""
-    _check_shape(form, order)
+    check_order_shape(form, order)
     maps = {}
     for x in form.base.objects:
         fib = form.fibre(x)
@@ -424,7 +426,7 @@ def order_from_interior(form: FormInstance, intr: Operator) -> TopogenousOrder:
     preimage of ``up[a]`` under the interior table
     (:meth:`MonotoneMap.preimages`), the set :func:`order_from_interior_dense`
     collects one pair at a time."""
-    _check_operator_shape(form, intr.maps)
+    check_operator_shape(form, intr)
     rel = {}
     for x in form.base.objects:
         fib = form.fibre(x)
@@ -434,7 +436,7 @@ def order_from_interior(form: FormInstance, intr: Operator) -> TopogenousOrder:
 
 def order_from_interior_dense(form: FormInstance, intr: Operator) -> TopogenousOrder:
     """The same order from one ``leq`` test per pair: the oracle."""
-    _check_operator_shape(form, intr.maps)
+    check_operator_shape(form, intr)
     rel = {}
     for x in form.base.objects:
         fib = form.fibre(x)
@@ -446,7 +448,10 @@ def order_from_interior_dense(form: FormInstance, intr: Operator) -> TopogenousO
     return TopogenousOrder(rel)
 
 
-def _check_operator_shape(form: FormInstance, maps: Mapping[str, tuple[int, ...]]) -> None:
+def check_operator_shape(form: FormInstance, op: Operator) -> None:
+    """Raise InputError unless the operator has one table per object of the
+    form, each mapping its fibre into itself."""
+    maps = op.maps
     for x in maps:
         if x not in form.fibres:
             raise InputError(f"operator maps object {x!r}, which the form does not have")
@@ -477,7 +482,7 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
     pair sweep of :func:`verify_closure_dense` runs instead, so a
     disagreement of the transfer tables raises the same
     :class:`CorruptFormError` there."""
-    _check_operator_shape(form, clo.maps)
+    check_operator_shape(form, clo)
     if not all(form.is_adjoint(f) for f in form.base.morphisms()):
         return verify_closure_dense(form, clo)
     rep = Report()
@@ -524,7 +529,7 @@ def verify_closure_dense(form: FormInstance, clo: Operator) -> Report:
     """The same checks as a sweep over every fibre pair (a, b) of every
     morphism, through :meth:`FormInstance.leq_over`: the oracle, and the
     fallback that raises on inconsistent transfer tables."""
-    _check_operator_shape(form, clo.maps)
+    check_operator_shape(form, clo)
     rep = Report()
     for x in form.base.objects:
         fib = form.fibre(x)
@@ -577,7 +582,7 @@ def verify_interior(form: FormInstance, intr: Operator) -> Report:
     ``up[a]`` outside the preimage of ``up[i(a)]`` under the interior
     table (:meth:`MonotoneMap.preimages`), and I1 and I3 are one bit test
     per element."""
-    _check_operator_shape(form, intr.maps)
+    check_operator_shape(form, intr)
     rep = Report()
     for x in form.base.objects:
         fib = form.fibre(x)
@@ -605,7 +610,7 @@ def verify_interior(form: FormInstance, intr: Operator) -> Report:
 
 def verify_interior_dense(form: FormInstance, intr: Operator) -> Report:
     """The same axioms as pair loops of ``leq`` tests: the oracle."""
-    _check_operator_shape(form, intr.maps)
+    check_operator_shape(form, intr)
     rep = Report()
     for x in form.base.objects:
         fib = form.fibre(x)

@@ -245,8 +245,8 @@ MALFORMED_WHERE = {
     "operator-non-int-entry": "map[2pt]",
     "form-float-push-entry": "push[2pt->2pt:0.1]",
     "order-rel-not-rows": "rel[2pt]",
-    "order-extra-object": "'ghost'",
-    "order-from-closure-out-of-range": "'2pt'",
+    "order-extra-object": "bad.json: order relates object 'ghost'",
+    "order-from-closure-out-of-range": "bad.json: operator table for '2pt'",
     "witness-is-a-list": "bad.json",
     "lattice-non-bool-entries": "leq[0]: expected booleans",
     "order-string-entry": "rel[2pt][1]: expected booleans",
@@ -275,6 +275,25 @@ def test_malformed_input_exits_2(runner, tmp_path, case):
     assert res.exit_code == 2
     assert "Traceback" not in res.stderr
     assert MALFORMED_WHERE[case] in res.stderr
+
+
+@pytest.mark.parametrize(
+    "key, check, extra, message",
+    [
+        ("order", "order-axioms", {}, "order relates object 'ghost'"),
+        ("operator", "closure-axioms", {"operator_kind": "closure"}, "operator table for '2pt' does not fit"),
+    ],
+)
+def test_inline_shape_errors_name_the_recipe_entry(runner, tmp_path, key, check, extra, message):
+    # an inline order or operator that does not fit the form is located by
+    # the witness file and the recipe key
+    paths = _top2_inputs(tmp_path)
+    bad = {"order": _with(_good(paths, "order"), ("rel", "ghost"), [[True]]), "operator": {"map": {"2pt": [9] * 4}}}
+    recipe = {"kind": "inline", "form": _good(paths, "form"), key: bad[key], **extra}
+    witness = _write(tmp_path, {"schema": 1, "check": check, "recipe": recipe}, "wit.json")
+    res = invoke(runner, ["replay", witness])
+    assert res.exit_code == 2
+    assert f"{witness}#{key}: {message}" in res.stderr
 
 
 @pytest.mark.parametrize(
