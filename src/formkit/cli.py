@@ -33,6 +33,7 @@ from .checks import (
     make_witness,
     run_checks,
 )
+from .forms import FormInstance
 from .groups import (
     build_grp_form,
     normal_interval_order,
@@ -43,7 +44,6 @@ from .groups import (
 from .jsonio import (
     SchemaError,
     dump_json,
-    dumps,
     form_from_dict,
     form_to_dict,
     group_from_dict,
@@ -56,6 +56,7 @@ from .jsonio import (
     order_to_dict,
     partition_to_dict,
     topology_to_dict,
+    write_json,
 )
 from .lattice import bits
 from .morphisms import classify_morphism
@@ -89,7 +90,7 @@ class RunReport:
     command: list[str]
     inputs: dict[str, str] = field(default_factory=dict)
     checks: list[CheckResult] = field(default_factory=list)
-    payload: Optional[dict] = None
+    payload: dict | FormInstance | None = None  # a form is written from its tables
 
     @property
     def ok(self) -> bool:
@@ -126,7 +127,9 @@ class RunReport:
 def emit(report: RunReport) -> None:
     ctx = click.get_current_context()
     if ctx.obj["format"] == "json":
-        click.echo(dumps(report.to_dict()))
+        stdout = click.get_text_stream("stdout")
+        write_json(report.to_dict(), stdout)
+        stdout.flush()
     else:
         click.echo(report.render_text())
     click.echo(f"elapsed: {time.monotonic() - ctx.obj['started']:.3f}s", err=True)
@@ -340,9 +343,10 @@ def derive() -> None:
     topology orders."""
 
 
-def emit_document(report: RunReport, doc: dict, out: Optional[str], **written) -> None:
-    """Report ``doc`` as the payload, or write it to ``out`` and report
-    that, with the ``written`` facts, instead."""
+def emit_document(report: RunReport, doc: dict | FormInstance, out: Optional[str], **written) -> None:
+    """Report ``doc`` (a JSON document, or a form to write as one) as the
+    payload, or write it to ``out`` and report that, with the ``written``
+    facts, instead."""
     if out:
         dump_json(doc, out)
         report.payload = {"written": out, **written}
@@ -544,7 +548,7 @@ def instance() -> None:
 def _emit_instance(recipe: dict, emit_path: Optional[str], command: list[str]) -> None:
     form = build_instance(recipe, "instance").form
     emit_document(
-        RunReport(command=command), form_to_dict(form), emit_path,
+        RunReport(command=command), form, emit_path,
         objects=list(form.base.objects), morphisms=sum(1 for _ in form.base.morphisms()),
     )
 

@@ -130,6 +130,13 @@ class CategoryPresentation:
         n, gs = len(self.names), self.by_source[self.target[f]]
         return enumerate(self.comp[gs.start * n + f : gs.stop * n + f : n], gs.start)
 
+    def before(self, g: int) -> list[int]:
+        """g∘f by number for every morphism f, indexed by f (-1 where f
+        is not into the domain of g or g∘f is undefined): one contiguous
+        slice of :attr:`comp`, a copy."""
+        n = len(self.names)
+        return self.comp[g * n : g * n + n]
+
     def composable_pairs(self) -> Iterable[tuple[str, str]]:
         """Every composable (g, f) by name, f in number order, then g."""
         names = self.names

@@ -12,7 +12,8 @@ import hashlib
 import json
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Callable, Iterator
+from itertools import compress
+from typing import Any, Callable, Iterator, TextIO
 
 from .forms import CategoryPresentation, FormInstance
 from .groups import FiniteGroup
@@ -95,19 +96,42 @@ def lattice_from_dict(doc: dict, where: str = "lattice") -> FiniteLattice:
 
 
 def form_to_dict(form: FormInstance) -> dict:
+    """The form document as a dict. Files and reports are written by
+    :func:`_form_chunks` instead, from the integer tables; this dict is for
+    documents kept in memory, such as inline witness recipes."""
     base = form.base
     names = base.names
+    _escaped(names)  # raises on a name holding ';'
     return {
-        "objects": list(base.objects),
-        "homs": {f"{x},{y}": list(ms) for (x, y), ms in sorted(base.homs.items())},
         "compose": {
             f"{names[g]};{names[f]}": names[h] for f in range(len(names)) for g, h in base.after(f) if h >= 0
         },
-        "identities": dict(sorted(base.identities.items())),
-        "fibres": {x: lattice_to_dict(form.fibre(x)) for x in base.objects},
+        **_sections(form),
         "push": {f: list(form.push_maps[f].table) for f in base.morphisms()},
         "pull": {f: list(form.pull_maps[f].table) for f in base.morphisms()},
     }
+
+
+def _sections(form: FormInstance) -> dict:
+    """The small sections of the form document, in key order: all but
+    compose, push and pull."""
+    base = form.base
+    return {
+        "fibres": {x: lattice_to_dict(form.fibre(x)) for x in base.objects},
+        "homs": {f"{x},{y}": list(ms) for (x, y), ms in sorted(base.homs.items())},
+        "identities": dict(sorted(base.identities.items())),
+        "objects": list(base.objects),
+    }
+
+
+def _escaped(names: tuple[str, ...]) -> list[str]:
+    """Each morphism name's JSON text without its quotes. A name holding
+    ';' raises ValueError: its "g;f" keys could not be split back, and two
+    pairs could share one key."""
+    for name in names:
+        if ";" in name:
+            raise ValueError(f"morphism {name!r}: names may not contain ';'")
+    return [encode_basestring_ascii(name)[1:-1] for name in names]
 
 
 def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
@@ -287,10 +311,16 @@ def _read_text(path: str, digests: dict[str, str] | None) -> str:
         raise SchemaError(f"{path}: not UTF-8 text") from None
 
 
-def dump_json(doc: dict, path: str) -> None:
+def dump_json(doc: Any, path: str) -> None:
     with open(path, "w") as fh:
-        fh.writelines(_chunks(doc, "\n"))
-        fh.write("\n")
+        write_json(doc, fh)
+
+
+def write_json(doc: Any, fh: TextIO) -> None:
+    """Write ``dumps(doc)`` and a newline to ``fh`` in pieces, as they are
+    encoded, so a large document is never held as one string."""
+    fh.writelines(_chunks(doc, "\n"))
+    fh.write("\n")
 
 
 # How each scalar type is written, for exact types only: a subclass (an
@@ -317,13 +347,14 @@ def dumps(doc: Any) -> str:
     a list of scalars of one type, an object's string values, and a list
     of objects that share their keys (a report's violations), column by
     column. Floats, non-string keys and subclasses go to the stdlib,
-    re-indented to their depth."""
+    re-indented to their depth. A :class:`FormInstance` anywhere in the
+    tree is written as ``form_to_dict`` of it would be, from its tables."""
     return "".join(_chunks(doc, "\n"))
 
 
 def _chunks(o: Any, nl: str) -> Iterator[str]:
     """The text of ``o`` at the depth whose newline and indent is ``nl``,
-    in pieces: :func:`dump_json` writes them as they come, so a large
+    in pieces: :func:`write_json` writes them as they come, so a large
     document is never held as one string."""
     text = _flat(o, nl)
     if text is not None:
@@ -367,8 +398,86 @@ def _chunks(o: Any, nl: str) -> Iterator[str]:
                     yield prefix + encode_basestring_ascii(k) + ": " + text
                 prefix = sep
         yield nl + "}"
+    elif t is FormInstance:
+        yield from _form_chunks(o, nl)
     else:
         yield _fallback(o, nl)
+
+
+def _form_chunks(form: FormInstance, nl: str) -> Iterator[str]:
+    """The text of ``form_to_dict(form)``, written from the integer tables
+    without building the dict: compose one block per morphism g, push and
+    pull one entry per morphism, each name escaped once."""
+    base = form.base
+    names = base.names
+    escaped = _escaped(names)
+    inner = nl + "  "
+    sep = "," + inner
+    yield "{" + inner + '"compose": '
+    yield from _compose_chunks(base, escaped, inner)
+    for key, value in _sections(form).items():
+        yield sep + '"' + key + '": '
+        yield from _chunks(value, inner)
+    size = max((m.target.size for m in (*form.push_maps.values(), *form.pull_maps.values())), default=0)
+    digits = list(map(str, range(size)))
+    for key, maps in (("pull", form.pull_maps), ("push", form.push_maps)):
+        yield sep + '"' + key + '": '
+        yield from _table_chunks(names, escaped, maps, digits, inner)
+    yield nl + "}"
+
+
+def _compose_chunks(base: CategoryPresentation, escaped: list[str], nl: str) -> Iterator[str]:
+    """The compose object, one chunk per morphism g. With no ';' in a name,
+    the key "g;f" sorts as the pair (g + ";", f), so sorting the morphisms
+    twice, once by g + ";" and once by name for each object f is into,
+    replaces sorting a key per composable pair."""
+    names = base.names
+    inner = nl + "  "
+    sep = "," + inner
+    # an entry is '"' + escaped g + ';' + tails[f] + texts[g∘f]
+    tails = [e + '": "' for e in escaped]
+    texts = [e + '"' for e in escaped]
+    into = [sorted(fs, key=names.__getitem__) for fs in base.by_target]
+    into_tails = [[tails[f] for f in fs] for fs in into]
+    prefix = "{" + inner
+    for g in sorted(range(len(names)), key=lambda g: names[g] + ";"):
+        x = base.source[g]
+        fs, ts = into[x], into_tails[x]
+        hs = list(map(base.before(g).__getitem__, fs))
+        if -1 in hs:  # undefined composites have no entry
+            defined = [h >= 0 for h in hs]
+            ts, hs = list(compress(ts, defined)), list(compress(hs, defined))
+        if hs:
+            head = '"' + escaped[g] + ";"
+            # tail, text and separator per entry, joined once
+            pieces = [sep + head] * (3 * len(hs))
+            pieces[0::3] = ts
+            pieces[1::3] = map(texts.__getitem__, hs)
+            pieces.pop()
+            yield prefix + head + "".join(pieces)
+            prefix = sep
+    yield nl + "}" if prefix is sep else "{}"
+
+
+def _table_chunks(
+    names: tuple[str, ...], escaped: list[str], maps: dict[str, MonotoneMap], digits: list[str], nl: str
+) -> Iterator[str]:
+    """The push or pull object, one chunk per morphism, an integer table
+    written through ``digits``, the texts of the fibre elements."""
+    inner = nl + "  "
+    sep = "," + inner
+    element = inner + "  "
+    prefix = "{" + inner
+    for f in sorted(range(len(names)), key=names.__getitem__):
+        table = maps[names[f]].table
+        key = prefix + '"' + escaped[f] + '": '
+        if table and _INT.issuperset(map(type, table)):
+            yield key + "[" + element + ("," + element).join(map(digits.__getitem__, table)) + inner + "]"
+        else:
+            yield key
+            yield from _chunks(list(table), inner)
+        prefix = sep
+    yield nl + "}" if prefix is sep else "{}"
 
 
 def _flat(o: Any, nl: str) -> str | None:

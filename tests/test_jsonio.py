@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from formkit.cli import main
 from formkit import jsonio
+from formkit.forms import CategoryPresentation, FormInstance
 from formkit.groups import symmetric3
 from formkit.jsonio import (
     SchemaError,
@@ -31,7 +32,7 @@ from formkit.jsonio import (
     topology_from_dict,
     topology_to_dict,
 )
-from formkit.lattice import FiniteLattice
+from formkit.lattice import FiniteLattice, MonotoneMap
 from formkit.partitions import Partition
 from formkit.topogenous import Operator, closure_from_order, leq_order
 from formkit.topologies import FiniteTopology
@@ -258,6 +259,15 @@ def test_report_bytes_are_pinned():
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
+def test_instance_report_bytes_are_pinned():
+    """Without --emit the form document is the report's payload on stdout;
+    digest recorded while the report was encoded as one string."""
+    result = CliRunner().invoke(main, ["instance", "quot", "--sizes", "1,2,3,4"])
+    assert result.exit_code == 0
+    digest = "20fafbc3192af71b0ba86639bc8c50f3847df92e7b400c47ebd449d90b455476"
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
 # -- the indent-2 encoder --------------------------------------------------------
 
 TEXT = st.text(st.characters(exclude_categories=()), max_size=8)  # non-ASCII, controls, lone surrogates
@@ -322,10 +332,76 @@ def fallbacks(monkeypatch):
 
 @pytest.mark.parametrize("name", ["top12", "grp8", "quot123"])
 def test_form_documents_skip_the_stdlib_encoder(name, request, fallbacks, tmp_path):
-    doc = form_to_dict(request.getfixturevalue(name).form)
-    dump_json(doc, str(tmp_path / "form.json"))
+    form = request.getfixturevalue(name).form
+    doc = form_to_dict(form)
+    for written in (doc, form):  # the dict, and the form streamed from its tables
+        dump_json(written, str(tmp_path / "form.json"))
+        assert (tmp_path / "form.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert fallbacks == []
-    assert (tmp_path / "form.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _hand_form(objects, homs, compose, identities):
+    """A form over a hand-built presentation: every fibre the two-element
+    chain, every transfer table the identity."""
+    base = CategoryPresentation(objects, homs, compose, identities)
+    two = FiniteLattice([[True, True], [False, True]])
+    same = {m: MonotoneMap(two, two, (0, 1)) for m in base.morphisms()}
+    return FormInstance(base, {x: two for x in objects}, same, same)
+
+
+def _one_object(names, leave_out=()):
+    """One object whose first morphism is the identity and where g∘f = g
+    otherwise (a left-zero semigroup), less the pairs ``leave_out``."""
+    unit = names[0]
+    compose = {(g, f): f if g == unit else g for g in names for f in names}
+    for pair in leave_out:
+        del compose[pair]
+    return _hand_form(["X"], {("X", "X"): names}, compose, {"X": unit})
+
+
+HAND_FORMS = {
+    # non-ASCII, quote, backslash, control characters, a lone surrogate
+    "escaping": lambda: _one_object(["id\u00e9", 'q"', "b\\s", "c\x01", "\n", "\ud800", "\u4e2d"]),
+    # ';' sorts after the digits and ':' and before '<': "a1;" < "a:;" < "a;" < "a<;"
+    "semicolon order": lambda: _one_object(["a", "a1", "a:", "a<", "a0", "a="]),
+    # b∘f undefined for every f, so b has no entry at all
+    "undefined composites": lambda: _one_object(
+        ["i", "a", "a1", "b"], leave_out=[("a", "a1"), *(("b", f) for f in ("i", "a", "a1", "b"))]
+    ),
+    # hom(X, Z) declared empty, and W with no morphism at all
+    "empty hom-sets": lambda: _hand_form(
+        ["X", "Z", "W", "Y"],
+        {("X", "X"): ["1X"], ("X", "Z"): [], ("Z", "Z"): ["1Z"], ("X", "Y"): ["v", "u"], ("Y", "Y"): ["1Y"]},
+        {("1X", "1X"): "1X", ("1Z", "1Z"): "1Z", ("1Y", "1Y"): "1Y",
+         ("v", "1X"): "v", ("u", "1X"): "u", ("1Y", "v"): "v", ("1Y", "u"): "u"},
+        {"X": "1X", "Z": "1Z", "Y": "1Y"},
+    ),
+    "no morphisms": lambda: _hand_form(["W"], {}, {}, {}),
+    "boolean table": lambda: _with_push(_one_object(["i", "a"]), "a", (False, True)),
+}
+
+
+def _with_push(form, f, table):
+    """``form`` with the push table of ``f`` replaced by ``table``."""
+    fibre = form.fibre(form.base.dom[f])
+    form.push_maps[f] = MonotoneMap(fibre, form.fibre(form.base.cod[f]), table)
+    return form
+
+
+@pytest.mark.parametrize("name", ["top12", "top123", "top4", "grp8", "quot123", "quot1234", *HAND_FORMS])
+def test_streamed_form_is_the_dict_encoding(name, request):
+    """The form written from its integer tables is the text of its
+    document dict, character for character."""
+    form = HAND_FORMS[name]() if name in HAND_FORMS else request.getfixturevalue(name).form
+    assert dumps(form) == dumps(form_to_dict(form))
+
+
+def test_writer_refuses_names_with_semicolons(tmp_path):
+    # ("a;b", "c") and ("a", "b;c") would both be written as the key "a;b;c"
+    form = _one_object(["a", "a;b", "b;c", "c"])
+    for write in (dumps, form_to_dict, lambda form: dump_json(form, str(tmp_path / "form.json"))):
+        with pytest.raises(ValueError, match="morphism 'a;b': names may not contain ';'"):
+            write(form)
 
 
 def test_reports_skip_the_stdlib_encoder(fallbacks):
