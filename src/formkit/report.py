@@ -69,14 +69,3 @@ class Report:
             "violations": [v.to_dict() for v in ordered],
             "notes": list(self.notes),
         }
-
-    def __str__(self) -> str:
-        if self.ok:
-            return f"clean ({self.checks_run} checks)"
-        head = f"{len(self.violations)} violation(s) in {self.checks_run} checks"
-        lines = [head]
-        for v in self.violations[:10]:
-            lines.append(f"  {v.check} @ {v.where} witness={v.witness} {v.detail}")
-        if len(self.violations) > 10:
-            lines.append(f"  ... {len(self.violations) - 10} more")
-        return "\n".join(lines)
