@@ -102,6 +102,46 @@ class CategoryPresentation:
                 if g is not None and f is not None and source[g] == target[f]:
                     comp[g * n + f] = ids.get(h, -1)
 
+    @classmethod
+    def from_keyed(
+        cls,
+        objects: Sequence[str],
+        homs: dict[tuple[str, str], Sequence[str]],
+        compose: Mapping[str, str],
+        identities: dict[str, str],
+    ) -> "CategoryPresentation":
+        """The presentation of a form document, whose ``compose`` maps the
+        key "g;f" (g after f, by name) to the composite's name, filled in
+        one pass over ``compose`` with no table of name pairs.
+
+        Each key and value is resolved to morphism numbers as it is read.
+        The first entry that is not a declared composite in hom(dom f,
+        cod g) at a composable pair raises ValueError, as do a value that
+        is not a string, a key that does not split in two, and a morphism
+        name holding ';'. With no ';' in a name each key splits one way
+        only, so the entries sit at distinct pairs, and the table is total
+        exactly when there are as many entries as composable pairs;
+        otherwise ValueError. The messages name no entry: a reader that
+        needs located errors reads the document again through the mapping
+        branch of the constructor."""
+        base = cls(objects, homs, {}, identities)
+        names, ids, source, target, comp = base.names, base.ids, base.source, base.target, base.comp
+        if any(";" in m for m in names):
+            raise ValueError("a morphism name holds ';'")
+        n = len(names)
+        for key, h in compose.items():
+            g, semicolon, f = key.partition(";")
+            g, f, h = ids.get(g), ids.get(f), (ids.get(h) if isinstance(h, str) else None)
+            if (
+                not semicolon or g is None or f is None or h is None
+                or source[g] != target[f] or source[h] != source[f] or target[h] != target[g]
+            ):
+                raise ValueError(f"compose[{key!r}] is not a composite at a composable pair")
+            comp[g * n + f] = h
+        if len(compose) != sum(len(i) * len(o) for i, o in zip(base.by_target, base.by_source)):
+            raise ValueError("compose leaves a composable pair undefined")
+        return base
+
     def morphisms(self) -> tuple[str, ...]:
         """Every morphism name, in number order."""
         return self.names

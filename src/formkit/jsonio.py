@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from itertools import compress
@@ -62,6 +64,12 @@ def _bool_rows(rows: list, n: int, where: str) -> None:
             raise SchemaError(f"{where}[{i}]: expected booleans")
 
 
+def _up_masks(rows: list) -> tuple[int, ...]:
+    """Each row of a square boolean matrix as the mask of its true columns."""
+    powers = [1 << b for b in range(len(rows))]
+    return tuple(sum(compress(powers, row)) for row in rows)
+
+
 def _strs(value: Any, where: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise SchemaError(f"{where}: expected a list of strings")
@@ -89,7 +97,7 @@ def lattice_from_dict(doc: dict, where: str = "lattice") -> FiniteLattice:
     labels = doc.get("labels")
     if labels is not None and len(_strs(labels, f"{where}.labels")) != size:
         raise SchemaError(f"{where}.labels: expected {size} names")
-    return FiniteLattice(leq, labels)
+    return FiniteLattice.from_up_masks(_up_masks(leq), labels)
 
 
 # -- form ---------------------------------------------------------------------
@@ -102,11 +110,13 @@ def form_to_dict(form: FormInstance) -> dict:
     base = form.base
     names = base.names
     _escaped(names)  # raises on a name holding ';'
+    sections = _sections(form)
+    sections["fibres"] = {x: lattice_to_dict(lat) for x, lat in sections["fibres"].items()}
     return {
         "compose": {
             f"{names[g]};{names[f]}": names[h] for f in range(len(names)) for g, h in base.after(f) if h >= 0
         },
-        **_sections(form),
+        **sections,
         "push": {f: list(form.push_maps[f].table) for f in base.morphisms()},
         "pull": {f: list(form.pull_maps[f].table) for f in base.morphisms()},
     }
@@ -114,10 +124,10 @@ def form_to_dict(form: FormInstance) -> dict:
 
 def _sections(form: FormInstance) -> dict:
     """The small sections of the form document, in key order: all but
-    compose, push and pull."""
+    compose, push and pull, with each fibre as its lattice."""
     base = form.base
     return {
-        "fibres": {x: lattice_to_dict(form.fibre(x)) for x in base.objects},
+        "fibres": {x: form.fibre(x) for x in base.objects},
         "homs": {f"{x},{y}": list(ms) for (x, y), ms in sorted(base.homs.items())},
         "identities": dict(sorted(base.identities.items())),
         "objects": list(base.objects),
@@ -137,7 +147,11 @@ def _escaped(names: tuple[str, ...]) -> list[str]:
 def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
     """A form whose structure is sound: every fibre a lattice, every table
     typed and in range, every composite a declared morphism of the right
-    hom-set. Its laws are left to the verifiers."""
+    hom-set. Its laws are left to the verifiers.
+
+    The base category is read in one pass over ``compose``; a document
+    that pass does not take whole is read again by :func:`_checked_base`,
+    which names its first defect."""
     objects = _strs(_need(doc, "objects", where), f"{where}.objects")
     if any("," in x for x in objects):
         raise SchemaError(f"{where}.objects: names may not contain commas")
@@ -147,42 +161,19 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
         if len(parts) != 2 or parts[0] not in objects or parts[1] not in objects:
             raise SchemaError(f"{where}.homs[{key!r}]: key must be 'X,Y' over declared objects")
         homs[(parts[0], parts[1])] = _strs(ms, f"{where}.homs[{key!r}]")
-    compose: dict[tuple[str, str], str] = {}
-    for key, h in _need(doc, "compose", where, dict).items():
-        parts = key.split(";")
-        if len(parts) != 2 or not isinstance(h, str):
-            raise SchemaError(f"{where}.compose[{key!r}]: key must be 'g;f' and the value a morphism name")
-        compose[(parts[0], parts[1])] = h
-    identities = _need(doc, "identities", where, dict)
-    if not all(isinstance(i, str) for i in identities.values()):
-        raise SchemaError(f"{where}.identities: expected morphism names")
-    try:
-        base = CategoryPresentation(objects, homs, compose, identities)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-    for x in objects:
-        if x not in identities:
-            raise SchemaError(f"{where}.identities: object {x!r} has no identity")
-    dom, cod = base.dom, base.cod
-    for (g, f), h in compose.items():
-        if g not in dom or f not in dom or h not in dom:
-            raise SchemaError(f"{where}.compose[{g + ';' + f!r}]: names an undeclared morphism")
-        if cod[f] != dom[g] or dom[h] != dom[f] or cod[h] != cod[g]:
-            raise SchemaError(f"{where}.compose[{g + ';' + f!r}]: {h!r} is not a composite of {g!r} after {f!r}")
-    # Every entry is now at a distinct composable pair, so all of them are
-    # defined exactly when there are as many entries as pairs.
-    if len(compose) != sum(len(i) * len(o) for i, o in zip(base.by_target, base.by_source)):
-        for g, f in base.composable_pairs():
-            if (g, f) not in compose:
-                raise SchemaError(f"{where}.compose: {g!r} after {f!r} is undefined")
+    compose = _need(doc, "compose", where, dict)
+    base = _keyed_base(doc, objects, homs, compose) or _checked_base(doc, objects, homs, compose, where)
     fibres_doc = _need(doc, "fibres", where, dict)
     fibres = {}
     for x in objects:
         at = f"{where}.fibres[{x}]"
         fib = lattice_from_dict(_need(fibres_doc, x, f"{where}.fibres"), at)
-        bad = fib.verify()
-        if fib.size == 0 or not bad.ok:
-            raise SchemaError(f"{at}: not a lattice ({bad.violations[0].check if bad.violations else 'empty'})")
+        # A finite order with a top and all pairwise meets is a lattice, so
+        # verify() agrees with is_lattice(); it runs only to name a defect.
+        if not fib.is_lattice():
+            bad = fib.verify()
+            if fib.size == 0 or not bad.ok:
+                raise SchemaError(f"{at}: not a lattice ({bad.violations[0].check if bad.violations else 'empty'})")
         fibres[x] = fib
     push_doc = _need(doc, "push", where, dict)
     pull_doc = _need(doc, "pull", where, dict)
@@ -198,6 +189,55 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
         except (ValueError, IndexError) as exc:
             raise SchemaError(f"{where}: morphism {f!r}: {exc}") from exc
     return FormInstance(base, fibres, push, pull)
+
+
+def _keyed_base(doc: dict, objects: list[str], homs: dict, compose: dict) -> CategoryPresentation | None:
+    """The base category filled in one pass over ``compose`` by
+    :meth:`CategoryPresentation.from_keyed`, or None at the first anomaly
+    of any kind, for :func:`_checked_base` to name."""
+    identities = doc.get("identities")
+    if not isinstance(identities, dict) or not all(isinstance(i, str) for i in identities.values()):
+        return None
+    try:
+        base = CategoryPresentation.from_keyed(objects, homs, compose, identities)
+    except (ValueError, TypeError, AttributeError):  # a key that is not a string, an unhashable identity
+        return None
+    return base if all(x in identities for x in objects) else None
+
+
+def _checked_base(doc: dict, objects: list[str], homs: dict, compose: dict, where: str) -> CategoryPresentation:
+    """The base category read through a dict of name pairs, each entry
+    checked in turn: raises the SchemaError of the document's first defect
+    in the order the checks are made."""
+    pairs: dict[tuple[str, str], str] = {}
+    for key, h in compose.items():
+        parts = key.split(";")
+        if len(parts) != 2 or not isinstance(h, str):
+            raise SchemaError(f"{where}.compose[{key!r}]: key must be 'g;f' and the value a morphism name")
+        pairs[(parts[0], parts[1])] = h
+    identities = _need(doc, "identities", where, dict)
+    if not all(isinstance(i, str) for i in identities.values()):
+        raise SchemaError(f"{where}.identities: expected morphism names")
+    try:
+        base = CategoryPresentation(objects, homs, pairs, identities)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    for x in objects:
+        if x not in identities:
+            raise SchemaError(f"{where}.identities: object {x!r} has no identity")
+    dom, cod = base.dom, base.cod
+    for (g, f), h in pairs.items():
+        if g not in dom or f not in dom or h not in dom:
+            raise SchemaError(f"{where}.compose[{g + ';' + f!r}]: names an undeclared morphism")
+        if cod[f] != dom[g] or dom[h] != dom[f] or cod[h] != cod[g]:
+            raise SchemaError(f"{where}.compose[{g + ';' + f!r}]: {h!r} is not a composite of {g!r} after {f!r}")
+    # Every entry is now at a distinct composable pair, so all of them are
+    # defined exactly when there are as many entries as pairs.
+    if len(pairs) != sum(len(i) * len(o) for i, o in zip(base.by_target, base.by_source)):
+        for g, f in base.composable_pairs():
+            if (g, f) not in pairs:
+                raise SchemaError(f"{where}.compose: {g!r} after {f!r} is undefined")
+    return base
 
 
 # -- order and operators --------------------------------------------------------
@@ -218,9 +258,7 @@ def order_from_dict(doc: dict, where: str = "order") -> TopogenousOrder:
             raise SchemaError(f"{where}.rel[{x}]: expected a list of rows")
         n = len(rows)
         _bool_rows(rows, n, f"{where}.rel[{x}]")
-        rel[x] = tuple(
-            sum(1 << b for b in range(n) if rows[a][b]) for a in range(n)
-        )
+        rel[x] = _up_masks(rows)
     return TopogenousOrder(rel)
 
 
@@ -312,8 +350,38 @@ def _read_text(path: str, digests: dict[str, str] | None) -> str:
 
 
 def dump_json(doc: Any, path: str) -> None:
-    with open(path, "w") as fh:
-        write_json(doc, fh)
+    """Write ``doc`` to the file at ``path``, as :func:`write_json` does.
+
+    A new file, or a regular one, is written under a temporary name beside
+    it and renamed over it once the whole text is written, so a writer
+    error leaves the old file as it was, or no file. Any other path (a
+    link such as ``/dev/stdout``, a pipe), and one whose directory takes
+    no new file, is written in place."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    temp = None
+    if mode is None or stat.S_ISREG(mode):
+        head, tail = os.path.split(path)
+        temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            temp = None
+    if temp is None:
+        with open(path, "w") as fh:
+            write_json(doc, fh)
+        return
+    try:
+        with open(fd, "w") as fh:
+            if mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
+            write_json(doc, fh)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def write_json(doc: Any, fh: TextIO) -> None:
@@ -348,7 +416,9 @@ def dumps(doc: Any) -> str:
     of objects that share their keys (a report's violations), column by
     column. Floats, non-string keys and subclasses go to the stdlib,
     re-indented to their depth. A :class:`FormInstance` anywhere in the
-    tree is written as ``form_to_dict`` of it would be, from its tables."""
+    tree is written as ``form_to_dict`` of it would be, from its tables,
+    and a :class:`FiniteLattice` as ``lattice_to_dict`` of it would be,
+    from its ``up`` masks."""
     return "".join(_chunks(doc, "\n"))
 
 
@@ -400,6 +470,8 @@ def _chunks(o: Any, nl: str) -> Iterator[str]:
         yield nl + "}"
     elif t is FormInstance:
         yield from _form_chunks(o, nl)
+    elif t is FiniteLattice:
+        yield _lattice_text(o, nl)
     else:
         yield _fallback(o, nl)
 
@@ -457,6 +529,26 @@ def _compose_chunks(base: CategoryPresentation, escaped: list[str], nl: str) -> 
             yield prefix + head + "".join(pieces)
             prefix = sep
     yield nl + "}" if prefix is sep else "{}"
+
+
+# The text of each binary digit of a row's mask, lowest bit first.
+_WORDS = {"0": "false", "1": "true"}.__getitem__
+
+
+def _lattice_text(lat: FiniteLattice, nl: str) -> str:
+    """The text of ``lattice_to_dict(lat)``, each ``leq`` row written from
+    its ``up`` mask with no list of booleans."""
+    inner = nl + "  "
+    row_nl = inner + "  "
+    leq = "[]"
+    if lat.size:
+        n, sep = lat.size, "," + row_nl + "  "
+        rows = ("[" + row_nl + "  " + sep.join(map(_WORDS, format(m, "b").zfill(n)[::-1])) + row_nl + "]" for m in lat.up)
+        leq = "[" + row_nl + ("," + row_nl).join(rows) + inner + "]"
+    members = ['"leq": ' + leq, '"size": ' + str(lat.size)]
+    if lat.labels:
+        members.insert(0, '"labels": ' + "".join(_chunks(list(lat.labels), inner)))
+    return "{" + inner + ("," + inner).join(members) + nl + "}"
 
 
 def _table_chunks(

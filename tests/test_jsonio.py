@@ -88,7 +88,7 @@ def test_form_schema_errors(top12):
         form_from_dict(broken)
 
 
-ID1, A0, A1 = "1pt->1pt:0", "1pt->2pt:0", "1pt->2pt:1"
+ID1, A0, A1, ID2 = "1pt->1pt:0", "1pt->2pt:0", "1pt->2pt:1", "2pt->2pt:0.1"
 
 
 def _drop(compose, *keys):
@@ -96,57 +96,124 @@ def _drop(compose, *keys):
         del compose[key]
 
 
-# Defects of a top[1,2] compose section, each with the exact message
-# form_from_dict gave before the reader's compose checks were made cheaper.
+# Defects of a top[1,2] document, each with the exact message form_from_dict
+# gave before the reader's compose checks were made cheaper, and, from
+# "bad-key-after-undeclared-name" on, pairs of defects whose order of
+# precedence matters, with the message the reader gave before it filled the
+# composition table in one pass.
 COMPOSE_DEFECTS = {
     "key-without-semicolon": (
-        lambda c: c.update({ID1: ID1}),
+        lambda d: d["compose"].update({ID1: ID1}),
         "form.compose['1pt->1pt:0']: key must be 'g;f' and the value a morphism name",
     ),
     "non-string-value": (
-        lambda c: c.update({f"{ID1};{ID1}": 0}),
+        lambda d: d["compose"].update({f"{ID1};{ID1}": 0}),
         "form.compose['1pt->1pt:0;1pt->1pt:0']: key must be 'g;f' and the value a morphism name",
     ),
     "undeclared-name": (
-        lambda c: c.update({f"ghost;{ID1}": ID1}),
+        lambda d: d["compose"].update({f"ghost;{ID1}": ID1}),
         "form.compose['ghost;1pt->1pt:0']: names an undeclared morphism",
     ),
     "undeclared-composite": (
-        lambda c: c.update({f"{ID1};{ID1}": "ghost"}),
+        lambda d: d["compose"].update({f"{ID1};{ID1}": "ghost"}),
         "form.compose['1pt->1pt:0;1pt->1pt:0']: names an undeclared morphism",
     ),
     "wrong-composite": (
-        lambda c: c.update({f"{ID1};{ID1}": A0}),
+        lambda d: d["compose"].update({f"{ID1};{ID1}": A0}),
         "form.compose['1pt->1pt:0;1pt->1pt:0']: '1pt->2pt:0' is not a composite of '1pt->1pt:0' after '1pt->1pt:0'",
     ),
     "missing-pair": (
-        lambda c: _drop(c, f"{A0};{ID1}"),
+        lambda d: _drop(d["compose"], f"{A0};{ID1}"),
         "form.compose: '1pt->2pt:0' after '1pt->1pt:0' is undefined",
     ),
     "two-missing-pairs": (
-        lambda c: _drop(c, f"{A1};{ID1}", f"{A0};{ID1}"),
+        lambda d: _drop(d["compose"], f"{A1};{ID1}", f"{A0};{ID1}"),
         "form.compose: '1pt->2pt:0' after '1pt->1pt:0' is undefined",
     ),
     "non-composable-entry": (
-        lambda c: c.update({f"{ID1};{A0}": ID1}),
+        lambda d: d["compose"].update({f"{ID1};{A0}": ID1}),
         "form.compose['1pt->1pt:0;1pt->2pt:0']: '1pt->1pt:0' is not a composite of '1pt->1pt:0' after '1pt->2pt:0'",
     ),
     # As many entries as composable pairs, one of them at the wrong pair.
     "missing-pair-and-non-composable-entry": (
-        lambda c: (_drop(c, f"{A0};{ID1}"), c.update({f"{ID1};{A0}": ID1})),
+        lambda d: (_drop(d["compose"], f"{A0};{ID1}"), d["compose"].update({f"{ID1};{A0}": ID1})),
         "form.compose['1pt->1pt:0;1pt->2pt:0']: '1pt->1pt:0' is not a composite of '1pt->1pt:0' after '1pt->2pt:0'",
+    ),
+    # Every key is split before any name is looked up.
+    "bad-key-after-undeclared-name": (
+        lambda d: d["compose"].update({f"ghost;{ID1}": ID1, ID1: ID1}),
+        "form.compose['1pt->1pt:0']: key must be 'g;f' and the value a morphism name",
+    ),
+    # The identities are typed before any compose entry is resolved.
+    "non-string-identity-and-undeclared-name": (
+        lambda d: (d["identities"].update({"1pt": 0}), d["compose"].update({f"ghost;{ID1}": ID1})),
+        "form.identities: expected morphism names",
+    ),
+    "object-without-identity": (
+        lambda d: d["identities"].pop("2pt"),
+        "form.identities: object '2pt' has no identity",
+    ),
+    "object-without-identity-and-wrong-composite": (
+        lambda d: (d["identities"].pop("2pt"), d["compose"].update({f"{ID1};{ID1}": A0})),
+        "form.identities: object '2pt' has no identity",
+    ),
+    "duplicate-objects-and-wrong-composite": (
+        lambda d: (d["objects"].append("1pt"), d["compose"].update({f"{ID1};{ID1}": A0})),
+        "form: duplicate object names",
+    ),
+    # A key holding a name with ';' does not split in two ...
+    "semicolon-name-and-missing-pairs": (
+        lambda d: (d["homs"]["2pt,2pt"].append("e;f"), d["compose"].update({f"{ID2};e;f": "e;f"})),
+        "form.compose['2pt->2pt:0.1;e;f']: key must be 'g;f' and the value a morphism name",
+    ),
+    # ... and a name with ';' but no entry leaves its pairs undefined.
+    "semicolon-name-left-out": (
+        lambda d: d["homs"]["2pt,2pt"].append("e;f"),
+        "form.compose: 'e;f' after '1pt->2pt:0' is undefined",
+    ),
+    # Fibres are read before the transfer tables, in object order.
+    "non-lattice-fibre-and-bad-push": (
+        lambda d: (d["fibres"]["2pt"]["leq"][0].__setitem__(slice(1, 3), [False, False]), d["push"].update({ID1: [True]})),
+        "form.fibres[2pt]: not a lattice (missing-meet)",
+    ),
+    "non-order-fibre-and-missing-pull": (
+        lambda d: (d["fibres"]["1pt"]["leq"][0].__setitem__(0, False), d["pull"].pop(ID1)),
+        "form.fibres[1pt]: not a lattice (reflexive)",
     ),
 }
 
 
+@pytest.fixture
+def checked_reader(monkeypatch):
+    """Turns the one-pass fill off: ``form_from_dict`` then reads every
+    base category through ``_checked_base``, the reader's earlier path."""
+    return lambda: monkeypatch.setattr(jsonio, "_keyed_base", lambda *args: None)
+
+
 @pytest.mark.parametrize("defect", sorted(COMPOSE_DEFECTS))
-def test_compose_errors_are_pinned(defect, top12):
+def test_compose_errors_are_pinned(defect, top12, checked_reader):
     doc = form_to_dict(top12.form)
     change, message = COMPOSE_DEFECTS[defect]
-    change(doc["compose"])
+    change(doc)
     with pytest.raises(SchemaError) as exc:
         form_from_dict(doc)
     assert str(exc.value) == message
+    checked_reader()
+    with pytest.raises(SchemaError) as exc:
+        form_from_dict(doc)
+    assert str(exc.value) == message
+
+
+def test_keys_split_in_two_beside_an_empty_name(checked_reader):
+    """With a morphism named "", the key "a" would resolve as "a;" does if
+    the reader did not ask for the ';'."""
+    doc = form_to_dict(_one_object(["", "a"]))
+    doc["compose"]["a"] = doc["compose"].pop("a;")
+    for _ in range(2):
+        with pytest.raises(SchemaError) as exc:
+            form_from_dict(doc)
+        assert str(exc.value) == "form.compose['a']: key must be 'g;f' and the value a morphism name"
+        checked_reader()
 
 
 @pytest.mark.parametrize("entry", [True, 1.0, "1"])
@@ -232,6 +299,30 @@ def test_emitted_forms_are_pinned(name, request):
     form = request.getfixturevalue(name).form
     text = json.dumps(form_to_dict(form), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EMITTED_DIGESTS))
+def test_one_pass_reader_is_the_checked_reader(name, request, monkeypatch, checked_reader):
+    """On every built-in emitted document the one-pass reader takes the
+    document whole and reads what the earlier path reads; each fibre is the
+    relation the boolean matrix constructor builds from its rows."""
+    form = request.getfixturevalue(name).form
+    doc = json.loads(dumps(form))
+    with monkeypatch.context() as patch:
+        patch.setattr(jsonio, "_checked_base", None)  # the one pass must not fall back
+        fast = form_from_dict(doc)
+    checked_reader()
+    slow = form_from_dict(doc)
+    assert fast.base.names == slow.base.names == form.base.names
+    assert fast.base.comp == slow.base.comp == form.base.comp
+    for x in form.base.objects:
+        fibre = doc["fibres"][x]
+        made = FiniteLattice(fibre["leq"], fibre.get("labels"))
+        assert fast.fibre(x).up == slow.fibre(x).up == made.up
+        assert fast.fibre(x).labels == slow.fibre(x).labels == made.labels
+    for f in form.base.morphisms():
+        assert fast.push_maps[f].table == slow.push_maps[f].table == form.push_maps[f].table
+        assert fast.pull_maps[f].table == slow.pull_maps[f].table == form.pull_maps[f].table
 
 
 # sha256 of the bytes formkit writes, recorded from json.dump(indent=2,
@@ -396,12 +487,50 @@ def test_streamed_form_is_the_dict_encoding(name, request):
     assert dumps(form) == dumps(form_to_dict(form))
 
 
+@pytest.mark.parametrize("lat", [
+    FiniteLattice([]),
+    FiniteLattice.chain(1),
+    FiniteLattice([[True, True, True], [False, True, True], [False, False, True]], labels=['a"', "\u00e9", ""]),
+    FiniteLattice.from_up_masks([0b1111, 0b1010, 0b1100, 0b1000]),
+], ids=["empty", "point", "labelled chain", "diamond"])
+def test_lattice_written_from_masks_is_the_dict_encoding(lat):
+    doc = {"fibres": {"X": lat}}
+    assert dumps(doc) == dumps({"fibres": {"X": lattice_to_dict(lat)}})
+
+
 def test_writer_refuses_names_with_semicolons(tmp_path):
     # ("a;b", "c") and ("a", "b;c") would both be written as the key "a;b;c"
     form = _one_object(["a", "a;b", "b;c", "c"])
     for write in (dumps, form_to_dict, lambda form: dump_json(form, str(tmp_path / "form.json"))):
         with pytest.raises(ValueError, match="morphism 'a;b': names may not contain ';'"):
             write(form)
+
+
+def test_failed_write_leaves_the_target_as_it_was(tmp_path):
+    form = _one_object(["a", "a;b"])
+    old = tmp_path / "old.json"
+    old.write_bytes(b"old bytes\n")
+    old.chmod(0o640)
+    for path in (old, tmp_path / "new.json"):
+        with pytest.raises(ValueError, match="names may not contain ';'"):
+            dump_json(form, str(path))
+    assert old.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]  # no new file, no temporary one
+    dump_json({"a": 1}, str(old))
+    assert old.read_text() == '{\n  "a": 1\n}\n'
+    assert old.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
+
+def test_links_are_written_in_place(tmp_path):
+    """A link, such as /dev/stdout, is written through, not replaced."""
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    dump_json([1], str(link))
+    assert link.is_symlink()
+    assert target.read_text() == "[\n  1\n]\n"
 
 
 def test_reports_skip_the_stdlib_encoder(fallbacks):
