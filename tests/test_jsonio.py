@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+from copy import deepcopy
 
 import pytest
 from click.testing import CliRunner
@@ -214,6 +216,91 @@ def test_keys_split_in_two_beside_an_empty_name(checked_reader):
             form_from_dict(doc)
         assert str(exc.value) == "form.compose['a']: key must be 'g;f' and the value a morphism name"
         checked_reader()
+
+
+# What the seeded mutations below write in place of a leaf, beside the
+# document's own object and morphism names.
+ODD_VALUES = ["ghost", "", "a,b", "e;f", 0, True, None, [], {}]
+
+
+def _mutate(doc, rng):
+    """One leaf mutation of the ``objects``, ``homs``, ``identities`` or
+    ``compose`` of ``doc``, in place: a value replaced, a key or list entry
+    deleted or duplicated, or a compose entry moved to another key."""
+    names = sorted(m for ms in doc["homs"].values() if isinstance(ms, list) for m in ms if isinstance(m, str))
+    objects = [x for x in doc["objects"] if isinstance(x, str)]
+    values = names + objects + ODD_VALUES
+    section = rng.choice(["objects", "homs", "identities", "compose"])
+    part = doc[section]
+    lists = sorted(k for k, ms in part.items() if isinstance(ms, list)) if section == "homs" else []
+    if lists and rng.randrange(2):
+        part = part[rng.choice(lists)]  # one hom-set's list of names
+    if isinstance(part, list):
+        op = rng.choice(["replace", "delete", "duplicate"])
+        if not part:
+            op = "duplicate"
+        if op == "duplicate":
+            part.insert(rng.randrange(len(part) + 1), deepcopy(rng.choice(part or values)))
+        else:
+            i = rng.randrange(len(part))
+            if op == "delete":
+                del part[i]
+            else:
+                part[i] = deepcopy(rng.choice(values))
+        return
+    op = rng.choice(["replace", "delete", "duplicate", "rekey"])
+    keys = sorted(part)
+    if not keys:
+        op = "duplicate"
+    if section == "compose":
+        new_key = rng.choice([f"{rng.choice(names)};{rng.choice(names)}", rng.choice(names), "a;b;c", "ghost;" + rng.choice(names)])
+    elif section == "homs":
+        new_key = rng.choice([f"{rng.choice(objects)},{rng.choice(objects)}", "ghost,ghost", rng.choice(objects)])
+    else:
+        new_key = rng.choice(objects + ["ghost"])
+    if op == "duplicate":
+        part[new_key] = deepcopy(part[rng.choice(keys)] if keys else rng.choice(values))
+        return
+    key = rng.choice(keys)
+    if op == "delete":
+        del part[key]
+    elif op == "rekey":
+        part[new_key] = part.pop(key)
+    elif section == "homs":
+        part[key] = deepcopy(rng.choice([rng.choice(ODD_VALUES), names[:2], []]))
+    else:
+        part[key] = deepcopy(rng.choice(values))
+
+
+# sha256 of the outcomes of the seeded mutations below, each "ok" or the
+# exact SchemaError text, recorded while a document the one-pass fill did not
+# take whole was read again through a dict of name pairs.
+MUTATION_DIGESTS = {
+    "top12": "af2d1457627c0446b94491b4198e9a9a4487a6a15984d2b99840fb8bdf50fd1e",
+    "top123": "411a22d8f34f80afbd9eda70f5f1c58a8030b1507a6dca751ff0cecb6632f3db",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_DIGESTS))
+def test_mutated_base_sections_are_pinned(name, request):
+    """One or two seeded leaf mutations per document give, one by one, the
+    same outcome as when the digest was recorded."""
+    doc = form_to_dict(request.getfixturevalue(name).form)
+    rng = random.Random(f"mutations of {name}")
+    outcomes = []
+    for _ in range(300):
+        mutated = dict(doc, objects=list(doc["objects"]), identities=dict(doc["identities"]), compose=dict(doc["compose"]))
+        mutated["homs"] = {k: list(v) for k, v in doc["homs"].items()}
+        for _ in range(rng.randrange(1, 3)):
+            _mutate(mutated, rng)
+        try:
+            form_from_dict(mutated)
+        except SchemaError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append("ok")
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == MUTATION_DIGESTS[name]
 
 
 @pytest.mark.parametrize("entry", [True, 1.0, "1"])
