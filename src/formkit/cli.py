@@ -45,7 +45,6 @@ from .jsonio import (
     SchemaError,
     dump_json,
     form_from_dict,
-    form_to_dict,
     group_from_dict,
     is_int,
     lattice_from_dict,
@@ -279,7 +278,7 @@ def load_recipe(recipe: dict, inputs: dict[str, str], where: str = "recipe") -> 
 
 def inline_recipe(ctx: CheckContext) -> dict:
     """A recipe that carries its form (and order or operator) in full."""
-    recipe = {"kind": "inline", "form": form_to_dict(ctx.form)}
+    recipe = {"kind": "inline", "form": ctx.form}
     if ctx.order is not None:
         recipe["order"] = order_to_dict(ctx.order)
     if ctx.operator is not None:

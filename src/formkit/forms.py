@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .lattice import FiniteLattice, MonotoneMap
@@ -37,10 +38,12 @@ class CategoryPresentation:
     the numbers of the composites g∘f for f in ``fs`` in order (-1 where
     undefined), which fill the slice ``comp[g * n + fs.start : g * n +
     fs.stop]``; or a mapping from name pairs ``(g, f)`` to the composite's
-    name, for hand-written input, where a pair left out or a name that is
-    not a morphism is undefined and an entry at a pair that does not
-    compose is ignored. The name-level ``dom``, ``cod``, :meth:`hom`,
-    :meth:`compose` and :attr:`compose_table` read the same tables.
+    name, for tests and hand-built presentations, where a pair left out or a
+    name that is not a morphism is undefined and an entry at a pair that
+    does not compose is ignored. A form document is read into an empty
+    mapping's table by :func:`fill_composites`. The name-level ``dom``,
+    ``cod``, :meth:`hom`, :meth:`compose` and :attr:`compose_table` read the
+    same tables.
     """
 
     def __init__(
@@ -101,46 +104,6 @@ class CategoryPresentation:
                 g, f = ids.get(g_name), ids.get(f_name)
                 if g is not None and f is not None and source[g] == target[f]:
                     comp[g * n + f] = ids.get(h, -1)
-
-    @classmethod
-    def from_keyed(
-        cls,
-        objects: Sequence[str],
-        homs: dict[tuple[str, str], Sequence[str]],
-        compose: Mapping[str, str],
-        identities: dict[str, str],
-    ) -> "CategoryPresentation":
-        """The presentation of a form document, whose ``compose`` maps the
-        key "g;f" (g after f, by name) to the composite's name, filled in
-        one pass over ``compose`` with no table of name pairs.
-
-        Each key and value is resolved to morphism numbers as it is read.
-        The first entry that is not a declared composite in hom(dom f,
-        cod g) at a composable pair raises ValueError, as do a value that
-        is not a string, a key that does not split in two, and a morphism
-        name holding ';'. With no ';' in a name each key splits one way
-        only, so the entries sit at distinct pairs, and the table is total
-        exactly when there are as many entries as composable pairs;
-        otherwise ValueError. The messages name no entry: a reader that
-        needs located errors reads the document again through the mapping
-        branch of the constructor."""
-        base = cls(objects, homs, {}, identities)
-        names, ids, source, target, comp = base.names, base.ids, base.source, base.target, base.comp
-        if any(";" in m for m in names):
-            raise ValueError("a morphism name holds ';'")
-        n = len(names)
-        for key, h in compose.items():
-            g, semicolon, f = key.partition(";")
-            g, f, h = ids.get(g), ids.get(f), (ids.get(h) if isinstance(h, str) else None)
-            if (
-                not semicolon or g is None or f is None or h is None
-                or source[g] != target[f] or source[h] != source[f] or target[h] != target[g]
-            ):
-                raise ValueError(f"compose[{key!r}] is not a composite at a composable pair")
-            comp[g * n + f] = h
-        if len(compose) != sum(len(i) * len(o) for i, o in zip(base.by_target, base.by_source)):
-            raise ValueError("compose leaves a composable pair undefined")
-        return base
 
     def morphisms(self) -> tuple[str, ...]:
         """Every morphism name, in number order."""
@@ -318,6 +281,39 @@ class CategoryPresentation:
                         rep.add("associative", witness=(names[hi], names[gi], names[fi]))
                         return
                 rep.count("associative", len(row))
+
+
+def fill_composites(
+    base: CategoryPresentation | None, compose: Mapping[str, object]
+) -> tuple[str | None, str | None]:
+    """Fill ``base.comp`` in one pass over a form document's ``compose``,
+    which maps the key "g;f" (g after f, by name) to the composite's name.
+
+    Returns the first key that is not two parts around one ';' or whose
+    value is not a string, and the first entry that is not a declared
+    composite in hom(dom f, cod g) at a composable pair (each None if there
+    is none). Entries are filled up to that one, and only the shapes of the
+    rest are checked; of all of them when ``base`` is None."""
+    entries = iter(compose.items())
+    bad = None
+    if base is not None:
+        names, ids, source, target, comp = base.names, base.ids, base.source, base.target, base.comp
+        n = len(names)
+        # a name holding ';' is part of no key of the right shape
+        parts = ids if not any(";" in m for m in names) else {m: i for m, i in ids.items() if ";" not in m}
+        for key, value in entries:
+            g, semicolon, f = key.partition(";")
+            g, f, h = parts.get(g), parts.get(f), (ids.get(value) if isinstance(value, str) else None)
+            if (
+                not semicolon or g is None or f is None or h is None
+                or source[g] != target[f] or source[h] != source[f] or target[h] != target[g]
+            ):
+                bad = key
+                entries = chain([(key, value)], entries)  # its shape is checked with the rest
+                break
+            comp[g * n + f] = h
+    shapeless = next((key for key, value in entries if key.count(";") != 1 or not isinstance(value, str)), None)
+    return shapeless, bad
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ import hashlib
 import json
 import os
 import stat
+import sys
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from itertools import compress
 from typing import Any, Callable, Iterator, TextIO
 
-from .forms import CategoryPresentation, FormInstance
+from .forms import CategoryPresentation, FormInstance, fill_composites
 from .groups import FiniteGroup
 from .lattice import FiniteLattice, MonotoneMap
 from .partitions import Partition
@@ -104,9 +105,9 @@ def lattice_from_dict(doc: dict, where: str = "lattice") -> FiniteLattice:
 
 
 def form_to_dict(form: FormInstance) -> dict:
-    """The form document as a dict. Files and reports are written by
-    :func:`_form_chunks` instead, from the integer tables; this dict is for
-    documents kept in memory, such as inline witness recipes."""
+    """The form document as a dict. Files and reports, inline witness
+    recipes included, are written by :func:`_form_chunks` instead, from the
+    integer tables; this dict serves the tests and the benchmark tracer."""
     base = form.base
     names = base.names
     _escaped(names)  # raises on a name holding ';'
@@ -149,9 +150,12 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
     typed and in range, every composite a declared morphism of the right
     hom-set. Its laws are left to the verifiers.
 
-    The base category is read in one pass over ``compose``; a document
-    that pass does not take whole is read again by :func:`_checked_base`,
-    which names its first defect."""
+    The base category is read in one pass over ``compose``
+    (:func:`~formkit.forms.fill_composites`), and the first defect is
+    named in this order: a key or value of the wrong shape, the identities'
+    types, the presentation, an object without an identity, the first
+    entry that is not a composite at a composable pair, and the first
+    composable pair left undefined."""
     objects = _strs(_need(doc, "objects", where), f"{where}.objects")
     if any("," in x for x in objects):
         raise SchemaError(f"{where}.objects: names may not contain commas")
@@ -162,7 +166,7 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
             raise SchemaError(f"{where}.homs[{key!r}]: key must be 'X,Y' over declared objects")
         homs[(parts[0], parts[1])] = _strs(ms, f"{where}.homs[{key!r}]")
     compose = _need(doc, "compose", where, dict)
-    base = _keyed_base(doc, objects, homs, compose) or _checked_base(doc, objects, homs, compose, where)
+    base = _base(doc, objects, homs, compose, where)
     fibres_doc = _need(doc, "fibres", where, dict)
     fibres = {}
     for x in objects:
@@ -191,52 +195,42 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
     return FormInstance(base, fibres, push, pull)
 
 
-def _keyed_base(doc: dict, objects: list[str], homs: dict, compose: dict) -> CategoryPresentation | None:
-    """The base category filled in one pass over ``compose`` by
-    :meth:`CategoryPresentation.from_keyed`, or None at the first anomaly
-    of any kind, for :func:`_checked_base` to name."""
+def _base(doc: dict, objects: list[str], homs: dict, compose: dict, where: str) -> CategoryPresentation:
+    """The base category with its composition table filled from
+    ``compose``, or the SchemaError of the document's first defect."""
     identities = doc.get("identities")
-    if not isinstance(identities, dict) or not all(isinstance(i, str) for i in identities.values()):
-        return None
-    try:
-        base = CategoryPresentation.from_keyed(objects, homs, compose, identities)
-    except (ValueError, TypeError, AttributeError):  # a key that is not a string, an unhashable identity
-        return None
-    return base if all(x in identities for x in objects) else None
-
-
-def _checked_base(doc: dict, objects: list[str], homs: dict, compose: dict, where: str) -> CategoryPresentation:
-    """The base category read through a dict of name pairs, each entry
-    checked in turn: raises the SchemaError of the document's first defect
-    in the order the checks are made."""
-    pairs: dict[tuple[str, str], str] = {}
-    for key, h in compose.items():
-        parts = key.split(";")
-        if len(parts) != 2 or not isinstance(h, str):
-            raise SchemaError(f"{where}.compose[{key!r}]: key must be 'g;f' and the value a morphism name")
-        pairs[(parts[0], parts[1])] = h
-    identities = _need(doc, "identities", where, dict)
-    if not all(isinstance(i, str) for i in identities.values()):
+    typed = isinstance(identities, dict) and all(isinstance(i, str) for i in identities.values())
+    base = problem = None
+    if typed:
+        try:
+            base = CategoryPresentation(objects, homs, {}, identities)
+        except ValueError as exc:
+            problem = exc
+    shapeless, bad = fill_composites(base, compose)
+    if shapeless is not None:
+        raise SchemaError(f"{where}.compose[{shapeless!r}]: key must be 'g;f' and the value a morphism name")
+    if not typed:
+        _need(doc, "identities", where, dict)
         raise SchemaError(f"{where}.identities: expected morphism names")
-    try:
-        base = CategoryPresentation(objects, homs, pairs, identities)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    if problem is not None:
+        raise SchemaError(f"{where}: {problem}") from problem
     for x in objects:
         if x not in identities:
             raise SchemaError(f"{where}.identities: object {x!r} has no identity")
-    dom, cod = base.dom, base.cod
-    for (g, f), h in pairs.items():
-        if g not in dom or f not in dom or h not in dom:
-            raise SchemaError(f"{where}.compose[{g + ';' + f!r}]: names an undeclared morphism")
-        if cod[f] != dom[g] or dom[h] != dom[f] or cod[h] != cod[g]:
-            raise SchemaError(f"{where}.compose[{g + ';' + f!r}]: {h!r} is not a composite of {g!r} after {f!r}")
-    # Every entry is now at a distinct composable pair, so all of them are
+    if bad is not None:
+        g, f = bad.split(";")
+        h = compose[bad]
+        if not {g, f, h} <= base.dom.keys():
+            raise SchemaError(f"{where}.compose[{bad!r}]: names an undeclared morphism")
+        raise SchemaError(f"{where}.compose[{bad!r}]: {h!r} is not a composite of {g!r} after {f!r}")
+    # Each entry now sits at its own composable pair, so all pairs are
     # defined exactly when there are as many entries as pairs.
-    if len(pairs) != sum(len(i) * len(o) for i, o in zip(base.by_target, base.by_source)):
-        for g, f in base.composable_pairs():
-            if (g, f) not in pairs:
-                raise SchemaError(f"{where}.compose: {g!r} after {f!r} is undefined")
+    if len(compose) != sum(len(i) * len(o) for i, o in zip(base.by_target, base.by_source)):
+        names = base.names
+        for f in range(len(names)):
+            for g, h in base.after(f):
+                if h < 0:
+                    raise SchemaError(f"{where}.compose: {names[g]!r} after {names[f]!r} is undefined")
     return base
 
 
@@ -352,11 +346,17 @@ def _read_text(path: str, digests: dict[str, str] | None) -> str:
 def dump_json(doc: Any, path: str) -> None:
     """Write ``doc`` to the file at ``path``, as :func:`write_json` does.
 
-    A new file, or a regular one, is written under a temporary name beside
-    it and renamed over it once the whole text is written, so a writer
-    error leaves the old file as it was, or no file. Any other path (a
-    link such as ``/dev/stdout``, a pipe), and one whose directory takes
-    no new file, is written in place."""
+    The file open on descriptor 1 (``/dev/stdout``, or the file stdout is
+    redirected to) is written through ``sys.stdout``, at its offset, so
+    text written there after it follows it. A new file, or another regular
+    one, is written under a temporary name beside it and renamed over it
+    once the whole text is written, so a writer error leaves the old file
+    as it was, or no file. Any other path (a link, a pipe), and one whose
+    directory takes no new file, is written in place."""
+    if _is_stdout(path):
+        write_json(doc, sys.stdout)
+        sys.stdout.flush()
+        return
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
@@ -382,6 +382,14 @@ def dump_json(doc: Any, path: str) -> None:
     except BaseException:
         os.unlink(temp)
         raise
+
+
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` names the file open on descriptor 1."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
 
 
 def write_json(doc: Any, fh: TextIO) -> None:

@@ -379,17 +379,6 @@ class MonotoneMap:
     def identity(cls, lattice: FiniteLattice) -> "MonotoneMap":
         return cls(lattice, lattice, tuple(range(lattice.size)))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonotoneMap)
-            and self.table == other.table
-            and self.source == other.source
-            and self.target == other.target
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.table, self.source.size, self.target.size))
-
     def __repr__(self) -> str:
         return f"MonotoneMap({self.source.size}->{self.target.size}, {self.table})"
 

@@ -149,9 +149,6 @@ class PartitionForm:
     index: dict[str, dict[tuple[int, ...], int]]
     functions: dict[str, SetFunction]
 
-    def element(self, obj: str, p: Partition) -> int:
-        return self.index[obj][p.blocks]
-
 
 def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
     """The quotient form over finite sets: fibres are partition lattices,

@@ -2,14 +2,19 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from copy import deepcopy
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formkit
 from formkit.cli import main
 from formkit import jsonio
 from formkit.forms import CategoryPresentation, FormInstance
@@ -185,37 +190,24 @@ COMPOSE_DEFECTS = {
 }
 
 
-@pytest.fixture
-def checked_reader(monkeypatch):
-    """Turns the one-pass fill off: ``form_from_dict`` then reads every
-    base category through ``_checked_base``, the reader's earlier path."""
-    return lambda: monkeypatch.setattr(jsonio, "_keyed_base", lambda *args: None)
-
-
 @pytest.mark.parametrize("defect", sorted(COMPOSE_DEFECTS))
-def test_compose_errors_are_pinned(defect, top12, checked_reader):
+def test_compose_errors_are_pinned(defect, top12):
     doc = form_to_dict(top12.form)
     change, message = COMPOSE_DEFECTS[defect]
     change(doc)
     with pytest.raises(SchemaError) as exc:
         form_from_dict(doc)
     assert str(exc.value) == message
-    checked_reader()
-    with pytest.raises(SchemaError) as exc:
-        form_from_dict(doc)
-    assert str(exc.value) == message
 
 
-def test_keys_split_in_two_beside_an_empty_name(checked_reader):
+def test_keys_split_in_two_beside_an_empty_name():
     """With a morphism named "", the key "a" would resolve as "a;" does if
     the reader did not ask for the ';'."""
     doc = form_to_dict(_one_object(["", "a"]))
     doc["compose"]["a"] = doc["compose"].pop("a;")
-    for _ in range(2):
-        with pytest.raises(SchemaError) as exc:
-            form_from_dict(doc)
-        assert str(exc.value) == "form.compose['a']: key must be 'g;f' and the value a morphism name"
-        checked_reader()
+    with pytest.raises(SchemaError) as exc:
+        form_from_dict(doc)
+    assert str(exc.value) == "form.compose['a']: key must be 'g;f' and the value a morphism name"
 
 
 # What the seeded mutations below write in place of a leaf, beside the
@@ -389,27 +381,27 @@ def test_emitted_forms_are_pinned(name, request):
 
 
 @pytest.mark.parametrize("name", sorted(EMITTED_DIGESTS))
-def test_one_pass_reader_is_the_checked_reader(name, request, monkeypatch, checked_reader):
-    """On every built-in emitted document the one-pass reader takes the
-    document whole and reads what the earlier path reads; each fibre is the
-    relation the boolean matrix constructor builds from its rows."""
+def test_one_pass_reader_is_the_checked_reader(name, request):
+    """On every built-in emitted document the one-pass reader fills the
+    table that the constructor builds from the document's name pairs; each
+    fibre is the relation the boolean matrix constructor builds from its
+    rows."""
     form = request.getfixturevalue(name).form
     doc = json.loads(dumps(form))
-    with monkeypatch.context() as patch:
-        patch.setattr(jsonio, "_checked_base", None)  # the one pass must not fall back
-        fast = form_from_dict(doc)
-    checked_reader()
-    slow = form_from_dict(doc)
-    assert fast.base.names == slow.base.names == form.base.names
-    assert fast.base.comp == slow.base.comp == form.base.comp
+    read = form_from_dict(doc)
+    homs = {tuple(key.split(",")): ms for key, ms in doc["homs"].items()}
+    pairs = {tuple(key.split(";")): h for key, h in doc["compose"].items()}
+    named = CategoryPresentation(doc["objects"], homs, pairs, doc["identities"])
+    assert read.base.names == named.names == form.base.names
+    assert read.base.comp == named.comp == form.base.comp
     for x in form.base.objects:
         fibre = doc["fibres"][x]
         made = FiniteLattice(fibre["leq"], fibre.get("labels"))
-        assert fast.fibre(x).up == slow.fibre(x).up == made.up
-        assert fast.fibre(x).labels == slow.fibre(x).labels == made.labels
+        assert read.fibre(x).up == made.up
+        assert read.fibre(x).labels == made.labels
     for f in form.base.morphisms():
-        assert fast.push_maps[f].table == slow.push_maps[f].table == form.push_maps[f].table
-        assert fast.pull_maps[f].table == slow.pull_maps[f].table == form.pull_maps[f].table
+        assert read.push_maps[f].table == form.push_maps[f].table
+        assert read.pull_maps[f].table == form.pull_maps[f].table
 
 
 # sha256 of the bytes formkit writes, recorded from json.dump(indent=2,
@@ -618,6 +610,23 @@ def test_links_are_written_in_place(tmp_path):
     dump_json([1], str(link))
     assert link.is_symlink()
     assert target.read_text() == "[\n  1\n]\n"
+
+
+def test_emit_to_stdout_redirected_to_a_file(tmp_path):
+    """``--emit /dev/stdout`` with stdout redirected to a regular file
+    writes what a pipe gets: the whole document, then the report."""
+    command = [sys.executable, "-m", "formkit.cli", "instance", "top", "--sizes", "1", "--emit", "/dev/stdout"]
+    env = dict(os.environ, PYTHONPATH=str(Path(formkit.__file__).parents[1]))
+    piped = subprocess.run(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=True).stdout
+    out = tmp_path / "out.json"
+    with out.open("wb") as fh:
+        subprocess.run(command, env=env, stdout=fh, stderr=subprocess.DEVNULL, check=True)
+    assert out.read_bytes() == piped
+    text = piped.decode()
+    document, end = json.JSONDecoder().raw_decode(text)
+    report = json.loads(text[end:])
+    assert sorted(document) == ["compose", "fibres", "homs", "identities", "objects", "pull", "push"]
+    assert report["payload"]["written"] == "/dev/stdout"
 
 
 def test_reports_skip_the_stdlib_encoder(fallbacks):
