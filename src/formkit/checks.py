@@ -10,9 +10,8 @@ time, never through references stored here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Collection, Optional
+from typing import Callable, Collection, NamedTuple, Optional
 
 from .forms import FormInstance
 from .groups import SubgroupForm, preserves_normals
@@ -46,15 +45,20 @@ from .topologies import TopForm, clopen_targets
 WITNESS_SCHEMA = 1
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str  # pass | fail | reported | skipped
-    checks_run: int = 0
-    violations: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    data: Optional[dict] = None
-    witness: Optional[dict] = None
+    def __init__(
+        self,
+        name: str,
+        status: str,  # pass | fail | reported | skipped
+        checks_run: int = 0,
+        violations: Optional[list[dict]] = None,
+        notes: Optional[list[str]] = None,
+        data: Optional[dict] = None,
+        witness: Optional[dict] = None,
+    ):
+        self.name, self.status, self.checks_run, self.data, self.witness = name, status, checks_run, data, witness
+        self.violations = [] if violations is None else violations
+        self.notes = [] if notes is None else notes
 
     def to_dict(self) -> dict:
         out = {
@@ -95,7 +99,6 @@ def make_witness(check: str, recipe: dict) -> dict:
     return {"schema": WITNESS_SCHEMA, "check": check, "recipe": recipe}
 
 
-@dataclass(eq=False)
 class CheckContext:
     """What checks run on. Facts derived from the order are computed on
     first use and shared by every check of one command: its axioms and
@@ -114,11 +117,16 @@ class CheckContext:
     recomputes strictness next to push preservation, and the operator
     checks compare the verdict tables against the operators."""
 
-    form: FormInstance
-    order: Optional[TopogenousOrder] = None
-    operator: Optional[Operator] = None
-    bundle: object = None  # the built instance: TopForm | SubgroupForm | PartitionForm
-    recipe: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        form: FormInstance,
+        order: Optional[TopogenousOrder] = None,
+        operator: Optional[Operator] = None,
+        bundle: object = None,  # the built instance: TopForm | SubgroupForm | PartitionForm
+        recipe: Optional[dict] = None,
+    ):
+        self.form, self.order, self.operator, self.bundle = form, order, operator, bundle
+        self.recipe = {} if recipe is None else recipe
 
     @cached_property
     def axioms(self) -> Report:
@@ -187,8 +195,7 @@ SKIP_NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     run: Callable[[CheckContext], Report]
     needs: str = "order"  # what the context must carry: "form", "order" or "operator"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from typing import NoReturn, Optional
 
 import click
@@ -84,12 +83,17 @@ from .topologies import (
 # -- run report ------------------------------------------------------------------
 
 
-@dataclass
 class RunReport:
-    command: list[str]
-    inputs: dict[str, str] = field(default_factory=dict)
-    checks: list[CheckResult] = field(default_factory=list)
-    payload: dict | FormInstance | None = None  # a form is written from its tables
+    def __init__(
+        self,
+        command: list[str],
+        inputs: Optional[dict[str, str]] = None,
+        checks: Optional[list[CheckResult]] = None,
+        payload: dict | FormInstance | None = None,  # a form is written from its tables
+    ):
+        self.command, self.payload = command, payload
+        self.inputs = {} if inputs is None else inputs
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

@@ -4,10 +4,9 @@ object, and Galois-connected push/pull transfer maps per morphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .lattice import FiniteLattice, MonotoneMap
 from .report import InputError, Report
@@ -316,8 +315,7 @@ def fill_composites(
     return shapeless, bad
 
 
-@dataclass(frozen=True)
-class MorphismKind:
+class MorphismKind(NamedTuple):
     is_section: bool
     is_retraction: bool
     is_iso: bool

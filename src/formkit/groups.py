@@ -8,9 +8,8 @@ preimage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .forms import FormInstance
 from .lattice import FiniteLattice, MonotoneMap, bits
@@ -214,8 +213,7 @@ def normal_closure(g: FiniteGroup, mask: int) -> int:
 # -- homomorphisms ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(NamedTuple):
     source: FiniteGroup
     target: FiniteGroup
     table: tuple[int, ...]
@@ -342,13 +340,16 @@ def preserves_normals(h: GroupHom) -> bool:
 # -- the subgroup form --------------------------------------------------------
 
 
-@dataclass
 class SubgroupForm:
-    form: FormInstance
-    groups: dict[str, FiniteGroup]
-    masks: dict[str, list[int]]
-    index: dict[str, dict[int, int]]
-    homs: dict[str, GroupHom]
+    def __init__(
+        self,
+        form: FormInstance,
+        groups: dict[str, FiniteGroup],
+        masks: dict[str, list[int]],
+        index: dict[str, dict[int, int]],
+        homs: dict[str, GroupHom],
+    ):
+        self.form, self.groups, self.masks, self.index, self.homs = form, groups, masks, index, homs
 
     def element(self, obj: str, mask: int) -> int:
         return self.index[obj][mask]

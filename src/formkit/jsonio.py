@@ -8,7 +8,6 @@ may not contain semicolons.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import stat
@@ -336,7 +335,9 @@ def _read_text(path: str, digests: dict[str, str] | None) -> str:
     except OSError as exc:
         raise SchemaError(f"{path}: {exc.strerror}") from None
     if digests is not None:
-        digests[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+        from hashlib import sha256  # loaded only by commands that record an input digest
+
+        digests[path] = "sha256:" + sha256(data).hexdigest()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError:

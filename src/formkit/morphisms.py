@@ -8,7 +8,6 @@ between the general claims and a small finite model would surface here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .forms import FormInstance, MorphismKind
@@ -28,14 +27,18 @@ DISPUTED_CHECKS = frozenset(
 )
 
 
-@dataclass
 class MorphismReport:
-    morphism: str
-    strict: bool
-    final: bool
-    thick: bool
-    kind: MorphismKind
-    witnesses: list[tuple] = field(default_factory=list)
+    def __init__(
+        self,
+        morphism: str,
+        strict: bool,
+        final: bool,
+        thick: bool,
+        kind: MorphismKind,
+        witnesses: Optional[list[tuple]] = None,
+    ):
+        self.morphism, self.strict, self.final, self.thick, self.kind = morphism, strict, final, thick, kind
+        self.witnesses = [] if witnesses is None else witnesses
 
     def to_dict(self) -> dict:
         return {

@@ -7,13 +7,12 @@ are first-occurrence ordinals; equality is then plain tuple equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 from .forms import FormInstance
 from .lattice import FiniteLattice, MonotoneMap
-from .report import InputError
+from .report import InputError, Record
 from .setmaps import SetFunction, function_category
 
 MAX_GROUND = 5
@@ -29,11 +28,11 @@ def canonical_blocks(blocks: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Partition:
-    blocks: tuple[int, ...]
+class Partition(Record):
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[int, ...]):
+        self.blocks = blocks
         if self.blocks != canonical_blocks(self.blocks):
             raise ValueError("block ids must be first-occurrence ordinals")
 
@@ -141,13 +140,16 @@ def pull_partition(f: SetFunction, d: Partition) -> Partition:
     return Partition.of([d.blocks[f(x)] for x in range(f.dom_size)])
 
 
-@dataclass
 class PartitionForm:
-    form: FormInstance
-    sizes: dict[str, int]
-    partitions: dict[str, list[Partition]]
-    index: dict[str, dict[tuple[int, ...], int]]
-    functions: dict[str, SetFunction]
+    def __init__(
+        self,
+        form: FormInstance,
+        sizes: dict[str, int],
+        partitions: dict[str, list[Partition]],
+        index: dict[str, dict[tuple[int, ...], int]],
+        functions: dict[str, SetFunction],
+    ):
+        self.form, self.sizes, self.partitions, self.index, self.functions = form, sizes, partitions, index, functions
 
 
 def build_quot_form(sizes: Sequence[int]) -> PartitionForm:

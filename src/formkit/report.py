@@ -1,8 +1,28 @@
-"""Violation reports shared by all verification sweeps."""
+"""Violation reports shared by all verification sweeps, and the base of
+formkit's validated value records."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+
+class Record:
+    """A value record: equal, hashed and shown by the fields its
+    ``__slots__`` names, in that order. Subclasses validate in ``__init__``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
 
 
 class InputError(ValueError):
@@ -11,8 +31,7 @@ class InputError(ValueError):
     The message says where; the command line exits 2 on it."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed check with enough context to replay it.
 
     ``witness`` holds the offending indices (fibre elements, subset members)
@@ -33,13 +52,13 @@ class Violation:
         }
 
 
-@dataclass
 class Report:
     """Outcome of a verification sweep: empty violations means clean."""
 
-    violations: list[Violation] = field(default_factory=list)
-    checks_run: int = 0
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, violations: list[Violation] | None = None, checks_run: int = 0, notes: list[str] | None = None):
+        self.violations = [] if violations is None else violations
+        self.checks_run = checks_run
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:

@@ -20,7 +20,6 @@ import os
 import random
 import signal
 import threading
-from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, NoReturn, Optional
 
 from .checks import CHECKS, CheckContext
@@ -314,19 +313,17 @@ def random_order(rng: random.Random, form: FormInstance, want: str = "any") -> T
     order = TopogenousOrder({x: tuple(rows) for x, rows in rel.items()})
     bad = verify_order(form, order)
     if not bad.ok:
-        raise AssertionError(f"generator produced a non-topogenous order: {bad}")
+        raise AssertionError(f"generator produced a non-topogenous order: {bad.violations}")
     return order
 
 
 # -- claims ---------------------------------------------------------------------
 
 
-@dataclass
 class Counterexample:
-    seed: int
-    index: int
-    claim: str
-    violations: list[dict] = field(default_factory=list)
+    def __init__(self, seed: int, index: int, claim: str, violations: Optional[list[dict]] = None):
+        self.seed, self.index, self.claim = seed, index, claim
+        self.violations = [] if violations is None else violations
 
     def to_dict(self) -> dict:
         return {

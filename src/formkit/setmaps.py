@@ -8,25 +8,22 @@ the same :func:`concrete_category`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product, repeat
 from typing import Callable, Iterable, Sequence
 
 from .forms import CategoryPresentation
-from .report import InputError
+from .report import InputError, Record
 
 MORPHISM_BUDGET = 5000
 # Value tables are bytes, and a table padded to 256 bytes translates them.
 MAX_CARRIER = 256
 
 
-@dataclass(frozen=True)
-class SetFunction:
-    dom_size: int
-    cod_size: int
-    table: tuple[int, ...]
+class SetFunction(Record):
+    __slots__ = ("dom_size", "cod_size", "table")
 
-    def __post_init__(self):
+    def __init__(self, dom_size: int, cod_size: int, table: tuple[int, ...]):
+        self.dom_size, self.cod_size, self.table = dom_size, cod_size, table
         if len(self.table) != self.dom_size:
             raise ValueError("table length must equal domain size")
         for v in self.table:

@@ -9,13 +9,12 @@ both sides; (T3) transfer stability, push-related pairs pull back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .forms import FormInstance
 from .lattice import FiniteLattice, MonotoneMap, bits, columns, low_bit
-from .report import InputError, Report
+from .report import InputError, Record, Report
 
 EXHAUSTIVE_SUBSET_LIMIT = 12
 
@@ -50,18 +49,17 @@ class TopogenousOrder:
 OPERATOR_KINDS = ("closure", "interior")
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(Record):
     """Per-object self-maps of the fibres. A closure operator is expected
     extensive and transfer-compatible, an interior operator contractive,
     monotone and pull-compatible; ``kind`` says which one this is."""
 
-    kind: str
-    maps: Mapping[str, tuple[int, ...]]
+    __slots__ = ("kind", "maps")
 
-    def __post_init__(self) -> None:
-        if self.kind not in OPERATOR_KINDS:
-            raise ValueError(f"kind must be 'closure' or 'interior', got {self.kind!r}")
+    def __init__(self, kind: str, maps: Mapping[str, tuple[int, ...]]):
+        if kind not in OPERATOR_KINDS:
+            raise ValueError(f"kind must be 'closure' or 'interior', got {kind!r}")
+        self.kind, self.maps = kind, maps
 
     def table(self, x: str) -> tuple[int, ...]:
         return self.maps[x]
@@ -73,8 +71,7 @@ class Operator:
         return hash((self.kind, tuple(sorted(self.maps.items()))))
 
 
-@dataclass(frozen=True)
-class OrderClass:
+class OrderClass(NamedTuple):
     is_TM: bool
     is_TJ: bool
     is_interpolative: bool

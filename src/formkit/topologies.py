@@ -9,25 +9,23 @@ discrete topology is the fibre bottom and the indiscrete one the top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
 from .forms import FormInstance
 from .lattice import FiniteLattice, MonotoneMap, bits
-from .report import InputError
+from .report import InputError, Record
 from .setmaps import SetFunction, function_category
 from .topogenous import TopogenousOrder
 
 MAX_POINTS = 4
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
-    n: int
-    opens: frozenset[int]
+class FiniteTopology(Record):
+    __slots__ = ("n", "opens")
 
-    def __post_init__(self):
+    def __init__(self, n: int, opens: frozenset[int]):
+        self.n, self.opens = n, opens
         full = (1 << self.n) - 1
         for o in self.opens:
             if o & ~full:
@@ -212,16 +210,19 @@ def clopen_targets(f: SetFunction, t_doms: Sequence[FiniteTopology], t_cods: Seq
     return out
 
 
-@dataclass
 class TopForm:
     """The forgetful form over chosen finite carriers: fibres are topology
     lattices, push is the final topology, pull the initial one."""
 
-    form: FormInstance
-    sizes: dict[str, int]
-    topologies: dict[str, list[FiniteTopology]]
-    index: dict[str, dict[tuple[int, ...], int]]
-    functions: dict[str, SetFunction]
+    def __init__(
+        self,
+        form: FormInstance,
+        sizes: dict[str, int],
+        topologies: dict[str, list[FiniteTopology]],
+        index: dict[str, dict[tuple[int, ...], int]],
+        functions: dict[str, SetFunction],
+    ):
+        self.form, self.sizes, self.topologies, self.index, self.functions = form, sizes, topologies, index, functions
 
     def element(self, obj: str, t: FiniteTopology) -> int:
         return self.index[obj][t.key()]

@@ -2,7 +2,6 @@
 ability to actually detect planted faults, and the split search reporting
 what the serial one does."""
 
-import dataclasses
 import os
 import signal
 
@@ -218,7 +217,7 @@ def planted(monkeypatch, case_index):
             rep.add("planted", where=f"index {case_index[0]}", witness=(case_index[0],))
         return rep
 
-    monkeypatch.setitem(CHECKS, "strict-iff-push", dataclasses.replace(CHECKS["strict-iff-push"], run=run))
+    monkeypatch.setitem(CHECKS, "strict-iff-push", CHECKS["strict-iff-push"]._replace(run=run))
 
 
 @pytest.mark.parametrize("min_share", [1, search.MIN_CASES_PER_PROCESS])
