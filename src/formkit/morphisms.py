@@ -276,26 +276,28 @@ def _transfer_laws(
     witnesses are called as ``(form, order, name)``. Violations come per
     morphism first, then per composable pair, f outer and g inner."""
     rep = Report()
-    count, add = rep.count, rep.add
+    add = rep.add
     refl_sec, _ = form.check_reflects("section")
     refl_ret, _ = form.check_reflects("retraction")
     refl_iso, _ = form.check_reflects("iso")
-
+    # each clause's checks are tallied in a local int and counted once, at the end
+    retraction_final_strict = section_strict_final = iso = 0
+    compose_strict = compose_final = cancel_strict = cancel_final = 0
+    printed_strict = printed_final = first_section_strict = first_section_final = 0
     for m in keys:
         k = kinds[m]
         if refl_ret and k.is_retraction and final[m]:
-            count("retraction-final-strict")
+            retraction_final_strict += 1
             if not strict[m]:
                 add("retraction-final-strict", where=names[m], witness=(strict_witness(form, order, names[m]),))
         if refl_sec and k.is_section and strict[m]:
-            count("section-strict-final")
+            section_strict_final += 1
             if not final[m]:
                 add("section-strict-final", where=names[m], witness=(final_witness(form, order, names[m]),))
         if refl_iso and k.is_iso:
-            count("iso-strict")
+            iso += 1
             if not strict[m]:
                 add("iso-strict", where=names[m])
-            count("iso-final")
             if not final[m]:
                 add("iso-final", where=names[m])
 
@@ -305,40 +307,52 @@ def _transfer_laws(
         first_section = refl_sec and kinds[f].is_section
         for g, gf in after(f):
             if strict_f and strict[g]:
-                count("compose-strict")
+                compose_strict += 1
                 if not strict[gf]:
                     add("compose-strict", where=f"{names[g]};{names[f]}")
             if final_f and final[g]:
-                count("compose-final")
+                compose_final += 1
                 if not final[gf]:
                     add("compose-final", where=f"{names[g]};{names[f]}")
             if cancel:
                 if strict[gf]:
-                    count("cancel-strict")
+                    cancel_strict += 1
                     if not strict[g]:
                         add("cancel-strict", where=f"{names[g]};{names[f]}")
                 if final[gf]:
-                    count("cancel-final")
+                    cancel_final += 1
                     if not final[g]:
                         add("cancel-final", where=f"{names[g]};{names[f]}")
             if refl_sec and kinds[g].is_retraction:
                 if strict[gf]:
-                    count("cancel-strict-as-printed")
+                    printed_strict += 1
                     if not strict_f:
                         add("cancel-strict-as-printed", where=f"{names[g]};{names[f]}")
                 if final[gf]:
-                    count("cancel-final-as-printed")
+                    printed_final += 1
                     if not final_f:
                         add("cancel-final-as-printed", where=f"{names[g]};{names[f]}")
             if first_section:
                 if strict[gf]:
-                    count("cancel-strict-first-factor-section")
+                    first_section_strict += 1
                     if not strict_f:
                         add("cancel-strict-first-factor-section", where=f"{names[g]};{names[f]}")
                 if final[gf]:
-                    count("cancel-final-first-factor-section")
+                    first_section_final += 1
                     if not final_f:
                         add("cancel-final-first-factor-section", where=f"{names[g]};{names[f]}")
+    rep.count("retraction-final-strict", retraction_final_strict)
+    rep.count("section-strict-final", section_strict_final)
+    rep.count("iso-strict", iso)
+    rep.count("iso-final", iso)
+    rep.count("compose-strict", compose_strict)
+    rep.count("compose-final", compose_final)
+    rep.count("cancel-strict", cancel_strict)
+    rep.count("cancel-final", cancel_final)
+    rep.count("cancel-strict-as-printed", printed_strict)
+    rep.count("cancel-final-as-printed", printed_final)
+    rep.count("cancel-strict-first-factor-section", first_section_strict)
+    rep.count("cancel-final-first-factor-section", first_section_final)
     return rep
 
 
