@@ -17,6 +17,10 @@ class CorruptFormError(InputError):
     only happen if the push/pull tables are inconsistent."""
 
 
+class IdentityError(ValueError):
+    """An ``identities`` entry that is not an endomorphism of a declared object."""
+
+
 class CategoryPresentation:
     """A finite category with its objects and morphisms numbered.
 
@@ -66,8 +70,10 @@ class CategoryPresentation:
                 self.dom[m] = x
                 self.cod[m] = y
         for x, i in self.identities.items():
+            if x not in self.objects:
+                raise IdentityError(f"{x!r} is not a declared object")
             if self.dom.get(i) != x or self.cod.get(i) != x:
-                raise ValueError(f"identity of {x!r} must be an endomorphism of {x!r}")
+                raise IdentityError(f"identity of {x!r} must be an endomorphism of {x!r}")
         self.names = tuple(m for x in self.objects for y in self.objects for m in self.homs.get((x, y), ()))
         self.ids = {m: i for i, m in enumerate(self.names)}
         n = len(self.names)

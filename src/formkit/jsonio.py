@@ -17,7 +17,7 @@ from operator import itemgetter
 from itertools import compress
 from typing import Any, Callable, Iterator, TextIO
 
-from .forms import CategoryPresentation, FormInstance, fill_composites
+from .forms import CategoryPresentation, FormInstance, IdentityError, fill_composites
 from .groups import FiniteGroup
 from .lattice import FiniteLattice, MonotoneMap
 from .partitions import Partition
@@ -212,7 +212,8 @@ def _base(doc: dict, objects: list[str], homs: dict, compose: dict, where: str) 
         _need(doc, "identities", where, dict)
         raise SchemaError(f"{where}.identities: expected morphism names")
     if problem is not None:
-        raise SchemaError(f"{where}: {problem}") from problem
+        at = f"{where}.identities" if isinstance(problem, IdentityError) else where
+        raise SchemaError(f"{at}: {problem}") from problem
     for x in objects:
         if x not in identities:
             raise SchemaError(f"{where}.identities: object {x!r} has no identity")
