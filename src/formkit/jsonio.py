@@ -337,7 +337,6 @@ def _read_text(path: str, digests: dict[str, str] | None) -> str:
         raise SchemaError(f"{path}: {exc.strerror}") from None
     if digests is not None:
         from hashlib import sha256  # loaded only by commands that record an input digest
-
         digests[path] = "sha256:" + sha256(data).hexdigest()
     try:
         return data.decode("utf-8")

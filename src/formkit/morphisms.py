@@ -280,7 +280,8 @@ def _transfer_laws(
     refl_sec, _ = form.check_reflects("section")
     refl_ret, _ = form.check_reflects("retraction")
     refl_iso, _ = form.check_reflects("iso")
-    # each clause's checks are tallied in a local int and counted once, at the end
+    # each clause is tallied in a local int and counted once, after the sweeps:
+    # a count call per pair cost more than the clause it counted
     retraction_final_strict = section_strict_final = iso = 0
     compose_strict = compose_final = cancel_strict = cancel_final = 0
     printed_strict = printed_final = first_section_strict = first_section_final = 0
