@@ -12,7 +12,7 @@ from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, MonotoneMap, bits
+from .lattice import FiniteLattice, GaloisPair, MonotoneMap, bits
 from .report import Report
 from .setmaps import SetFunction, concrete_category, distinct_names
 from .topogenous import TopogenousOrder
@@ -330,11 +330,13 @@ def enumerate_homs(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
 
 
 def preserves_normals(h: GroupHom) -> bool:
-    """Images of normal subgroups of the source are normal in the target."""
-    return all(
-        is_normal(h.target, h.image_mask(m))
-        for m in normal_subgroup_masks(h.source)
-    )
+    """Images of normal subgroups of the source are normal in the target.
+
+    An image of a subgroup is a subgroup, so it is normal iff it is among
+    the target's normal subgroups (memoised per group); :func:`is_normal`'s
+    conjugation scan is the oracle this is tested against."""
+    normals = set(normal_subgroup_masks(h.target))
+    return all(h.image_mask(m) in normals for m in normal_subgroup_masks(h.source))
 
 
 # -- the subgroup form --------------------------------------------------------
@@ -357,7 +359,10 @@ class SubgroupForm:
 
 def build_grp_form(groups: Sequence[FiniteGroup]) -> SubgroupForm:
     """Objects are the given groups, hom-sets all homomorphisms, fibres the
-    subgroup lattices, push the image and pull the preimage."""
+    subgroup lattices, pull the preimage and push the image: the lower
+    adjoint of pull (:meth:`GaloisPair.from_right_adjoint`). ``image_mask``
+    computes the same entries one subgroup at a time and is the oracle the
+    push tables are tested against."""
     by_name = dict(zip(distinct_names([g.name for g in groups]), groups))
 
     fibres = {}
@@ -376,14 +381,11 @@ def build_grp_form(groups: Sequence[FiniteGroup]) -> SubgroupForm:
     for f in base.morphisms():
         hom = hom_of[f]
         x, y = base.dom[f], base.cod[f]
-        push[f] = MonotoneMap(
-            fibres[x], fibres[y],
-            [index[y][hom.image_mask(m)] for m in masks[x]],
-        )
         pull[f] = MonotoneMap(
             fibres[y], fibres[x],
             [index[x][hom.preimage_mask(m)] for m in masks[y]],
         )
+        push[f] = GaloisPair.from_right_adjoint(pull[f]).left
     form = FormInstance(base, fibres, push, pull)
     return SubgroupForm(form, by_name, masks, index, hom_of)
 

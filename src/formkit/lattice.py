@@ -401,6 +401,21 @@ class GaloisPair:
         src, tgt = left.source, left.target
         return cls(left, MonotoneMap(tgt, src, tuple(src.join_mask(p) for p in left.preimages(tgt.down))))
 
+    @classmethod
+    def from_right_adjoint(cls, right: MonotoneMap) -> "GaloisPair":
+        """Derive the lower adjoint of a meet-preserving map: the B with
+        A <= right(B) are the up-set of left(A), so the preimage of
+        ``up[A]`` (:meth:`MonotoneMap.preimages`) is the ``up`` mask of
+        left(A), one lookup in the cone index. A preimage that is no
+        element's up-set means ``right`` has no lower adjoint: ValueError,
+        naming that A."""
+        src, tgt = right.target, right.source
+        table = list(map(tgt._cone_index()[1].get, right.preimages(src.up)))
+        if None in table:
+            a = table.index(None)
+            raise ValueError(f"no least B with element {a} <= right(B); not a right adjoint")
+        return cls(MonotoneMap(src, tgt, table), right)
+
     def check(self) -> Report:
         """List every (A, B) where exactly one side of the adjunction holds."""
         rep = Report()

@@ -11,7 +11,7 @@ from itertools import product
 from typing import Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, MonotoneMap
+from .lattice import FiniteLattice, GaloisPair, MonotoneMap
 from .report import InputError, Record
 from .setmaps import SetFunction, function_category
 
@@ -117,22 +117,6 @@ def push_partition(f: SetFunction, e: Partition) -> Partition:
     return Partition.of([uf.find(y) for y in range(f.cod_size)])
 
 
-def _pushout_word(table: Sequence[int], blocks: Sequence[int], cod_size: int) -> bytes:
-    """A label word of the pushout of ``blocks`` along the value table: each
-    codomain point starts in its own class, and the class of each image is
-    relabelled to that of the first image of its block."""
-    label = list(range(cod_size))
-    first: dict[int, int] = {}
-    for x, b in enumerate(blocks):
-        if b in first:
-            old, new = label[table[x]], label[first[b]]
-            if old != new:
-                label = [new if c == old else c for c in label]
-        else:
-            first[b] = table[x]
-    return bytes(label)
-
-
 def pull_partition(f: SetFunction, d: Partition) -> Partition:
     """Kernel of the composite: points are glued when their images are."""
     if f.cod_size != d.n:
@@ -154,14 +138,14 @@ class PartitionForm:
 
 def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
     """The quotient form over finite sets: fibres are partition lattices,
-    push is the pushout, pull the kernel of the composite.
+    pull is the kernel of the composite, push the pushout.
 
     Each object x gets one dict from every label word of its length over
     ``range(w)``, w the largest size, to the element of the partition the
     word's blocks form. Pull translates the function's value table through
     the codomain partition's block ids, padded to a translation table, and
-    looks the word up; push merges the classes of the images block by
-    block and looks the labels up. :func:`push_partition` and
+    looks the word up. Push is the lower adjoint of pull
+    (:meth:`GaloisPair.from_right_adjoint`). :func:`push_partition` and
     :func:`pull_partition` compute the same entries one partition at a time
     and are the oracle the tables are tested against."""
     for n in sizes:
@@ -184,15 +168,11 @@ def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
     push = {}
     pull = {}
     for f in base.morphisms():
-        fn = fn_of[f]
         x, y = base.dom[f], base.cod[f]
-        push[f] = MonotoneMap(
-            fibres[x], fibres[y],
-            [element[y][_pushout_word(fn.table, p.blocks, fn.cod_size)] for p in parts[x]],
-        )
         pull[f] = MonotoneMap(
             fibres[y], fibres[x],
-            list(map(element[x].__getitem__, map(bytes(fn.table).translate, blocks[y]))),
+            list(map(element[x].__getitem__, map(bytes(fn_of[f].table).translate, blocks[y]))),
         )
+        push[f] = GaloisPair.from_right_adjoint(pull[f]).left
     form = FormInstance(base, fibres, push, pull)
     return PartitionForm(form, size_of, parts, index, fn_of)

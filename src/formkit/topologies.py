@@ -9,7 +9,9 @@ discrete topology is the fibre bottom and the indiscrete one the top.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import repeat
+from operator import or_
 from typing import Sequence
 
 from .forms import FormInstance
@@ -67,47 +69,76 @@ def indiscrete(n: int) -> FiniteTopology:
     return FiniteTopology(n, frozenset({0, (1 << n) - 1}))
 
 
-def enumerate_topologies(n: int) -> list[FiniteTopology]:
-    """All topologies on {0..n-1}, sorted by their canonical key.
+def _preorders(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Every preorder on {0..n-1}, unsorted, as its successor masks
+    (``succ[i]`` the set of j with i <= j) with its up-sets.
 
-    Walks the reflexive transitive relations on the carrier and takes each
-    one's family of up-closed sets; on a finite carrier this hits every
-    union/intersection-closed family exactly once. The test suite holds the
-    naive filter over all subset families as an independent oracle.
-    """
+    Point k joins each preorder on the points below it with an up-set U
+    above it and a down-set D below it, where every point of D already lies
+    below all of U (so that i <= k <= u is transitive). Each preorder on
+    k + 1 points arises from exactly one such (preorder, U, D). A set stays
+    an up-set without k when it misses D, and with k when it holds U."""
+    found: list[tuple[tuple[int, ...], list[int]]] = [((), [0])]
+    for k in range(n):
+        bit, full = 1 << k, (1 << k) - 1
+        grown = []
+        for succ, opens in found:
+            for up in opens:
+                under = sum(1 << i for i, s in enumerate(succ) if not up & ~s)
+                for down in (full ^ o for o in opens):
+                    if down & ~under:
+                        continue
+                    grown.append((
+                        tuple(s | bit if (down >> i) & 1 else s for i, s in enumerate(succ)) + (bit | up,),
+                        [o for o in opens if not o & down] + [o | bit for o in opens if not up & ~o],
+                    ))
+        found = grown
+    return found
+
+
+def _specializations(n: int) -> tuple[list[FiniteTopology], list[tuple[int, ...]]]:
+    """The topologies on {0..n-1}, sorted by their canonical key, and the
+    successor masks of each one's specialization preorder.
+
+    A finite topology is the family of up-sets of its specialization
+    preorder, x <= y iff every open set holding x holds y (Alexandroff,
+    1937), so the topologies and the preorders of the carrier correspond
+    one to one."""
     if not 0 <= n <= MAX_POINTS:
         raise InputError(f"carrier size must be between 0 and {MAX_POINTS}, got {n}")
-    if n == 0:
-        return [FiniteTopology(0, frozenset({0}))]
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    found = []
-    for pattern in range(1 << len(offdiag)):
-        succ = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(offdiag):
-            if (pattern >> k) & 1:
-                succ[i] |= 1 << j
-        if any(
-            succ[j] & ~succ[i]
-            for i in range(n)
-            for j in range(n)
-            if (succ[i] >> j) & 1
-        ):
-            continue  # not transitive
-        opens = frozenset(
-            s for s in range(1 << n)
-            if all(succ[i] & ~s == 0 for i in range(n) if (s >> i) & 1)
-        )
-        found.append(FiniteTopology(n, opens))
-    found.sort(key=FiniteTopology.key)
-    return found
+    found = sorted((sorted(opens), succ) for succ, opens in _preorders(n))
+    return [FiniteTopology(n, frozenset(opens)) for opens, _ in found], [succ for _, succ in found]
+
+
+def enumerate_topologies(n: int) -> list[FiniteTopology]:
+    """All topologies on {0..n-1}, sorted by their canonical key: the
+    up-set families of the preorders on the carrier. The test suite holds
+    the naive filter over all subset families as an independent oracle."""
+    return _specializations(n)[0]
+
+
+def _fibre(n: int, tops: Sequence[FiniteTopology]) -> FiniteLattice:
+    """The topologies ``tops`` on n points under reverse inclusion.
+
+    With ``member[s]`` the mask of the topologies in which subset s is
+    open, the topologies coarser than t are those open in no subset that t
+    leaves out: ``up[t]`` is the complement of the OR of ``member[s]`` over
+    the s not open in t."""
+    member = [0] * (1 << n)
+    for i, t in enumerate(tops):
+        bit = 1 << i
+        for s in t.opens:
+            member[s] |= bit
+    subsets = frozenset(range(1 << n))
+    up = [~reduce(or_, map(member.__getitem__, subsets - t.opens), 0) for t in tops]
+    labels = ["{" + ",".join(map(str, t.key())) + "}" for t in tops]
+    return FiniteLattice.from_up_masks(up, labels)
 
 
 def topology_fibre(n: int) -> tuple[FiniteLattice, list[FiniteTopology]]:
     """The lattice of all topologies on n points under reverse inclusion."""
     tops = enumerate_topologies(n)
-    rows = [[t2.opens <= t1.opens for t2 in tops] for t1 in tops]
-    labels = ["{" + ",".join(map(str, sorted(t.opens))) + "}" for t in tops]
-    return FiniteLattice(rows, labels), tops
+    return _fibre(n, tops), tops
 
 
 def final_topology(f: SetFunction, t: FiniteTopology) -> FiniteTopology:
@@ -232,14 +263,18 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
     """The forgetful form over finite sets of the given sizes (each at most
     MAX_POINTS), with the topology lattice as each fibre.
 
-    Transfer tables are filled a whole topology at a time from one preimage
-    table per set function, ``pre[v] = f.preimage_mask(v)`` as bytes, and
-    per topology t its flag table, b"1" at byte s when subset s is open in
-    t and b"0" otherwise. Push (the final topology) keeps v iff pre[v] is
-    open, so ``pre.translate(flags of t)`` is the flag word of the final
-    topology, looked up among the codomain's flag words. Pull (the initial
-    topology) is the family of pre[v] over open v: the open sets of t,
-    translated through ``pre``, looked up among the domain's open families.
+    Transfer tables are filled a whole topology at a time with
+    ``bytes.translate``. Each set function gives its value table f and its
+    preimage table, ``pre[v] = f.preimage_mask(v)``, both as bytes.
+    - Push (the final topology) keeps v iff pre[v] is open. With the flag
+      table of t (b"1" at byte s when subset s is open in t, b"0"
+      otherwise), ``pre.translate(flags of t)`` is the flag word of the
+      final topology, looked up among the codomain's flag words.
+    - Pull (the initial topology) is the Alexandrov topology of the
+      pulled-back preorder, x <= x' iff f(x) <= f(x'). Its successor masks
+      are ``pre[succ[f(x)]]``: f translated through the successor masks of
+      t, then through ``pre``, looked up among the domain's preorders.
+
     :func:`final_topology` and :func:`initial_topology` compute the same
     entries one topology at a time and are the oracle the tables are tested
     against."""
@@ -252,26 +287,34 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
     index: dict[str, dict[tuple[int, ...], int]] = {}
     flags: dict[str, list[bytes]] = {}  # [t]: the flag table of t, 256 bytes
     by_flags: dict[str, dict[bytes, int]] = {}  # flag word over the subsets -> element
-    opens: dict[str, list[bytes]] = {}  # [t]: the open sets of t
-    families: dict[str, dict[frozenset[int], int]] = {}  # open sets -> element
+    succ: dict[str, list[bytes]] = {}  # [t]: the successor masks of t, 256 bytes
+    by_succ: dict[str, dict[bytes, int]] = {}  # successor masks -> element
     for x in base.objects:
-        fibres[x], tops[x] = topology_fibre(size_of[x])
+        n = size_of[x]
+        tops[x], preorders = _specializations(n)
+        fibres[x] = _fibre(n, tops[x])
         index[x] = {t.key(): i for i, t in enumerate(tops[x])}
-        opens[x] = [bytes(key) for key in index[x]]
-        families[x] = {t.opens: i for i, t in enumerate(tops[x])}
+        succ[x] = [bytes(p).ljust(256, b"\0") for p in preorders]
+        by_succ[x] = {bytes(p): i for i, p in enumerate(preorders)}
         flags[x] = []
         for t in tops[x]:
             table = bytearray(b"0" * 256)
             for s in t.opens:
                 table[s] = ord("1")
             flags[x].append(bytes(table))
-        by_flags[x] = {table[: 1 << size_of[x]]: i for i, table in enumerate(flags[x])}
+        by_flags[x] = {table[: 1 << n]: i for i, table in enumerate(flags[x])}
     push = {}
     pull = {}
     for f in base.morphisms():
         fn = fn_of[f]
         x, y = base.dom[f], base.cod[f]
-        pre = bytes(fn.preimage_mask(v) for v in range(1 << fn.cod_size))
+        points = [0] * fn.cod_size  # [v]: the preimage of point v
+        for i, v in enumerate(fn.table):
+            points[v] |= 1 << i
+        masks = [0]  # [s]: the preimage of subset s, doubled at each point
+        for point in points:
+            masks += [m | point for m in masks]
+        pre = bytes(masks)
         pad = pre.ljust(256, b"\0")
         push[f] = MonotoneMap(
             fibres[x], fibres[y],
@@ -279,7 +322,7 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
         )
         pull[f] = MonotoneMap(
             fibres[y], fibres[x],
-            list(map(families[x].__getitem__, map(frozenset, map(bytes.translate, opens[y], repeat(pad))))),
+            list(map(by_succ[x].__getitem__, map(bytes.translate, map(bytes(fn.table).translate, succ[y]), repeat(pad)))),
         )
     form = FormInstance(base, fibres, push, pull)
     return TopForm(form, size_of, tops, index, fn_of)

@@ -17,6 +17,7 @@ from formkit.groups import (
     enumerate_homs,
     enumerate_homs_bruteforce,
     enumerate_homs_generators,
+    is_normal,
     is_subgroup,
     klein_four,
     normal_closure,
@@ -216,6 +217,29 @@ def test_preserves_normals_examples():
     # any hom into an abelian target preserves normality
     for m in enumerate_homs(symmetric3(), cyclic(6)):
         assert preserves_normals(m)
+
+
+def test_preserves_normals_matches_the_conjugation_scan(grp8):
+    # every hom of the standard corpus: membership among the target's
+    # normal subgroups against is_normal's scan of each image
+    verdicts = set()
+    for hom in grp8.homs.values():
+        scan = all(is_normal(hom.target, hom.image_mask(m)) for m in normal_subgroup_masks(hom.source))
+        assert preserves_normals(hom) == scan, hom.table
+        verdicts.add(scan)
+    assert verdicts == {True, False}
+
+
+def test_push_tables_are_the_image_subgroups(grp8):
+    base = grp8.form.base
+    for f in base.morphisms():
+        hom, x, y = grp8.homs[f], base.dom[f], base.cod[f]
+        assert grp8.form.push_maps[f].table == tuple(
+            grp8.index[y][hom.image_mask(m)] for m in grp8.masks[x]
+        ), f
+        assert grp8.form.pull_maps[f].table == tuple(
+            grp8.index[x][hom.preimage_mask(m)] for m in grp8.masks[y]
+        ), f
 
 
 def test_small_grp_forms_pass_laws():

@@ -192,6 +192,25 @@ def test_derived_adjoint_is_valid_and_preserves_bounds():
     assert pair.right.preserves_meets()
 
 
+def test_derived_lower_adjoint_is_valid():
+    src = FiniteLattice.chain(4)
+    tgt = pentagon()
+    right = GaloisPair.from_left_adjoint(MonotoneMap(src, tgt, [0, 2, 3, 4])).right
+    pair = GaloisPair.from_right_adjoint(right)
+    assert pair.check().ok
+    assert pair.left.table == (0, 2, 3, 4)
+
+
+def test_lower_adjoint_of_a_map_keeping_no_meets_raises():
+    # monotone on M3, every atom to the top: the atoms 1 and 2 meet to the
+    # bottom but their images meet to the top, and the B with 1 <= right(B)
+    # are 1, 2, 3 and 4, no element's up-set
+    right = MonotoneMap(diamond(), diamond(), [0, 4, 4, 4, 4])
+    assert right.is_monotone() and not right.preserves_meets()
+    with pytest.raises(ValueError, match="element 1 <= right"):
+        GaloisPair.from_right_adjoint(right)
+
+
 def test_preserving_bounds_fails_on_the_empty_bound_alone():
     # on chains every monotone map keeps binary meets and joins
     two, three = FiniteLattice.chain(2), FiniteLattice.chain(3)

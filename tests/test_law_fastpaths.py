@@ -18,7 +18,9 @@ against the `meet`/`join` scans, `classify_order`'s principal-filter test
 against the subset scan `classify_order_dense`, the order closure
 `_close_order` against the pair closure `_close_order_dense`, and
 `GaloisPair.from_left_adjoint` against the `leq` comprehension it
-replaced.
+replaced. `GaloisPair.from_right_adjoint`, which derives the quot and grp
+push tables, against the built top push tables and as the inverse of
+`from_left_adjoint`.
 """
 
 import random
@@ -642,5 +644,31 @@ def test_from_left_adjoint_matches_leq_comprehension():
             assert right.table == comprehension(form.push_maps[f]), f
             # the generator takes identities and composites without deriving
             assert right.table == form.pull_maps[f].table, f
+            derived += 1
+    assert derived > 500
+
+
+def test_from_right_adjoint_matches_the_built_push(top123, quot1234, grp8):
+    # top builds its push by flag words; quot and grp take theirs from this
+    # derivation, tested against their one-entry oracles in their own files
+    derived = 0
+    for form in (top123.form, quot1234.form, grp8.form):
+        for f in form.base.morphisms():
+            pair = GaloisPair.from_right_adjoint(form.pull_maps[f])
+            assert pair.left.table == form.push_maps[f].table, f
+            assert pair.right is form.pull_maps[f]
+            derived += 1
+    assert derived > 1000
+
+
+def test_from_right_adjoint_inverts_from_left_adjoint():
+    forms = [random_form(case_rng(SEED, i)) for i in range(200)]
+    derived = 0
+    for form in forms:
+        for f in form.base.morphisms():
+            left = form.push_maps[f]
+            right = GaloisPair.from_left_adjoint(left).right
+            assert GaloisPair.from_right_adjoint(right).left.table == left.table, f
+            assert GaloisPair.from_left_adjoint(GaloisPair.from_right_adjoint(right).left).right.table == right.table, f
             derived += 1
     assert derived > 500

@@ -1,13 +1,16 @@
-"""Topology instance: enumeration against the naive filter oracle,
-initial/final transfer, theta/b operators and orders."""
+"""Topology instance: enumeration against the naive filter oracle, the
+fibre and pull tables against the routes they replaced, initial/final
+transfer, theta/b operators and orders."""
 
 import hashlib
 import json
+import random
 import tracemalloc
 from itertools import combinations
 
 import pytest
 
+from formkit.lattice import FiniteLattice
 from formkit.setmaps import SetFunction, function_category
 from formkit.topogenous import (
     classify_order,
@@ -47,6 +50,83 @@ def naive_topologies(n):
             if is_topology_family(n, fam):
                 out.append(fam)
     return sorted(out, key=lambda f: tuple(sorted(f)))
+
+
+def pattern_topologies(n):
+    """The enumeration the preorder walk replaced: every pattern of
+    off-diagonal pairs, kept when reflexive-transitive, each giving its
+    family of up-closed sets; sorted by canonical key."""
+    if n == 0:
+        return [FiniteTopology(0, frozenset({0}))]
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    found = []
+    for pattern in range(1 << len(offdiag)):
+        succ = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(offdiag):
+            if (pattern >> k) & 1:
+                succ[i] |= 1 << j
+        if any(succ[j] & ~succ[i] for i in range(n) for j in range(n) if (succ[i] >> j) & 1):
+            continue  # not transitive
+        opens = frozenset(
+            s for s in range(1 << n) if all(succ[i] & ~s == 0 for i in range(n) if (s >> i) & 1)
+        )
+        found.append(FiniteTopology(n, opens))
+    found.sort(key=FiniteTopology.key)
+    return found
+
+
+def matrix_fibre(tops):
+    """The fibre route the membership columns replaced: the boolean matrix
+    of reverse inclusion, through ``FiniteLattice(rows)``."""
+    rows = [[t2.opens <= t1.opens for t2 in tops] for t1 in tops]
+    labels = ["{" + ",".join(map(str, sorted(t.opens))) + "}" for t in tops]
+    return FiniteLattice(rows, labels)
+
+
+def frozenset_pull(tf, f):
+    """The pull route the pulled-back preorders replaced: the open sets of
+    each codomain topology translated through the preimage table, as a
+    frozenset looked up among the domain's open families."""
+    fn, x, y = tf.functions[f], tf.form.base.dom[f], tf.form.base.cod[f]
+    pad = bytes(fn.preimage_mask(v) for v in range(1 << fn.cod_size)).ljust(256, b"\0")
+    families = {t.opens: i for i, t in enumerate(tf.topologies[x])}
+    return tuple(families[frozenset(bytes(t.key()).translate(pad))] for t in tf.topologies[y])
+
+
+@pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 4), (3, 29), (4, 355)])
+def test_fibre_matches_the_pattern_walk_and_the_matrix(n, count):
+    lat, tops = topology_fibre(n)
+    assert len(tops) == lat.size == count
+    assert tops == pattern_topologies(n)
+    old = matrix_fibre(tops)
+    assert (lat.up, lat.down, lat.labels) == (old.up, old.down, old.labels)
+    assert lat.verify().ok
+
+
+def test_fibre_on_no_points():
+    lat, tops = topology_fibre(0)
+    assert tops == [FiniteTopology(0, frozenset({0}))]
+    assert (lat.up, lat.down, lat.labels) == ((1,), (1,), ("{0}",))
+
+
+@pytest.mark.parametrize("fixture", ["top123", "top4"])
+def test_pull_tables_match_the_frozenset_route(fixture, request):
+    tf = request.getfixturevalue(fixture)
+    for f in tf.form.base.morphisms():
+        assert tf.form.pull_maps[f].table == frozenset_pull(tf, f), f
+
+
+def test_top4_tables_match_final_and_initial_topology_on_a_sample(top4):
+    # 2,000 seeded (morphism, topology) pairs of top[4], each entry against
+    # the one-topology oracles
+    rng = random.Random(20230130)
+    morphisms = list(top4.form.base.morphisms())
+    tops, index = top4.topologies["4pt"], top4.index["4pt"]
+    for _ in range(2000):
+        f, i = rng.choice(morphisms), rng.randrange(len(tops))
+        fn = top4.functions[f]
+        assert top4.form.push_maps[f].table[i] == index[final_topology(fn, tops[i]).key()], (f, i)
+        assert top4.form.pull_maps[f].table[i] == index[initial_topology(fn, tops[i]).key()], (f, i)
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 4), (3, 29)])
