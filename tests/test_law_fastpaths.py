@@ -669,6 +669,5 @@ def test_from_right_adjoint_inverts_from_left_adjoint():
             left = form.push_maps[f]
             right = GaloisPair.from_left_adjoint(left).right
             assert GaloisPair.from_right_adjoint(right).left.table == left.table, f
-            assert GaloisPair.from_left_adjoint(GaloisPair.from_right_adjoint(right).left).right.table == right.table, f
             derived += 1
     assert derived > 500
