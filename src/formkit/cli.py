@@ -13,11 +13,11 @@ isolation: save it to a file and run `formkit replay <witness.json>`.
 from __future__ import annotations
 
 import json
+import os
+import sys
 import time
+from argparse import ArgumentParser, ArgumentTypeError, HelpFormatter, Namespace
 from typing import NoReturn, Optional
-
-import click
-from click.core import ParameterSource
 
 from . import __version__
 from .checks import (
@@ -127,16 +127,16 @@ class RunReport:
         return "\n".join(lines)
 
 
-def emit(report: RunReport) -> None:
-    ctx = click.get_current_context()
-    if ctx.obj["format"] == "json":
-        stdout = click.get_text_stream("stdout")
-        write_json(report.to_dict(), stdout)
-        stdout.flush()
+def emit(report: RunReport, fmt: str, started: float) -> int:
+    """Write ``report`` to stdout in ``fmt`` and the time since ``started``
+    to stderr; the exit code."""
+    if fmt == "json":
+        write_json(report.to_dict(), sys.stdout)
+        sys.stdout.flush()
     else:
-        click.echo(report.render_text())
-    click.echo(f"elapsed: {time.monotonic() - ctx.obj['started']:.3f}s", err=True)
-    ctx.exit(0 if report.ok else 1)
+        print(report.render_text())
+    print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
+    return 0 if report.ok else 1
 
 
 def fail_usage(message: str) -> NoReturn:
@@ -178,9 +178,14 @@ IGNORED_FLAGS = {"grp": ("sizes",), "top": ("corpus", "max_order"), "quot": ("co
 INSTANCE_FLAGS = ("sizes", "corpus", "max_order")
 
 
-def instance_recipe(kind: str, sizes: Optional[str], corpus: str, max_order: int) -> dict:
+def instance_recipe(kind: str, sizes: Optional[str], corpus: Optional[str], max_order: Optional[int]) -> dict:
+    """The recipe of a built-in instance; a flag not given takes its default."""
     if kind == "grp":
-        return {"kind": "grp", "corpus": corpus, "max_order": max_order}
+        return {
+            "kind": "grp",
+            "corpus": "standard" if corpus is None else corpus,
+            "max_order": 8 if max_order is None else max_order,
+        }
     return {"kind": kind, "sizes": parse_sizes(sizes or "2")}
 
 
@@ -204,18 +209,13 @@ def build_instance(recipe: dict, where: str):
     fail_usage(f"{where}: unknown instance kind {kind!r}")
 
 
-def recipe_from_flags(
-    form_path: Optional[str],
-    order_path: Optional[str],
-    order_name: Optional[str],
-    instance: Optional[str],
-    sizes: Optional[str],
-    corpus: str,
-    max_order: int,
-) -> dict:
+def recipe_from_flags(flags: Namespace, order_path: Optional[str], order_name: Optional[str]) -> dict:
     """The recipe the input flags describe: an instance with a named order
     or an order file, or a form file with an order file or the leq order.
-    Witnesses carry it, so replay rebuilds the same inputs."""
+    Witnesses carry it, so replay rebuilds the same inputs. A flag of
+    INSTANCE_FLAGS is None when not given, so one given at its default
+    value is refused too."""
+    form_path, instance = flags.form, flags.instance
     if instance is not None and form_path is not None:
         fail_usage("--form and --instance both name the form; pass only one of them")
     if instance is None and form_path is None:
@@ -224,12 +224,11 @@ def recipe_from_flags(
         ignored, source = IGNORED_FLAGS[instance], f"--instance {instance}"
     else:
         ignored, source = INSTANCE_FLAGS, "--form"
-    ctx = click.get_current_context()
     for name in ignored:
-        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+        if getattr(flags, name) is not None:
             fail_usage(f"--{name.replace('_', '-')} does not apply to {source}")
     if instance is not None:
-        recipe = instance_recipe(instance, sizes, corpus, max_order)
+        recipe = instance_recipe(instance, flags.sizes, flags.corpus, flags.max_order)
         if order_path is not None:
             recipe["order_file"] = order_path
         else:
@@ -291,62 +290,19 @@ def inline_recipe(ctx: CheckContext) -> dict:
     return recipe
 
 
-# -- click wiring ---------------------------------------------------------------------
+# -- commands ----------------------------------------------------------------------
+# Each takes the parsed flags and returns the report to emit.
 
 
-class GuardedCommand(click.Command):
-    """A subcommand on which input errors exit 2: an InputError becomes a
-    usage error, printed under the subcommand's usage line."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except InputError as exc:
-            raise click.UsageError(str(exc), ctx) from exc
-
-
-class CommandGroup(click.Group):
-    command_class = GuardedCommand
-    group_class = type  # subgroups are CommandGroups too
-
-
-@click.group(cls=CommandGroup, context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(__version__, prog_name="formkit")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="seed for randomized subcommands")
-@click.pass_context
-def main(ctx: click.Context, fmt: str, seed: int) -> None:
-    """Compute with finite forms: fibre lattices, transfer maps, topogenous
-    orders, closure/interior operators, and morphism classes."""
-    ctx.obj = {"format": fmt, "seed": seed, "started": time.monotonic()}
-
-
-FILE = click.Path(exists=True, dir_okay=False)
-OUT = click.option("--out", type=click.Path(dir_okay=False))
-
-
-@main.group()
-def verify() -> None:
-    """Verify a lattice, form, order, or operator against its axioms."""
-
-
-@verify.command("lattice")
-@click.option("--file", "path", required=True, type=FILE)
-def verify_lattice_cmd(path: str) -> None:
-    report = RunReport(command=["verify", "lattice", path])
-    lat = read_file(path, lattice_from_dict, report.inputs)
-    witness = make_witness("lattice", {"kind": "lattice-file", "file": path})
+def verify_lattice_cmd(flags: Namespace) -> RunReport:
+    report = RunReport(command=["verify", "lattice", flags.file])
+    lat = read_file(flags.file, lattice_from_dict, report.inputs)
+    witness = make_witness("lattice", {"kind": "lattice-file", "file": flags.file})
     report.checks.append(check_from_report("lattice-axioms", lat.verify(), witness))
-    emit(report)
+    return report
 
 
-@main.group()
-def derive() -> None:
-    """Derive operators from orders, orders from operators, or the built-in
-    topology orders."""
-
-
-def emit_document(report: RunReport, doc: dict | FormInstance, out: Optional[str], **written) -> None:
+def emit_document(report: RunReport, doc: dict | FormInstance, out: Optional[str], **written) -> RunReport:
     """Report ``doc`` (a JSON document, or a form to write as one) as the
     payload, or write it to ``out`` and report that, with the ``written``
     facts, instead."""
@@ -355,7 +311,7 @@ def emit_document(report: RunReport, doc: dict | FormInstance, out: Optional[str
         report.payload = {"written": out, **written}
     else:
         report.payload = doc
-    emit(report)
+    return report
 
 
 # The recipe key each file option fills.
@@ -366,7 +322,7 @@ def run_and_witness(checks: tuple[str, ...]):
     """A verify action: run ``checks``; those with violations carry their
     inputs inline in their witnesses."""
 
-    def action(report: RunReport, checked: CheckContext) -> None:
+    def action(report: RunReport, checked: CheckContext, flags: Namespace) -> RunReport:
         results = run_checks(checked, checks)
         flagged = [r for r in results if r.violations]
         if flagged:
@@ -374,149 +330,67 @@ def run_and_witness(checks: tuple[str, ...]):
             for r in flagged:
                 r.witness = make_witness(r.name, recipe)
         report.checks.extend(results)
-        emit(report)
+        return report
 
     return action
 
 
 def emit_derived(derive_doc):
     """A derive action: emit the document ``derive_doc`` makes of the inputs."""
-    return lambda report, checked, out: emit_document(report, derive_doc(checked), out)
+    return lambda report, checked, flags: emit_document(report, derive_doc(checked), flags.out)
 
 
-def file_command(group: str, name: str, files: tuple[str, ...], action, operator_kind=None, out=False) -> None:
-    """A subcommand that reads a form with an order or an operator (of
-    ``operator_kind``) from the ``files`` options and hands them to
-    ``action``, with the --out path when ``out``."""
-    keys = [FILE_OPTIONS[option] for option in files]
-
-    def command(**params) -> None:
-        recipe = {key: params.pop(key) for key in keys}
-        report = RunReport(command=[group, name, *recipe.values()])
-        if operator_kind is not None:
-            recipe["operator_kind"] = operator_kind
-        action(report, load_recipe(recipe, report.inputs), **params)
-
-    if out:
-        command = OUT(command)
-    for option, key in reversed(list(zip(files, keys))):
-        command = click.option(option, key, required=True, type=FILE)(command)
-    main.commands[group].command(name)(command)
-
-
-file_command("verify", "form", ("--file",), run_and_witness(FORM_CHECKS))
-file_command("verify", "order", ("--form", "--order"), run_and_witness(("order-axioms", "order-class")))
-for _kind in OPERATOR_KINDS:
-    file_command("verify", _kind, ("--form", "--operator"), run_and_witness((f"{_kind}-axioms",)), _kind)
-    file_command(
-        "derive", _kind, ("--form", "--order"),
-        emit_derived(lambda c, kind=_kind: operator_to_dict(operator_from_order(c.form, c.order, kind))), out=True,
-    )
-    file_command(
-        "derive", f"order-from-{_kind}", ("--form", "--operator"),
-        emit_derived(lambda c: order_to_dict(order_from_operator(c.form, c.operator))), _kind, out=True,
-    )
-
-
-def derive_topology_order_cmd(name: str, relation) -> None:
-    @derive.command(name)
-    @click.option("--n", required=True, type=int)
-    @OUT
-    def command(n, out) -> None:
+def derive_topology_order_cmd(name: str, relation):
+    def command(flags: Namespace) -> RunReport:
+        n = flags.n
         report = RunReport(command=["derive", name, str(n)])
         doc = order_to_dict(TopogenousOrder({f"{n}pt": relation(enumerate_topologies(n))}), form_id=f"top[{n}]")
-        emit_document(report, doc, out)
+        return emit_document(report, doc, flags.out)
+
+    return command
 
 
-derive_topology_order_cmd("theta", theta_relation)
-derive_topology_order_cmd("b", b_relation)
-
-
-INSTANCE_KINDS = click.Choice(["top", "grp", "quot"])
-
-
-INPUT_OPTIONS = (
-    click.option("--form", "form_path", type=FILE),
-    click.option("--instance", type=INSTANCE_KINDS),
-    click.option("--sizes", type=str),
-    click.option("--corpus", type=str, default="standard", show_default=True),
-    click.option("--max-order", type=int, default=8, show_default=True),
-)
-
-
-def input_options(order_option):
-    """The input options of classify and check-theorems, with the command's
-    own --order option second."""
-
-    def decorate(fn):
-        for option in reversed((INPUT_OPTIONS[0], order_option, *INPUT_OPTIONS[1:])):
-            fn = option(fn)
-        return fn
-
-    return decorate
-
-
-@main.command("classify")
-@input_options(click.option("--order", "order_path", type=FILE))
-@click.option("--order-name", type=click.Choice(NAMED_ORDERS))
-@click.option("--morphism", "morphism", type=str)
-def classify_cmd(form_path, order_path, instance, sizes, corpus, max_order, order_name, morphism) -> None:
+def classify_cmd(flags: Namespace) -> RunReport:
     """Strict/final/thick status, per morphism, as a MorphismReport array."""
     report = RunReport(command=["classify"])
-    recipe = recipe_from_flags(form_path, order_path, order_name, instance, sizes, corpus, max_order)
+    recipe = recipe_from_flags(flags, flags.order_path, flags.order_name)
     checked = load_recipe(recipe, report.inputs)
     report.checks.extend(run_checks(checked, ("order-axioms",), recipe))
     if checked.axioms.ok:
         form = checked.form
-        targets = [morphism] if morphism else list(form.base.morphisms())
+        targets = [flags.morphism] if flags.morphism else list(form.base.morphisms())
         for f in targets:
             if f not in form.base.dom:
                 fail_usage(f"unknown morphism {f!r}")
         report.payload = {"morphisms": [classify_morphism(form, checked.order, f).to_dict() for f in targets]}
-    emit(report)
+    return report
 
 
-@main.command("check-theorems")
-@input_options(click.option("--order", "order_spec", type=str, help="order file, or a named order with --instance"))
-@click.option("--check", "selected", multiple=True, help="restrict to named checks")
-def check_theorems_cmd(form_path, order_spec, instance, sizes, corpus, max_order, selected) -> None:
+def check_theorems_cmd(flags: Namespace) -> RunReport:
     """Run the whole theorem battery for a form and order."""
-    for name in selected:
+    for name in flags.check:
         if name not in BATTERY:
             fail_usage(f"unknown check {name!r}; known: {', '.join(BATTERY)}")
     report = RunReport(command=["check-theorems"])
+    order_spec = flags.order_spec
     named = order_spec is None or order_spec in NAMED_ORDERS
-    recipe = recipe_from_flags(
-        form_path, None if named else order_spec, order_spec if named else None,
-        instance, sizes, corpus, max_order,
-    )
-    report.checks.extend(run_checks(load_recipe(recipe, report.inputs), battery_selection(selected), recipe))
-    emit(report)
+    recipe = recipe_from_flags(flags, None if named else order_spec, order_spec if named else None)
+    report.checks.extend(run_checks(load_recipe(recipe, report.inputs), battery_selection(flags.check), recipe))
+    return report
 
 
-@main.group("enumerate")
-def enumerate_group() -> None:
-    """Enumerate topologies, subgroups, or partitions."""
+def enumerate_cmd(name: str, enumerate_all, to_dict):
+    def command(flags: Namespace) -> RunReport:
+        report = RunReport(command=["enumerate", name, str(flags.n)])
+        found = enumerate_all(flags.n)
+        report.payload = {"n": flags.n, "count": len(found), name: [to_dict(t) for t in found]}
+        return report
+
+    return command
 
 
-def enumerate_cmd(name: str, enumerate_all, to_dict) -> None:
-    @enumerate_group.command(name)
-    @click.option("--n", required=True, type=int)
-    def command(n) -> None:
-        report = RunReport(command=["enumerate", name, str(n)])
-        found = enumerate_all(n)
-        report.payload = {"n": n, "count": len(found), name: [to_dict(t) for t in found]}
-        emit(report)
-
-
-enumerate_cmd("topologies", enumerate_topologies, topology_to_dict)
-enumerate_cmd("partitions", enumerate_partitions, partition_to_dict)
-
-
-@enumerate_group.command("subgroups")
-@click.option("--group", "name", type=str, help="a corpus group name such as S3 or Q8")
-@click.option("--file", "path", type=FILE, help="a Cayley-table JSON file")
-def enum_sub_cmd(name, path) -> None:
+def enum_sub_cmd(flags: Namespace) -> RunReport:
+    name, path = flags.group, flags.file
     report = RunReport(command=["enumerate", "subgroups", name or path or ""])
     if (name is None) == (path is None):
         fail_usage("provide exactly one of --group or --file")
@@ -532,87 +406,51 @@ def enum_sub_cmd(name, path) -> None:
     if bad.ok:
         masks = subgroup_masks(group)
         normals = set(normal_subgroup_masks(group))
-        report.payload = {
-            "group": group.name,
-            "order": group.n,
-            "count": len(masks),
-            "subgroups": [
-                {"elements": list(bits(m)), "normal": m in normals} for m in masks
-            ],
-        }
-    emit(report)
+        subgroups = [{"elements": list(bits(m)), "normal": m in normals} for m in masks]
+        report.payload = {"group": group.name, "order": group.n, "count": len(masks), "subgroups": subgroups}
+    return report
 
 
-@main.group()
-def instance() -> None:
-    """Build a built-in instance and emit its form descriptor."""
+def instance_cmd(kind: str):
+    """The instance command of ``kind``: build it and emit its form."""
+
+    def command(flags: Namespace) -> RunReport:
+        sizes, corpus, max_order = (getattr(flags, name, None) for name in INSTANCE_FLAGS)
+        form = build_instance(instance_recipe(kind, sizes, corpus, max_order), "instance").form
+        report = RunReport(command=["instance", kind, *([corpus, str(max_order)] if kind == "grp" else [sizes])])
+        return emit_document(
+            report, form, flags.emit, objects=list(form.base.objects), morphisms=sum(1 for _ in form.base.morphisms())
+        )
+
+    return command
 
 
-def _emit_instance(recipe: dict, emit_path: Optional[str], command: list[str]) -> None:
-    form = build_instance(recipe, "instance").form
-    emit_document(
-        RunReport(command=command), form, emit_path,
-        objects=list(form.base.objects), morphisms=sum(1 for _ in form.base.morphisms()),
-    )
-
-
-def instance_sizes_cmd(kind: str) -> None:
-    @instance.command(kind)
-    @click.option("--sizes", required=True, type=str)
-    @click.option("--emit", "emit_path", type=click.Path(dir_okay=False))
-    def command(sizes, emit_path) -> None:
-        _emit_instance(instance_recipe(kind, sizes, "standard", 8), emit_path, ["instance", kind, sizes])
-
-
-instance_sizes_cmd("top")
-instance_sizes_cmd("quot")
-
-
-@instance.command("grp")
-@click.option("--corpus", type=str, default="standard", show_default=True)
-@click.option("--max-order", type=int, default=8, show_default=True)
-@click.option("--emit", "emit_path", type=click.Path(dir_okay=False))
-def instance_grp_cmd(corpus, max_order, emit_path) -> None:
-    recipe = instance_recipe("grp", None, corpus, max_order)
-    _emit_instance(recipe, emit_path, ["instance", "grp", corpus, str(max_order)])
-
-
-@main.command("search")
-@click.option("--claim", required=True, type=str)
-@click.option("--budget", type=click.IntRange(min=1), default=1000, show_default=True)
-def search_cmd(claim, budget) -> None:
+def search_cmd(flags: Namespace) -> RunReport:
     """Check a claim against randomly generated forms; any counterexample
     fails the run and is replayable from (seed, index)."""
+    claim, budget, seed = flags.claim, flags.budget, flags.seed
     if claim not in CLAIMS:
         fail_usage(f"unknown claim {claim!r}; known: {', '.join(sorted(CLAIMS))}")
-    seed = click.get_current_context().obj["seed"]
     report = RunReport(command=["search", claim, str(budget), str(seed)])
     outcome = run_search(claim, budget, seed)
     rep = Report()
     rep.checks_run = budget
     for ce in outcome["counterexamples"]:
-        rep.add(
-            "counterexample",
-            where=f"index {ce['index']}",
-            witness=(ce["seed"], ce["index"]),
-            detail=json.dumps(ce["violations"], sort_keys=True),
-        )
+        detail = json.dumps(ce["violations"], sort_keys=True)
+        rep.add("counterexample", where=f"index {ce['index']}", witness=(ce["seed"], ce["index"]), detail=detail)
     witness = None
     if outcome["counterexamples"]:
         first = outcome["counterexamples"][0]
-        witness = make_witness(
-            "search",
-            {"kind": "search", "claim": claim, "seed": first["seed"], "index": first["index"]},
-        )
+        recipe = {"kind": "search", "claim": claim, "seed": first["seed"], "index": first["index"]}
+        witness = make_witness("search", recipe)
     report.checks.append(check_from_report(f"search:{claim}", rep, witness))
     report.payload = {k: outcome[k] for k in ("claim", "budget", "seed", "forms_checked")}
-    emit(report)
+    return report
 
 
-@main.command("replay")
-@click.argument("witness_file", type=FILE)
-def replay_cmd(witness_file) -> None:
+def replay_cmd(flags: Namespace) -> RunReport:
     """Re-run the single check a witness came from."""
+    witness_file = flags.witness_file
     report = RunReport(command=["replay", witness_file])
     doc = read_file(witness_file, lambda doc, where: doc, report.inputs)
     if not isinstance(doc, dict) or doc.get("schema") != WITNESS_SCHEMA:
@@ -646,7 +484,165 @@ def replay_cmd(witness_file) -> None:
         for result in run_checks(checked, (check,), recipe if needs == "order" else None):
             result.name = f"replay:{result.name}"
             report.checks.append(result)
-    emit(report)
+    return report
+
+
+# -- argument parsing ----------------------------------------------------------------
+
+
+def in_file(path: str) -> str:
+    """A file option's value: the path of an existing file."""
+    if not os.path.exists(path):
+        raise ArgumentTypeError(f"file {path!r} does not exist")
+    return out_file(path)
+
+
+def out_file(path: str) -> str:
+    """An output option's value: a path that names no directory."""
+    if os.path.isdir(path):
+        raise ArgumentTypeError(f"file {path!r} is a directory")
+    return path
+
+
+def budget(text: str) -> int:
+    if int(text) < 1:
+        raise ArgumentTypeError(f"{text} is not in the range x>=1")
+    return int(text)
+
+
+# Every parser's settings: no option may be abbreviated, and help is wrapped
+# at 78 columns whatever the terminal's width.
+PARSER = {"allow_abbrev": False, "formatter_class": lambda prog: HelpFormatter(prog, width=78)}
+
+# An option is (flag, add_argument keywords); keywords of file options.
+FILE = {"type": in_file, "metavar": "FILE"}
+OUT = {"type": out_file, "metavar": "FILE"}
+N = ("--n", {"required": True, "type": int})
+
+
+def input_options(order: dict) -> tuple:
+    """The input options of classify and check-theorems, with the command's
+    own --order option second. --sizes, --corpus and --max-order default to
+    None: recipe_from_flags refuses one the form's source does not read."""
+    return (
+        ("--form", FILE), ("--order", order), ("--instance", {"choices": ("top", "grp", "quot")}), ("--sizes", {}),
+        ("--corpus", {"help": "default: standard"}),
+        ("--max-order", {"type": int, "metavar": "N", "help": "default: 8"}),
+    )
+
+
+def build_parser(prog: str = "formkit") -> ArgumentParser:
+    """The command tree. The parser of each command sets two defaults:
+    ``run``, its action, and ``parser``, itself, under whose usage line a
+    usage or input error is reported."""
+    root = ArgumentParser(
+        prog=prog, **PARSER,
+        description="Compute with finite forms: fibre lattices, transfer maps, topogenous orders, "
+        "closure/interior operators, and morphism classes.",
+    )
+    root.add_argument("--version", action="version", version=f"formkit, version {__version__}")
+    root.add_argument("--format", choices=("json", "text"), default="json", help="default: %(default)s")
+    root.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands; default: %(default)s")
+    groups = {"": root.add_subparsers(metavar="COMMAND", required=True)}
+
+    def command(path: str, run=None, *options, doc: Optional[str] = None) -> None:
+        """Add ``path`` ("verify form"): a command that runs ``run`` and
+        takes ``options``, or a group of commands when ``run`` is None."""
+        group, _, name = path.rpartition(" ")
+        doc = doc or (run and run.__doc__)
+        parser = groups[group].add_parser(name, help=doc, description=doc, **PARSER)
+        if run is None:
+            groups[path] = parser.add_subparsers(metavar="COMMAND", required=True)
+        else:
+            parser.set_defaults(run=run, parser=parser)
+        for flag, keywords in options:
+            parser.add_argument(flag, **keywords)
+
+    def reads(path: str, files: tuple[str, ...], action, operator_kind=None, *options) -> None:
+        """Add ``path``, a command that reads a form with an order or an
+        operator (of ``operator_kind``) from the ``files`` options and hands
+        them to ``action``."""
+        keys = [FILE_OPTIONS[option] for option in files]
+
+        def run(flags: Namespace) -> RunReport:
+            recipe = {key: getattr(flags, key) for key in keys}
+            report = RunReport(command=[*path.split(), *recipe.values()])
+            if operator_kind is not None:
+                recipe["operator_kind"] = operator_kind
+            return action(report, load_recipe(recipe, report.inputs), flags)
+
+        file_options = ((option, {"dest": key, "required": True, **FILE}) for option, key in zip(files, keys))
+        command(path, run, *file_options, *options)
+
+    command("verify", doc="Verify a lattice, form, order, or operator against its axioms.")
+    command("verify lattice", verify_lattice_cmd, ("--file", {"required": True, **FILE}))
+    reads("verify form", ("--file",), run_and_witness(FORM_CHECKS))
+    reads("verify order", ("--form", "--order"), run_and_witness(("order-axioms", "order-class")))
+    for kind in OPERATOR_KINDS:
+        reads(f"verify {kind}", ("--form", "--operator"), run_and_witness((f"{kind}-axioms",)), kind)
+
+    command("derive", doc="Derive operators from orders, orders from operators, or the built-in topology orders.")
+    derive_order = emit_derived(lambda c: order_to_dict(order_from_operator(c.form, c.operator)))
+    for kind in OPERATOR_KINDS:
+        derive = emit_derived(lambda c, kind=kind: operator_to_dict(operator_from_order(c.form, c.order, kind)))
+        reads(f"derive {kind}", ("--form", "--order"), derive, None, ("--out", OUT))
+        reads(f"derive order-from-{kind}", ("--form", "--operator"), derive_order, kind, ("--out", OUT))
+    for name, relation in (("theta", theta_relation), ("b", b_relation)):
+        command(f"derive {name}", derive_topology_order_cmd(name, relation), N, ("--out", OUT))
+
+    command(
+        "classify", classify_cmd, *input_options({"dest": "order_path", **FILE}),
+        ("--order-name", {"choices": NAMED_ORDERS}), ("--morphism", {}),
+    )
+    order = {"dest": "order_spec", "metavar": "ORDER", "help": "order file, or a named order with --instance"}
+    checks = {"action": "append", "default": [], "help": "restrict to named checks"}
+    command("check-theorems", check_theorems_cmd, *input_options(order), ("--check", checks))
+
+    command("enumerate", doc="Enumerate topologies, subgroups, or partitions.")
+    command("enumerate topologies", enumerate_cmd("topologies", enumerate_topologies, topology_to_dict), N)
+    command("enumerate partitions", enumerate_cmd("partitions", enumerate_partitions, partition_to_dict), N)
+    command(
+        "enumerate subgroups", enum_sub_cmd, ("--group", {"help": "a corpus group name such as S3 or Q8"}),
+        ("--file", {**FILE, "help": "a Cayley-table JSON file"}),
+    )
+
+    command("instance", doc="Build a built-in instance and emit its form descriptor.")
+    for kind in ("top", "quot"):
+        command(f"instance {kind}", instance_cmd(kind), ("--sizes", {"required": True}), ("--emit", OUT))
+    command(
+        "instance grp", instance_cmd("grp"), ("--corpus", {"default": "standard", "help": "default: %(default)s"}),
+        ("--max-order", {"type": int, "default": 8, "metavar": "N", "help": "default: %(default)s"}), ("--emit", OUT),
+    )
+
+    command(
+        "search", search_cmd, ("--claim", {"required": True}),
+        ("--budget", {"type": budget, "default": 1000, "help": "default: %(default)s"}),
+    )
+    command("replay", replay_cmd, ("witness_file", {"type": in_file, "metavar": "WITNESS_FILE"}))
+    return root
+
+
+def main(args: Optional[list[str]] = None, prog_name: str = "formkit", standalone_mode: bool = True) -> int:
+    """Run the command ``args`` names (default ``sys.argv[1:]``) and exit with
+    its code: 0 if every check passes, 1 if one fails, 2 on a usage or input
+    error. Without ``standalone_mode`` a command's code is returned instead."""
+    flags, extra = build_parser(prog_name).parse_known_args(args)
+    if extra:
+        flags.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    started = time.monotonic()
+    try:
+        report = flags.run(flags)
+    except InputError as exc:
+        flags.parser.error(str(exc))
+    code = emit(report, flags.format, started)
+    if standalone_mode:
+        sys.exit(code)
+    return code
+
+
+# perfbench/child.py runs a command as
+# main.main(args=..., prog_name="formkit", standalone_mode=True).
+main.main = main
 
 
 if __name__ == "__main__":

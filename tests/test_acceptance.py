@@ -18,9 +18,7 @@ criterion 7, and all other criteria, pass.
 
 import json
 
-from click.testing import CliRunner
-
-from formkit.cli import main as cli_main
+from cli_runner import CliRunner
 from formkit.groups import normal_closure, preserves_normals
 from formkit.morphisms import (
     final_table,
@@ -220,7 +218,7 @@ def test_criterion_9_enumeration_oracles():
     top_counts = []
     part_counts = []
     for n in (1, 2, 3, 4):
-        res = runner.invoke(cli_main, ["enumerate", "topologies", "--n", str(n)])
+        res = runner.invoke(["enumerate", "topologies", "--n", str(n)])
         assert res.exit_code == 0
         payload = json.loads(res.stdout)["payload"]
         top_counts.append(payload["count"])
@@ -228,7 +226,7 @@ def test_criterion_9_enumeration_oracles():
         assert {tuple(t["opens"]) for t in payload["topologies"]} == {
             tuple(sorted(f)) for f in naive_topologies(n)
         }
-        res = runner.invoke(cli_main, ["enumerate", "partitions", "--n", str(n)])
+        res = runner.invoke(["enumerate", "partitions", "--n", str(n)])
         payload = json.loads(res.stdout)["payload"]
         part_counts.append(payload["count"])
         assert {tuple(p["blocks"]) for p in payload["partitions"]} == naive_partitions(n)
@@ -245,7 +243,6 @@ def test_criterion_10_randomized_search_finds_nothing():
         found[claim] = len(out["counterexamples"])
     runner = CliRunner()
     res = runner.invoke(
-        cli_main,
         ["--seed", "20260810", "search", "--claim", "strict-iff-push", "--budget", "100"],
     )
     cli_ok = res.exit_code == 0

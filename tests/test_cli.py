@@ -5,10 +5,10 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import CliRunner
 from formkit.checks import REGISTRY
 from formkit.cli import main
 from formkit.groups import symmetric3
@@ -23,7 +23,7 @@ def runner():
 
 
 def invoke(runner, args):
-    return runner.invoke(main, args, catch_exceptions=False)
+    return runner.invoke(args)
 
 
 def parse(result):
@@ -303,7 +303,7 @@ def test_inline_shape_errors_name_the_recipe_entry(runner, tmp_path, key, check,
 )
 def test_flags_the_instance_kind_does_not_read_exit_2(runner, kind, flag, value):
     # given explicitly, even at their default values, the flags are refused
-    res = runner.invoke(main, ["check-theorems", "--instance", kind, flag, value])
+    res = runner.invoke(["check-theorems", "--instance", kind, flag, value])
     assert res.exit_code == 2
     assert f"{flag} does not apply to --instance {kind}" in res.stderr
 
@@ -356,7 +356,7 @@ def test_mutated_input_files_never_crash(data):
             doc = _with(doc, path, data.draw(JSON_VALUES))
         bad = _write(Path("."), doc, "mutated.json")
         for args in FUZZED[target](paths, bad):
-            res = runner.invoke(main, args, catch_exceptions=False)
+            res = runner.invoke(args)
             assert res.exit_code in (0, 1, 2), args
             assert "Traceback" not in res.stderr
 
@@ -364,6 +364,51 @@ def test_mutated_input_files_never_crash(data):
 def test_unknown_subcommand_exits_2(runner):
     res = invoke(runner, ["definitely-not-a-command"])
     assert res.exit_code == 2
+
+
+def test_main_exits_with_the_command_code(tmp_path, capsys):
+    """The benchmark's child process runs a command as ``main.main(...)``
+    and reads its exit code from SystemExit: 0 on a pass, 1 on a failed
+    check, 2 on a usage error. Usage lines name the program `formkit`,
+    also when no program name is given (the console script)."""
+    not_a_lattice = _write(tmp_path, {"size": 2, "leq": [[True, False], [False, True]]})
+    for args, code in (
+        (["enumerate", "partitions", "--n", "2"], 0),
+        (["verify", "lattice", "--file", not_a_lattice], 1),
+        (["search", "--claim", "roundtrip-TM", "--budget", "0"], 2),
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main.main(args=args, prog_name="formkit", standalone_mode=True)
+        assert exited.value.code == code, args
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main.main(args=["search", "--claim", "roundtrip-TM", "--budget", "0"])
+    assert capsys.readouterr().err.startswith("usage: formkit search ")
+
+
+def test_abbreviated_options_exit_2(runner):
+    for args in (
+        ["search", "--claim", "roundtrip-TM", "--budg", "5"],
+        ["--form", "text", "enumerate", "partitions", "--n", "2"],
+        ["instance", "grp", "--max=4"],
+    ):
+        res = invoke(runner, args)
+        assert res.exit_code == 2, args
+    assert "--budg" in invoke(runner, ["search", "--claim", "roundtrip-TM", "--budg", "5"]).stderr
+
+
+def test_version_prints_the_program_and_version(runner):
+    res = invoke(runner, ["--version"])
+    assert (res.exit_code, res.stdout) == (0, "formkit, version 0.1.0\n")
+
+
+def test_usage_lines_name_formkit(runner):
+    assert invoke(runner, ["--help"]).stdout.startswith("usage: formkit ")
+    assert invoke(runner, ["verify", "form", "--help"]).stdout.startswith("usage: formkit verify form ")
+    res = invoke(runner, ["search", "--budget", "5"])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("usage: formkit search ")
+    assert "formkit search: error: the following arguments are required: --claim" in res.stderr
 
 
 def test_derive_theta_then_verify(runner, tmp_path):

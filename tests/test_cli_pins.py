@@ -17,13 +17,13 @@ import re
 import shlex
 import sys
 import tempfile
+from argparse import ArgumentParser, _SubParsersAction
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 
-from formkit.cli import main
+from cli_runner import CliRunner
+from formkit.cli import build_parser
 from test_cli import MALFORMED, _top2_inputs
 from test_golden import CASES, _write_inputs
 
@@ -34,12 +34,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN_STDERR = ("ct-files-broken-adjunction",)
 
 
-def command_paths(cmd: click.Command = main, path: tuple[str, ...] = ()):
+def command_paths(parser: ArgumentParser | None = None, path: tuple[str, ...] = ()):
     """The argument prefix of every command and subcommand, the root first."""
+    parser = build_parser() if parser is None else parser
     yield path
-    if isinstance(cmd, click.Group):
-        for name, sub in sorted(cmd.commands.items()):
-            yield from command_paths(sub, path + (name,))
+    for action in parser._actions:
+        if isinstance(action, _SubParsersAction):
+            for name, sub in sorted(action.choices.items()):
+                yield from command_paths(sub, path + (name,))
 
 
 def _help_pin(path: tuple[str, ...]) -> Path:
@@ -47,7 +49,7 @@ def _help_pin(path: tuple[str, ...]) -> Path:
 
 
 def _help(path: tuple[str, ...]) -> str:
-    return CliRunner().invoke(main, [*path, "--help"]).stdout
+    return CliRunner().invoke([*path, "--help"]).stdout
 
 
 def _stderr(result, tmp: str = "") -> str:
@@ -57,7 +59,7 @@ def _stderr(result, tmp: str = "") -> str:
 
 
 def _malformed_stderr(case: str, tmp: Path) -> str:
-    result = CliRunner().invoke(main, MALFORMED[case](tmp, _top2_inputs(tmp)))
+    result = CliRunner().invoke(MALFORMED[case](tmp, _top2_inputs(tmp)))
     return _stderr(result, str(tmp))
 
 
@@ -79,7 +81,7 @@ def test_malformed_stderr_is_pinned(case, tmp_path):
 def _golden_stderr(name: str) -> str:
     with CliRunner().isolated_filesystem():
         _write_inputs()
-        return _stderr(CliRunner().invoke(main, CASES[name]))
+        return _stderr(CliRunner().invoke(CASES[name]))
 
 
 @pytest.mark.parametrize("name", GOLDEN_STDERR)
@@ -106,18 +108,18 @@ def test_readme_usage_block_runs():
         for line in usage:
             args = shlex.split(line)
             assert args[0] == "formkit"
-            res = runner.invoke(main, args[1:])
+            res = runner.invoke(args[1:])
             assert res.exit_code == 0, (line, res.stderr)
         battery, extract, replay_line = replay
         args = shlex.split(battery)
         assert args[0] == "formkit" and args[-2] == ">"
-        res = runner.invoke(main, args[1:-2])
+        res = runner.invoke(args[1:-2])
         assert res.exit_code == 1
         Path(args[-1]).write_text(res.stdout)
         python, flag, code = shlex.split(extract)
         assert (python, flag) == ("python3", "-c")
         exec(code, {})
-        res = runner.invoke(main, shlex.split(replay_line)[1:])
+        res = runner.invoke(shlex.split(replay_line)[1:])
         assert res.exit_code == 1
         (replayed,) = json.loads(res.stdout)["checks"]
         assert replayed["name"].startswith("replay:") and replayed["violations"]

@@ -20,9 +20,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from formkit.cli import main
+from cli_runner import CliRunner
 from formkit.jsonio import dump_json, form_to_dict, load_json, order_to_dict
 from formkit.search import case_rng, random_form, random_order
 from formkit.topologies import b_order, build_top_form
@@ -114,7 +113,7 @@ for _claim in SEARCH_CLAIMS:
 
 
 def _run(args: list[str]):
-    return CliRunner().invoke(main, args)
+    return CliRunner().invoke(args)
 
 
 def _witness_of(args: list[str], check: str) -> dict:

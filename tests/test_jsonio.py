@@ -10,12 +10,11 @@ from copy import deepcopy
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formkit
-from formkit.cli import main
+from cli_runner import CliRunner
 from formkit import jsonio
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.groups import symmetric3
@@ -431,13 +430,13 @@ WRITTEN_DIGESTS = {
 def test_emitted_bytes_are_pinned(name, tmp_path):
     args, digest = WRITTEN_DIGESTS[name]
     path = tmp_path / f"{name}.json"
-    result = CliRunner().invoke(main, [*args, "--emit", str(path)])
+    result = CliRunner().invoke([*args, "--emit", str(path)])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_report_bytes_are_pinned():
-    result = CliRunner().invoke(main, ["check-theorems", "--instance", "quot", "--sizes", "1,2,3,4"])
+    result = CliRunner().invoke(["check-theorems", "--instance", "quot", "--sizes", "1,2,3,4"])
     assert result.exit_code == 1
     digest = "796adce2a4d5c966c8b7138761b846b6e94bf8428e62599e21dafe7c3e115695"
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
@@ -446,7 +445,7 @@ def test_report_bytes_are_pinned():
 def test_instance_report_bytes_are_pinned():
     """Without --emit the form document is the report's payload on stdout;
     digest recorded while the report was encoded as one string."""
-    result = CliRunner().invoke(main, ["instance", "quot", "--sizes", "1,2,3,4"])
+    result = CliRunner().invoke(["instance", "quot", "--sizes", "1,2,3,4"])
     assert result.exit_code == 0
     digest = "20fafbc3192af71b0ba86639bc8c50f3847df92e7b400c47ebd449d90b455476"
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
@@ -644,7 +643,7 @@ def test_emit_to_stdout_redirected_to_a_file(tmp_path):
 
 
 def test_reports_skip_the_stdlib_encoder(fallbacks):
-    result = CliRunner().invoke(main, ["check-theorems", "--instance", "quot", "--sizes", "1,2,3,4"])
+    result = CliRunner().invoke(["check-theorems", "--instance", "quot", "--sizes", "1,2,3,4"])
     assert result.exit_code == 1
     assert fallbacks == []
 
