@@ -52,13 +52,15 @@ class FiniteLattice:
                 raise ValueError("leq matrix must be square")
         self._init(tuple(sum(1 << b for b in range(n) if leq_rows[a][b]) for a in range(n)), labels)
 
-    def _init(self, up: tuple[int, ...], labels: Optional[Sequence[str]]) -> None:
+    def _init(
+        self, up: tuple[int, ...], labels: Optional[Sequence[str]], down: Optional[tuple[int, ...]] = None
+    ) -> None:
         n = len(up)
         if labels is not None and len(labels) != n:
             raise ValueError("labels length must match size")
         self.size = n
         self.up = up
-        self.down = tuple(columns(up))
+        self.down = tuple(columns(up)) if down is None else down
         self._cones = (self.down, self.up)  # by side: 0 for meets, 1 for joins
         self.labels = tuple(labels) if labels is not None else None
         self._full = (1 << n) - 1
@@ -68,12 +70,16 @@ class FiniteLattice:
         self._by_cone: Optional[tuple[dict[int, int], dict[int, int]]] = None
 
     @classmethod
-    def from_up_masks(cls, up: Sequence[int], labels: Optional[Sequence[str]] = None) -> "FiniteLattice":
+    def from_up_masks(
+        cls, up: Sequence[int], labels: Optional[Sequence[str]] = None, down: Optional[Sequence[int]] = None
+    ) -> "FiniteLattice":
         """The relation with ``up[a]`` as the mask of every b with a <= b;
-        bits at or beyond ``len(up)`` are dropped."""
+        bits at or beyond ``len(up)`` are dropped. A caller that has the
+        transpose passes it as ``down`` (``down[b]``, every a with a <= b),
+        which is then taken as given instead of derived by :func:`columns`."""
         lat = cls.__new__(cls)
         full = (1 << len(up)) - 1
-        lat._init(tuple(m & full for m in up), labels)
+        lat._init(tuple(m & full for m in up), labels, None if down is None else tuple(m & full for m in down))
         return lat
 
     @classmethod

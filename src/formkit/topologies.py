@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import repeat
-from operator import or_
+from operator import and_, or_
 from typing import Sequence
 
 from .forms import FormInstance
@@ -123,7 +123,9 @@ def _fibre(n: int, tops: Sequence[FiniteTopology]) -> FiniteLattice:
     With ``member[s]`` the mask of the topologies in which subset s is
     open, the topologies coarser than t are those open in no subset that t
     leaves out: ``up[t]`` is the complement of the OR of ``member[s]`` over
-    the s not open in t."""
+    the s not open in t. The topologies finer than t are those open in
+    every subset open in t: ``down[t]`` is the AND of ``member[s]`` over the
+    s open in t."""
     member = [0] * (1 << n)
     for i, t in enumerate(tops):
         bit = 1 << i
@@ -131,8 +133,9 @@ def _fibre(n: int, tops: Sequence[FiniteTopology]) -> FiniteLattice:
             member[s] |= bit
     subsets = frozenset(range(1 << n))
     up = [~reduce(or_, map(member.__getitem__, subsets - t.opens), 0) for t in tops]
+    down = [reduce(and_, map(member.__getitem__, t.opens)) for t in tops]
     labels = ["{" + ",".join(map(str, t.key())) + "}" for t in tops]
-    return FiniteLattice.from_up_masks(up, labels)
+    return FiniteLattice.from_up_masks(up, labels, down)
 
 
 def topology_fibre(n: int) -> tuple[FiniteLattice, list[FiniteTopology]]:

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from formkit.lattice import FiniteLattice
+from formkit.lattice import FiniteLattice, columns
 from formkit.setmaps import SetFunction, function_category
 from formkit.topogenous import (
     classify_order,
@@ -101,6 +101,14 @@ def test_fibre_matches_the_pattern_walk_and_the_matrix(n, count):
     old = matrix_fibre(tops)
     assert (lat.up, lat.down, lat.labels) == (old.up, old.down, old.labels)
     assert lat.verify().ok
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_fibre_down_masks_are_the_transpose_of_up(n):
+    # _fibre passes its down masks (ANDs of open-set membership columns) to
+    # from_up_masks instead of having them derived from up
+    lat, _ = topology_fibre(n)
+    assert lat.down == tuple(columns(lat.up))
 
 
 def test_fibre_on_no_points():
