@@ -614,10 +614,8 @@ def build_parser(prog: str = "formkit") -> ArgumentParser:
         ("--max-order", {"type": int, "default": 8, "metavar": "N", "help": "default: %(default)s"}), ("--emit", OUT),
     )
 
-    command(
-        "search", search_cmd, ("--claim", {"required": True}),
-        ("--budget", {"type": budget, "default": 1000, "help": "default: %(default)s"}),
-    )
+    budget_option = ("--budget", {"type": budget, "default": 1000, "help": "default: %(default)s"})
+    command("search", search_cmd, ("--claim", {"required": True}), budget_option)
     command("replay", replay_cmd, ("witness_file", {"type": in_file, "metavar": "WITNESS_FILE"}))
     return root
 
@@ -634,15 +632,17 @@ def main(args: Optional[list[str]] = None, prog_name: str = "formkit", standalon
         report = flags.run(flags)
     except InputError as exc:
         flags.parser.error(str(exc))
-    code = emit(report, flags.format, started)
+    try:
+        code = emit(report, flags.format, started)
+    except BrokenPipeError:  # the reader closed stdout early (`| head`): exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     if standalone_mode:
         sys.exit(code)
     return code
 
 
-# perfbench/child.py runs a command as
-# main.main(args=..., prog_name="formkit", standalone_mode=True).
-main.main = main
+main.main = main  # perfbench/child.py runs main.main(args=..., prog_name="formkit", standalone_mode=True)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,16 @@
 replay."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formkit
 from cli_runner import CliRunner
 from formkit.checks import REGISTRY
 from formkit.cli import main
@@ -395,6 +399,19 @@ def test_abbreviated_options_exit_2(runner):
         res = invoke(runner, args)
         assert res.exit_code == 2, args
     assert "--budg" in invoke(runner, ["search", "--claim", "roundtrip-TM", "--budg", "5"]).stderr
+
+
+def test_stdout_closed_early_exits_1_without_a_traceback():
+    """A reader that stops early, as `formkit ... | head` does, ends the
+    command with exit 1 and nothing but the elapsed line on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(formkit.__file__).parents[1]))
+    command = [sys.executable, "-m", "formkit.cli", "instance", "quot", "--sizes", "1,2,3,4"]  # an 8 MB report
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.read(10)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
 
 
 def test_version_prints_the_program_and_version(runner):
