@@ -302,7 +302,7 @@ def verify_lattice_cmd(flags: Namespace) -> RunReport:
     return report
 
 
-def emit_document(report: RunReport, doc: dict | FormInstance, out: Optional[str], **written) -> RunReport:
+def report_document(report: RunReport, doc: dict | FormInstance, out: Optional[str], **written) -> RunReport:
     """Report ``doc`` (a JSON document, or a form to write as one) as the
     payload, or write it to ``out`` and report that, with the ``written``
     facts, instead."""
@@ -335,9 +335,9 @@ def run_and_witness(checks: tuple[str, ...]):
     return action
 
 
-def emit_derived(derive_doc):
-    """A derive action: emit the document ``derive_doc`` makes of the inputs."""
-    return lambda report, checked, flags: emit_document(report, derive_doc(checked), flags.out)
+def report_derived(derive_doc):
+    """A derive action: report the document ``derive_doc`` makes of the inputs."""
+    return lambda report, checked, flags: report_document(report, derive_doc(checked), flags.out)
 
 
 def derive_topology_order_cmd(name: str, relation):
@@ -345,7 +345,7 @@ def derive_topology_order_cmd(name: str, relation):
         n = flags.n
         report = RunReport(command=["derive", name, str(n)])
         doc = order_to_dict(TopogenousOrder({f"{n}pt": relation(enumerate_topologies(n))}), form_id=f"top[{n}]")
-        return emit_document(report, doc, flags.out)
+        return report_document(report, doc, flags.out)
 
     return command
 
@@ -418,7 +418,7 @@ def instance_cmd(kind: str):
         sizes, corpus, max_order = (getattr(flags, name, None) for name in INSTANCE_FLAGS)
         form = build_instance(instance_recipe(kind, sizes, corpus, max_order), "instance").form
         report = RunReport(command=["instance", kind, *([corpus, str(max_order)] if kind == "grp" else [sizes])])
-        return emit_document(
+        return report_document(
             report, form, flags.emit, objects=list(form.base.objects), morphisms=sum(1 for _ in form.base.morphisms())
         )
 
@@ -582,9 +582,9 @@ def build_parser(prog: str = "formkit") -> ArgumentParser:
         reads(f"verify {kind}", ("--form", "--operator"), run_and_witness((f"{kind}-axioms",)), kind)
 
     command("derive", doc="Derive operators from orders, orders from operators, or the built-in topology orders.")
-    derive_order = emit_derived(lambda c: order_to_dict(order_from_operator(c.form, c.operator)))
+    derive_order = report_derived(lambda c: order_to_dict(order_from_operator(c.form, c.operator)))
     for kind in OPERATOR_KINDS:
-        derive = emit_derived(lambda c, kind=kind: operator_to_dict(operator_from_order(c.form, c.order, kind)))
+        derive = report_derived(lambda c, kind=kind: operator_to_dict(operator_from_order(c.form, c.order, kind)))
         reads(f"derive {kind}", ("--form", "--order"), derive, None, ("--out", OUT))
         reads(f"derive order-from-{kind}", ("--form", "--operator"), derive_order, kind, ("--out", OUT))
     for name, relation in (("theta", theta_relation), ("b", b_relation)):
