@@ -132,9 +132,9 @@ def emit(report: RunReport, fmt: str, started: float) -> int:
     to stderr; the exit code."""
     if fmt == "json":
         write_json(report.to_dict(), sys.stdout)
-        sys.stdout.flush()
     else:
         print(report.render_text())
+    sys.stdout.flush()  # a closed pipe fails here, inside main's guard, not at exit
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -531,12 +531,12 @@ def input_options(order: dict) -> tuple:
     )
 
 
-def build_parser(prog: str = "formkit") -> ArgumentParser:
+def build_parser() -> ArgumentParser:
     """The command tree. The parser of each command sets two defaults:
     ``run``, its action, and ``parser``, itself, under whose usage line a
     usage or input error is reported."""
     root = ArgumentParser(
-        prog=prog, **PARSER,
+        prog="formkit", **PARSER,
         description="Compute with finite forms: fibre lattices, transfer maps, topogenous orders, "
         "closure/interior operators, and morphism classes.",
     )
@@ -620,11 +620,11 @@ def build_parser(prog: str = "formkit") -> ArgumentParser:
     return root
 
 
-def main(args: Optional[list[str]] = None, prog_name: str = "formkit", standalone_mode: bool = True) -> int:
+def main(args: Optional[list[str]] = None) -> NoReturn:
     """Run the command ``args`` names (default ``sys.argv[1:]``) and exit with
     its code: 0 if every check passes, 1 if one fails, 2 on a usage or input
-    error. Without ``standalone_mode`` a command's code is returned instead."""
-    flags, extra = build_parser(prog_name).parse_known_args(args)
+    error."""
+    flags, extra = build_parser().parse_known_args(args)
     if extra:
         flags.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     started = time.monotonic()
@@ -637,12 +637,11 @@ def main(args: Optional[list[str]] = None, prog_name: str = "formkit", standalon
     except BrokenPipeError:  # the reader closed stdout early (`| head`): exit 1 without a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    if standalone_mode:
-        sys.exit(code)
-    return code
+    sys.exit(code)
 
 
-main.main = main  # perfbench/child.py runs main.main(args=..., prog_name="formkit", standalone_mode=True)
+# perfbench/child.py runs main.main(args=..., prog_name="formkit", standalone_mode=True)
+main.main = lambda args=None, **_: main(args)
 
 
 if __name__ == "__main__":

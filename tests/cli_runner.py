@@ -35,7 +35,7 @@ class CliRunner:
         stdout = io.TextIOWrapper(out, encoding="utf-8", newline="")
         try:
             with redirect_stdout(stdout), redirect_stderr(err):
-                main.main(args=list(args), prog_name="formkit", standalone_mode=True)
+                main(list(args))
             code = 0
         except SystemExit as exc:
             code = exc.code

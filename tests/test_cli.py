@@ -374,7 +374,7 @@ def test_main_exits_with_the_command_code(tmp_path, capsys):
     """The benchmark's child process runs a command as ``main.main(...)``
     and reads its exit code from SystemExit: 0 on a pass, 1 on a failed
     check, 2 on a usage error. Usage lines name the program `formkit`,
-    also when no program name is given (the console script)."""
+    also when the call gives no program name."""
     not_a_lattice = _write(tmp_path, {"size": 2, "leq": [[True, False], [False, True]]})
     for args, code in (
         (["enumerate", "partitions", "--n", "2"], 0),
@@ -401,17 +401,39 @@ def test_abbreviated_options_exit_2(runner):
     assert "--budg" in invoke(runner, ["search", "--claim", "roundtrip-TM", "--budg", "5"]).stderr
 
 
+def _formkit_process(args: list[str], stdout) -> subprocess.Popen:
+    """`formkit args` in a fresh interpreter whose stdout is block-buffered,
+    as it is for a pipe unless PYTHONUNBUFFERED is set."""
+    env = dict(os.environ, PYTHONPATH=str(Path(formkit.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "formkit.cli", *args], env=env, stdout=stdout, stderr=subprocess.PIPE)
+
+
 def test_stdout_closed_early_exits_1_without_a_traceback():
     """A reader that stops early, as `formkit ... | head` does, ends the
-    command with exit 1 and nothing but the elapsed line on stderr."""
-    env = dict(os.environ, PYTHONPATH=str(Path(formkit.__file__).parents[1]))
-    command = [sys.executable, "-m", "formkit.cli", "instance", "quot", "--sizes", "1,2,3,4"]  # an 8 MB report
-    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+    command with exit 1 and no traceback on stderr."""
+    with _formkit_process(["instance", "quot", "--sizes", "1,2,3,4"], subprocess.PIPE) as proc:  # an 8 MB report
         proc.stdout.read(10)
         proc.stdout.close()
         stderr = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_stdout_closed_before_a_short_report_exits_1(fmt):
+    """A report shorter than stdout's buffer meets the closed pipe only when
+    it is flushed, as `formkit ... | true` does: exit 1 and no traceback,
+    in either format, not a failed flush at interpreter exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with _formkit_process(["--format", fmt, "enumerate", "partitions", "--n", "2"], write_end) as proc:
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
 def test_version_prints_the_program_and_version(runner):
