@@ -26,6 +26,7 @@ from .topogenous import (
     leq_order,
     order_from_closure,
     order_from_interior,
+    pulled_table,
     roundtrip_check,
     verify_interior,
     verify_closure,
@@ -53,6 +54,7 @@ __all__ = [
     "leq_order",
     "order_from_closure",
     "order_from_interior",
+    "pulled_table",
     "roundtrip_check",
     "verify_closure",
     "verify_interior",

@@ -18,12 +18,13 @@ from .groups import SubgroupForm, preserves_normals
 from .lattice import bits
 from .morphisms import (
     DISPUTED_CHECKS,
+    Witness,
     cohereditary_operator_check,
-    final_table,
     final_thick_check,
+    final_violation,
     strict_characterization,
-    strict_table,
     strict_via_operators,
+    strict_violation,
     transfer_laws_check,
 )
 from .report import Report
@@ -35,6 +36,7 @@ from .topogenous import (
     classify_order,
     closure_from_order,
     interior_from_order,
+    pulled_table,
     roundtrip_check,
     verify_closure,
     verify_interior,
@@ -102,20 +104,20 @@ def make_witness(check: str, recipe: dict) -> dict:
 class CheckContext:
     """What checks run on. Facts derived from the order are computed on
     first use and shared by every check of one command: its axioms and
-    class, the derived closure and interior operators, each morphism's
-    strictness and finality, and the clopen table of a topology instance.
-    Each fact is computed only when a check asks for it, so a context that
-    runs one check pays for what that check reads.
+    class, the derived closure and interior operators, the pulled-rows
+    table, each morphism's strict and final witness, and the clopen table
+    of a topology instance. Each fact is computed only when a check asks
+    for it, so a context that runs one check pays for what that check
+    reads.
 
-    The strict and final tables come from the mask kernels of
-    :func:`formkit.morphisms.strict_violation` and
-    :func:`formkit.morphisms.final_violation`, exact for any order; the
-    derived operators are checked by :func:`formkit.topogenous.verify_closure`,
-    whose mask sweep runs under a per-morphism adjunction certificate and
-    falls back to the pair sweep when a morphism lacks it. Theorem checks
-    still compute their other side on their own: strict-iff-push
-    recomputes strictness next to push preservation, and the operator
-    checks compare the verdict tables against the operators."""
+    The pulled-rows table (:func:`formkit.topogenous.pulled_rows`, one
+    preimage per morphism) is read by T3, the pull form, the strict and
+    final witnesses and theta-clopen-strict-per-pair; the witness memo by
+    the strict and final tables, strict-iff-push, the transfer laws and
+    classify. The other side of each cross-check is computed on its own:
+    strict-iff-push reads push preimages, the pull form is its own mask
+    test, and the operator checks compare the verdicts with the derived
+    operators."""
 
     def __init__(
         self,
@@ -129,8 +131,12 @@ class CheckContext:
         self.recipe = {} if recipe is None else recipe
 
     @cached_property
+    def pulled(self) -> dict[str, list[int]]:
+        return pulled_table(self.form, self.order)
+
+    @cached_property
     def axioms(self) -> Report:
-        return verify_order(self.form, self.order)
+        return verify_order(self.form, self.order, self.pulled)
 
     @cached_property
     def cls(self) -> OrderClass:
@@ -145,17 +151,25 @@ class CheckContext:
         return interior_from_order(self.form, self.order)
 
     @cached_property
+    def strict_witness(self) -> dict[str, Witness]:
+        return {f: strict_violation(self.form, self.order, f, rows) for f, rows in self.pulled.items()}
+
+    @cached_property
+    def final_witness(self) -> dict[str, Witness]:
+        return {f: final_violation(self.form, self.order, f, rows) for f, rows in self.pulled.items()}
+
+    @cached_property
     def strict(self) -> dict[str, bool]:
-        return strict_table(self.form, self.order)
+        return {f: w is None for f, w in self.strict_witness.items()}
 
     @cached_property
     def final(self) -> dict[str, bool]:
-        return final_table(self.form, self.order)
+        return {f: w is None for f, w in self.final_witness.items()}
 
     @cached_property
     def transfer(self) -> tuple[Report, Report]:
         """The transfer laws, split into gating and disputed clauses."""
-        rep = transfer_laws_check(self.form, self.order, self.strict, self.final)
+        rep = transfer_laws_check(self.form, self.strict_witness, self.final_witness)
         gating, disputed = Report(checks_run=rep.checks_run), Report(checks_run=rep.checks_run)
         for v in rep.violations:
             (disputed if v.check in DISPUTED_CHECKS else gating).violations.append(v)
@@ -270,16 +284,14 @@ def _theta_clopen_per_pair(ctx: CheckContext) -> Report:
 
     Per surjection f and domain topology a, the clopen pairs are the bits
     of ``ctx.clopen[f][a]``, and the violations among them the bits also in
-    the preimage of ``rows_x[a]`` under pull (b with pull(b) related to a,
-    :meth:`MonotoneMap.preimages`) and outside ``rows_y[push a]``."""
+    f's pulled row at a (b with pull(b) related to a, ``ctx.pulled``) and
+    outside ``rows_y[push a]``."""
     name = "theta-clopen-strict-per-pair"
     form, order = ctx.form, ctx.order
     rep = Report()
     for f, targets in ctx.clopen.items():
-        x, y = form.base.dom[f], form.base.cod[f]
-        push, pull = form.push_maps[f].table, form.pull_maps[f]
-        rows_x, rows_y = order.rel[x], order.rel[y]
-        for ai, (clopen, pre) in enumerate(zip(targets, pull.preimages(rows_x))):
+        push, rows_y = form.push_maps[f].table, order.rel[form.base.cod[f]]
+        for ai, (clopen, pre) in enumerate(zip(targets, ctx.pulled[f])):
             rep.count(name, clopen.bit_count())
             for bi in bits(clopen & pre & ~rows_y[push[ai]]):
                 rep.add(name, where=f, witness=(ai, bi))
@@ -323,10 +335,10 @@ REGISTRY: tuple[Check, ...] = (
     # The theorem battery: everything below runs on an order.
     Check(ORDER_AXIOMS, lambda ctx: ctx.axioms),
     Check("order-class", lambda ctx: Report(checks_run=1), data=lambda ctx: ctx.cls.to_dict()),
-    Check("t3-pull-agreement", lambda ctx: check_T3_pull_form(ctx.form, ctx.order)),
+    Check("t3-pull-agreement", lambda ctx: check_T3_pull_form(ctx.form, ctx.order, ctx.pulled)),
     Check(
         "strict-iff-push",
-        lambda ctx: _per_morphism(ctx, lambda f: strict_characterization(ctx.form, ctx.order, f)),
+        lambda ctx: _per_morphism(ctx, lambda f: strict_characterization(ctx.form, ctx.order, f, ctx.strict_witness[f])),
     ),
     Check("final-thick", lambda ctx: final_thick_check(ctx.form, ctx.order, cls=ctx.cls, final=ctx.final)),
     Check("strict-via-operators", _strict_via_operators, stable="TM|TJ"),

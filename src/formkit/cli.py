@@ -362,7 +362,8 @@ def classify_cmd(flags: Namespace) -> RunReport:
         for f in targets:
             if f not in form.base.dom:
                 fail_usage(f"unknown morphism {f!r}")
-        report.payload = {"morphisms": [classify_morphism(form, checked.order, f).to_dict() for f in targets]}
+        sw, fw = checked.strict_witness, checked.final_witness
+        report.payload = {"morphisms": [classify_morphism(form, f, sw[f], fw[f]).to_dict() for f in targets]}
     return report
 
 

@@ -1,9 +1,13 @@
 """Morphism classes relative to a topogenous order: strict, final, thick,
 cohereditary, and the theorem cross-checks connecting them.
 
-Every theorem check computes both sides independently and reports any
-disagreement; nothing is taken as a definition of the other side, so a gap
-between the general claims and a small finite model would surface here.
+Strictness and finality are mask tests on a morphism's pulled rows
+(:func:`formkit.topogenous.pulled_rows`); a
+:class:`formkit.checks.CheckContext` builds them and each strict and final
+witness once per command. Every theorem check sets those verdicts against
+another side computed on its own (push preservation, the derived
+operators, thickness) and reports any disagreement, so a gap between the
+general claims and a small finite model would surface here.
 """
 
 from __future__ import annotations
@@ -13,10 +17,13 @@ from typing import Mapping, Optional, Sequence
 from .forms import FormInstance, MorphismKind
 from .lattice import bits, low_bit
 from .report import Report
-from .topogenous import Operator, OrderClass, TopogenousOrder
+from .topogenous import Operator, OrderClass, TopogenousOrder, pulled_rows
 
 # Cancellation clauses whose printed hypotheses are under dispute; they are
 # evaluated and reported but do not gate a run (see transfer_laws_check).
+# A morphism's first strictness or finality violation, None when it has none.
+Witness = Optional[tuple[int, int]]
+
 DISPUTED_CHECKS = frozenset(
     {
         "cancel-strict-as-printed",
@@ -51,17 +58,15 @@ class MorphismReport:
         }
 
 
-def strict_violation(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
+def strict_violation(form: FormInstance, order: TopogenousOrder, f: str, pulled: Sequence[int]) -> Witness:
     """First (a, b) with a related to pull(b) but push(a) not related to b.
 
-    Per a, the preimage of row_a under pull is every b with pull(b)
-    related to a (:meth:`MonotoneMap.preimages`); its bits outside
-    ``rows_y[push a]`` are the violations at a, so the first witness is the
-    one of the pair sweep :func:`strict_violation_dense`."""
-    x, y = form.base.dom[f], form.base.cod[f]
-    rows_x, rows_y = order.rel[x], order.rel[y]
-    push, pull = form.push_maps[f].table, form.pull_maps[f]
-    for a, pre in enumerate(pull.preimages(rows_x)):
+    Per a, ``pulled[a]``, f's pulled row at a (:func:`pulled_rows`), is
+    every b with pull(b) related to a; its bits outside ``rows_y[push a]``
+    are the violations at a, so the first witness is the one of the pair
+    sweep :func:`strict_violation_dense`."""
+    rows_y, push = order.rel[form.base.cod[f]], form.push_maps[f].table
+    for a, pre in enumerate(pulled):
         bad = pre & ~rows_y[push[a]]
         if bad:
             return (a, low_bit(bad))
@@ -82,29 +87,18 @@ def strict_violation_dense(form: FormInstance, order: TopogenousOrder, f: str) -
 
 
 def is_strict(form: FormInstance, order: TopogenousOrder, f: str) -> bool:
-    return strict_violation(form, order, f) is None
+    return strict_violation(form, order, f, pulled_rows(form, order, f)) is None
 
 
-def _rows_at(rows: Sequence[int], table: Sequence[int]) -> list[int]:
-    """``rows`` with every row at an index the table does not take set to
-    0, so a batch of preimages costs nothing where it is not read."""
-    taken = set(table)
-    return [row if v in taken else 0 for v, row in enumerate(rows)]
-
-
-def final_violation(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
+def final_violation(form: FormInstance, order: TopogenousOrder, f: str, pulled: Sequence[int]) -> Witness:
     """First (b, b') related after pulling but not before.
 
-    The b' whose pull is related to pull(b) are the preimage of
-    ``rows_x[pull b]`` under pull (:meth:`MonotoneMap.preimages`, taken
-    only of the rows at values of pull); its bits outside ``rows_y[b]``
-    are the violations at b, so the first witness is the one of
-    :func:`final_violation_dense`."""
-    x, y = form.base.dom[f], form.base.cod[f]
-    rows_x, rows_y = order.rel[x], order.rel[y]
-    pull = form.pull_maps[f]
-    pulled = pull.preimages(_rows_at(rows_x, pull.table))
-    for b, c in enumerate(pull.table):
+    The b' whose pull is related to pull(b) are ``pulled[pull b]``, f's
+    pulled row at pull(b) (:func:`pulled_rows`); its bits outside
+    ``rows_y[b]`` are the violations at b, so the first witness is the one
+    of :func:`final_violation_dense`."""
+    rows_y = order.rel[form.base.cod[f]]
+    for b, c in enumerate(form.pull_maps[f].table):
         bad = pulled[c] & ~rows_y[b]
         if bad:
             return (b, low_bit(bad))
@@ -125,17 +119,7 @@ def final_violation_dense(form: FormInstance, order: TopogenousOrder, f: str) ->
 
 
 def is_final(form: FormInstance, order: TopogenousOrder, f: str) -> bool:
-    return final_violation(form, order, f) is None
-
-
-def strict_table(form: FormInstance, order: TopogenousOrder) -> dict[str, bool]:
-    """Whether each morphism is strict for the order."""
-    return {f: is_strict(form, order, f) for f in form.base.morphisms()}
-
-
-def final_table(form: FormInstance, order: TopogenousOrder) -> dict[str, bool]:
-    """Whether each morphism is final for the order."""
-    return {f: is_final(form, order, f) for f in form.base.morphisms()}
+    return final_violation(form, order, f, pulled_rows(form, order, f)) is None
 
 
 def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
@@ -149,7 +133,8 @@ def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: str) -> 
     x, y = form.base.dom[f], form.base.cod[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push = form.push_maps[f]
-    pushed = push.preimages(_rows_at(rows_y, push.table))
+    taken = set(push.table)  # a row at a value push does not take is never read
+    pushed = push.preimages([row if v in taken else 0 for v, row in enumerate(rows_y)])
     for a, v in enumerate(push.table):
         bad = rows_x[a] & ~pushed[v]
         if bad:
@@ -169,11 +154,11 @@ def push_preserves_order_dense(form: FormInstance, order: TopogenousOrder, f: st
     return None
 
 
-def strict_characterization(form: FormInstance, order: TopogenousOrder, f: str) -> Report:
-    """Strictness versus push-preservation, computed independently; the two
-    verdicts must coincide."""
+def strict_characterization(form: FormInstance, order: TopogenousOrder, f: str, sv: Witness) -> Report:
+    """Strictness versus push-preservation; the two verdicts must coincide.
+    ``sv`` is f's strict witness (:func:`strict_violation`), which reads
+    pull; push preservation is computed here from push alone."""
     rep = Report()
-    sv = strict_violation(form, order, f)
     pv = push_preserves_order(form, order, f)
     rep.count("strict-iff-push", 1)
     if (sv is None) != (pv is None):
@@ -195,7 +180,7 @@ def final_thick_check(
     """Final morphisms must be thick when the fibre top is self-related (or
     the order is meet-stable, which forces that). ``cls`` is the order's
     class and ``final`` holds each morphism's finality for it
-    (:func:`final_table`)."""
+    (:func:`is_final`)."""
     rep = Report()
     for m in form.base.morphisms():
         y = form.base.cod[m]
@@ -209,9 +194,8 @@ def final_thick_check(
 
 def transfer_laws_check(
     form: FormInstance,
-    order: TopogenousOrder,
-    strict: Mapping[str, bool],
-    final: Mapping[str, bool],
+    strict_witness: Mapping[str, Witness],
+    final_witness: Mapping[str, Witness],
 ) -> Report:
     """The closure/transfer laws for strict and final morphisms.
 
@@ -233,17 +217,18 @@ def transfer_laws_check(
     second factor is a retraction; the other reading makes the first factor
     a section.
 
-    ``strict`` and ``final`` hold each morphism's verdict
-    (:func:`strict_table`, :func:`final_table`). The clauses, stated once in
+    ``strict_witness`` and ``final_witness`` hold each morphism's witness,
+    None where it is strict or final (:func:`strict_violation`,
+    :func:`final_violation`). The clauses, stated once in
     :func:`_transfer_laws`, are walked here by morphism number, each f's
     composites one slice of the composition table
     (:meth:`CategoryPresentation.after`). Counts and violations are those
     of :func:`transfer_laws_check_dense`."""
     names = form.base.names
+    strict = [strict_witness[m] is None for m in names]
+    final = [final_witness[m] is None for m in names]
     return _transfer_laws(
-        form, order, range(len(names)), names,
-        [strict[m] for m in names], [final[m] for m in names], form._kinds,
-        form.base.after, strict_violation, final_violation,
+        form, range(len(names)), names, strict, final, form._kinds, form.base.after, strict_witness, final_witness
     )
 
 
@@ -256,25 +241,25 @@ def transfer_laws_check_dense(form: FormInstance, order: TopogenousOrder) -> Rep
     after: dict[str, list[tuple[str, str]]] = {m: [] for m in names}
     for g, f in base.composable_pairs():
         after[f].append((g, base.compose(g, f)))
+    strict_witness = {m: strict_violation_dense(form, order, m) for m in names}
+    final_witness = {m: final_violation_dense(form, order, m) for m in names}
     return _transfer_laws(
-        form, order, names, {m: m for m in names},
-        {m: strict_violation_dense(form, order, m) is None for m in names},
-        {m: final_violation_dense(form, order, m) is None for m in names},
+        form, names, {m: m for m in names},
+        {m: w is None for m, w in strict_witness.items()},
+        {m: w is None for m, w in final_witness.items()},
         {m: form.morphism_kind_dense(m) for m in names},
-        after.__getitem__, strict_violation_dense, final_violation_dense,
+        after.__getitem__, strict_witness, final_witness,
     )
 
 
-def _transfer_laws(
-    form: FormInstance, order: TopogenousOrder, keys, names, strict, final, kinds, after, strict_witness, final_witness
-) -> Report:
+def _transfer_laws(form: FormInstance, keys, names, strict, final, kinds, after, strict_witness, final_witness) -> Report:
     """The clauses of :func:`transfer_laws_check`, stated once over morphism
     keys, each a morphism's number or its name. ``keys`` lists them in
     number order and ``names[m]`` is m's name; ``strict``, ``final`` and
     ``kinds`` hold verdicts and :class:`MorphismKind` by key; ``after(f)``
     gives (g, g∘f) for every g composable after f, in number order; the
-    witnesses are called as ``(form, order, name)``. Violations come per
-    morphism first, then per composable pair, f outer and g inner."""
+    witnesses are held by name. Violations come per morphism first, then
+    per composable pair, f outer and g inner."""
     rep = Report()
     add = rep.add
     refl_sec, _ = form.check_reflects("section")
@@ -290,11 +275,11 @@ def _transfer_laws(
         if refl_ret and k.is_retraction and final[m]:
             retraction_final_strict += 1
             if not strict[m]:
-                add("retraction-final-strict", where=names[m], witness=(strict_witness(form, order, names[m]),))
+                add("retraction-final-strict", where=names[m], witness=(strict_witness[names[m]],))
         if refl_sec and k.is_section and strict[m]:
             section_strict_final += 1
             if not final[m]:
-                add("section-strict-final", where=names[m], witness=(final_witness(form, order, names[m]),))
+                add("section-strict-final", where=names[m], witness=(final_witness[names[m]],))
         if refl_iso and k.is_iso:
             iso += 1
             if not strict[m]:
@@ -424,7 +409,7 @@ def cohereditary_operator_check(
     computed on every retraction by pulling, closing, and pushing back.
     ``closure`` is the closure derived from the order (None when the order
     is not meet-stable) and ``final`` each morphism's finality for it
-    (:func:`final_table`); the order side reads only ``final``."""
+    (:func:`is_final`); the order side reads only ``final``."""
     rep = Report()
     if not cls.is_TM:
         rep.notes.append("order is not meet-stable; skipped")
@@ -454,9 +439,9 @@ def cohereditary_operator_check(
     return rep
 
 
-def classify_morphism(form: FormInstance, order: TopogenousOrder, f: str) -> MorphismReport:
-    sv = strict_violation(form, order, f)
-    fv = final_violation(form, order, f)
+def classify_morphism(form: FormInstance, f: str, sv: Witness, fv: Witness) -> MorphismReport:
+    """f's classes from its strict and final witnesses ``sv`` and ``fv``
+    (:func:`strict_violation`, :func:`final_violation`)."""
     witnesses = [w for w in (sv, fv) if w is not None]
     return MorphismReport(
         morphism=f,

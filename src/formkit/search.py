@@ -25,7 +25,7 @@ from typing import BinaryIO, Iterable, NoReturn, Optional
 from .checks import CHECKS, CheckContext
 from .forms import CategoryPresentation, FormInstance
 from .lattice import FiniteLattice, GaloisPair, MonotoneMap, bits, columns
-from .topogenous import TopogenousOrder, verify_order
+from .topogenous import TopogenousOrder, pulled_table, verify_order
 
 MAX_POSET_POINTS = 3
 MAX_FIBRE = 6
@@ -311,7 +311,7 @@ def random_order(rng: random.Random, form: FormInstance, want: str = "any") -> T
         rel[x] = rows
     _close_order(form, rel, want)
     order = TopogenousOrder({x: tuple(rows) for x, rows in rel.items()})
-    bad = verify_order(form, order)
+    bad = verify_order(form, order, pulled_table(form, order))
     if not bad.ok:
         raise AssertionError(f"generator produced a non-topogenous order: {bad.violations}")
     return order

@@ -10,7 +10,7 @@ both sides; (T3) transfer stability, push-related pairs pull back.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .forms import FormInstance
 from .lattice import FiniteLattice, MonotoneMap, bits, columns, low_bit
@@ -110,34 +110,47 @@ def leq_order(form: FormInstance) -> TopogenousOrder:
     return TopogenousOrder({x: form.fibre(x).up for x in form.base.objects})
 
 
-def verify_order(form: FormInstance, order: TopogenousOrder) -> Report:
+def pulled_rows(form: FormInstance, order: TopogenousOrder, f: str) -> list[int]:
+    """The pulled rows of f: x -> y. Per element a of the domain fibre, the
+    mask of every b in the codomain fibre with pull(b) related to a: the
+    preimage of ``rows_x[a]`` under pull (:meth:`MonotoneMap.preimages`).
+    T3, the pull form, strictness and finality are mask tests on it."""
+    return form.pull_maps[f].preimages(order.rel[form.base.dom[f]])
+
+
+def pulled_table(form: FormInstance, order: TopogenousOrder) -> dict[str, list[int]]:
+    """:func:`pulled_rows` of every morphism, once the order is known to
+    fit the form (:func:`check_order_shape`)."""
+    check_order_shape(form, order)
+    return {f: pulled_rows(form, order, f) for f in form.base.morphisms()}
+
+
+def verify_order(form: FormInstance, order: TopogenousOrder, pulled: Mapping[str, Sequence[int]]) -> Report:
     """Report every T1/T2/T3 violation with witnesses.
 
-    T3 is swept with masks, per morphism f: x -> y. The preimage of row_a
-    under pull is the mask of every b with pull(b) related to a (one OR
-    per member of the row, :meth:`MonotoneMap.preimages`), and the T3
-    violations at a are the bits of ``rows_y[push a]`` outside it. That is
-    the same set of pairs, in the same order, as the bit-by-bit sweep of
-    :func:`verify_order_dense`, so it needs no certificate and no
+    T3 is swept with masks, per morphism f: x -> y, on its pulled rows
+    ``pulled[f]`` (:func:`pulled_rows`): the T3 violations at a are the
+    bits of ``rows_y[push a]`` outside ``pulled[f][a]`` (:func:`_t3_bad`).
+    That is the same set of pairs, in the same order, as the bit-by-bit
+    sweep of :func:`verify_order_dense`, so it needs no certificate and no
     fallback. T2 is swept pair by pair only on a fibre where
     :func:`_rows_t2` does not certify it."""
-    return _verify_order(form, order, fast=True)
+    return _verify_order(form, order, True, lambda f: _t3_bad(form, order, f, pulled[f]))
 
 
 def verify_order_dense(form: FormInstance, order: TopogenousOrder) -> Report:
     """The same axioms with T2 swept over every pair of elements and T3
     over every fibre pair (a, b): the oracle :func:`verify_order` is
     tested against."""
-    return _verify_order(form, order, fast=False)
+    return _verify_order(form, order, False, lambda f: _t3_bad_dense(form, order, f))
 
 
-def _t3_bad(form: FormInstance, order: TopogenousOrder, f: str) -> list[int]:
+def _t3_bad(form: FormInstance, order: TopogenousOrder, f: str, pulled: Sequence[int]) -> list[int]:
     """Per element a of the domain fibre, the b related to push(a) whose
-    pull is not related to a."""
-    x, y = form.base.dom[f], form.base.cod[f]
-    rows_x, rows_y = order.rel[x], order.rel[y]
-    push, pull = form.push_maps[f].table, form.pull_maps[f]
-    return [rows_y[push[a]] & ~pre for a, pre in enumerate(pull.preimages(rows_x))]
+    pull is not related to a, read from f's pulled rows: T3 as
+    order-axioms and t3-pull-agreement state it."""
+    rows_y, push = order.rel[form.base.cod[f]], form.push_maps[f].table
+    return [rows_y[push[a]] & ~pre for a, pre in enumerate(pulled)]
 
 
 def _t3_bad_dense(form: FormInstance, order: TopogenousOrder, f: str) -> list[int]:
@@ -156,7 +169,7 @@ def _t3_bad_dense(form: FormInstance, order: TopogenousOrder, f: str) -> list[in
     return out
 
 
-def _verify_order(form: FormInstance, order: TopogenousOrder, fast: bool) -> Report:
+def _verify_order(form: FormInstance, order: TopogenousOrder, fast: bool, t3_bad: Callable[[str], list[int]]) -> Report:
     check_order_shape(form, order)
     rep = Report()
     for x in form.base.objects:
@@ -181,7 +194,7 @@ def _verify_order(form: FormInstance, order: TopogenousOrder, fast: bool) -> Rep
                 if missing:
                     rep.add("T2", where=x, witness=(a2, a, low_bit(missing)))
     for f in form.base.morphisms():
-        bad = (_t3_bad if fast else _t3_bad_dense)(form, order, f)
+        bad = t3_bad(f)
         rep.count("T3", len(bad))
         for a, mask in enumerate(bad):
             if mask:
@@ -206,32 +219,29 @@ def _rows_t2(fib: FiniteLattice, rows: Sequence[int], upclosed: Sequence[int]) -
     return True
 
 
-def check_T3_pull_form(form: FormInstance, order: TopogenousOrder) -> Report:
+def check_T3_pull_form(form: FormInstance, order: TopogenousOrder, pulled: Mapping[str, Sequence[int]]) -> Report:
     """The pull formulation of transfer stability: related pairs in the
     codomain fibre pull back to related pairs. Also cross-checks that, per
     morphism, its verdict coincides with T3's (they are equivalent under
     T1 and T2).
 
-    Both sides are mask tests per morphism f: x -> y. The pull-form
-    violations at a in the codomain fibre are the bits of ``rows_y[a]``
-    outside the preimage of ``rows_x[pull a]`` under pull; T3 fails when
-    some ``rows_y[push a]`` leaves the preimage of ``rows_x[a]``
-    (:meth:`MonotoneMap.preimages`). Same pairs as
-    the pair loops of :func:`check_T3_pull_form_dense`."""
+    Both sides are mask tests per morphism f: x -> y on its pulled rows
+    ``pulled[f]`` (:func:`pulled_rows`). The pull-form violations at a in
+    the codomain fibre are the bits of ``rows_y[a]`` outside
+    ``pulled[f][pull a]``; the T3 verdict is that of
+    :func:`verify_order`, read from :func:`_t3_bad`. Same pairs as the
+    pair loops of :func:`check_T3_pull_form_dense`."""
     check_order_shape(form, order)
     rep = Report()
     for f in form.base.morphisms():
-        x, y = form.base.dom[f], form.base.cod[f]
-        rows_x, rows_y = order.rel[x], order.rel[y]
-        push, pull = form.push_maps[f].table, form.pull_maps[f]
-        pulled = pull.preimages(rows_x)
+        rows_y, pull, pulled_f = order.rel[form.base.cod[f]], form.pull_maps[f].table, pulled[f]
         pull_ok = True
         for a, row in enumerate(rows_y):
             rep.count("pull-form", row.bit_count())
-            for b in bits(row & ~pulled[pull.table[a]]):
+            for b in bits(row & ~pulled_f[pull[a]]):
                 rep.add("pull-form", where=f, witness=(a, b))
                 pull_ok = False
-        t3_ok = not any(rows_y[push[a]] & ~pulled[a] for a in range(len(rows_x)))
+        t3_ok = not any(_t3_bad(form, order, f, pulled_f))
         rep.count("pull-form-agrees-T3")
         if pull_ok != t3_ok:
             rep.add("pull-form-agrees-T3", where=f, witness=(pull_ok, t3_ok))
@@ -243,26 +253,16 @@ def check_T3_pull_form_dense(form: FormInstance, order: TopogenousOrder) -> Repo
     check_order_shape(form, order)
     rep = Report()
     for f in form.base.morphisms():
-        x, y = form.base.dom[f], form.base.cod[f]
-        rows_x, rows_y = order.rel[x], order.rel[y]
-        push, pull = form.push_maps[f].table, form.pull_maps[f].table
-        size_x, size_y = form.fibre(x).size, form.fibre(y).size
+        rows_x, rows_y = order.rel[form.base.dom[f]], order.rel[form.base.cod[f]]
+        pull = form.pull_maps[f].table
         pull_ok = True
-        for a in range(size_y):
+        for a in range(len(rows_y)):
             for b in bits(rows_y[a]):
                 rep.count("pull-form")
                 if not (rows_x[pull[a]] >> pull[b]) & 1:
                     rep.add("pull-form", where=f, witness=(a, b))
                     pull_ok = False
-        t3_ok = True
-        for a in range(size_x):
-            row_a = rows_x[a]
-            for b in range(size_y):
-                if (rows_y[push[a]] >> b) & 1 and not (row_a >> pull[b]) & 1:
-                    t3_ok = False
-                    break
-            if not t3_ok:
-                break
+        t3_ok = not any(_t3_bad_dense(form, order, f))
         rep.count("pull-form-agrees-T3")
         if pull_ok != t3_ok:
             rep.add("pull-form-agrees-T3", where=f, witness=(pull_ok, t3_ok))
@@ -694,7 +694,7 @@ def roundtrip_check(
             rep.notes.append(f"input {kind} fails its axioms; round trip skipped")
             return rep
         order = order_from_operator(form, obj)
-        rep.merge(verify_order(form, order))
+        rep.merge(verify_order(form, order, pulled_table(form, order)))
         cls = classify_order(form, order)
         stable, flag = ("TM", cls.is_TM) if kind == "closure" else ("TJ", cls.is_TJ)
         rep.count(f"derived-order-is-{stable}")

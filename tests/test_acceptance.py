@@ -20,8 +20,8 @@ import json
 
 from cli_runner import CliRunner
 from formkit.groups import normal_closure, preserves_normals
+from formkit.checks import CheckContext
 from formkit.morphisms import (
-    final_table,
     final_thick_check,
     is_final,
     is_strict,
@@ -38,6 +38,7 @@ from formkit.topogenous import (
     leq_order,
     order_from_closure,
     order_from_interior,
+    pulled_table,
     verify_closure,
     verify_interior,
 )
@@ -131,7 +132,7 @@ def test_criterion_3_interior_roundtrip(top123, b123):
 def test_criterion_4_transfer_axiom_pull_form_agreement(top123, theta123, b123, grp8, ni8, quot1234):
     bad = []
     for name, form, order in _sweeps(top123, theta123, b123, grp8, ni8, quot1234):
-        rep = check_T3_pull_form(form, order)
+        rep = check_T3_pull_form(form, order, pulled_table(form, order))
         disagreements = [v for v in rep.violations if v.check == "pull-form-agrees-T3"]
         if disagreements:
             bad.append((name, disagreements[:2]))
@@ -143,9 +144,10 @@ def test_criterion_5_strict_iff_push_preserving(top123, theta123, b123, grp8, ni
     bad = []
     total = 0
     for name, form, order in _sweeps(top123, theta123, b123, grp8, ni8, quot1234):
+        strict_witness = CheckContext(form, order).strict_witness
         for f in form.base.morphisms():
             total += 1
-            rep = strict_characterization(form, order, f)
+            rep = strict_characterization(form, order, f, strict_witness[f])
             if not rep.ok:
                 bad.append((name, f))
     _line(5, not bad, f"strictness <-> push preservation, {total} morphism checks, {len(bad)} disagreements")
@@ -155,7 +157,7 @@ def test_criterion_5_strict_iff_push_preserving(top123, theta123, b123, grp8, ni
 def test_criterion_6_final_implies_thick(top123, theta123, b123, grp8, ni8, quot1234):
     bad = []
     for name, form, order in _sweeps(top123, theta123, b123, grp8, ni8, quot1234):
-        rep = final_thick_check(form, order, classify_order(form, order), final_table(form, order))
+        rep = final_thick_check(form, order, classify_order(form, order), CheckContext(form, order).final)
         if not rep.ok:
             bad.append((name, rep.violations[:2]))
     _line(6, not bad, f"final morphisms are thick under the stated hypotheses ({len(bad)} violations)")

@@ -31,7 +31,7 @@ from formkit.groups import (
     subgroup_masks,
     symmetric3,
 )
-from formkit.topogenous import classify_order, closure_from_order, verify_order
+from formkit.topogenous import classify_order, closure_from_order, pulled_table, verify_order
 
 S3_PERMS = sorted(permutations(range(3)))
 SIGN_TABLE = tuple(0 if p in {(0, 1, 2), (1, 2, 0), (2, 0, 1)} else 1 for p in S3_PERMS)
@@ -246,7 +246,7 @@ def test_small_grp_forms_pass_laws():
 
 
 def test_normal_interval_order_on_corpus(grp8, ni8):
-    assert verify_order(grp8.form, ni8).ok
+    assert verify_order(grp8.form, ni8, pulled_table(grp8.form, ni8)).ok
     cls = classify_order(grp8.form, ni8)
     assert cls.is_TM
     assert cls.is_interpolative

@@ -27,6 +27,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
+from formkit.checks import CheckContext
 from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, normal_interval_order, standard_corpus
 from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap, bits
@@ -35,8 +36,6 @@ from formkit.morphisms import (
     final_violation_dense,
     push_preserves_order,
     push_preserves_order_dense,
-    final_table,
-    strict_table,
     strict_violation,
     strict_violation_dense,
     transfer_laws_check,
@@ -66,6 +65,7 @@ from formkit.topogenous import (
     leq_order,
     order_from_interior,
     order_from_interior_dense,
+    pulled_table,
     verify_closure,
     verify_closure_dense,
     verify_interior,
@@ -269,9 +269,20 @@ def outcome(fn, *args):
     return out.to_dict() if isinstance(out, Report) else out
 
 
+def axioms(form: FormInstance, order: TopogenousOrder) -> Report:
+    """verify_order on the pulled-rows table the registry builds."""
+    return verify_order(form, order, pulled_table(form, order))
+
+
+def pull_form(form: FormInstance, order: TopogenousOrder) -> Report:
+    """check_T3_pull_form on the pulled-rows table the registry builds."""
+    return check_T3_pull_form(form, order, pulled_table(form, order))
+
+
 def transfer_laws(form: FormInstance, order: TopogenousOrder) -> Report:
-    """transfer_laws_check with the verdict tables the registry passes it."""
-    return transfer_laws_check(form, order, strict_table(form, order), final_table(form, order))
+    """transfer_laws_check with the witness tables the registry passes it."""
+    ctx = CheckContext(form, order)
+    return transfer_laws_check(form, ctx.strict_witness, ctx.final_witness)
 
 
 def with_row(form: FormInstance, order: TopogenousOrder, rng: random.Random) -> TopogenousOrder:
@@ -301,8 +312,8 @@ def assert_kernels_agree(form: FormInstance, order: TopogenousOrder, clo: Operat
     checks that failed, plus "raises" when the closure sweep raised."""
     found = set()
     for kernel, dense, arg in (
-        (verify_order, verify_order_dense, order),
-        (check_T3_pull_form, check_T3_pull_form_dense, order),
+        (axioms, verify_order_dense, order),
+        (pull_form, check_T3_pull_form_dense, order),
         (transfer_laws, transfer_laws_check_dense, order),
         (verify_closure, verify_closure_dense, clo),
         (verify_interior, verify_interior_dense, intr),
@@ -314,9 +325,10 @@ def assert_kernels_agree(form: FormInstance, order: TopogenousOrder, clo: Operat
         else:
             found.update(v["check"] for v in got["violations"])
     assert order_from_interior(form, intr) == order_from_interior_dense(form, intr)
+    pulled = pulled_table(form, order)
     for f in form.base.morphisms():
-        assert strict_violation(form, order, f) == strict_violation_dense(form, order, f), f
-        assert final_violation(form, order, f) == final_violation_dense(form, order, f), f
+        assert strict_violation(form, order, f, pulled[f]) == strict_violation_dense(form, order, f), f
+        assert final_violation(form, order, f, pulled[f]) == final_violation_dense(form, order, f), f
         assert form.morphism_kind(f) == form.morphism_kind_dense(f), f
         pushed = push_preserves_order(form, order, f)
         assert pushed == push_preserves_order_dense(form, order, f), f
@@ -561,7 +573,7 @@ def test_classify_order_matches_subset_scan(monkeypatch):
         assert got == classify_order_dense(form, order)
         scanned = len(scans) > before
         taken[scanned] += 1
-        if any(v.check == "T2" for v in verify_order(form, order).violations):
+        if any(v.check == "T2" for v in verify_order(form, order, pulled_table(form, order)).violations):
             assert scanned  # rows that break T2 take the subset scan
         verdicts.add((got.is_TM, got.is_TJ, got.is_interpolative))
     assert taken[True] > 50 and taken[False] > 50
@@ -586,7 +598,7 @@ def test_classify_order_scans_fibres_that_are_not_lattices():
     same = MonotoneMap.identity(fib)
     form = FormInstance(base, {"X": fib}, {"id": same}, {"id": same})
     order = leq_order(form)
-    assert verify_order(form, order).ok
+    assert verify_order(form, order, pulled_table(form, order)).ok
     assert outcome_of(classify_order, form, order) == outcome_of(classify_order_dense, form, order)
     assert outcome_of(classify_order, form, order)[0] == "raises"
 

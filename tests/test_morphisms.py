@@ -3,6 +3,7 @@ built instances."""
 
 from itertools import permutations
 
+from formkit.checks import CheckContext
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.groups import build_grp_form, cyclic, normal_interval_order, symmetric3
 from formkit.lattice import FiniteLattice, MonotoneMap
@@ -10,14 +11,12 @@ from formkit.morphisms import (
     DISPUTED_CHECKS,
     classify_morphism,
     cohereditary_operator_check,
-    final_table,
     final_thick_check,
     final_violation,
     is_cohereditary,
     is_final,
     is_strict,
     strict_characterization,
-    strict_table,
     strict_via_operators,
     transfer_laws_check,
     transfer_laws_check_dense,
@@ -28,6 +27,7 @@ from formkit.topogenous import (
     closure_from_order,
     interior_from_order,
     leq_order,
+    pulled_table,
     verify_order,
 )
 
@@ -114,7 +114,7 @@ def test_b_finality_counterexample_pinned(top12):
     form = top12.form
     order = build_b(top12)
     f = "1pt->2pt:0"
-    witness = final_violation(form, order, f)
+    witness = final_violation(form, order, f, pulled_table(form, order)[f])
     assert witness is not None
     b_idx, b2_idx = witness
     assert order.has("1pt", form.pull(f, b_idx), form.pull(f, b2_idx))
@@ -123,14 +123,15 @@ def test_b_finality_counterexample_pinned(top12):
 
 def test_strict_characterization_zero_disagreements(top123, theta123, b123, grp8, ni8, quot1234):
     for form, order in all_sweeps(top123, theta123, b123, grp8, ni8, quot1234):
+        strict_witness = CheckContext(form, order).strict_witness
         for f in form.base.morphisms():
-            rep = strict_characterization(form, order, f)
+            rep = strict_characterization(form, order, f, strict_witness[f])
             assert rep.ok, (f, rep.violations)
 
 
 def test_final_thick_zero_violations(top123, theta123, b123, grp8, ni8, quot1234):
     for form, order in all_sweeps(top123, theta123, b123, grp8, ni8, quot1234):
-        assert final_thick_check(form, order, classify_order(form, order), final_table(form, order)).ok
+        assert final_thick_check(form, order, classify_order(form, order), CheckContext(form, order).final).ok
 
 
 def test_final_thick_hypothesis_respected():
@@ -153,17 +154,18 @@ def test_final_thick_hypothesis_respected():
     pull = {k: GaloisPair.from_left_adjoint(m).right for k, m in push.items()}
     form = FormInstance(base, {"X": x_fib, "Y": y_fib}, push, pull)
     empty = TopogenousOrder({"X": (0,), "Y": (0, 0)})
-    assert verify_order(form, empty).ok
+    assert verify_order(form, empty, pulled_table(form, empty)).ok
     # f pulls everything to the singleton and pushes to the bottom: final
     # for the empty order, not thick, but the top is not self-related
     assert is_final(form, empty, "f")
     assert not form.is_thick("f")
-    assert final_thick_check(form, empty, classify_order(form, empty), final_table(form, empty)).ok
+    assert final_thick_check(form, empty, classify_order(form, empty), CheckContext(form, empty).final).ok
 
 
 def transfer_laws(form, order):
-    """transfer_laws_check with the verdict tables the registry passes it."""
-    return transfer_laws_check(form, order, strict_table(form, order), final_table(form, order))
+    """transfer_laws_check with the witness tables the registry passes it."""
+    ctx = CheckContext(form, order)
+    return transfer_laws_check(form, ctx.strict_witness, ctx.final_witness)
 
 
 def test_transfer_sound_clauses_clean(top123, theta123, b123, grp8, ni8, quot1234):
@@ -241,25 +243,26 @@ def test_cohereditary_operator_equivalence(top123, theta123, grp8, ni8, quot1234
         cls = classify_order(form, order)
         assert cls.is_TM
         closure = closure_from_order(form, order)
-        assert cohereditary_operator_check(form, cls, closure, final_table(form, order)).ok
+        assert cohereditary_operator_check(form, cls, closure, CheckContext(form, order).final).ok
 
 
 def test_cohereditary_operator_skips_non_tm(top123, b123):
     cls = classify_order(top123.form, b123)
     if not cls.is_TM:
-        rep = cohereditary_operator_check(top123.form, cls, None, final_table(top123.form, b123))
+        rep = cohereditary_operator_check(top123.form, cls, None, CheckContext(top123.form, b123).final)
         assert rep.ok and rep.notes
 
 
 def test_classify_morphism_report(grp8, ni8):
     form = grp8.form
     sign = "S3->Z2:0.1.1.0.0.1"
-    rep = classify_morphism(form, ni8, sign)
+    ctx = CheckContext(form, ni8)
+    rep = classify_morphism(form, sign, ctx.strict_witness[sign], ctx.final_witness[sign])
     assert rep.strict and rep.final and rep.thick
     assert rep.kind.is_retraction and not rep.kind.is_section
     assert rep.witnesses == []
     doubling = "Z2->Z4:0.2"
-    rep = classify_morphism(form, ni8, doubling)
+    rep = classify_morphism(form, doubling, ctx.strict_witness[doubling], ctx.final_witness[doubling])
     assert not rep.final
     assert rep.witnesses
     d = rep.to_dict()
@@ -310,7 +313,7 @@ def test_strictness_invariant_under_fibre_relabeling():
             rows.append(row)
         new_rel[x] = tuple(rows)
     relabeled_order = TopogenousOrder(new_rel)
-    assert verify_order(relabeled, relabeled_order).ok
+    assert verify_order(relabeled, relabeled_order, pulled_table(relabeled, relabeled_order)).ok
     for f in form.base.morphisms():
         assert is_strict(form, order, f) == is_strict(relabeled, relabeled_order, f), f
         assert is_final(form, order, f) == is_final(relabeled, relabeled_order, f), f

@@ -22,6 +22,7 @@ from formkit.topogenous import (
     classify_order,
     closure_from_order,
     order_from_closure,
+    pulled_table,
     roundtrip_check,
     verify_order,
 )
@@ -39,7 +40,7 @@ def test_generated_orders_are_topogenous_and_classed(seed):
     rng = case_rng(seed, 1)
     form = random_form(rng)
     t_any = random_order(rng, form, "any")
-    assert verify_order(form, t_any).ok
+    assert verify_order(form, t_any, pulled_table(form, t_any)).ok
     t_tm = random_order(rng, form, "TM")
     assert classify_order(form, t_tm).is_TM
     t_tj = random_order(rng, form, "TJ")
@@ -109,12 +110,12 @@ def test_strict_characterization_detects_planted_fault():
     if not changed:
         pytest.skip("relation already full on this fibre")
     tampered = TopogenousOrder({k: tuple(v) for k, v in rel.items()})
-    axioms = verify_order(form, tampered)
+    axioms = verify_order(form, tampered, pulled_table(form, tampered))
     if axioms.ok:
+        ctx = CheckContext(form, tampered)
         bad = []
         for f in form.base.morphisms():
-            bad.extend(strict_characterization(form, tampered, f).violations)
-        ctx = CheckContext(form, tampered)
+            bad.extend(strict_characterization(form, tampered, f, ctx.strict_witness[f]).violations)
         trip = roundtrip_check(form, tampered, ctx.cls, ctx.derived())
         assert bad or not trip.ok or order_from_closure(
             form, closure_from_order(form, tampered)

@@ -20,6 +20,7 @@ from formkit.topogenous import (
     leq_order,
     order_from_closure,
     order_from_interior,
+    pulled_table,
     roundtrip_check,
     verify_closure,
     verify_interior,
@@ -59,7 +60,7 @@ def collapse_form() -> FormInstance:
 def test_leq_order_is_topogenous_everywhere(top123, grp8, quot123):
     for bundle in (top123, grp8, quot123):
         T = leq_order(bundle.form)
-        assert verify_order(bundle.form, T).ok
+        assert verify_order(bundle.form, T, pulled_table(bundle.form, T)).ok
         cls = classify_order(bundle.form, T)
         assert cls.is_TM and cls.is_TJ and cls.is_interpolative
 
@@ -67,42 +68,43 @@ def test_leq_order_is_topogenous_everywhere(top123, grp8, quot123):
 def test_full_relation_violates_T1():
     form = single_object_form(FiniteLattice.chain(2))
     full = TopogenousOrder({"X": (0b11, 0b11)})
-    rep = verify_order(form, full)
+    rep = verify_order(form, full, pulled_table(form, full))
     assert any(v.check == "T1" and v.witness == (1, 0) for v in rep.violations)
 
 
 def test_diagonal_on_chain_violates_T2():
     form = single_object_form(FiniteLattice.chain(2))
     diag = TopogenousOrder({"X": (0b01, 0b10)})
-    rep = verify_order(form, diag)
+    rep = verify_order(form, diag, pulled_table(form, diag))
     assert any(v.check == "T2" for v in rep.violations)
 
 
 def test_shape_mismatch_is_an_error():
     form = single_object_form(FiniteLattice.chain(2))
+    short, stray = TopogenousOrder({"X": (0b1,)}), TopogenousOrder({"Y": (0b01, 0b10)})
     with pytest.raises(ValueError):
-        verify_order(form, TopogenousOrder({"X": (0b1,)}))
+        verify_order(form, short, pulled_table(form, short))
     with pytest.raises(ValueError):
-        verify_order(form, TopogenousOrder({"Y": (0b01, 0b10)}))
+        verify_order(form, stray, pulled_table(form, stray))
 
 
 def test_t3_violation_and_pull_form_agree():
     form = collapse_form()
     # empty relation on X, the fibre order on Y: T1/T2 hold, T3 fails on f
     bad = TopogenousOrder({"X": (0,), "Y": (0b11, 0b10)})
-    rep = verify_order(form, bad)
+    rep = verify_order(form, bad, pulled_table(form, bad))
     t3 = [v for v in rep.violations if v.check == "T3"]
     assert t3 and all(v.where == "f" for v in t3)
-    pf = check_T3_pull_form(form, bad)
+    pf = check_T3_pull_form(form, bad, pulled_table(form, bad))
     pulls = [v for v in pf.violations if v.check == "pull-form"]
     assert pulls and all(v.where == "f" for v in pulls)
     assert not [v for v in pf.violations if v.check == "pull-form-agrees-T3"]
 
 
 def test_pull_form_agreement_on_instances(top123, theta123, b123, grp8, ni8):
-    assert check_T3_pull_form(top123.form, theta123).ok
-    assert check_T3_pull_form(top123.form, b123).ok
-    assert check_T3_pull_form(grp8.form, ni8).ok
+    assert check_T3_pull_form(top123.form, theta123, pulled_table(top123.form, theta123)).ok
+    assert check_T3_pull_form(top123.form, b123, pulled_table(top123.form, b123)).ok
+    assert check_T3_pull_form(grp8.form, ni8, pulled_table(grp8.form, ni8)).ok
 
 
 def test_classification_examples(top123, theta123, b123):
@@ -146,7 +148,7 @@ def test_intersection_identity_and_idempotence(top12):
 
 def test_intersection_of_theta_and_b_is_topogenous(top12):
     T = intersect_orders(top12.form, [theta_order(top12), b_order(top12)])
-    assert verify_order(top12.form, T).ok
+    assert verify_order(top12.form, T, pulled_table(top12.form, T)).ok
 
 
 def test_intersection_preserves_TM_TJ(top12, grp8, ni8):
@@ -168,7 +170,7 @@ def _all_orders_on(lat: FiniteLattice):
             for a, b in chosen:
                 rows[a] |= 1 << b
             T = TopogenousOrder({"X": tuple(rows)})
-            if verify_order(form, T).ok:
+            if verify_order(form, T, pulled_table(form, T)).ok:
                 out.append(T)
     return form, out
 
@@ -200,7 +202,7 @@ def test_intersection_greatest_on_five_element_fibres():
         for t1 in probe:
             for t2 in probe:
                 inter = intersect_orders(form, [t1, t2])
-                assert verify_order(form, inter).ok
+                assert verify_order(form, inter, pulled_table(form, inter)).ok
                 assert inter.contained_in(t1) and inter.contained_in(t2)
                 below = [
                     T for T in all_orders if T.contained_in(t1) and T.contained_in(t2)
@@ -229,7 +231,7 @@ def test_constant_to_top_closure(top12):
     )
     assert verify_closure(form, const).ok
     T = order_from_closure(form, const)
-    assert verify_order(form, T).ok
+    assert verify_order(form, T, pulled_table(form, T)).ok
     for x in form.base.objects:
         top = form.fibre(x).top
         for a in range(form.fibre(x).size):
@@ -244,7 +246,7 @@ def test_constant_to_bottom_interior():
     const = Operator("interior", {"X": (0, 0, 0)})
     assert verify_interior(form, const).ok
     T = order_from_interior(form, const)
-    assert verify_order(form, T).ok
+    assert verify_order(form, T, pulled_table(form, T)).ok
     assert T.rel["X"] == (0b111, 0, 0)
 
 
@@ -350,7 +352,7 @@ def test_roundtrip_skips_wrong_class():
     # conditions (no row reaches the top, the bottom row is not full)
     form = collapse_form()
     empty = TopogenousOrder({"X": (0,), "Y": (0, 0)})
-    assert verify_order(form, empty).ok
+    assert verify_order(form, empty, pulled_table(form, empty)).ok
     cls = classify_order(form, empty)
     assert not cls.is_TM and not cls.is_TJ
     out = order_roundtrip(form, empty)

@@ -17,6 +17,7 @@ from formkit.topogenous import (
     closure_from_order,
     interior_from_order,
     leq_order,
+    pulled_table,
     verify_order,
 )
 from formkit.topologies import (
@@ -303,8 +304,8 @@ def test_theta_and_b_relations_are_pinned():
 
 def test_orders_verify_and_classify(top123, theta123, b123):
     form = top123.form
-    assert verify_order(form, theta123).ok
-    assert verify_order(form, b123).ok
+    assert verify_order(form, theta123, pulled_table(form, theta123)).ok
+    assert verify_order(form, b123, pulled_table(form, b123)).ok
     assert classify_order(form, theta123).is_TM
     assert classify_order(form, b123).is_TJ
 
@@ -400,7 +401,8 @@ def test_clopen_table_matches_pairwise_test(top123):
 
 
 def test_leq_order_is_topogenous(top12):
-    assert verify_order(top12.form, leq_order(top12.form)).ok
+    leq = leq_order(top12.form)
+    assert verify_order(top12.form, leq, pulled_table(top12.form, leq)).ok
 
 
 def test_final_initial_are_adjoint_for_every_endofunction(top12):
