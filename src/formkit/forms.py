@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .lattice import FiniteLattice, MonotoneMap
 from .report import InputError, Report
@@ -321,6 +321,10 @@ def fill_composites(
     return shapeless, bad
 
 
+# The reflection kinds and the lifting-iso-laws check of each one's round trip.
+ROUNDTRIP_CHECKS = {"section": "section-roundtrip", "retraction": "retraction-roundtrip", "iso": "iso-transfer"}
+
+
 class MorphismKind(NamedTuple):
     is_section: bool
     is_retraction: bool
@@ -607,62 +611,56 @@ class FormInstance:
                     b = next(b for b, v in enumerate(tg) if tf[v] != tgf[b])
                     rep.add("functorial-pull", where=f"{names[g]};{names[f]}", witness=(b,))
 
-    def check_reflects(self, kind: str) -> tuple[bool, Optional[tuple]]:
-        """Operational reflection test: the fibre-level consequence that the
-        corresponding base-level one-sided inverses force.
-
-        section: pull after push is the identity on every section's fibre;
-        retraction: push after pull is the identity; iso: push along f equals
-        pull along the inverse. Returns (holds, first counterexample).
-        """
-        if kind not in ("section", "retraction", "iso"):
-            raise ValueError(f"unknown kind {kind!r}")
+    def _roundtrip_failures(self) -> Iterator[tuple[str, str, int]]:
+        """Every (kind, morphism, index), in morphism order, where a round
+        trip that a base-level inverse forces fails: a section's pull after
+        push is the identity (a with pull(push a) != a), a retraction's
+        push after pull too (b with push(pull b) != b), and an iso's push
+        is its inverse's pull (once, at the first index they differ)."""
         for f, mk in zip(self.base.names, self._kinds):
-            if kind == "section" and mk.is_section:
-                push, pull = self.push_maps[f], self.pull_maps[f]
-                for a in range(push.source.size):
-                    if pull.table[push.table[a]] != a:
-                        return False, (f, a)
-            elif kind == "retraction" and mk.is_retraction:
-                push, pull = self.push_maps[f], self.pull_maps[f]
-                for b in range(pull.source.size):
-                    if push.table[pull.table[b]] != b:
-                        return False, (f, b)
-            elif kind == "iso" and mk.is_iso:
-                push = self.push_maps[f]
-                pull_inv = self.pull_maps[mk.inverse]
-                if push.table != pull_inv.table:
-                    a = next(i for i, (p, q) in enumerate(zip(push.table, pull_inv.table)) if p != q)
-                    return False, (f, a)
-        return True, None
+            push, pull = self.push_maps[f].table, self.pull_maps[f].table
+            if mk.is_section:
+                for a, v in enumerate(push):
+                    if pull[v] != a:
+                        yield "section", f, a
+            if mk.is_retraction:
+                for b, v in enumerate(pull):
+                    if push[v] != b:
+                        yield "retraction", f, b
+            if mk.is_iso:
+                inverse = self.pull_maps[mk.inverse].table
+                if push != inverse:
+                    yield "iso", f, next(a for a, (p, q) in enumerate(zip(push, inverse)) if p != q)
+
+    @cached_property
+    def _reflects(self) -> dict[str, tuple[str, int]]:
+        """Per kind with a round-trip failure, its first (morphism, index);
+        built once, like :attr:`_kinds`."""
+        first: dict[str, tuple[str, int]] = {}
+        for kind, f, i in self._roundtrip_failures():
+            first.setdefault(kind, (f, i))
+        return first
+
+    def check_reflects(self, kind: str) -> tuple[bool, Optional[tuple]]:
+        """Operational reflection test: whether every round trip of ``kind``
+        holds (:meth:`_roundtrip_failures`), and the first counterexample."""
+        if kind not in ROUNDTRIP_CHECKS:
+            raise ValueError(f"unknown kind {kind!r}")
+        first = self._reflects.get(kind)
+        return first is None, first
 
     def verify_lifting_iso_laws(self) -> Report:
-        """Per-morphism equalities behind the reflection flags, plus the
-        cross-check that each family's cleanliness matches its flag."""
+        """The round trips behind the reflection flags, one violation per
+        failure of :meth:`_roundtrip_failures`, plus the cross-check that
+        each family's cleanliness matches its flag."""
         rep = Report()
-        for f in self.base.morphisms():
-            mk = self.morphism_kind(f)
-            push, pull = self.push_maps[f], self.pull_maps[f]
-            if mk.is_section:
-                rep.count("section-roundtrip", push.source.size)
-                for a in range(push.source.size):
-                    if pull.table[push.table[a]] != a:
-                        rep.add("section-roundtrip", where=f, witness=(a,))
-            if mk.is_retraction:
-                rep.count("retraction-roundtrip", pull.source.size)
-                for b in range(pull.source.size):
-                    if push.table[pull.table[b]] != b:
-                        rep.add("retraction-roundtrip", where=f, witness=(b,))
-            if mk.is_iso:
-                pull_inv = self.pull_maps[mk.inverse]
-                rep.count("iso-transfer")
-                if push.table != pull_inv.table:
-                    rep.add("iso-transfer", where=f)
-        for kind, check in (
-            ("section", "section-roundtrip"),
-            ("retraction", "retraction-roundtrip"),
-            ("iso", "iso-transfer"),
-        ):
+        for f, mk in zip(self.base.names, self._kinds):
+            rep.count("section-roundtrip", mk.is_section * len(self.push_maps[f].table))
+            rep.count("retraction-roundtrip", mk.is_retraction * len(self.pull_maps[f].table))
+            rep.count("iso-transfer", mk.is_iso)
+        for kind, f, i in self._roundtrip_failures():
+            rep.add(ROUNDTRIP_CHECKS[kind], where=f, witness=() if kind == "iso" else (i,))
+        for kind, check in ROUNDTRIP_CHECKS.items():
             holds, _ = self.check_reflects(kind)
             clean = not any(v.check == check for v in rep.violations)
             rep.count("flag-agreement")

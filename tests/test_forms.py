@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import formkit
-from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance
+from formkit.forms import ROUNDTRIP_CHECKS, CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, cyclic, symmetric3
 from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap
 from formkit.partitions import build_quot_form
@@ -131,6 +131,45 @@ def test_check_reflects_on_instances(top12, grp8, quot123):
         for kind in ("section", "retraction", "iso"):
             holds, witness = bundle.form.check_reflects(kind)
             assert holds, (kind, witness)
+
+
+def _corrupted(m: MonotoneMap, i: int) -> MonotoneMap:
+    """``m`` with the entry at ``i`` moved to the next element of its target."""
+    table = list(m.table)
+    table[i] = (table[i] + 1) % m.target.size
+    return MonotoneMap(m.source, m.target, table)
+
+
+def test_check_reflects_witness_is_the_first_lifting_violation(quot123):
+    """One section's pull, one retraction's push and one iso's push
+    corrupted: each flag fails at the first violation lifting-iso-laws
+    reports for its kind, and the flags still agree with the laws."""
+    form = quot123.form
+    identities = set(form.base.identities.values())
+    kinds = {
+        f: form.morphism_kind(f)
+        for f in form.base.morphisms()
+        if f not in identities and min(form.fibre(form.base.dom[f]).size, form.fibre(form.base.cod[f]).size) > 1
+    }
+    section = next(f for f, k in kinds.items() if k.is_section and not k.is_retraction)
+    retraction = next(f for f, k in kinds.items() if k.is_retraction and not k.is_section)
+    iso = next(f for f, k in kinds.items() if k.is_iso)
+    push, pull = dict(form.push_maps), dict(form.pull_maps)
+    pull[section] = _corrupted(pull[section], push[section].table[0])
+    push[retraction] = _corrupted(push[retraction], pull[retraction].table[0])
+    push[iso] = _corrupted(push[iso], 0)
+    broken = FormInstance(form.base, form.fibres, push, pull)
+    rep = broken.verify_lifting_iso_laws()
+    failing = {(v.check, v.where) for v in rep.violations}
+    assert {("section-roundtrip", section), ("retraction-roundtrip", retraction), ("iso-transfer", iso)} <= failing
+    for kind, check in ROUNDTRIP_CHECKS.items():
+        holds, witness = broken.check_reflects(kind)
+        first = next(v for v in rep.violations if v.check == check)
+        assert not holds, kind
+        assert witness[0] == first.where, kind
+        if kind != "iso":
+            assert witness[1:] == first.witness, kind
+    assert not [v for v in rep.violations if v.check == "flag-agreement"]
 
 
 def test_lifting_iso_laws_clean_on_instances(top12, quot123):
