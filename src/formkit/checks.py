@@ -110,14 +110,12 @@ class CheckContext:
     for it, so a context that runs one check pays for what that check
     reads.
 
-    The pulled-rows table (:func:`formkit.topogenous.pulled_rows`, one
-    preimage per morphism) is read by T3, the pull form, the strict and
-    final witnesses and theta-clopen-strict-per-pair; the witness memo by
-    the strict and final tables, strict-iff-push, the transfer laws and
-    classify. The other side of each cross-check is computed on its own:
-    strict-iff-push reads push preimages, the pull form is its own mask
-    test, and the operator checks compare the verdicts with the derived
-    operators."""
+    The pulled-rows table (:func:`formkit.topogenous.pulled_rows`) is read
+    by T3, the pull form, the strict and final witnesses and
+    theta-clopen-strict-per-pair; the witness memo by the strict and final
+    tables, strict-iff-push, the transfer laws and classify. The other side
+    of each cross-check is computed on its own: push preservation from push
+    preimages, the pull form's own mask test, the derived operators."""
 
     def __init__(
         self,

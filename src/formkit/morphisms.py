@@ -19,11 +19,11 @@ from .lattice import bits, low_bit
 from .report import Report
 from .topogenous import Operator, OrderClass, TopogenousOrder, pulled_rows
 
-# Cancellation clauses whose printed hypotheses are under dispute; they are
-# evaluated and reported but do not gate a run (see transfer_laws_check).
 # A morphism's first strictness or finality violation, None when it has none.
 Witness = Optional[tuple[int, int]]
 
+# Cancellation clauses whose printed hypotheses are under dispute; they are
+# evaluated and reported but do not gate a run (see transfer_laws_check).
 DISPUTED_CHECKS = frozenset(
     {
         "cancel-strict-as-printed",
@@ -155,9 +155,8 @@ def push_preserves_order_dense(form: FormInstance, order: TopogenousOrder, f: st
 
 
 def strict_characterization(form: FormInstance, order: TopogenousOrder, f: str, sv: Witness) -> Report:
-    """Strictness versus push-preservation; the two verdicts must coincide.
-    ``sv`` is f's strict witness (:func:`strict_violation`), which reads
-    pull; push preservation is computed here from push alone."""
+    """Strictness, from f's strict witness ``sv`` (:func:`strict_violation`),
+    versus push preservation, computed here from push; they must coincide."""
     rep = Report()
     pv = push_preserves_order(form, order, f)
     rep.count("strict-iff-push", 1)
@@ -225,10 +224,9 @@ def transfer_laws_check(
     (:meth:`CategoryPresentation.after`). Counts and violations are those
     of :func:`transfer_laws_check_dense`."""
     names = form.base.names
-    strict = [strict_witness[m] is None for m in names]
-    final = [final_witness[m] is None for m in names]
     return _transfer_laws(
-        form, range(len(names)), names, strict, final, form._kinds, form.base.after, strict_witness, final_witness
+        form, range(len(names)), names, [strict_witness[m] is None for m in names],
+        [final_witness[m] is None for m in names], form._kinds, form.base.after, strict_witness, final_witness,
     )
 
 
@@ -262,9 +260,7 @@ def _transfer_laws(form: FormInstance, keys, names, strict, final, kinds, after,
     per composable pair, f outer and g inner."""
     rep = Report()
     add = rep.add
-    refl_sec, _ = form.check_reflects("section")
-    refl_ret, _ = form.check_reflects("retraction")
-    refl_iso, _ = form.check_reflects("iso")
+    refl_sec, refl_ret, refl_iso = (kind not in form._reflects for kind in ("section", "retraction", "iso"))
     # each clause is tallied in a local int and counted once, after the sweeps:
     # a count call per pair cost more than the clause it counted
     retraction_final_strict = section_strict_final = iso = 0

@@ -119,8 +119,7 @@ def pulled_rows(form: FormInstance, order: TopogenousOrder, f: str) -> list[int]
 
 
 def pulled_table(form: FormInstance, order: TopogenousOrder) -> dict[str, list[int]]:
-    """:func:`pulled_rows` of every morphism, once the order is known to
-    fit the form (:func:`check_order_shape`)."""
+    """:func:`pulled_rows` of every morphism, for an order checked to fit."""
     check_order_shape(form, order)
     return {f: pulled_rows(form, order, f) for f in form.base.morphisms()}
 
@@ -128,13 +127,11 @@ def pulled_table(form: FormInstance, order: TopogenousOrder) -> dict[str, list[i
 def verify_order(form: FormInstance, order: TopogenousOrder, pulled: Mapping[str, Sequence[int]]) -> Report:
     """Report every T1/T2/T3 violation with witnesses.
 
-    T3 is swept with masks, per morphism f: x -> y, on its pulled rows
-    ``pulled[f]`` (:func:`pulled_rows`): the T3 violations at a are the
-    bits of ``rows_y[push a]`` outside ``pulled[f][a]`` (:func:`_t3_bad`).
-    That is the same set of pairs, in the same order, as the bit-by-bit
-    sweep of :func:`verify_order_dense`, so it needs no certificate and no
-    fallback. T2 is swept pair by pair only on a fibre where
-    :func:`_rows_t2` does not certify it."""
+    T3 is swept with masks on each morphism's pulled rows ``pulled[f]``
+    (:func:`_t3_bad`): the same pairs, in the same order, as the
+    bit-by-bit sweep of :func:`verify_order_dense`, so it needs no
+    certificate and no fallback. T2 is swept pair by pair only on a fibre
+    where :func:`_rows_t2` does not certify it."""
     return _verify_order(form, order, True, lambda f: _t3_bad(form, order, f, pulled[f]))
 
 
@@ -225,12 +222,11 @@ def check_T3_pull_form(form: FormInstance, order: TopogenousOrder, pulled: Mappi
     morphism, its verdict coincides with T3's (they are equivalent under
     T1 and T2).
 
-    Both sides are mask tests per morphism f: x -> y on its pulled rows
-    ``pulled[f]`` (:func:`pulled_rows`). The pull-form violations at a in
-    the codomain fibre are the bits of ``rows_y[a]`` outside
-    ``pulled[f][pull a]``; the T3 verdict is that of
-    :func:`verify_order`, read from :func:`_t3_bad`. Same pairs as the
-    pair loops of :func:`check_T3_pull_form_dense`."""
+    Both sides are mask tests on f's pulled rows ``pulled[f]``
+    (:func:`pulled_rows`). The pull-form violations at a in the codomain
+    fibre are the bits of ``rows_y[a]`` outside ``pulled[f][pull a]``; T3
+    is :func:`verify_order`'s :func:`_t3_bad`. Same pairs as the pair
+    loops of :func:`check_T3_pull_form_dense`."""
     check_order_shape(form, order)
     rep = Report()
     for f in form.base.morphisms():
@@ -253,16 +249,26 @@ def check_T3_pull_form_dense(form: FormInstance, order: TopogenousOrder) -> Repo
     check_order_shape(form, order)
     rep = Report()
     for f in form.base.morphisms():
-        rows_x, rows_y = order.rel[form.base.dom[f]], order.rel[form.base.cod[f]]
-        pull = form.pull_maps[f].table
+        x, y = form.base.dom[f], form.base.cod[f]
+        rows_x, rows_y = order.rel[x], order.rel[y]
+        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        size_x, size_y = form.fibre(x).size, form.fibre(y).size
         pull_ok = True
-        for a in range(len(rows_y)):
+        for a in range(size_y):
             for b in bits(rows_y[a]):
                 rep.count("pull-form")
                 if not (rows_x[pull[a]] >> pull[b]) & 1:
                     rep.add("pull-form", where=f, witness=(a, b))
                     pull_ok = False
-        t3_ok = not any(_t3_bad_dense(form, order, f))
+        t3_ok = True
+        for a in range(size_x):
+            row_a = rows_x[a]
+            for b in range(size_y):
+                if (rows_y[push[a]] >> b) & 1 and not (row_a >> pull[b]) & 1:
+                    t3_ok = False
+                    break
+            if not t3_ok:
+                break
         rep.count("pull-form-agrees-T3")
         if pull_ok != t3_ok:
             rep.add("pull-form-agrees-T3", where=f, witness=(pull_ok, t3_ok))
