@@ -21,6 +21,20 @@ class IdentityError(ValueError):
     """An ``identities`` entry that is not an endomorphism of a declared object."""
 
 
+class MorphismKind(NamedTuple):
+    is_section: bool
+    is_retraction: bool
+    is_iso: bool
+    inverse: Optional[str] = None  # a two-sided inverse when is_iso
+
+    def to_dict(self) -> dict:
+        return {
+            "is_section": self.is_section,
+            "is_retraction": self.is_retraction,
+            "is_iso": self.is_iso,
+        }
+
+
 class CategoryPresentation:
     """A finite category with its objects and morphisms numbered.
 
@@ -30,10 +44,10 @@ class CategoryPresentation:
     and ``target[i]`` are the object numbers of its domain and codomain;
     ``by_source[x]`` and ``by_target[x]`` list the morphisms out of and into
     object x in ascending order, ``by_source[x]`` as a ``range`` since each
-    hom-set is numbered consecutively. Composition is held once, in the
-    flat table ``comp`` of n² entries for n morphisms: ``comp[g * n + f]``
-    is the number of g∘f, and -1 where f and g are not composable or the
-    composite is undefined.
+    hom-set is numbered consecutively, and ``blocks[x][y]`` is the range of
+    hom(x, y). Composition is held once, in the flat table ``comp`` of n²
+    entries for n morphisms: ``comp[g * n + f]`` is the number of g∘f, and
+    -1 where f and g are not composable or the composite is undefined.
 
     ``compose`` gives the composites: either a callable ``compose(g, fs)``
     on morphism numbers, called once per morphism g and nonempty hom-set
@@ -47,6 +61,10 @@ class CategoryPresentation:
     mapping's table by :func:`fill_composites`. The name-level ``dom``,
     ``cod``, :meth:`hom`, :meth:`compose` and :attr:`compose_table` read the
     same tables.
+
+    ``kinds``, when given, lists each morphism's :class:`MorphismKind` by
+    number, for a builder that knows them without composing (see
+    :attr:`kinds`).
     """
 
     def __init__(
@@ -55,6 +73,7 @@ class CategoryPresentation:
         homs: dict[tuple[str, str], Sequence[str]],
         compose: Callable[[int, range], Sequence[int]] | Mapping[tuple[str, str], str],
         identities: dict[str, str],
+        kinds: Optional[Sequence[MorphismKind]] = None,
     ):
         self.objects = tuple(objects)
         if len(set(self.objects)) != len(self.objects):
@@ -80,17 +99,20 @@ class CategoryPresentation:
         number = {x: k for k, x in enumerate(self.objects)}
         self.source = [number[self.dom[m]] for m in self.names]
         self.target = [number[self.cod[m]] for m in self.names]
-        # into[y]: the range of each hom(x, y), x in object order
-        into: list[list[range]] = [[] for _ in self.objects]
+        self.blocks: list[list[range]] = []
         self.by_source: list[range] = []
         start = 0
         for x in self.objects:
             first = start
-            for k, y in enumerate(self.objects):
+            row = []
+            for y in self.objects:
                 stop = start + len(self.homs.get((x, y), ()))
-                into[k].append(range(start, stop))
+                row.append(range(start, stop))
                 start = stop
+            self.blocks.append(row)
             self.by_source.append(range(first, start))
+        # into[y]: the range of each hom(x, y), x in object order
+        into = list(zip(*self.blocks))
         self.by_target: list[list[int]] = [[f for fs in blocks for f in fs] for blocks in into]
         self.comp = comp = [-1] * (n * n)
         if callable(compose):
@@ -109,6 +131,10 @@ class CategoryPresentation:
                 g, f = ids.get(g_name), ids.get(f_name)
                 if g is not None and f is not None and source[g] == target[f]:
                     comp[g * n + f] = ids.get(h, -1)
+        if kinds is not None:
+            if len(kinds) != n:
+                raise ValueError(f"{len(kinds)} kinds for {n} morphisms")
+            self.kinds = list(kinds)
 
     def morphisms(self) -> tuple[str, ...]:
         """Every morphism name, in number order."""
@@ -131,12 +157,18 @@ class CategoryPresentation:
 
     def after(self, f: int) -> Iterable[tuple[int, int]]:
         """(g, g∘f) by number for every g out of the codomain of f, in
-        number order (g∘f -1 where undefined): one strided slice of
-        :attr:`comp`, since the morphisms out of an object are numbered
-        consecutively. Walks of the composable pairs read ``comp`` only
-        through here, so its layout stays inside this module."""
+        number order (g∘f -1 where undefined). Walks of the composable
+        pairs read ``comp`` only through here, :meth:`composites` and
+        :meth:`before`, so its layout stays inside this module."""
+        return enumerate(self.composites(f), self.by_source[self.target[f]].start)
+
+    def composites(self, f: int) -> list[int]:
+        """g∘f by number for every g out of the codomain of f, in number
+        order, so g∘f is at ``g - by_source[target[f]].start`` (-1 where
+        undefined): one strided slice of :attr:`comp`, since the morphisms
+        out of an object are numbered consecutively."""
         n, gs = len(self.names), self.by_source[self.target[f]]
-        return enumerate(self.comp[gs.start * n + f : gs.stop * n + f : n], gs.start)
+        return self.comp[gs.start * n + f : gs.stop * n + f : n]
 
     def before(self, g: int) -> list[int]:
         """g∘f by number for every morphism f, indexed by f (-1 where f
@@ -144,6 +176,36 @@ class CategoryPresentation:
         slice of :attr:`comp`, a copy."""
         n = len(self.names)
         return self.comp[g * n : g * n + n]
+
+    @cached_property
+    def kinds(self) -> list[MorphismKind]:
+        """Each morphism's section, retraction and iso status, by number:
+        the kinds the builder gave, or else :meth:`scan_kinds`, computed
+        once."""
+        return self.scan_kinds()
+
+    def scan_kinds(self) -> list[MorphismKind]:
+        """The kinds from the composition table: for f: x -> y the
+        candidates are the morphisms of hom(y, x), composed with f by one
+        lookup each. An iso's inverse is the first two-sided inverse in
+        number order. :meth:`FormInstance.morphism_kind_dense` is the
+        per-morphism scan it is tested against."""
+        names, n, comp = self.names, len(self.names), self.comp
+        identity = [self.ids[self.identity(x)] for x in self.objects]
+        kinds = []
+        for f in range(n):
+            x, y = self.source[f], self.target[f]
+            back = self.blocks[y][x]
+            left = [g for g in back if comp[g * n + f] == identity[x]]
+            right = {g for g in back if comp[f * n + g] == identity[y]}
+            two_sided = [g for g in left if g in right]
+            kinds.append(MorphismKind(
+                is_section=bool(left),
+                is_retraction=bool(right),
+                is_iso=bool(two_sided),
+                inverse=names[two_sided[0]] if two_sided else None,
+            ))
+        return kinds
 
     def composable_pairs(self) -> Iterable[tuple[str, str]]:
         """Every composable (g, f) by name, f in number order, then g."""
@@ -325,20 +387,6 @@ def fill_composites(
 ROUNDTRIP_CHECKS = {"section": "section-roundtrip", "retraction": "retraction-roundtrip", "iso": "iso-transfer"}
 
 
-class MorphismKind(NamedTuple):
-    is_section: bool
-    is_retraction: bool
-    is_iso: bool
-    inverse: Optional[str] = None  # a two-sided inverse when is_iso
-
-    def to_dict(self) -> dict:
-        return {
-            "is_section": self.is_section,
-            "is_retraction": self.is_retraction,
-            "is_iso": self.is_iso,
-        }
-
-
 class FormInstance:
     """Fibre lattices over a finite base category with transfer tables.
 
@@ -428,34 +476,14 @@ class FormInstance:
         return known
 
     def morphism_kind(self, f: str) -> MorphismKind:
-        """Section/retraction/iso status inside the presented hom-sets.
-
-        Read from a table of every morphism's kind, built once over the
-        morphism numbers of the base: for f: x -> y the candidates are the
-        morphisms y -> x in ``by_source[y]``, composed with f by one lookup
-        each in the composition table. :meth:`morphism_kind_dense` is the
-        per-morphism scan it is tested against."""
-        return self._kinds[self.base.ids[f]]
-
-    @cached_property
-    def _kinds(self) -> list[MorphismKind]:
-        base = self.base
-        names, n, comp, target = base.names, len(base.names), base.comp, base.target
-        identity = [base.ids[base.identity(x)] for x in base.objects]
-        kinds = []
-        for f in range(n):
-            x, y = base.source[f], target[f]
-            back = [g for g in base.by_source[y] if target[g] == x]
-            left = [g for g in back if comp[g * n + f] == identity[x]]
-            right = {g for g in back if comp[f * n + g] == identity[y]}
-            two_sided = [g for g in left if g in right]
-            kinds.append(MorphismKind(
-                is_section=bool(left),
-                is_retraction=bool(right),
-                is_iso=bool(two_sided),
-                inverse=names[two_sided[0]] if two_sided else None,
-            ))
-        return kinds
+        """Section/retraction/iso status inside the presented hom-sets, read
+        from the base's table of every morphism's kind
+        (:attr:`CategoryPresentation.kinds`): for the full categories of
+        finite sets it comes from the value tables, for any other base from
+        one scan of the composition table.
+        :meth:`morphism_kind_dense` is the per-morphism scan both are tested
+        against."""
+        return self.base.kinds[self.base.ids[f]]
 
     def morphism_kind_dense(self, f: str) -> MorphismKind:
         """The same status from the hom-set lists and composition by name,
@@ -617,7 +645,7 @@ class FormInstance:
         push is the identity (a with pull(push a) != a), a retraction's
         push after pull too (b with push(pull b) != b), and an iso's push
         is its inverse's pull (once, at the first index they differ)."""
-        for f, mk in zip(self.base.names, self._kinds):
+        for f, mk in zip(self.base.names, self.base.kinds):
             push, pull = self.push_maps[f].table, self.pull_maps[f].table
             if mk.is_section:
                 for a, v in enumerate(push):
@@ -635,7 +663,7 @@ class FormInstance:
     @cached_property
     def _reflects(self) -> dict[str, tuple[str, int]]:
         """Per kind with a round-trip failure, its first (morphism, index);
-        built once, like :attr:`_kinds`."""
+        built once per form."""
         first: dict[str, tuple[str, int]] = {}
         for kind, f, i in self._roundtrip_failures():
             first.setdefault(kind, (f, i))
@@ -654,7 +682,7 @@ class FormInstance:
         failure of :meth:`_roundtrip_failures`, plus the cross-check that
         each family's cleanliness matches its flag."""
         rep = Report()
-        for f, mk in zip(self.base.names, self._kinds):
+        for f, mk in zip(self.base.names, self.base.kinds):
             rep.count("section-roundtrip", mk.is_section * len(self.push_maps[f].table))
             rep.count("retraction-roundtrip", mk.is_retraction * len(self.pull_maps[f].table))
             rep.count("iso-transfer", mk.is_iso)

@@ -12,9 +12,10 @@ general claims and a small finite model would surface here.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Mapping, Optional, Sequence
 
-from .forms import FormInstance, MorphismKind
+from .forms import CategoryPresentation, FormInstance, MorphismKind
 from .lattice import bits, low_bit
 from .report import Report
 from .topogenous import Operator, OrderClass, TopogenousOrder, pulled_rows
@@ -31,6 +32,19 @@ DISPUTED_CHECKS = frozenset(
         "cancel-strict-first-factor-section",
         "cancel-final-first-factor-section",
     }
+)
+
+# The clauses on a composable pair (f, g), in the order the pair walk of
+# _transfer_laws reports them.
+PAIR_CLAUSES = (
+    "compose-strict",
+    "compose-final",
+    "cancel-strict",
+    "cancel-final",
+    "cancel-strict-as-printed",
+    "cancel-final-as-printed",
+    "cancel-strict-first-factor-section",
+    "cancel-final-first-factor-section",
 )
 
 
@@ -218,16 +232,107 @@ def transfer_laws_check(
 
     ``strict_witness`` and ``final_witness`` hold each morphism's witness,
     None where it is strict or final (:func:`strict_violation`,
-    :func:`final_violation`). The clauses, stated once in
-    :func:`_transfer_laws`, are walked here by morphism number, each f's
-    composites one slice of the composition table
-    (:meth:`CategoryPresentation.after`). Counts and violations are those
-    of :func:`transfer_laws_check_dense`."""
-    names = form.base.names
-    return _transfer_laws(
-        form, range(len(names)), names, [strict_witness[m] is None for m in names],
-        [final_witness[m] is None for m in names], form._kinds, form.base.after, strict_witness, final_witness,
+    :func:`final_violation`). Each pair clause is walked by morphism number
+    over the pairs its hypothesis admits, not over every composable pair:
+    the compose clauses over the class's hom-blocks (:func:`_compose_walk`),
+    the cancel clauses over retractions f, the as-printed clauses over
+    retractions g and the first-factor clauses over sections f, reading
+    composites a row of the composition table at a time
+    (:meth:`CategoryPresentation.composites`,
+    :meth:`CategoryPresentation.before`). The violations are then put in
+    the order of the pair walk of :func:`_transfer_laws`, f, then g, then
+    clause, so counts, violations and their order are those of
+    :func:`transfer_laws_check_dense`."""
+    base = form.base
+    names, n, kinds = base.names, len(base.names), base.kinds
+    strict = [strict_witness[m] is None for m in names]
+    final = [final_witness[m] is None for m in names]
+    flags = refl_sec, refl_ret, _ = _reflection_flags(form)
+    rep = Report()
+    _kind_clauses(rep, range(n), names, strict, final, kinds, flags, strict_witness, final_witness)
+    found: list[tuple[int, int, int]] = []  # (f, g, clause) per violation, clause a PAIR_CLAUSES index
+    compose_strict, compose_final = _compose_walk(base, strict, 0, found), _compose_walk(base, final, 1, found)
+    cancel_strict = cancel_final = printed_strict = printed_final = first_section_strict = first_section_final = 0
+    for f in range(n):
+        # f a retraction: g is in the class when g∘f is; f a section: f is
+        cancel = refl_ret and kinds[f].is_retraction
+        first_section = refl_sec and kinds[f].is_section
+        if not (cancel or first_section):
+            continue
+        strict_f, final_f = strict[f], final[f]
+        for g, gf in base.after(f):
+            if strict[gf]:
+                if cancel:
+                    cancel_strict += 1
+                    if not strict[g]:
+                        found.append((f, g, 2))
+                if first_section:
+                    first_section_strict += 1
+                    if not strict_f:
+                        found.append((f, g, 6))
+            if final[gf]:
+                if cancel:
+                    cancel_final += 1
+                    if not final[g]:
+                        found.append((f, g, 3))
+                if first_section:
+                    first_section_final += 1
+                    if not final_f:
+                        found.append((f, g, 7))
+    for g in range(n) if refl_sec else ():
+        # g a retraction: f is in the class when g∘f is (as printed)
+        if not kinds[g].is_retraction:
+            continue
+        row = base.before(g)
+        for f in base.by_target[base.source[g]]:
+            gf = row[f]
+            if strict[gf]:
+                printed_strict += 1
+                if not strict[f]:
+                    found.append((f, g, 4))
+            if final[gf]:
+                printed_final += 1
+                if not final[f]:
+                    found.append((f, g, 5))
+    found.sort()
+    for f, g, k in found:
+        rep.add(PAIR_CLAUSES[k], where=f"{names[g]};{names[f]}")
+    counts = (
+        compose_strict, compose_final, cancel_strict, cancel_final,
+        printed_strict, printed_final, first_section_strict, first_section_final,
     )
+    for clause, count in zip(PAIR_CLAUSES, counts):
+        rep.count(clause, count)
+    return rep
+
+
+def _compose_walk(base: CategoryPresentation, member: Sequence[bool], k: int, found: list) -> int:
+    """Compose clause ``k`` of :data:`PAIR_CLAUSES` for the class
+    ``member`` (by morphism number): g∘f is in the class for every f in it
+    and g in it after f. Every such pair is a clause instance, so the count
+    is, per object y, the class members into y times those out of y. The
+    pairs of f in hom(x, y) and g in hom(y, z) are walked only where
+    hom(x, z) does not lie wholly in the class, since elsewhere g∘f cannot
+    leave it. Appends (f, g, k) per violation to ``found`` and returns the
+    count."""
+    objects = range(len(base.objects))
+    count = 0
+    for y in objects:
+        gs = base.by_source[y]
+        count += sum(map(member.__getitem__, base.by_target[y])) * sum(member[gs.start : gs.stop])
+    if all(member):
+        return count
+    blocks = base.blocks
+    partial = [(x, z) for x in objects for z, block in enumerate(blocks[x]) if not all(member[block.start : block.stop])]
+    if partial:
+        inside = [[list(compress(block, member[block.start : block.stop])) for block in row] for row in blocks]
+        for x, z in partial:
+            for y in objects:
+                fs = inside[x][y]
+                for g in inside[y][z] if fs else ():
+                    row = base.before(g)
+                    found.extend((f, g, k) for f in fs if not member[row[f]])
+    return count
 
 
 def transfer_laws_check_dense(form: FormInstance, order: TopogenousOrder) -> Report:
@@ -251,38 +356,22 @@ def transfer_laws_check_dense(form: FormInstance, order: TopogenousOrder) -> Rep
 
 
 def _transfer_laws(form: FormInstance, keys, names, strict, final, kinds, after, strict_witness, final_witness) -> Report:
-    """The clauses of :func:`transfer_laws_check`, stated once over morphism
-    keys, each a morphism's number or its name. ``keys`` lists them in
-    number order and ``names[m]`` is m's name; ``strict``, ``final`` and
-    ``kinds`` hold verdicts and :class:`MorphismKind` by key; ``after(f)``
-    gives (g, g∘f) for every g composable after f, in number order; the
-    witnesses are held by name. Violations come per morphism first, then
-    per composable pair, f outer and g inner."""
+    """The clauses of :func:`transfer_laws_check` over every composable
+    pair: the body of :func:`transfer_laws_check_dense`. Morphisms are
+    keyed by a morphism's number or its name; ``keys`` lists them in number
+    order and ``names[m]`` is m's name; ``strict``, ``final`` and ``kinds``
+    hold verdicts and :class:`MorphismKind` by key; ``after(f)`` gives (g,
+    g∘f) for every g composable after f, in number order; the witnesses are
+    held by name. Violations come per morphism first, then per composable
+    pair, f outer and g inner, then clause."""
     rep = Report()
     add = rep.add
-    refl_sec, refl_ret, refl_iso = (kind not in form._reflects for kind in ("section", "retraction", "iso"))
-    # each clause is tallied in a local int and counted once, after the sweeps:
+    flags = refl_sec, refl_ret, _ = _reflection_flags(form)
+    _kind_clauses(rep, keys, names, strict, final, kinds, flags, strict_witness, final_witness)
+    # each clause is tallied in a local int and counted once, after the sweep:
     # a count call per pair cost more than the clause it counted
-    retraction_final_strict = section_strict_final = iso = 0
     compose_strict = compose_final = cancel_strict = cancel_final = 0
     printed_strict = printed_final = first_section_strict = first_section_final = 0
-    for m in keys:
-        k = kinds[m]
-        if refl_ret and k.is_retraction and final[m]:
-            retraction_final_strict += 1
-            if not strict[m]:
-                add("retraction-final-strict", where=names[m], witness=(strict_witness[names[m]],))
-        if refl_sec and k.is_section and strict[m]:
-            section_strict_final += 1
-            if not final[m]:
-                add("section-strict-final", where=names[m], witness=(final_witness[names[m]],))
-        if refl_iso and k.is_iso:
-            iso += 1
-            if not strict[m]:
-                add("iso-strict", where=names[m])
-            if not final[m]:
-                add("iso-final", where=names[m])
-
     for f in keys:
         strict_f, final_f = strict[f], final[f]
         cancel = refl_ret and kinds[f].is_retraction
@@ -323,10 +412,6 @@ def _transfer_laws(form: FormInstance, keys, names, strict, final, kinds, after,
                     first_section_final += 1
                     if not final_f:
                         add("cancel-final-first-factor-section", where=f"{names[g]};{names[f]}")
-    rep.count("retraction-final-strict", retraction_final_strict)
-    rep.count("section-strict-final", section_strict_final)
-    rep.count("iso-strict", iso)
-    rep.count("iso-final", iso)
     rep.count("compose-strict", compose_strict)
     rep.count("compose-final", compose_final)
     rep.count("cancel-strict", cancel_strict)
@@ -336,6 +421,39 @@ def _transfer_laws(form: FormInstance, keys, names, strict, final, kinds, after,
     rep.count("cancel-strict-first-factor-section", first_section_strict)
     rep.count("cancel-final-first-factor-section", first_section_final)
     return rep
+
+
+def _reflection_flags(form: FormInstance) -> tuple[bool, bool, bool]:
+    """Whether the section, retraction and iso round trips all hold."""
+    return tuple(kind not in form._reflects for kind in ("section", "retraction", "iso"))
+
+
+def _kind_clauses(rep: Report, keys, names, strict, final, kinds, flags, strict_witness, final_witness) -> None:
+    """The clauses on one morphism, added to ``rep`` in key order, under
+    the reflection ``flags`` (:func:`_reflection_flags`); the other
+    arguments are those of :func:`_transfer_laws`."""
+    refl_sec, refl_ret, refl_iso = flags
+    retraction_final_strict = section_strict_final = iso = 0
+    for m in keys:
+        k = kinds[m]
+        if refl_ret and k.is_retraction and final[m]:
+            retraction_final_strict += 1
+            if not strict[m]:
+                rep.add("retraction-final-strict", where=names[m], witness=(strict_witness[names[m]],))
+        if refl_sec and k.is_section and strict[m]:
+            section_strict_final += 1
+            if not final[m]:
+                rep.add("section-strict-final", where=names[m], witness=(final_witness[names[m]],))
+        if refl_iso and k.is_iso:
+            iso += 1
+            if not strict[m]:
+                rep.add("iso-strict", where=names[m])
+            if not final[m]:
+                rep.add("iso-final", where=names[m])
+    rep.count("retraction-final-strict", retraction_final_strict)
+    rep.count("section-strict-final", section_strict_final)
+    rep.count("iso-strict", iso)
+    rep.count("iso-final", iso)
 
 
 def strict_via_operators(

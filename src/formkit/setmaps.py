@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product, repeat
 from typing import Callable, Iterable, Sequence
 
-from .forms import CategoryPresentation
+from .forms import CategoryPresentation, MorphismKind
 from .report import InputError, Record
 
 MORPHISM_BUDGET = 5000
@@ -78,6 +78,9 @@ def concrete_category(
     ``arrows(x, y)``, each given by its value table ``.table`` and named
     ``x->y:t0.t1...``; composites compose the tables and identities are the
     identity tables. Returns the presentation and morphism name -> arrow.
+    When every hom-set holds every function between its carriers, the
+    morphism kinds are read off the value tables (:func:`_full_kinds`);
+    otherwise the presentation scans for them.
 
     Value tables are held as bytes, so a carrier has at most
     :data:`MAX_CARRIER` points. The composites are filled a hom-block at a
@@ -94,6 +97,7 @@ def concrete_category(
     # By morphism number, as the presentation numbers them: hom-set by
     # hom-set in object order. number[x][y] maps a table of hom(x, y) to
     # its morphism.
+    names: list[str] = []
     tables: list[bytes] = []
     source: list[int] = []
     target: list[int] = []
@@ -104,6 +108,7 @@ def concrete_category(
             for arrow in arrows(x, y):
                 name = morphism_name(x, y, arrow.table)
                 ms.append(name)
+                names.append(name)
                 arrow_of[name] = arrow
                 table = bytes(arrow.table)
                 number[xi][yi][table] = len(tables)
@@ -117,7 +122,37 @@ def concrete_category(
         return list(map(into.__getitem__, map(bytes.translate, tables[fs.start : fs.stop], repeat(pad))))
 
     identities = {x: morphism_name(x, x, range(n)) for x, n in carriers.items()}
-    return CategoryPresentation(objects, homs, compose, identities), arrow_of
+    sizes = [carriers[x] for x in objects]
+    full = all(len(number[x][y]) == sizes[y] ** sizes[x] for x in range(len(objects)) for y in range(len(objects)))
+    kinds = _full_kinds(sizes, names, tables, source, target, number) if full else None
+    return CategoryPresentation(objects, homs, compose, identities, kinds), arrow_of
+
+
+def _full_kinds(
+    sizes: list[int], names: list[str], tables: list[bytes], source: list[int], target: list[int],
+    number: list[list[dict[bytes, int]]],
+) -> list[MorphismKind]:
+    """The kinds of :func:`concrete_category`'s morphisms, by number, when
+    its hom-sets hold every function: one pass over each value table.
+    ``sizes`` holds the carrier sizes by object number. f: X -> Y has a
+    left inverse iff it is injective and X is nonempty or Y is empty (from
+    an empty X there is a map back only when Y is empty too), and a right
+    inverse iff it is surjective; a bijection's inverse is its inverted
+    table, looked up in hom(Y, X)."""
+    kinds = []
+    for f, table in enumerate(tables):
+        x, y = source[f], target[f]
+        values, cod = len(set(table)), sizes[y]
+        section = values == len(table) and (values > 0 or cod == 0)
+        retraction = values == cod
+        inverse = None
+        if section and retraction:
+            inverted = bytearray(cod)
+            for a, v in enumerate(table):
+                inverted[v] = a
+            inverse = names[number[y][x][bytes(inverted)]]
+        kinds.append(MorphismKind(section, retraction, inverse is not None, inverse))
+    return kinds
 
 
 def function_category(sizes: Sequence[int]) -> tuple[CategoryPresentation, dict[str, int], dict[str, SetFunction]]:

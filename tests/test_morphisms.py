@@ -1,6 +1,7 @@
 """Strict/final/thick classification and the theorem cross-checks on the
 built instances."""
 
+import random
 from itertools import permutations
 
 from formkit.checks import CheckContext
@@ -9,6 +10,8 @@ from formkit.groups import build_grp_form, cyclic, normal_interval_order, symmet
 from formkit.lattice import FiniteLattice, MonotoneMap
 from formkit.morphisms import (
     DISPUTED_CHECKS,
+    PAIR_CLAUSES,
+    _transfer_laws,
     classify_morphism,
     cohereditary_operator_check,
     final_thick_check,
@@ -21,6 +24,7 @@ from formkit.morphisms import (
     transfer_laws_check,
     transfer_laws_check_dense,
 )
+from formkit.search import case_rng, random_form, random_order
 from formkit.topogenous import (
     TopogenousOrder,
     classify_order,
@@ -196,6 +200,66 @@ def test_transfer_laws_match_dense_oracle_on_instances(top123, theta123, b123, g
         fast, dense = transfer_laws(form, order), transfer_laws_check_dense(form, order)
         assert fast.checks_run == dense.checks_run > 0
         assert fast.violations == dense.violations
+
+
+class DenseWalk:
+    """The pair walk of :func:`_transfer_laws` over a form's name-keyed
+    composable pairs and its dense kinds, run on any witness tables."""
+
+    def __init__(self, form):
+        base = self.base = form.base
+        self.form, self.names = form, base.morphisms()
+        self.after = {m: [] for m in self.names}
+        for g, f in base.composable_pairs():
+            self.after[f].append((g, base.compose(g, f)))
+        self.kinds = {m: form.morphism_kind_dense(m) for m in self.names}
+
+    def __call__(self, strict_witness, final_witness):
+        return _transfer_laws(
+            self.form, self.names, {m: m for m in self.names},
+            {m: w is None for m, w in strict_witness.items()},
+            {m: w is None for m, w in final_witness.items()},
+            self.kinds, self.after.__getitem__, strict_witness, final_witness,
+        )
+
+
+def flipped(witness, rng, share):
+    """The witness table with a random ``share`` of its verdicts flipped."""
+    out = dict(witness)
+    for m in rng.sample(sorted(out), max(1, int(len(out) * share))):
+        out[m] = (0, 0) if out[m] is None else None
+    return out
+
+
+def test_transfer_walk_matches_the_dense_walk_on_corrupted_witnesses(quot123, grp8, ni8):
+    # flipped verdicts make the strict and final classes cut across
+    # hom-sets, so the walk's block skips, its retraction and section walks
+    # and its merge into the pair order all meet violations
+    rng = random.Random(20231019)
+    tripped = set()
+    for form, order in ((quot123.form, leq_order(quot123.form)), (grp8.form, ni8)):
+        assert not form._reflects  # every clause is live
+        dense, ctx = DenseWalk(form), CheckContext(form, order)
+        for draw in range(24):
+            share = (0.02, 0.1, 0.3)[draw % 3]
+            sw, fw = flipped(ctx.strict_witness, rng, share), flipped(ctx.final_witness, rng, share)
+            got, expected = transfer_laws_check(form, sw, fw), dense(sw, fw)
+            assert got.checks_run == expected.checks_run
+            assert got.violations == expected.violations
+            tripped.update(v.check for v in got.violations)
+    assert tripped == set(PAIR_CLAUSES) | {
+        "retraction-final-strict", "section-strict-final", "iso-strict", "iso-final",
+    }
+
+
+def test_transfer_walk_matches_the_dense_oracle_on_search_forms():
+    for i in range(200):
+        rng = case_rng(7, i)
+        form = random_form(rng)
+        order = random_order(rng, form, "any")
+        got, expected = transfer_laws(form, order), transfer_laws_check_dense(form, order)
+        assert got.checks_run == expected.checks_run, i
+        assert got.violations == expected.violations, i
 
 
 def test_transfer_section_clause_fails_on_known_models(top123, theta123):

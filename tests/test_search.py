@@ -250,14 +250,14 @@ def test_a_failing_case_raises_what_the_serial_search_raises(monkeypatch, case_i
     # index 7 lies in a worker's share at both widths, 6 in the parent's at
     # both; 11 and 13 lie in different workers' shares at width 3; in the
     # last set the parent fails at 8 or 9 after a worker failed at 5
-    real = search.random_order
+    real = search._random_context
 
-    def failing_order(rng, form, want="any"):
+    def failing_context(rng, form, want):
         if case_index[0] in failing:
             raise RuntimeError(f"planted failure at index {case_index[0]}")
         return real(rng, form, want)
 
-    monkeypatch.setattr(search, "random_order", failing_order)
+    monkeypatch.setattr(search, "_random_context", failing_context)
     _widths(monkeypatch, 1)
     with pytest.raises(RuntimeError) as serial:
         run_search("roundtrip-TM", 1000, 7)

@@ -3,8 +3,9 @@ a time, against value tables composed one pair at a time."""
 
 import pytest
 
-from formkit.forms import CategoryPresentation
+from formkit.forms import CategoryPresentation, FormInstance
 from formkit.groups import build_grp_form, standard_corpus
+from formkit.lattice import FiniteLattice, MonotoneMap
 from formkit.report import InputError
 from formkit.setmaps import MAX_CARRIER, concrete_category, function_category
 
@@ -51,3 +52,33 @@ def test_compose_callable_of_the_wrong_length_is_refused():
 
     with pytest.raises(ValueError, match="gave 2 composites for 1 morphisms"):
         CategoryPresentation(["X"], {("X", "X"): ["id"]}, compose, {"X": "id"})
+
+
+def point_form(base):
+    """A form over ``base`` with one-point fibres, to read its kinds."""
+    point = FiniteLattice.chain(1)
+    same = {m: MonotoneMap.identity(point) for m in base.morphisms()}
+    return FormInstance(base, {x: point for x in base.objects}, same, same)
+
+
+@pytest.mark.parametrize("build", ["empty carrier", "top123", "quot1234"])
+def test_value_table_kinds_equal_the_scan_and_the_dense_oracle(build, request):
+    # the full categories of finite sets read their kinds off the value
+    # tables; the composition-table scan and the per-morphism oracle agree,
+    # inverse names included
+    if build == "empty carrier":
+        form = point_form(function_category([0, 1, 2])[0])
+    else:
+        form = request.getfixturevalue(build).form
+    base = form.base
+    assert "kinds" in vars(base)  # given by the builder, not scanned
+    assert base.kinds == base.scan_kinds() == [form.morphism_kind_dense(m) for m in base.morphisms()]
+    identities = set(base.identities.values())
+    assert any(k.is_iso and m not in identities for m, k in zip(base.names, base.kinds))
+    assert any(k.is_section and not k.is_retraction for k in base.kinds)
+
+
+def test_group_homomorphisms_keep_the_scan():
+    base = build_grp_form(standard_corpus(4)).form.base
+    assert "kinds" not in vars(base)
+    assert base.kinds == base.scan_kinds()
