@@ -201,6 +201,9 @@ class CheckContext:
         return isinstance(self.bundle, instance) and self.recipe.get("order") == order_name
 
 
+# The class gate of the registry, and the only one: a check whose ``stable``
+# key the order does not meet is reported as skipped with this note, and
+# never run, so the kernels it calls assume the class.
 SKIP_NOTES = {
     "TM": "order is not meet-stable",
     "TM|TJ": "order is neither meet- nor join-stable",
@@ -217,24 +220,11 @@ class Check(NamedTuple):
     selected_by: str = ""  # another check name that also selects this one
     data: Optional[Callable[[CheckContext], dict]] = None
 
-
-def _per_morphism(ctx: CheckContext, one: Callable[[str], Report]) -> Report:
-    """One report over all morphisms: counts and violations add up, the
-    per-morphism notes are dropped."""
-    rep = Report()
-    for f in ctx.form.base.morphisms():
-        part = one(f)
-        rep.checks_run += part.checks_run
-        rep.violations.extend(part.violations)
-    return rep
-
-
-def _strict_via_operators(ctx: CheckContext) -> Report:
-    ops = ctx.derived()
-    return _per_morphism(
-        ctx,
-        lambda f: strict_via_operators(ctx.form, f, ctx.strict[f], ctx.cls, ops.get("closure"), ops.get("interior")),
-    )
+    def admits(self, ctx: CheckContext) -> bool:
+        """Whether the class gate lets this check run on the context's
+        order; the order is classified only for a check with a gate."""
+        stable = self.stable
+        return not stable or (ctx.cls.is_TM and "TM" in stable) or (ctx.cls.is_TJ and "TJ" in stable)
 
 
 def _proposition(name: str, hypothesis, conclusion) -> Callable[[CheckContext], Report]:
@@ -334,12 +324,15 @@ REGISTRY: tuple[Check, ...] = (
     Check(ORDER_AXIOMS, lambda ctx: ctx.axioms),
     Check("order-class", lambda ctx: Report(checks_run=1), data=lambda ctx: ctx.cls.to_dict()),
     Check("t3-pull-agreement", lambda ctx: check_T3_pull_form(ctx.form, ctx.order, ctx.pulled)),
-    Check(
-        "strict-iff-push",
-        lambda ctx: _per_morphism(ctx, lambda f: strict_characterization(ctx.form, ctx.order, f, ctx.strict_witness[f])),
-    ),
+    Check("strict-iff-push", lambda ctx: strict_characterization(ctx.form, ctx.order, ctx.strict_witness)),
     Check("final-thick", lambda ctx: final_thick_check(ctx.form, ctx.order, cls=ctx.cls, final=ctx.final)),
-    Check("strict-via-operators", _strict_via_operators, stable="TM|TJ"),
+    Check(
+        "strict-via-operators",
+        lambda ctx: strict_via_operators(
+            ctx.form, ctx.strict, ctx.cls, ctx.derived().get("closure"), ctx.derived().get("interior")
+        ),
+        stable="TM|TJ",
+    ),
     Check("transfer-laws", lambda ctx: ctx.transfer[0]),
     Check(
         "transfer-laws-disputed-clauses",
@@ -349,7 +342,7 @@ REGISTRY: tuple[Check, ...] = (
     ),
     Check(
         "cohereditary-operator",
-        lambda ctx: cohereditary_operator_check(ctx.form, ctx.cls, ctx.derived().get("closure"), ctx.final),
+        lambda ctx: cohereditary_operator_check(ctx.form, ctx.closure, ctx.final),
         stable="TM",
     ),
     Check(
@@ -380,9 +373,7 @@ def battery_selection(selected: Collection[str]) -> tuple[str, ...]:
 
 
 def _result(check: Check, ctx: CheckContext, recipe: Optional[dict]) -> CheckResult:
-    if check.stable and not (
-        (ctx.cls.is_TM and "TM" in check.stable) or (ctx.cls.is_TJ and "TJ" in check.stable)
-    ):
+    if not check.admits(ctx):
         return CheckResult(check.name, "skipped", notes=[SKIP_NOTES[check.stable]])
     rep = check.run(ctx)
     witness = make_witness(check.name, recipe) if recipe is not None and not rep.ok else None

@@ -9,7 +9,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .lattice import FiniteLattice, MonotoneMap
-from .report import InputError, Report
+from .report import InputError, Report, Violation
 
 
 class CorruptFormError(InputError):
@@ -235,8 +235,9 @@ class CategoryPresentation:
         runs and reports its first witness, so violations are those of
         :meth:`verify_dense`; ``checks_run`` counts the triples actually
         tested. The presentation must not change after construction: the
-        report is computed once and shared with
-        :meth:`FormInstance.verify_laws`."""
+        report, and the walk of the composable pairs for closure of
+        composition (:attr:`_totality_faults`), are computed once and
+        shared with :meth:`FormInstance.verify_laws`."""
         rep = self._report
         return Report(list(rep.violations), rep.checks_run, list(rep.notes))
 
@@ -254,16 +255,11 @@ class CategoryPresentation:
         for x in self.objects:
             if x not in self.identities:
                 rep.add("identity-missing", where=x)
-        names, n, comp, source, target = self.names, len(self.names), self.comp, self.source, self.target
-        for f in range(n):
-            rep.count("compose-defined", len(self.by_source[target[f]]))
-            for g, h in self.after(f):
-                if h < 0:
-                    rep.add("compose-undefined", witness=(names[g], names[f]))
-                elif source[h] != source[f] or target[h] != target[g]:
-                    rep.add("compose-escapes-hom", witness=(names[g], names[f], names[h]))
+        rep.count("compose-defined", sum(len(fs) * len(gs) for fs, gs in zip(self.by_target, self.by_source)))
+        rep.violations.extend(self._totality_faults)
         if rep.violations:
             return rep
+        names, n, comp, source, target = self.names, len(self.names), self.comp, self.source, self.target
         identity = [self.ids[self.identities[x]] for x in self.objects]
         for f in range(n):
             rep.count("identity-neutral", 2)
@@ -274,6 +270,23 @@ class CategoryPresentation:
         if not (fast and rep.ok and self._associative_at_generators(rep)):
             self._dense_associativity(rep)
         return rep
+
+    @cached_property
+    def _totality_faults(self) -> tuple[Violation, ...]:
+        """The composable pairs, f outer and g inner, whose composite is
+        undefined ("compose-undefined", witness (g, f)) or outside
+        hom(dom f, cod g) ("compose-escapes-hom", witness (g, f, g∘f)):
+        one walk per presentation, read by :meth:`verify` and
+        :meth:`FormInstance.verify_laws`."""
+        names, source, target = self.names, self.source, self.target
+        faults = []
+        for f in range(len(names)):
+            for g, h in self.after(f):
+                if h < 0:
+                    faults.append(Violation("compose-undefined", witness=(names[g], names[f])))
+                elif source[h] != source[f] or target[h] != target[g]:
+                    faults.append(Violation("compose-escapes-hom", witness=(names[g], names[f], names[h])))
+        return tuple(faults)
 
     @cached_property
     def generators(self) -> tuple[str, ...]:
@@ -413,7 +426,6 @@ class FormInstance:
         for f in base.morphisms():
             if f not in self.push_maps or f not in self.pull_maps:
                 raise ValueError(f"missing transfer tables for morphism {f!r}")
-        self._adjoint: dict[str, bool] = {}
 
     def fibre(self, x: str) -> FiniteLattice:
         try:
@@ -451,29 +463,49 @@ class FormInstance:
         return self.push_maps[f].table[top_src] == self.fibre(self.base.cod[f]).top
 
     def is_adjoint(self, f: str) -> bool:
-        """Whether push and pull of ``f`` are certified an adjoint pair:
-        they connect the fibres of dom f and cod f, both fibres are partial
-        orders, both maps are monotone (tested on covers, see
+        """Whether push and pull of ``f`` are certified an adjoint pair by
+        its law body (:meth:`_morphism_laws`): they connect the fibres of
+        dom f and cod f, both fibres are partial orders, both maps are
+        monotone (tested on covers, see
         :meth:`MonotoneMap.monotone_violation`), a <= pull(push a) for
         every a and push(pull b) <= b for every b. On partial orders this
         is equivalent to push(a) <= b iff a <= pull(b) for all a and b (a
         Galois connection; Davey & Priestley, *Introduction to Lattices and
         Order*, 2nd ed., ch. 7), so :meth:`leq_over` cannot raise for
-        ``f``. Costs O(covers + |fibres|) once; memoised per morphism."""
-        known = self._adjoint.get(f)
-        if known is None:
-            fx, fy = self.fibre(self.base.dom[f]), self.fibre(self.base.cod[f])
-            push, pull = self.push_maps[f], self.pull_maps[f]
-            pt, qt = push.table, pull.table
-            known = (
-                push.source == fx and push.target == fy and pull.source == fy and pull.target == fx
-                and fx.is_partial_order() and fy.is_partial_order()
-                and push.monotone_violation() is None and pull.monotone_violation() is None
-                and all((fx.up[a] >> qt[pt[a]]) & 1 for a in range(fx.size))
-                and all((fy.up[pt[qt[b]]] >> b) & 1 for b in range(fy.size))
-            )
-            self._adjoint[f] = known
-        return known
+        ``f``. Costs O(covers + |fibres|) per morphism, once per form,
+        shared with :meth:`verify_laws`."""
+        return self._laws[f][-1]
+
+    @cached_property
+    def _laws(self) -> dict[str, tuple]:
+        """Every morphism's :meth:`_morphism_laws` with the cover tests."""
+        return {f: self._morphism_laws(f, fast=True) for f in self.base.names}
+
+    def _morphism_laws(self, f: str, fast: bool) -> tuple:
+        """The law body of ``f``, shared by :meth:`verify_laws` and
+        :meth:`is_adjoint`: ``(wiring, bad_push, bad_pull, bad_unit,
+        bad_counit, adjoint)``. ``wiring`` names the failed check when push
+        or pull misses the fibres of dom f and cod f, and then nothing else
+        is tested; ``bad_push`` and ``bad_pull`` are the first monotonicity
+        failures (on covers when ``fast``), ``bad_unit`` every a with
+        a !<= pull(push a), ``bad_counit`` every b with push(pull b) !<= b,
+        and ``adjoint`` the certificate: none of them, on two fibres that
+        are partial orders."""
+        fx, fy = self.fibre(self.base.dom[f]), self.fibre(self.base.cod[f])
+        push, pull = self.push_maps[f], self.pull_maps[f]
+        if push.source != fx or push.target != fy:
+            return "push-wiring", None, None, [], [], False
+        if pull.source != fy or pull.target != fx:
+            return "pull-wiring", None, None, [], [], False
+        pt, qt, up_x, up_y = push.table, pull.table, fx.up, fy.up
+        bad_push = push.monotone_violation() if fast else push.monotone_violation_dense()
+        bad_pull = pull.monotone_violation() if fast else pull.monotone_violation_dense()
+        bad_unit = [a for a in range(fx.size) if not (up_x[a] >> qt[pt[a]]) & 1]
+        bad_counit = [b for b in range(fy.size) if not (up_y[pt[qt[b]]] >> b) & 1]
+        adjoint = (
+            not (bad_push or bad_pull or bad_unit or bad_counit) and fx.is_partial_order() and fy.is_partial_order()
+        )
+        return "", bad_push, bad_pull, bad_unit, bad_counit, adjoint
 
     def morphism_kind(self, f: str) -> MorphismKind:
         """Section/retraction/iso status inside the presented hom-sets, read
@@ -527,9 +559,12 @@ class FormInstance:
           dually for pull. Otherwise, or when a generator pair fails, every
           composable pair is swept.
 
-        Base category axioms are :meth:`CategoryPresentation.verify`'s job;
-        here the composition table is only consulted (missing entries are
-        reported, not raised)."""
+        Each morphism's wiring, monotonicity, unit and counit come from its
+        law body (:meth:`_morphism_laws`), computed once per form and
+        shared with :meth:`is_adjoint`. Base category axioms are
+        :meth:`CategoryPresentation.verify`'s job; here the undefined
+        composites its walk of the composable pairs found are reported, not
+        raised."""
         return self._check_laws(fast=True)
 
     def verify_laws_dense(self) -> Report:
@@ -538,13 +573,8 @@ class FormInstance:
         return self._check_laws(fast=False)
 
     def _check_laws(self, fast: bool) -> Report:
-        rep = Report()
         base = self.base
-        names = base.names
-        for f in range(len(names)):
-            for g, h in base.after(f):
-                if h < 0:
-                    rep.add("compose-undefined", witness=(names[g], names[f]))
+        rep = Report(violations=[v for v in base._totality_faults if v.check == "compose-undefined"])
         if not rep.ok:
             return rep
         for x in base.objects:
@@ -557,35 +587,24 @@ class FormInstance:
                 rep.add("identity-pull", where=x)
         reducible = fast and rep.ok
         for f in base.morphisms():
-            dom_fib = self.fibre(base.dom[f])
-            cod_fib = self.fibre(base.cod[f])
-            push, pull = self.push_maps[f], self.pull_maps[f]
-            if push.source != dom_fib or push.target != cod_fib:
-                rep.add("push-wiring", where=f)
+            wiring, bad_push, bad_pull, bad_unit, bad_counit, adjoint = (
+                self._laws[f] if fast else self._morphism_laws(f, fast=False)
+            )
+            if wiring:
+                rep.add(wiring, where=f)
                 reducible = False
                 continue
-            if pull.source != cod_fib or pull.target != dom_fib:
-                rep.add("pull-wiring", where=f)
-                reducible = False
-                continue
+            dom_fib, cod_fib = self.fibre(base.dom[f]), self.fibre(base.cod[f])
             rep.count("monotone", 2)
-            bad_push = push.monotone_violation() if fast else push.monotone_violation_dense()
             if bad_push:
                 rep.add("push-monotone", where=f, witness=bad_push)
-            bad_pull = pull.monotone_violation() if fast else pull.monotone_violation_dense()
             if bad_pull:
                 rep.add("pull-monotone", where=f, witness=bad_pull)
-            pt, qt = push.table, pull.table
-            up_dom, up_cod = dom_fib.up, cod_fib.up
             rep.count("unit", dom_fib.size)
-            bad_unit = [a for a in range(dom_fib.size) if not (up_dom[a] >> qt[pt[a]]) & 1]
             rep.count("counit", cod_fib.size)
-            bad_counit = [b for b in range(cod_fib.size) if not (up_cod[pt[qt[b]]] >> b) & 1]
-            adjoint = (
-                fast and not (bad_push or bad_pull or bad_unit or bad_counit)
-                and dom_fib.is_partial_order() and cod_fib.is_partial_order()
-            )
-            if not adjoint:
+            if not (fast and adjoint):
+                pt, qt = self.push_maps[f].table, self.pull_maps[f].table
+                up_dom, up_cod = dom_fib.up, cod_fib.up
                 rep.count("galois", dom_fib.size * cod_fib.size)
                 for a in range(dom_fib.size):
                     fa = pt[a]

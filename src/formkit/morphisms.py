@@ -168,19 +168,23 @@ def push_preserves_order_dense(form: FormInstance, order: TopogenousOrder, f: st
     return None
 
 
-def strict_characterization(form: FormInstance, order: TopogenousOrder, f: str, sv: Witness) -> Report:
-    """Strictness, from f's strict witness ``sv`` (:func:`strict_violation`),
-    versus push preservation, computed here from push; they must coincide."""
+def strict_characterization(
+    form: FormInstance, order: TopogenousOrder, strict_witness: Mapping[str, Witness]
+) -> Report:
+    """Per morphism, strictness from its strict witness (``strict_witness``,
+    :func:`strict_violation`) against push preservation, computed here from
+    push; they must coincide. One check per morphism, in morphism order."""
     rep = Report()
-    pv = push_preserves_order(form, order, f)
-    rep.count("strict-iff-push", 1)
-    if (sv is None) != (pv is None):
-        rep.add(
-            "strict-iff-push",
-            where=f,
-            witness=(sv, pv),
-            detail=f"strict={sv is None} push-preserving={pv is None}",
-        )
+    for f in form.base.morphisms():
+        sv, pv = strict_witness[f], push_preserves_order(form, order, f)
+        rep.count("strict-iff-push")
+        if (sv is None) != (pv is None):
+            rep.add(
+                "strict-iff-push",
+                where=f,
+                witness=(sv, pv),
+                detail=f"strict={sv is None} push-preserving={pv is None}",
+            )
     return rep
 
 
@@ -458,49 +462,40 @@ def _kind_clauses(rep: Report, keys, names, strict, final, kinds, flags, strict_
 
 def strict_via_operators(
     form: FormInstance,
-    f: str,
-    strict: bool,
+    strict: Mapping[str, bool],
     cls: OrderClass,
     closure: Optional[Operator],
     interior: Optional[Operator],
 ) -> Report:
-    """Strictness through the derived operators.
+    """Strictness through the derived operators, per morphism in morphism
+    order.
 
-    ``strict`` is f's verdict for the order (:func:`is_strict`); ``closure``
-    and ``interior`` are the operators derived from the same order
+    ``strict`` holds each morphism's verdict for the order (:func:`is_strict`)
+    and ``cls`` its class, which is meet- or join-stable: the caller's class
+    gate (:data:`formkit.checks.SKIP_NOTES`) guarantees it. ``closure`` and
+    ``interior`` are the operators derived from the same order
     (:func:`closure_from_order` when it is meet-stable,
-    :func:`interior_from_order` when it is join-stable, else None), which
-    the caller derives once for all morphisms.
+    :func:`interior_from_order` when it is join-stable, else None).
 
-    Meet-stable branch: strict iff push commutes with the derived closure.
-    Join-stable branch: pull commuting with the derived interior implies
-    strict (one direction only). Wrong class: skipped with a notice."""
+    Meet-stable: f is strict iff push commutes with the derived closure.
+    Join-stable: pull commuting with the derived interior implies f strict
+    (one direction only)."""
     rep = Report()
-    if not cls.is_TM and not cls.is_TJ:
-        rep.notes.append(f"{f}: order neither meet- nor join-stable; skipped")
-        return rep
-    x, y = form.base.dom[f], form.base.cod[f]
-    push, pull = form.push_maps[f].table, form.pull_maps[f].table
-    if cls.is_TM:
-        cx, cy = closure.table(x), closure.table(y)
-        commutes = all(push[cx[a]] == cy[push[a]] for a in range(form.fibre(x).size))
-        rep.count("strict-iff-closure-commutes")
-        if strict != commutes:
-            rep.add(
-                "strict-iff-closure-commutes",
-                where=f,
-                witness=(strict, commutes),
-            )
-    if cls.is_TJ:
-        ix, iy = interior.table(x), interior.table(y)
-        commutes = all(pull[iy[b]] == ix[pull[b]] for b in range(form.fibre(y).size))
-        rep.count("interior-commutes-implies-strict")
-        if commutes and not strict:
-            rep.add(
-                "interior-commutes-implies-strict",
-                where=f,
-                witness=(strict, commutes),
-            )
+    for f in form.base.morphisms():
+        x, y = form.base.dom[f], form.base.cod[f]
+        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        if cls.is_TM:
+            cx, cy = closure.table(x), closure.table(y)
+            commutes = all(push[cx[a]] == cy[push[a]] for a in range(form.fibre(x).size))
+            rep.count("strict-iff-closure-commutes")
+            if strict[f] != commutes:
+                rep.add("strict-iff-closure-commutes", where=f, witness=(strict[f], commutes))
+        if cls.is_TJ:
+            ix, iy = interior.table(x), interior.table(y)
+            commutes = all(pull[iy[b]] == ix[pull[b]] for b in range(form.fibre(y).size))
+            rep.count("interior-commutes-implies-strict")
+            if commutes and not strict[f]:
+                rep.add("interior-commutes-implies-strict", where=f, witness=(strict[f], commutes))
     return rep
 
 
@@ -513,21 +508,14 @@ def is_cohereditary(form: FormInstance, order: TopogenousOrder) -> bool:
     )
 
 
-def cohereditary_operator_check(
-    form: FormInstance,
-    cls: OrderClass,
-    closure: Optional[Operator],
-    final: Mapping[str, bool],
-) -> Report:
-    """For meet-stable orders: cohereditary iff the derived closure is
+def cohereditary_operator_check(form: FormInstance, closure: Operator, final: Mapping[str, bool]) -> Report:
+    """A meet-stable order is cohereditary iff the derived closure is
     computed on every retraction by pulling, closing, and pushing back.
-    ``closure`` is the closure derived from the order (None when the order
-    is not meet-stable) and ``final`` each morphism's finality for it
-    (:func:`is_final`); the order side reads only ``final``."""
+    The order is meet-stable: the caller's class gate
+    (:data:`formkit.checks.SKIP_NOTES`) guarantees it. ``closure`` is the
+    closure derived from the order and ``final`` each morphism's finality
+    for it (:func:`is_final`); the order side reads only ``final``."""
     rep = Report()
-    if not cls.is_TM:
-        rep.notes.append("order is not meet-stable; skipped")
-        return rep
     cohered = all(final[f] for f in form.base.morphisms() if form.morphism_kind(f).is_retraction)
     operator_side = True
     witness = None

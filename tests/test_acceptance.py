@@ -144,12 +144,9 @@ def test_criterion_5_strict_iff_push_preserving(top123, theta123, b123, grp8, ni
     bad = []
     total = 0
     for name, form, order in _sweeps(top123, theta123, b123, grp8, ni8, quot1234):
-        strict_witness = CheckContext(form, order).strict_witness
-        for f in form.base.morphisms():
-            total += 1
-            rep = strict_characterization(form, order, f, strict_witness[f])
-            if not rep.ok:
-                bad.append((name, f))
+        rep = strict_characterization(form, order, CheckContext(form, order).strict_witness)
+        total += rep.checks_run
+        bad.extend((name, v.where) for v in rep.violations)
     _line(5, not bad, f"strictness <-> push preservation, {total} morphism checks, {len(bad)} disagreements")
     assert not bad, bad[:5]
 

@@ -1,5 +1,6 @@
 """The check registry's shared facts: one battery run computes each
-morphism's pulled rows, strict witness and final witness once."""
+morphism's pulled rows, strict witness and final witness once, and the
+base and form-law checks walk the composable pairs once between them."""
 
 import sys
 from collections import Counter
@@ -8,7 +9,10 @@ import pytest
 
 from formkit import morphisms
 from formkit.checks import BATTERY, CheckContext, run_checks
-from formkit.lattice import MonotoneMap
+from formkit.forms import CategoryPresentation, FormInstance
+from formkit.lattice import FiniteLattice, MonotoneMap
+from formkit.partitions import build_quot_form
+from formkit.topologies import build_top_form
 
 
 @pytest.mark.parametrize(
@@ -47,3 +51,53 @@ def test_battery_computes_each_fact_once(bundle_name, order_fixture, order_name,
         assert asked[id(form.pull_maps[f]), tuple(rows)] == 1, f
         assert computed["strict_violation", f] == 1, f
         assert computed["final_violation", f] == 1, f
+
+
+@pytest.mark.parametrize("build, sizes", [(build_top_form, [1, 2, 3]), (build_quot_form, [1, 2, 3, 4])])
+def test_totality_walk_reads_each_morphisms_composites_once(build, sizes, monkeypatch):
+    form = build(sizes).form  # built here: the session fixtures may have walked already
+    form.base.generators  # the generator search reads after() too; done before counting
+    reads = Counter()  # morphism number -> after() calls
+    after = CategoryPresentation.after
+
+    def counted(self, f):
+        reads[f] += 1
+        return after(self, f)
+
+    monkeypatch.setattr(CategoryPresentation, "after", counted)
+    assert form.base.verify().ok
+    assert form.verify_laws().ok
+    assert reads == Counter(range(len(form.base.names)))
+
+
+def undefined_composites_form() -> FormInstance:
+    """idX, e: X -> X, f: X -> Y and idY, with e∘e, f∘e and idY∘f left
+    undefined and f∘idX outside hom(X, Y)."""
+    base = CategoryPresentation(
+        ["X", "Y"],
+        {("X", "X"): ["idX", "e"], ("X", "Y"): ["f"], ("Y", "Y"): ["idY"]},
+        {("idX", "idX"): "idX", ("e", "idX"): "e", ("idX", "e"): "e", ("f", "idX"): "idX", ("idY", "idY"): "idY"},
+        {"X": "idX", "Y": "idY"},
+    )
+    lat = FiniteLattice.chain(2)
+    ident = {m: MonotoneMap.identity(lat) for m in base.names}
+    return FormInstance(base, {"X": lat, "Y": lat}, ident, ident)
+
+
+def test_form_laws_report_the_undefined_composites_of_the_base():
+    """verify_laws reports the undefined composites of the base's walk, in
+    its order, whichever of the two checks runs first."""
+    for laws_first in (False, True):
+        form = undefined_composites_form()
+        if laws_first:
+            laws, base = form.verify_laws(), form.base.verify()
+        else:
+            base, laws = form.base.verify(), form.verify_laws()
+        assert [(v.check, v.witness) for v in base.violations] == [
+            ("compose-escapes-hom", ("f", "idX", "idX")),
+            ("compose-undefined", ("e", "e")),
+            ("compose-undefined", ("f", "e")),
+            ("compose-undefined", ("idY", "f")),
+        ]
+        assert laws.violations == base.violations[1:]
+        assert form.verify_laws_dense().violations == laws.violations

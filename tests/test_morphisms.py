@@ -127,10 +127,8 @@ def test_b_finality_counterexample_pinned(top12):
 
 def test_strict_characterization_zero_disagreements(top123, theta123, b123, grp8, ni8, quot1234):
     for form, order in all_sweeps(top123, theta123, b123, grp8, ni8, quot1234):
-        strict_witness = CheckContext(form, order).strict_witness
-        for f in form.base.morphisms():
-            rep = strict_characterization(form, order, f, strict_witness[f])
-            assert rep.ok, (f, rep.violations)
+        rep = strict_characterization(form, order, CheckContext(form, order).strict_witness)
+        assert rep.ok, rep.violations
 
 
 def test_final_thick_zero_violations(top123, theta123, b123, grp8, ni8, quot1234):
@@ -282,19 +280,9 @@ def test_strict_via_operators_all_instances(top123, theta123, b123, grp8, ni8, q
         cls = classify_order(form, order)
         clo = closure_from_order(form, order) if cls.is_TM else None
         intr = interior_from_order(form, order) if cls.is_TJ else None
-        for f in form.base.morphisms():
-            rep = strict_via_operators(form, f, is_strict(form, order, f), cls, clo, intr)
-            assert rep.ok, (f, rep.violations)
-
-
-def test_strict_via_operators_skips_unclassified():
-    form_lat = FiniteLattice.chain(2)
-    base = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
-    ident = MonotoneMap.identity(form_lat)
-    form = FormInstance(base, {"X": form_lat}, {"id": ident}, {"id": ident})
-    empty = TopogenousOrder({"X": (0, 0)})
-    rep = strict_via_operators(form, "id", is_strict(form, empty, "id"), classify_order(form, empty), None, None)
-    assert rep.ok and rep.notes
+        strict = {f: is_strict(form, order, f) for f in form.base.morphisms()}
+        rep = strict_via_operators(form, strict, cls, clo, intr)
+        assert rep.ok, rep.violations
 
 
 def test_cohereditary_on_instances(top123, theta123, b123, grp8, ni8, quot1234):
@@ -307,14 +295,7 @@ def test_cohereditary_operator_equivalence(top123, theta123, grp8, ni8, quot1234
         cls = classify_order(form, order)
         assert cls.is_TM
         closure = closure_from_order(form, order)
-        assert cohereditary_operator_check(form, cls, closure, CheckContext(form, order).final).ok
-
-
-def test_cohereditary_operator_skips_non_tm(top123, b123):
-    cls = classify_order(top123.form, b123)
-    if not cls.is_TM:
-        rep = cohereditary_operator_check(top123.form, cls, None, CheckContext(top123.form, b123).final)
-        assert rep.ok and rep.notes
+        assert cohereditary_operator_check(form, closure, CheckContext(form, order).final).ok
 
 
 def test_classify_morphism_report(grp8, ni8):

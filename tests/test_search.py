@@ -71,6 +71,28 @@ def test_claims_find_nothing_on_valid_forms(claim):
     assert out["forms_checked"] == 150
 
 
+@pytest.mark.parametrize("claim", ["roundtrip-TM", "roundtrip-TJ", "cohereditary-operator"])
+def test_claims_draw_orders_their_class_gate_admits(claim, monkeypatch):
+    """run_case runs a claim's check without the registry's class gate, so
+    every order it draws must have the class the check's ``stable`` names:
+    the kernels assume it."""
+    from formkit.checks import CHECKS
+
+    drawn = []
+    draw = search._random_context
+
+    def recording(rng, form, want):
+        drawn.append(draw(rng, form, want))
+        return drawn[-1]
+
+    monkeypatch.setattr(search, "_random_context", recording)
+    check = CHECKS[CLAIMS[claim][0]]
+    for index in range(500):
+        run_case(claim, 7, index)
+    assert len(drawn) == 500
+    assert [i for i, ctx in enumerate(drawn) if not check.admits(ctx)] == []
+
+
 def test_roundtrip_checker_detects_planted_fault():
     # break the derived closure and make sure the verifier complains
     rng = case_rng(11, 2)
@@ -113,9 +135,7 @@ def test_strict_characterization_detects_planted_fault():
     axioms = verify_order(form, tampered, pulled_table(form, tampered))
     if axioms.ok:
         ctx = CheckContext(form, tampered)
-        bad = []
-        for f in form.base.morphisms():
-            bad.extend(strict_characterization(form, tampered, f, ctx.strict_witness[f]).violations)
+        bad = strict_characterization(form, tampered, ctx.strict_witness).violations
         trip = roundtrip_check(form, tampered, ctx.cls, ctx.derived())
         assert bad or not trip.ok or order_from_closure(
             form, closure_from_order(form, tampered)

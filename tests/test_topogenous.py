@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from formkit.checks import CheckContext
+from formkit.checks import CHECKS, SKIP_NOTES, CheckContext, run_checks
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap
 from formkit.topogenous import (
@@ -349,15 +349,18 @@ def test_roundtrip_from_interior(top123, b123):
 
 def test_roundtrip_skips_wrong_class():
     # the empty order is topogenous but fails both empty-family stability
-    # conditions (no row reaches the top, the bottom row is not full)
+    # conditions (no row reaches the top, the bottom row is not full); the
+    # registry's class gate skips the checks that need a class, unrun
     form = collapse_form()
     empty = TopogenousOrder({"X": (0,), "Y": (0, 0)})
     assert verify_order(form, empty, pulled_table(form, empty)).ok
     cls = classify_order(form, empty)
     assert not cls.is_TM and not cls.is_TJ
-    out = order_roundtrip(form, empty)
-    assert out.ok
-    assert any("skipped" in note for note in out.notes)
+    gated = {name: CHECKS[name].stable for name in ("strict-via-operators", "cohereditary-operator", "roundtrip")}
+    results = run_checks(CheckContext(form, empty), gated)
+    assert [(r.name, r.status, r.checks_run, r.notes) for r in results] == [
+        (name, "skipped", 0, [SKIP_NOTES[stable]]) for name, stable in gated.items()
+    ]
 
 
 def test_monotone_assignments_between_orders(top123, theta123, b123):
