@@ -108,7 +108,10 @@ class CheckContext:
     table, each morphism's strict and final witness, and the clopen table
     of a topology instance. Each fact is computed only when a check asks
     for it, so a context that runs one check pays for what that check
-    reads.
+    reads. The per-morphism facts (``pulled``, ``strict_witness``,
+    ``final_witness``, ``strict``, ``final`` and ``clopen``) are lists by
+    morphism number; a check names a morphism only in the violations it
+    reports.
 
     The pulled-rows table (:func:`formkit.topogenous.pulled_rows`) is read
     by T3, the pull form, the strict and final witnesses and
@@ -129,7 +132,7 @@ class CheckContext:
         self.recipe = {} if recipe is None else recipe
 
     @cached_property
-    def pulled(self) -> dict[str, list[int]]:
+    def pulled(self) -> list[list[int]]:
         return pulled_table(self.form, self.order)
 
     @cached_property
@@ -149,20 +152,20 @@ class CheckContext:
         return interior_from_order(self.form, self.order)
 
     @cached_property
-    def strict_witness(self) -> dict[str, Witness]:
-        return {f: strict_violation(self.form, self.order, f, rows) for f, rows in self.pulled.items()}
+    def strict_witness(self) -> list[Witness]:
+        return [strict_violation(self.form, self.order, f, rows) for f, rows in enumerate(self.pulled)]
 
     @cached_property
-    def final_witness(self) -> dict[str, Witness]:
-        return {f: final_violation(self.form, self.order, f, rows) for f, rows in self.pulled.items()}
+    def final_witness(self) -> list[Witness]:
+        return [final_violation(self.form, self.order, f, rows) for f, rows in enumerate(self.pulled)]
 
     @cached_property
-    def strict(self) -> dict[str, bool]:
-        return {f: w is None for f, w in self.strict_witness.items()}
+    def strict(self) -> list[bool]:
+        return [w is None for w in self.strict_witness]
 
     @cached_property
-    def final(self) -> dict[str, bool]:
-        return {f: w is None for f, w in self.final_witness.items()}
+    def final(self) -> list[bool]:
+        return [w is None for w in self.final_witness]
 
     @cached_property
     def transfer(self) -> tuple[Report, Report]:
@@ -174,18 +177,16 @@ class CheckContext:
         return gating, disputed
 
     @cached_property
-    def clopen(self) -> dict[str, list[int]]:
+    def clopen(self) -> list[Optional[list[int]]]:
         """Per surjection of a topology instance, per domain topology: the
         mask of the codomain topologies it is a clopen map for
-        (:func:`formkit.topologies.clopen_targets`)."""
-        b = self.bundle
-        out = {}
-        for f in self.form.base.morphisms():
-            fn = b.functions[f]
-            if fn.is_surjective():
-                x, y = self.form.base.dom[f], self.form.base.cod[f]
-                out[f] = clopen_targets(fn, b.topologies[x], b.topologies[y])
-        return out
+        (:func:`formkit.topologies.clopen_targets`); None at a morphism
+        that is not a surjection."""
+        b, base = self.bundle, self.form.base
+        return [
+            clopen_targets(fn, b.topologies[x], b.topologies[y]) if fn.is_surjective() else None
+            for fn, x, y in zip(b.functions, base.source, base.target)
+        ]
 
     def derived(self) -> dict[str, Operator]:
         """The operators the order's class makes meaningful, by kind."""
@@ -232,37 +233,38 @@ def _proposition(name: str, hypothesis, conclusion) -> Callable[[CheckContext], 
 
     def run(ctx: CheckContext) -> Report:
         rep = Report()
-        for f in ctx.form.base.morphisms():
+        for f, name_f in enumerate(ctx.form.base.names):
             if hypothesis(ctx, f):
                 rep.count(name)
                 if not conclusion(ctx, f):
-                    rep.add(name, where=f)
+                    rep.add(name, where=name_f)
         return rep
 
     return run
 
 
-def _surjective(ctx: CheckContext, f: str) -> bool:
+def _surjective(ctx: CheckContext, f: int) -> bool:
     return ctx.bundle.functions[f].is_surjective()
 
 
-def _clopen_surjection(ctx: CheckContext, f: str) -> bool:
+def _clopen_surjection(ctx: CheckContext, f: int) -> bool:
     """A surjection clopen for every pair of topologies on its carriers."""
-    if f not in ctx.clopen:
+    targets = ctx.clopen[f]
+    if targets is None:
         return False
-    full = (1 << len(ctx.bundle.topologies[ctx.form.base.cod[f]])) - 1
-    return all(m == full for m in ctx.clopen[f])
+    full = (1 << len(ctx.bundle.topologies[ctx.form.base.target[f]])) - 1
+    return all(m == full for m in targets)
 
 
-def _everywhere(ctx: CheckContext, f: str) -> bool:
+def _everywhere(ctx: CheckContext, f: int) -> bool:
     return True
 
 
-def _strict(ctx: CheckContext, f: str) -> bool:
+def _strict(ctx: CheckContext, f: int) -> bool:
     return ctx.strict[f]
 
 
-def _final(ctx: CheckContext, f: str) -> bool:
+def _final(ctx: CheckContext, f: int) -> bool:
     return ctx.final[f]
 
 
@@ -277,12 +279,14 @@ def _theta_clopen_per_pair(ctx: CheckContext) -> Report:
     name = "theta-clopen-strict-per-pair"
     form, order = ctx.form, ctx.order
     rep = Report()
-    for f, targets in ctx.clopen.items():
-        push, rows_y = form.push_maps[f].table, order.rel[form.base.cod[f]]
+    for f, targets in enumerate(ctx.clopen):
+        if targets is None:
+            continue
+        push, rows_y = form.push_maps[f].table, order.rel[form.base.target[f]]
         for ai, (clopen, pre) in enumerate(zip(targets, ctx.pulled[f])):
             rep.count(name, clopen.bit_count())
             for bi in bits(clopen & pre & ~rows_y[push[ai]]):
-                rep.add(name, where=f, witness=(ai, bi))
+                rep.add(name, where=form.base.names[f], witness=(ai, bi))
     return rep
 
 

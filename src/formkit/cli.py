@@ -61,15 +61,7 @@ from .morphisms import classify_morphism
 from .partitions import build_quot_form, enumerate_partitions
 from .report import InputError, Report
 from .search import CLAIMS, run_case, run_search
-from .topogenous import (
-    OPERATOR_KINDS,
-    TopogenousOrder,
-    check_operator_shape,
-    check_order_shape,
-    leq_order,
-    operator_from_order,
-    order_from_operator,
-)
+from .topogenous import OPERATOR_KINDS, TopogenousOrder, leq_order, operator_from_order, order_from_operator
 from .topologies import (
     b_order,
     b_relation,
@@ -250,17 +242,10 @@ def load_recipe(recipe: dict, inputs: dict[str, str], where: str = "recipe") -> 
     file or by ``<where>#order``, ``<where>#operator``."""
     inline = recipe.get("kind") == "inline"
 
-    def read(key: str, parse, fits=None):
-        """The inline document under ``key``, or the file ``key_file`` names,
-        checked against the form by ``fits(form, doc)`` when given."""
+    def read(key: str, parse):
+        """The inline document under ``key``, or the file ``key_file`` names."""
         source = f"{where}#{key}" if inline else _field(recipe, f"{key}_file", lambda v: isinstance(v, str), where)
-        doc = parse(recipe.get(key), where=source) if inline else read_file(source, parse, inputs)
-        if fits is not None:
-            try:
-                fits(form, doc)
-            except InputError as exc:
-                raise InputError(f"{source}: {exc}") from exc
-        return doc
+        return parse(recipe.get(key), where=source) if inline else read_file(source, parse, inputs)
 
     bundle = None
     if inline or "kind" not in recipe:
@@ -270,22 +255,23 @@ def load_recipe(recipe: dict, inputs: dict[str, str], where: str = "recipe") -> 
         form = bundle.form
     order = operator = None
     if ("order" if inline else "order_file") in recipe:
-        order = read("order", order_from_dict, check_order_shape)
+        order = read("order", lambda doc, where: order_from_dict(doc, form, where))
     elif "order" in recipe:
         order = named_order(recipe["order"], form, bundle, recipe.get("kind"), where)
     if ("operator" if inline else "operator_file") in recipe:
         kind = _field(recipe, "operator_kind", lambda v: v in OPERATOR_KINDS, where)
-        operator = read("operator", lambda doc, where: operator_from_dict(doc, kind, where), check_operator_shape)
+        operator = read("operator", lambda doc, where: operator_from_dict(doc, kind, form, where))
     return CheckContext(form, order, operator, bundle=bundle, recipe=recipe)
 
 
 def inline_recipe(ctx: CheckContext) -> dict:
     """A recipe that carries its form (and order or operator) in full."""
     recipe = {"kind": "inline", "form": ctx.form}
+    objects = ctx.form.base.objects
     if ctx.order is not None:
-        recipe["order"] = order_to_dict(ctx.order)
+        recipe["order"] = order_to_dict(ctx.order, objects)
     if ctx.operator is not None:
-        recipe["operator"] = operator_to_dict(ctx.operator)
+        recipe["operator"] = operator_to_dict(ctx.operator, objects)
         recipe["operator_kind"] = ctx.operator.kind
     return recipe
 
@@ -344,7 +330,7 @@ def derive_topology_order_cmd(name: str, relation):
     def command(flags: Namespace) -> RunReport:
         n = flags.n
         report = RunReport(command=["derive", name, str(n)])
-        doc = order_to_dict(TopogenousOrder({f"{n}pt": relation(enumerate_topologies(n))}), form_id=f"top[{n}]")
+        doc = order_to_dict(TopogenousOrder([relation(enumerate_topologies(n))]), [f"{n}pt"], form_id=f"top[{n}]")
         return report_document(report, doc, flags.out)
 
     return command
@@ -358,10 +344,11 @@ def classify_cmd(flags: Namespace) -> RunReport:
     report.checks.extend(run_checks(checked, ("order-axioms",), recipe))
     if checked.axioms.ok:
         form = checked.form
-        targets = [flags.morphism] if flags.morphism else list(form.base.morphisms())
-        for f in targets:
-            if f not in form.base.dom:
-                fail_usage(f"unknown morphism {f!r}")
+        targets = range(len(form.base.names))
+        if flags.morphism:
+            if flags.morphism not in form.base.ids:
+                fail_usage(f"unknown morphism {flags.morphism!r}")
+            targets = [form.base.ids[flags.morphism]]
         sw, fw = checked.strict_witness, checked.final_witness
         report.payload = {"morphisms": [classify_morphism(form, f, sw[f], fw[f]).to_dict() for f in targets]}
     return report
@@ -420,7 +407,7 @@ def instance_cmd(kind: str):
         form = build_instance(instance_recipe(kind, sizes, corpus, max_order), "instance").form
         report = RunReport(command=["instance", kind, *([corpus, str(max_order)] if kind == "grp" else [sizes])])
         return report_document(
-            report, form, flags.emit, objects=list(form.base.objects), morphisms=sum(1 for _ in form.base.morphisms())
+            report, form, flags.emit, objects=list(form.base.objects), morphisms=len(form.base.names)
         )
 
     return command
@@ -583,9 +570,11 @@ def build_parser() -> ArgumentParser:
         reads(f"verify {kind}", ("--form", "--operator"), run_and_witness((f"{kind}-axioms",)), kind)
 
     command("derive", doc="Derive operators from orders, orders from operators, or the built-in topology orders.")
-    derive_order = report_derived(lambda c: order_to_dict(order_from_operator(c.form, c.operator)))
+    derive_order = report_derived(lambda c: order_to_dict(order_from_operator(c.form, c.operator), c.form.base.objects))
     for kind in OPERATOR_KINDS:
-        derive = report_derived(lambda c, kind=kind: operator_to_dict(operator_from_order(c.form, c.order, kind)))
+        derive = report_derived(
+            lambda c, kind=kind: operator_to_dict(operator_from_order(c.form, c.order, kind), c.form.base.objects)
+        )
         reads(f"derive {kind}", ("--form", "--order"), derive, None, ("--out", OUT))
         reads(f"derive order-from-{kind}", ("--form", "--operator"), derive_order, kind, ("--out", OUT))
     for name, relation in (("theta", theta_relation), ("b", b_relation)):

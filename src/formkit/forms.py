@@ -25,7 +25,7 @@ class MorphismKind(NamedTuple):
     is_section: bool
     is_retraction: bool
     is_iso: bool
-    inverse: Optional[str] = None  # a two-sided inverse when is_iso
+    inverse: Optional[int] = None  # the number of a two-sided inverse when is_iso
 
     def to_dict(self) -> dict:
         return {
@@ -38,11 +38,18 @@ class MorphismKind(NamedTuple):
 class CategoryPresentation:
     """A finite category with its objects and morphisms numbered.
 
-    Objects are numbered by their place in ``objects``, morphisms in
-    :meth:`morphisms` order, hom-set by hom-set in object order:
-    ``names[i]`` is morphism i and ``ids`` numbers the names. ``source[i]``
-    and ``target[i]`` are the object numbers of its domain and codomain;
-    ``by_source[x]`` and ``by_target[x]`` list the morphisms out of and into
+    Objects are numbered by their place in ``objects``, morphisms hom-set
+    by hom-set in object order: ``names[i]`` is morphism i. Everything above the base keys its tables
+    by these numbers; names are read only where a document is read or a
+    report is written. The name-level ``ids`` (name to number), ``dom`` and
+    ``cod`` (name to object name), ``homs``, ``identities``, :meth:`hom`,
+    :meth:`identity`, :meth:`compose` and :attr:`compose_table` serve the
+    document reader, the command line and the dense oracles.
+
+    ``source[i]`` and ``target[i]`` are the object numbers of morphism i's
+    domain and codomain, and ``identity_of[x]`` is the number of object x's
+    identity (None when it has none); ``by_source[x]`` and ``by_target[x]``
+    list the morphisms out of and into
     object x in ascending order, ``by_source[x]`` as a ``range`` since each
     hom-set is numbered consecutively, and ``blocks[x][y]`` is the range of
     hom(x, y). Composition is held once, in the flat table ``comp`` of n²
@@ -58,9 +65,7 @@ class CategoryPresentation:
     name, for tests and hand-built presentations, where a pair left out or a
     name that is not a morphism is undefined and an entry at a pair that
     does not compose is ignored. A form document is read into an empty
-    mapping's table by :func:`fill_composites`. The name-level ``dom``,
-    ``cod``, :meth:`hom`, :meth:`compose` and :attr:`compose_table` read the
-    same tables.
+    mapping's table by :func:`fill_composites`.
 
     ``kinds``, when given, lists each morphism's :class:`MorphismKind` by
     number, for a builder that knows them without composing (see
@@ -99,6 +104,7 @@ class CategoryPresentation:
         number = {x: k for k, x in enumerate(self.objects)}
         self.source = [number[self.dom[m]] for m in self.names]
         self.target = [number[self.cod[m]] for m in self.names]
+        self.identity_of = [self.ids[self.identities[x]] if x in self.identities else None for x in self.objects]
         self.blocks: list[list[range]] = []
         self.by_source: list[range] = []
         start = 0
@@ -135,10 +141,6 @@ class CategoryPresentation:
             if len(kinds) != n:
                 raise ValueError(f"{len(kinds)} kinds for {n} morphisms")
             self.kinds = list(kinds)
-
-    def morphisms(self) -> tuple[str, ...]:
-        """Every morphism name, in number order."""
-        return self.names
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self.homs.get((x, y), ())
@@ -179,9 +181,12 @@ class CategoryPresentation:
 
     @cached_property
     def kinds(self) -> list[MorphismKind]:
-        """Each morphism's section, retraction and iso status, by number:
-        the kinds the builder gave, or else :meth:`scan_kinds`, computed
-        once."""
+        """Each morphism's section, retraction and iso status inside the
+        presented hom-sets, by number: the kinds the builder gave (for the
+        full categories of finite sets, read off the value tables), or else
+        :meth:`scan_kinds`, computed once.
+        :meth:`FormInstance.morphism_kind_dense` is the per-morphism scan
+        both are tested against."""
         return self.scan_kinds()
 
     def scan_kinds(self) -> list[MorphismKind]:
@@ -190,8 +195,7 @@ class CategoryPresentation:
         lookup each. An iso's inverse is the first two-sided inverse in
         number order. :meth:`FormInstance.morphism_kind_dense` is the
         per-morphism scan it is tested against."""
-        names, n, comp = self.names, len(self.names), self.comp
-        identity = [self.ids[self.identity(x)] for x in self.objects]
+        n, comp, identity = len(self.names), self.comp, self.identity_of
         kinds = []
         for f in range(n):
             x, y = self.source[f], self.target[f]
@@ -203,7 +207,7 @@ class CategoryPresentation:
                 is_section=bool(left),
                 is_retraction=bool(right),
                 is_iso=bool(two_sided),
-                inverse=names[two_sided[0]] if two_sided else None,
+                inverse=two_sided[0] if two_sided else None,
             ))
         return kinds
 
@@ -252,15 +256,15 @@ class CategoryPresentation:
 
     def _check(self, fast: bool) -> Report:
         rep = Report()
-        for x in self.objects:
-            if x not in self.identities:
+        for x, i in zip(self.objects, self.identity_of):
+            if i is None:
                 rep.add("identity-missing", where=x)
         rep.count("compose-defined", sum(len(fs) * len(gs) for fs, gs in zip(self.by_target, self.by_source)))
         rep.violations.extend(self._totality_faults)
         if rep.violations:
             return rep
         names, n, comp, source, target = self.names, len(self.names), self.comp, self.source, self.target
-        identity = [self.ids[self.identities[x]] for x in self.objects]
+        identity = self.identity_of
         for f in range(n):
             rep.count("identity-neutral", 2)
             if comp[identity[target[f]] * n + f] != f:
@@ -289,23 +293,20 @@ class CategoryPresentation:
         return tuple(faults)
 
     @cached_property
-    def generators(self) -> tuple[str, ...]:
-        """A generating set S: every morphism is s1∘…∘sk∘id for some
-        s1, …, sk in S and an identity id.
+    def generators(self) -> tuple[int, ...]:
+        """A generating set S, by number: every morphism is s1∘…∘sk∘id for
+        some s1, …, sk in S and an identity id.
 
         Candidates are visited in ascending order of their number of
         factorisations g∘f through two non-identity morphisms (ties in
-        :meth:`morphisms` order), so hard-to-factor morphisms come first; a
-        candidate joins S when the closure of the identities under left
-        composition by S does not reach it yet. Needs total composition."""
-        return tuple(self.names[i] for i in self._generator_ids)
-
-    @cached_property
-    def _generator_ids(self) -> tuple[int, ...]:
+        number order), so hard-to-factor morphisms come first; a candidate
+        joins S when the closure of the identities under left composition
+        by S does not reach it yet. Needs total composition."""
         n, comp, source, target = len(self.names), self.comp, self.source, self.target
         reached = [False] * n
-        for i in self.identities.values():
-            reached[self.ids[i]] = True
+        for i in self.identity_of:
+            if i is not None:
+                reached[i] = True
         factorisations = [0] * n
         for fi in range(n):
             if reached[fi]:
@@ -337,7 +338,7 @@ class CategoryPresentation:
     def _associative_at_generators(self, rep: Report) -> bool:
         """(h∘s)∘f = h∘(s∘f) for every generator s; False at the first miss."""
         n, comp = len(self.names), self.comp
-        for s in self._generator_ids:
+        for s in self.generators:
             after = self.by_source[self.target[s]]
             hs_rows = [comp[h * n + s] * n for h in after]
             h_rows = [h * n for h in after]
@@ -401,7 +402,10 @@ ROUNDTRIP_CHECKS = {"section": "section-roundtrip", "retraction": "retraction-ro
 
 
 class FormInstance:
-    """Fibre lattices over a finite base category with transfer tables.
+    """Fibre lattices over a finite base category with transfer tables, all
+    by number: ``fibres[x]`` is the lattice of object x, and
+    ``push_maps[f]`` and ``pull_maps[f]`` are the transfer maps of
+    morphism f (see :class:`CategoryPresentation`).
 
     push[f] goes fibre(dom f) -> fibre(cod f) (the image/final-structure
     direction), pull[f] the other way; for every f they must form a Galois
@@ -412,57 +416,35 @@ class FormInstance:
     def __init__(
         self,
         base: CategoryPresentation,
-        fibres: dict[str, FiniteLattice],
-        push: dict[str, MonotoneMap],
-        pull: dict[str, MonotoneMap],
+        fibres: Sequence[FiniteLattice],
+        push: Sequence[MonotoneMap],
+        pull: Sequence[MonotoneMap],
     ):
-        self.base = base
-        self.fibres = dict(fibres)
-        self.push_maps = dict(push)
-        self.pull_maps = dict(pull)
-        for x in base.objects:
-            if x not in self.fibres:
-                raise ValueError(f"missing fibre for object {x!r}")
-        for f in base.morphisms():
-            if f not in self.push_maps or f not in self.pull_maps:
-                raise ValueError(f"missing transfer tables for morphism {f!r}")
+        if len(fibres) != len(base.objects):
+            raise ValueError(f"{len(fibres)} fibres for {len(base.objects)} objects")
+        if len(push) != len(base.names) or len(pull) != len(base.names):
+            raise ValueError(f"{len(push)} push and {len(pull)} pull tables for {len(base.names)} morphisms")
+        self.base, self.fibres, self.push_maps, self.pull_maps = base, list(fibres), list(push), list(pull)
 
-    def fibre(self, x: str) -> FiniteLattice:
-        try:
-            return self.fibres[x]
-        except KeyError:
-            raise KeyError(f"unknown object {x!r}") from None
-
-    def push(self, f: str, a: int) -> int:
-        return self.push_maps[f](a)
-
-    def pull(self, f: str, b: int) -> int:
-        return self.pull_maps[f](b)
-
-    def leq_over(self, f: str, a: int, b: int) -> bool:
+    def leq_over(self, f: int, a: int, b: int) -> bool:
         """The transfer order between fibres: push(f, a) <= b, equivalently
         a <= pull(f, b). Both are evaluated and must agree."""
-        fx = self.fibre(self.base.dom[f])
-        fy = self.fibre(self.base.cod[f])
-        via_push = fy.leq(self.push(f, a), b)
-        via_pull = fx.leq(a, self.pull(f, b))
+        base = self.base
+        via_push = self.fibres[base.target[f]].leq(self.push_maps[f](a), b)
+        via_pull = self.fibres[base.source[f]].leq(a, self.pull_maps[f](b))
         if via_push != via_pull:
             raise CorruptFormError(
-                f"transfer tests disagree for morphism {f!r} at ({a}, {b}); "
+                f"transfer tests disagree for morphism {base.names[f]!r} at ({a}, {b}); "
                 "push/pull tables are not an adjoint pair"
             )
         return via_push
 
-    def bounds(self, x: str) -> tuple[int, int]:
-        fib = self.fibre(x)
-        return fib.bottom, fib.top
-
-    def is_thick(self, f: str) -> bool:
+    def is_thick(self, f: int) -> bool:
         """push sends the fibre top to the fibre top."""
-        top_src = self.fibre(self.base.dom[f]).top
-        return self.push_maps[f].table[top_src] == self.fibre(self.base.cod[f]).top
+        top_src = self.fibres[self.base.source[f]].top
+        return self.push_maps[f].table[top_src] == self.fibres[self.base.target[f]].top
 
-    def is_adjoint(self, f: str) -> bool:
+    def is_adjoint(self, f: int) -> bool:
         """Whether push and pull of ``f`` are certified an adjoint pair by
         its law body (:meth:`_morphism_laws`): they connect the fibres of
         dom f and cod f, both fibres are partial orders, both maps are
@@ -477,11 +459,11 @@ class FormInstance:
         return self._laws[f][-1]
 
     @cached_property
-    def _laws(self) -> dict[str, tuple]:
+    def _laws(self) -> list[tuple]:
         """Every morphism's :meth:`_morphism_laws` with the cover tests."""
-        return {f: self._morphism_laws(f, fast=True) for f in self.base.names}
+        return [self._morphism_laws(f, fast=True) for f in range(len(self.push_maps))]
 
-    def _morphism_laws(self, f: str, fast: bool) -> tuple:
+    def _morphism_laws(self, f: int, fast: bool) -> tuple:
         """The law body of ``f``, shared by :meth:`verify_laws` and
         :meth:`is_adjoint`: ``(wiring, bad_push, bad_pull, bad_unit,
         bad_counit, adjoint)``. ``wiring`` names the failed check when push
@@ -491,7 +473,7 @@ class FormInstance:
         a !<= pull(push a), ``bad_counit`` every b with push(pull b) !<= b,
         and ``adjoint`` the certificate: none of them, on two fibres that
         are partial orders."""
-        fx, fy = self.fibre(self.base.dom[f]), self.fibre(self.base.cod[f])
+        fx, fy = self.fibres[self.base.source[f]], self.fibres[self.base.target[f]]
         push, pull = self.push_maps[f], self.pull_maps[f]
         if push.source != fx or push.target != fy:
             return "push-wiring", None, None, [], [], False
@@ -507,30 +489,22 @@ class FormInstance:
         )
         return "", bad_push, bad_pull, bad_unit, bad_counit, adjoint
 
-    def morphism_kind(self, f: str) -> MorphismKind:
-        """Section/retraction/iso status inside the presented hom-sets, read
-        from the base's table of every morphism's kind
-        (:attr:`CategoryPresentation.kinds`): for the full categories of
-        finite sets it comes from the value tables, for any other base from
-        one scan of the composition table.
-        :meth:`morphism_kind_dense` is the per-morphism scan both are tested
-        against."""
-        return self.base.kinds[self.base.ids[f]]
-
-    def morphism_kind_dense(self, f: str) -> MorphismKind:
-        """The same status from the hom-set lists and composition by name,
-        one morphism at a time: the oracle."""
+    def morphism_kind_dense(self, f: int) -> MorphismKind:
+        """Section/retraction/iso status of ``f`` from the hom-set lists and
+        composition by name, one morphism at a time: the oracle that the
+        base's table of every morphism's kind
+        (:attr:`CategoryPresentation.kinds`) is tested against."""
         base = self.base
-        x, y = base.dom[f], base.cod[f]
+        name, x, y = base.names[f], base.objects[base.source[f]], base.objects[base.target[f]]
         idx, idy = base.identity(x), base.identity(y)
-        left_inverses = [g for g in base.hom(y, x) if base.compose(g, f) == idx]
-        right_inverses = [g for g in base.hom(y, x) if base.compose(f, g) == idy]
+        left_inverses = [g for g in base.hom(y, x) if base.compose(g, name) == idx]
+        right_inverses = [g for g in base.hom(y, x) if base.compose(name, g) == idy]
         two_sided = [g for g in left_inverses if g in right_inverses]
         return MorphismKind(
             is_section=bool(left_inverses),
             is_retraction=bool(right_inverses),
             is_iso=bool(two_sided),
-            inverse=two_sided[0] if two_sided else None,
+            inverse=base.ids[two_sided[0]] if two_sided else None,
         )
 
     # -- law verification ---------------------------------------------------
@@ -574,32 +548,31 @@ class FormInstance:
 
     def _check_laws(self, fast: bool) -> Report:
         base = self.base
+        names = base.names
         rep = Report(violations=[v for v in base._totality_faults if v.check == "compose-undefined"])
         if not rep.ok:
             return rep
-        for x in base.objects:
-            fib = self.fibre(x)
-            i = base.identity(x)
+        for x, fib, i in zip(base.objects, self.fibres, base.identity_of):
             rep.count("identity-lifting", 2)
             if self.push_maps[i].table != tuple(range(fib.size)):
                 rep.add("identity-push", where=x)
             if self.pull_maps[i].table != tuple(range(fib.size)):
                 rep.add("identity-pull", where=x)
         reducible = fast and rep.ok
-        for f in base.morphisms():
+        for f in range(len(names)):
             wiring, bad_push, bad_pull, bad_unit, bad_counit, adjoint = (
                 self._laws[f] if fast else self._morphism_laws(f, fast=False)
             )
             if wiring:
-                rep.add(wiring, where=f)
+                rep.add(wiring, where=names[f])
                 reducible = False
                 continue
-            dom_fib, cod_fib = self.fibre(base.dom[f]), self.fibre(base.cod[f])
+            dom_fib, cod_fib = self.fibres[base.source[f]], self.fibres[base.target[f]]
             rep.count("monotone", 2)
             if bad_push:
-                rep.add("push-monotone", where=f, witness=bad_push)
+                rep.add("push-monotone", where=names[f], witness=bad_push)
             if bad_pull:
-                rep.add("pull-monotone", where=f, witness=bad_pull)
+                rep.add("pull-monotone", where=names[f], witness=bad_pull)
             rep.count("unit", dom_fib.size)
             rep.count("counit", cod_fib.size)
             if not (fast and adjoint):
@@ -611,11 +584,11 @@ class FormInstance:
                     up_a = up_dom[a]
                     for b in range(cod_fib.size):
                         if ((up_cod[fa] >> b) & 1) != ((up_a >> qt[b]) & 1):
-                            rep.add("galois", where=f, witness=(a, b))
+                            rep.add("galois", where=names[f], witness=(a, b))
             for a in bad_unit:
-                rep.add("unit", where=f, witness=(a,))
+                rep.add("unit", where=names[f], witness=(a,))
             for b in bad_counit:
-                rep.add("counit", where=f, witness=(b,))
+                rep.add("counit", where=names[f], witness=(b,))
         if not (reducible and base._report.ok and self._functorial_at_generators(rep)):
             self._dense_functoriality(rep)
         return rep
@@ -623,49 +596,45 @@ class FormInstance:
     def _functorial_at_generators(self, rep: Report) -> bool:
         """push(s∘f) = push(s)∘push(f) and pull(s∘f) = pull(f)∘pull(s) for
         every generator s; False at the first miss."""
-        base = self.base
+        base, push, pull = self.base, self.push_maps, self.pull_maps
         n, comp = len(base.names), base.comp
-        push = [self.push_maps[m].table for m in base.names]
-        pull = [self.pull_maps[m].table for m in base.names]
-        for s in base._generator_ids:
-            ps, qs = push[s], pull[s]
+        for s in base.generators:
+            ps, qs = push[s].table, pull[s].table
             for f in base.by_target[base.source[s]]:
-                sf = comp[s * n + f]
-                rep.count("functorial-push", len(push[f]))
-                if tuple(map(ps.__getitem__, push[f])) != push[sf]:
+                sf, pf = comp[s * n + f], push[f].table
+                rep.count("functorial-push", len(pf))
+                if tuple(map(ps.__getitem__, pf)) != push[sf].table:
                     return False
                 rep.count("functorial-pull", len(qs))
-                if tuple(map(pull[f].__getitem__, qs)) != pull[sf]:
+                if tuple(map(pull[f].table.__getitem__, qs)) != pull[sf].table:
                     return False
         return True
 
     def _dense_functoriality(self, rep: Report) -> None:
         """Both functoriality laws over every composable pair."""
-        base = self.base
+        base, push, pull = self.base, self.push_maps, self.pull_maps
         names = base.names
-        push = [self.push_maps[m].table for m in names]
-        pull = [self.pull_maps[m].table for m in names]
         for f in range(len(names)):
             for g, gf in base.after(f):
-                tf, tg, tgf = push[f], push[g], push[gf]
+                tf, tg, tgf = push[f].table, push[g].table, push[gf].table
                 rep.count("functorial-push", len(tf))
                 if any(tg[v] != tgf[a] for a, v in enumerate(tf)):
                     a = next(a for a, v in enumerate(tf) if tg[v] != tgf[a])
                     rep.add("functorial-push", where=f"{names[g]};{names[f]}", witness=(a,))
-                tf, tg, tgf = pull[f], pull[g], pull[gf]
+                tf, tg, tgf = pull[f].table, pull[g].table, pull[gf].table
                 rep.count("functorial-pull", len(tg))
                 if any(tf[v] != tgf[b] for b, v in enumerate(tg)):
                     b = next(b for b, v in enumerate(tg) if tf[v] != tgf[b])
                     rep.add("functorial-pull", where=f"{names[g]};{names[f]}", witness=(b,))
 
-    def _roundtrip_failures(self) -> Iterator[tuple[str, str, int]]:
+    def _roundtrip_failures(self) -> Iterator[tuple[str, int, int]]:
         """Every (kind, morphism, index), in morphism order, where a round
         trip that a base-level inverse forces fails: a section's pull after
         push is the identity (a with pull(push a) != a), a retraction's
         push after pull too (b with push(pull b) != b), and an iso's push
         is its inverse's pull (once, at the first index they differ)."""
-        for f, mk in zip(self.base.names, self.base.kinds):
-            push, pull = self.push_maps[f].table, self.pull_maps[f].table
+        for f, (mk, push, pull) in enumerate(zip(self.base.kinds, self.push_maps, self.pull_maps)):
+            push, pull = push.table, pull.table
             if mk.is_section:
                 for a, v in enumerate(push):
                     if pull[v] != a:
@@ -680,17 +649,18 @@ class FormInstance:
                     yield "iso", f, next(a for a, (p, q) in enumerate(zip(push, inverse)) if p != q)
 
     @cached_property
-    def _reflects(self) -> dict[str, tuple[str, int]]:
+    def _reflects(self) -> dict[str, tuple[int, int]]:
         """Per kind with a round-trip failure, its first (morphism, index);
         built once per form."""
-        first: dict[str, tuple[str, int]] = {}
+        first: dict[str, tuple[int, int]] = {}
         for kind, f, i in self._roundtrip_failures():
             first.setdefault(kind, (f, i))
         return first
 
-    def check_reflects(self, kind: str) -> tuple[bool, Optional[tuple]]:
+    def check_reflects(self, kind: str) -> tuple[bool, Optional[tuple[int, int]]]:
         """Operational reflection test: whether every round trip of ``kind``
-        holds (:meth:`_roundtrip_failures`), and the first counterexample."""
+        holds (:meth:`_roundtrip_failures`), and the first counterexample,
+        (morphism number, index)."""
         if kind not in ROUNDTRIP_CHECKS:
             raise ValueError(f"unknown kind {kind!r}")
         first = self._reflects.get(kind)
@@ -701,12 +671,13 @@ class FormInstance:
         failure of :meth:`_roundtrip_failures`, plus the cross-check that
         each family's cleanliness matches its flag."""
         rep = Report()
-        for f, mk in zip(self.base.names, self.base.kinds):
-            rep.count("section-roundtrip", mk.is_section * len(self.push_maps[f].table))
-            rep.count("retraction-roundtrip", mk.is_retraction * len(self.pull_maps[f].table))
+        names = self.base.names
+        for mk, push, pull in zip(self.base.kinds, self.push_maps, self.pull_maps):
+            rep.count("section-roundtrip", mk.is_section * len(push.table))
+            rep.count("retraction-roundtrip", mk.is_retraction * len(pull.table))
             rep.count("iso-transfer", mk.is_iso)
         for kind, f, i in self._roundtrip_failures():
-            rep.add(ROUNDTRIP_CHECKS[kind], where=f, witness=() if kind == "iso" else (i,))
+            rep.add(ROUNDTRIP_CHECKS[kind], where=names[f], witness=() if kind == "iso" else (i,))
         for kind, check in ROUNDTRIP_CHECKS.items():
             holds, _ = self.check_reflects(kind)
             clean = not any(v.check == check for v in rep.violations)

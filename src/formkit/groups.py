@@ -343,17 +343,21 @@ def preserves_normals(h: GroupHom) -> bool:
 
 
 class SubgroupForm:
+    """The subgroup form and its tables: ``groups``, ``masks`` (the
+    subgroups in fibre order) and ``index`` (a subgroup's mask to its fibre
+    element) by object number, ``homs`` by morphism number."""
+
     def __init__(
         self,
         form: FormInstance,
-        groups: dict[str, FiniteGroup],
-        masks: dict[str, list[int]],
-        index: dict[str, dict[int, int]],
-        homs: dict[str, GroupHom],
+        groups: list[FiniteGroup],
+        masks: list[list[int]],
+        index: list[dict[int, int]],
+        homs: list[GroupHom],
     ):
         self.form, self.groups, self.masks, self.index, self.homs = form, groups, masks, index, homs
 
-    def element(self, obj: str, mask: int) -> int:
+    def element(self, obj: int, mask: int) -> int:
         return self.index[obj][mask]
 
 
@@ -363,31 +367,22 @@ def build_grp_form(groups: Sequence[FiniteGroup]) -> SubgroupForm:
     adjoint of pull (:meth:`GaloisPair.from_right_adjoint`). ``image_mask``
     computes the same entries one subgroup at a time and is the oracle the
     push tables are tested against."""
-    by_name = dict(zip(distinct_names([g.name for g in groups]), groups))
-
-    fibres = {}
-    masks = {}
-    index = {}
-    for x, g in by_name.items():
-        fibres[x], masks[x] = subgroup_lattice(g)
-        index[x] = {m: i for i, m in enumerate(masks[x])}
-
-    base, hom_of = concrete_category(
-        {x: g.n for x, g in by_name.items()}, lambda x, y: enumerate_homs(by_name[x], by_name[y])
-    )
-
-    push = {}
-    pull = {}
-    for f in base.morphisms():
-        hom = hom_of[f]
-        x, y = base.dom[f], base.cod[f]
-        pull[f] = MonotoneMap(
+    groups = list(groups)
+    lattices = [subgroup_lattice(g) for g in groups]
+    fibres, masks = [lat for lat, _ in lattices], [ms for _, ms in lattices]
+    index = [{m: i for i, m in enumerate(ms)} for ms in masks]
+    carriers = dict(zip(distinct_names([g.name for g in groups]), (g.n for g in groups)))
+    base, homs = concrete_category(carriers, lambda x, y: enumerate_homs(groups[x], groups[y]))
+    push = []
+    pull = []
+    for hom, x, y in zip(homs, base.source, base.target):
+        pull.append(MonotoneMap(
             fibres[y], fibres[x],
             [index[x][hom.preimage_mask(m)] for m in masks[y]],
-        )
-        push[f] = GaloisPair.from_right_adjoint(pull[f]).left
+        ))
+        push.append(GaloisPair.from_right_adjoint(pull[-1]).left)
     form = FormInstance(base, fibres, push, pull)
-    return SubgroupForm(form, by_name, masks, index, hom_of)
+    return SubgroupForm(form, groups, masks, index, homs)
 
 
 def normal_interval_relation(g: FiniteGroup) -> list[int]:
@@ -406,6 +401,4 @@ def normal_interval_relation(g: FiniteGroup) -> list[int]:
 
 
 def normal_interval_order(sf: SubgroupForm) -> TopogenousOrder:
-    return TopogenousOrder(
-        {x: normal_interval_relation(g) for x, g in sf.groups.items()}
-    )
+    return TopogenousOrder(map(normal_interval_relation, sf.groups))

@@ -4,6 +4,11 @@ Generated instances and hand-written files share these schemas, so the CLI
 verifies both identically. Composition keys are "g;f" (g after f); hom-set
 keys are "X,Y", so object names may not contain commas and morphism names
 may not contain semicolons.
+
+Documents name objects and morphisms; the program numbers them (see
+:class:`formkit.forms.CategoryPresentation`). The readers here turn names
+into numbers, and check that an order or operator fits its form while they
+do; the writers turn numbers back into names.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from itertools import compress
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from .forms import CategoryPresentation, FormInstance, IdentityError, fill_composites
 from .groups import FiniteGroup
@@ -117,8 +122,8 @@ def form_to_dict(form: FormInstance) -> dict:
             f"{names[g]};{names[f]}": names[h] for f in range(len(names)) for g, h in base.after(f) if h >= 0
         },
         **sections,
-        "push": {f: list(form.push_maps[f].table) for f in base.morphisms()},
-        "pull": {f: list(form.pull_maps[f].table) for f in base.morphisms()},
+        "push": {f: list(m.table) for f, m in zip(names, form.push_maps)},
+        "pull": {f: list(m.table) for f, m in zip(names, form.pull_maps)},
     }
 
 
@@ -127,7 +132,7 @@ def _sections(form: FormInstance) -> dict:
     compose, push and pull, with each fibre as its lattice."""
     base = form.base
     return {
-        "fibres": {x: form.fibre(x) for x in base.objects},
+        "fibres": dict(zip(base.objects, form.fibres)),
         "homs": {f"{x},{y}": list(ms) for (x, y), ms in sorted(base.homs.items())},
         "identities": dict(sorted(base.identities.items())),
         "objects": list(base.objects),
@@ -167,7 +172,7 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
     compose = _need(doc, "compose", where, dict)
     base = _base(doc, objects, homs, compose, where)
     fibres_doc = _need(doc, "fibres", where, dict)
-    fibres = {}
+    fibres = []
     for x in objects:
         at = f"{where}.fibres[{x}]"
         fib = lattice_from_dict(_need(fibres_doc, x, f"{where}.fibres"), at)
@@ -177,16 +182,15 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
             bad = fib.verify()
             if fib.size == 0 or not bad.ok:
                 raise SchemaError(f"{at}: not a lattice ({bad.violations[0].check if bad.violations else 'empty'})")
-        fibres[x] = fib
+        fibres.append(fib)
     push_doc = _need(doc, "push", where, dict)
     pull_doc = _need(doc, "pull", where, dict)
-    push = {}
-    pull = {}
-    for f in base.morphisms():
-        x, y = base.dom[f], base.cod[f]
+    push = []
+    pull = []
+    for f, x, y in zip(base.names, base.source, base.target):
         try:
-            push[f] = MonotoneMap(fibres[x], fibres[y], _ints(_need(push_doc, f, f"{where}.push"), f"{where}.push[{f}]"))
-            pull[f] = MonotoneMap(fibres[y], fibres[x], _ints(_need(pull_doc, f, f"{where}.pull"), f"{where}.pull[{f}]"))
+            push.append(MonotoneMap(fibres[x], fibres[y], _ints(_need(push_doc, f, f"{where}.push"), f"{where}.push[{f}]")))
+            pull.append(MonotoneMap(fibres[y], fibres[x], _ints(_need(pull_doc, f, f"{where}.pull"), f"{where}.pull[{f}]")))
         except SchemaError:
             raise
         except (ValueError, IndexError) as exc:
@@ -237,15 +241,19 @@ def _base(doc: dict, objects: list[str], homs: dict, compose: dict, where: str) 
 # -- order and operators --------------------------------------------------------
 
 
-def order_to_dict(order: TopogenousOrder, form_id: str | None = None) -> dict:
+def order_to_dict(order: TopogenousOrder, objects: Sequence[str], form_id: str | None = None) -> dict:
+    """The order document, each object's rows under its name in ``objects``."""
     rel = {}
-    for x, rows in sorted(order.rel.items()):
+    for x, rows in sorted(zip(objects, order.rel)):
         n = len(rows)
         rel[x] = [[bool((rows[a] >> b) & 1) for b in range(n)] for a in range(n)]
     return {"form": form_id, "rel": rel}
 
 
-def order_from_dict(doc: dict, where: str = "order") -> TopogenousOrder:
+def order_from_dict(doc: dict, form: FormInstance, where: str = "order") -> TopogenousOrder:
+    """The order of a document, checked to fit ``form``: it relates exactly
+    the form's objects, each by rows that fit its fibre. Its relations are
+    numbered by the form's objects."""
     rel = {}
     for x, rows in _need(doc, "rel", where, dict).items():
         if not isinstance(rows, list):
@@ -253,16 +261,44 @@ def order_from_dict(doc: dict, where: str = "order") -> TopogenousOrder:
         n = len(rows)
         _bool_rows(rows, n, f"{where}.rel[{x}]")
         rel[x] = _up_masks(rows)
-    return TopogenousOrder(rel)
+    objects = form.base.objects
+    for x in rel:
+        if x not in objects:
+            raise SchemaError(f"{where}: order relates object {x!r}, which the form does not have")
+    for x, fib in zip(objects, form.fibres):
+        rows = rel.get(x)
+        if rows is None:
+            raise SchemaError(f"{where}: order has no relation for object {x!r}")
+        if len(rows) != fib.size:
+            raise SchemaError(f"{where}: relation rows for {x!r} do not match the fibre size")
+        full = (1 << fib.size) - 1
+        for a, row in enumerate(rows):
+            if row & ~full:
+                raise SchemaError(f"{where}: relation row {a} of {x!r} indexes outside the fibre")
+    return TopogenousOrder(map(rel.__getitem__, objects))
 
 
-def operator_to_dict(op: Operator) -> dict:
-    return {"map": {x: list(t) for x, t in sorted(op.maps.items())}}
+def operator_to_dict(op: Operator, objects: Sequence[str]) -> dict:
+    """The operator document, each object's table under its name in ``objects``."""
+    return {"map": {x: list(t) for x, t in sorted(zip(objects, op.maps))}}
 
 
-def operator_from_dict(doc: dict, kind: str, where: str = "operator") -> Operator:
+def operator_from_dict(doc: dict, kind: str, form: FormInstance, where: str = "operator") -> Operator:
+    """The operator of a document, checked to fit ``form``: one table per
+    object of the form, each mapping its fibre into itself. Its tables are
+    numbered by the form's objects."""
     maps = {x: _ints(t, f"{where}.map[{x}]") for x, t in _need(doc, "map", where, dict).items()}
-    return Operator(kind, maps)
+    objects = form.base.objects
+    for x in maps:
+        if x not in objects:
+            raise SchemaError(f"{where}: operator maps object {x!r}, which the form does not have")
+    for x, fib in zip(objects, form.fibres):
+        t = maps.get(x)
+        if t is None:
+            raise SchemaError(f"{where}: operator has no table for object {x!r}")
+        if len(t) != fib.size or any(not 0 <= v < fib.size for v in t):
+            raise SchemaError(f"{where}: operator table for {x!r} does not fit the fibre")
+    return Operator(kind, map(maps.__getitem__, objects))
 
 
 # -- instance payloads ----------------------------------------------------------
@@ -499,7 +535,7 @@ def _form_chunks(form: FormInstance, nl: str) -> Iterator[str]:
     for key, value in _sections(form).items():
         yield sep + '"' + key + '": '
         yield from _chunks(value, inner)
-    size = max((m.target.size for m in (*form.push_maps.values(), *form.pull_maps.values())), default=0)
+    size = max((m.target.size for m in (*form.push_maps, *form.pull_maps)), default=0)
     digits = list(map(str, range(size)))
     for key, maps in (("pull", form.pull_maps), ("push", form.push_maps)):
         yield sep + '"' + key + '": '
@@ -561,16 +597,17 @@ def _lattice_text(lat: FiniteLattice, nl: str) -> str:
 
 
 def _table_chunks(
-    names: tuple[str, ...], escaped: list[str], maps: dict[str, MonotoneMap], digits: list[str], nl: str
+    names: tuple[str, ...], escaped: list[str], maps: Sequence[MonotoneMap], digits: list[str], nl: str
 ) -> Iterator[str]:
-    """The push or pull object, one chunk per morphism, an integer table
-    written through ``digits``, the texts of the fibre elements."""
+    """The push or pull object, one chunk per morphism (``maps`` by
+    number), an integer table written through ``digits``, the texts of the
+    fibre elements."""
     inner = nl + "  "
     sep = "," + inner
     element = inner + "  "
     prefix = "{" + inner
     for f in sorted(range(len(names)), key=names.__getitem__):
-        table = maps[names[f]].table
+        table = maps[f].table
         key = prefix + '"' + escaped[f] + '": '
         if table and _INT.issuperset(map(type, table)):
             yield key + "[" + element + ("," + element).join(map(digits.__getitem__, table)) + inner + "]"

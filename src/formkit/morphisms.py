@@ -13,7 +13,7 @@ general claims and a small finite model would surface here.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .forms import CategoryPresentation, FormInstance, MorphismKind
 from .lattice import bits, low_bit
@@ -72,14 +72,14 @@ class MorphismReport:
         }
 
 
-def strict_violation(form: FormInstance, order: TopogenousOrder, f: str, pulled: Sequence[int]) -> Witness:
+def strict_violation(form: FormInstance, order: TopogenousOrder, f: int, pulled: Sequence[int]) -> Witness:
     """First (a, b) with a related to pull(b) but push(a) not related to b.
 
     Per a, ``pulled[a]``, f's pulled row at a (:func:`pulled_rows`), is
     every b with pull(b) related to a; its bits outside ``rows_y[push a]``
     are the violations at a, so the first witness is the one of the pair
     sweep :func:`strict_violation_dense`."""
-    rows_y, push = order.rel[form.base.cod[f]], form.push_maps[f].table
+    rows_y, push = order.rel[form.base.target[f]], form.push_maps[f].table
     for a, pre in enumerate(pulled):
         bad = pre & ~rows_y[push[a]]
         if bad:
@@ -87,31 +87,31 @@ def strict_violation(form: FormInstance, order: TopogenousOrder, f: str, pulled:
     return None
 
 
-def strict_violation_dense(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
+def strict_violation_dense(form: FormInstance, order: TopogenousOrder, f: int) -> Optional[tuple[int, int]]:
     """The same witness from a sweep of every pair (a, b): the oracle."""
-    x, y = form.base.dom[f], form.base.cod[f]
+    x, y = form.base.source[f], form.base.target[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push, pull = form.push_maps[f].table, form.pull_maps[f].table
-    for a in range(form.fibre(x).size):
+    for a in range(form.fibres[x].size):
         row_a = rows_x[a]
-        for b in range(form.fibre(y).size):
+        for b in range(form.fibres[y].size):
             if (row_a >> pull[b]) & 1 and not (rows_y[push[a]] >> b) & 1:
                 return (a, b)
     return None
 
 
-def is_strict(form: FormInstance, order: TopogenousOrder, f: str) -> bool:
+def is_strict(form: FormInstance, order: TopogenousOrder, f: int) -> bool:
     return strict_violation(form, order, f, pulled_rows(form, order, f)) is None
 
 
-def final_violation(form: FormInstance, order: TopogenousOrder, f: str, pulled: Sequence[int]) -> Witness:
+def final_violation(form: FormInstance, order: TopogenousOrder, f: int, pulled: Sequence[int]) -> Witness:
     """First (b, b') related after pulling but not before.
 
     The b' whose pull is related to pull(b) are ``pulled[pull b]``, f's
     pulled row at pull(b) (:func:`pulled_rows`); its bits outside
     ``rows_y[b]`` are the violations at b, so the first witness is the one
     of :func:`final_violation_dense`."""
-    rows_y = order.rel[form.base.cod[f]]
+    rows_y = order.rel[form.base.target[f]]
     for b, c in enumerate(form.pull_maps[f].table):
         bad = pulled[c] & ~rows_y[b]
         if bad:
@@ -119,24 +119,24 @@ def final_violation(form: FormInstance, order: TopogenousOrder, f: str, pulled: 
     return None
 
 
-def final_violation_dense(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
+def final_violation_dense(form: FormInstance, order: TopogenousOrder, f: int) -> Optional[tuple[int, int]]:
     """The same witness from a sweep of every pair (b, b'): the oracle."""
-    x, y = form.base.dom[f], form.base.cod[f]
+    x, y = form.base.source[f], form.base.target[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     pull = form.pull_maps[f].table
-    for b in range(form.fibre(y).size):
+    for b in range(form.fibres[y].size):
         row_pb = rows_x[pull[b]]
-        for b2 in range(form.fibre(y).size):
+        for b2 in range(form.fibres[y].size):
             if (row_pb >> pull[b2]) & 1 and not (rows_y[b] >> b2) & 1:
                 return (b, b2)
     return None
 
 
-def is_final(form: FormInstance, order: TopogenousOrder, f: str) -> bool:
+def is_final(form: FormInstance, order: TopogenousOrder, f: int) -> bool:
     return final_violation(form, order, f, pulled_rows(form, order, f)) is None
 
 
-def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
+def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: int) -> Optional[tuple[int, int]]:
     """First related (a, b) in the domain fibre whose pushes are unrelated.
 
     Per a, the preimage of ``rows_y[push a]`` under push is every b whose
@@ -144,8 +144,7 @@ def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: str) -> 
     of the rows at values of push); the bits of ``rows_x[a]`` outside it
     are the violations at a, so the first witness is the one of the pair
     sweep :func:`push_preserves_order_dense`."""
-    x, y = form.base.dom[f], form.base.cod[f]
-    rows_x, rows_y = order.rel[x], order.rel[y]
+    rows_x, rows_y = order.rel[form.base.source[f]], order.rel[form.base.target[f]]
     push = form.push_maps[f]
     taken = set(push.table)  # a row at a value push does not take is never read
     pushed = push.preimages([row if v in taken else 0 for v, row in enumerate(rows_y)])
@@ -156,64 +155,53 @@ def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: str) -> 
     return None
 
 
-def push_preserves_order_dense(form: FormInstance, order: TopogenousOrder, f: str) -> Optional[tuple[int, int]]:
+def push_preserves_order_dense(form: FormInstance, order: TopogenousOrder, f: int) -> Optional[tuple[int, int]]:
     """The same witness from a sweep of every related pair: the oracle."""
-    x, y = form.base.dom[f], form.base.cod[f]
+    x, y = form.base.source[f], form.base.target[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push = form.push_maps[f].table
-    for a in range(form.fibre(x).size):
+    for a in range(form.fibres[x].size):
         for b in bits(rows_x[a]):
             if not (rows_y[push[a]] >> push[b]) & 1:
                 return (a, b)
     return None
 
 
-def strict_characterization(
-    form: FormInstance, order: TopogenousOrder, strict_witness: Mapping[str, Witness]
-) -> Report:
-    """Per morphism, strictness from its strict witness (``strict_witness``,
-    :func:`strict_violation`) against push preservation, computed here from
-    push; they must coincide. One check per morphism, in morphism order."""
+def strict_characterization(form: FormInstance, order: TopogenousOrder, strict_witness: Sequence[Witness]) -> Report:
+    """Per morphism, strictness from its strict witness (``strict_witness``
+    by number, :func:`strict_violation`) against push preservation,
+    computed here from push; they must coincide. One check per morphism, in
+    morphism order."""
     rep = Report()
-    for f in form.base.morphisms():
-        sv, pv = strict_witness[f], push_preserves_order(form, order, f)
+    for f, sv in enumerate(strict_witness):
+        pv = push_preserves_order(form, order, f)
         rep.count("strict-iff-push")
         if (sv is None) != (pv is None):
             rep.add(
                 "strict-iff-push",
-                where=f,
+                where=form.base.names[f],
                 witness=(sv, pv),
                 detail=f"strict={sv is None} push-preserving={pv is None}",
             )
     return rep
 
 
-def final_thick_check(
-    form: FormInstance,
-    order: TopogenousOrder,
-    cls: OrderClass,
-    final: Mapping[str, bool],
-) -> Report:
+def final_thick_check(form: FormInstance, order: TopogenousOrder, cls: OrderClass, final: Sequence[bool]) -> Report:
     """Final morphisms must be thick when the fibre top is self-related (or
     the order is meet-stable, which forces that). ``cls`` is the order's
-    class and ``final`` holds each morphism's finality for it
+    class and ``final`` holds each morphism's finality for it, by number
     (:func:`is_final`)."""
     rep = Report()
-    for m in form.base.morphisms():
-        y = form.base.cod[m]
-        top_y = form.fibre(y).top
+    for m, y in enumerate(form.base.target):
+        top_y = form.fibres[y].top
         hypothesis = cls.is_TM or order.has(y, top_y, top_y)
         rep.count("final-thick")
         if hypothesis and final[m] and not form.is_thick(m):
-            rep.add("final-thick", where=m)
+            rep.add("final-thick", where=form.base.names[m])
     return rep
 
 
-def transfer_laws_check(
-    form: FormInstance,
-    strict_witness: Mapping[str, Witness],
-    final_witness: Mapping[str, Witness],
-) -> Report:
+def transfer_laws_check(form: FormInstance, strict_witness: Sequence[Witness], final_witness: Sequence[Witness]) -> Report:
     """The closure/transfer laws for strict and final morphisms.
 
     Gating clauses (violations fail a run):
@@ -234,8 +222,8 @@ def transfer_laws_check(
     second factor is a retraction; the other reading makes the first factor
     a section.
 
-    ``strict_witness`` and ``final_witness`` hold each morphism's witness,
-    None where it is strict or final (:func:`strict_violation`,
+    ``strict_witness`` and ``final_witness`` hold each morphism's witness
+    by number, None where it is strict or final (:func:`strict_violation`,
     :func:`final_violation`). Each pair clause is walked by morphism number
     over the pairs its hypothesis admits, not over every composable pair:
     the compose clauses over the class's hom-blocks (:func:`_compose_walk`),
@@ -249,11 +237,11 @@ def transfer_laws_check(
     :func:`transfer_laws_check_dense`."""
     base = form.base
     names, n, kinds = base.names, len(base.names), base.kinds
-    strict = [strict_witness[m] is None for m in names]
-    final = [final_witness[m] is None for m in names]
+    strict = [w is None for w in strict_witness]
+    final = [w is None for w in final_witness]
     flags = refl_sec, refl_ret, _ = _reflection_flags(form)
     rep = Report()
-    _kind_clauses(rep, range(n), names, strict, final, kinds, flags, strict_witness, final_witness)
+    _kind_clauses(rep, names, strict, final, kinds, flags, strict_witness, final_witness)
     found: list[tuple[int, int, int]] = []  # (f, g, clause) per violation, clause a PAIR_CLAUSES index
     compose_strict, compose_final = _compose_walk(base, strict, 0, found), _compose_walk(base, final, 1, found)
     cancel_strict = cancel_final = printed_strict = printed_final = first_section_strict = first_section_final = 0
@@ -340,47 +328,43 @@ def _compose_walk(base: CategoryPresentation, member: Sequence[bool], k: int, fo
 
 
 def transfer_laws_check_dense(form: FormInstance, order: TopogenousOrder) -> Report:
-    """The clauses of :func:`transfer_laws_check` over name-keyed composable
-    pairs, string composition, per-morphism kind scans and the pair sweeps
-    for strictness and finality: the oracle."""
+    """The clauses of :func:`transfer_laws_check` over the composable pairs
+    by name, string composition, per-morphism kind scans and the pair
+    sweeps for strictness and finality: the oracle."""
     base = form.base
-    names = base.morphisms()
-    after: dict[str, list[tuple[str, str]]] = {m: [] for m in names}
+    n, ids = len(base.names), base.ids
+    after: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for g, f in base.composable_pairs():
-        after[f].append((g, base.compose(g, f)))
-    strict_witness = {m: strict_violation_dense(form, order, m) for m in names}
-    final_witness = {m: final_violation_dense(form, order, m) for m in names}
-    return _transfer_laws(
-        form, names, {m: m for m in names},
-        {m: w is None for m, w in strict_witness.items()},
-        {m: w is None for m, w in final_witness.items()},
-        {m: form.morphism_kind_dense(m) for m in names},
-        after.__getitem__, strict_witness, final_witness,
-    )
+        after[ids[f]].append((ids[g], ids[base.compose(g, f)]))
+    strict_witness = [strict_violation_dense(form, order, m) for m in range(n)]
+    final_witness = [final_violation_dense(form, order, m) for m in range(n)]
+    kinds = [form.morphism_kind_dense(m) for m in range(n)]
+    return _transfer_laws(form, kinds, after, strict_witness, final_witness)
 
 
-def _transfer_laws(form: FormInstance, keys, names, strict, final, kinds, after, strict_witness, final_witness) -> Report:
+def _transfer_laws(form: FormInstance, kinds, after, strict_witness, final_witness) -> Report:
     """The clauses of :func:`transfer_laws_check` over every composable
-    pair: the body of :func:`transfer_laws_check_dense`. Morphisms are
-    keyed by a morphism's number or its name; ``keys`` lists them in number
-    order and ``names[m]`` is m's name; ``strict``, ``final`` and ``kinds``
-    hold verdicts and :class:`MorphismKind` by key; ``after(f)`` gives (g,
-    g∘f) for every g composable after f, in number order; the witnesses are
-    held by name. Violations come per morphism first, then per composable
-    pair, f outer and g inner, then clause."""
+    pair: the body of :func:`transfer_laws_check_dense`. ``kinds`` holds
+    each morphism's :class:`MorphismKind` and the witnesses its strict and
+    final witness, by number; ``after[f]`` lists (g, g∘f) for every g
+    composable after f, in number order. Violations come per morphism
+    first, then per composable pair, f outer and g inner, then clause."""
     rep = Report()
     add = rep.add
+    names = form.base.names
+    strict = [w is None for w in strict_witness]
+    final = [w is None for w in final_witness]
     flags = refl_sec, refl_ret, _ = _reflection_flags(form)
-    _kind_clauses(rep, keys, names, strict, final, kinds, flags, strict_witness, final_witness)
+    _kind_clauses(rep, names, strict, final, kinds, flags, strict_witness, final_witness)
     # each clause is tallied in a local int and counted once, after the sweep:
     # a count call per pair cost more than the clause it counted
     compose_strict = compose_final = cancel_strict = cancel_final = 0
     printed_strict = printed_final = first_section_strict = first_section_final = 0
-    for f in keys:
+    for f, pairs in enumerate(after):
         strict_f, final_f = strict[f], final[f]
         cancel = refl_ret and kinds[f].is_retraction
         first_section = refl_sec and kinds[f].is_section
-        for g, gf in after(f):
+        for g, gf in pairs:
             if strict_f and strict[g]:
                 compose_strict += 1
                 if not strict[gf]:
@@ -432,22 +416,21 @@ def _reflection_flags(form: FormInstance) -> tuple[bool, bool, bool]:
     return tuple(kind not in form._reflects for kind in ("section", "retraction", "iso"))
 
 
-def _kind_clauses(rep: Report, keys, names, strict, final, kinds, flags, strict_witness, final_witness) -> None:
-    """The clauses on one morphism, added to ``rep`` in key order, under
-    the reflection ``flags`` (:func:`_reflection_flags`); the other
-    arguments are those of :func:`_transfer_laws`."""
+def _kind_clauses(rep: Report, names, strict, final, kinds, flags, strict_witness, final_witness) -> None:
+    """The clauses on one morphism, added to ``rep`` in morphism order,
+    under the reflection ``flags`` (:func:`_reflection_flags`); ``names``
+    are the morphisms' names and the rest is held by number."""
     refl_sec, refl_ret, refl_iso = flags
     retraction_final_strict = section_strict_final = iso = 0
-    for m in keys:
-        k = kinds[m]
+    for m, k in enumerate(kinds):
         if refl_ret and k.is_retraction and final[m]:
             retraction_final_strict += 1
             if not strict[m]:
-                rep.add("retraction-final-strict", where=names[m], witness=(strict_witness[names[m]],))
+                rep.add("retraction-final-strict", where=names[m], witness=(strict_witness[m],))
         if refl_sec and k.is_section and strict[m]:
             section_strict_final += 1
             if not final[m]:
-                rep.add("section-strict-final", where=names[m], witness=(final_witness[names[m]],))
+                rep.add("section-strict-final", where=names[m], witness=(final_witness[m],))
         if refl_iso and k.is_iso:
             iso += 1
             if not strict[m]:
@@ -462,7 +445,7 @@ def _kind_clauses(rep: Report, keys, names, strict, final, kinds, flags, strict_
 
 def strict_via_operators(
     form: FormInstance,
-    strict: Mapping[str, bool],
+    strict: Sequence[bool],
     cls: OrderClass,
     closure: Optional[Operator],
     interior: Optional[Operator],
@@ -470,8 +453,8 @@ def strict_via_operators(
     """Strictness through the derived operators, per morphism in morphism
     order.
 
-    ``strict`` holds each morphism's verdict for the order (:func:`is_strict`)
-    and ``cls`` its class, which is meet- or join-stable: the caller's class
+    ``strict`` holds each morphism's verdict for the order, by number
+    (:func:`is_strict`), and ``cls`` its class, which is meet- or join-stable: the caller's class
     gate (:data:`formkit.checks.SKIP_NOTES`) guarantees it. ``closure`` and
     ``interior`` are the operators derived from the same order
     (:func:`closure_from_order` when it is meet-stable,
@@ -481,54 +464,46 @@ def strict_via_operators(
     Join-stable: pull commuting with the derived interior implies f strict
     (one direction only)."""
     rep = Report()
-    for f in form.base.morphisms():
-        x, y = form.base.dom[f], form.base.cod[f]
+    base = form.base
+    for f, (x, y) in enumerate(zip(base.source, base.target)):
         push, pull = form.push_maps[f].table, form.pull_maps[f].table
         if cls.is_TM:
-            cx, cy = closure.table(x), closure.table(y)
-            commutes = all(push[cx[a]] == cy[push[a]] for a in range(form.fibre(x).size))
+            cx, cy = closure.maps[x], closure.maps[y]
+            commutes = all(push[cx[a]] == cy[push[a]] for a in range(form.fibres[x].size))
             rep.count("strict-iff-closure-commutes")
             if strict[f] != commutes:
-                rep.add("strict-iff-closure-commutes", where=f, witness=(strict[f], commutes))
+                rep.add("strict-iff-closure-commutes", where=base.names[f], witness=(strict[f], commutes))
         if cls.is_TJ:
-            ix, iy = interior.table(x), interior.table(y)
-            commutes = all(pull[iy[b]] == ix[pull[b]] for b in range(form.fibre(y).size))
+            ix, iy = interior.maps[x], interior.maps[y]
+            commutes = all(pull[iy[b]] == ix[pull[b]] for b in range(form.fibres[y].size))
             rep.count("interior-commutes-implies-strict")
             if commutes and not strict[f]:
-                rep.add("interior-commutes-implies-strict", where=f, witness=(strict[f], commutes))
+                rep.add("interior-commutes-implies-strict", where=base.names[f], witness=(strict[f], commutes))
     return rep
 
 
-def is_cohereditary(form: FormInstance, order: TopogenousOrder) -> bool:
-    """Every retraction of the base is final for the order."""
-    return all(
-        is_final(form, order, f)
-        for f in form.base.morphisms()
-        if form.morphism_kind(f).is_retraction
-    )
-
-
-def cohereditary_operator_check(form: FormInstance, closure: Operator, final: Mapping[str, bool]) -> Report:
+def cohereditary_operator_check(form: FormInstance, closure: Operator, final: Sequence[bool]) -> Report:
     """A meet-stable order is cohereditary iff the derived closure is
     computed on every retraction by pulling, closing, and pushing back.
     The order is meet-stable: the caller's class gate
     (:data:`formkit.checks.SKIP_NOTES`) guarantees it. ``closure`` is the
     closure derived from the order and ``final`` each morphism's finality
-    for it (:func:`is_final`); the order side reads only ``final``."""
+    for it, by number (:func:`is_final`); the order side reads only
+    ``final``."""
     rep = Report()
-    cohered = all(final[f] for f in form.base.morphisms() if form.morphism_kind(f).is_retraction)
+    base = form.base
+    retractions = [f for f, k in enumerate(base.kinds) if k.is_retraction]
+    cohered = all(final[f] for f in retractions)
     operator_side = True
     witness = None
-    for f in form.base.morphisms():
-        if not form.morphism_kind(f).is_retraction:
-            continue
-        x, y = form.base.dom[f], form.base.cod[f]
+    for f in retractions:
+        x, y = base.source[f], base.target[f]
         push, pull = form.push_maps[f].table, form.pull_maps[f].table
-        cx, cy = closure.table(x), closure.table(y)
-        for b in range(form.fibre(y).size):
+        cx, cy = closure.maps[x], closure.maps[y]
+        for b in range(form.fibres[y].size):
             if cy[b] != push[cx[pull[b]]]:
                 operator_side = False
-                witness = (f, b)
+                witness = (base.names[f], b)
                 break
         if not operator_side:
             break
@@ -541,15 +516,16 @@ def cohereditary_operator_check(form: FormInstance, closure: Operator, final: Ma
     return rep
 
 
-def classify_morphism(form: FormInstance, f: str, sv: Witness, fv: Witness) -> MorphismReport:
-    """f's classes from its strict and final witnesses ``sv`` and ``fv``
-    (:func:`strict_violation`, :func:`final_violation`)."""
+def classify_morphism(form: FormInstance, f: int, sv: Witness, fv: Witness) -> MorphismReport:
+    """Morphism f's classes from its strict and final witnesses ``sv`` and
+    ``fv`` (:func:`strict_violation`, :func:`final_violation`), reported
+    under its name."""
     witnesses = [w for w in (sv, fv) if w is not None]
     return MorphismReport(
-        morphism=f,
+        morphism=form.base.names[f],
         strict=sv is None,
         final=fv is None,
         thick=form.is_thick(f),
-        kind=form.morphism_kind(f),
+        kind=form.base.kinds[f],
         witnesses=witnesses,
     )

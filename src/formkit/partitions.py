@@ -125,13 +125,17 @@ def pull_partition(f: SetFunction, d: Partition) -> Partition:
 
 
 class PartitionForm:
+    """The quotient form and its tables: ``sizes``, ``partitions`` (in
+    fibre order) and ``index`` (a partition's blocks to its fibre element)
+    by object number, ``functions`` by morphism number."""
+
     def __init__(
         self,
         form: FormInstance,
-        sizes: dict[str, int],
-        partitions: dict[str, list[Partition]],
-        index: dict[str, dict[tuple[int, ...], int]],
-        functions: dict[str, SetFunction],
+        sizes: list[int],
+        partitions: list[list[Partition]],
+        index: list[dict[tuple[int, ...], int]],
+        functions: list[SetFunction],
     ):
         self.form, self.sizes, self.partitions, self.index, self.functions = form, sizes, partitions, index, functions
 
@@ -151,28 +155,26 @@ def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
     for n in sizes:
         if n > MAX_GROUND:
             raise InputError(f"ground size {n} exceeds the cap of {MAX_GROUND}")
-    base, size_of, fn_of = function_category(sizes)
-    width = max(size_of.values(), default=0)
-    fibres = {}
-    parts = {}
-    index = {}
-    element: dict[str, dict[bytes, int]] = {}  # label word -> element
-    blocks: dict[str, list[bytes]] = {}  # [p]: the block ids of p, padded to 256 bytes
-    for x in base.objects:
-        fibres[x], parts[x] = partition_lattice(size_of[x])
-        index[x] = {p.blocks: i for i, p in enumerate(parts[x])}
-        element[x] = {
-            bytes(word): index[x][canonical_blocks(word)] for word in product(range(width), repeat=size_of[x])
-        }
-        blocks[x] = [bytes(p.blocks).ljust(256, b"\0") for p in parts[x]]
-    push = {}
-    pull = {}
-    for f in base.morphisms():
-        x, y = base.dom[f], base.cod[f]
-        pull[f] = MonotoneMap(
+    base, functions = function_category(sizes)
+    width = max(sizes, default=0)
+    # by object number
+    fibres, parts, index = [], [], []
+    element: list[dict[bytes, int]] = []  # label word -> element
+    blocks: list[list[bytes]] = []  # [p]: the block ids of p, padded to 256 bytes
+    for n in sizes:
+        fib, ps = partition_lattice(n)
+        fibres.append(fib)
+        parts.append(ps)
+        index.append({p.blocks: i for i, p in enumerate(ps)})
+        element.append({bytes(word): index[-1][canonical_blocks(word)] for word in product(range(width), repeat=n)})
+        blocks.append([bytes(p.blocks).ljust(256, b"\0") for p in ps])
+    push = []
+    pull = []
+    for fn, x, y in zip(functions, base.source, base.target):
+        pull.append(MonotoneMap(
             fibres[y], fibres[x],
-            list(map(element[x].__getitem__, map(bytes(fn_of[f].table).translate, blocks[y]))),
-        )
-        push[f] = GaloisPair.from_right_adjoint(pull[f]).left
+            list(map(element[x].__getitem__, map(bytes(fn.table).translate, blocks[y]))),
+        ))
+        push.append(GaloisPair.from_right_adjoint(pull[-1]).left)
     form = FormInstance(base, fibres, push, pull)
-    return PartitionForm(form, size_of, parts, index, fn_of)
+    return PartitionForm(form, list(sizes), parts, index, functions)

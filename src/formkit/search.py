@@ -111,15 +111,17 @@ SHAPES: tuple[tuple[int, tuple[tuple[str, int, int], ...]], ...] = (
     (3, (("f", 0, 1), ("g", 1, 2))),
 )
 
-_BASES: dict[int, CategoryPresentation] = {}
+_BASES: dict[int, tuple[CategoryPresentation, list[int]]] = {}
 
 
-def _base(shape: int) -> CategoryPresentation:
-    """The base category of a shape; memoised, and shared by every form of
-    that shape, since a presentation does not change once built."""
-    base = _BASES.get(shape)
-    if base is not None:
-        return base
+def _base(shape: int) -> tuple[CategoryPresentation, list[int]]:
+    """The base category of a shape and the numbers of its generating
+    arrows in SHAPES order, followed by the composite g.f of a chain;
+    memoised, and shared by every form of that shape, since a presentation
+    does not change once built."""
+    out = _BASES.get(shape)
+    if out is not None:
+        return out
     nobj, gens = SHAPES[shape]
     objects = [f"X{i}" for i in range(nobj)]
     homs: dict[tuple[str, str], list[str]] = {(x, y): [] for x in objects for y in objects}
@@ -138,40 +140,43 @@ def _base(shape: int) -> CategoryPresentation:
         return [g if identity[f] else f if identity[g] else names.index("g.f") for f in fs]
 
     identities = {x: f"id:{x}" for x in objects}
-    base = _BASES[shape] = CategoryPresentation(objects, homs, compose, identities)
-    return base
+    base = CategoryPresentation(objects, homs, compose, identities)
+    arrows = [base.ids[m] for m, _, _ in gens] + ([base.ids["g.f"]] if shape == 3 else [])
+    out = _BASES[shape] = base, arrows
+    return out
 
 
 def random_form(rng: random.Random) -> FormInstance:
     """A small form over one of four base shapes: a lone object, a single
     arrow, a parallel pair, or a composable chain."""
     shape = rng.randrange(4)
-    base = _base(shape)
-    objects = base.objects
-    posets = [_random_poset(rng) for _ in objects]
+    base, arrows = _base(shape)
+    posets = [_random_poset(rng) for _ in base.objects]
     data = [_downset_lattice(p) for p in posets]
-    fibres = {x: data[i][0] for i, x in enumerate(objects)}
+    fibres = [lat for lat, _, _ in data]
 
     # The identity is its own upper adjoint, and pull(g.f) = pull f . pull g:
     # upper adjoints on posets are unique, so these are the tables
-    # GaloisPair.from_left_adjoint would derive.
-    push: dict[str, MonotoneMap] = {}
-    pull: dict[str, MonotoneMap] = {}
-    for x in objects:
-        push[f"id:{x}"] = pull[f"id:{x}"] = MonotoneMap.identity(fibres[x])
-    for name, d, c in SHAPES[shape][1]:
-        push[name] = _random_left_adjoint(rng, posets[d], data[d], data[c])
-        pull[name] = GaloisPair.from_left_adjoint(push[name]).right
+    # GaloisPair.from_left_adjoint would derive. The random maps are drawn
+    # in SHAPES order.
+    push: list[MonotoneMap] = [None] * len(base.names)
+    pull: list[MonotoneMap] = [None] * len(base.names)
+    for fib, i in zip(fibres, base.identity_of):
+        push[i] = pull[i] = MonotoneMap.identity(fib)
+    for f, (_, d, c) in zip(arrows, SHAPES[shape][1]):
+        push[f] = _random_left_adjoint(rng, posets[d], data[d], data[c])
+        pull[f] = GaloisPair.from_left_adjoint(push[f]).right
     if shape == 3:
-        push["g.f"] = push["g"].compose(push["f"])
-        pull["g.f"] = pull["f"].compose(pull["g"])
+        f, g, gf = arrows
+        push[gf] = push[g].compose(push[f])
+        pull[gf] = pull[f].compose(pull[g])
     return FormInstance(base, fibres, push, pull)
 
 
 # -- random orders ----------------------------------------------------------------
 
 
-def _close_order(form: FormInstance, rel: dict[str, list[int]], want: str) -> None:
+def _close_order(form: FormInstance, rel: list[list[int]], want: str) -> None:
     """Close the seeded pairs under T2, T3 and, for ``want`` "TM" or "TJ",
     the meet or join stability law, in place.
 
@@ -194,10 +199,9 @@ def _close_order(form: FormInstance, rel: dict[str, list[int]], want: str) -> No
       codomain row of push a, one memoised image per distinct row.
 
     Every step only adds pairs below the fibre order, so this terminates."""
-    fibres = [(form.fibre(x), rel[x]) for x in form.base.objects]
+    fibres = list(zip(form.fibres, rel))
     transfers = []
-    for f in form.base.morphisms():
-        x, y = form.base.dom[f], form.base.cod[f]
+    for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
         push, pull = form.push_maps[f].table, form.pull_maps[f].table
         if x == y and push == pull == tuple(range(len(push))):
             continue  # T3 along an identity adds nothing
@@ -239,7 +243,7 @@ def _close_order(form: FormInstance, rel: dict[str, list[int]], want: str) -> No
                     changed = True
 
 
-def _close_order_dense(form: FormInstance, rel: dict[str, list[int]], want: str) -> None:
+def _close_order_dense(form: FormInstance, rel: list[list[int]], want: str) -> None:
     """The same closure one rule instance at a time: T2 per pair of a
     related pair and an element below, the stability laws per pair of row
     or column members, T3 per related pair. The oracle :func:`_close_order`
@@ -247,9 +251,7 @@ def _close_order_dense(form: FormInstance, rel: dict[str, list[int]], want: str)
     changed = True
     while changed:
         changed = False
-        for x in form.base.objects:
-            fib = form.fibre(x)
-            rows = rel[x]
+        for fib, rows in zip(form.fibres, rel):
             upc = [0] * fib.size
             for a in range(fib.size):
                 m = 0
@@ -284,11 +286,10 @@ def _close_order_dense(form: FormInstance, rel: dict[str, list[int]], want: str)
                         if not (rows[j] >> b) & 1:
                             rows[j] |= 1 << b
                             changed = True
-        for f in form.base.morphisms():
-            x, y = form.base.dom[f], form.base.cod[f]
+        for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
             push, pull = form.push_maps[f].table, form.pull_maps[f].table
             rows_x, rows_y = rel[x], rel[y]
-            for a in range(form.fibre(x).size):
+            for a in range(form.fibres[x].size):
                 for b in bits(rows_y[push[a]]):
                     bit = 1 << pull[b]
                     if not rows_x[a] & bit:
@@ -307,17 +308,16 @@ def _random_context(rng: random.Random, form: FormInstance, want: str) -> CheckC
     """The check context of a :func:`random_order` draw. Its axioms are the
     generator's self-check, so the checks run on it reuse the pulled-rows
     table that check built."""
-    rel: dict[str, list[int]] = {}
-    for x in form.base.objects:
-        fib = form.fibre(x)
+    rel: list[list[int]] = []
+    for fib in form.fibres:
         rows = [0] * fib.size
         for _ in range(rng.randint(0, fib.size)):
             a = rng.randrange(fib.size)
             b = rng.choice(list(bits(fib.up[a])))
             rows[a] |= 1 << b
-        rel[x] = rows
+        rel.append(rows)
     _close_order(form, rel, want)
-    ctx = CheckContext(form, TopogenousOrder({x: tuple(rows) for x, rows in rel.items()}))
+    ctx = CheckContext(form, TopogenousOrder(rel))
     if not ctx.axioms.ok:
         raise AssertionError(f"generator produced a non-topogenous order: {ctx.axioms.violations}")
     return ctx

@@ -72,12 +72,13 @@ def distinct_names(labels: Sequence[str]) -> list[str]:
 
 
 def concrete_category(
-    carriers: dict[str, int], arrows: Callable[[str, str], Iterable]
-) -> tuple[CategoryPresentation, dict]:
+    carriers: dict[str, int], arrows: Callable[[int, int], Iterable]
+) -> tuple[CategoryPresentation, list]:
     """The category on the named carriers whose morphisms x -> y are
-    ``arrows(x, y)``, each given by its value table ``.table`` and named
-    ``x->y:t0.t1...``; composites compose the tables and identities are the
-    identity tables. Returns the presentation and morphism name -> arrow.
+    ``arrows(x, y)``, x and y object numbers, each given by its value table
+    ``.table`` and named ``x->y:t0.t1...``; composites compose the tables
+    and identities are the identity tables. Returns the presentation and
+    the arrows by morphism number.
     When every hom-set holds every function between its carriers, the
     morphism kinds are read off the value tables (:func:`_full_kinds`);
     otherwise the presentation scans for them.
@@ -93,11 +94,10 @@ def concrete_category(
             raise InputError(f"carrier {x!r} has {size} points; value tables hold at most {MAX_CARRIER}")
     objects = list(carriers)
     homs: dict[tuple[str, str], list[str]] = {}
-    arrow_of: dict = {}
     # By morphism number, as the presentation numbers them: hom-set by
     # hom-set in object order. number[x][y] maps a table of hom(x, y) to
     # its morphism.
-    names: list[str] = []
+    arrows_by_number: list = []
     tables: list[bytes] = []
     source: list[int] = []
     target: list[int] = []
@@ -105,11 +105,9 @@ def concrete_category(
     for xi, x in enumerate(objects):
         for yi, y in enumerate(objects):
             ms = homs[(x, y)] = []
-            for arrow in arrows(x, y):
-                name = morphism_name(x, y, arrow.table)
-                ms.append(name)
-                names.append(name)
-                arrow_of[name] = arrow
+            for arrow in arrows(xi, yi):
+                ms.append(morphism_name(x, y, arrow.table))
+                arrows_by_number.append(arrow)
                 table = bytes(arrow.table)
                 number[xi][yi][table] = len(tables)
                 tables.append(table)
@@ -124,13 +122,12 @@ def concrete_category(
     identities = {x: morphism_name(x, x, range(n)) for x, n in carriers.items()}
     sizes = [carriers[x] for x in objects]
     full = all(len(number[x][y]) == sizes[y] ** sizes[x] for x in range(len(objects)) for y in range(len(objects)))
-    kinds = _full_kinds(sizes, names, tables, source, target, number) if full else None
-    return CategoryPresentation(objects, homs, compose, identities, kinds), arrow_of
+    kinds = _full_kinds(sizes, tables, source, target, number) if full else None
+    return CategoryPresentation(objects, homs, compose, identities, kinds), arrows_by_number
 
 
 def _full_kinds(
-    sizes: list[int], names: list[str], tables: list[bytes], source: list[int], target: list[int],
-    number: list[list[dict[bytes, int]]],
+    sizes: list[int], tables: list[bytes], source: list[int], target: list[int], number: list[list[dict[bytes, int]]]
 ) -> list[MorphismKind]:
     """The kinds of :func:`concrete_category`'s morphisms, by number, when
     its hom-sets hold every function: one pass over each value table.
@@ -150,25 +147,22 @@ def _full_kinds(
             inverted = bytearray(cod)
             for a, v in enumerate(table):
                 inverted[v] = a
-            inverse = names[number[y][x][bytes(inverted)]]
+            inverse = number[y][x][bytes(inverted)]
         kinds.append(MorphismKind(section, retraction, inverse is not None, inverse))
     return kinds
 
 
-def function_category(sizes: Sequence[int]) -> tuple[CategoryPresentation, dict[str, int], dict[str, SetFunction]]:
-    """The full subcategory of finite sets on the given carrier sizes.
-
-    Returns the presentation, object name -> size, morphism name -> function.
-    Object names are disambiguated when sizes repeat.
+def function_category(sizes: Sequence[int]) -> tuple[CategoryPresentation, list[SetFunction]]:
+    """The full subcategory of finite sets on the given carrier sizes:
+    object i has ``sizes[i]`` points and is named ``<n>pt``, disambiguated
+    when sizes repeat. Returns the presentation and the functions by
+    morphism number.
     """
     for n in sizes:
         if n < 0:
             raise InputError(f"carrier sizes must be nonnegative, got {n}")
-    size_of = dict(zip(distinct_names([f"{n}pt" for n in sizes]), sizes))
-
-    total = sum(size_of[y] ** size_of[x] if size_of[x] > 0 else 1 for x in size_of for y in size_of)
+    total = sum(m ** n if n > 0 else 1 for n in sizes for m in sizes)
     if total > MORPHISM_BUDGET:
         raise InputError(f"{total} morphisms exceed the budget of {MORPHISM_BUDGET}")
-
-    base, fn_of = concrete_category(size_of, lambda x, y: all_functions(size_of[x], size_of[y]))
-    return base, size_of, fn_of
+    carriers = dict(zip(distinct_names([f"{n}pt" for n in sizes]), sizes))
+    return concrete_category(carriers, lambda x, y: all_functions(sizes[x], sizes[y]))

@@ -14,35 +14,40 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .forms import FormInstance
 from .lattice import FiniteLattice, MonotoneMap, bits, columns, low_bit
-from .report import InputError, Record, Report
+from .report import Record, Report
 
 EXHAUSTIVE_SUBSET_LIMIT = 12
 
 
 class TopogenousOrder:
-    """A fibre-indexed relation; equality is pointwise table equality."""
+    """A fibre-indexed relation: ``rel[x]`` holds the rows of object x, by
+    object number (see :class:`formkit.forms.CategoryPresentation`).
+    Equality is pointwise table equality.
 
-    def __init__(self, rel: Mapping[str, Sequence[int]]):
-        self.rel = {x: tuple(rows) for x, rows in rel.items()}
+    An order built in code is shaped by its form: one row per element of
+    each fibre. A document's order is checked to fit its form, and its
+    object names become numbers, where it is read
+    (:func:`formkit.jsonio.order_from_dict`)."""
 
-    def has(self, x: str, a: int, b: int) -> bool:
+    def __init__(self, rel: Iterable[Sequence[int]]):
+        self.rel = tuple(tuple(rows) for rows in rel)
+
+    def has(self, x: int, a: int, b: int) -> bool:
         return bool((self.rel[x][a] >> b) & 1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TopogenousOrder) and self.rel == other.rel
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.rel.items())))
+        return hash(self.rel)
 
     def __repr__(self) -> str:
-        return f"TopogenousOrder({ {x: len(r) for x, r in self.rel.items()} })"
+        return f"TopogenousOrder({[len(r) for r in self.rel]})"
 
     def contained_in(self, other: "TopogenousOrder") -> bool:
-        return all(
-            x in other.rel
-            and len(rows) == len(other.rel[x])
-            and all(r & ~s == 0 for r, s in zip(rows, other.rel[x]))
-            for x, rows in self.rel.items()
+        return len(self.rel) <= len(other.rel) and all(
+            len(rows) == len(theirs) and all(r & ~s == 0 for r, s in zip(rows, theirs))
+            for rows, theirs in zip(self.rel, other.rel)
         )
 
 
@@ -50,25 +55,19 @@ OPERATOR_KINDS = ("closure", "interior")
 
 
 class Operator(Record):
-    """Per-object self-maps of the fibres. A closure operator is expected
-    extensive and transfer-compatible, an interior operator contractive,
-    monotone and pull-compatible; ``kind`` says which one this is."""
+    """Per-object self-maps of the fibres: ``maps[x]`` is the table of
+    object x, by object number. A closure operator is expected extensive
+    and transfer-compatible, an interior operator contractive, monotone and
+    pull-compatible; ``kind`` says which one this is. Like an order, an
+    operator built in code is shaped by its form, and a document's is
+    checked where it is read (:func:`formkit.jsonio.operator_from_dict`)."""
 
     __slots__ = ("kind", "maps")
 
-    def __init__(self, kind: str, maps: Mapping[str, tuple[int, ...]]):
+    def __init__(self, kind: str, maps: Iterable[tuple[int, ...]]):
         if kind not in OPERATOR_KINDS:
             raise ValueError(f"kind must be 'closure' or 'interior', got {kind!r}")
-        self.kind, self.maps = kind, maps
-
-    def table(self, x: str) -> tuple[int, ...]:
-        return self.maps[x]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Operator) and self.kind == other.kind and dict(self.maps) == dict(other.maps)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, tuple(sorted(self.maps.items()))))
+        self.kind, self.maps = kind, tuple(map(tuple, maps))
 
 
 class OrderClass(NamedTuple):
@@ -86,45 +85,25 @@ class OrderClass(NamedTuple):
         }
 
 
-def check_order_shape(form: FormInstance, order: TopogenousOrder) -> None:
-    """Raise InputError unless the order relates exactly the form's objects,
-    each by rows that fit its fibre."""
-    for x in order.rel:
-        if x not in form.fibres:
-            raise InputError(f"order relates object {x!r}, which the form does not have")
-    for x in form.base.objects:
-        rows = order.rel.get(x)
-        if rows is None:
-            raise InputError(f"order has no relation for object {x!r}")
-        fib = form.fibre(x)
-        if len(rows) != fib.size:
-            raise InputError(f"relation rows for {x!r} do not match the fibre size")
-        full = (1 << fib.size) - 1
-        for a, row in enumerate(rows):
-            if row & ~full:
-                raise InputError(f"relation row {a} of {x!r} indexes outside the fibre")
-
-
 def leq_order(form: FormInstance) -> TopogenousOrder:
     """The fibre order itself; the base point of every example family."""
-    return TopogenousOrder({x: form.fibre(x).up for x in form.base.objects})
+    return TopogenousOrder(fib.up for fib in form.fibres)
 
 
-def pulled_rows(form: FormInstance, order: TopogenousOrder, f: str) -> list[int]:
+def pulled_rows(form: FormInstance, order: TopogenousOrder, f: int) -> list[int]:
     """The pulled rows of f: x -> y. Per element a of the domain fibre, the
     mask of every b in the codomain fibre with pull(b) related to a: the
     preimage of ``rows_x[a]`` under pull (:meth:`MonotoneMap.preimages`).
     T3, the pull form, strictness and finality are mask tests on it."""
-    return form.pull_maps[f].preimages(order.rel[form.base.dom[f]])
+    return form.pull_maps[f].preimages(order.rel[form.base.source[f]])
 
 
-def pulled_table(form: FormInstance, order: TopogenousOrder) -> dict[str, list[int]]:
-    """:func:`pulled_rows` of every morphism, for an order checked to fit."""
-    check_order_shape(form, order)
-    return {f: pulled_rows(form, order, f) for f in form.base.morphisms()}
+def pulled_table(form: FormInstance, order: TopogenousOrder) -> list[list[int]]:
+    """:func:`pulled_rows` of every morphism, by number."""
+    return [pulled_rows(form, order, f) for f in range(len(form.pull_maps))]
 
 
-def verify_order(form: FormInstance, order: TopogenousOrder, pulled: Mapping[str, Sequence[int]]) -> Report:
+def verify_order(form: FormInstance, order: TopogenousOrder, pulled: Sequence[Sequence[int]]) -> Report:
     """Report every T1/T2/T3 violation with witnesses.
 
     T3 is swept with masks on each morphism's pulled rows ``pulled[f]``
@@ -142,21 +121,21 @@ def verify_order_dense(form: FormInstance, order: TopogenousOrder) -> Report:
     return _verify_order(form, order, False, lambda f: _t3_bad_dense(form, order, f))
 
 
-def _t3_bad(form: FormInstance, order: TopogenousOrder, f: str, pulled: Sequence[int]) -> list[int]:
+def _t3_bad(form: FormInstance, order: TopogenousOrder, f: int, pulled: Sequence[int]) -> list[int]:
     """Per element a of the domain fibre, the b related to push(a) whose
     pull is not related to a, read from f's pulled rows: T3 as
     order-axioms and t3-pull-agreement state it."""
-    rows_y, push = order.rel[form.base.cod[f]], form.push_maps[f].table
+    rows_y, push = order.rel[form.base.target[f]], form.push_maps[f].table
     return [rows_y[push[a]] & ~pre for a, pre in enumerate(pulled)]
 
 
-def _t3_bad_dense(form: FormInstance, order: TopogenousOrder, f: str) -> list[int]:
-    x, y = form.base.dom[f], form.base.cod[f]
+def _t3_bad_dense(form: FormInstance, order: TopogenousOrder, f: int) -> list[int]:
+    x, y = form.base.source[f], form.base.target[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
     push, pull = form.push_maps[f].table, form.pull_maps[f].table
-    size_y = form.fibre(y).size
+    size_y = form.fibres[y].size
     out = []
-    for a in range(form.fibre(x).size):
+    for a in range(form.fibres[x].size):
         allowed = 0
         row_a = rows_x[a]
         for b in range(size_y):
@@ -166,12 +145,10 @@ def _t3_bad_dense(form: FormInstance, order: TopogenousOrder, f: str) -> list[in
     return out
 
 
-def _verify_order(form: FormInstance, order: TopogenousOrder, fast: bool, t3_bad: Callable[[str], list[int]]) -> Report:
-    check_order_shape(form, order)
+def _verify_order(form: FormInstance, order: TopogenousOrder, fast: bool, t3_bad: Callable[[int], list[int]]) -> Report:
     rep = Report()
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        rows = order.rel[x]
+    names = form.base.names
+    for x, fib, rows in zip(form.base.objects, form.fibres, order.rel):
         rep.count("T1", fib.size)
         for a in range(fib.size):
             stray = rows[a] & ~fib.up[a]
@@ -190,12 +167,12 @@ def _verify_order(form: FormInstance, order: TopogenousOrder, fast: bool, t3_bad
                 missing = upclosed[a] & ~rows[a2]
                 if missing:
                     rep.add("T2", where=x, witness=(a2, a, low_bit(missing)))
-    for f in form.base.morphisms():
+    for f in range(len(names)):
         bad = t3_bad(f)
         rep.count("T3", len(bad))
         for a, mask in enumerate(bad):
             if mask:
-                rep.add("T3", where=f, witness=(a, low_bit(mask)))
+                rep.add("T3", where=names[f], witness=(a, low_bit(mask)))
     return rep
 
 
@@ -216,7 +193,7 @@ def _rows_t2(fib: FiniteLattice, rows: Sequence[int], upclosed: Sequence[int]) -
     return True
 
 
-def check_T3_pull_form(form: FormInstance, order: TopogenousOrder, pulled: Mapping[str, Sequence[int]]) -> Report:
+def check_T3_pull_form(form: FormInstance, order: TopogenousOrder, pulled: Sequence[Sequence[int]]) -> Report:
     """The pull formulation of transfer stability: related pairs in the
     codomain fibre pull back to related pairs. Also cross-checks that, per
     morphism, its verdict coincides with T3's (they are equivalent under
@@ -227,38 +204,37 @@ def check_T3_pull_form(form: FormInstance, order: TopogenousOrder, pulled: Mappi
     fibre are the bits of ``rows_y[a]`` outside ``pulled[f][pull a]``; T3
     is :func:`verify_order`'s :func:`_t3_bad`. Same pairs as the pair
     loops of :func:`check_T3_pull_form_dense`."""
-    check_order_shape(form, order)
     rep = Report()
-    for f in form.base.morphisms():
-        rows_y, pull, pulled_f = order.rel[form.base.cod[f]], form.pull_maps[f].table, pulled[f]
+    names = form.base.names
+    for f, pulled_f in enumerate(pulled):
+        rows_y, pull = order.rel[form.base.target[f]], form.pull_maps[f].table
         pull_ok = True
         for a, row in enumerate(rows_y):
             rep.count("pull-form", row.bit_count())
             for b in bits(row & ~pulled_f[pull[a]]):
-                rep.add("pull-form", where=f, witness=(a, b))
+                rep.add("pull-form", where=names[f], witness=(a, b))
                 pull_ok = False
         t3_ok = not any(_t3_bad(form, order, f, pulled_f))
         rep.count("pull-form-agrees-T3")
         if pull_ok != t3_ok:
-            rep.add("pull-form-agrees-T3", where=f, witness=(pull_ok, t3_ok))
+            rep.add("pull-form-agrees-T3", where=names[f], witness=(pull_ok, t3_ok))
     return rep
 
 
 def check_T3_pull_form_dense(form: FormInstance, order: TopogenousOrder) -> Report:
     """The same checks as pair loops: the oracle."""
-    check_order_shape(form, order)
     rep = Report()
-    for f in form.base.morphisms():
-        x, y = form.base.dom[f], form.base.cod[f]
+    names = form.base.names
+    for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
         rows_x, rows_y = order.rel[x], order.rel[y]
         push, pull = form.push_maps[f].table, form.pull_maps[f].table
-        size_x, size_y = form.fibre(x).size, form.fibre(y).size
+        size_x, size_y = form.fibres[x].size, form.fibres[y].size
         pull_ok = True
         for a in range(size_y):
             for b in bits(rows_y[a]):
                 rep.count("pull-form")
                 if not (rows_x[pull[a]] >> pull[b]) & 1:
-                    rep.add("pull-form", where=f, witness=(a, b))
+                    rep.add("pull-form", where=names[f], witness=(a, b))
                     pull_ok = False
         t3_ok = True
         for a in range(size_x):
@@ -271,7 +247,7 @@ def check_T3_pull_form_dense(form: FormInstance, order: TopogenousOrder) -> Repo
                 break
         rep.count("pull-form-agrees-T3")
         if pull_ok != t3_ok:
-            rep.add("pull-form-agrees-T3", where=f, witness=(pull_ok, t3_ok))
+            rep.add("pull-form-agrees-T3", where=names[f], witness=(pull_ok, t3_ok))
     return rep
 
 
@@ -311,8 +287,7 @@ def classify_order(form: FormInstance, order: TopogenousOrder) -> OrderClass:
     meaning: False when some fibre has more than EXHAUSTIVE_SUBSET_LIMIT
     elements, where the scan tries only pairs and the empty and full
     families."""
-    check_order_shape(form, order)
-    fibres = [(form.fibre(x), order.rel[x]) for x in form.base.objects]
+    fibres = list(zip(form.fibres, order.rel))
     if not all(fib.is_lattice() and _rows_t2(fib, rows, [fib.up_closure(row) for row in rows]) for fib, rows in fibres):
         return classify_order_dense(form, order)
     is_tm = is_tj = is_int = True
@@ -346,11 +321,8 @@ def classify_order_dense(form: FormInstance, order: TopogenousOrder) -> OrderCla
     the two agree, since arbitrary meets are iterated binary meets, but the
     reduced sweep is recorded in ``exhaustive`` for the caller.
     """
-    check_order_shape(form, order)
     is_tm = is_tj = is_int = all_exhaustive = True
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        rows = order.rel[x]
+    for fib, rows in zip(form.fibres, order.rel):
         exhaustive = fib.size <= EXHAUSTIVE_SUBSET_LIMIT
         all_exhaustive = all_exhaustive and exhaustive
         is_tm = is_tm and all(_closed(fib.meet, row, exhaustive) for row in rows)
@@ -366,15 +338,9 @@ def intersect_orders(form: FormInstance, orders: Sequence[TopogenousOrder]) -> T
     greatest such order below all of them."""
     if not orders:
         raise ValueError("need at least one order")
-    for t in orders:
-        check_order_shape(form, t)
-    rel = {}
-    for x in form.base.objects:
-        n = form.fibre(x).size
-        rel[x] = tuple(
-            _and_all(t.rel[x][a] for t in orders) for a in range(n)
-        )
-    return TopogenousOrder(rel)
+    return TopogenousOrder(
+        [_and_all(t.rel[x][a] for t in orders) for a in range(fib.size)] for x, fib in enumerate(form.fibres)
+    )
 
 
 def _and_all(masks: Iterable[int]) -> int:
@@ -393,35 +359,17 @@ def closure_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
     Meaningful (extensive, transfer-compatible) when the order is
     meet-stable; accepted for any order anyway, which is useful when mining
     for counterexamples."""
-    check_order_shape(form, order)
-    maps = {}
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        rows = order.rel[x]
-        maps[x] = tuple(fib.meet_mask(row) for row in rows)
-    return Operator("closure", maps)
+    return Operator("closure", (map(fib.meet_mask, rows) for fib, rows in zip(form.fibres, order.rel)))
 
 
 def order_from_closure(form: FormInstance, clo: Operator) -> TopogenousOrder:
     """a related to b iff the closure of a is below b."""
-    check_operator_shape(form, clo)
-    rel = {}
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        t = clo.table(x)
-        rel[x] = tuple(fib.up[t[a]] for a in range(fib.size))
-    return TopogenousOrder(rel)
+    return TopogenousOrder([fib.up[t[a]] for a in range(fib.size)] for fib, t in zip(form.fibres, clo.maps))
 
 
 def interior_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
     """Each element goes to the join of everything related below it."""
-    check_order_shape(form, order)
-    maps = {}
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        rows = order.rel[x]
-        maps[x] = tuple(fib.join_mask(col) for col in columns(rows))
-    return Operator("interior", maps)
+    return Operator("interior", (map(fib.join_mask, columns(rows)) for fib, rows in zip(form.fibres, order.rel)))
 
 
 def order_from_interior(form: FormInstance, intr: Operator) -> TopogenousOrder:
@@ -429,42 +377,15 @@ def order_from_interior(form: FormInstance, intr: Operator) -> TopogenousOrder:
     preimage of ``up[a]`` under the interior table
     (:meth:`MonotoneMap.preimages`), the set :func:`order_from_interior_dense`
     collects one pair at a time."""
-    check_operator_shape(form, intr)
-    rel = {}
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        rel[x] = tuple(MonotoneMap(fib, fib, intr.table(x)).preimages(fib.up))
-    return TopogenousOrder(rel)
+    return TopogenousOrder(MonotoneMap(fib, fib, t).preimages(fib.up) for fib, t in zip(form.fibres, intr.maps))
 
 
 def order_from_interior_dense(form: FormInstance, intr: Operator) -> TopogenousOrder:
     """The same order from one ``leq`` test per pair: the oracle."""
-    check_operator_shape(form, intr)
-    rel = {}
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        t = intr.table(x)
-        rel[x] = tuple(
-            sum(1 << b for b in range(fib.size) if fib.leq(a, t[b]))
-            for a in range(fib.size)
-        )
-    return TopogenousOrder(rel)
-
-
-def check_operator_shape(form: FormInstance, op: Operator) -> None:
-    """Raise InputError unless the operator has one table per object of the
-    form, each mapping its fibre into itself."""
-    maps = op.maps
-    for x in maps:
-        if x not in form.fibres:
-            raise InputError(f"operator maps object {x!r}, which the form does not have")
-    for x in form.base.objects:
-        t = maps.get(x)
-        if t is None:
-            raise InputError(f"operator has no table for object {x!r}")
-        fib = form.fibre(x)
-        if len(t) != fib.size or any(not 0 <= v < fib.size for v in t):
-            raise InputError(f"operator table for {x!r} does not fit the fibre")
+    return TopogenousOrder(
+        [sum(1 << b for b in range(fib.size) if fib.leq(a, t[b])) for a in range(fib.size)]
+        for fib, t in zip(form.fibres, intr.maps)
+    )
 
 
 def verify_closure(form: FormInstance, clo: Operator) -> Report:
@@ -485,30 +406,30 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
     pair sweep of :func:`verify_closure_dense` runs instead, so a
     disagreement of the transfer tables raises the same
     :class:`CorruptFormError` there."""
-    check_operator_shape(form, clo)
-    if not all(form.is_adjoint(f) for f in form.base.morphisms()):
+    if not all(map(form.is_adjoint, range(len(form.push_maps)))):
         return verify_closure_dense(form, clo)
     rep = Report()
-    maps, above, below = {}, {}, {}
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        t = maps[x] = MonotoneMap(fib, fib, clo.table(x))
+    base = form.base
+    maps, above, below = [], [], []
+    for x, fib, table in zip(base.objects, form.fibres, clo.maps):
+        t = MonotoneMap(fib, fib, table)
+        maps.append(t)
         rep.count("C1", fib.size)
         for a, c in enumerate(t.table):
             if not (fib.up[a] >> c) & 1:
                 rep.add("C1", where=x, witness=(a,))
-        above[x], below[x] = t.preimages(fib.up), t.preimages(fib.down)
+        above.append(t.preimages(fib.up))
+        below.append(t.preimages(fib.down))
     v_main = v_pull = v_split = True
-    for f in form.base.morphisms():
-        x, y = form.base.dom[f], form.base.cod[f]
-        fx, fy = form.fibre(x), form.fibre(y)
-        cx, cy = clo.table(x), clo.table(y)
+    for f, (x, y) in enumerate(zip(base.source, base.target)):
+        fx, fy = form.fibres[x], form.fibres[y]
+        cx, cy = clo.maps[x], clo.maps[y]
         push, pull = form.push_maps[f].table, form.pull_maps[f].table
         above_y, below_x = above[y], below[x]
         rep.count("C2", fx.size * fy.size)
         for a in range(fx.size):
             for b in bits(fy.up[push[a]] & ~above_y[push[cx[a]]]):
-                rep.add("C2", where=f, witness=(a, b))
+                rep.add("C2", where=base.names[f], witness=(a, b))
                 v_main = False
         if v_pull and any(fx.down[pull[b]] & ~below_x[pull[cy[b]]] for b in range(fy.size)):
             v_pull = False
@@ -516,7 +437,7 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
             v_split = False
     # leq_over is the push test here, so the push phrasing is the main one
     v_push = v_main
-    if v_split and any(t.monotone_violation() for t in maps.values()):
+    if v_split and any(t.monotone_violation() for t in maps):
         v_split = False
     rep.count("C2-form-agreement")
     if not (v_main == v_push == v_pull == v_split):
@@ -532,26 +453,23 @@ def verify_closure_dense(form: FormInstance, clo: Operator) -> Report:
     """The same checks as a sweep over every fibre pair (a, b) of every
     morphism, through :meth:`FormInstance.leq_over`: the oracle, and the
     fallback that raises on inconsistent transfer tables."""
-    check_operator_shape(form, clo)
     rep = Report()
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        t = clo.table(x)
+    base = form.base
+    for x, fib, t in zip(base.objects, form.fibres, clo.maps):
         for a in range(fib.size):
             rep.count("C1")
             if not fib.leq(a, t[a]):
                 rep.add("C1", where=x, witness=(a,))
     v_main = v_push = v_pull = v_split = True
-    for f in form.base.morphisms():
-        x, y = form.base.dom[f], form.base.cod[f]
-        fx, fy = form.fibre(x), form.fibre(y)
-        cx, cy = clo.table(x), clo.table(y)
+    for f, (x, y) in enumerate(zip(base.source, base.target)):
+        fx, fy = form.fibres[x], form.fibres[y]
+        cx, cy = clo.maps[x], clo.maps[y]
         push, pull = form.push_maps[f].table, form.pull_maps[f].table
         for a in range(fx.size):
             for b in range(fy.size):
                 rep.count("C2")
                 if form.leq_over(f, a, b) and not form.leq_over(f, cx[a], cy[b]):
-                    rep.add("C2", where=f, witness=(a, b))
+                    rep.add("C2", where=base.names[f], witness=(a, b))
                     v_main = False
                 if fy.leq(push[a], b) and not fy.leq(push[cx[a]], cy[b]):
                     v_push = False
@@ -560,9 +478,7 @@ def verify_closure_dense(form: FormInstance, clo: Operator) -> Report:
         for a in range(fx.size):
             if not fy.leq(push[cx[a]], cy[push[a]]):
                 v_split = False
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        t = clo.table(x)
+    for fib, t in zip(form.fibres, clo.maps):
         for a in range(fib.size):
             for b in bits(fib.up[a]):
                 if not fib.leq(t[a], t[b]):
@@ -585,11 +501,10 @@ def verify_interior(form: FormInstance, intr: Operator) -> Report:
     ``up[a]`` outside the preimage of ``up[i(a)]`` under the interior
     table (:meth:`MonotoneMap.preimages`), and I1 and I3 are one bit test
     per element."""
-    check_operator_shape(form, intr)
     rep = Report()
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        t = MonotoneMap(fib, fib, intr.table(x))
+    base = form.base
+    for x, fib, t in zip(base.objects, form.fibres, intr.maps):
+        t = MonotoneMap(fib, fib, t)
         up, table, above = fib.up, t.table, t.preimages(fib.up)
         rep.count("I1", fib.size)
         for a in range(fib.size):
@@ -598,26 +513,23 @@ def verify_interior(form: FormInstance, intr: Operator) -> Report:
             rep.count("I2", up[a].bit_count())
             for b in bits(up[a] & ~above[table[a]]):
                 rep.add("I2", where=x, witness=(a, b))
-    for f in form.base.morphisms():
-        x, y = form.base.dom[f], form.base.cod[f]
-        up_x = form.fibre(x).up
-        ix, iy = intr.table(x), intr.table(y)
+    for f, (x, y) in enumerate(zip(base.source, base.target)):
+        up_x = form.fibres[x].up
+        ix, iy = intr.maps[x], intr.maps[y]
         pull = form.pull_maps[f].table
-        size_y = form.fibre(y).size
+        size_y = form.fibres[y].size
         rep.count("I3", size_y)
         for b in range(size_y):
             if not (up_x[pull[iy[b]]] >> ix[pull[b]]) & 1:
-                rep.add("I3", where=f, witness=(b,))
+                rep.add("I3", where=base.names[f], witness=(b,))
     return rep
 
 
 def verify_interior_dense(form: FormInstance, intr: Operator) -> Report:
     """The same axioms as pair loops of ``leq`` tests: the oracle."""
-    check_operator_shape(form, intr)
     rep = Report()
-    for x in form.base.objects:
-        fib = form.fibre(x)
-        t = intr.table(x)
+    base = form.base
+    for x, fib, t in zip(base.objects, form.fibres, intr.maps):
         for a in range(fib.size):
             rep.count("I1")
             if not fib.leq(t[a], a):
@@ -626,15 +538,14 @@ def verify_interior_dense(form: FormInstance, intr: Operator) -> Report:
                 rep.count("I2")
                 if not fib.leq(t[a], t[b]):
                     rep.add("I2", where=x, witness=(a, b))
-    for f in form.base.morphisms():
-        x, y = form.base.dom[f], form.base.cod[f]
-        fx = form.fibre(x)
-        ix, iy = intr.table(x), intr.table(y)
+    for f, (x, y) in enumerate(zip(base.source, base.target)):
+        fx = form.fibres[x]
+        ix, iy = intr.maps[x], intr.maps[y]
         pull = form.pull_maps[f].table
-        for b in range(form.fibre(y).size):
+        for b in range(form.fibres[y].size):
             rep.count("I3")
             if not fx.leq(pull[iy[b]], ix[pull[b]]):
-                rep.add("I3", where=f, witness=(b,))
+                rep.add("I3", where=base.names[f], witness=(b,))
     return rep
 
 
@@ -655,7 +566,7 @@ def order_from_operator(form: FormInstance, op: Operator) -> TopogenousOrder:
 
 def is_idempotent(op: Operator) -> bool:
     return all(
-        all(t[t[a]] == t[a] for a in range(len(t))) for t in op.maps.values()
+        all(t[t[a]] == t[a] for a in range(len(t))) for t in op.maps
     )
 
 

@@ -246,19 +246,22 @@ def clopen_targets(f: SetFunction, t_doms: Sequence[FiniteTopology], t_cods: Seq
 
 class TopForm:
     """The forgetful form over chosen finite carriers: fibres are topology
-    lattices, push is the final topology, pull the initial one."""
+    lattices, push is the final topology, pull the initial one. ``sizes``,
+    ``topologies`` (in fibre order) and ``index`` (a topology's key to its
+    fibre element) are by object number, ``functions`` by morphism
+    number."""
 
     def __init__(
         self,
         form: FormInstance,
-        sizes: dict[str, int],
-        topologies: dict[str, list[FiniteTopology]],
-        index: dict[str, dict[tuple[int, ...], int]],
-        functions: dict[str, SetFunction],
+        sizes: list[int],
+        topologies: list[list[FiniteTopology]],
+        index: list[dict[tuple[int, ...], int]],
+        functions: list[SetFunction],
     ):
         self.form, self.sizes, self.topologies, self.index, self.functions = form, sizes, topologies, index, functions
 
-    def element(self, obj: str, t: FiniteTopology) -> int:
+    def element(self, obj: int, t: FiniteTopology) -> int:
         return self.index[obj][t.key()]
 
 
@@ -284,33 +287,33 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
     for n in sizes:
         if n > MAX_POINTS:
             raise InputError(f"carrier size {n} exceeds the cap of {MAX_POINTS}")
-    base, size_of, fn_of = function_category(sizes)
-    fibres: dict[str, FiniteLattice] = {}
-    tops: dict[str, list[FiniteTopology]] = {}
-    index: dict[str, dict[tuple[int, ...], int]] = {}
-    flags: dict[str, list[bytes]] = {}  # [t]: the flag table of t, 256 bytes
-    by_flags: dict[str, dict[bytes, int]] = {}  # flag word over the subsets -> element
-    succ: dict[str, list[bytes]] = {}  # [t]: the successor masks of t, 256 bytes
-    by_succ: dict[str, dict[bytes, int]] = {}  # successor masks -> element
-    for x in base.objects:
-        n = size_of[x]
-        tops[x], preorders = _specializations(n)
-        fibres[x] = _fibre(n, tops[x])
-        index[x] = {t.key(): i for i, t in enumerate(tops[x])}
-        succ[x] = [bytes(p).ljust(256, b"\0") for p in preorders]
-        by_succ[x] = {bytes(p): i for i, p in enumerate(preorders)}
-        flags[x] = []
-        for t in tops[x]:
+    base, functions = function_category(sizes)
+    # by object number
+    fibres: list[FiniteLattice] = []
+    tops: list[list[FiniteTopology]] = []
+    index: list[dict[tuple[int, ...], int]] = []
+    flags: list[list[bytes]] = []  # [t]: the flag table of t, 256 bytes
+    by_flags: list[dict[bytes, int]] = []  # flag word over the subsets -> element
+    succ: list[list[bytes]] = []  # [t]: the successor masks of t, 256 bytes
+    by_succ: list[dict[bytes, int]] = []  # successor masks -> element
+    for n in sizes:
+        topologies, preorders = _specializations(n)
+        tops.append(topologies)
+        fibres.append(_fibre(n, topologies))
+        index.append({t.key(): i for i, t in enumerate(topologies)})
+        succ.append([bytes(p).ljust(256, b"\0") for p in preorders])
+        by_succ.append({bytes(p): i for i, p in enumerate(preorders)})
+        words = []
+        for t in topologies:
             table = bytearray(b"0" * 256)
             for s in t.opens:
                 table[s] = ord("1")
-            flags[x].append(bytes(table))
-        by_flags[x] = {table[: 1 << n]: i for i, table in enumerate(flags[x])}
-    push = {}
-    pull = {}
-    for f in base.morphisms():
-        fn = fn_of[f]
-        x, y = base.dom[f], base.cod[f]
+            words.append(bytes(table))
+        flags.append(words)
+        by_flags.append({table[: 1 << n]: i for i, table in enumerate(words)})
+    push = []
+    pull = []
+    for fn, x, y in zip(functions, base.source, base.target):
         points = [0] * fn.cod_size  # [v]: the preimage of point v
         for i, v in enumerate(fn.table):
             points[v] |= 1 << i
@@ -319,16 +322,16 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
             masks += [m | point for m in masks]
         pre = bytes(masks)
         pad = pre.ljust(256, b"\0")
-        push[f] = MonotoneMap(
+        push.append(MonotoneMap(
             fibres[x], fibres[y],
             list(map(by_flags[y].__getitem__, map(pre.translate, flags[x]))),
-        )
-        pull[f] = MonotoneMap(
+        ))
+        pull.append(MonotoneMap(
             fibres[y], fibres[x],
             list(map(by_succ[x].__getitem__, map(bytes.translate, map(bytes(fn.table).translate, succ[y]), repeat(pad)))),
-        )
+        ))
     form = FormInstance(base, fibres, push, pull)
-    return TopForm(form, size_of, tops, index, fn_of)
+    return TopForm(form, list(sizes), tops, index, functions)
 
 
 def theta_relation(tops: Sequence[FiniteTopology]) -> list[int]:
@@ -354,8 +357,8 @@ def b_relation(tops: Sequence[FiniteTopology]) -> list[int]:
 
 
 def theta_order(tf: TopForm) -> TopogenousOrder:
-    return TopogenousOrder({x: theta_relation(tf.topologies[x]) for x in tf.form.base.objects})
+    return TopogenousOrder(map(theta_relation, tf.topologies))
 
 
 def b_order(tf: TopForm) -> TopogenousOrder:
-    return TopogenousOrder({x: b_relation(tf.topologies[x]) for x in tf.form.base.objects})
+    return TopogenousOrder(map(b_relation, tf.topologies))

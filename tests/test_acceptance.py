@@ -86,16 +86,10 @@ def test_criterion_2_closure_roundtrip(top123, theta123, grp8, ni8):
         ok &= equiv
         notes.append(f"{name}: idempotent<->interpolative={equiv}")
     closures = {
-        "identity/top": (top123.form, Operator(
-            "closure",
-            {x: tuple(range(top123.form.fibre(x).size)) for x in top123.form.base.objects}
-        )),
+        "identity/top": (top123.form, Operator("closure", [tuple(range(fib.size)) for fib in top123.form.fibres])),
         "theta/top": (top123.form, closure_from_order(top123.form, theta123)),
         "normal-closure/grp": (grp8.form, closure_from_order(grp8.form, ni8)),
-        "identity/grp": (grp8.form, Operator(
-            "closure",
-            {x: tuple(range(grp8.form.fibre(x).size)) for x in grp8.form.base.objects}
-        )),
+        "identity/grp": (grp8.form, Operator("closure", [tuple(range(fib.size)) for fib in grp8.form.fibres])),
     }
     for name, (form, clo) in closures.items():
         valid = verify_closure(form, clo).ok
@@ -105,10 +99,10 @@ def test_criterion_2_closure_roundtrip(top123, theta123, grp8, ni8):
         ok &= valid and tm and same
         notes.append(f"{name}: closure->order->closure exact={same}")
     # the group closure really is the normal closure, tied back to the oracle
-    for x, g in grp8.groups.items():
+    for x, g in enumerate(grp8.groups):
         masks = grp8.masks[x]
         expected = tuple(masks.index(normal_closure(g, m)) for m in masks)
-        ok &= closures["normal-closure/grp"][1].table(x) == expected
+        ok &= closures["normal-closure/grp"][1].maps[x] == expected
     _line(2, ok, "closure correspondence round trips, exact table equality")
     assert ok, notes
 
@@ -163,12 +157,13 @@ def test_criterion_6_final_implies_thick(top123, theta123, b123, grp8, ni8, quot
 
 def test_criterion_7_topology_example_propositions(top123, theta123, b123):
     form = top123.form
+    names = form.base.names
     theta_final_bad = [
-        f for f in form.base.morphisms()
+        names[f] for f in range(len(names))
         if top123.functions[f].is_surjective() and not is_final(form, theta123, f)
     ]
-    b_strict_bad = [f for f in form.base.morphisms() if not is_strict(form, b123, f)]
-    b_final_bad = [f for f in form.base.morphisms() if not is_final(form, b123, f)]
+    b_strict_bad = [names[f] for f in range(len(names)) if not is_strict(form, b123, f)]
+    b_final_bad = [names[f] for f in range(len(names)) if not is_final(form, b123, f)]
     ok = not theta_final_bad and not b_strict_bad and not b_final_bad
     _line(
         7,
@@ -192,13 +187,13 @@ def test_criterion_8_subgroup_characterizations(grp8, ni8):
     strict_bad = []
     final_bad = []
     total = 0
-    for f in form.base.morphisms():
+    for f, name in enumerate(form.base.names):
         hom = grp8.homs[f]
         total += 1
         if is_strict(form, ni8, f) != preserves_normals(hom):
-            strict_bad.append(f)
+            strict_bad.append(name)
         if is_final(form, ni8, f) != hom.is_surjective():
-            final_bad.append(f)
+            final_bad.append(name)
     ok = not strict_bad and not final_bad
     _line(
         8,

@@ -1,6 +1,8 @@
 """The check registry's shared facts: one battery run computes each
 morphism's pulled rows, strict witness and final witness once, and the
-base and form-law checks walk the composable pairs once between them."""
+base and form-law checks walk the composable pairs once between them.
+The checks read morphisms and objects by number, and their names only to
+write a report."""
 
 import sys
 from collections import Counter
@@ -8,11 +10,49 @@ from collections import Counter
 import pytest
 
 from formkit import morphisms
-from formkit.checks import BATTERY, CheckContext, run_checks
+from formkit.checks import BATTERY, FORM_CHECKS, CheckContext, run_checks
 from formkit.forms import CategoryPresentation, FormInstance
+from formkit.groups import build_grp_form, normal_interval_order, standard_corpus
 from formkit.lattice import FiniteLattice, MonotoneMap
 from formkit.partitions import build_quot_form
-from formkit.topologies import build_top_form
+from formkit.topologies import build_top_form, theta_order
+
+
+class Unreadable:
+    """A name-keyed table of the base every read of which fails."""
+
+    def _fail(self, *args):
+        raise AssertionError("a check looked a morphism or object up by name")
+
+    __getitem__ = __contains__ = __iter__ = __len__ = _fail
+
+    def __getattr__(self, name):
+        self._fail()
+
+
+@pytest.mark.parametrize(
+    "build, order, order_name",
+    [
+        (lambda: build_top_form([1, 2, 3]), theta_order, "theta"),
+        (lambda: build_grp_form(standard_corpus(8)), normal_interval_order, "normal-interval"),
+    ],
+    ids=["top123", "grp8"],
+)
+def test_checks_look_up_no_names(build, order, order_name):
+    """The form checks and the battery report the same on a base whose
+    name tables (``ids``, ``dom``, ``cod``, ``homs``, ``identities``)
+    cannot be read: the kernels take numbers and read names only through
+    ``names`` and ``objects``, where they write a report."""
+    reports = []
+    for hide in (False, True):
+        bundle = build()  # built here, so that no memo was filled through the names
+        if hide:
+            for table in ("ids", "dom", "cod", "homs", "identities"):
+                setattr(bundle.form.base, table, Unreadable())
+        ctx = CheckContext(bundle.form, order(bundle), bundle=bundle, recipe={"order": order_name})
+        reports.append([r.to_dict() for r in run_checks(ctx, FORM_CHECKS + BATTERY)])
+    assert len(reports[0]) >= 15  # all but the other instances' propositions
+    assert reports[1] == reports[0]
 
 
 @pytest.mark.parametrize(
@@ -46,8 +86,8 @@ def test_battery_computes_each_fact_once(bundle_name, order_fixture, order_name,
     ctx = CheckContext(form, order, bundle=bundle, recipe={"order": order_name})
     results = run_checks(ctx, BATTERY)
     assert [r.name for r in results if r.status == "skipped"] == []
-    for f in form.base.morphisms():
-        rows = order.rel[form.base.dom[f]]
+    for f in range(len(form.base.names)):
+        rows = order.rel[form.base.source[f]]
         assert asked[id(form.pull_maps[f]), tuple(rows)] == 1, f
         assert computed["strict_violation", f] == 1, f
         assert computed["final_violation", f] == 1, f
@@ -80,8 +120,8 @@ def undefined_composites_form() -> FormInstance:
         {"X": "idX", "Y": "idY"},
     )
     lat = FiniteLattice.chain(2)
-    ident = {m: MonotoneMap.identity(lat) for m in base.names}
-    return FormInstance(base, {"X": lat, "Y": lat}, ident, ident)
+    ident = [MonotoneMap.identity(lat) for _ in base.names]
+    return FormInstance(base, [lat, lat], ident, ident)
 
 
 def test_form_laws_report_the_undefined_composites_of_the_base():

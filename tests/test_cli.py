@@ -149,8 +149,9 @@ def _top2_inputs(tmp_path):
     form = build_top_form([2])
     order = theta_order(form)
     dump_json(form_to_dict(form.form), paths["form"])
-    dump_json(order_to_dict(order), paths["order"])
-    dump_json(operator_to_dict(closure_from_order(form.form, order)), paths["closure"])
+    objects = form.form.base.objects
+    dump_json(order_to_dict(order, objects), paths["order"])
+    dump_json(operator_to_dict(closure_from_order(form.form, order), objects), paths["closure"])
     witness = {"schema": 1, "check": "b-all-final", "recipe": {"kind": "top", "sizes": [1, 2], "order": "b"}}
     dump_json(witness, paths["witness"])
     return paths
@@ -736,7 +737,7 @@ def test_witness_of_file_inputs_replays(runner, tmp_path):
     form_path, order_path = tmp_path / "top12.json", tmp_path / "b12.json"
     top12 = build_top_form([1, 2])
     dump_json(form_to_dict(top12.form), str(form_path))
-    dump_json(order_to_dict(b_order(top12)), str(order_path))
+    dump_json(order_to_dict(b_order(top12), top12.form.base.objects), str(order_path))
     res = invoke(runner, ["check-theorems", "--form", str(form_path), "--order", str(order_path)])
     assert res.exit_code == 1
     failed = next(c for c in parse(res)["checks"] if c["name"] == "transfer-laws")

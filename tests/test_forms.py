@@ -36,7 +36,15 @@ def arrow_form(push_table, src_size=2, tgt_size=3):
         "f": MonotoneMap(x_fib, y_fib, push_table),
     }
     pull = {name: GaloisPair.from_left_adjoint(m).right for name, m in push.items()}
-    return FormInstance(base, {"X": x_fib, "Y": y_fib}, push, pull)
+    return FormInstance(base, [x_fib, y_fib], [push[m] for m in base.names], [pull[m] for m in base.names])
+
+
+def _replaced(maps, base, **by_name):
+    """``maps`` by number with the entries of the named morphisms replaced."""
+    maps = list(maps)
+    for name, m in by_name.items():
+        maps[base.ids[name]] = m
+    return maps
 
 
 def test_arrow_form_laws_pass():
@@ -50,7 +58,7 @@ def test_identity_lifting_required():
     broken = FormInstance(
         form.base,
         form.fibres,
-        dict(form.push_maps, idX=MonotoneMap(form.fibre("X"), form.fibre("X"), [0, 0])),
+        _replaced(form.push_maps, form.base, idX=MonotoneMap(form.fibres[0], form.fibres[0], [0, 0])),
         form.pull_maps,
     )
     rep = broken.verify_laws()
@@ -59,8 +67,8 @@ def test_identity_lifting_required():
 
 def test_corrupted_push_reports_galois_with_morphism():
     form = arrow_form([0, 2])
-    swapped = MonotoneMap(form.fibre("X"), form.fibre("Y"), [2, 0])
-    broken = FormInstance(form.base, form.fibres, dict(form.push_maps, f=swapped), form.pull_maps)
+    swapped = MonotoneMap(form.fibres[0], form.fibres[1], [2, 0])
+    broken = FormInstance(form.base, form.fibres, _replaced(form.push_maps, form.base, f=swapped), form.pull_maps)
     rep = broken.verify_laws()
     assert not rep.ok
     galois = [v for v in rep.violations if v.check == "galois"]
@@ -69,52 +77,54 @@ def test_corrupted_push_reports_galois_with_morphism():
 
 def test_leq_over_runs_both_tests_and_detects_corruption():
     form = arrow_form([0, 2])
-    assert form.leq_over("f", 0, 0)
-    assert form.leq_over("f", 1, 2)
-    assert not form.leq_over("f", 1, 1)
-    bad_pull = MonotoneMap(form.fibre("Y"), form.fibre("X"), [1, 1, 1])
-    broken = FormInstance(form.base, form.fibres, form.push_maps, dict(form.pull_maps, f=bad_pull))
+    f = form.base.ids["f"]
+    assert form.leq_over(f, 0, 0)
+    assert form.leq_over(f, 1, 2)
+    assert not form.leq_over(f, 1, 1)
+    bad_pull = MonotoneMap(form.fibres[1], form.fibres[0], [1, 1, 1])
+    broken = FormInstance(form.base, form.fibres, form.push_maps, _replaced(form.pull_maps, form.base, f=bad_pull))
     with pytest.raises(CorruptFormError):
         for a in range(2):
             for b in range(3):
-                broken.leq_over("f", a, b)
+                broken.leq_over(f, a, b)
 
 
 def test_unit_counit_hold_on_arrow_form():
     form = arrow_form([0, 2])
-    x_fib, y_fib = form.fibre("X"), form.fibre("Y")
+    x_fib, y_fib = form.fibres
+    push, pull = form.push_maps[form.base.ids["f"]], form.pull_maps[form.base.ids["f"]]
     for a in range(x_fib.size):
-        assert x_fib.leq(a, form.pull("f", form.push("f", a)))
+        assert x_fib.leq(a, pull(push(a)))
     for b in range(y_fib.size):
-        assert y_fib.leq(form.push("f", form.pull("f", b)), b)
+        assert y_fib.leq(push(pull(b)), b)
 
 
 def test_push_preserves_joins_pull_preserves_meets(top12, quot123):
     small_grp = build_grp_form([symmetric3(), cyclic(2)])
     for bundle in (top12, quot123, small_grp):
         form = bundle.form
-        for f in form.base.morphisms():
+        for f in range(len(form.base.names)):
             assert form.push_maps[f].preserves_joins(), f
             assert form.pull_maps[f].preserves_meets(), f
 
 
 def test_morphism_kind_in_set_category(top12):
-    form = top12.form
+    base = top12.form.base
     # the surjection 2pt -> 1pt is a retraction but not a section
-    surj = "2pt->1pt:0.0"
-    kind = form.morphism_kind(surj)
+    surj = base.ids["2pt->1pt:0.0"]
+    kind = base.kinds[surj]
     assert kind.is_retraction and not kind.is_section and not kind.is_iso
     # a point inclusion is a section but not a retraction
-    incl = "1pt->2pt:0"
-    kind = form.morphism_kind(incl)
+    incl = base.ids["1pt->2pt:0"]
+    kind = base.kinds[incl]
     assert kind.is_section and not kind.is_retraction
     # identities are isomorphisms with themselves as inverse
-    idm = form.base.identity("2pt")
-    kind = form.morphism_kind(idm)
+    idm = base.ids[base.identity("2pt")]
+    kind = base.kinds[idm]
     assert kind.is_iso and kind.inverse == idm
     # the swap is an isomorphism distinct from the identity
-    swap = "2pt->2pt:1.0"
-    assert form.morphism_kind(swap).is_iso
+    swap = base.ids["2pt->2pt:1.0"]
+    assert base.kinds[swap].is_iso
 
 
 def test_sign_hom_is_retraction_not_section():
@@ -122,7 +132,7 @@ def test_sign_hom_is_retraction_not_section():
     assert sf.form.verify_laws().ok
     sign = "S3->Z2:0.1.1.0.0.1"
     assert sign in sf.form.base.dom
-    kind = sf.form.morphism_kind(sign)
+    kind = sf.form.base.kinds[sf.form.base.ids[sign]]
     assert kind.is_retraction and not kind.is_section
 
 
@@ -145,28 +155,31 @@ def test_check_reflects_witness_is_the_first_lifting_violation(quot123):
     corrupted: each flag fails at the first violation lifting-iso-laws
     reports for its kind, and the flags still agree with the laws."""
     form = quot123.form
-    identities = set(form.base.identities.values())
+    base = form.base
+    names, identities = base.names, set(base.identity_of)
     kinds = {
-        f: form.morphism_kind(f)
-        for f in form.base.morphisms()
-        if f not in identities and min(form.fibre(form.base.dom[f]).size, form.fibre(form.base.cod[f]).size) > 1
+        f: base.kinds[f]
+        for f in range(len(names))
+        if f not in identities and min(form.fibres[base.source[f]].size, form.fibres[base.target[f]].size) > 1
     }
     section = next(f for f, k in kinds.items() if k.is_section and not k.is_retraction)
     retraction = next(f for f, k in kinds.items() if k.is_retraction and not k.is_section)
     iso = next(f for f, k in kinds.items() if k.is_iso)
-    push, pull = dict(form.push_maps), dict(form.pull_maps)
+    push, pull = list(form.push_maps), list(form.pull_maps)
     pull[section] = _corrupted(pull[section], push[section].table[0])
     push[retraction] = _corrupted(push[retraction], pull[retraction].table[0])
     push[iso] = _corrupted(push[iso], 0)
     broken = FormInstance(form.base, form.fibres, push, pull)
     rep = broken.verify_lifting_iso_laws()
     failing = {(v.check, v.where) for v in rep.violations}
-    assert {("section-roundtrip", section), ("retraction-roundtrip", retraction), ("iso-transfer", iso)} <= failing
+    assert {
+        ("section-roundtrip", names[section]), ("retraction-roundtrip", names[retraction]), ("iso-transfer", names[iso])
+    } <= failing
     for kind, check in ROUNDTRIP_CHECKS.items():
         holds, witness = broken.check_reflects(kind)
         first = next(v for v in rep.violations if v.check == check)
         assert not holds, kind
-        assert witness[0] == first.where, kind
+        assert names[witness[0]] == first.where, kind
         if kind != "iso":
             assert witness[1:] == first.witness, kind
     assert not [v for v in rep.violations if v.check == "flag-agreement"]
@@ -181,8 +194,8 @@ def test_lifting_iso_laws_count_one_check_per_fibre_element(top12, quot123):
     for bundle in (top12, quot123):
         form = bundle.form
         expected = 3  # flag agreement, one per kind
-        for f in form.base.morphisms():
-            mk = form.morphism_kind(f)
+        for f in range(len(form.base.names)):
+            mk = form.base.kinds[f]
             expected += mk.is_section * form.push_maps[f].source.size
             expected += mk.is_retraction * form.pull_maps[f].source.size
             expected += mk.is_iso
@@ -192,35 +205,38 @@ def test_lifting_iso_laws_count_one_check_per_fibre_element(top12, quot123):
 def test_retraction_roundtrip_on_partitions(quot123):
     # a split surjection recovers every partition by pull-then-push
     form = quot123.form
-    f = "3pt->2pt:0.0.1"
-    assert form.morphism_kind(f).is_retraction
+    f = form.base.ids["3pt->2pt:0.0.1"]
+    assert form.base.kinds[f].is_retraction
     pull, push = form.pull_maps[f], form.push_maps[f]
-    for d in range(form.fibre("2pt").size):
+    for d in range(form.fibres[form.base.objects.index("2pt")].size):
         assert push.table[pull.table[d]] == d
 
 
 def test_bounds_per_instance(top12, grp8, quot123):
-    form = top12.form
-    bottom, top = form.bounds("2pt")
-    fib = form.fibre("2pt")
-    assert len(top12.topologies["2pt"][bottom].opens) == 4  # discrete
-    assert len(top12.topologies["2pt"][top].opens) == 2  # indiscrete
-    bottom, top = grp8.form.bounds("S3")
-    assert grp8.masks["S3"][bottom] == 1  # trivial subgroup
-    assert grp8.masks["S3"][top] == (1 << 6) - 1  # the whole group
-    bottom, top = quot123.form.bounds("3pt")
-    assert quot123.partitions["3pt"][bottom].blocks == (0, 1, 2)
-    assert quot123.partitions["3pt"][top].blocks == (0, 0, 0)
+    x = top12.form.base.objects.index("2pt")
+    fib = top12.form.fibres[x]
+    bottom, top = fib.bottom, fib.top
+    assert len(top12.topologies[x][bottom].opens) == 4  # discrete
+    assert len(top12.topologies[x][top].opens) == 2  # indiscrete
+    x = grp8.form.base.objects.index("S3")
+    bottom, top = grp8.form.fibres[x].bottom, grp8.form.fibres[x].top
+    assert grp8.masks[x][bottom] == 1  # trivial subgroup
+    assert grp8.masks[x][top] == (1 << 6) - 1  # the whole group
+    x = quot123.form.base.objects.index("3pt")
+    bottom, top = quot123.form.fibres[x].bottom, quot123.form.fibres[x].top
+    assert quot123.partitions[x][bottom].blocks == (0, 1, 2)
+    assert quot123.partitions[x][top].blocks == (0, 0, 0)
 
 
 def test_thickness_examples(top12):
     form = top12.form
-    assert form.is_thick(form.base.identity("2pt"))
-    assert form.is_thick("2pt->2pt:1.0")
-    assert form.is_thick("2pt->1pt:0.0")
+    ids = form.base.ids
+    assert form.is_thick(ids[form.base.identity("2pt")])
+    assert form.is_thick(ids["2pt->2pt:1.0"])
+    assert form.is_thick(ids["2pt->1pt:0.0"])
     # non-surjective maps push the indiscrete top to something finer
-    assert not form.is_thick("1pt->2pt:1")
-    assert not form.is_thick("2pt->2pt:0.0")
+    assert not form.is_thick(ids["1pt->2pt:1"])
+    assert not form.is_thick(ids["2pt->2pt:0.0"])
 
 
 def test_name_keyed_composition_matches_the_callable():
@@ -325,7 +341,7 @@ def test_dense_associativity_counts_triples_up_to_its_witness(top12):
     swap = "2pt->2pt:1.0"
     compose[(swap, swap)] = "2pt->2pt:0.0"  # was the identity
     bad = CategoryPresentation(base.objects, base.homs, compose, base.identities)
-    names = list(base.morphisms())
+    names = list(base.names)
     pairs = [(g, f) for f in names for g in names if bad.dom[g] == bad.cod[f]]
     triples = [(h, g, f) for g, f in pairs for h in names if bad.dom[h] == bad.cod[g]]
     first = next(
@@ -344,9 +360,10 @@ def test_empty_carrier_handled_by_general_enumeration():
 
     tf = build_top_form([0, 1])
     assert tf.form.verify_laws().ok
-    kind = tf.form.morphism_kind("0pt->1pt:")
+    base = tf.form.base
+    kind = base.kinds[base.ids["0pt->1pt:"]]
     assert not kind.is_section and not kind.is_retraction
-    assert tf.form.morphism_kind("0pt->0pt:").is_iso
+    assert base.kinds[base.ids["0pt->0pt:"]].is_iso
 
 
 def test_leq_over_subgroup_example():
@@ -358,12 +375,13 @@ def test_leq_over_subgroup_example():
     sf = build_grp_form([cyclic(2), symmetric3()])
     perms = sorted(permutations(range(3)))
     t01 = perms.index((1, 0, 2))
-    incl = f"Z2->S3:0.{t01}"
+    incl = sf.form.base.ids[f"Z2->S3:0.{t01}"]
+    z2, s3 = (sf.form.base.objects.index(x) for x in ("Z2", "S3"))
     a3_mask = sum(1 << perms.index(p) for p in [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
-    whole_z2 = sf.element("Z2", 0b11)
-    a3 = sf.element("S3", a3_mask)
+    whole_z2 = sf.element(z2, 0b11)
+    a3 = sf.element(s3, a3_mask)
     assert not sf.form.leq_over(incl, whole_z2, a3)
-    assert sf.form.leq_over(incl, sf.element("Z2", 0b01), a3)
+    assert sf.form.leq_over(incl, sf.element(z2, 0b01), a3)
 
 
 def test_duplicate_morphism_name_rejected():

@@ -135,12 +135,13 @@ def _write_inputs() -> None:
     broken = load_json("top12.json")
     broken["push"]["2pt->2pt:1.0"] = [3, 3, 3, 3]  # still monotone, but no longer left adjoint to pull
     dump_json(broken, "top12-broken.json")
-    dump_json(order_to_dict(b_order(build_top_form([1, 2]))), "b12.json")
+    top12 = build_top_form([1, 2])
+    dump_json(order_to_dict(b_order(top12), top12.form.base.objects), "b12.json")
     dump_json({"form": None, "rel": {"2pt": [[True] * 4 for _ in range(4)]}}, "full2.json")
     rng = case_rng(1, 1)  # an order neither meet- nor join-stable: emits skipped checks
     form = random_form(rng)
     dump_json(form_to_dict(form), "rand.json")
-    dump_json(order_to_dict(random_order(rng, form, "any")), "rand-order.json")
+    dump_json(order_to_dict(random_order(rng, form, "any"), form.base.objects), "rand-order.json")
     dump_json({"size": 2, "leq": [[True, True], [False, True]]}, "lat.json")
     dump_json({"size": 2, "leq": [[True, False], [False, True]]}, "badlat.json")
     dump_json({"map": {"2pt": [0, 0, 0, 0]}}, "badclo2.json")

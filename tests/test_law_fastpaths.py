@@ -90,12 +90,13 @@ def with_compose(form: FormInstance, pair: tuple[str, str], h: str) -> FormInsta
     return FormInstance(changed, form.fibres, form.push_maps, form.pull_maps)
 
 
-def with_table(form: FormInstance, direction: str, f: str, index: int, value: int) -> FormInstance:
+def with_table(form: FormInstance, direction: str, f: int, index: int, value: int) -> FormInstance:
     maps = form.push_maps if direction == "push" else form.pull_maps
     old = maps[f]
     table = list(old.table)
     table[index] = value
-    changed = dict(maps, **{f: MonotoneMap(old.source, old.target, table)})
+    changed = list(maps)
+    changed[f] = MonotoneMap(old.source, old.target, table)
     if direction == "push":
         return FormInstance(form.base, form.fibres, changed, form.pull_maps)
     return FormInstance(form.base, form.fibres, form.push_maps, changed)
@@ -114,7 +115,7 @@ def corrupt(form: FormInstance, rng: random.Random):
         g, f = rng.choice(pairs)
         others = [h for h in base.hom(base.dom[f], base.cod[g]) if h != base.compose(g, f)]
         return with_compose(form, (g, f), rng.choice(others))
-    f = rng.choice(list(base.morphisms()))
+    f = rng.choice(range(len(base.names)))
     m = (form.push_maps if kind == "push" else form.pull_maps)[f]
     if m.target.size < 2:
         return None
@@ -170,7 +171,7 @@ def closure_of_generators(base: CategoryPresentation) -> set[str]:
     todo = list(reached)
     while todo:
         x = todo.pop()
-        for s in base.generators:
+        for s in map(base.names.__getitem__, base.generators):
             if base.dom[s] == base.cod[x]:
                 y = base.compose(s, x)
                 if y not in reached:
@@ -185,7 +186,7 @@ def test_generators_generate_every_morphism():
         build_quot_form([3]).form.base,
         build_grp_form(standard_corpus(4)).form.base,
     ):
-        morphisms = set(base.morphisms())
+        morphisms = set(base.names)
         assert closure_of_generators(base) == morphisms
         assert len(base.generators) < len(morphisms)
 
@@ -201,8 +202,8 @@ def test_composite_middle_violation_reports_dense_witness():
     # triple, yet the report must carry it
     form = build_quot_form([3]).form
     base = form.base
-    plain = set(base.generators) | set(base.identities.values())
-    composites = [m for m in base.morphisms() if m not in plain]
+    plain = {base.names[s] for s in base.generators} | set(base.identities.values())
+    composites = [m for m in base.names if m not in plain]
     for h in composites:
         for m in composites:
             right = base.compose(h, m)
@@ -223,7 +224,7 @@ def test_monotone_violation_matches_dense_scan_on_topology_lattice():
     assert lat.size == 29
     rng = random.Random(SEED)
     form = build_top_form([3]).form
-    monotone = [form.push_maps[f].table for f in form.base.morphisms()]
+    monotone = [m.table for m in form.push_maps]
     outcomes = set()
     for trial in range(600):
         if trial % 3 == 0:
@@ -287,24 +288,26 @@ def transfer_laws(form: FormInstance, order: TopogenousOrder) -> Report:
 
 def with_row(form: FormInstance, order: TopogenousOrder, rng: random.Random) -> TopogenousOrder:
     """One bit of one order row flipped, inside the fibre."""
-    x = rng.choice(form.base.objects)
-    n = form.fibre(x).size
-    rows = list(order.rel[x])
+    x = rng.choice(range(len(form.base.objects)))
+    n = form.fibres[x].size
+    rel = list(order.rel)
+    rows = rel[x] = list(rel[x])
     rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
-    return TopogenousOrder(dict(order.rel, **{x: rows}))
+    return TopogenousOrder(rel)
 
 
 def with_entry(form: FormInstance, op: Operator, rng: random.Random):
     """One operator entry moved to another fibre element; None on a
     one-element fibre."""
-    x = rng.choice(form.base.objects)
-    n = form.fibre(x).size
+    x = rng.choice(range(len(form.base.objects)))
+    n = form.fibres[x].size
     if n < 2:
         return None
-    table = list(op.maps[x])
+    maps = list(op.maps)
+    table = maps[x] = list(maps[x])
     a = rng.randrange(n)
     table[a] = rng.choice([v for v in range(n) if v != table[a]])
-    return Operator(op.kind, dict(op.maps, **{x: tuple(table)}))
+    return Operator(op.kind, maps)
 
 
 def assert_kernels_agree(form: FormInstance, order: TopogenousOrder, clo: Operator, intr: Operator) -> set[str]:
@@ -326,10 +329,10 @@ def assert_kernels_agree(form: FormInstance, order: TopogenousOrder, clo: Operat
             found.update(v["check"] for v in got["violations"])
     assert order_from_interior(form, intr) == order_from_interior_dense(form, intr)
     pulled = pulled_table(form, order)
-    for f in form.base.morphisms():
+    for f in range(len(form.base.names)):
         assert strict_violation(form, order, f, pulled[f]) == strict_violation_dense(form, order, f), f
         assert final_violation(form, order, f, pulled[f]) == final_violation_dense(form, order, f), f
-        assert form.morphism_kind(f) == form.morphism_kind_dense(f), f
+        assert form.base.kinds[f] == form.morphism_kind_dense(f), f
         pushed = push_preserves_order(form, order, f)
         assert pushed == push_preserves_order_dense(form, order, f), f
         if pushed is not None:
@@ -378,7 +381,7 @@ def test_order_kernels_match_dense_oracles_under_corruption():
             tried += 1
             found = assert_kernels_agree(*args)
             failed.update(found)
-            if not all(args[0].is_adjoint(f) for f in args[0].base.morphisms()):
+            if not all(args[0].is_adjoint(f) for f in range(len(args[0].base.names))):
                 fallbacks += 1
                 assert "raises" in found  # the closure sweep fell back and raised
     # no draw breaks retraction-final-strict: relating partition 0|0|1 to
@@ -386,9 +389,11 @@ def test_order_kernels_match_dense_oracles_under_corruption():
     # 3pt->2pt:0.1.0 and 3pt->2pt:1.0.1 final but not strict
     quot23 = build_quot_form([2, 3]).form
     leq = leq_order(quot23)
-    rows = list(leq.rel["3pt"])
+    three = quot23.base.objects.index("3pt")
+    rel = list(leq.rel)
+    rows = rel[three] = list(rel[three])
     rows[1] |= 1 << 2
-    order = TopogenousOrder(dict(leq.rel, **{"3pt": rows}))
+    order = TopogenousOrder(rel)
     failed.update(assert_kernels_agree(quot23, order, closure_from_order(quot23, leq), interior_from_order(quot23, leq)))
     assert tried >= 400
     # the certificate sent some corruptions to the pair sweep, and the mask
@@ -428,11 +433,11 @@ def test_morphism_kind_names_the_first_inverse_in_hom_order():
         compose.update({(g, "idY"): g, ("idX", g): g, (g, "f"): "idX", ("f", g): "idY"})
     base = CategoryPresentation(objects, homs, compose, {"X": "idX", "Y": "idY"})
     point = FiniteLattice.chain(1)
-    same = {m: MonotoneMap.identity(point) for m in ("idX", "idY", "f", "g1", "g2")}
-    form = FormInstance(base, {"X": point, "Y": point}, same, same)
-    for m in base.morphisms():
-        assert form.morphism_kind(m) == form.morphism_kind_dense(m)
-    assert form.morphism_kind("f").inverse == "g1"
+    same = [MonotoneMap.identity(point) for _ in base.names]
+    form = FormInstance(base, [point, point], same, same)
+    for m in range(len(base.names)):
+        assert base.kinds[m] == form.morphism_kind_dense(m)
+    assert base.kinds[base.ids["f"]].inverse == base.ids["g1"]
 
 
 # -- the search on mask tables ----------------------------------------------------------
@@ -531,14 +536,13 @@ def search_relations(rng: random.Random):
     for i in range(120):
         form = random_form(case_rng(SEED, i))
         for inside in (True, False):
-            rel = {}
-            for x in form.base.objects:
-                fib = form.fibre(x)
+            rel = []
+            for fib in form.fibres:
                 rows = [0] * fib.size
                 for _ in range(rng.randint(0, fib.size)):
                     a = rng.randrange(fib.size)
                     rows[a] |= 1 << (rng.choice(list(bits(fib.up[a]))) if inside else rng.randrange(fib.size))
-                rel[x] = rows
+                rel.append(rows)
             yield form, rel
 
 
@@ -547,8 +551,8 @@ def test_close_order_matches_pair_closure():
     grew = 0
     for form, seeds in search_relations(rng):
         for want in ("any", "TM", "TJ"):
-            fast = {x: list(rows) for x, rows in seeds.items()}
-            dense = {x: list(rows) for x, rows in seeds.items()}
+            fast = [list(rows) for rows in seeds]
+            dense = [list(rows) for rows in seeds]
             _close_order(form, fast, want)
             _close_order_dense(form, dense, want)
             assert fast == dense, want
@@ -596,7 +600,7 @@ def test_classify_order_scans_fibres_that_are_not_lattices():
     assert fib.is_partial_order() and not fib.is_lattice()
     base = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
     same = MonotoneMap.identity(fib)
-    form = FormInstance(base, {"X": fib}, {"id": same}, {"id": same})
+    form = FormInstance(base, [fib], [same], [same])
     order = leq_order(form)
     assert verify_order(form, order, pulled_table(form, order)).ok
     assert outcome_of(classify_order, form, order) == outcome_of(classify_order_dense, form, order)
@@ -612,9 +616,9 @@ def test_subset_scan_on_a_fibre_that_is_not_a_lattice(monkeypatch):
     fib = FiniteLattice.from_up_masks([0b111111, 0b111010, 0b111100, 0b101000, 0b110000, 0b100000])
     base = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
     same = MonotoneMap.identity(fib)
-    form = FormInstance(base, {"X": fib}, {"id": same}, {"id": same})
-    joins_missing = TopogenousOrder({"X": (0b011111, 0b000100, 0b000100, 0, 0, 0)})
-    empty = TopogenousOrder({"X": (0,) * 6})
+    form = FormInstance(base, [fib], [same], [same])
+    joins_missing = TopogenousOrder([(0b011111, 0b000100, 0b000100, 0, 0, 0)])
+    empty = TopogenousOrder([(0,) * 6])
     for limit, exhaustive in ((12, True), (0, False)):
         monkeypatch.setattr(tp, "EXHAUSTIVE_SUBSET_LIMIT", limit)
         assert outcome_of(classify_order_dense, form, leq_order(form)) == (
@@ -632,11 +636,10 @@ def test_derived_operators_match_scans():
     rng = random.Random(SEED)
     for form, order, _ in battery_cases(rng):
         clo, intr = closure_from_order(form, order), interior_from_order(form, order)
-        for x in form.base.objects:
-            fib, rows = form.fibre(x), order.rel[x]
-            assert clo.table(x) == tuple(fib.meet(bits(row)) for row in rows)
+        for x, (fib, rows) in enumerate(zip(form.fibres, order.rel)):
+            assert clo.maps[x] == tuple(fib.meet(bits(row)) for row in rows)
             cols = [[a for a in range(fib.size) if (rows[a] >> b) & 1] for b in range(fib.size)]
-            assert intr.table(x) == tuple(fib.join(col) for col in cols)
+            assert intr.maps[x] == tuple(fib.join(col) for col in cols)
 
 
 def test_from_left_adjoint_matches_leq_comprehension():
@@ -651,7 +654,7 @@ def test_from_left_adjoint_matches_leq_comprehension():
     forms.append(build_grp_form(standard_corpus(4)).form)
     derived = 0
     for form in forms:
-        for f in form.base.morphisms():
+        for f in range(len(form.base.names)):
             right = GaloisPair.from_left_adjoint(form.push_maps[f]).right
             assert right.table == comprehension(form.push_maps[f]), f
             # the generator takes identities and composites without deriving
@@ -665,7 +668,7 @@ def test_from_right_adjoint_matches_the_built_push(top123, quot1234, grp8):
     # derivation, tested against their one-entry oracles in their own files
     derived = 0
     for form in (top123.form, quot1234.form, grp8.form):
-        for f in form.base.morphisms():
+        for f in range(len(form.base.names)):
             pair = GaloisPair.from_right_adjoint(form.pull_maps[f])
             assert pair.left.table == form.push_maps[f].table, f
             assert pair.right is form.pull_maps[f]
@@ -677,7 +680,7 @@ def test_from_right_adjoint_inverts_from_left_adjoint():
     forms = [random_form(case_rng(SEED, i)) for i in range(200)]
     derived = 0
     for form in forms:
-        for f in form.base.morphisms():
+        for f in range(len(form.base.names)):
             left = form.push_maps[f]
             right = GaloisPair.from_left_adjoint(left).right
             assert GaloisPair.from_right_adjoint(right).left.table == left.table, f

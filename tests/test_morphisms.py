@@ -16,7 +16,6 @@ from formkit.morphisms import (
     cohereditary_operator_check,
     final_thick_check,
     final_violation,
-    is_cohereditary,
     is_final,
     is_strict,
     strict_characterization,
@@ -51,8 +50,7 @@ def all_sweeps(top123, theta123, b123, grp8, ni8, quot1234):
 
 def test_identities_strict_and_final(top123, theta123):
     form = top123.form
-    for x in form.base.objects:
-        i = form.base.identity(x)
+    for i in form.base.identity_of:
         assert is_strict(form, theta123, i)
         assert is_final(form, theta123, i)
 
@@ -61,14 +59,14 @@ def test_every_morphism_is_leq_strict(top123, grp8, quot1234):
     for bundle in (top123, grp8, quot1234):
         form = bundle.form
         T = leq_order(form)
-        for f in form.base.morphisms():
+        for f in range(len(form.base.names)):
             assert is_strict(form, T, f), f
 
 
 def test_theta_bijections_strict(top123, theta123):
     form = top123.form
-    for f in form.base.morphisms():
-        if form.morphism_kind(f).is_iso:
+    for f, kind in enumerate(form.base.kinds):
+        if kind.is_iso:
             assert is_strict(form, theta123, f), f
 
 
@@ -79,9 +77,9 @@ def test_normal_interval_strictness_examples(grp8, ni8):
     t01 = S3_PERMS.index((1, 0, 2))
     incl = f"Z2->S3:0.{t01}"
     assert incl in form.base.dom
-    assert not is_strict(form, ni8, incl)
+    assert not is_strict(form, ni8, form.base.ids[incl])
     # the parity quotient is strict
-    sign = "S3->Z2:0.1.1.0.0.1"
+    sign = form.base.ids["S3->Z2:0.1.1.0.0.1"]
     assert is_strict(form, ni8, sign)
 
 
@@ -89,21 +87,21 @@ def test_normal_interval_finality_examples(grp8, ni8):
     form = grp8.form
     doubling = "Z2->Z4:0.2"
     assert doubling in form.base.dom
-    assert not is_final(form, ni8, doubling)
-    sign = "S3->Z2:0.1.1.0.0.1"
+    assert not is_final(form, ni8, form.base.ids[doubling])
+    sign = form.base.ids["S3->Z2:0.1.1.0.0.1"]
     assert is_final(form, ni8, sign)
 
 
 def test_theta_surjections_final(top123, theta123):
     form = top123.form
-    for f in form.base.morphisms():
+    for f in range(len(form.base.names)):
         if top123.functions[f].is_surjective():
             assert is_final(form, theta123, f), f
 
 
 def test_b_all_strict_but_only_surjections_final(top123, b123):
     form = top123.form
-    for f in form.base.morphisms():
+    for f in range(len(form.base.names)):
         assert is_strict(form, b123, f), f
         assert is_final(form, b123, f) == top123.functions[f].is_surjective(), f
 
@@ -117,12 +115,13 @@ def test_b_finality_counterexample_pinned(top12):
 
     form = top12.form
     order = build_b(top12)
-    f = "1pt->2pt:0"
+    f = form.base.ids["1pt->2pt:0"]
     witness = final_violation(form, order, f, pulled_table(form, order)[f])
     assert witness is not None
     b_idx, b2_idx = witness
-    assert order.has("1pt", form.pull(f, b_idx), form.pull(f, b2_idx))
-    assert not order.has("2pt", b_idx, b2_idx)
+    one, two = (form.base.objects.index(x) for x in ("1pt", "2pt"))
+    assert order.has(one, form.pull_maps[f](b_idx), form.pull_maps[f](b2_idx))
+    assert not order.has(two, b_idx, b2_idx)
 
 
 def test_strict_characterization_zero_disagreements(top123, theta123, b123, grp8, ni8, quot1234):
@@ -154,13 +153,13 @@ def test_final_thick_hypothesis_respected():
         "f": MonotoneMap(x_fib, y_fib, [0]),
     }
     pull = {k: GaloisPair.from_left_adjoint(m).right for k, m in push.items()}
-    form = FormInstance(base, {"X": x_fib, "Y": y_fib}, push, pull)
-    empty = TopogenousOrder({"X": (0,), "Y": (0, 0)})
+    form = FormInstance(base, [x_fib, y_fib], [push[m] for m in base.names], [pull[m] for m in base.names])
+    empty = TopogenousOrder([(0,), (0, 0)])
     assert verify_order(form, empty, pulled_table(form, empty)).ok
     # f pulls everything to the singleton and pushes to the bottom: final
     # for the empty order, not thick, but the top is not self-related
-    assert is_final(form, empty, "f")
-    assert not form.is_thick("f")
+    assert is_final(form, empty, base.ids["f"])
+    assert not form.is_thick(base.ids["f"])
     assert final_thick_check(form, empty, classify_order(form, empty), CheckContext(form, empty).final).ok
 
 
@@ -201,30 +200,26 @@ def test_transfer_laws_match_dense_oracle_on_instances(top123, theta123, b123, g
 
 
 class DenseWalk:
-    """The pair walk of :func:`_transfer_laws` over a form's name-keyed
-    composable pairs and its dense kinds, run on any witness tables."""
+    """The pair walk of :func:`_transfer_laws` over a form's composable
+    pairs by name and its dense kinds, run on any witness tables."""
 
     def __init__(self, form):
         base = self.base = form.base
-        self.form, self.names = form, base.morphisms()
-        self.after = {m: [] for m in self.names}
+        n, ids = len(base.names), base.ids
+        self.form = form
+        self.after = [[] for _ in range(n)]
         for g, f in base.composable_pairs():
-            self.after[f].append((g, base.compose(g, f)))
-        self.kinds = {m: form.morphism_kind_dense(m) for m in self.names}
+            self.after[ids[f]].append((ids[g], ids[base.compose(g, f)]))
+        self.kinds = [form.morphism_kind_dense(m) for m in range(n)]
 
     def __call__(self, strict_witness, final_witness):
-        return _transfer_laws(
-            self.form, self.names, {m: m for m in self.names},
-            {m: w is None for m, w in strict_witness.items()},
-            {m: w is None for m, w in final_witness.items()},
-            self.kinds, self.after.__getitem__, strict_witness, final_witness,
-        )
+        return _transfer_laws(self.form, self.kinds, self.after, strict_witness, final_witness)
 
 
 def flipped(witness, rng, share):
     """The witness table with a random ``share`` of its verdicts flipped."""
-    out = dict(witness)
-    for m in rng.sample(sorted(out), max(1, int(len(out) * share))):
+    out = list(witness)
+    for m in rng.sample(range(len(out)), max(1, int(len(out) * share))):
         out[m] = (0, 0) if out[m] is None else None
     return out
 
@@ -280,14 +275,16 @@ def test_strict_via_operators_all_instances(top123, theta123, b123, grp8, ni8, q
         cls = classify_order(form, order)
         clo = closure_from_order(form, order) if cls.is_TM else None
         intr = interior_from_order(form, order) if cls.is_TJ else None
-        strict = {f: is_strict(form, order, f) for f in form.base.morphisms()}
+        strict = [is_strict(form, order, f) for f in range(len(form.base.names))]
         rep = strict_via_operators(form, strict, cls, clo, intr)
         assert rep.ok, rep.violations
 
 
 def test_cohereditary_on_instances(top123, theta123, b123, grp8, ni8, quot1234):
+    # cohereditary: every retraction of the base is final for the order
     for form, order in all_sweeps(top123, theta123, b123, grp8, ni8, quot1234):
-        assert is_cohereditary(form, order)
+        final = CheckContext(form, order).final
+        assert all(final[f] for f, kind in enumerate(form.base.kinds) if kind.is_retraction)
 
 
 def test_cohereditary_operator_equivalence(top123, theta123, grp8, ni8, quot1234):
@@ -300,14 +297,15 @@ def test_cohereditary_operator_equivalence(top123, theta123, grp8, ni8, quot1234
 
 def test_classify_morphism_report(grp8, ni8):
     form = grp8.form
-    sign = "S3->Z2:0.1.1.0.0.1"
+    sign = form.base.ids["S3->Z2:0.1.1.0.0.1"]
     ctx = CheckContext(form, ni8)
     rep = classify_morphism(form, sign, ctx.strict_witness[sign], ctx.final_witness[sign])
     assert rep.strict and rep.final and rep.thick
     assert rep.kind.is_retraction and not rep.kind.is_section
     assert rep.witnesses == []
     doubling = "Z2->Z4:0.2"
-    rep = classify_morphism(form, doubling, ctx.strict_witness[doubling], ctx.final_witness[doubling])
+    f = form.base.ids[doubling]
+    rep = classify_morphism(form, f, ctx.strict_witness[f], ctx.final_witness[f])
     assert not rep.final
     assert rep.witnesses
     d = rep.to_dict()
@@ -319,11 +317,11 @@ def test_strictness_invariant_under_fibre_relabeling():
     sf = build_grp_form([symmetric3(), cyclic(2)])
     form = sf.form
     order = normal_interval_order(sf)
-    perm = {"S3": [0, 2, 1, 4, 3, 5], "Z2": [1, 0]}
-    inv = {x: [p.index(i) for i in range(len(p))] for x, p in perm.items()}
+    perm = [[0, 2, 1, 4, 3, 5], [1, 0]]  # S3, Z2
+    inv = [[p.index(i) for i in range(len(p))] for p in perm]
 
     def relabel_lattice(x):
-        fib = form.fibre(x)
+        fib = form.fibres[x]
         p = perm[x]
         rows = [
             [fib.leq(p[a], p[b]) for b in range(fib.size)]
@@ -331,24 +329,23 @@ def test_strictness_invariant_under_fibre_relabeling():
         ]
         return FiniteLattice(rows)
 
-    new_fibres = {x: relabel_lattice(x) for x in form.base.objects}
-    new_push = {}
-    new_pull = {}
-    for f in form.base.morphisms():
-        x, y = form.base.dom[f], form.base.cod[f]
-        new_push[f] = MonotoneMap(
+    new_fibres = [relabel_lattice(x) for x in range(len(form.base.objects))]
+    new_push = []
+    new_pull = []
+    for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
+        push, pull = form.push_maps[f], form.pull_maps[f]
+        new_push.append(MonotoneMap(
             new_fibres[x], new_fibres[y],
-            [inv[y][form.push(f, perm[x][a])] for a in range(form.fibre(x).size)],
-        )
-        new_pull[f] = MonotoneMap(
+            [inv[y][push(perm[x][a])] for a in range(form.fibres[x].size)],
+        ))
+        new_pull.append(MonotoneMap(
             new_fibres[y], new_fibres[x],
-            [inv[x][form.pull(f, perm[y][b])] for b in range(form.fibre(y).size)],
-        )
+            [inv[x][pull(perm[y][b])] for b in range(form.fibres[y].size)],
+        ))
     relabeled = FormInstance(form.base, new_fibres, new_push, new_pull)
     assert relabeled.verify_laws().ok
-    new_rel = {}
-    for x in form.base.objects:
-        fib = form.fibre(x)
+    new_rel = []
+    for x, fib in enumerate(form.fibres):
         rows = []
         for a in range(fib.size):
             row = 0
@@ -356,18 +353,19 @@ def test_strictness_invariant_under_fibre_relabeling():
                 if order.has(x, perm[x][a], perm[x][b]):
                     row |= 1 << b
             rows.append(row)
-        new_rel[x] = tuple(rows)
+        new_rel.append(rows)
     relabeled_order = TopogenousOrder(new_rel)
     assert verify_order(relabeled, relabeled_order, pulled_table(relabeled, relabeled_order)).ok
-    for f in form.base.morphisms():
+    for f in range(len(form.base.names)):
         assert is_strict(form, order, f) == is_strict(relabeled, relabeled_order, f), f
         assert is_final(form, order, f) == is_final(relabeled, relabeled_order, f), f
 
 
 def test_strict_morphisms_closed_under_composition(grp8, ni8):
     form = grp8.form
-    strict = {f for f in form.base.morphisms() if is_strict(form, ni8, f)}
-    final = {f for f in form.base.morphisms() if is_final(form, ni8, f)}
+    names = form.base.names
+    strict = {names[f] for f in range(len(names)) if is_strict(form, ni8, f)}
+    final = {names[f] for f in range(len(names)) if is_final(form, ni8, f)}
     for g, f in form.base.composable_pairs():
         if f in strict and g in strict:
             assert form.base.compose(g, f) in strict

@@ -156,7 +156,7 @@ def test_quot_form_laws():
 
 def test_quot_form_laws_at_four_points():
     qf = build_quot_form([4])
-    assert sum(1 for _ in qf.form.base.morphisms()) == 256
+    assert len(qf.form.base.names) == 256
     assert qf.form.base.verify().ok
     assert qf.form.verify_laws().ok
 
@@ -165,14 +165,14 @@ def test_quot_form_laws_at_four_points():
 def test_transfer_tables_match_push_and_pull_partition(sizes):
     pf = build_quot_form(sizes)
     base = pf.form.base
-    for f in base.morphisms():
-        fn, x, y = pf.functions[f], base.dom[f], base.cod[f]
+    for f, name in enumerate(base.names):
+        fn, x, y = pf.functions[f], base.source[f], base.target[f]
         assert pf.form.push_maps[f].table == tuple(
             pf.index[y][push_partition(fn, p).blocks] for p in pf.partitions[x]
-        ), f
+        ), name
         assert pf.form.pull_maps[f].table == tuple(
             pf.index[x][pull_partition(fn, p).blocks] for p in pf.partitions[y]
-        ), f
+        ), name
 
 
 def test_quot_form_cap():

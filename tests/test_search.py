@@ -51,7 +51,7 @@ def test_generator_produces_varied_shapes():
     shapes = set()
     for i in range(60):
         form = random_form(case_rng(7, i))
-        shapes.add((len(form.base.objects), sum(1 for _ in form.base.morphisms())))
+        shapes.add((len(form.base.objects), len(form.base.names)))
     assert len(shapes) >= 4
 
 
@@ -99,15 +99,15 @@ def test_roundtrip_checker_detects_planted_fault():
     form = random_form(rng)
     order = random_order(rng, form, "TM")
     clo = closure_from_order(form, order)
-    x = form.base.objects[0]
-    fib = form.fibre(x)
+    x = 0
+    fib = form.fibres[x]
     if fib.size < 2:
         pytest.skip("fibre too small to corrupt")
-    t = list(clo.table(x))
+    t = list(clo.maps[x])
     t[fib.top] = fib.bottom
     from formkit.topogenous import Operator, verify_closure
 
-    bad = Operator("closure", dict(clo.maps, **{x: tuple(t)}))
+    bad = Operator("closure", [tuple(t), *clo.maps[1:]])
     assert not verify_closure(form, bad).ok
 
 
@@ -119,9 +119,9 @@ def test_strict_characterization_detects_planted_fault():
     order = random_order(rng, form, "any")
     from formkit.topogenous import TopogenousOrder
 
-    rel = {x: list(rows) for x, rows in order.rel.items()}
-    x = form.base.objects[0]
-    fib = form.fibre(x)
+    rel = [list(rows) for rows in order.rel]
+    x = 0
+    fib = form.fibres[x]
     changed = False
     for a in range(fib.size):
         free = fib.up[a] & ~rel[x][a] & ~(1 << a)
@@ -131,7 +131,7 @@ def test_strict_characterization_detects_planted_fault():
             break
     if not changed:
         pytest.skip("relation already full on this fibre")
-    tampered = TopogenousOrder({k: tuple(v) for k, v in rel.items()})
+    tampered = TopogenousOrder(rel)
     axioms = verify_order(form, tampered, pulled_table(form, tampered))
     if axioms.ok:
         ctx = CheckContext(form, tampered)
@@ -154,17 +154,17 @@ def case_payload(claim, seed, index):
     rng = case_rng(seed, index)
     form = random_form(rng)
     out = {
-        "fibres": [list(form.fibre(x).up) for x in form.base.objects],
+        "fibres": [list(fib.up) for fib in form.fibres],
         "maps": [
-            [f, list(form.push_maps[f].table), list(form.pull_maps[f].table)]
-            for f in form.base.morphisms()
+            [f, list(push.table), list(pull.table)]
+            for f, push, pull in zip(form.base.names, form.push_maps, form.pull_maps)
         ],
         "orders": [],
     }
     for want in classes:
         order = random_order(rng, form, want)
         out["orders"].append([
-            [list(order.rel[x]) for x in form.base.objects],
+            [list(rows) for rows in order.rel],
             classify_order(form, order).to_dict(),
             CHECKS[check].run(CheckContext(form, order)).to_dict(),
         ])

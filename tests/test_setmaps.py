@@ -10,12 +10,12 @@ from formkit.report import InputError
 from formkit.setmaps import MAX_CARRIER, concrete_category, function_category
 
 
-def composed_per_pair(base, arrow_of):
+def composed_per_pair(base, arrows):
     """The composition table rebuilt from every pair of morphisms: where
     dom g = cod f, the table of g after f, looked up by its domain,
     codomain and values."""
     n = len(base.names)
-    table = [tuple(arrow_of[m].table) for m in base.names]
+    table = [tuple(arrow.table) for arrow in arrows]
     number = {(base.source[i], base.target[i], table[i]): i for i in range(n)}
     expected = [-1] * (n * n)
     for f in range(n):
@@ -29,8 +29,8 @@ def composed_per_pair(base, arrow_of):
 @pytest.mark.parametrize("sizes", [[0, 1, 2], [3, 3, 3], [1, 2, 3, 4]])
 def test_function_category_composes_as_value_tables(sizes):
     # an empty carrier, repeated sizes, and many codomain blocks
-    base, _, fn_of = function_category(sizes)
-    assert base.comp == composed_per_pair(base, fn_of)
+    base, functions = function_category(sizes)
+    assert base.comp == composed_per_pair(base, functions)
     assert [list(r) for r in base.by_source] == [
         [i for i in range(len(base.names)) if base.source[i] == x] for x in range(len(base.objects))
     ]
@@ -57,8 +57,8 @@ def test_compose_callable_of_the_wrong_length_is_refused():
 def point_form(base):
     """A form over ``base`` with one-point fibres, to read its kinds."""
     point = FiniteLattice.chain(1)
-    same = {m: MonotoneMap.identity(point) for m in base.morphisms()}
-    return FormInstance(base, {x: point for x in base.objects}, same, same)
+    same = [MonotoneMap.identity(point) for _ in base.names]
+    return FormInstance(base, [point for _ in base.objects], same, same)
 
 
 @pytest.mark.parametrize("build", ["empty carrier", "top123", "quot1234"])
@@ -72,9 +72,9 @@ def test_value_table_kinds_equal_the_scan_and_the_dense_oracle(build, request):
         form = request.getfixturevalue(build).form
     base = form.base
     assert "kinds" in vars(base)  # given by the builder, not scanned
-    assert base.kinds == base.scan_kinds() == [form.morphism_kind_dense(m) for m in base.morphisms()]
-    identities = set(base.identities.values())
-    assert any(k.is_iso and m not in identities for m, k in zip(base.names, base.kinds))
+    assert base.kinds == base.scan_kinds() == [form.morphism_kind_dense(m) for m in range(len(base.names))]
+    identities = set(base.identity_of)
+    assert any(k.is_iso and m not in identities for m, k in enumerate(base.kinds))
     assert any(k.is_section and not k.is_retraction for k in base.kinds)
 
 

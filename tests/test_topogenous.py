@@ -7,6 +7,7 @@ import pytest
 
 from formkit.checks import CHECKS, SKIP_NOTES, CheckContext, run_checks
 from formkit.forms import CategoryPresentation, FormInstance
+from formkit.jsonio import order_from_dict
 from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap
 from formkit.topogenous import (
     Operator,
@@ -34,7 +35,7 @@ def single_object_form(lat: FiniteLattice) -> FormInstance:
         ["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"}
     )
     ident = MonotoneMap.identity(lat)
-    return FormInstance(base, {"X": lat}, {"id": ident}, {"id": ident})
+    return FormInstance(base, [lat], [ident], [ident])
 
 
 def collapse_form() -> FormInstance:
@@ -54,7 +55,7 @@ def collapse_form() -> FormInstance:
         "f": MonotoneMap(x_fib, y_fib, [0]),
     }
     pull = {name: GaloisPair.from_left_adjoint(m).right for name, m in push.items()}
-    return FormInstance(base, {"X": x_fib, "Y": y_fib}, push, pull)
+    return FormInstance(base, [x_fib, y_fib], [push[m] for m in base.names], [pull[m] for m in base.names])
 
 
 def test_leq_order_is_topogenous_everywhere(top123, grp8, quot123):
@@ -67,31 +68,32 @@ def test_leq_order_is_topogenous_everywhere(top123, grp8, quot123):
 
 def test_full_relation_violates_T1():
     form = single_object_form(FiniteLattice.chain(2))
-    full = TopogenousOrder({"X": (0b11, 0b11)})
+    full = TopogenousOrder([(0b11, 0b11)])
     rep = verify_order(form, full, pulled_table(form, full))
     assert any(v.check == "T1" and v.witness == (1, 0) for v in rep.violations)
 
 
 def test_diagonal_on_chain_violates_T2():
     form = single_object_form(FiniteLattice.chain(2))
-    diag = TopogenousOrder({"X": (0b01, 0b10)})
+    diag = TopogenousOrder([(0b01, 0b10)])
     rep = verify_order(form, diag, pulled_table(form, diag))
     assert any(v.check == "T2" for v in rep.violations)
 
 
 def test_shape_mismatch_is_an_error():
+    # an order's shape is checked where its document is read
     form = single_object_form(FiniteLattice.chain(2))
-    short, stray = TopogenousOrder({"X": (0b1,)}), TopogenousOrder({"Y": (0b01, 0b10)})
+    short, stray = {"rel": {"X": [[True]]}}, {"rel": {"Y": [[True, False], [False, True]]}}
     with pytest.raises(ValueError):
-        verify_order(form, short, pulled_table(form, short))
+        order_from_dict(short, form)
     with pytest.raises(ValueError):
-        verify_order(form, stray, pulled_table(form, stray))
+        order_from_dict(stray, form)
 
 
 def test_t3_violation_and_pull_form_agree():
     form = collapse_form()
     # empty relation on X, the fibre order on Y: T1/T2 hold, T3 fails on f
-    bad = TopogenousOrder({"X": (0,), "Y": (0b11, 0b10)})
+    bad = TopogenousOrder([(0,), (0b11, 0b10)])
     rep = verify_order(form, bad, pulled_table(form, bad))
     t3 = [v for v in rep.violations if v.check == "T3"]
     assert t3 and all(v.where == "f" for v in t3)
@@ -169,7 +171,7 @@ def _all_orders_on(lat: FiniteLattice):
             rows = [0] * n
             for a, b in chosen:
                 rows[a] |= 1 << b
-            T = TopogenousOrder({"X": tuple(rows)})
+            T = TopogenousOrder([rows])
             if verify_order(form, T, pulled_table(form, T)).ok:
                 out.append(T)
     return form, out
@@ -213,28 +215,25 @@ def test_intersection_greatest_on_five_element_fibres():
 def test_closure_from_leq_is_identity(top12, grp8):
     for bundle in (top12, grp8):
         clo = closure_from_order(bundle.form, leq_order(bundle.form))
-        for x in bundle.form.base.objects:
-            assert clo.table(x) == tuple(range(bundle.form.fibre(x).size))
+        for x, fib in enumerate(bundle.form.fibres):
+            assert clo.maps[x] == tuple(range(fib.size))
 
 
 def test_order_from_identity_closure_is_leq(top12):
     form = top12.form
-    ident = Operator("closure", {x: tuple(range(form.fibre(x).size)) for x in form.base.objects})
+    ident = Operator("closure", [tuple(range(fib.size)) for fib in form.fibres])
     assert order_from_closure(form, ident) == leq_order(form)
 
 
 def test_constant_to_top_closure(top12):
     form = top12.form
-    const = Operator(
-        "closure",
-        {x: tuple(form.fibre(x).top for _ in range(form.fibre(x).size)) for x in form.base.objects}
-    )
+    const = Operator("closure", [tuple(fib.top for _ in range(fib.size)) for fib in form.fibres])
     assert verify_closure(form, const).ok
     T = order_from_closure(form, const)
     assert verify_order(form, T, pulled_table(form, T)).ok
-    for x in form.base.objects:
-        top = form.fibre(x).top
-        for a in range(form.fibre(x).size):
+    for x, fib in enumerate(form.fibres):
+        top = fib.top
+        for a in range(fib.size):
             assert T.rel[x][a] == 1 << top
 
 
@@ -243,28 +242,22 @@ def test_constant_to_bottom_interior():
     # on the topology form the initial topology of a constant map is the
     # fibre top, so contractivity transfer (I3) genuinely fails there
     form = single_object_form(FiniteLattice.chain(3))
-    const = Operator("interior", {"X": (0, 0, 0)})
+    const = Operator("interior", [(0, 0, 0)])
     assert verify_interior(form, const).ok
     T = order_from_interior(form, const)
     assert verify_order(form, T, pulled_table(form, T)).ok
-    assert T.rel["X"] == (0b111, 0, 0)
+    assert T.rel[0] == (0b111, 0, 0)
 
 
 def test_constant_to_bottom_interior_fails_I3_on_top_form(top12):
     form = top12.form
-    const = Operator(
-        "interior",
-        {x: tuple(form.fibre(x).bottom for _ in range(form.fibre(x).size)) for x in form.base.objects}
-    )
+    const = Operator("interior", [tuple(fib.bottom for _ in range(fib.size)) for fib in form.fibres])
     rep = verify_interior(form, const)
     assert any(v.check == "I3" for v in rep.violations)
 
 
 def test_verify_closure_four_forms_agree_on_instances(top12, theta123, top123):
-    ident = Operator(
-        "closure",
-        {x: tuple(range(top12.form.fibre(x).size)) for x in top12.form.base.objects}
-    )
+    ident = Operator("closure", [tuple(range(fib.size)) for fib in top12.form.fibres])
     rep = verify_closure(top12.form, ident)
     assert rep.ok
     theta_clo = closure_from_order(top123.form, theta123)
@@ -281,25 +274,27 @@ def test_verify_closure_on_grp_pair(grp8, ni8):
 
 def test_fault_injected_interior_reports_I1(top12):
     form = top12.form
-    maps = {}
-    for x in form.base.objects:
-        t = list(range(form.fibre(x).size))
-        maps[x] = tuple(t)
-    bad = dict(maps)
-    fib = form.fibre("2pt")
-    t = list(bad["2pt"])
+    maps = []
+    for fib in form.fibres:
+        t = list(range(fib.size))
+        maps.append(tuple(t))
+    bad = list(maps)
+    x = form.base.objects.index("2pt")
+    fib = form.fibres[x]
+    t = list(bad[x])
     t[fib.bottom] = fib.top
-    bad["2pt"] = tuple(t)
+    bad[x] = tuple(t)
     rep = verify_interior(form, Operator("interior", bad))
     assert any(v.check == "I1" for v in rep.violations)
 
 
 def test_fault_injected_closure_reports_C1_and_form_disagreement(top123, theta123):
     clo = closure_from_order(top123.form, theta123)
-    maps = {x: list(t) for x, t in clo.maps.items()}
-    fib = top123.form.fibre("3pt")
-    maps["3pt"][fib.top] = fib.bottom
-    rep = verify_closure(top123.form, Operator("closure", {x: tuple(t) for x, t in maps.items()}))
+    maps = [list(t) for t in clo.maps]
+    x = top123.form.base.objects.index("3pt")
+    fib = top123.form.fibres[x]
+    maps[x][fib.top] = fib.bottom
+    rep = verify_closure(top123.form, Operator("closure", maps))
     assert not rep.ok
     assert any(v.check == "C1" for v in rep.violations)
 
@@ -335,10 +330,7 @@ def test_roundtrip_from_closures(top123, theta123, grp8, ni8):
     for form, order in ((top123.form, theta123), (grp8.form, ni8)):
         clo = closure_from_order(form, order)
         assert roundtrip_check(form, clo).ok
-        ident = Operator(
-            "closure",
-            {x: tuple(range(form.fibre(x).size)) for x in form.base.objects}
-        )
+        ident = Operator("closure", [tuple(range(fib.size)) for fib in form.fibres])
         assert roundtrip_check(form, ident).ok
 
 
@@ -352,7 +344,7 @@ def test_roundtrip_skips_wrong_class():
     # conditions (no row reaches the top, the bottom row is not full); the
     # registry's class gate skips the checks that need a class, unrun
     form = collapse_form()
-    empty = TopogenousOrder({"X": (0,), "Y": (0, 0)})
+    empty = TopogenousOrder([(0,), (0, 0)])
     assert verify_order(form, empty, pulled_table(form, empty)).ok
     cls = classify_order(form, empty)
     assert not cls.is_TM and not cls.is_TJ
@@ -371,11 +363,10 @@ def test_monotone_assignments_between_orders(top123, theta123, b123):
     assert b123.contained_in(le)
     clo_theta = closure_from_order(form, theta123)
     clo_le = closure_from_order(form, le)
-    for x in form.base.objects:
-        fib = form.fibre(x)
+    for x, fib in enumerate(form.fibres):
         for a in range(fib.size):
             # smaller order, larger closure
-            assert fib.leq(clo_le.table(x)[a], clo_theta.table(x)[a])
+            assert fib.leq(clo_le.maps[x][a], clo_theta.maps[x][a])
     # and back: comparable closures give nested orders
     t_from_theta = order_from_closure(form, clo_theta)
     t_from_le = order_from_closure(form, clo_le)
@@ -387,19 +378,15 @@ def test_monotone_assignments_interiors(top123, b123):
     le = leq_order(form)
     i_b = interior_from_order(form, b123)
     i_le = interior_from_order(form, le)
-    for x in form.base.objects:
-        fib = form.fibre(x)
+    for x, fib in enumerate(form.fibres):
         for a in range(fib.size):
-            assert fib.leq(i_b.table(x)[a], i_le.table(x)[a])
+            assert fib.leq(i_b.maps[x][a], i_le.maps[x][a])
     assert order_from_interior(form, i_b).contained_in(order_from_interior(form, i_le))
 
 
 def test_constant_top_closure_roundtrip_on_quot(quot123):
     form = quot123.form
-    const = Operator(
-        "closure",
-        {x: tuple(form.fibre(x).top for _ in range(form.fibre(x).size)) for x in form.base.objects}
-    )
+    const = Operator("closure", [tuple(fib.top for _ in range(fib.size)) for fib in form.fibres])
     assert roundtrip_check(form, const).ok
     T = order_from_closure(form, const)
     assert classify_order(form, T).is_TM

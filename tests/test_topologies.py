@@ -88,7 +88,7 @@ def frozenset_pull(tf, f):
     """The pull route the pulled-back preorders replaced: the open sets of
     each codomain topology translated through the preimage table, as a
     frozenset looked up among the domain's open families."""
-    fn, x, y = tf.functions[f], tf.form.base.dom[f], tf.form.base.cod[f]
+    fn, x, y = tf.functions[f], tf.form.base.source[f], tf.form.base.target[f]
     pad = bytes(fn.preimage_mask(v) for v in range(1 << fn.cod_size)).ljust(256, b"\0")
     families = {t.opens: i for i, t in enumerate(tf.topologies[x])}
     return tuple(families[frozenset(bytes(t.key()).translate(pad))] for t in tf.topologies[y])
@@ -119,16 +119,16 @@ def test_fibre_on_no_points():
 
 
 def test_top4_pull_tables_match_the_frozenset_route(top4):
-    for f in top4.form.base.morphisms():
-        assert top4.form.pull_maps[f].table == frozenset_pull(top4, f), f
+    for f, name in enumerate(top4.form.base.names):
+        assert top4.form.pull_maps[f].table == frozenset_pull(top4, f), name
 
 
 def test_top4_tables_match_final_and_initial_topology_on_a_sample(top4):
     # 2,000 seeded (morphism, topology) pairs of top[4], each entry against
     # the one-topology oracles
     rng = random.Random(20230130)
-    morphisms = list(top4.form.base.morphisms())
-    tops, index = top4.topologies["4pt"], top4.index["4pt"]
+    morphisms = range(len(top4.form.base.names))
+    tops, index = top4.topologies[0], top4.index[0]
     for _ in range(2000):
         f, i = rng.choice(morphisms), rng.randrange(len(tops))
         fn = top4.functions[f]
@@ -312,27 +312,25 @@ def test_orders_verify_and_classify(top123, theta123, b123):
 
 def test_closure_from_theta_order_is_theta_table(top123, theta123):
     clo = closure_from_order(top123.form, theta123)
-    for x in top123.form.base.objects:
-        tops = top123.topologies[x]
+    for x, tops in enumerate(top123.topologies):
         expected = tuple(top123.element(x, theta_topology(t)) for t in tops)
-        assert clo.table(x) == expected
+        assert clo.maps[x] == expected
 
 
 def test_interior_from_b_order_is_b_table(top123, b123):
     intr = interior_from_order(top123.form, b123)
-    for x in top123.form.base.objects:
-        tops = top123.topologies[x]
+    for x, tops in enumerate(top123.topologies):
         expected = tuple(top123.element(x, b_topology(t)) for t in tops)
-        assert intr.table(x) == expected
+        assert intr.maps[x] == expected
 
 
 def test_build_top_form_shapes():
     one = build_top_form([1])
-    assert one.form.fibre("1pt").size == 1
-    assert sum(1 for _ in one.form.base.morphisms()) == 1
+    assert one.form.fibres[0].size == 1  # 1pt
+    assert len(one.form.base.names) == 1
     two = build_top_form([2])
-    assert two.form.fibre("2pt").size == 4
-    assert sum(1 for _ in two.form.base.morphisms()) == 4
+    assert two.form.fibres[0].size == 4  # 2pt
+    assert len(two.form.base.names) == 4
     assert two.form.verify_laws().ok
     mixed = build_top_form([2, 3])
     assert mixed.form.verify_laws().ok
@@ -347,26 +345,26 @@ def test_build_top_form_cap():
 def test_transfer_tables_match_final_and_initial_topology(sizes):
     tf = build_top_form(sizes)
     base = tf.form.base
-    for f in base.morphisms():
-        fn, x, y = tf.functions[f], base.dom[f], base.cod[f]
+    for f, name in enumerate(base.names):
+        fn, x, y = tf.functions[f], base.source[f], base.target[f]
         assert tf.form.push_maps[f].table == tuple(
             tf.index[y][final_topology(fn, t).key()] for t in tf.topologies[x]
-        ), f
+        ), name
         assert tf.form.pull_maps[f].table == tuple(
             tf.index[x][initial_topology(fn, t).key()] for t in tf.topologies[y]
-        ), f
+        ), name
 
 
 def test_build_top_form_at_cap_boundary(top4):
     tf = top4
-    assert tf.form.fibre("4pt").size == 355
-    assert sum(1 for _ in tf.form.base.morphisms()) == 256
+    assert tf.form.fibres[0].size == 355  # 4pt
+    assert len(tf.form.base.names) == 256
     assert tf.form.base.verify().ok
     assert tf.form.verify_laws().ok
     # and the adjunction directly on one non-trivial morphism
-    f = "4pt->4pt:0.0.1.2"
+    f = tf.form.base.ids["4pt->4pt:0.0.1.2"]
     push, pull = tf.form.push_maps[f], tf.form.pull_maps[f]
-    fib = tf.form.fibre("4pt")
+    fib = tf.form.fibres[0]
     for a in range(0, fib.size, 17):
         for b in range(0, fib.size, 13):
             assert fib.leq(push.table[a], b) == fib.leq(a, pull.table[b])
@@ -388,10 +386,10 @@ def test_clopen_table_matches_pairwise_test(top123):
     # topologies: the table's bit is is_clopen_map's verdict
     tf = top123
     kinds = set()
-    for f in tf.form.base.morphisms():
+    for f in range(len(tf.form.base.names)):
         fn = tf.functions[f]
-        t_doms = tf.topologies[tf.form.base.dom[f]]
-        t_cods = tf.topologies[tf.form.base.cod[f]]
+        t_doms = tf.topologies[tf.form.base.source[f]]
+        t_cods = tf.topologies[tf.form.base.target[f]]
         for i, mask in enumerate(clopen_targets(fn, t_doms, t_cods)):
             for j, t in enumerate(t_cods):
                 clopen = is_clopen_map(fn, t_doms[i], t)
@@ -411,7 +409,7 @@ def test_final_initial_are_adjoint_for_every_endofunction(top12):
 
     form = top12.form
     for f in form.base.hom("2pt", "2pt"):
-        pair = GaloisPair(form.push_maps[f], form.pull_maps[f])
+        pair = GaloisPair(form.push_maps[form.base.ids[f]], form.pull_maps[form.base.ids[f]])
         assert pair.check().ok, f
 
 
