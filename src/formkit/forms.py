@@ -39,12 +39,13 @@ class CategoryPresentation:
     """A finite category with its objects and morphisms numbered.
 
     Objects are numbered by their place in ``objects``, morphisms hom-set
-    by hom-set in object order: ``names[i]`` is morphism i. Everything above the base keys its tables
-    by these numbers; names are read only where a document is read or a
-    report is written. The name-level ``ids`` (name to number), ``dom`` and
-    ``cod`` (name to object name), ``homs``, ``identities``, :meth:`hom`,
-    :meth:`identity`, :meth:`compose` and :attr:`compose_table` serve the
-    document reader, the command line and the dense oracles.
+    by hom-set in object order: ``names[i]`` is morphism i. Everything
+    above the base keys its tables by these numbers; names are read only
+    where a document is read or a report is written. The name-level
+    ``ids`` (name to number), ``dom`` and ``cod`` (name to object name),
+    ``homs``, ``identities``, :meth:`hom`, :meth:`identity`,
+    :meth:`compose` and :attr:`compose_table` serve the document reader,
+    the command line and the dense oracles.
 
     ``source[i]`` and ``target[i]`` are the object numbers of morphism i's
     domain and codomain, and ``identity_of[x]`` is the number of object x's

@@ -503,9 +503,8 @@ def verify_interior(form: FormInstance, intr: Operator) -> Report:
     per element."""
     rep = Report()
     base = form.base
-    for x, fib, t in zip(base.objects, form.fibres, intr.maps):
-        t = MonotoneMap(fib, fib, t)
-        up, table, above = fib.up, t.table, t.preimages(fib.up)
+    for x, fib, table in zip(base.objects, form.fibres, intr.maps):
+        up, above = fib.up, MonotoneMap(fib, fib, table).preimages(fib.up)
         rep.count("I1", fib.size)
         for a in range(fib.size):
             if not (up[table[a]] >> a) & 1:
