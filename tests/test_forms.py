@@ -153,7 +153,7 @@ def _corrupted(m: MonotoneMap, i: int) -> MonotoneMap:
 def test_check_reflects_witness_is_the_first_lifting_violation(quot123):
     """One section's pull, one retraction's push and one iso's push
     corrupted: each flag fails at the first violation lifting-iso-laws
-    reports for its kind, and the flags still agree with the laws."""
+    reports for its kind."""
     form = quot123.form
     base = form.base
     names, identities = base.names, set(base.identity_of)
@@ -182,7 +182,6 @@ def test_check_reflects_witness_is_the_first_lifting_violation(quot123):
         assert names[witness[0]] == first.where, kind
         if kind != "iso":
             assert witness[1:] == first.witness, kind
-    assert not [v for v in rep.violations if v.check == "flag-agreement"]
 
 
 def test_lifting_iso_laws_clean_on_instances(top12, quot123):
@@ -193,7 +192,7 @@ def test_lifting_iso_laws_clean_on_instances(top12, quot123):
 def test_lifting_iso_laws_count_one_check_per_fibre_element(top12, quot123):
     for bundle in (top12, quot123):
         form = bundle.form
-        expected = 3  # flag agreement, one per kind
+        expected = 0
         for f in range(len(form.base.names)):
             mk = form.base.kinds[f]
             expected += mk.is_section * form.push_maps[f].source.size
