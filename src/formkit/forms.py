@@ -43,9 +43,8 @@ class CategoryPresentation:
     above the base keys its tables by these numbers; names are read only
     where a document is read or a report is written. The name-level
     ``ids`` (name to number), ``dom`` and ``cod`` (name to object name),
-    ``homs``, ``identities``, :meth:`hom`, :meth:`identity`,
-    :meth:`compose` and :attr:`compose_table` serve the document reader,
-    the command line and the dense oracles.
+    ``homs``, ``identities`` and :attr:`compose_table` serve the document
+    reader and the command line.
 
     ``source[i]`` and ``target[i]`` are the object numbers of morphism i's
     domain and codomain, and ``identity_of[x]`` is the number of object x's
@@ -143,21 +142,6 @@ class CategoryPresentation:
                 raise ValueError(f"{len(kinds)} kinds for {n} morphisms")
             self.kinds = list(kinds)
 
-    def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return self.homs.get((x, y), ())
-
-    def identity(self, x: str) -> str:
-        return self.identities[x]
-
-    def compose(self, g: str, f: str) -> str:
-        """g after f, by name."""
-        if self.cod[f] != self.dom[g]:
-            raise ValueError(f"cannot compose {g!r} after {f!r}")
-        h = self.comp[self.ids[g] * len(self.names) + self.ids[f]]
-        if h < 0:
-            raise KeyError((g, f))
-        return self.names[h]
-
     def after(self, f: int) -> Iterable[tuple[int, int]]:
         """(g, g∘f) by number for every g out of the codomain of f, in
         number order (g∘f -1 where undefined). Walks of the composable
@@ -185,17 +169,16 @@ class CategoryPresentation:
         """Each morphism's section, retraction and iso status inside the
         presented hom-sets, by number: the kinds the builder gave (for the
         full categories of finite sets, read off the value tables), or else
-        :meth:`scan_kinds`, computed once.
-        :meth:`FormInstance.morphism_kind_dense` is the per-morphism scan
-        both are tested against."""
+        :meth:`scan_kinds`, computed once. Both are tested against a
+        per-morphism scan by name, ``morphism_kind_dense`` in
+        ``tests/oracles.py``."""
         return self.scan_kinds()
 
     def scan_kinds(self) -> list[MorphismKind]:
         """The kinds from the composition table: for f: x -> y the
         candidates are the morphisms of hom(y, x), composed with f by one
         lookup each. An iso's inverse is the first two-sided inverse in
-        number order. :meth:`FormInstance.morphism_kind_dense` is the
-        per-morphism scan it is tested against."""
+        number order."""
         n, comp, identity = len(self.names), self.comp, self.identity_of
         kinds = []
         for f in range(n):
@@ -211,13 +194,6 @@ class CategoryPresentation:
                 inverse=two_sided[0] if two_sided else None,
             ))
         return kinds
-
-    def composable_pairs(self) -> Iterable[tuple[str, str]]:
-        """Every composable (g, f) by name, f in number order, then g."""
-        names = self.names
-        for f, f_name in enumerate(names):
-            for g in self.by_source[self.target[f]]:
-                yield names[g], f_name
 
     @property
     def compose_table(self) -> dict[tuple[str, str], str]:
@@ -238,24 +214,17 @@ class CategoryPresentation:
         |S|·|hom|² instead of |hom|³. When the identity laws fail, or a
         generator triple fails, the dense sweep of every composable triple
         runs and reports its first witness, so violations are those of
-        :meth:`verify_dense`; ``checks_run`` counts the triples actually
-        tested. The presentation must not change after construction: the
-        report, and the walk of the composable pairs for closure of
-        composition (:attr:`_totality_faults`), are computed once and
-        shared with :meth:`FormInstance.verify_laws`."""
+        the all-triples sweep (``verify_dense`` in ``tests/oracles.py``);
+        ``checks_run`` counts the triples actually tested. The presentation
+        must not change after construction: the report, and the walk of the
+        composable pairs for closure of composition
+        (:attr:`_totality_faults`), are computed once and shared with
+        :meth:`FormInstance.verify_laws`."""
         rep = self._report
         return Report(list(rep.violations), rep.checks_run, list(rep.notes))
 
-    def verify_dense(self) -> Report:
-        """The same checks with associativity swept over every composable
-        triple: the oracle the generator-reduced sweep is tested against."""
-        return self._check(fast=False)
-
     @cached_property
     def _report(self) -> Report:
-        return self._check(fast=True)
-
-    def _check(self, fast: bool) -> Report:
         rep = Report()
         for x, i in zip(self.objects, self.identity_of):
             if i is None:
@@ -272,7 +241,7 @@ class CategoryPresentation:
                 rep.add("identity-left", witness=(names[f],))
             if comp[f * n + identity[source[f]]] != f:
                 rep.add("identity-right", witness=(names[f],))
-        if not (fast and rep.ok and self._associative_at_generators(rep)):
+        if not (rep.ok and self._associative_at_generators(rep)):
             self._dense_associativity(rep)
         return rep
 
@@ -461,19 +430,19 @@ class FormInstance:
 
     @cached_property
     def _laws(self) -> list[tuple]:
-        """Every morphism's :meth:`_morphism_laws` with the cover tests."""
-        return [self._morphism_laws(f, fast=True) for f in range(len(self.push_maps))]
+        """Every morphism's :meth:`_morphism_laws`, by number."""
+        return [self._morphism_laws(f) for f in range(len(self.push_maps))]
 
-    def _morphism_laws(self, f: int, fast: bool) -> tuple:
+    def _morphism_laws(self, f: int) -> tuple:
         """The law body of ``f``, shared by :meth:`verify_laws` and
         :meth:`is_adjoint`: ``(wiring, bad_push, bad_pull, bad_unit,
         bad_counit, adjoint)``. ``wiring`` names the failed check when push
         or pull misses the fibres of dom f and cod f, and then nothing else
         is tested; ``bad_push`` and ``bad_pull`` are the first monotonicity
-        failures (on covers when ``fast``), ``bad_unit`` every a with
-        a !<= pull(push a), ``bad_counit`` every b with push(pull b) !<= b,
-        and ``adjoint`` the certificate: none of them, on two fibres that
-        are partial orders."""
+        failures (:meth:`MonotoneMap.monotone_violation`), ``bad_unit``
+        every a with a !<= pull(push a), ``bad_counit`` every b with
+        push(pull b) !<= b, and ``adjoint`` the certificate: none of them,
+        on two fibres that are partial orders."""
         fx, fy = self.fibres[self.base.source[f]], self.fibres[self.base.target[f]]
         push, pull = self.push_maps[f], self.pull_maps[f]
         if push.source != fx or push.target != fy:
@@ -481,32 +450,14 @@ class FormInstance:
         if pull.source != fy or pull.target != fx:
             return "pull-wiring", None, None, [], [], False
         pt, qt, up_x, up_y = push.table, pull.table, fx.up, fy.up
-        bad_push = push.monotone_violation() if fast else push.monotone_violation_dense()
-        bad_pull = pull.monotone_violation() if fast else pull.monotone_violation_dense()
+        bad_push = push.monotone_violation()
+        bad_pull = pull.monotone_violation()
         bad_unit = [a for a in range(fx.size) if not (up_x[a] >> qt[pt[a]]) & 1]
         bad_counit = [b for b in range(fy.size) if not (up_y[pt[qt[b]]] >> b) & 1]
         adjoint = (
             not (bad_push or bad_pull or bad_unit or bad_counit) and fx.is_partial_order() and fy.is_partial_order()
         )
         return "", bad_push, bad_pull, bad_unit, bad_counit, adjoint
-
-    def morphism_kind_dense(self, f: int) -> MorphismKind:
-        """Section/retraction/iso status of ``f`` from the hom-set lists and
-        composition by name, one morphism at a time: the oracle that the
-        base's table of every morphism's kind
-        (:attr:`CategoryPresentation.kinds`) is tested against."""
-        base = self.base
-        name, x, y = base.names[f], base.objects[base.source[f]], base.objects[base.target[f]]
-        idx, idy = base.identity(x), base.identity(y)
-        left_inverses = [g for g in base.hom(y, x) if base.compose(g, name) == idx]
-        right_inverses = [g for g in base.hom(y, x) if base.compose(name, g) == idy]
-        two_sided = [g for g in left_inverses if g in right_inverses]
-        return MorphismKind(
-            is_section=bool(left_inverses),
-            is_retraction=bool(right_inverses),
-            is_iso=bool(two_sided),
-            inverse=base.ids[two_sided[0]] if two_sided else None,
-        )
 
     # -- law verification ---------------------------------------------------
 
@@ -516,8 +467,9 @@ class FormInstance:
         unit/counit inequalities.
 
         Three sweeps are reduced, each with a dense fallback, so violations
-        are always those of :meth:`verify_laws_dense`; ``checks_run`` counts
-        the checks actually run.
+        are always those of the dense sweeps (``verify_laws_dense`` in
+        ``tests/oracles.py``); ``checks_run`` counts the checks actually
+        run.
 
         - Monotonicity tests the cover pairs of the source fibre only (see
           :meth:`MonotoneMap.monotone_violation`).
@@ -538,19 +490,18 @@ class FormInstance:
         law body (:meth:`_morphism_laws`), computed once per form and
         shared with :meth:`is_adjoint`. Base category axioms are
         :meth:`CategoryPresentation.verify`'s job; here the undefined
-        composites its walk of the composable pairs found are reported, not
-        raised."""
-        return self._check_laws(fast=True)
-
-    def verify_laws_dense(self) -> Report:
-        """The same laws with every sweep dense: the oracle
-        :meth:`verify_laws` is tested against."""
-        return self._check_laws(fast=False)
-
-    def _check_laws(self, fast: bool) -> Report:
+        composites its walk of the composable pairs found, and the objects
+        without an identity, are reported, not raised; either ends the
+        sweep, and a push or pull between the wrong fibres ends it before
+        functoriality."""
         base = self.base
         names = base.names
         rep = Report(violations=[v for v in base._totality_faults if v.check == "compose-undefined"])
+        if not rep.ok:
+            return rep
+        for x, i in zip(base.objects, base.identity_of):
+            if i is None:
+                rep.add("identity-missing", where=x)
         if not rep.ok:
             return rep
         for x, fib, i in zip(base.objects, self.fibres, base.identity_of):
@@ -559,14 +510,12 @@ class FormInstance:
                 rep.add("identity-push", where=x)
             if self.pull_maps[i].table != tuple(range(fib.size)):
                 rep.add("identity-pull", where=x)
-        reducible = fast and rep.ok
+        reducible, miswired = rep.ok, False
         for f in range(len(names)):
-            wiring, bad_push, bad_pull, bad_unit, bad_counit, adjoint = (
-                self._laws[f] if fast else self._morphism_laws(f, fast=False)
-            )
+            wiring, bad_push, bad_pull, bad_unit, bad_counit, adjoint = self._laws[f]
             if wiring:
                 rep.add(wiring, where=names[f])
-                reducible = False
+                miswired = True
                 continue
             dom_fib, cod_fib = self.fibres[base.source[f]], self.fibres[base.target[f]]
             rep.count("monotone", 2)
@@ -576,7 +525,7 @@ class FormInstance:
                 rep.add("pull-monotone", where=names[f], witness=bad_pull)
             rep.count("unit", dom_fib.size)
             rep.count("counit", cod_fib.size)
-            if not (fast and adjoint):
+            if not adjoint:
                 pt, qt = self.push_maps[f].table, self.pull_maps[f].table
                 up_dom, up_cod = dom_fib.up, cod_fib.up
                 rep.count("galois", dom_fib.size * cod_fib.size)
@@ -590,6 +539,8 @@ class FormInstance:
                 rep.add("unit", where=names[f], witness=(a,))
             for b in bad_counit:
                 rep.add("counit", where=names[f], witness=(b,))
+        if miswired:
+            return rep  # composed tables of maps between the wrong fibres mean nothing
         if not (reducible and base._report.ok and self._functorial_at_generators(rep)):
             self._dense_functoriality(rep)
         return rep

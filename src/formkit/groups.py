@@ -19,7 +19,6 @@ from .topogenous import TopogenousOrder
 
 MAX_GROUP_ORDER = 24
 MAX_HOM_ORDER = 12
-BRUTE_FORCE_ORDER = 6
 
 
 class FiniteGroup:
@@ -296,34 +295,12 @@ def enumerate_homs_generators(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
     return homs
 
 
-def enumerate_homs_bruteforce(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
-    """Filter all value tables with the identity pinned: the independent
-    oracle :func:`enumerate_homs_generators` is tested against on sources
-    of order at most BRUTE_FORCE_ORDER."""
-    if g.n > BRUTE_FORCE_ORDER:
-        raise ValueError(f"brute force capped at source order {BRUTE_FORCE_ORDER}")
-    homs = []
-    for rest in product(range(h.n), repeat=g.n - 1):
-        table = (0,) + rest
-        ok = True
-        for a in range(g.n):
-            for b in range(g.n):
-                if table[g.op(a, b)] != h.op(table[a], table[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            homs.append(GroupHom(g, h, table))
-    homs.sort(key=lambda m: m.table)
-    return homs
-
-
 def enumerate_homs(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
     """All homomorphisms between groups within the cap, sorted by table.
 
     Every source goes through :func:`enumerate_homs_generators`;
-    :func:`enumerate_homs_bruteforce` is kept as its test oracle."""
+    ``enumerate_homs_bruteforce`` in ``tests/oracles.py`` is its test
+    oracle."""
     if g.n > MAX_HOM_ORDER or h.n > MAX_HOM_ORDER:
         raise ValueError(f"hom enumeration capped at order {MAX_HOM_ORDER}")
     return enumerate_homs_generators(g, h)

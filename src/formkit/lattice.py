@@ -275,9 +275,6 @@ class FiniteLattice:
             and self.up == other.up
         )
 
-    def __hash__(self) -> int:
-        return hash((self.size, self.up))
-
     def __repr__(self) -> str:
         return f"FiniteLattice(size={self.size})"
 

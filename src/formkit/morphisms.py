@@ -16,7 +16,7 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from .forms import CategoryPresentation, FormInstance, MorphismKind
-from .lattice import bits, low_bit
+from .lattice import low_bit
 from .report import Report
 from .topogenous import Operator, OrderClass, TopogenousOrder, pulled_rows
 
@@ -34,8 +34,8 @@ DISPUTED_CHECKS = frozenset(
     }
 )
 
-# The clauses on a composable pair (f, g), in the order the pair walk of
-# _transfer_laws reports them.
+# The clauses on a composable pair (f, g), in the order a walk of every
+# composable pair, f outer and g inner, reports them.
 PAIR_CLAUSES = (
     "compose-strict",
     "compose-final",
@@ -77,26 +77,13 @@ def strict_violation(form: FormInstance, order: TopogenousOrder, f: int, pulled:
 
     Per a, ``pulled[a]``, f's pulled row at a (:func:`pulled_rows`), is
     every b with pull(b) related to a; its bits outside ``rows_y[push a]``
-    are the violations at a, so the first witness is the one of the pair
-    sweep :func:`strict_violation_dense`."""
+    are the violations at a, so the first witness is the one of a sweep of
+    every pair (``strict_violation_dense`` in ``tests/oracles.py``)."""
     rows_y, push = order.rel[form.base.target[f]], form.push_maps[f].table
     for a, pre in enumerate(pulled):
         bad = pre & ~rows_y[push[a]]
         if bad:
             return (a, low_bit(bad))
-    return None
-
-
-def strict_violation_dense(form: FormInstance, order: TopogenousOrder, f: int) -> Optional[tuple[int, int]]:
-    """The same witness from a sweep of every pair (a, b): the oracle."""
-    x, y = form.base.source[f], form.base.target[f]
-    rows_x, rows_y = order.rel[x], order.rel[y]
-    push, pull = form.push_maps[f].table, form.pull_maps[f].table
-    for a in range(form.fibres[x].size):
-        row_a = rows_x[a]
-        for b in range(form.fibres[y].size):
-            if (row_a >> pull[b]) & 1 and not (rows_y[push[a]] >> b) & 1:
-                return (a, b)
     return None
 
 
@@ -110,25 +97,13 @@ def final_violation(form: FormInstance, order: TopogenousOrder, f: int, pulled: 
     The b' whose pull is related to pull(b) are ``pulled[pull b]``, f's
     pulled row at pull(b) (:func:`pulled_rows`); its bits outside
     ``rows_y[b]`` are the violations at b, so the first witness is the one
-    of :func:`final_violation_dense`."""
+    of a sweep of every pair (``final_violation_dense`` in
+    ``tests/oracles.py``)."""
     rows_y = order.rel[form.base.target[f]]
     for b, c in enumerate(form.pull_maps[f].table):
         bad = pulled[c] & ~rows_y[b]
         if bad:
             return (b, low_bit(bad))
-    return None
-
-
-def final_violation_dense(form: FormInstance, order: TopogenousOrder, f: int) -> Optional[tuple[int, int]]:
-    """The same witness from a sweep of every pair (b, b'): the oracle."""
-    x, y = form.base.source[f], form.base.target[f]
-    rows_x, rows_y = order.rel[x], order.rel[y]
-    pull = form.pull_maps[f].table
-    for b in range(form.fibres[y].size):
-        row_pb = rows_x[pull[b]]
-        for b2 in range(form.fibres[y].size):
-            if (row_pb >> pull[b2]) & 1 and not (rows_y[b] >> b2) & 1:
-                return (b, b2)
     return None
 
 
@@ -142,8 +117,9 @@ def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: int) -> 
     Per a, the preimage of ``rows_y[push a]`` under push is every b whose
     push is related to push(a) (:meth:`MonotoneMap.preimages`, taken only
     of the rows at values of push); the bits of ``rows_x[a]`` outside it
-    are the violations at a, so the first witness is the one of the pair
-    sweep :func:`push_preserves_order_dense`."""
+    are the violations at a, so the first witness is the one of a sweep of
+    every related pair (``push_preserves_order_dense`` in
+    ``tests/oracles.py``)."""
     rows_x, rows_y = order.rel[form.base.source[f]], order.rel[form.base.target[f]]
     push = form.push_maps[f]
     taken = set(push.table)  # a row at a value push does not take is never read
@@ -152,18 +128,6 @@ def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: int) -> 
         bad = rows_x[a] & ~pushed[v]
         if bad:
             return (a, low_bit(bad))
-    return None
-
-
-def push_preserves_order_dense(form: FormInstance, order: TopogenousOrder, f: int) -> Optional[tuple[int, int]]:
-    """The same witness from a sweep of every related pair: the oracle."""
-    x, y = form.base.source[f], form.base.target[f]
-    rows_x, rows_y = order.rel[x], order.rel[y]
-    push = form.push_maps[f].table
-    for a in range(form.fibres[x].size):
-        for b in bits(rows_x[a]):
-            if not (rows_y[push[a]] >> push[b]) & 1:
-                return (a, b)
     return None
 
 
@@ -232,9 +196,9 @@ def transfer_laws_check(form: FormInstance, strict_witness: Sequence[Witness], f
     composites a row of the composition table at a time
     (:meth:`CategoryPresentation.composites`,
     :meth:`CategoryPresentation.before`). The violations are then put in
-    the order of the pair walk of :func:`_transfer_laws`, f, then g, then
-    clause, so counts, violations and their order are those of
-    :func:`transfer_laws_check_dense`."""
+    the order of a walk of every composable pair, f, then g, then clause,
+    so counts, violations and their order are those of that walk
+    (``transfer_laws_check_dense`` in ``tests/oracles.py``)."""
     base = form.base
     names, n, kinds = base.names, len(base.names), base.kinds
     strict = [w is None for w in strict_witness]
@@ -325,90 +289,6 @@ def _compose_walk(base: CategoryPresentation, member: Sequence[bool], k: int, fo
                     row = base.before(g)
                     found.extend((f, g, k) for f in fs if not member[row[f]])
     return count
-
-
-def transfer_laws_check_dense(form: FormInstance, order: TopogenousOrder) -> Report:
-    """The clauses of :func:`transfer_laws_check` over the composable pairs
-    by name, string composition, per-morphism kind scans and the pair
-    sweeps for strictness and finality: the oracle."""
-    base = form.base
-    n, ids = len(base.names), base.ids
-    after: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for g, f in base.composable_pairs():
-        after[ids[f]].append((ids[g], ids[base.compose(g, f)]))
-    strict_witness = [strict_violation_dense(form, order, m) for m in range(n)]
-    final_witness = [final_violation_dense(form, order, m) for m in range(n)]
-    kinds = [form.morphism_kind_dense(m) for m in range(n)]
-    return _transfer_laws(form, kinds, after, strict_witness, final_witness)
-
-
-def _transfer_laws(form: FormInstance, kinds, after, strict_witness, final_witness) -> Report:
-    """The clauses of :func:`transfer_laws_check` over every composable
-    pair: the body of :func:`transfer_laws_check_dense`. ``kinds`` holds
-    each morphism's :class:`MorphismKind` and the witnesses its strict and
-    final witness, by number; ``after[f]`` lists (g, g∘f) for every g
-    composable after f, in number order. Violations come per morphism
-    first, then per composable pair, f outer and g inner, then clause."""
-    rep = Report()
-    add = rep.add
-    names = form.base.names
-    strict = [w is None for w in strict_witness]
-    final = [w is None for w in final_witness]
-    flags = refl_sec, refl_ret, _ = _reflection_flags(form)
-    _kind_clauses(rep, names, strict, final, kinds, flags, strict_witness, final_witness)
-    # each clause is tallied in a local int and counted once, after the sweep:
-    # a count call per pair cost more than the clause it counted
-    compose_strict = compose_final = cancel_strict = cancel_final = 0
-    printed_strict = printed_final = first_section_strict = first_section_final = 0
-    for f, pairs in enumerate(after):
-        strict_f, final_f = strict[f], final[f]
-        cancel = refl_ret and kinds[f].is_retraction
-        first_section = refl_sec and kinds[f].is_section
-        for g, gf in pairs:
-            if strict_f and strict[g]:
-                compose_strict += 1
-                if not strict[gf]:
-                    add("compose-strict", where=f"{names[g]};{names[f]}")
-            if final_f and final[g]:
-                compose_final += 1
-                if not final[gf]:
-                    add("compose-final", where=f"{names[g]};{names[f]}")
-            if cancel:
-                if strict[gf]:
-                    cancel_strict += 1
-                    if not strict[g]:
-                        add("cancel-strict", where=f"{names[g]};{names[f]}")
-                if final[gf]:
-                    cancel_final += 1
-                    if not final[g]:
-                        add("cancel-final", where=f"{names[g]};{names[f]}")
-            if refl_sec and kinds[g].is_retraction:
-                if strict[gf]:
-                    printed_strict += 1
-                    if not strict_f:
-                        add("cancel-strict-as-printed", where=f"{names[g]};{names[f]}")
-                if final[gf]:
-                    printed_final += 1
-                    if not final_f:
-                        add("cancel-final-as-printed", where=f"{names[g]};{names[f]}")
-            if first_section:
-                if strict[gf]:
-                    first_section_strict += 1
-                    if not strict_f:
-                        add("cancel-strict-first-factor-section", where=f"{names[g]};{names[f]}")
-                if final[gf]:
-                    first_section_final += 1
-                    if not final_f:
-                        add("cancel-final-first-factor-section", where=f"{names[g]};{names[f]}")
-    rep.count("compose-strict", compose_strict)
-    rep.count("compose-final", compose_final)
-    rep.count("cancel-strict", cancel_strict)
-    rep.count("cancel-final", cancel_final)
-    rep.count("cancel-strict-as-printed", printed_strict)
-    rep.count("cancel-final-as-printed", printed_final)
-    rep.count("cancel-strict-first-factor-section", first_section_strict)
-    rep.count("cancel-final-first-factor-section", first_section_final)
-    return rep
 
 
 def _reflection_flags(form: FormInstance) -> tuple[bool, bool, bool]:

@@ -86,44 +86,6 @@ def partition_lattice(n: int) -> tuple[FiniteLattice, list[Partition]]:
     return FiniteLattice(rows, labels), parts
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def push_partition(f: SetFunction, e: Partition) -> Partition:
-    """Pushout along f: the smallest equivalence on the codomain gluing the
-    images of glued points."""
-    if f.dom_size != e.n:
-        raise ValueError("function domain does not match the partition ground set")
-    uf = _UnionFind(f.cod_size)
-    reps: dict[int, int] = {}
-    for x, b in enumerate(e.blocks):
-        if b in reps:
-            uf.union(f(reps[b]), f(x))
-        else:
-            reps[b] = x
-    return Partition.of([uf.find(y) for y in range(f.cod_size)])
-
-
-def pull_partition(f: SetFunction, d: Partition) -> Partition:
-    """Kernel of the composite: points are glued when their images are."""
-    if f.cod_size != d.n:
-        raise ValueError("function codomain does not match the partition ground set")
-    return Partition.of([d.blocks[f(x)] for x in range(f.dom_size)])
-
-
 class PartitionForm:
     """The quotient form and its tables: ``sizes``, ``partitions`` (in
     fibre order) and ``index`` (a partition's blocks to its fibre element)
@@ -149,9 +111,10 @@ def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
     word's blocks form. Pull translates the function's value table through
     the codomain partition's block ids, padded to a translation table, and
     looks the word up. Push is the lower adjoint of pull
-    (:meth:`GaloisPair.from_right_adjoint`). :func:`push_partition` and
-    :func:`pull_partition` compute the same entries one partition at a time
-    and are the oracle the tables are tested against."""
+    (:meth:`GaloisPair.from_right_adjoint`). ``push_partition`` and
+    ``pull_partition`` in ``tests/oracles.py`` compute the same entries
+    one partition at a time and are the oracle the tables are tested
+    against."""
     for n in sizes:
         if n > MAX_GROUND:
             raise InputError(f"ground size {n} exceeds the cap of {MAX_GROUND}")

@@ -184,8 +184,9 @@ def _close_order(form: FormInstance, rel: list[list[int]], want: str) -> None:
     under the rules. Each rule adds pairs that pairs already present force,
     and the least closed relation holds every forced pair, so any strategy
     that adds only forced pairs and stops after a pass that adds nothing
-    ends there: :func:`_close_order_dense`, one rule instance at a time,
-    reaches the same relation. This one works a row or a column at a time:
+    ends there: ``_close_order_dense`` in ``tests/oracles.py``, one rule
+    instance at a time, reaches the same relation. This one works a row or
+    a column at a time:
 
     - T2: row a becomes the up-closure of itself and of the rows of the
       covers of a (generated fibres are partial orders, where covers
@@ -241,60 +242,6 @@ def _close_order(form: FormInstance, rel: list[list[int]], want: str) -> None:
                 if img & ~row:
                     rows_x[a] = row | img
                     changed = True
-
-
-def _close_order_dense(form: FormInstance, rel: list[list[int]], want: str) -> None:
-    """The same closure one rule instance at a time: T2 per pair of a
-    related pair and an element below, the stability laws per pair of row
-    or column members, T3 per related pair. The oracle :func:`_close_order`
-    is tested against."""
-    changed = True
-    while changed:
-        changed = False
-        for fib, rows in zip(form.fibres, rel):
-            upc = [0] * fib.size
-            for a in range(fib.size):
-                m = 0
-                for b in bits(rows[a]):
-                    m |= fib.up[b]
-                upc[a] = m
-            for a in range(fib.size):
-                for a2 in bits(fib.down[a]):
-                    new = rows[a2] | upc[a]
-                    if new != rows[a2]:
-                        rows[a2] = new
-                        changed = True
-            if want == "TM":
-                for a in range(fib.size):
-                    row = rows[a]
-                    members = list(bits(row))
-                    extra = 1 << fib.meet(())
-                    for i, b1 in enumerate(members):
-                        for b2 in members[i:]:
-                            extra |= 1 << fib.meet((b1, b2))
-                    if row | extra != row:
-                        rows[a] = row | extra
-                        changed = True
-            if want == "TJ":
-                for b in range(fib.size):
-                    col = [a for a in range(fib.size) if (rows[a] >> b) & 1]
-                    targets = [fib.join(())]
-                    for i, a1 in enumerate(col):
-                        for a2 in col[i:]:
-                            targets.append(fib.join((a1, a2)))
-                    for j in targets:
-                        if not (rows[j] >> b) & 1:
-                            rows[j] |= 1 << b
-                            changed = True
-        for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
-            push, pull = form.push_maps[f].table, form.pull_maps[f].table
-            rows_x, rows_y = rel[x], rel[y]
-            for a in range(form.fibres[x].size):
-                for b in bits(rows_y[push[a]]):
-                    bit = 1 << pull[b]
-                    if not rows_x[a] & bit:
-                        rows_x[a] |= bit
-                        changed = True
 
 
 def random_order(rng: random.Random, form: FormInstance, want: str = "any") -> TopogenousOrder:

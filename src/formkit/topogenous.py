@@ -10,7 +10,7 @@ both sides; (T3) transfer stability, push-related pairs pull back.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .forms import FormInstance
 from .lattice import FiniteLattice, MonotoneMap, bits, columns, low_bit
@@ -37,9 +37,6 @@ class TopogenousOrder:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TopogenousOrder) and self.rel == other.rel
-
-    def __hash__(self) -> int:
-        return hash(self.rel)
 
     def __repr__(self) -> str:
         return f"TopogenousOrder({[len(r) for r in self.rel]})"
@@ -107,45 +104,11 @@ def verify_order(form: FormInstance, order: TopogenousOrder, pulled: Sequence[Se
     """Report every T1/T2/T3 violation with witnesses.
 
     T3 is swept with masks on each morphism's pulled rows ``pulled[f]``
-    (:func:`_t3_bad`): the same pairs, in the same order, as the
-    bit-by-bit sweep of :func:`verify_order_dense`, so it needs no
-    certificate and no fallback. T2 is swept pair by pair only on a fibre
-    where :func:`_rows_t2` does not certify it."""
-    return _verify_order(form, order, True, lambda f: _t3_bad(form, order, f, pulled[f]))
-
-
-def verify_order_dense(form: FormInstance, order: TopogenousOrder) -> Report:
-    """The same axioms with T2 swept over every pair of elements and T3
-    over every fibre pair (a, b): the oracle :func:`verify_order` is
-    tested against."""
-    return _verify_order(form, order, False, lambda f: _t3_bad_dense(form, order, f))
-
-
-def _t3_bad(form: FormInstance, order: TopogenousOrder, f: int, pulled: Sequence[int]) -> list[int]:
-    """Per element a of the domain fibre, the b related to push(a) whose
-    pull is not related to a, read from f's pulled rows: T3 as
-    order-axioms and t3-pull-agreement state it."""
-    rows_y, push = order.rel[form.base.target[f]], form.push_maps[f].table
-    return [rows_y[push[a]] & ~pre for a, pre in enumerate(pulled)]
-
-
-def _t3_bad_dense(form: FormInstance, order: TopogenousOrder, f: int) -> list[int]:
-    x, y = form.base.source[f], form.base.target[f]
-    rows_x, rows_y = order.rel[x], order.rel[y]
-    push, pull = form.push_maps[f].table, form.pull_maps[f].table
-    size_y = form.fibres[y].size
-    out = []
-    for a in range(form.fibres[x].size):
-        allowed = 0
-        row_a = rows_x[a]
-        for b in range(size_y):
-            if (row_a >> pull[b]) & 1:
-                allowed |= 1 << b
-        out.append(rows_y[push[a]] & ~allowed)
-    return out
-
-
-def _verify_order(form: FormInstance, order: TopogenousOrder, fast: bool, t3_bad: Callable[[int], list[int]]) -> Report:
+    (:func:`_t3_bad`): the same pairs, in the same order, as a bit-by-bit
+    sweep of every fibre pair (``verify_order_dense`` in
+    ``tests/oracles.py``), so it needs no certificate and no fallback. T2
+    is swept pair by pair only on a fibre where :func:`_rows_t2` does not
+    certify it."""
     rep = Report()
     names = form.base.names
     for x, fib, rows in zip(form.base.objects, form.fibres, order.rel):
@@ -160,20 +123,28 @@ def _verify_order(form: FormInstance, order: TopogenousOrder, fast: bool, t3_bad
         # sweep finds the witnesses.
         upclosed = [fib.up_closure(row) for row in rows]
         rep.count("T2", sum(m.bit_count() for m in fib.down))
-        if fast and _rows_t2(fib, rows, upclosed):
+        if _rows_t2(fib, rows, upclosed):
             continue
         for a in range(fib.size):
             for a2 in bits(fib.down[a]):
                 missing = upclosed[a] & ~rows[a2]
                 if missing:
                     rep.add("T2", where=x, witness=(a2, a, low_bit(missing)))
-    for f in range(len(names)):
-        bad = t3_bad(f)
+    for f, pulled_f in enumerate(pulled):
+        bad = _t3_bad(form, order, f, pulled_f)
         rep.count("T3", len(bad))
         for a, mask in enumerate(bad):
             if mask:
                 rep.add("T3", where=names[f], witness=(a, low_bit(mask)))
     return rep
+
+
+def _t3_bad(form: FormInstance, order: TopogenousOrder, f: int, pulled: Sequence[int]) -> list[int]:
+    """Per element a of the domain fibre, the b related to push(a) whose
+    pull is not related to a, read from f's pulled rows: T3 as
+    order-axioms and t3-pull-agreement state it."""
+    rows_y, push = order.rel[form.base.target[f]], form.push_maps[f].table
+    return [rows_y[push[a]] & ~pre for a, pre in enumerate(pulled)]
 
 
 def _rows_t2(fib: FiniteLattice, rows: Sequence[int], upclosed: Sequence[int]) -> bool:
@@ -203,7 +174,7 @@ def check_T3_pull_form(form: FormInstance, order: TopogenousOrder, pulled: Seque
     (:func:`pulled_rows`). The pull-form violations at a in the codomain
     fibre are the bits of ``rows_y[a]`` outside ``pulled[f][pull a]``; T3
     is :func:`verify_order`'s :func:`_t3_bad`. Same pairs as the pair
-    loops of :func:`check_T3_pull_form_dense`."""
+    loops of ``check_T3_pull_form_dense`` in ``tests/oracles.py``."""
     rep = Report()
     names = form.base.names
     for f, pulled_f in enumerate(pulled):
@@ -215,36 +186,6 @@ def check_T3_pull_form(form: FormInstance, order: TopogenousOrder, pulled: Seque
                 rep.add("pull-form", where=names[f], witness=(a, b))
                 pull_ok = False
         t3_ok = not any(_t3_bad(form, order, f, pulled_f))
-        rep.count("pull-form-agrees-T3")
-        if pull_ok != t3_ok:
-            rep.add("pull-form-agrees-T3", where=names[f], witness=(pull_ok, t3_ok))
-    return rep
-
-
-def check_T3_pull_form_dense(form: FormInstance, order: TopogenousOrder) -> Report:
-    """The same checks as pair loops: the oracle."""
-    rep = Report()
-    names = form.base.names
-    for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
-        rows_x, rows_y = order.rel[x], order.rel[y]
-        push, pull = form.push_maps[f].table, form.pull_maps[f].table
-        size_x, size_y = form.fibres[x].size, form.fibres[y].size
-        pull_ok = True
-        for a in range(size_y):
-            for b in bits(rows_y[a]):
-                rep.count("pull-form")
-                if not (rows_x[pull[a]] >> pull[b]) & 1:
-                    rep.add("pull-form", where=names[f], witness=(a, b))
-                    pull_ok = False
-        t3_ok = True
-        for a in range(size_x):
-            row_a = rows_x[a]
-            for b in range(size_y):
-                if (rows_y[push[a]] >> b) & 1 and not (row_a >> pull[b]) & 1:
-                    t3_ok = False
-                    break
-            if not t3_ok:
-                break
         rep.count("pull-form-agrees-T3")
         if pull_ok != t3_ok:
             rep.add("pull-form-agrees-T3", where=names[f], witness=(pull_ok, t3_ok))
@@ -375,17 +316,9 @@ def interior_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
 def order_from_interior(form: FormInstance, intr: Operator) -> TopogenousOrder:
     """a related to b iff a is below the interior of b: row a is the
     preimage of ``up[a]`` under the interior table
-    (:meth:`MonotoneMap.preimages`), the set :func:`order_from_interior_dense`
-    collects one pair at a time."""
+    (:meth:`MonotoneMap.preimages`), the set ``order_from_interior_dense``
+    in ``tests/oracles.py`` collects one pair at a time."""
     return TopogenousOrder(MonotoneMap(fib, fib, t).preimages(fib.up) for fib, t in zip(form.fibres, intr.maps))
-
-
-def order_from_interior_dense(form: FormInstance, intr: Operator) -> TopogenousOrder:
-    """The same order from one ``leq`` test per pair: the oracle."""
-    return TopogenousOrder(
-        [sum(1 << b for b in range(fib.size) if fib.leq(a, t[b])) for a in range(fib.size)]
-        for fib, t in zip(form.fibres, intr.maps)
-    )
 
 
 def verify_closure(form: FormInstance, clo: Operator) -> Report:
@@ -451,8 +384,9 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
 
 def verify_closure_dense(form: FormInstance, clo: Operator) -> Report:
     """The same checks as a sweep over every fibre pair (a, b) of every
-    morphism, through :meth:`FormInstance.leq_over`: the oracle, and the
-    fallback that raises on inconsistent transfer tables."""
+    morphism, through :meth:`FormInstance.leq_over`: the fallback that
+    raises on inconsistent transfer tables, and the oracle of the mask
+    tests."""
     rep = Report()
     base = form.base
     for x, fib, t in zip(base.objects, form.fibres, clo.maps):
@@ -497,10 +431,10 @@ def verify_interior(form: FormInstance, intr: Operator) -> Report:
     """Contractivity, monotonicity, and pull-compatibility.
 
     Mask tests, with the same violations and counts as the pair loops of
-    :func:`verify_interior_dense`: the I2 violations at a are the bits of
-    ``up[a]`` outside the preimage of ``up[i(a)]`` under the interior
-    table (:meth:`MonotoneMap.preimages`), and I1 and I3 are one bit test
-    per element."""
+    ``verify_interior_dense`` in ``tests/oracles.py``: the I2 violations
+    at a are the bits of ``up[a]`` outside the preimage of ``up[i(a)]``
+    under the interior table (:meth:`MonotoneMap.preimages`), and I1 and
+    I3 are one bit test per element."""
     rep = Report()
     base = form.base
     for x, fib, table in zip(base.objects, form.fibres, intr.maps):
@@ -520,30 +454,6 @@ def verify_interior(form: FormInstance, intr: Operator) -> Report:
         rep.count("I3", size_y)
         for b in range(size_y):
             if not (up_x[pull[iy[b]]] >> ix[pull[b]]) & 1:
-                rep.add("I3", where=base.names[f], witness=(b,))
-    return rep
-
-
-def verify_interior_dense(form: FormInstance, intr: Operator) -> Report:
-    """The same axioms as pair loops of ``leq`` tests: the oracle."""
-    rep = Report()
-    base = form.base
-    for x, fib, t in zip(base.objects, form.fibres, intr.maps):
-        for a in range(fib.size):
-            rep.count("I1")
-            if not fib.leq(t[a], a):
-                rep.add("I1", where=x, witness=(a,))
-            for b in bits(fib.up[a]):
-                rep.count("I2")
-                if not fib.leq(t[a], t[b]):
-                    rep.add("I2", where=x, witness=(a, b))
-    for f, (x, y) in enumerate(zip(base.source, base.target)):
-        fx = form.fibres[x]
-        ix, iy = intr.maps[x], intr.maps[y]
-        pull = form.pull_maps[f].table
-        for b in range(form.fibres[y].size):
-            rep.count("I3")
-            if not fx.leq(pull[iy[b]], ix[pull[b]]):
                 rep.add("I3", where=base.names[f], witness=(b,))
     return rep
 

@@ -144,27 +144,6 @@ def topology_fibre(n: int) -> tuple[FiniteLattice, list[FiniteTopology]]:
     return _fibre(n, tops), tops
 
 
-def final_topology(f: SetFunction, t: FiniteTopology) -> FiniteTopology:
-    """Finest topology on the codomain making f continuous: V is open iff
-    its preimage is. One entry of :func:`build_top_form`'s push table,
-    computed on its own: the oracle that table is tested against."""
-    if f.dom_size != t.n:
-        raise ValueError("function domain does not match the topology carrier")
-    opens = frozenset(
-        v for v in range(1 << f.cod_size) if f.preimage_mask(v) in t.opens
-    )
-    return FiniteTopology(f.cod_size, opens)
-
-
-def initial_topology(f: SetFunction, t: FiniteTopology) -> FiniteTopology:
-    """Coarsest topology on the domain making f continuous: the preimages.
-    One entry of :func:`build_top_form`'s pull table, computed on its own:
-    the oracle that table is tested against."""
-    if f.cod_size != t.n:
-        raise ValueError("function codomain does not match the topology carrier")
-    return FiniteTopology(f.dom_size, frozenset(f.preimage_mask(v) for v in t.opens))
-
-
 def _neighbourhood_topology(t: FiniteTopology, pairs) -> FiniteTopology:
     """The sets A in which every point x has a pair (p, q) among ``pairs``
     with x in p and q inside A.
@@ -198,20 +177,6 @@ def b_topology(t: FiniteTopology) -> FiniteTopology:
     return _neighbourhood_topology(t, ((o & f, o & f) for o in t.opens for f in closed))
 
 
-def is_clopen_map(f: SetFunction, t_dom: FiniteTopology, t_cod: FiniteTopology) -> bool:
-    """Images of opens are open and images of closeds are closed."""
-    if f.dom_size != t_dom.n or f.cod_size != t_cod.n:
-        raise ValueError("carrier sizes do not match")
-    for o in t_dom.opens:
-        if f.image_mask(o) not in t_cod.opens:
-            return False
-    cod_closed = t_cod.closed_sets()
-    for c in t_dom.closed_sets():
-        if f.image_mask(c) not in cod_closed:
-            return False
-    return True
-
-
 def clopen_targets(f: SetFunction, t_doms: Sequence[FiniteTopology], t_cods: Sequence[FiniteTopology]) -> list[int]:
     """Per domain topology, the mask of the codomain topologies (by list
     index) for which f is a clopen map.
@@ -222,7 +187,8 @@ def clopen_targets(f: SetFunction, t_doms: Sequence[FiniteTopology], t_cods: Seq
     open (``closed_in`` likewise), that is the AND of ``open_in`` over the
     images of the opens of t and of ``closed_in`` over the images of its
     closed sets: one AND per image, not one test per pair.
-    :func:`is_clopen_map` decides one pair at a time and is the oracle."""
+    ``is_clopen_map`` in ``tests/oracles.py`` decides one pair at a time
+    and is the oracle."""
     if any(t.n != f.dom_size for t in t_doms) or any(t.n != f.cod_size for t in t_cods):
         raise ValueError("carrier sizes do not match")
     image = [f.image_mask(s) for s in range(1 << f.dom_size)]
@@ -281,9 +247,9 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
       are ``pre[succ[f(x)]]``: f translated through the successor masks of
       t, then through ``pre``, looked up among the domain's preorders.
 
-    :func:`final_topology` and :func:`initial_topology` compute the same
-    entries one topology at a time and are the oracle the tables are tested
-    against."""
+    ``final_topology`` and ``initial_topology`` in ``tests/oracles.py``
+    compute the same entries one topology at a time and are the oracle the
+    tables are tested against."""
     for n in sizes:
         if n > MAX_POINTS:
             raise InputError(f"carrier size {n} exceeds the cap of {MAX_POINTS}")

@@ -10,12 +10,14 @@ from collections import Counter
 import pytest
 
 from formkit import morphisms
-from formkit.checks import BATTERY, FORM_CHECKS, CheckContext, run_checks
+from formkit.checks import BATTERY, CHECKS, FORM_CHECKS, CheckContext, run_checks
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.groups import build_grp_form, normal_interval_order, standard_corpus
 from formkit.lattice import FiniteLattice, MonotoneMap
 from formkit.partitions import build_quot_form
+from formkit.topogenous import Operator, TopogenousOrder, leq_order, roundtrip_check, verify_closure
 from formkit.topologies import build_top_form, theta_order
+from oracles import verify_laws_dense
 
 
 class Unreadable:
@@ -140,4 +142,120 @@ def test_form_laws_report_the_undefined_composites_of_the_base():
             ("compose-undefined", ("idY", "f")),
         ]
         assert laws.violations == base.violations[1:]
-        assert form.verify_laws_dense().violations == laws.violations
+        assert verify_laws_dense(form).violations == laws.violations
+
+
+# -- every check can fail ------------------------------------------------------------
+#
+# Per clause, a small input on which it passes and one named corruption of a
+# form, an order or an operator on which it reports a violation. The
+# clauses below are the ones no other tier-1 test sees fail. The checks run
+# directly, without the order-axioms gate of run_checks: the round-trip
+# clauses on an order fail only on orders that break T1 or T2.
+
+
+def one_object(fib: FiniteLattice, push=None, pull=None) -> FormInstance:
+    """One object X with fibre ``fib`` and its identity, whose push and pull
+    are the identity map unless given."""
+    base = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
+    same = MonotoneMap.identity(fib)
+    return FormInstance(base, [fib], [push or same], [pull or same])
+
+
+CHAIN2, CHAIN3 = FiniteLattice.chain(2), FiniteLattice.chain(3)
+PREORDER2 = FiniteLattice.from_up_masks([0b11, 0b11])  # 0 <= 1 and 1 <= 0
+
+
+def on_order(check, form, rows, corrupted_rows):
+    """The registry check on the order of one-object ``form`` with ``rows``,
+    then with ``corrupted_rows``."""
+    return [CHECKS[check].run(CheckContext(form, TopogenousOrder([r]))) for r in (rows, corrupted_rows)]
+
+
+def final_thick():
+    # the identity of a two-element chain is final for the leq order; its
+    # push sends the top to the bottom
+    form = one_object(CHAIN2)
+    broken = one_object(CHAIN2, push=MonotoneMap(CHAIN2, CHAIN2, [0, 0]))
+    return [CHECKS["final-thick"].run(CheckContext(f, leq_order(f))) for f in (form, broken)]
+
+
+def theta_clopen_per_pair():
+    # the one-point fibre's row emptied: the one topology on a point is no
+    # longer theta-related to itself
+    tf = build_top_form([1, 2])
+    order = theta_order(tf)
+    point = tf.form.base.objects.index("1pt")
+    emptied = TopogenousOrder([(0,) if x == point else rows for x, rows in enumerate(order.rel)])
+    return [
+        CHECKS["theta-clopen-strict-per-pair"].run(CheckContext(tf.form, o, bundle=tf, recipe={"order": "theta"}))
+        for o in (order, emptied)
+    ]
+
+
+def c2_form_agreement():
+    # on a three-element chain whose identity pushes to the bottom and pulls
+    # to the top (an adjoint pair, though not the identity), the closure
+    # sending everything to the top passes; moved to fix the middle element
+    # it is no longer monotone, which only the split phrasing sees
+    form = one_object(CHAIN3, push=MonotoneMap(CHAIN3, CHAIN3, [0, 0, 0]), pull=MonotoneMap(CHAIN3, CHAIN3, [2, 2, 2]))
+    assert form.is_adjoint(0)  # the mask path runs
+    return [verify_closure(form, Operator("closure", [t])) for t in ((2, 2, 2), (2, 1, 2))]
+
+
+def order_closure_order():
+    # every element related to the top only; the bottom also related to
+    # itself, which breaks T2
+    return on_order("roundtrip", one_object(CHAIN3), (0b100, 0b100, 0b100), (0b101, 0b100, 0b100))
+
+
+def order_interior_order():
+    # the bottom related to everything; the top also related to itself,
+    # which breaks T2
+    return on_order("roundtrip", one_object(CHAIN3), (0b111, 0, 0), (0b111, 0, 0b100))
+
+
+def idempotent_iff_interpolative():
+    # every element related to the top only; the top also related to the
+    # middle element, which breaks T1
+    return on_order("roundtrip", one_object(CHAIN3), (0b100, 0b100, 0b100), (0b100, 0b100, 0b110))
+
+
+def operator_roundtrip(kind):
+    # the identity operator on a two-element chain; the chain's two
+    # elements made equivalent, where the derived operator takes the first
+    # of them
+    return [roundtrip_check(one_object(fib), Operator(kind, [(0, 1)])) for fib in (CHAIN2, PREORDER2)]
+
+
+def wiring(direction):
+    # the transfer map of 1pt->2pt:0 replaced by that of 2pt->2pt:0.0,
+    # which leaves from or lands on the wrong fibre
+    form = build_top_form([1, 2]).form
+    ids = form.base.ids
+    maps = list(form.push_maps if direction == "push" else form.pull_maps)
+    maps[ids["1pt->2pt:0"]] = maps[ids["2pt->2pt:0.0"]]
+    push, pull = (maps, form.pull_maps) if direction == "push" else (form.push_maps, maps)
+    return [form.verify_laws(), FormInstance(form.base, form.fibres, push, pull).verify_laws()]
+
+
+CAN_FAIL = {
+    "final-thick": final_thick,
+    "theta-clopen-strict-per-pair": theta_clopen_per_pair,
+    "C2-form-agreement": c2_form_agreement,
+    "order-closure-order": order_closure_order,
+    "order-interior-order": order_interior_order,
+    "idempotent-iff-interpolative": idempotent_iff_interpolative,
+    "closure-order-closure": lambda: operator_roundtrip("closure"),
+    "interior-order-interior": lambda: operator_roundtrip("interior"),
+    "push-wiring": lambda: wiring("push"),
+    "pull-wiring": lambda: wiring("pull"),
+    "antisymmetric": lambda: [CHAIN2.verify(), PREORDER2.verify()],
+}
+
+
+@pytest.mark.parametrize("name", CAN_FAIL)
+def test_every_check_can_fail(name):
+    clean, broken = CAN_FAIL[name]()
+    assert clean.ok and clean.checks_run > 0
+    assert name in {v.check for v in broken.violations}, broken.to_dict()

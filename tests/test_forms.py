@@ -12,6 +12,7 @@ from formkit.groups import build_grp_form, cyclic, symmetric3
 from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap
 from formkit.partitions import build_quot_form
 from formkit.topologies import build_top_form
+from oracles import identity, verify_dense, verify_laws_dense
 
 
 def arrow_form(push_table, src_size=2, tgt_size=3):
@@ -119,7 +120,7 @@ def test_morphism_kind_in_set_category(top12):
     kind = base.kinds[incl]
     assert kind.is_section and not kind.is_retraction
     # identities are isomorphisms with themselves as inverse
-    idm = base.ids[base.identity("2pt")]
+    idm = base.ids[identity(base, "2pt")]
     kind = base.kinds[idm]
     assert kind.is_iso and kind.inverse == idm
     # the swap is an isomorphism distinct from the identity
@@ -230,7 +231,7 @@ def test_bounds_per_instance(top12, grp8, quot123):
 def test_thickness_examples(top12):
     form = top12.form
     ids = form.base.ids
-    assert form.is_thick(ids[form.base.identity("2pt")])
+    assert form.is_thick(ids[identity(form.base, "2pt")])
     assert form.is_thick(ids["2pt->2pt:1.0"])
     assert form.is_thick(ids["2pt->1pt:0.0"])
     # non-surjective maps push the indiscrete top to something finer
@@ -329,9 +330,21 @@ TWO_COMPOSE = {("idX", "idX"): "idX", ("idY", "idY"): "idY", ("f", "idX"): "f", 
 def test_presentation_axioms_report_their_witness(homs, compose, identities, check, where, witness):
     objects = sorted({x for pair in homs for x in pair})
     base = CategoryPresentation(objects, homs, compose, identities)
-    for rep in (base.verify(), base.verify_dense()):
+    for rep in (base.verify(), verify_dense(base)):
         assert [(v.check, v.where, v.witness) for v in rep.violations] == [(check, where, witness)]
         assert rep.checks_run == 4  # one per composable pair; the later sweeps do not run
+
+
+def test_form_laws_report_an_object_without_identity():
+    """The base check and the law check both report the object without an
+    identity, and neither raises: the law sweep stops before the identity
+    liftings, which it could not look up."""
+    base = CategoryPresentation(["X", "Y"], TWO_HOMS, TWO_COMPOSE, {"X": "idX"})
+    lat = FiniteLattice.chain(2)
+    ident = [MonotoneMap.identity(lat) for _ in base.names]
+    form = FormInstance(base, [lat, lat], ident, ident)
+    for rep in (base.verify(), form.verify_laws(), verify_laws_dense(form)):
+        assert [(v.check, v.where, v.witness) for v in rep.violations] == [("identity-missing", "Y", ())]
 
 
 def test_dense_associativity_counts_triples_up_to_its_witness(top12):
@@ -347,7 +360,7 @@ def test_dense_associativity_counts_triples_up_to_its_witness(top12):
         i for i, (h, g, f) in enumerate(triples)
         if compose[(h, compose[(g, f)])] != compose[(compose[(h, g)], f)]
     )
-    rep = bad.verify_dense()
+    rep = verify_dense(bad)
     assert [v.witness for v in rep.violations] == [triples[first]]
     assert rep.checks_run == len(pairs) + 2 * len(names) + first + 1
 

@@ -15,7 +15,6 @@ from formkit.groups import (
     cyclic,
     dihedral4,
     enumerate_homs,
-    enumerate_homs_bruteforce,
     enumerate_homs_generators,
     is_normal,
     is_subgroup,
@@ -32,6 +31,7 @@ from formkit.groups import (
     symmetric3,
 )
 from formkit.topogenous import classify_order, closure_from_order, pulled_table, verify_order
+from oracles import enumerate_homs_bruteforce
 
 S3_PERMS = sorted(permutations(range(3)))
 SIGN_TABLE = tuple(0 if p in {(0, 1, 2), (1, 2, 0), (2, 0, 1)} else 1 for p in S3_PERMS)

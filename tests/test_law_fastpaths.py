@@ -6,12 +6,14 @@ middle, `FormInstance.verify_laws` tests functoriality at generators and
 skips the Galois sweep where monotonicity, unit and counit hold, and
 `MonotoneMap.monotone_violation` tests cover pairs only. Each falls back to
 its dense sweep on failure, so the violations must always be those of
-`verify_dense`, `verify_laws_dense` and `monotone_violation_dense`.
+`verify_dense`, `verify_laws_dense` (in `oracles`) and
+`monotone_violation_dense`.
 
 The order and operator battery runs on masks: `verify_closure` under a
 per-morphism adjunction certificate with a fallback to its pair sweep, the
 other kernels exactly. Each must agree with its `*_dense` oracle, raised
-`CorruptFormError` messages included.
+`CorruptFormError` messages included; the oracles other than
+`verify_closure_dense` are in `oracles`.
 
 The search runs on mask tables: `FiniteLattice.meet_mask`/`join_mask`
 against the `meet`/`join` scans, `classify_order`'s principal-filter test
@@ -31,49 +33,45 @@ from formkit.checks import CheckContext
 from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, normal_interval_order, standard_corpus
 from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap, bits
-from formkit.morphisms import (
-    final_violation,
-    final_violation_dense,
-    push_preserves_order,
-    push_preserves_order_dense,
-    strict_violation,
-    strict_violation_dense,
-    transfer_laws_check,
-    transfer_laws_check_dense,
-)
+from formkit.morphisms import final_violation, push_preserves_order, strict_violation, transfer_laws_check
 from formkit.partitions import build_quot_form
 from formkit.report import Report
-from formkit.search import (
-    MAX_POSET_POINTS,
-    _close_order,
-    _close_order_dense,
-    _downset_lattice,
-    case_rng,
-    random_form,
-    random_order,
-)
+from formkit.search import MAX_POSET_POINTS, _close_order, _downset_lattice, case_rng, random_form, random_order
 from formkit.topogenous import (
     Operator,
     OrderClass,
     TopogenousOrder,
     check_T3_pull_form,
-    check_T3_pull_form_dense,
     classify_order,
     classify_order_dense,
     closure_from_order,
     interior_from_order,
     leq_order,
     order_from_interior,
-    order_from_interior_dense,
     pulled_table,
     verify_closure,
     verify_closure_dense,
     verify_interior,
-    verify_interior_dense,
     verify_order,
-    verify_order_dense,
 )
 from formkit.topologies import b_order, build_top_form, theta_order, topology_fibre
+from oracles import (
+    _close_order_dense,
+    check_T3_pull_form_dense,
+    composable_pairs,
+    compose,
+    final_violation_dense,
+    hom,
+    morphism_kind_dense,
+    order_from_interior_dense,
+    push_preserves_order_dense,
+    strict_violation_dense,
+    transfer_laws_check_dense,
+    verify_dense,
+    verify_interior_dense,
+    verify_laws_dense,
+    verify_order_dense,
+)
 
 SEED = 20230130
 
@@ -109,11 +107,11 @@ def corrupt(form: FormInstance, rng: random.Random):
     base = form.base
     kind = rng.choice(("compose", "push", "pull"))
     if kind == "compose":
-        pairs = [(g, f) for g, f in base.composable_pairs() if len(base.hom(base.dom[f], base.cod[g])) > 1]
+        pairs = [(g, f) for g, f in composable_pairs(base) if len(hom(base, base.dom[f], base.cod[g])) > 1]
         if not pairs:
             return None
         g, f = rng.choice(pairs)
-        others = [h for h in base.hom(base.dom[f], base.cod[g]) if h != base.compose(g, f)]
+        others = [h for h in hom(base, base.dom[f], base.cod[g]) if h != compose(base, g, f)]
         return with_compose(form, (g, f), rng.choice(others))
     f = rng.choice(range(len(base.names)))
     m = (form.push_maps if kind == "push" else form.pull_maps)[f]
@@ -127,9 +125,9 @@ def corrupt(form: FormInstance, rng: random.Random):
 def assert_agrees(form: FormInstance) -> set[str]:
     """Fast and dense sweeps report the same violations; returns the names
     of the checks that failed."""
-    fast_base, dense_base = form.base.verify(), form.base.verify_dense()
+    fast_base, dense_base = form.base.verify(), verify_dense(form.base)
     assert violations(fast_base) == violations(dense_base)
-    fast_laws, dense_laws = form.verify_laws(), form.verify_laws_dense()
+    fast_laws, dense_laws = form.verify_laws(), verify_laws_dense(form)
     assert violations(fast_laws) == violations(dense_laws)
     return {v.check for v in fast_base.violations + fast_laws.violations}
 
@@ -173,7 +171,7 @@ def closure_of_generators(base: CategoryPresentation) -> set[str]:
         x = todo.pop()
         for s in map(base.names.__getitem__, base.generators):
             if base.dom[s] == base.cod[x]:
-                y = base.compose(s, x)
+                y = compose(base, s, x)
                 if y not in reached:
                     reached.add(y)
                     todo.append(y)
@@ -206,10 +204,10 @@ def test_composite_middle_violation_reports_dense_witness():
     composites = [m for m in base.names if m not in plain]
     for h in composites:
         for m in composites:
-            right = base.compose(h, m)
-            wrong = next(x for x in base.hom(base.dom[m], base.cod[h]) if x != right)
+            right = compose(base, h, m)
+            wrong = next(x for x in hom(base, base.dom[m], base.cod[h]) if x != right)
             changed = with_compose(form, (h, m), wrong).base
-            dense = changed.verify_dense()
+            dense = verify_dense(changed)
             assert not dense.ok
             middle = dense.violations[0].witness[1]
             if dense.violations[0].check == "associative" and middle not in plain:
@@ -332,7 +330,7 @@ def assert_kernels_agree(form: FormInstance, order: TopogenousOrder, clo: Operat
     for f in range(len(form.base.names)):
         assert strict_violation(form, order, f, pulled[f]) == strict_violation_dense(form, order, f), f
         assert final_violation(form, order, f, pulled[f]) == final_violation_dense(form, order, f), f
-        assert form.base.kinds[f] == form.morphism_kind_dense(f), f
+        assert form.base.kinds[f] == morphism_kind_dense(form.base, f), f
         pushed = push_preserves_order(form, order, f)
         assert pushed == push_preserves_order_dense(form, order, f), f
         if pushed is not None:
@@ -436,7 +434,7 @@ def test_morphism_kind_names_the_first_inverse_in_hom_order():
     same = [MonotoneMap.identity(point) for _ in base.names]
     form = FormInstance(base, [point, point], same, same)
     for m in range(len(base.names)):
-        assert base.kinds[m] == form.morphism_kind_dense(m)
+        assert base.kinds[m] == morphism_kind_dense(form.base, m)
     assert base.kinds[base.ids["f"]].inverse == base.ids["g1"]
 
 

@@ -11,7 +11,6 @@ from formkit.lattice import FiniteLattice, MonotoneMap
 from formkit.morphisms import (
     DISPUTED_CHECKS,
     PAIR_CLAUSES,
-    _transfer_laws,
     classify_morphism,
     cohereditary_operator_check,
     final_thick_check,
@@ -21,7 +20,6 @@ from formkit.morphisms import (
     strict_characterization,
     strict_via_operators,
     transfer_laws_check,
-    transfer_laws_check_dense,
 )
 from formkit.search import case_rng, random_form, random_order
 from formkit.topogenous import (
@@ -33,6 +31,7 @@ from formkit.topogenous import (
     pulled_table,
     verify_order,
 )
+from oracles import _transfer_laws, composable_pairs, compose, morphism_kind_dense, transfer_laws_check_dense
 
 S3_PERMS = sorted(permutations(range(3)))
 
@@ -208,9 +207,9 @@ class DenseWalk:
         n, ids = len(base.names), base.ids
         self.form = form
         self.after = [[] for _ in range(n)]
-        for g, f in base.composable_pairs():
-            self.after[ids[f]].append((ids[g], ids[base.compose(g, f)]))
-        self.kinds = [form.morphism_kind_dense(m) for m in range(n)]
+        for g, f in composable_pairs(base):
+            self.after[ids[f]].append((ids[g], ids[compose(base, g, f)]))
+        self.kinds = [morphism_kind_dense(base, m) for m in range(n)]
 
     def __call__(self, strict_witness, final_witness):
         return _transfer_laws(self.form, self.kinds, self.after, strict_witness, final_witness)
@@ -366,8 +365,8 @@ def test_strict_morphisms_closed_under_composition(grp8, ni8):
     names = form.base.names
     strict = {names[f] for f in range(len(names)) if is_strict(form, ni8, f)}
     final = {names[f] for f in range(len(names)) if is_final(form, ni8, f)}
-    for g, f in form.base.composable_pairs():
+    for g, f in composable_pairs(form.base):
         if f in strict and g in strict:
-            assert form.base.compose(g, f) in strict
+            assert compose(form.base, g, f) in strict
         if f in final and g in final:
-            assert form.base.compose(g, f) in final
+            assert compose(form.base, g, f) in final

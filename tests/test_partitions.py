@@ -13,10 +13,9 @@ from formkit.partitions import (
     canonical_blocks,
     enumerate_partitions,
     partition_lattice,
-    pull_partition,
-    push_partition,
 )
 from formkit.setmaps import SetFunction, all_functions
+from oracles import pull_partition, push_partition
 
 
 def naive_partitions(n):

@@ -2,13 +2,15 @@
 ability to actually detect planted faults, and the split search reporting
 what the serial one does."""
 
+import json
 import os
 import signal
 
 import pytest
 
+from cli_runner import CliRunner
 from formkit import search
-from formkit.checks import CheckContext
+from formkit.checks import WITNESS_SCHEMA, CheckContext
 from formkit.morphisms import strict_characterization
 from formkit.search import (
     CLAIMS,
@@ -325,3 +327,34 @@ def test_shares_left_without_a_worker_run_in_the_parent(monkeypatch, planted):
     assert run_search("strict-iff-push", 1000, 7) == serial
     assert len(forks) == 2
     _no_child_left()
+
+
+def test_search_counterexamples_reach_the_report_and_replay(planted, tmp_path):
+    # a budget below 2 * MIN_CASES_PER_PROCESS runs in this process, where
+    # the planted check is in place; the report lists one counterexample per
+    # planted index, its witness names the first, and the witness replays
+    # to the same violations
+    budget = 20
+    assert search.search_width(budget) == 1
+    runner = CliRunner()
+    res = runner.invoke(["--seed", "7", "search", "--claim", "strict-iff-push", "--budget", str(budget)])
+    assert res.exit_code == 1
+    (check,) = json.loads(res.stdout)["checks"]
+    assert check["name"] == "search:strict-iff-push" and check["status"] == "fail"
+    found = {v["where"]: v for v in check["violations"]}
+    assert sorted(found) == sorted(f"index {i}" for i in PLANTED if i < budget)
+    for i in PLANTED & set(range(budget)):
+        v = found[f"index {i}"]
+        assert v["check"] == "counterexample" and v["witness"] == [7, i]
+        assert json.loads(v["detail"]) == [{"check": "planted", "where": f"index {i}", "witness": [i], "detail": ""}]
+    first = min(PLANTED)
+    recipe = {"kind": "search", "claim": "strict-iff-push", "seed": 7, "index": first}
+    assert check["witness"] == {"schema": WITNESS_SCHEMA, "check": "search", "recipe": recipe}
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(check["witness"]))
+    res = runner.invoke(["replay", str(path)])
+    assert res.exit_code == 1
+    (replayed,) = json.loads(res.stdout)["checks"]
+    assert replayed["name"] == "replay:search:strict-iff-push" and replayed["status"] == "fail"
+    assert [(v["check"], v["where"]) for v in replayed["violations"]] == [("counterexample", f"index {first}")]
+    assert [json.loads(v["detail"]) for v in replayed["violations"]] == json.loads(found[f"index {first}"]["detail"])

@@ -28,15 +28,13 @@ from formkit.topologies import (
     clopen_targets,
     discrete,
     enumerate_topologies,
-    final_topology,
     indiscrete,
-    initial_topology,
-    is_clopen_map,
     is_topology_family,
     theta_relation,
     theta_topology,
     topology_fibre,
 )
+from oracles import final_topology, hom, initial_topology, is_clopen_map
 
 
 def naive_topologies(n):
@@ -408,7 +406,7 @@ def test_final_initial_are_adjoint_for_every_endofunction(top12):
     from formkit.lattice import GaloisPair
 
     form = top12.form
-    for f in form.base.hom("2pt", "2pt"):
+    for f in hom(form.base, "2pt", "2pt"):
         pair = GaloisPair(form.push_maps[form.base.ids[f]], form.pull_maps[form.base.ids[f]])
         assert pair.check().ok, f
 
