@@ -12,11 +12,13 @@ isolation: save it to a file and run `formkit replay <witness.json>`.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import os
 import sys
 import time
-from argparse import ArgumentParser, ArgumentTypeError, HelpFormatter, Namespace
+from argparse import ArgumentParser, ArgumentTypeError, HelpFormatter, Namespace, _SubParsersAction
 from typing import NoReturn, Optional
 
 from . import __version__
@@ -519,10 +521,37 @@ def input_options(order: dict) -> tuple:
     )
 
 
+class Commands(_SubParsersAction):
+    """The subcommands of one parser. Each is added with its help line, for
+    its parent's --help and "invalid choice" message; its own options and
+    subcommands are added when a command line names it, so a command builds
+    only the parsers on its path."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pending = {}
+
+    def add_command(self, name: str, doc: Optional[str], fill) -> None:
+        """Add ``name``, whose parser ``fill`` completes when it is named."""
+        self.pending[name] = fill, self.add_parser(name, help=doc, description=doc, **PARSER)
+
+    def expand(self, name: str) -> ArgumentParser:
+        """The parser of ``name``, completed."""
+        if name in self.pending:
+            fill, parser = self.pending.pop(name)
+            fill(parser)
+        return self.choices[name]
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.expand(values[0])  # argparse has checked the name already
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> ArgumentParser:
-    """The command tree. The parser of each command sets two defaults:
-    ``run``, its action, and ``parser``, itself, under whose usage line a
-    usage or input error is reported."""
+    """The command tree, each command's parser completed when it is named
+    (``Commands``). The parser of each command sets two defaults: ``run``,
+    its action, and ``parser``, itself, under whose usage line a usage or
+    input error is reported."""
     root = ArgumentParser(
         prog="formkit", **PARSER,
         description="Compute with finite forms: fibre lattices, transfer maps, topogenous orders, "
@@ -531,16 +560,25 @@ def build_parser() -> ArgumentParser:
     root.add_argument("--version", action="version", version=f"formkit, version {__version__}")
     root.add_argument("--format", choices=("json", "text"), default="json", help="default: %(default)s")
     root.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands; default: %(default)s")
-    groups = {"": root.add_subparsers(metavar="COMMAND", required=True)}
+    tree: dict[str, tuple] = {}  # path -> (run, doc, options), in the order of the help listings
 
     def command(path: str, run=None, *options, doc: Optional[str] = None) -> None:
-        """Add ``path`` ("verify form"): a command that runs ``run`` and
+        """Declare ``path`` ("verify form"): a command that runs ``run`` and
         takes ``options``, or a group of commands when ``run`` is None."""
-        group, _, name = path.rpartition(" ")
-        doc = doc or (run and run.__doc__)
-        parser = groups[group].add_parser(name, help=doc, description=doc, **PARSER)
+        tree[path] = run, doc or (run and run.__doc__), options
+
+    def add_commands(parser: ArgumentParser, group: str) -> None:
+        """Add the commands of ``group`` ("" for the top level) to ``parser``."""
+        commands = parser.add_subparsers(metavar="COMMAND", required=True, action=Commands)
+        for path, (_, doc, _) in tree.items():
+            parent, _, name = path.rpartition(" ")
+            if parent == group:
+                commands.add_command(name, doc, lambda sub, path=path: fill(sub, path))
+
+    def fill(parser: ArgumentParser, path: str) -> None:
+        run, _, options = tree[path]
         if run is None:
-            groups[path] = parser.add_subparsers(metavar="COMMAND", required=True)
+            add_commands(parser, path)
         else:
             parser.set_defaults(run=run, parser=parser)
         for flag, keywords in options:
@@ -607,13 +645,32 @@ def build_parser() -> ArgumentParser:
     budget_option = ("--budget", {"type": budget, "default": 1000, "help": "default: %(default)s"})
     command("search", search_cmd, ("--claim", {"required": True}), budget_option)
     command("replay", replay_cmd, ("witness_file", {"type": in_file, "metavar": "WITNESS_FILE"}))
+    add_commands(root, "")
     return root
 
 
 def main(args: Optional[list[str]] = None) -> NoReturn:
     """Run the command ``args`` names (default ``sys.argv[1:]``) and exit with
     its code: 0 if every check passes, 1 if one fails, 2 on a usage or input
-    error."""
+    error.
+
+    The command runs with the cyclic garbage collector off: reference
+    counting frees what formkit builds, and the only cycles a command leaves
+    are its parser tree's. The collector is put back as the caller had it,
+    and at interpreter exit ``gc.freeze`` spares the shutdown collection
+    a pass over every object still alive."""
+    enabled = gc.isenabled()
+    gc.disable()
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    try:
+        run_command(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def run_command(args: Optional[list[str]]) -> NoReturn:
     flags, extra = build_parser().parse_known_args(args)
     if extra:
         flags.parser.error(f"unrecognized arguments: {' '.join(extra)}")

@@ -65,15 +65,13 @@ def enumerate_partitions(n: int) -> list[Partition]:
     if n == 0:
         return [Partition(())]
     out: list[Partition] = []
-
-    def grow(prefix: list[int], top: int) -> None:
+    stack = [((0,), 0)]  # (prefix, its largest block); children pushed last-first
+    while stack:
+        prefix, top = stack.pop()
         if len(prefix) == n:
-            out.append(Partition(tuple(prefix)))
-            return
-        for b in range(top + 2):
-            grow(prefix + [b], max(top, b))
-
-    grow([0], 0)
+            out.append(Partition(prefix))
+        else:
+            stack.extend((prefix + (b,), max(top, b)) for b in range(top + 1, -1, -1))
     return out
 
 

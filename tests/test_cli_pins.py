@@ -17,13 +17,13 @@ import re
 import shlex
 import sys
 import tempfile
-from argparse import ArgumentParser, _SubParsersAction
+from argparse import ArgumentParser
 from pathlib import Path
 
 import pytest
 
 from cli_runner import CliRunner
-from formkit.cli import build_parser
+from formkit.cli import Commands, build_parser
 from test_cli import MALFORMED, _top2_inputs
 from test_golden import CASES, _write_inputs
 
@@ -39,9 +39,9 @@ def command_paths(parser: ArgumentParser | None = None, path: tuple[str, ...] = 
     parser = build_parser() if parser is None else parser
     yield path
     for action in parser._actions:
-        if isinstance(action, _SubParsersAction):
-            for name, sub in sorted(action.choices.items()):
-                yield from command_paths(sub, path + (name,))
+        if isinstance(action, Commands):
+            for name in sorted(action.choices):
+                yield from command_paths(action.expand(name), path + (name,))
 
 
 def _help_pin(path: tuple[str, ...]) -> Path:

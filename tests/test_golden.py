@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import formkit
 from cli_runner import CliRunner
 from formkit.jsonio import dump_json, form_to_dict, load_json, order_to_dict
 from formkit.search import case_rng, random_form, random_order
@@ -190,6 +192,20 @@ def test_golden(name, workdir, monkeypatch):
     monkeypatch.chdir(workdir)
     expected = (GOLDEN_DIR / f"{name}.golden").read_text()
     assert _render(_run(CASES[name])) == expected
+
+
+# Cases that read no input file, run again through `python -m formkit.cli`:
+# the command line as a process runs it, collector policy and exit included.
+PROCESS_CASES = ("ct-quot123-leq", "ct-top12-b", "search-transfer-laws")
+
+
+@pytest.mark.parametrize("name", PROCESS_CASES)
+def test_golden_through_a_process(name, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(formkit.__file__).parents[1]))
+    command = [sys.executable, "-m", "formkit.cli", *CASES[name]]
+    result = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True)
+    assert b"exit %d\n" % result.returncode + result.stdout == (GOLDEN_DIR / f"{name}.golden").read_bytes()
+    assert [line[:9] for line in result.stderr.splitlines()] == [b"elapsed: "]  # nothing else, at exit neither
 
 
 def _regenerate() -> None:
