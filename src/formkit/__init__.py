@@ -12,7 +12,7 @@ lattices.
 __version__ = "0.1.0"
 
 from .forms import CategoryPresentation, CorruptFormError, FormInstance, MorphismKind
-from .lattice import FiniteLattice, GaloisPair, MonotoneMap
+from .lattice import FiniteLattice, MonotoneMap, lower_adjoint, upper_adjoint
 from .report import Report, Violation
 from .topogenous import (
     Operator,
@@ -38,7 +38,6 @@ __all__ = [
     "CorruptFormError",
     "FiniteLattice",
     "FormInstance",
-    "GaloisPair",
     "MonotoneMap",
     "MorphismKind",
     "Operator",
@@ -52,10 +51,12 @@ __all__ = [
     "intersect_orders",
     "is_idempotent",
     "leq_order",
+    "lower_adjoint",
     "order_from_closure",
     "order_from_interior",
     "pulled_table",
     "roundtrip_check",
+    "upper_adjoint",
     "verify_closure",
     "verify_interior",
     "verify_order",

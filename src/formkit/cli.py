@@ -352,7 +352,7 @@ def classify_cmd(flags: Namespace) -> RunReport:
                 fail_usage(f"unknown morphism {flags.morphism!r}")
             targets = [form.base.ids[flags.morphism]]
         sw, fw = checked.strict_witness, checked.final_witness
-        report.payload = {"morphisms": [classify_morphism(form, f, sw[f], fw[f]).to_dict() for f in targets]}
+        report.payload = {"morphisms": [classify_morphism(form, f, sw[f], fw[f]) for f in targets]}
     return report
 
 
@@ -454,9 +454,8 @@ def replay_cmd(flags: Namespace) -> RunReport:
         ce = run_case(claim, seed, index)
         rep = Report()
         rep.checks_run = 1
-        if ce is not None:
-            for v in ce.violations:
-                rep.add("counterexample", where=f"index {ce.index}", detail=json.dumps(v, sort_keys=True))
+        for v in ce["violations"] if ce is not None else ():
+            rep.add("counterexample", where=f"index {index}", detail=json.dumps(v, sort_keys=True))
         report.checks.append(check_from_report(f"replay:search:{claim}", rep))
     elif kind == "lattice-file":
         path = _field(recipe, "file", lambda v: isinstance(v, str), witness_file)

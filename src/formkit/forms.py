@@ -601,28 +601,21 @@ class FormInstance:
                     yield "iso", f, next(a for a, (p, q) in enumerate(zip(push, inverse)) if p != q)
 
     @cached_property
-    def _reflects(self) -> dict[str, tuple[int, int]]:
-        """Per kind with a round-trip failure, its first (morphism, index);
-        built once per form."""
+    def first_roundtrip_failure(self) -> dict[str, tuple[int, int]]:
+        """Per kind ("section", "retraction" or "iso") with a round-trip
+        failure (:meth:`_roundtrip_failures`), its first (morphism number,
+        index); a kind is absent when all its round trips hold. Built once
+        per form."""
         first: dict[str, tuple[int, int]] = {}
         for kind, f, i in self._roundtrip_failures():
             first.setdefault(kind, (f, i))
         return first
 
-    def check_reflects(self, kind: str) -> tuple[bool, Optional[tuple[int, int]]]:
-        """Operational reflection test: whether every round trip of ``kind``
-        holds (:meth:`_roundtrip_failures`), and the first counterexample,
-        (morphism number, index)."""
-        if kind not in ROUNDTRIP_CHECKS:
-            raise ValueError(f"unknown kind {kind!r}")
-        first = self._reflects.get(kind)
-        return first is None, first
-
     def verify_lifting_iso_laws(self) -> Report:
         """The round trips behind the reflection flags, one violation per
         failure of :meth:`_roundtrip_failures`. The flags are read from the
-        same failures (:meth:`check_reflects`), so a family is clean exactly
-        when its flag holds."""
+        same failures (:attr:`first_roundtrip_failure`), so a family is clean
+        exactly when its flag holds."""
         rep = Report()
         names = self.base.names
         for mk, push, pull in zip(self.base.kinds, self.push_maps, self.pull_maps):

@@ -12,7 +12,7 @@ from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, GaloisPair, MonotoneMap, bits
+from .lattice import FiniteLattice, MonotoneMap, bits, lower_adjoint
 from .report import Report
 from .setmaps import SetFunction, concrete_category, distinct_names
 from .topogenous import TopogenousOrder
@@ -265,15 +265,20 @@ def _words(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int, int]]:
     return steps
 
 
-def enumerate_homs_generators(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
-    """All homomorphisms, found by assigning generator images.
+def enumerate_homs(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
+    """All homomorphisms between groups within the cap, sorted by table,
+    found by assigning generator images.
 
     Each assignment of images to :func:`generating_sequence` extends along
     the words of :func:`_words` to one table t with t[0] = 0 and
     t[x·s] = t[x]·t[s] whenever x·s was reached from x by s. The law is then
     checked for every other x and generator s; it is enough: with
     y = s1⋯sk, t[x·y] = t[x]·t[s1]⋯t[sk] and t[y] = t[s1]⋯t[sk], so t is a
-    homomorphism. Distinct assignments give distinct tables."""
+    homomorphism. Distinct assignments give distinct tables.
+    ``enumerate_homs_bruteforce`` in ``tests/oracles.py`` is its test
+    oracle."""
+    if g.n > MAX_HOM_ORDER or h.n > MAX_HOM_ORDER:
+        raise ValueError(f"hom enumeration capped at order {MAX_HOM_ORDER}")
     gens = generating_sequence(g)
     steps = _words(g, gens)
     tree = {(x, k) for _, x, k in steps}
@@ -293,17 +298,6 @@ def enumerate_homs_generators(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
             homs.append(GroupHom(g, h, tuple(table)))
     homs.sort(key=lambda m: m.table)
     return homs
-
-
-def enumerate_homs(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
-    """All homomorphisms between groups within the cap, sorted by table.
-
-    Every source goes through :func:`enumerate_homs_generators`;
-    ``enumerate_homs_bruteforce`` in ``tests/oracles.py`` is its test
-    oracle."""
-    if g.n > MAX_HOM_ORDER or h.n > MAX_HOM_ORDER:
-        raise ValueError(f"hom enumeration capped at order {MAX_HOM_ORDER}")
-    return enumerate_homs_generators(g, h)
 
 
 def preserves_normals(h: GroupHom) -> bool:
@@ -341,7 +335,7 @@ class SubgroupForm:
 def build_grp_form(groups: Sequence[FiniteGroup]) -> SubgroupForm:
     """Objects are the given groups, hom-sets all homomorphisms, fibres the
     subgroup lattices, pull the preimage and push the image: the lower
-    adjoint of pull (:meth:`GaloisPair.from_right_adjoint`). ``image_mask``
+    adjoint of pull (:func:`formkit.lattice.lower_adjoint`). ``image_mask``
     computes the same entries one subgroup at a time and is the oracle the
     push tables are tested against."""
     groups = list(groups)
@@ -350,15 +344,11 @@ def build_grp_form(groups: Sequence[FiniteGroup]) -> SubgroupForm:
     index = [{m: i for i, m in enumerate(ms)} for ms in masks]
     carriers = dict(zip(distinct_names([g.name for g in groups]), (g.n for g in groups)))
     base, homs = concrete_category(carriers, lambda x, y: enumerate_homs(groups[x], groups[y]))
-    push = []
-    pull = []
-    for hom, x, y in zip(homs, base.source, base.target):
-        pull.append(MonotoneMap(
-            fibres[y], fibres[x],
-            [index[x][hom.preimage_mask(m)] for m in masks[y]],
-        ))
-        push.append(GaloisPair.from_right_adjoint(pull[-1]).left)
-    form = FormInstance(base, fibres, push, pull)
+    pull = [
+        MonotoneMap(fibres[y], fibres[x], [index[x][hom.preimage_mask(m)] for m in masks[y]])
+        for hom, x, y in zip(homs, base.source, base.target)
+    ]
+    form = FormInstance(base, fibres, list(map(lower_adjoint, pull)), pull)
     return SubgroupForm(form, groups, masks, index, homs)
 
 

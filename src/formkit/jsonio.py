@@ -271,10 +271,6 @@ def order_from_dict(doc: dict, form: FormInstance, where: str = "order") -> Topo
             raise SchemaError(f"{where}: order has no relation for object {x!r}")
         if len(rows) != fib.size:
             raise SchemaError(f"{where}: relation rows for {x!r} do not match the fibre size")
-        full = (1 << fib.size) - 1
-        for a, row in enumerate(rows):
-            if row & ~full:
-                raise SchemaError(f"{where}: relation row {a} of {x!r} indexes outside the fibre")
     return TopogenousOrder(map(rel.__getitem__, objects))
 
 
@@ -308,19 +304,6 @@ def topology_to_dict(t: FiniteTopology) -> dict:
     return {"n": t.n, "opens": sorted(t.opens)}
 
 
-def topology_from_dict(doc: dict, where: str = "topology") -> FiniteTopology:
-    n = _need(doc, "n", where)
-    opens = _need(doc, "opens", where)
-    try:
-        return FiniteTopology(n, frozenset(opens))
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def group_to_dict(g: FiniteGroup) -> dict:
-    return {"order": g.n, "cayley": [list(row) for row in g.table], "name": g.name}
-
-
 def group_from_dict(doc: dict, where: str = "group") -> FiniteGroup:
     order = _need(doc, "order", where)
     if not is_int(order):
@@ -339,14 +322,6 @@ def group_from_dict(doc: dict, where: str = "group") -> FiniteGroup:
 
 def partition_to_dict(p: Partition) -> dict:
     return {"n": p.n, "blocks": list(p.blocks)}
-
-
-def partition_from_dict(doc: dict, where: str = "partition") -> Partition:
-    _need(doc, "n", where)
-    blocks = _need(doc, "blocks", where)
-    if len(blocks) != doc["n"]:
-        raise SchemaError(f"{where}.blocks: expected {doc['n']} entries")
-    return Partition.of(blocks)
 
 
 # -- files ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finite complete lattices given extensionally, monotone maps, Galois pairs.
+"""Finite complete lattices given extensionally, monotone maps, adjoints.
 
 Elements are dense indices 0..size-1; instance modules own the bijection
 between indices and semantic objects (topologies, subgroups, partitions).
@@ -386,47 +386,24 @@ class MonotoneMap:
         return f"MonotoneMap({self.source.size}->{self.target.size}, {self.table})"
 
 
-class GaloisPair:
-    """An adjoint pair: left(A) <= B iff A <= right(B)."""
+def upper_adjoint(left: MonotoneMap) -> MonotoneMap:
+    """The upper adjoint of a join-preserving map, the ``right`` with
+    left(A) <= B iff A <= right(B): right(B) = join of every A with
+    left(A) <= B, that is, of the preimage of ``down[B]``
+    (:meth:`MonotoneMap.preimages`, :meth:`FiniteLattice.join_mask`)."""
+    src, tgt = left.source, left.target
+    return MonotoneMap(tgt, src, tuple(src.join_mask(p) for p in left.preimages(tgt.down)))
 
-    def __init__(self, left: MonotoneMap, right: MonotoneMap):
-        if left.source != right.target or left.target != right.source:
-            raise ValueError("left/right must connect the same two lattices in opposite directions")
-        self.left = left
-        self.right = right
 
-    @classmethod
-    def from_left_adjoint(cls, left: MonotoneMap) -> "GaloisPair":
-        """Derive the upper adjoint of a join-preserving map:
-        right(B) = join of every A with left(A) <= B, that is, of the
-        preimage of ``down[B]`` (:meth:`MonotoneMap.preimages`,
-        :meth:`FiniteLattice.join_mask`)."""
-        src, tgt = left.source, left.target
-        return cls(left, MonotoneMap(tgt, src, tuple(src.join_mask(p) for p in left.preimages(tgt.down))))
-
-    @classmethod
-    def from_right_adjoint(cls, right: MonotoneMap) -> "GaloisPair":
-        """Derive the lower adjoint of a meet-preserving map: the B with
-        A <= right(B) are the up-set of left(A), so the preimage of
-        ``up[A]`` (:meth:`MonotoneMap.preimages`) is the ``up`` mask of
-        left(A), one lookup in the cone index. A preimage that is no
-        element's up-set means ``right`` has no lower adjoint: ValueError,
-        naming that A."""
-        src, tgt = right.target, right.source
-        table = list(map(tgt._cone_index()[1].get, right.preimages(src.up)))
-        if None in table:
-            a = table.index(None)
-            raise ValueError(f"no least B with element {a} <= right(B); not a right adjoint")
-        return cls(MonotoneMap(src, tgt, table), right)
-
-    def check(self) -> Report:
-        """List every (A, B) where exactly one side of the adjunction holds."""
-        rep = Report()
-        left, right = self.left, self.right
-        for a in range(left.source.size):
-            fa = left.table[a]
-            for b in range(left.target.size):
-                rep.count("galois")
-                if left.target.leq(fa, b) != left.source.leq(a, right.table[b]):
-                    rep.add("galois", witness=(a, b))
-        return rep
+def lower_adjoint(right: MonotoneMap) -> MonotoneMap:
+    """The lower adjoint of a meet-preserving map: the B with
+    A <= right(B) are the up-set of left(A), so the preimage of ``up[A]``
+    (:meth:`MonotoneMap.preimages`) is the ``up`` mask of left(A), one
+    lookup in the cone index. A preimage that is no element's up-set means
+    ``right`` has no lower adjoint: ValueError, naming that A."""
+    src, tgt = right.target, right.source
+    table = list(map(tgt._cone_index()[1].get, right.preimages(src.up)))
+    if None in table:
+        a = table.index(None)
+        raise ValueError(f"no least B with element {a} <= right(B); not a right adjoint")
+    return MonotoneMap(src, tgt, table)

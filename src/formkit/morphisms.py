@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Optional, Sequence
 
-from .forms import CategoryPresentation, FormInstance, MorphismKind
+from .forms import CategoryPresentation, FormInstance
 from .lattice import low_bit
 from .report import Report
 from .topogenous import Operator, OrderClass, TopogenousOrder, pulled_rows
@@ -46,30 +46,6 @@ PAIR_CLAUSES = (
     "cancel-strict-first-factor-section",
     "cancel-final-first-factor-section",
 )
-
-
-class MorphismReport:
-    def __init__(
-        self,
-        morphism: str,
-        strict: bool,
-        final: bool,
-        thick: bool,
-        kind: MorphismKind,
-        witnesses: Optional[list[tuple]] = None,
-    ):
-        self.morphism, self.strict, self.final, self.thick, self.kind = morphism, strict, final, thick, kind
-        self.witnesses = [] if witnesses is None else witnesses
-
-    def to_dict(self) -> dict:
-        return {
-            "morphism": self.morphism,
-            "strict": self.strict,
-            "final": self.final,
-            "thick": self.thick,
-            "kind": self.kind.to_dict(),
-            "witnesses": [list(w) for w in self.witnesses],
-        }
 
 
 def strict_violation(form: FormInstance, order: TopogenousOrder, f: int, pulled: Sequence[int]) -> Witness:
@@ -293,7 +269,7 @@ def _compose_walk(base: CategoryPresentation, member: Sequence[bool], k: int, fo
 
 def _reflection_flags(form: FormInstance) -> tuple[bool, bool, bool]:
     """Whether the section, retraction and iso round trips all hold."""
-    return tuple(kind not in form._reflects for kind in ("section", "retraction", "iso"))
+    return tuple(kind not in form.first_roundtrip_failure for kind in ("section", "retraction", "iso"))
 
 
 def _kind_clauses(rep: Report, names, strict, final, kinds, flags, strict_witness, final_witness) -> None:
@@ -396,16 +372,15 @@ def cohereditary_operator_check(form: FormInstance, closure: Operator, final: Se
     return rep
 
 
-def classify_morphism(form: FormInstance, f: int, sv: Witness, fv: Witness) -> MorphismReport:
+def classify_morphism(form: FormInstance, f: int, sv: Witness, fv: Witness) -> dict:
     """Morphism f's classes from its strict and final witnesses ``sv`` and
-    ``fv`` (:func:`strict_violation`, :func:`final_violation`), reported
-    under its name."""
-    witnesses = [w for w in (sv, fv) if w is not None]
-    return MorphismReport(
-        morphism=form.base.names[f],
-        strict=sv is None,
-        final=fv is None,
-        thick=form.is_thick(f),
-        kind=form.base.kinds[f],
-        witnesses=witnesses,
-    )
+    ``fv`` (:func:`strict_violation`, :func:`final_violation`), as the
+    report's entry under its name."""
+    return {
+        "morphism": form.base.names[f],
+        "strict": sv is None,
+        "final": fv is None,
+        "thick": form.is_thick(f),
+        "kind": form.base.kinds[f].to_dict(),
+        "witnesses": [list(w) for w in (sv, fv) if w is not None],
+    }

@@ -11,7 +11,7 @@ from itertools import product
 from typing import Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, GaloisPair, MonotoneMap
+from .lattice import FiniteLattice, MonotoneMap, lower_adjoint
 from .report import InputError, Record
 from .setmaps import SetFunction, function_category
 
@@ -109,7 +109,7 @@ def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
     word's blocks form. Pull translates the function's value table through
     the codomain partition's block ids, padded to a translation table, and
     looks the word up. Push is the lower adjoint of pull
-    (:meth:`GaloisPair.from_right_adjoint`). ``push_partition`` and
+    (:func:`formkit.lattice.lower_adjoint`). ``push_partition`` and
     ``pull_partition`` in ``tests/oracles.py`` compute the same entries
     one partition at a time and are the oracle the tables are tested
     against."""
@@ -129,13 +129,9 @@ def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
         index.append({p.blocks: i for i, p in enumerate(ps)})
         element.append({bytes(word): index[-1][canonical_blocks(word)] for word in product(range(width), repeat=n)})
         blocks.append([bytes(p.blocks).ljust(256, b"\0") for p in ps])
-    push = []
-    pull = []
-    for fn, x, y in zip(functions, base.source, base.target):
-        pull.append(MonotoneMap(
-            fibres[y], fibres[x],
-            list(map(element[x].__getitem__, map(bytes(fn.table).translate, blocks[y]))),
-        ))
-        push.append(GaloisPair.from_right_adjoint(pull[-1]).left)
-    form = FormInstance(base, fibres, push, pull)
+    pull = [
+        MonotoneMap(fibres[y], fibres[x], list(map(element[x].__getitem__, map(bytes(fn.table).translate, blocks[y]))))
+        for fn, x, y in zip(functions, base.source, base.target)
+    ]
+    form = FormInstance(base, fibres, list(map(lower_adjoint, pull)), pull)
     return PartitionForm(form, list(sizes), parts, index, functions)

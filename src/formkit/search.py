@@ -24,7 +24,7 @@ from typing import BinaryIO, Iterable, NoReturn, Optional
 
 from .checks import CHECKS, CheckContext
 from .forms import CategoryPresentation, FormInstance
-from .lattice import FiniteLattice, GaloisPair, MonotoneMap, bits, columns
+from .lattice import FiniteLattice, MonotoneMap, bits, columns, upper_adjoint
 from .topogenous import TopogenousOrder
 
 MAX_POSET_POINTS = 3
@@ -157,15 +157,14 @@ def random_form(rng: random.Random) -> FormInstance:
 
     # The identity is its own upper adjoint, and pull(g.f) = pull f . pull g:
     # upper adjoints on posets are unique, so these are the tables
-    # GaloisPair.from_left_adjoint would derive. The random maps are drawn
-    # in SHAPES order.
+    # upper_adjoint would derive. The random maps are drawn in SHAPES order.
     push: list[MonotoneMap] = [None] * len(base.names)
     pull: list[MonotoneMap] = [None] * len(base.names)
     for fib, i in zip(fibres, base.identity_of):
         push[i] = pull[i] = MonotoneMap.identity(fib)
     for f, (_, d, c) in zip(arrows, SHAPES[shape][1]):
         push[f] = _random_left_adjoint(rng, posets[d], data[d], data[c])
-        pull[f] = GaloisPair.from_left_adjoint(push[f]).right
+        pull[f] = upper_adjoint(push[f])
     if shape == 3:
         f, g, gf = arrows
         push[gf] = push[g].compose(push[f])
@@ -273,20 +272,6 @@ def _random_context(rng: random.Random, form: FormInstance, want: str) -> CheckC
 # -- claims ---------------------------------------------------------------------
 
 
-class Counterexample:
-    def __init__(self, seed: int, index: int, claim: str, violations: Optional[list[dict]] = None):
-        self.seed, self.index, self.claim = seed, index, claim
-        self.violations = [] if violations is None else violations
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "index": self.index,
-            "claim": self.claim,
-            "violations": self.violations,
-        }
-
-
 # Each claim is a registry check, run on one generated form with orders
 # drawn, in this sequence, from the listed classes ("any", "TM" or "TJ").
 CLAIMS: dict[str, tuple[str, tuple[str, ...]]] = {
@@ -303,8 +288,10 @@ def case_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 
 
-def run_case(claim: str, seed: int, index: int) -> Optional[Counterexample]:
-    """One generated form checked against one claim; None when clean."""
+def run_case(claim: str, seed: int, index: int) -> Optional[dict]:
+    """One generated form checked against one claim: the counterexample's
+    seed, index, claim and violations, as the report lists it; None when
+    clean."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {sorted(CLAIMS)}")
     check, classes = CLAIMS[claim]
@@ -315,7 +302,7 @@ def run_case(claim: str, seed: int, index: int) -> Optional[Counterexample]:
         violations.extend(CHECKS[check].run(_random_context(rng, form, want)).violations)
     if not violations:
         return None
-    return Counterexample(seed, index, claim, [v.to_dict() for v in violations])
+    return {"seed": seed, "index": index, "claim": claim, "violations": [v.to_dict() for v in violations]}
 
 
 # The fewest cases one process of a split search runs. A worker costs about
@@ -347,7 +334,7 @@ def _counterexamples(claim: str, seed: int, indices: Iterable[int]) -> list[dict
     """The counterexamples among the cases ``indices``, in that order, as
     dicts."""
     found = (run_case(claim, seed, i) for i in indices)
-    return [c.to_dict() for c in found if c is not None]
+    return [c for c in found if c is not None]
 
 
 def _serve_share(write_end: int, claim: str, seed: int, share: range) -> NoReturn:

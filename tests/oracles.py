@@ -17,13 +17,34 @@ from typing import Iterator, Optional
 
 from formkit.forms import CategoryPresentation, FormInstance, MorphismKind
 from formkit.groups import FiniteGroup, GroupHom
-from formkit.lattice import bits
+from formkit.lattice import MonotoneMap, bits
 from formkit.morphisms import _kind_clauses, _reflection_flags
 from formkit.partitions import Partition
 from formkit.report import Report
 from formkit.setmaps import SetFunction
 from formkit.topogenous import Operator, TopogenousOrder
 from formkit.topologies import FiniteTopology
+
+# -- Galois connections ------------------------------------------------------------
+
+
+def galois_check(left: MonotoneMap, right: MonotoneMap) -> Report:
+    """Every (A, B) where exactly one side of left(A) <= B iff
+    A <= right(B) holds: the oracle of the adjoints that
+    :func:`formkit.lattice.upper_adjoint` and
+    :func:`formkit.lattice.lower_adjoint` derive. ValueError when the two
+    maps do not connect the same two lattices in opposite directions."""
+    if left.source != right.target or left.target != right.source:
+        raise ValueError("left/right must connect the same two lattices in opposite directions")
+    rep = Report()
+    for a in range(left.source.size):
+        fa = left.table[a]
+        for b in range(left.target.size):
+            rep.count("galois")
+            if left.target.leq(fa, b) != left.source.leq(a, right.table[b]):
+                rep.add("galois", witness=(a, b))
+    return rep
+
 
 # -- the base category by name ------------------------------------------------------
 
@@ -525,7 +546,7 @@ BRUTE_FORCE_ORDER = 6
 
 def enumerate_homs_bruteforce(g: FiniteGroup, h: FiniteGroup) -> list[GroupHom]:
     """Filter all value tables with the identity pinned: the oracle of
-    :func:`formkit.groups.enumerate_homs_generators` on sources of order at
+    :func:`formkit.groups.enumerate_homs` on sources of order at
     most BRUTE_FORCE_ORDER."""
     if g.n > BRUTE_FORCE_ORDER:
         raise ValueError(f"brute force capped at source order {BRUTE_FORCE_ORDER}")

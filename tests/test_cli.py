@@ -15,8 +15,7 @@ import formkit
 from cli_runner import CliRunner
 from formkit.checks import REGISTRY
 from formkit.cli import main
-from formkit.groups import symmetric3
-from formkit.jsonio import dump_json, form_to_dict, group_to_dict, operator_to_dict, order_to_dict
+from formkit.jsonio import dump_json, form_to_dict, operator_to_dict, order_to_dict
 from formkit.topogenous import closure_from_order
 from formkit.topologies import b_order, build_top_form, theta_order
 
@@ -53,7 +52,9 @@ def test_enumerate_subgroups_corpus_and_file(runner, tmp_path):
     assert payload["count"] == 6
     assert sum(1 for s in payload["subgroups"] if s["normal"]) == 3
     path = tmp_path / "s3.json"
-    dump_json(group_to_dict(symmetric3()), str(path))
+    cayley = [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+              [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]
+    dump_json({"order": 6, "cayley": cayley, "name": "S3"}, str(path))
     res2 = invoke(runner, ["enumerate", "subgroups", "--file", str(path)])
     assert parse(res2)["payload"]["count"] == 6
     res3 = invoke(runner, ["enumerate", "subgroups", "--group", "S3", "--file", str(path)])
@@ -163,6 +164,12 @@ def _write(tmp_path, doc, name="bad.json"):
     return str(path)
 
 
+def _dir(tmp_path, name="adir"):
+    path = tmp_path / name
+    path.mkdir(exist_ok=True)
+    return str(path)
+
+
 def _with(doc, path, *value):
     """A copy of doc with the entry at path replaced, or deleted when no
     value is given."""
@@ -241,6 +248,19 @@ MALFORMED = {
     "instance-quot-over-cap": lambda t, p: ["instance", "quot", "--sizes", "6"],
     "derive-theta-over-cap": lambda t, p: ["derive", "theta", "--n", "9"],
     "search-budget-negative": lambda t, p: ["search", "--claim", "roundtrip-TM", "--budget", "-3"],
+    "check-theorems-sizes-not-ints": lambda t, p: ["check-theorems", "--instance", "top", "--sizes", "x"],
+    "check-theorems-no-form": lambda t, p: ["check-theorems"],
+    "check-theorems-form-named-order": lambda t, p: ["check-theorems", "--form", p["form"], "--order", "theta"],
+    "enumerate-unknown-group": lambda t, p: ["enumerate", "subgroups", "--group", "Nope"],
+    "file-option-missing": lambda t, p: ["verify", "form", "--file", str(t / "missing.json")],
+    "out-is-a-directory": lambda t, p: ["derive", "theta", "--n", "2", "--out", _dir(t)],
+    "emit-is-a-directory": lambda t, p: ["instance", "top", "--sizes", "1", "--emit", _dir(t)],
+    "lattice-negative-size": lambda t, p: ["verify", "lattice", "--file", _write(t, {"size": -1, "leq": []})],
+    "operator-extra-object": lambda t, p: [
+        "verify", "closure", "--form", p["form"],
+        "--operator", _write(t, _with(_good(p, "closure"), ("map", "ghost"), [0])),
+    ],
+    "replay-form-file-is-a-directory": lambda t, p: ["replay", _write(t, _witness({"form_file": _dir(t)}))],
 }
 
 # A fragment of the message that locates the fault.
@@ -271,6 +291,16 @@ MALFORMED_WHERE = {
     "instance-quot-over-cap": "ground size 6",
     "derive-theta-over-cap": "between 0 and 4, got 9",
     "search-budget-negative": "--budget",
+    "check-theorems-sizes-not-ints": "--sizes expects comma-separated integers, got 'x'",
+    "check-theorems-no-form": "provide --form FILE (with --order FILE) or --instance KIND",
+    "check-theorems-form-named-order": "named orders other than 'leq' need --instance; otherwise pass --order FILE",
+    "enumerate-unknown-group": "unknown corpus group 'Nope'",
+    "file-option-missing": "missing.json' does not exist",
+    "out-is-a-directory": "argument --out: file",
+    "emit-is-a-directory": "argument --emit: file",
+    "lattice-negative-size": "bad.json.size: expected a nonnegative integer",
+    "operator-extra-object": "bad.json: operator maps object 'ghost', which the form does not have",
+    "replay-form-file-is-a-directory": "adir: Is a directory",
 }
 
 
@@ -731,6 +761,22 @@ def test_disputed_clauses_selectable_and_replayable(runner, tmp_path):
     assert replayed["name"] == "replay:transfer-laws-disputed-clauses"
     assert replayed["status"] == "reported"
     assert replayed["violations"] == check["violations"]
+
+
+def test_order_file_beside_an_instance(runner, tmp_path):
+    # the battery on an instance with its order read from a file runs the
+    # checks the named order runs, less the three theta propositions, which
+    # apply to the named order only
+    path = str(tmp_path / "theta2.json")
+    assert invoke(runner, ["derive", "theta", "--n", "2", "--out", path]).exit_code == 0
+    from_file = invoke(runner, ["check-theorems", "--instance", "top", "--sizes", "2", "--order", path])
+    named = invoke(runner, ["check-theorems", "--instance", "top", "--sizes", "2", "--order", "theta"])
+    assert from_file.exit_code == named.exit_code == 0
+    theta_only = {"theta-surjections-final", "theta-clopen-strict-per-pair", "theta-clopen-strict-literal"}
+    expected = [c for c in parse(named)["checks"] if c["name"] not in theta_only]
+    assert len(expected) == len(parse(named)["checks"]) - 3
+    assert parse(from_file)["checks"] == expected
+    assert list(parse(from_file)["inputs"]) == [path]
 
 
 def test_witness_of_file_inputs_replays(runner, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 import formkit
 from formkit.forms import ROUNDTRIP_CHECKS, CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, cyclic, symmetric3
-from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap
+from formkit.lattice import FiniteLattice, MonotoneMap, upper_adjoint
 from formkit.partitions import build_quot_form
 from formkit.topologies import build_top_form
 from oracles import identity, verify_dense, verify_laws_dense
@@ -36,7 +36,7 @@ def arrow_form(push_table, src_size=2, tgt_size=3):
         "idY": MonotoneMap.identity(y_fib),
         "f": MonotoneMap(x_fib, y_fib, push_table),
     }
-    pull = {name: GaloisPair.from_left_adjoint(m).right for name, m in push.items()}
+    pull = {name: upper_adjoint(m) for name, m in push.items()}
     return FormInstance(base, [x_fib, y_fib], [push[m] for m in base.names], [pull[m] for m in base.names])
 
 
@@ -137,11 +137,9 @@ def test_sign_hom_is_retraction_not_section():
     assert kind.is_retraction and not kind.is_section
 
 
-def test_check_reflects_on_instances(top12, grp8, quot123):
+def test_no_roundtrip_failure_on_instances(top12, grp8, quot123):
     for bundle in (top12, grp8, quot123):
-        for kind in ("section", "retraction", "iso"):
-            holds, witness = bundle.form.check_reflects(kind)
-            assert holds, (kind, witness)
+        assert bundle.form.first_roundtrip_failure == {}
 
 
 def _corrupted(m: MonotoneMap, i: int) -> MonotoneMap:
@@ -151,10 +149,10 @@ def _corrupted(m: MonotoneMap, i: int) -> MonotoneMap:
     return MonotoneMap(m.source, m.target, table)
 
 
-def test_check_reflects_witness_is_the_first_lifting_violation(quot123):
+def test_first_roundtrip_failure_is_the_first_lifting_violation(quot123):
     """One section's pull, one retraction's push and one iso's push
-    corrupted: each flag fails at the first violation lifting-iso-laws
-    reports for its kind."""
+    corrupted: each kind's first round-trip failure is the first violation
+    lifting-iso-laws reports for it."""
     form = quot123.form
     base = form.base
     names, identities = base.names, set(base.identity_of)
@@ -176,10 +174,10 @@ def test_check_reflects_witness_is_the_first_lifting_violation(quot123):
     assert {
         ("section-roundtrip", names[section]), ("retraction-roundtrip", names[retraction]), ("iso-transfer", names[iso])
     } <= failing
+    assert set(broken.first_roundtrip_failure) == set(ROUNDTRIP_CHECKS)
     for kind, check in ROUNDTRIP_CHECKS.items():
-        holds, witness = broken.check_reflects(kind)
+        witness = broken.first_roundtrip_failure[kind]
         first = next(v for v in rep.violations if v.check == check)
-        assert not holds, kind
         assert names[witness[0]] == first.where, kind
         if kind != "iso":
             assert witness[1:] == first.witness, kind

@@ -1,11 +1,12 @@
 """Lattice substrate: bounds against a brute-force oracle, monotone maps,
-Galois pairs."""
+derived adjoints."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap, bits
+from formkit.lattice import FiniteLattice, MonotoneMap, bits, lower_adjoint, upper_adjoint
+from oracles import galois_check
 
 
 def diamond():
@@ -160,22 +161,21 @@ def test_monotone_map_validation():
 
 def test_galois_identity_pair_valid():
     lat = diamond()
-    pair = GaloisPair(MonotoneMap.identity(lat), MonotoneMap.identity(lat))
-    assert pair.check().ok
+    assert galois_check(MonotoneMap.identity(lat), MonotoneMap.identity(lat)).ok
 
 
 def test_galois_invalid_pair_has_witness():
     lat = FiniteLattice.chain(2)
     left = MonotoneMap(lat, lat, [1, 1])  # constant to top
     right = MonotoneMap.identity(lat)
-    rep = GaloisPair(left, right).check()
+    rep = galois_check(left, right)
     assert not rep.ok
     assert (0, 0) in {v.witness for v in rep.violations}
 
 
 def test_galois_wiring_mismatch_rejected():
     with pytest.raises(ValueError):
-        GaloisPair(
+        galois_check(
             MonotoneMap.identity(FiniteLattice.chain(2)),
             MonotoneMap.identity(FiniteLattice.chain(3)),
         )
@@ -186,19 +186,19 @@ def test_derived_adjoint_is_valid_and_preserves_bounds():
     tgt = pentagon()
     # join-preserving: determined by images of the chain's join-irreducibles
     left = MonotoneMap(src, tgt, [0, 2, 3, 4])
-    pair = GaloisPair.from_left_adjoint(left)
-    assert pair.check().ok
-    assert pair.left.preserves_joins()
-    assert pair.right.preserves_meets()
+    right = upper_adjoint(left)
+    assert galois_check(left, right).ok
+    assert left.preserves_joins()
+    assert right.preserves_meets()
 
 
 def test_derived_lower_adjoint_is_valid():
     src = FiniteLattice.chain(4)
     tgt = pentagon()
-    right = GaloisPair.from_left_adjoint(MonotoneMap(src, tgt, [0, 2, 3, 4])).right
-    pair = GaloisPair.from_right_adjoint(right)
-    assert pair.check().ok
-    assert pair.left.table == (0, 2, 3, 4)
+    right = upper_adjoint(MonotoneMap(src, tgt, [0, 2, 3, 4]))
+    left = lower_adjoint(right)
+    assert galois_check(left, right).ok
+    assert left.table == (0, 2, 3, 4)
 
 
 def test_lower_adjoint_of_a_map_keeping_no_meets_raises():
@@ -208,7 +208,7 @@ def test_lower_adjoint_of_a_map_keeping_no_meets_raises():
     right = MonotoneMap(diamond(), diamond(), [0, 4, 4, 4, 4])
     assert right.is_monotone() and not right.preserves_meets()
     with pytest.raises(ValueError, match="element 1 <= right"):
-        GaloisPair.from_right_adjoint(right)
+        lower_adjoint(right)
 
 
 def test_preserving_bounds_fails_on_the_empty_bound_alone():
@@ -270,6 +270,6 @@ def test_downset_join_preserving_maps_are_left_adjoints(below_src, below_tgt, rn
         table.append(tgt_idx[out])
     left = MonotoneMap(src, tgt, table)
     assert left.preserves_joins()
-    pair = GaloisPair.from_left_adjoint(left)
-    assert pair.check().ok
-    assert pair.right.preserves_meets()
+    right = upper_adjoint(left)
+    assert galois_check(left, right).ok
+    assert right.preserves_meets()

@@ -19,10 +19,9 @@ The search runs on mask tables: `FiniteLattice.meet_mask`/`join_mask`
 against the `meet`/`join` scans, `classify_order`'s principal-filter test
 against the subset scan `classify_order_dense`, the order closure
 `_close_order` against the pair closure `_close_order_dense`, and
-`GaloisPair.from_left_adjoint` against the `leq` comprehension it
-replaced. `GaloisPair.from_right_adjoint`, which derives the quot and grp
-push tables, against the built top push tables and as the inverse of
-`from_left_adjoint`.
+`upper_adjoint` against the `leq` comprehension it replaced, and
+`lower_adjoint`, which derives the quot and grp push tables, against the
+built top push tables and as the inverse of `upper_adjoint`.
 """
 
 import random
@@ -32,7 +31,7 @@ from itertools import combinations
 from formkit.checks import CheckContext
 from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, normal_interval_order, standard_corpus
-from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap, bits
+from formkit.lattice import FiniteLattice, MonotoneMap, bits, lower_adjoint, upper_adjoint
 from formkit.morphisms import final_violation, push_preserves_order, strict_violation, transfer_laws_check
 from formkit.partitions import build_quot_form
 from formkit.report import Report
@@ -653,7 +652,7 @@ def test_from_left_adjoint_matches_leq_comprehension():
     derived = 0
     for form in forms:
         for f in range(len(form.base.names)):
-            right = GaloisPair.from_left_adjoint(form.push_maps[f]).right
+            right = upper_adjoint(form.push_maps[f])
             assert right.table == comprehension(form.push_maps[f]), f
             # the generator takes identities and composites without deriving
             assert right.table == form.pull_maps[f].table, f
@@ -667,9 +666,7 @@ def test_from_right_adjoint_matches_the_built_push(top123, quot1234, grp8):
     derived = 0
     for form in (top123.form, quot1234.form, grp8.form):
         for f in range(len(form.base.names)):
-            pair = GaloisPair.from_right_adjoint(form.pull_maps[f])
-            assert pair.left.table == form.push_maps[f].table, f
-            assert pair.right is form.pull_maps[f]
+            assert lower_adjoint(form.pull_maps[f]).table == form.push_maps[f].table, f
             derived += 1
     assert derived > 1000
 
@@ -680,7 +677,6 @@ def test_from_right_adjoint_inverts_from_left_adjoint():
     for form in forms:
         for f in range(len(form.base.names)):
             left = form.push_maps[f]
-            right = GaloisPair.from_left_adjoint(left).right
-            assert GaloisPair.from_right_adjoint(right).left.table == left.table, f
+            assert lower_adjoint(upper_adjoint(left)).table == left.table, f
             derived += 1
     assert derived > 500

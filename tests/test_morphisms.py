@@ -7,7 +7,7 @@ from itertools import permutations
 from formkit.checks import CheckContext
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.groups import build_grp_form, cyclic, normal_interval_order, symmetric3
-from formkit.lattice import FiniteLattice, MonotoneMap
+from formkit.lattice import FiniteLattice, MonotoneMap, upper_adjoint
 from formkit.morphisms import (
     DISPUTED_CHECKS,
     PAIR_CLAUSES,
@@ -144,14 +144,12 @@ def test_final_thick_hypothesis_respected():
         {("idX", "idX"): "idX", ("idY", "idY"): "idY", ("f", "idX"): "f", ("idY", "f"): "f"},
         {"X": "idX", "Y": "idY"},
     )
-    from formkit.lattice import GaloisPair
-
     push = {
         "idX": MonotoneMap.identity(x_fib),
         "idY": MonotoneMap.identity(y_fib),
         "f": MonotoneMap(x_fib, y_fib, [0]),
     }
-    pull = {k: GaloisPair.from_left_adjoint(m).right for k, m in push.items()}
+    pull = {k: upper_adjoint(m) for k, m in push.items()}
     form = FormInstance(base, [x_fib, y_fib], [push[m] for m in base.names], [pull[m] for m in base.names])
     empty = TopogenousOrder([(0,), (0, 0)])
     assert verify_order(form, empty, pulled_table(form, empty)).ok
@@ -230,7 +228,7 @@ def test_transfer_walk_matches_the_dense_walk_on_corrupted_witnesses(quot123, gr
     rng = random.Random(20231019)
     tripped = set()
     for form, order in ((quot123.form, leq_order(quot123.form)), (grp8.form, ni8)):
-        assert not form._reflects  # every clause is live
+        assert not form.first_roundtrip_failure  # every clause is live
         dense, ctx = DenseWalk(form), CheckContext(form, order)
         for draw in range(24):
             share = (0.02, 0.1, 0.3)[draw % 3]
@@ -298,16 +296,15 @@ def test_classify_morphism_report(grp8, ni8):
     form = grp8.form
     sign = form.base.ids["S3->Z2:0.1.1.0.0.1"]
     ctx = CheckContext(form, ni8)
-    rep = classify_morphism(form, sign, ctx.strict_witness[sign], ctx.final_witness[sign])
-    assert rep.strict and rep.final and rep.thick
-    assert rep.kind.is_retraction and not rep.kind.is_section
-    assert rep.witnesses == []
+    d = classify_morphism(form, sign, ctx.strict_witness[sign], ctx.final_witness[sign])
+    assert d["strict"] and d["final"] and d["thick"]
+    assert d["kind"]["is_retraction"] and not d["kind"]["is_section"]
+    assert d["witnesses"] == []
     doubling = "Z2->Z4:0.2"
     f = form.base.ids[doubling]
-    rep = classify_morphism(form, f, ctx.strict_witness[f], ctx.final_witness[f])
-    assert not rep.final
-    assert rep.witnesses
-    d = rep.to_dict()
+    d = classify_morphism(form, f, ctx.strict_witness[f], ctx.final_witness[f])
+    assert not d["final"]
+    assert d["witnesses"] == [list(ctx.final_witness[f])]
     assert d["morphism"] == doubling and d["kind"]["is_section"] is False
 
 

@@ -57,8 +57,15 @@ def test_generator_produces_varied_shapes():
     assert len(shapes) >= 4
 
 
-def test_run_case_is_replayable():
-    assert run_case("strict-iff-push", 5, 17) == run_case("strict-iff-push", 5, 17)
+def test_run_case_is_replayable(planted):
+    # the planted check fails on index 10 alone, so both runs must find the
+    # same counterexample, and index 11 none
+    first, again = run_case("strict-iff-push", 5, 10), run_case("strict-iff-push", 5, 10)
+    assert first == again
+    assert first is not again
+    assert (first["seed"], first["index"], first["claim"]) == (5, 10, "strict-iff-push")
+    assert first["violations"] == [{"check": "planted", "where": "index 10", "witness": [10], "detail": ""}]
+    assert run_case("strict-iff-push", 5, 11) is None
 
 
 def test_unknown_claim_rejected():

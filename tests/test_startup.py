@@ -55,3 +55,14 @@ def test_verify_form_records_the_digest_of_its_input(tmp_path, top12):
     command = [sys.executable, "-m", "formkit.cli", "verify", "form", "--file", path.name]
     out = subprocess.run(command, cwd=tmp_path, env=ENV, capture_output=True, text=True, check=True).stdout
     assert json.loads(out)["inputs"] == {path.name: "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_every_exported_name_resolves():
+    # in a fresh interpreter, where no submodule was imported by name first:
+    # `from formkit import *` raises AttributeError on a name in __all__ that
+    # `import formkit` does not bind
+    code = "from formkit import *; import formkit; print(len(formkit.__all__))"
+    out = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, check=True).stdout
+    assert int(out) == len(set(formkit.__all__)) == len(formkit.__all__)
+    assert {"upper_adjoint", "lower_adjoint"} <= set(formkit.__all__)
+    assert "GaloisPair" not in formkit.__all__

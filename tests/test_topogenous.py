@@ -8,7 +8,7 @@ import pytest
 from formkit.checks import CHECKS, SKIP_NOTES, CheckContext, run_checks
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.jsonio import order_from_dict
-from formkit.lattice import FiniteLattice, GaloisPair, MonotoneMap
+from formkit.lattice import FiniteLattice, MonotoneMap, upper_adjoint
 from formkit.topogenous import (
     Operator,
     TopogenousOrder,
@@ -54,7 +54,7 @@ def collapse_form() -> FormInstance:
         "idY": MonotoneMap.identity(y_fib),
         "f": MonotoneMap(x_fib, y_fib, [0]),
     }
-    pull = {name: GaloisPair.from_left_adjoint(m).right for name, m in push.items()}
+    pull = {name: upper_adjoint(m) for name, m in push.items()}
     return FormInstance(base, [x_fib, y_fib], [push[m] for m in base.names], [pull[m] for m in base.names])
 
 
@@ -297,6 +297,21 @@ def test_fault_injected_closure_reports_C1_and_form_disagreement(top123, theta12
     rep = verify_closure(top123.form, Operator("closure", maps))
     assert not rep.ok
     assert any(v.check == "C1" for v in rep.violations)
+
+
+def test_roundtrip_of_a_closure_failing_C1_is_skipped(top123, theta123):
+    # the round trip reports the input's axiom violations and stops there
+    clo = closure_from_order(top123.form, theta123)
+    maps = [list(t) for t in clo.maps]
+    x = top123.form.base.objects.index("3pt")
+    fib = top123.form.fibres[x]
+    maps[x][fib.top] = fib.bottom
+    bad = Operator("closure", maps)
+    axioms = verify_closure(top123.form, bad)
+    assert any(v.check == "C1" for v in axioms.violations)
+    rep = roundtrip_check(top123.form, bad)
+    assert (rep.violations, rep.checks_run) == (axioms.violations, axioms.checks_run)
+    assert rep.notes == ["input closure fails its axioms; round trip skipped"]
 
 
 def test_idempotency(top123, theta123, b123, grp8, ni8):
