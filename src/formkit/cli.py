@@ -339,7 +339,7 @@ def derive_topology_order_cmd(name: str, relation):
 
 
 def classify_cmd(flags: Namespace) -> RunReport:
-    """Strict/final/thick status, per morphism, as a MorphismReport array."""
+    """Classify morphisms: one entry each, with its morphism, strict, final, thick, kind and witnesses."""
     report = RunReport(command=["classify"])
     recipe = recipe_from_flags(flags, flags.order_path, flags.order_name)
     checked = load_recipe(recipe, report.inputs)
