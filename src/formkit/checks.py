@@ -10,12 +10,11 @@ time, never through references stored here.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Collection, NamedTuple, Optional
 
 from .forms import FormInstance
 from .groups import SubgroupForm, preserves_normals
-from .lattice import bits
+from .lattice import bits, cached_fact
 from .morphisms import (
     DISPUTED_CHECKS,
     Witness,
@@ -131,43 +130,43 @@ class CheckContext:
         self.form, self.order, self.operator, self.bundle = form, order, operator, bundle
         self.recipe = {} if recipe is None else recipe
 
-    @cached_property
+    @cached_fact
     def pulled(self) -> list[list[int]]:
         return pulled_table(self.form, self.order)
 
-    @cached_property
+    @cached_fact
     def axioms(self) -> Report:
         return verify_order(self.form, self.order, self.pulled)
 
-    @cached_property
+    @cached_fact
     def cls(self) -> OrderClass:
         return classify_order(self.form, self.order)
 
-    @cached_property
+    @cached_fact
     def closure(self) -> Operator:
         return closure_from_order(self.form, self.order)
 
-    @cached_property
+    @cached_fact
     def interior(self) -> Operator:
         return interior_from_order(self.form, self.order)
 
-    @cached_property
+    @cached_fact
     def strict_witness(self) -> list[Witness]:
         return [strict_violation(self.form, self.order, f, rows) for f, rows in enumerate(self.pulled)]
 
-    @cached_property
+    @cached_fact
     def final_witness(self) -> list[Witness]:
         return [final_violation(self.form, self.order, f, rows) for f, rows in enumerate(self.pulled)]
 
-    @cached_property
+    @cached_fact
     def strict(self) -> list[bool]:
         return [w is None for w in self.strict_witness]
 
-    @cached_property
+    @cached_fact
     def final(self) -> list[bool]:
         return [w is None for w in self.final_witness]
 
-    @cached_property
+    @cached_fact
     def transfer(self) -> tuple[Report, Report]:
         """The transfer laws, split into gating and disputed clauses."""
         rep = transfer_laws_check(self.form, self.strict_witness, self.final_witness)
@@ -176,7 +175,7 @@ class CheckContext:
             (disputed if v.check in DISPUTED_CHECKS else gating).violations.append(v)
         return gating, disputed
 
-    @cached_property
+    @cached_fact
     def clopen(self) -> list[Optional[list[int]]]:
         """Per surjection of a topology instance, per domain topology: the
         mask of the codomain topologies it is a clopen map for

@@ -4,11 +4,10 @@ object, and Galois-connected push/pull transfer maps per morphism.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .lattice import FiniteLattice, MonotoneMap
+from .lattice import FiniteLattice, MonotoneMap, cached_fact
 from .report import InputError, Report, Violation
 
 
@@ -164,7 +163,7 @@ class CategoryPresentation:
         n = len(self.names)
         return self.comp[g * n : g * n + n]
 
-    @cached_property
+    @cached_fact
     def kinds(self) -> list[MorphismKind]:
         """Each morphism's section, retraction and iso status inside the
         presented hom-sets, by number: the kinds the builder gave (for the
@@ -223,7 +222,7 @@ class CategoryPresentation:
         rep = self._report
         return Report(list(rep.violations), rep.checks_run, list(rep.notes))
 
-    @cached_property
+    @cached_fact
     def _report(self) -> Report:
         rep = Report()
         for x, i in zip(self.objects, self.identity_of):
@@ -245,7 +244,7 @@ class CategoryPresentation:
             self._dense_associativity(rep)
         return rep
 
-    @cached_property
+    @cached_fact
     def _totality_faults(self) -> tuple[Violation, ...]:
         """The composable pairs, f outer and g inner, whose composite is
         undefined ("compose-undefined", witness (g, f)) or outside
@@ -262,7 +261,7 @@ class CategoryPresentation:
                     faults.append(Violation("compose-escapes-hom", witness=(names[g], names[f], names[h])))
         return tuple(faults)
 
-    @cached_property
+    @cached_fact
     def generators(self) -> tuple[int, ...]:
         """A generating set S, by number: every morphism is s1∘…∘sk∘id for
         some s1, …, sk in S and an identity id.
@@ -428,7 +427,7 @@ class FormInstance:
         shared with :meth:`verify_laws`."""
         return self._laws[f][-1]
 
-    @cached_property
+    @cached_fact
     def _laws(self) -> list[tuple]:
         """Every morphism's :meth:`_morphism_laws`, by number."""
         return [self._morphism_laws(f) for f in range(len(self.push_maps))]
@@ -600,7 +599,7 @@ class FormInstance:
                 if push != inverse:
                     yield "iso", f, next(a for a, (p, q) in enumerate(zip(push, inverse)) if p != q)
 
-    @cached_property
+    @cached_fact
     def first_roundtrip_failure(self) -> dict[str, tuple[int, int]]:
         """Per kind ("section", "retraction" or "iso") with a round-trip
         failure (:meth:`_roundtrip_failures`), its first (morphism number,

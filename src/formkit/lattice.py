@@ -7,13 +7,38 @@ The order relation is a dense boolean matrix packed one int bitmask per row.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .report import Report
 
 
-def bits(mask: int):
-    """Iterate set-bit positions of ``mask`` in increasing order."""
+# Masks below 1 << TABLE_BITS (256, written out in :func:`bits`), and
+# lattices of at most TABLE_BITS elements, are served from tables indexed by
+# mask.
+TABLE_BITS = 8
+
+
+def _bit_table() -> tuple[tuple[int, ...], ...]:
+    """The set-bit positions of every mask below ``1 << TABLE_BITS``, by
+    mask. The masks with top bit b are those below it with b appended, so
+    the table doubles from ``[()]`` one bit at a time."""
+    table: list[tuple[int, ...]] = [()]
+    for b in range(TABLE_BITS):
+        table += [t + (b,) for t in table]
+    return tuple(table)
+
+
+_BITS = _bit_table()
+
+
+def bits(mask: int) -> Iterable[int]:
+    """The set-bit positions of a non-negative ``mask``, in increasing
+    order: a tuple from a table built at import for a mask below
+    ``1 << TABLE_BITS``, else a generator. Callers only iterate it."""
+    return _BITS[mask] if mask < 256 else _bits_of_large(mask)
+
+
+def _bits_of_large(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -29,19 +54,44 @@ def columns(rows: Sequence[int]) -> list[int]:
     """The transpose of a square relation given by row masks: column b is
     the mask of every a whose row has bit b."""
     cols = [0] * len(rows)
+    bits_of = _BITS.__getitem__ if len(rows) <= TABLE_BITS else bits
     for a, row in enumerate(rows):
         bit = 1 << a
-        for b in bits(row):
+        for b in bits_of(row):
             cols[b] |= bit
     return cols
+
+
+class cached_fact:
+    """A fact of an immutable object, computed on first read and stored in
+    the instance's ``__dict__`` under the method's name, where later reads
+    find it without calling the descriptor: the semantics of
+    :class:`functools.cached_property`, less the per-class lock that
+    Python 3.11 takes on each first read."""
+
+    def __init__(self, fn: Callable[[Any], Any]):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class FiniteLattice:
     """A finite poset with all meets and joins (checked by :meth:`verify`).
 
     ``up[a]`` is the bitmask of every b with a <= b; ``down[b]`` the dual.
-    Immutable after construction, apart from facts memoised on first use
-    (partial order, lattice, covers, cone index); safe to share between
+    Immutable after construction, apart from facts memoised on first use:
+    partial order, lattice, covers, the cone index and, on a lattice of at
+    most TABLE_BITS elements, the tables :attr:`up_closure_table`,
+    :attr:`meet_table` and :attr:`join_table`. Safe to share between
     workers.
     """
 
@@ -138,6 +188,9 @@ class FiniteLattice:
     def meet_mask(self, mask: int) -> int:
         """:meth:`meet` of the members of ``mask``, without range checks.
 
+        On a lattice of at most TABLE_BITS elements this reads
+        :attr:`meet_table`; the scan below runs where the table holds None.
+
         The lower bounds of the members are the AND of their ``down``
         masks. On a partial order the meet, when it exists, is the one
         element whose ``down`` mask equals that AND (its down-set is all
@@ -146,20 +199,72 @@ class FiniteLattice:
         When the relation is not a partial order, or the lookup misses,
         :meth:`meet`'s scan runs on the same AND and returns or raises as
         :meth:`meet` does."""
-        return self._bound_mask(mask, 0)
+        table = self.meet_table
+        out = None if table is None else table[mask]
+        return self._bound_mask(mask, 0) if out is None else out
 
     def join_mask(self, mask: int) -> int:
         """:meth:`join` of the members of ``mask``, the dual of
-        :meth:`meet_mask` on ``up`` masks."""
-        return self._bound_mask(mask, 1)
+        :meth:`meet_mask` on ``up`` masks and :attr:`join_table`."""
+        table = self.join_table
+        out = None if table is None else table[mask]
+        return self._bound_mask(mask, 1) if out is None else out
 
     def _bound_mask(self, mask: int, side: int) -> int:
         cones = self._cones[side]
         common = self._full
         for b in bits(mask):
             common &= cones[b]
+        return self._bound_of_common(common, side)
+
+    def _bound_of_common(self, common: int, side: int) -> int:
+        """The bound whose cone is ``common``, the AND of the members'
+        cones: one cone-index lookup, else :meth:`_scan`."""
         out = self._cone_index()[side].get(common)
         return self._scan(common, side) if out is None else out
+
+    def _bound_table(self, side: int) -> Optional[tuple[Optional[int], ...]]:
+        """Per mask, :meth:`_bound_mask` on ``side``, or None where it
+        raises; None for a lattice of more than TABLE_BITS elements. The
+        AND of the cones of a mask's members is that of the mask less its
+        top bit, ANDed with the top bit's cone, so the ANDs double from
+        ``[full]`` one element at a time."""
+        if self.size > TABLE_BITS:
+            return None
+        common = [self._full]
+        for cone in self._cones[side]:
+            common += [c & cone for c in common]
+        table = []
+        for c in common:
+            try:
+                table.append(self._bound_of_common(c, side))
+            except ValueError:
+                table.append(None)
+        return tuple(table)
+
+    @cached_fact
+    def meet_table(self) -> Optional[tuple[Optional[int], ...]]:
+        """``meet_table[mask]``: :meth:`meet_mask` for every mask of this
+        lattice, None where no meet exists; the table is None itself on a
+        lattice of more than TABLE_BITS elements. Built on first read."""
+        return self._bound_table(0)
+
+    @cached_fact
+    def join_table(self) -> Optional[tuple[Optional[int], ...]]:
+        """The dual of :attr:`meet_table`: :meth:`join_mask` per mask."""
+        return self._bound_table(1)
+
+    @cached_fact
+    def up_closure_table(self) -> Optional[tuple[int, ...]]:
+        """``up_closure_table[mask]``: :meth:`up_closure` for every mask of
+        this lattice, by the doubling of :meth:`_bound_table`; None on a
+        lattice of more than TABLE_BITS elements. Built on first read."""
+        if self.size > TABLE_BITS:
+            return None
+        table = [0]
+        for up in self.up:
+            table += [m | up for m in table]
+        return tuple(table)
 
     def _cone_index(self) -> tuple[dict[int, int], dict[int, int]]:
         """(down mask -> element, up mask -> element), the lowest index
@@ -175,7 +280,11 @@ class FiniteLattice:
         return self._by_cone
 
     def up_closure(self, mask: int) -> int:
-        """The mask of every element above some member of ``mask``."""
+        """The mask of every element above some member of ``mask``: one
+        read of :attr:`up_closure_table` on a lattice that has it."""
+        table = self.up_closure_table
+        if table is not None:
+            return table[mask]
         out = 0
         for b in bits(mask):
             out |= self.up[b]
@@ -204,7 +313,7 @@ class FiniteLattice:
                 if (self.up[b] >> a) & 1:
                     rep.add("antisymmetric", witness=(a, b))
                 if self.up[b] & ~self.up[a]:
-                    c = next(bits(self.up[b] & ~self.up[a]))
+                    c = low_bit(self.up[b] & ~self.up[a])
                     rep.add("transitive", witness=(a, b, c))
         if rep.violations:
             return rep
@@ -336,12 +445,20 @@ class MonotoneMap:
         The fibres ``{a : table[a] = v}`` are built once per call, as masks
         indexed by v; each preimage then ORs the fibres of the values in
         its mask that the map takes (the bit loop of :func:`bits`, inline),
-        so it costs the popcount of the mask, not the source size."""
+        so it costs the popcount of the mask, not the source size. An image
+        below ``1 << TABLE_BITS`` reads the bit table instead."""
         fibres, image = [0] * self.target.size, 0
         for a, v in enumerate(self.table):
             fibres[v] |= 1 << a
             image |= 1 << v
         out = []
+        if image < 256:
+            for mask in masks:
+                pre = 0
+                for b in _BITS[mask & image]:
+                    pre |= fibres[b]
+                out.append(pre)
+            return out
         for mask in masks:
             pre, mask = 0, mask & image
             while mask:

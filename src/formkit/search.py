@@ -198,7 +198,10 @@ def _close_order(form: FormInstance, rel: list[list[int]], want: str) -> None:
     - T3: per morphism f, row a of the domain gains the pull image of the
       codomain row of push a, one memoised image per distinct row.
 
-    Every step only adds pairs below the fibre order, so this terminates."""
+    Every step only adds pairs below the fibre order, so this terminates.
+    Generated fibres are lattices of at most MAX_FIBRE elements, so the
+    up-closures, meets and joins are reads of the fibre's tables
+    (:attr:`FiniteLattice.up_closure_table` and its siblings)."""
     fibres = list(zip(form.fibres, rel))
     transfers = []
     for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
@@ -210,21 +213,21 @@ def _close_order(form: FormInstance, rel: list[list[int]], want: str) -> None:
     while changed:
         changed = False
         for fib, rows in fibres:
-            up, up_closure, meet_mask, above = fib.up, fib.up_closure, fib.meet_mask, fib.covers()
+            up, up_closure, meet, above = fib.up, fib.up_closure_table, fib.meet_table, fib.covers()
             for a in range(fib.size - 1, -1, -1):
                 m = rows[a]
                 for c in above[a]:
                     m |= rows[c]
-                m = up_closure(m)
+                m = up_closure[m]
                 if want == "TM":
-                    m = up[meet_mask(m)]
+                    m = up[meet[m]]
                 if m != rows[a]:
                     rows[a] = m
                     changed = True
             if want == "TJ":
-                down, join_mask = fib.down, fib.join_mask
+                down, join = fib.down, fib.join_table
                 for b, col in enumerate(columns(rows)):
-                    missing = down[join_mask(col)] & ~col
+                    missing = down[join[col]] & ~col
                     if missing:
                         changed = True
                         for a in bits(missing):
@@ -306,12 +309,16 @@ def run_case(claim: str, seed: int, index: int) -> Optional[dict]:
 
 
 # The fewest cases one process of a split search runs. A worker costs about
-# 2 ms to fork, pipe back and reap, and fills its own fibre-lattice memo; a
-# case costs 0.1-0.25 ms. In fresh processes on a 2-vCPU Xeon, a two-way
-# split of budget 64 (32 cases each) broke even on strict-iff-push, the
-# cheapest claim (6.8 ms serial, 6.5 ms split), and one of budget 128 gained
-# on both claims measured (13.6 -> 10.8 ms there, 25.9 -> 18.5 ms on
-# roundtrip-TM).
+# 2 ms to fork, pipe back and reap (1.6-2.1 ms measured), and fills its own
+# fibre-lattice memo; a case costs 0.08-0.17 ms (Python 3.11 on a 2-vCPU
+# Xeon, 500 cases a claim: 0.08 on strict-iff-push, 0.16 on the round
+# trips). A two-way split saves half the cases' time for that 2 ms, so it
+# breaks even near 4 ms / 0.08 ms = 50 cases on the cheapest claim, below
+# budget 64. On that VM, measured since the cases got cheaper, two busy
+# processes each ran 1.5-1.7 times slower than one, and the split lost at
+# every budget from 32 to 1000 (strict-iff-push 85 ms serial, 90 ms split
+# at 1000): a contended second CPU, which places no break-even, so the
+# constant stays.
 MIN_CASES_PER_PROCESS = 64
 
 

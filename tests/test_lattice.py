@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formkit.lattice import FiniteLattice, MonotoneMap, bits, lower_adjoint, upper_adjoint
+from formkit.lattice import FiniteLattice, MonotoneMap, bits, cached_fact, lower_adjoint, upper_adjoint
 from oracles import galois_check
 
 
@@ -273,3 +273,23 @@ def test_downset_join_preserving_maps_are_left_adjoints(below_src, below_tgt, rn
     right = upper_adjoint(left)
     assert galois_check(left, right).ok
     assert right.preserves_meets()
+
+
+def test_cached_fact_is_computed_once_per_instance():
+    class Thing:
+        def __init__(self, n):
+            self.n, self.calls = n, 0
+
+        @cached_fact
+        def square(self):
+            """n squared."""
+            self.calls += 1
+            return self.n * self.n
+
+    a, b = Thing(3), Thing(4)
+    assert (a.square, a.square, a.calls) == (9, 9, 1)
+    assert vars(a)["square"] == 9 and "square" not in vars(b)
+    assert (b.square, b.calls, a.calls) == (16, 1, 1)
+    # the descriptor itself, read from the class, keeps the docstring
+    assert isinstance(Thing.square, cached_fact) and Thing.square.__doc__ == "n squared."
+    assert FiniteLattice.meet_table.name == "meet_table"

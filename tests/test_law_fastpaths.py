@@ -31,7 +31,7 @@ from itertools import combinations
 from formkit.checks import CheckContext
 from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, normal_interval_order, standard_corpus
-from formkit.lattice import FiniteLattice, MonotoneMap, bits, lower_adjoint, upper_adjoint
+from formkit.lattice import TABLE_BITS, FiniteLattice, MonotoneMap, _bits_of_large, bits, lower_adjoint, upper_adjoint
 from formkit.morphisms import final_violation, push_preserves_order, strict_violation, transfer_laws_check
 from formkit.partitions import build_quot_form
 from formkit.report import Report
@@ -488,17 +488,35 @@ def test_bound_lookups_match_scans():
     for i in range(300):
         random_form(case_rng(SEED, i))
     assert set(search._LATTICES) <= {tuple(p) for p in posets}
+    # the bit table against the generator, across the table's edge at 256
+    for m in range(1024):
+        assert tuple(bits(m)) == tuple(_bits_of_large(m)) == tuple(b for b in range(10) if (m >> b) & 1)
+    assert isinstance(bits(255), tuple) and not isinstance(bits(256), tuple)
     for lat in lattices:
         assert lat.is_lattice()
         assert_bounds_agree(lat, range(1 << lat.size))
+        # each table, read directly, against the scans
         for m in range(1 << lat.size):
-            assert set(bits(lat.up_closure(m))) == {c for c in range(lat.size) if any(lat.leq(b, c) for b in bits(m))}
+            assert lat.meet_table[m] == lat.meet(bits(m)) and lat.join_table[m] == lat.join(bits(m))
+            expected = {c for c in range(lat.size) if any(lat.leq(b, c) for b in bits(m))}
+            assert set(bits(lat.up_closure_table[m])) == set(bits(lat.up_closure(m))) == expected
+    # a relation of at most TABLE_BITS elements that is not a lattice: its
+    # tables hold None where no bound exists, and the masks still raise
+    antichain = FiniteLattice.from_up_masks([0b001, 0b010, 0b100])
+    assert None in antichain.meet_table and None in antichain.join_table
+    assert_bounds_agree(antichain, range(8))
+    # the chain of TABLE_BITS elements has tables; larger lattices none
+    assert len(FiniteLattice.chain(TABLE_BITS).meet_table) == 1 << TABLE_BITS
+    for lat in (FiniteLattice.chain(TABLE_BITS + 1), topology_fibre(3)[0]):
+        assert lat.up_closure_table is lat.meet_table is lat.join_table is None
     # the top[3] topology lattice: every family of at most three
     # topologies, and seeded larger ones
     lat, _ = topology_fibre(3)
     rng = random.Random(SEED)
     small = [sum(1 << b for b in combo) for k in range(4) for combo in combinations(range(lat.size), k)]
     assert_bounds_agree(lat, small + [rng.randrange(1 << lat.size) for _ in range(2000)])
+    for m in small:
+        assert lat.up_closure(m) == sum(1 << c for c in range(lat.size) if any(lat.leq(b, c) for b in bits(m)))
 
 
 def test_bound_lookups_take_the_scan_off_partial_orders():
