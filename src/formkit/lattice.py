@@ -70,12 +70,7 @@ class cached_fact:
     Python 3.11 takes on each first read."""
 
     def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
 
     def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
         if obj is None:
