@@ -12,7 +12,7 @@ lattices.
 __version__ = "0.1.0"
 
 from .forms import CategoryPresentation, CorruptFormError, FormInstance, MorphismKind
-from .lattice import FiniteLattice, MonotoneMap, lower_adjoint, upper_adjoint
+from .lattice import FiniteLattice, lower_adjoint, upper_adjoint
 from .report import Report, Violation
 from .topogenous import (
     Operator,
@@ -38,7 +38,6 @@ __all__ = [
     "CorruptFormError",
     "FiniteLattice",
     "FormInstance",
-    "MonotoneMap",
     "MorphismKind",
     "Operator",
     "OrderClass",

@@ -281,7 +281,7 @@ def _theta_clopen_per_pair(ctx: CheckContext) -> Report:
     for f, targets in enumerate(ctx.clopen):
         if targets is None:
             continue
-        push, rows_y = form.push_maps[f].table, order.rel[form.base.target[f]]
+        push, rows_y = form.push[f], order.rel[form.base.target[f]]
         for ai, (clopen, pre) in enumerate(zip(targets, ctx.pulled[f])):
             rep.count(name, clopen.bit_count())
             for bi in bits(clopen & pre & ~rows_y[push[ai]]):

@@ -7,7 +7,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .lattice import FiniteLattice, MonotoneMap, cached_fact
+from .lattice import FiniteLattice, cached_fact, check_table, monotone_violation
 from .report import InputError, Report, Violation
 
 
@@ -370,37 +370,52 @@ def fill_composites(
 ROUNDTRIP_CHECKS = {"section": "section-roundtrip", "retraction": "retraction-roundtrip", "iso": "iso-transfer"}
 
 
+def check_tables(base: CategoryPresentation, fibres: Sequence[FiniteLattice], push: Sequence, pull: Sequence) -> None:
+    """:func:`~formkit.lattice.check_table` of each morphism's push table,
+    fibre(dom f) -> fibre(cod f), then of its pull table, the other way, in
+    morphism order; the error names the morphism. Checks as many push and
+    pull tables as are given, so a reader stopped by a defect in a later
+    table checks those before it."""
+    for f, (x, y) in enumerate(zip(base.source, base.target)):
+        for tables, source, target in ((push, x, y), (pull, y, x)):
+            if f == len(tables):
+                return
+            try:
+                check_table(tables[f], fibres[source], fibres[target])
+            except (ValueError, IndexError) as exc:
+                raise type(exc)(f"morphism {base.names[f]!r}: {exc}") from None
+
+
 class FormInstance:
     """Fibre lattices over a finite base category with transfer tables, all
-    by number: ``fibres[x]`` is the lattice of object x, and
-    ``push_maps[f]`` and ``pull_maps[f]`` are the transfer maps of
-    morphism f (see :class:`CategoryPresentation`).
+    by number: ``fibres[x]`` is the lattice of object x, and ``push[f]``
+    and ``pull[f]`` are the int tables of morphism f's transfer maps (see
+    :class:`CategoryPresentation`).
 
     push[f] goes fibre(dom f) -> fibre(cod f) (the image/final-structure
-    direction), pull[f] the other way; for every f they must form a Galois
-    pair, which :meth:`verify_laws` checks along with functoriality and the
-    unit/counit inequalities.
+    direction), pull[f] the other way, each table checked to fit its
+    fibres when the form is built (:func:`check_tables`). For every f they
+    must form a Galois pair, which :meth:`verify_laws` checks along with
+    functoriality and the unit/counit inequalities.
     """
 
-    def __init__(
-        self,
-        base: CategoryPresentation,
-        fibres: Sequence[FiniteLattice],
-        push: Sequence[MonotoneMap],
-        pull: Sequence[MonotoneMap],
-    ):
+    def __init__(self, base: CategoryPresentation, fibres: Sequence[FiniteLattice], push: Sequence, pull: Sequence):
         if len(fibres) != len(base.objects):
             raise ValueError(f"{len(fibres)} fibres for {len(base.objects)} objects")
         if len(push) != len(base.names) or len(pull) != len(base.names):
             raise ValueError(f"{len(push)} push and {len(pull)} pull tables for {len(base.names)} morphisms")
-        self.base, self.fibres, self.push_maps, self.pull_maps = base, list(fibres), list(push), list(pull)
+        self.base, self.fibres = base, list(fibres)
+        self.push, self.pull = list(map(tuple, push)), list(map(tuple, pull))
+        check_tables(base, self.fibres, self.push, self.pull)
 
     def leq_over(self, f: int, a: int, b: int) -> bool:
         """The transfer order between fibres: push(f, a) <= b, equivalently
         a <= pull(f, b). Both are evaluated and must agree."""
         base = self.base
-        via_push = self.fibres[base.target[f]].leq(self.push_maps[f](a), b)
-        via_pull = self.fibres[base.source[f]].leq(a, self.pull_maps[f](b))
+        fx, fy = self.fibres[base.source[f]], self.fibres[base.target[f]]
+        fx._check(a)
+        via_push = fy.leq(self.push[f][a], b)
+        via_pull = fx.leq(a, self.pull[f][b])
         if via_push != via_pull:
             raise CorruptFormError(
                 f"transfer tests disagree for morphism {base.names[f]!r} at ({a}, {b}); "
@@ -411,14 +426,13 @@ class FormInstance:
     def is_thick(self, f: int) -> bool:
         """push sends the fibre top to the fibre top."""
         top_src = self.fibres[self.base.source[f]].top
-        return self.push_maps[f].table[top_src] == self.fibres[self.base.target[f]].top
+        return self.push[f][top_src] == self.fibres[self.base.target[f]].top
 
     def is_adjoint(self, f: int) -> bool:
         """Whether push and pull of ``f`` are certified an adjoint pair by
-        its law body (:meth:`_morphism_laws`): they connect the fibres of
-        dom f and cod f, both fibres are partial orders, both maps are
-        monotone (tested on covers, see
-        :meth:`MonotoneMap.monotone_violation`), a <= pull(push a) for
+        its law body (:meth:`_morphism_laws`): both fibres are partial
+        orders, both maps are monotone (tested on covers, see
+        :func:`formkit.lattice.monotone_violation`), a <= pull(push a) for
         every a and push(pull b) <= b for every b. On partial orders this
         is equivalent to push(a) <= b iff a <= pull(b) for all a and b (a
         Galois connection; Davey & Priestley, *Introduction to Lattices and
@@ -430,33 +444,32 @@ class FormInstance:
     @cached_fact
     def _laws(self) -> list[tuple]:
         """Every morphism's :meth:`_morphism_laws`, by number."""
-        return [self._morphism_laws(f) for f in range(len(self.push_maps))]
+        return [self._morphism_laws(f) for f in range(len(self.push))]
 
     def _morphism_laws(self, f: int) -> tuple:
         """The law body of ``f``, shared by :meth:`verify_laws` and
-        :meth:`is_adjoint`: ``(wiring, bad_push, bad_pull, bad_unit,
-        bad_counit, adjoint)``. ``wiring`` names the failed check when push
-        or pull misses the fibres of dom f and cod f, and then nothing else
-        is tested; ``bad_push`` and ``bad_pull`` are the first monotonicity
-        failures (:meth:`MonotoneMap.monotone_violation`), ``bad_unit``
-        every a with a !<= pull(push a), ``bad_counit`` every b with
-        push(pull b) !<= b, and ``adjoint`` the certificate: none of them,
-        on two fibres that are partial orders."""
-        fx, fy = self.fibres[self.base.source[f]], self.fibres[self.base.target[f]]
-        push, pull = self.push_maps[f], self.pull_maps[f]
-        if push.source != fx or push.target != fy:
-            return "push-wiring", None, None, [], [], False
-        if pull.source != fy or pull.target != fx:
-            return "pull-wiring", None, None, [], [], False
-        pt, qt, up_x, up_y = push.table, pull.table, fx.up, fy.up
-        bad_push = push.monotone_violation()
-        bad_pull = pull.monotone_violation()
+        :meth:`is_adjoint`: ``(bad_push, bad_pull, bad_unit, bad_counit,
+        adjoint)``. ``bad_push`` and ``bad_pull`` are the first
+        monotonicity failures (:func:`formkit.lattice.monotone_violation`),
+        ``bad_unit`` every a with a !<= pull(push a), ``bad_counit`` every
+        b with push(pull b) !<= b, and ``adjoint`` the certificate: none of
+        them, on two fibres that are partial orders. An endomorphism whose
+        push and pull are both the identity table on a partial order gets
+        the clean body without a test: the identity is monotone, and its
+        own adjoint."""
+        x, y = self.base.source[f], self.base.target[f]
+        fx, fy = self.fibres[x], self.fibres[y]
+        pt, qt, up_x, up_y = self.push[f], self.pull[f], fx.up, fy.up
+        if x == y and pt == qt == tuple(range(fx.size)) and fx.is_partial_order():
+            return None, None, [], [], True
+        bad_push = monotone_violation(pt, fx, fy)
+        bad_pull = monotone_violation(qt, fy, fx)
         bad_unit = [a for a in range(fx.size) if not (up_x[a] >> qt[pt[a]]) & 1]
         bad_counit = [b for b in range(fy.size) if not (up_y[pt[qt[b]]] >> b) & 1]
         adjoint = (
             not (bad_push or bad_pull or bad_unit or bad_counit) and fx.is_partial_order() and fy.is_partial_order()
         )
-        return "", bad_push, bad_pull, bad_unit, bad_counit, adjoint
+        return bad_push, bad_pull, bad_unit, bad_counit, adjoint
 
     # -- law verification ---------------------------------------------------
 
@@ -471,7 +484,7 @@ class FormInstance:
         run.
 
         - Monotonicity tests the cover pairs of the source fibre only (see
-          :meth:`MonotoneMap.monotone_violation`).
+          :func:`formkit.lattice.monotone_violation`).
         - The Galois sweep over every fibre pair runs only on a morphism
           whose monotone, unit or counit check fails: monotone push and
           pull with a <= pull(push a) and push(pull b) <= b form an
@@ -479,20 +492,19 @@ class FormInstance:
         - Functoriality is checked for pairs (s, f) with s in
           :attr:`CategoryPresentation.generators` only. When the base is a
           category (its memoised :meth:`CategoryPresentation.verify`
-          report is clean) and the identity liftings and wiring hold, every
+          report is clean) and the identity liftings hold, every
           g is s1∘…∘sk∘id, and push(s∘g'∘f) = push(s)∘push(g'∘f) =
           push(s)∘push(g')∘push(f) = push(s∘g')∘push(f) by induction on k,
           dually for pull. Otherwise, or when a generator pair fails, every
           composable pair is swept.
 
-        Each morphism's wiring, monotonicity, unit and counit come from its
-        law body (:meth:`_morphism_laws`), computed once per form and
-        shared with :meth:`is_adjoint`. Base category axioms are
+        Each morphism's monotonicity, unit and counit come from its law
+        body (:meth:`_morphism_laws`), computed once per form and shared
+        with :meth:`is_adjoint`. Base category axioms are
         :meth:`CategoryPresentation.verify`'s job; here the undefined
         composites its walk of the composable pairs found, and the objects
         without an identity, are reported, not raised; either ends the
-        sweep, and a push or pull between the wrong fibres ends it before
-        functoriality."""
+        sweep."""
         base = self.base
         names = base.names
         rep = Report(violations=[v for v in base._totality_faults if v.check == "compose-undefined"])
@@ -505,17 +517,13 @@ class FormInstance:
             return rep
         for x, fib, i in zip(base.objects, self.fibres, base.identity_of):
             rep.count("identity-lifting", 2)
-            if self.push_maps[i].table != tuple(range(fib.size)):
+            if self.push[i] != tuple(range(fib.size)):
                 rep.add("identity-push", where=x)
-            if self.pull_maps[i].table != tuple(range(fib.size)):
+            if self.pull[i] != tuple(range(fib.size)):
                 rep.add("identity-pull", where=x)
-        reducible, miswired = rep.ok, False
+        reducible = rep.ok
         for f in range(len(names)):
-            wiring, bad_push, bad_pull, bad_unit, bad_counit, adjoint = self._laws[f]
-            if wiring:
-                rep.add(wiring, where=names[f])
-                miswired = True
-                continue
+            bad_push, bad_pull, bad_unit, bad_counit, adjoint = self._laws[f]
             dom_fib, cod_fib = self.fibres[base.source[f]], self.fibres[base.target[f]]
             rep.count("monotone", 2)
             if bad_push:
@@ -525,7 +533,7 @@ class FormInstance:
             rep.count("unit", dom_fib.size)
             rep.count("counit", cod_fib.size)
             if not adjoint:
-                pt, qt = self.push_maps[f].table, self.pull_maps[f].table
+                pt, qt = self.push[f], self.pull[f]
                 up_dom, up_cod = dom_fib.up, cod_fib.up
                 rep.count("galois", dom_fib.size * cod_fib.size)
                 for a in range(dom_fib.size):
@@ -538,8 +546,6 @@ class FormInstance:
                 rep.add("unit", where=names[f], witness=(a,))
             for b in bad_counit:
                 rep.add("counit", where=names[f], witness=(b,))
-        if miswired:
-            return rep  # composed tables of maps between the wrong fibres mean nothing
         if not (reducible and base._report.ok and self._functorial_at_generators(rep)):
             self._dense_functoriality(rep)
         return rep
@@ -547,32 +553,32 @@ class FormInstance:
     def _functorial_at_generators(self, rep: Report) -> bool:
         """push(s∘f) = push(s)∘push(f) and pull(s∘f) = pull(f)∘pull(s) for
         every generator s; False at the first miss."""
-        base, push, pull = self.base, self.push_maps, self.pull_maps
+        base, push, pull = self.base, self.push, self.pull
         n, comp = len(base.names), base.comp
         for s in base.generators:
-            ps, qs = push[s].table, pull[s].table
+            ps, qs = push[s], pull[s]
             for f in base.by_target[base.source[s]]:
-                sf, pf = comp[s * n + f], push[f].table
+                sf, pf = comp[s * n + f], push[f]
                 rep.count("functorial-push", len(pf))
-                if tuple(map(ps.__getitem__, pf)) != push[sf].table:
+                if tuple(map(ps.__getitem__, pf)) != push[sf]:
                     return False
                 rep.count("functorial-pull", len(qs))
-                if tuple(map(pull[f].table.__getitem__, qs)) != pull[sf].table:
+                if tuple(map(pull[f].__getitem__, qs)) != pull[sf]:
                     return False
         return True
 
     def _dense_functoriality(self, rep: Report) -> None:
         """Both functoriality laws over every composable pair."""
-        base, push, pull = self.base, self.push_maps, self.pull_maps
+        base, push, pull = self.base, self.push, self.pull
         names = base.names
         for f in range(len(names)):
             for g, gf in base.after(f):
-                tf, tg, tgf = push[f].table, push[g].table, push[gf].table
+                tf, tg, tgf = push[f], push[g], push[gf]
                 rep.count("functorial-push", len(tf))
                 if any(tg[v] != tgf[a] for a, v in enumerate(tf)):
                     a = next(a for a, v in enumerate(tf) if tg[v] != tgf[a])
                     rep.add("functorial-push", where=f"{names[g]};{names[f]}", witness=(a,))
-                tf, tg, tgf = pull[f].table, pull[g].table, pull[gf].table
+                tf, tg, tgf = pull[f], pull[g], pull[gf]
                 rep.count("functorial-pull", len(tg))
                 if any(tf[v] != tgf[b] for b, v in enumerate(tg)):
                     b = next(b for b, v in enumerate(tg) if tf[v] != tgf[b])
@@ -584,8 +590,7 @@ class FormInstance:
         push is the identity (a with pull(push a) != a), a retraction's
         push after pull too (b with push(pull b) != b), and an iso's push
         is its inverse's pull (once, at the first index they differ)."""
-        for f, (mk, push, pull) in enumerate(zip(self.base.kinds, self.push_maps, self.pull_maps)):
-            push, pull = push.table, pull.table
+        for f, (mk, push, pull) in enumerate(zip(self.base.kinds, self.push, self.pull)):
             if mk.is_section:
                 for a, v in enumerate(push):
                     if pull[v] != a:
@@ -595,7 +600,7 @@ class FormInstance:
                     if push[v] != b:
                         yield "retraction", f, b
             if mk.is_iso:
-                inverse = self.pull_maps[mk.inverse].table
+                inverse = self.pull[mk.inverse]
                 if push != inverse:
                     yield "iso", f, next(a for a, (p, q) in enumerate(zip(push, inverse)) if p != q)
 
@@ -617,9 +622,9 @@ class FormInstance:
         exactly when its flag holds."""
         rep = Report()
         names = self.base.names
-        for mk, push, pull in zip(self.base.kinds, self.push_maps, self.pull_maps):
-            rep.count("section-roundtrip", mk.is_section * len(push.table))
-            rep.count("retraction-roundtrip", mk.is_retraction * len(pull.table))
+        for mk, push, pull in zip(self.base.kinds, self.push, self.pull):
+            rep.count("section-roundtrip", mk.is_section * len(push))
+            rep.count("retraction-roundtrip", mk.is_retraction * len(pull))
             rep.count("iso-transfer", mk.is_iso)
         for kind, f, i in self._roundtrip_failures():
             rep.add(ROUNDTRIP_CHECKS[kind], where=names[f], witness=() if kind == "iso" else (i,))

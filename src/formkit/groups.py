@@ -12,7 +12,7 @@ from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, MonotoneMap, bits, lower_adjoint
+from .lattice import FiniteLattice, bits, lower_adjoint
 from .report import Report
 from .setmaps import SetFunction, concrete_category, distinct_names
 from .topogenous import TopogenousOrder
@@ -345,10 +345,11 @@ def build_grp_form(groups: Sequence[FiniteGroup]) -> SubgroupForm:
     carriers = dict(zip(distinct_names([g.name for g in groups]), (g.n for g in groups)))
     base, homs = concrete_category(carriers, lambda x, y: enumerate_homs(groups[x], groups[y]))
     pull = [
-        MonotoneMap(fibres[y], fibres[x], [index[x][hom.preimage_mask(m)] for m in masks[y]])
+        tuple(index[x][hom.preimage_mask(m)] for m in masks[y])
         for hom, x, y in zip(homs, base.source, base.target)
     ]
-    form = FormInstance(base, fibres, list(map(lower_adjoint, pull)), pull)
+    push = [lower_adjoint(t, fibres[y], fibres[x]) for t, x, y in zip(pull, base.source, base.target)]
+    form = FormInstance(base, fibres, push, pull)
     return SubgroupForm(form, groups, masks, index, homs)
 
 

@@ -22,9 +22,9 @@ from operator import itemgetter
 from itertools import compress
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
-from .forms import CategoryPresentation, FormInstance, IdentityError, fill_composites
+from .forms import CategoryPresentation, FormInstance, IdentityError, check_tables, fill_composites
 from .groups import FiniteGroup
-from .lattice import FiniteLattice, MonotoneMap
+from .lattice import FiniteLattice
 from .partitions import Partition
 from .report import InputError
 from .topogenous import Operator, TopogenousOrder
@@ -122,8 +122,8 @@ def form_to_dict(form: FormInstance) -> dict:
             f"{names[g]};{names[f]}": names[h] for f in range(len(names)) for g, h in base.after(f) if h >= 0
         },
         **sections,
-        "push": {f: list(m.table) for f, m in zip(names, form.push_maps)},
-        "pull": {f: list(m.table) for f, m in zip(names, form.pull_maps)},
+        "push": {f: list(t) for f, t in zip(names, form.push)},
+        "pull": {f: list(t) for f, t in zip(names, form.pull)},
     }
 
 
@@ -185,17 +185,21 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
         fibres.append(fib)
     push_doc = _need(doc, "push", where, dict)
     pull_doc = _need(doc, "pull", where, dict)
-    push = []
-    pull = []
-    for f, x, y in zip(base.names, base.source, base.target):
+    push, pull, defect = [], [], None
+    for f in base.names:
         try:
-            push.append(MonotoneMap(fibres[x], fibres[y], _ints(_need(push_doc, f, f"{where}.push"), f"{where}.push[{f}]")))
-            pull.append(MonotoneMap(fibres[y], fibres[x], _ints(_need(pull_doc, f, f"{where}.pull"), f"{where}.pull[{f}]")))
-        except SchemaError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise SchemaError(f"{where}: morphism {f!r}: {exc}") from exc
-    return FormInstance(base, fibres, push, pull)
+            push.append(_ints(_need(push_doc, f, f"{where}.push"), f"{where}.push[{f}]"))
+            pull.append(_ints(_need(pull_doc, f, f"{where}.pull"), f"{where}.pull[{f}]"))
+        except SchemaError as exc:
+            defect = exc
+            break
+    try:
+        if defect is None:
+            return FormInstance(base, fibres, push, pull)
+        check_tables(base, fibres, push, pull)  # a table before the defect may miss its fibres first
+    except (ValueError, IndexError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    raise defect
 
 
 def _base(doc: dict, objects: list[str], homs: dict, compose: dict, where: str) -> CategoryPresentation:
@@ -329,12 +333,21 @@ def partition_to_dict(p: Partition) -> dict:
 
 def load_json(path: str, digests: dict[str, str] | None = None) -> Any:
     """The JSON document in the file at ``path``, read once; its sha256,
-    as ``"sha256:<hex>"``, goes into ``digests[path]`` when given."""
+    as ``"sha256:<hex>"``, goes into ``digests[path]`` when given. Text
+    the parser refuses is a SchemaError naming the file: besides a syntax
+    error (located by line and column), nesting deeper than the parser's
+    recursion allows, and an integer literal longer than the interpreter
+    converts (``sys.get_int_max_str_digits``)."""
     text = _read_text(path, digests)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
+    except RecursionError:
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from None
+    except ValueError:  # the only other refusal: an integer literal past the conversion limit
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"{path}: invalid JSON: an integer literal longer than {limit} digits") from None
 
 
 def _read_text(path: str, digests: dict[str, str] | None) -> str:
@@ -422,9 +435,6 @@ _SCALARS = {
 _STR = {str}
 _DICT = {dict}
 
-# Entries of a string-to-string object joined into one chunk.
-_BLOCK = 1024
-
 
 def dumps(doc: Any) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, character for
@@ -432,10 +442,9 @@ def dumps(doc: Any) -> str:
 
     The stdlib encoder runs in pure Python whenever it indents, one call
     per token. Here each run of like values is written by one ``join``:
-    a list of scalars of one type, an object's string values, and a list
-    of objects that share their keys (a report's violations), column by
-    column. Floats, non-string keys and subclasses go to the stdlib,
-    re-indented to their depth. A :class:`FormInstance` anywhere in the
+    a list of scalars of one type, and a list of objects that share their
+    keys (a report's violations), column by column. Floats, non-string
+    keys and subclasses go to the stdlib, re-indented to their depth. A :class:`FormInstance` anywhere in the
     tree is written as ``form_to_dict`` of it would be, from its tables,
     and a :class:`FiniteLattice` as ``lattice_to_dict`` of it would be,
     from its ``up`` masks."""
@@ -469,24 +478,16 @@ def _chunks(o: Any, nl: str) -> Iterator[str]:
             prefix = sep
         yield nl + "]"
     elif t is dict and _STR.issuperset(map(type, o)):
-        keys = sorted(o)
         prefix = "{" + inner
-        if _STR.issuperset(map(type, o.values())):
-            for i in range(0, len(keys), _BLOCK):
-                block = keys[i:i + _BLOCK]
-                values = map(encode_basestring_ascii, map(o.__getitem__, block))
-                yield prefix + sep.join(map(": ".join, zip(map(encode_basestring_ascii, block), values)))
-                prefix = sep
-        else:
-            for k in keys:
-                v = o[k]
-                text = _flat(v, inner)
-                if text is None:
-                    yield prefix + encode_basestring_ascii(k) + ": "
-                    yield from _chunks(v, inner)
-                else:
-                    yield prefix + encode_basestring_ascii(k) + ": " + text
-                prefix = sep
+        for k in sorted(o):
+            v = o[k]
+            text = _flat(v, inner)
+            if text is None:
+                yield prefix + encode_basestring_ascii(k) + ": "
+                yield from _chunks(v, inner)
+            else:
+                yield prefix + encode_basestring_ascii(k) + ": " + text
+            prefix = sep
         yield nl + "}"
     elif t is FormInstance:
         yield from _form_chunks(o, nl)
@@ -510,11 +511,10 @@ def _form_chunks(form: FormInstance, nl: str) -> Iterator[str]:
     for key, value in _sections(form).items():
         yield sep + '"' + key + '": '
         yield from _chunks(value, inner)
-    size = max((m.target.size for m in (*form.push_maps, *form.pull_maps)), default=0)
-    digits = list(map(str, range(size)))
-    for key, maps in (("pull", form.pull_maps), ("push", form.push_maps)):
+    digits = list(map(str, range(max((fib.size for fib in form.fibres), default=0))))
+    for key, tables in (("pull", form.pull), ("push", form.push)):
         yield sep + '"' + key + '": '
-        yield from _table_chunks(names, escaped, maps, digits, inner)
+        yield from _table_chunks(names, escaped, tables, digits, inner)
     yield nl + "}"
 
 
@@ -572,9 +572,9 @@ def _lattice_text(lat: FiniteLattice, nl: str) -> str:
 
 
 def _table_chunks(
-    names: tuple[str, ...], escaped: list[str], maps: Sequence[MonotoneMap], digits: list[str], nl: str
+    names: tuple[str, ...], escaped: list[str], tables: Sequence[Sequence[int]], digits: list[str], nl: str
 ) -> Iterator[str]:
-    """The push or pull object, one chunk per morphism (``maps`` by
+    """The push or pull object, one chunk per morphism (``tables`` by
     number), an integer table written through ``digits``, the texts of the
     fibre elements."""
     inner = nl + "  "
@@ -582,7 +582,7 @@ def _table_chunks(
     element = inner + "  "
     prefix = "{" + inner
     for f in sorted(range(len(names)), key=names.__getitem__):
-        table = maps[f].table
+        table = tables[f]
         key = prefix + '"' + escaped[f] + '": '
         if table and _INT.issuperset(map(type, table)):
             yield key + "[" + element + ("," + element).join(map(digits.__getitem__, table)) + inner + "]"

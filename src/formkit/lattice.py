@@ -1,4 +1,6 @@
-"""Finite complete lattices given extensionally, monotone maps, adjoints.
+"""Finite complete lattices given extensionally, and the algorithms on
+the int tables of maps between them: range check, monotonicity,
+preimages and adjoints.
 
 Elements are dense indices 0..size-1; instance modules own the bijection
 between indices and semantic objects (topologies, subgroups, partitions).
@@ -285,13 +287,6 @@ class FiniteLattice:
             out |= self.up[b]
         return out
 
-    def bound(self, kind: str, elems: Iterable[int]) -> int:
-        if kind == "meet":
-            return self.meet(elems)
-        if kind == "join":
-            return self.join(elems)
-        raise ValueError(f"kind must be 'meet' or 'join', got {kind!r}")
-
     def verify(self) -> Report:
         """Check the poset axioms and existence of all bounds."""
         rep = Report()
@@ -383,139 +378,98 @@ class FiniteLattice:
         return f"FiniteLattice(size={self.size})"
 
 
-class MonotoneMap:
-    """A table-backed map between lattices, expected order-preserving."""
+def check_table(table: Sequence[int], source: FiniteLattice, target: FiniteLattice) -> None:
+    """ValueError unless ``table`` has one entry per element of ``source``;
+    IndexError, naming the first stray value, unless every entry is an
+    element of ``target``."""
+    if len(table) != source.size:
+        raise ValueError("table length must match source size")
+    if table and (min(table) < 0 or max(table) >= target.size):
+        v = next(v for v in table if not 0 <= v < target.size)
+        raise IndexError(f"table value {v} out of range for target of size {target.size}")
 
-    def __init__(self, source: FiniteLattice, target: FiniteLattice, table: Sequence[int]):
-        table = tuple(table)
-        if len(table) != source.size:
-            raise ValueError("table length must match source size")
-        if table and (min(table) < 0 or max(table) >= target.size):
-            v = next(v for v in table if not 0 <= v < target.size)
-            raise IndexError(f"table value {v} out of range for target of size {target.size}")
-        self.source = source
-        self.target = target
-        self.table = table
 
-    def __call__(self, a: int) -> int:
-        self.source._check(a)
-        return self.table[a]
+def monotone_violation(table: Sequence[int], source: FiniteLattice, target: FiniteLattice) -> Optional[tuple[int, int]]:
+    """First pair a <= b of ``source`` with table[a] !<= table[b] in
+    ``target``, or None.
 
-    def monotone_violation(self) -> Optional[tuple[int, int]]:
-        """First pair a <= b with table[a] !<= table[b], or None.
-
-        Only the cover pairs of the source are tested: when source and
-        target are partial orders, every a <= b is a chain of covers, so a
-        map that preserves each cover is monotone by transitivity of the
-        target. When a cover fails, or either side is not a partial order,
-        this falls back to :meth:`monotone_violation_dense`, so the pair
-        returned is the first one of the full scan."""
-        if self.source.is_partial_order() and self.target.is_partial_order() and self._preserves_covers():
-            return None
-        return self.monotone_violation_dense()
-
-    def _preserves_covers(self) -> bool:
-        up, t = self.target.up, self.table
-        for a, above in enumerate(self.source.covers()):
-            fa = up[t[a]]
+    Only the cover pairs of the source are tested: when source and target
+    are partial orders, every a <= b is a chain of covers, so a table that
+    preserves each cover is monotone by transitivity of the target. When a
+    cover fails, or either side is not a partial order, this falls back to
+    :func:`monotone_violation_dense`, so the pair returned is the first one
+    of the full scan."""
+    if source.is_partial_order() and target.is_partial_order():
+        up = target.up
+        for a, above in enumerate(source.covers()):
+            fa = up[table[a]]
             for b in above:
-                if not (fa >> t[b]) & 1:
-                    return False
-        return True
-
-    def monotone_violation_dense(self) -> Optional[tuple[int, int]]:
-        """The full scan over every pair a <= b of the source: the oracle
-        that :meth:`monotone_violation` is cross-checked against."""
-        for a in range(self.source.size):
-            fa = self.table[a]
-            for b in bits(self.source.up[a]):
-                if not (self.target.up[fa] >> self.table[b]) & 1:
-                    return (a, b)
+                if not (fa >> table[b]) & 1:
+                    return monotone_violation_dense(table, source, target)
         return None
+    return monotone_violation_dense(table, source, target)
 
-    def preimages(self, masks: Iterable[int]) -> list[int]:
-        """Per mask of ``masks``, the mask of every source element the map
-        sends into it.
 
-        The fibres ``{a : table[a] = v}`` are built once per call, as masks
-        indexed by v; each preimage then ORs the fibres of the values in
-        its mask that the map takes (the bit loop of :func:`bits`, inline),
-        so it costs the popcount of the mask, not the source size. An image
-        below ``1 << TABLE_BITS`` reads the bit table instead."""
-        fibres, image = [0] * self.target.size, 0
-        for a, v in enumerate(self.table):
-            fibres[v] |= 1 << a
-            image |= 1 << v
-        out = []
-        if image < 256:
-            for mask in masks:
-                pre = 0
-                for b in _BITS[mask & image]:
-                    pre |= fibres[b]
-                out.append(pre)
-            return out
+def monotone_violation_dense(table: Sequence[int], source: FiniteLattice, target: FiniteLattice) -> Optional[tuple]:
+    """The full scan over every pair a <= b of the source: the oracle that
+    :func:`monotone_violation` is cross-checked against."""
+    for a in range(source.size):
+        fa = target.up[table[a]]
+        for b in bits(source.up[a]):
+            if not (fa >> table[b]) & 1:
+                return (a, b)
+    return None
+
+
+def preimages(table: Sequence[int], target: FiniteLattice, masks: Iterable[int]) -> list[int]:
+    """Per mask of ``masks`` (sets of ``target`` elements), the mask of every
+    source element that ``table`` sends into it.
+
+    The fibres ``{a : table[a] = v}`` are built once per call, as masks
+    indexed by v; each preimage then ORs the fibres of the values in its
+    mask that the table takes (the bit loop of :func:`bits`, inline), so it
+    costs the popcount of the mask, not the source size. An image below
+    ``1 << TABLE_BITS`` reads the bit table instead."""
+    fibres, image = [0] * target.size, 0
+    for a, v in enumerate(table):
+        fibres[v] |= 1 << a
+        image |= 1 << v
+    out = []
+    if image < 256:
         for mask in masks:
-            pre, mask = 0, mask & image
-            while mask:
-                low = mask & -mask
-                pre |= fibres[low.bit_length() - 1]
-                mask ^= low
+            pre = 0
+            for b in _BITS[mask & image]:
+                pre |= fibres[b]
             out.append(pre)
         return out
-
-    def is_monotone(self) -> bool:
-        return self.monotone_violation() is None
-
-    def preserves_joins(self) -> bool:
-        """Empty and binary joins (hence all joins, the lattice is finite)."""
-        return self._preserves("bottom", "join")
-
-    def preserves_meets(self) -> bool:
-        """Empty and binary meets, the dual of :meth:`preserves_joins`."""
-        return self._preserves("top", "meet")
-
-    def _preserves(self, empty: str, kind: str) -> bool:
-        src, tgt, t = self.source, self.target, self.table
-        if t[getattr(src, empty)] != getattr(tgt, empty):
-            return False
-        return all(
-            t[src.bound(kind, (a, b))] == tgt.bound(kind, (t[a], t[b]))
-            for a in range(src.size)
-            for b in range(a, src.size)
-        )
-
-    def compose(self, inner: "MonotoneMap") -> "MonotoneMap":
-        """self after inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("composition mismatch: inner.target != self.source")
-        return MonotoneMap(inner.source, self.target, tuple(self.table[v] for v in inner.table))
-
-    @classmethod
-    def identity(cls, lattice: FiniteLattice) -> "MonotoneMap":
-        return cls(lattice, lattice, tuple(range(lattice.size)))
-
-    def __repr__(self) -> str:
-        return f"MonotoneMap({self.source.size}->{self.target.size}, {self.table})"
+    for mask in masks:
+        pre, mask = 0, mask & image
+        while mask:
+            low = mask & -mask
+            pre |= fibres[low.bit_length() - 1]
+            mask ^= low
+        out.append(pre)
+    return out
 
 
-def upper_adjoint(left: MonotoneMap) -> MonotoneMap:
-    """The upper adjoint of a join-preserving map, the ``right`` with
-    left(A) <= B iff A <= right(B): right(B) = join of every A with
-    left(A) <= B, that is, of the preimage of ``down[B]``
-    (:meth:`MonotoneMap.preimages`, :meth:`FiniteLattice.join_mask`)."""
-    src, tgt = left.source, left.target
-    return MonotoneMap(tgt, src, tuple(src.join_mask(p) for p in left.preimages(tgt.down)))
+def upper_adjoint(left: Sequence[int], source: FiniteLattice, target: FiniteLattice) -> tuple[int, ...]:
+    """The table of the upper adjoint of a join-preserving ``left``:
+    ``source`` -> ``target``, the ``right`` with left(A) <= B iff
+    A <= right(B): right(B) = join of every A with left(A) <= B, that is,
+    of the preimage of ``down[B]`` (:func:`preimages`,
+    :meth:`FiniteLattice.join_mask`)."""
+    return tuple(map(source.join_mask, preimages(left, target, target.down)))
 
 
-def lower_adjoint(right: MonotoneMap) -> MonotoneMap:
-    """The lower adjoint of a meet-preserving map: the B with
-    A <= right(B) are the up-set of left(A), so the preimage of ``up[A]``
-    (:meth:`MonotoneMap.preimages`) is the ``up`` mask of left(A), one
-    lookup in the cone index. A preimage that is no element's up-set means
-    ``right`` has no lower adjoint: ValueError, naming that A."""
-    src, tgt = right.target, right.source
-    table = list(map(tgt._cone_index()[1].get, right.preimages(src.up)))
+def lower_adjoint(right: Sequence[int], source: FiniteLattice, target: FiniteLattice) -> tuple[int, ...]:
+    """The table of the lower adjoint of a meet-preserving ``right``:
+    ``source`` -> ``target``. The B with A <= right(B) are the up-set of
+    left(A), so the preimage of ``up[A]`` (:func:`preimages`) is the ``up``
+    mask of left(A), one lookup in the cone index. A preimage that is no
+    element's up-set means ``right`` has no lower adjoint: ValueError,
+    naming that A."""
+    table = tuple(map(source._cone_index()[1].get, preimages(right, target, target.up)))
     if None in table:
         a = table.index(None)
         raise ValueError(f"no least B with element {a} <= right(B); not a right adjoint")
-    return MonotoneMap(src, tgt, table)
+    return table

@@ -16,7 +16,7 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from .forms import CategoryPresentation, FormInstance
-from .lattice import low_bit
+from .lattice import low_bit, preimages
 from .report import Report
 from .topogenous import Operator, OrderClass, TopogenousOrder, pulled_rows
 
@@ -55,7 +55,7 @@ def strict_violation(form: FormInstance, order: TopogenousOrder, f: int, pulled:
     every b with pull(b) related to a; its bits outside ``rows_y[push a]``
     are the violations at a, so the first witness is the one of a sweep of
     every pair (``strict_violation_dense`` in ``tests/oracles.py``)."""
-    rows_y, push = order.rel[form.base.target[f]], form.push_maps[f].table
+    rows_y, push = order.rel[form.base.target[f]], form.push[f]
     for a, pre in enumerate(pulled):
         bad = pre & ~rows_y[push[a]]
         if bad:
@@ -76,7 +76,7 @@ def final_violation(form: FormInstance, order: TopogenousOrder, f: int, pulled: 
     of a sweep of every pair (``final_violation_dense`` in
     ``tests/oracles.py``)."""
     rows_y = order.rel[form.base.target[f]]
-    for b, c in enumerate(form.pull_maps[f].table):
+    for b, c in enumerate(form.pull[f]):
         bad = pulled[c] & ~rows_y[b]
         if bad:
             return (b, low_bit(bad))
@@ -91,16 +91,16 @@ def push_preserves_order(form: FormInstance, order: TopogenousOrder, f: int) -> 
     """First related (a, b) in the domain fibre whose pushes are unrelated.
 
     Per a, the preimage of ``rows_y[push a]`` under push is every b whose
-    push is related to push(a) (:meth:`MonotoneMap.preimages`, taken only
+    push is related to push(a) (:func:`formkit.lattice.preimages`, taken only
     of the rows at values of push); the bits of ``rows_x[a]`` outside it
     are the violations at a, so the first witness is the one of a sweep of
     every related pair (``push_preserves_order_dense`` in
     ``tests/oracles.py``)."""
-    rows_x, rows_y = order.rel[form.base.source[f]], order.rel[form.base.target[f]]
-    push = form.push_maps[f]
-    taken = set(push.table)  # a row at a value push does not take is never read
-    pushed = push.preimages([row if v in taken else 0 for v, row in enumerate(rows_y)])
-    for a, v in enumerate(push.table):
+    y = form.base.target[f]
+    rows_x, rows_y, push = order.rel[form.base.source[f]], order.rel[y], form.push[f]
+    taken = set(push)  # a row at a value push does not take is never read
+    pushed = preimages(push, form.fibres[y], [row if v in taken else 0 for v, row in enumerate(rows_y)])
+    for a, v in enumerate(push):
         bad = rows_x[a] & ~pushed[v]
         if bad:
             return (a, low_bit(bad))
@@ -322,7 +322,7 @@ def strict_via_operators(
     rep = Report()
     base = form.base
     for f, (x, y) in enumerate(zip(base.source, base.target)):
-        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        push, pull = form.push[f], form.pull[f]
         if cls.is_TM:
             cx, cy = closure.maps[x], closure.maps[y]
             commutes = all(push[cx[a]] == cy[push[a]] for a in range(form.fibres[x].size))
@@ -354,7 +354,7 @@ def cohereditary_operator_check(form: FormInstance, closure: Operator, final: Se
     witness = None
     for f in retractions:
         x, y = base.source[f], base.target[f]
-        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        push, pull = form.push[f], form.pull[f]
         cx, cy = closure.maps[x], closure.maps[y]
         for b in range(form.fibres[y].size):
             if cy[b] != push[cx[pull[b]]]:

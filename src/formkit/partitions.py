@@ -11,7 +11,7 @@ from itertools import product
 from typing import Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, MonotoneMap, lower_adjoint
+from .lattice import FiniteLattice, lower_adjoint
 from .report import InputError, Record
 from .setmaps import SetFunction, function_category
 
@@ -130,8 +130,9 @@ def build_quot_form(sizes: Sequence[int]) -> PartitionForm:
         element.append({bytes(word): index[-1][canonical_blocks(word)] for word in product(range(width), repeat=n)})
         blocks.append([bytes(p.blocks).ljust(256, b"\0") for p in ps])
     pull = [
-        MonotoneMap(fibres[y], fibres[x], list(map(element[x].__getitem__, map(bytes(fn.table).translate, blocks[y]))))
+        tuple(map(element[x].__getitem__, map(bytes(fn.table).translate, blocks[y])))
         for fn, x, y in zip(functions, base.source, base.target)
     ]
-    form = FormInstance(base, fibres, list(map(lower_adjoint, pull)), pull)
+    push = [lower_adjoint(t, fibres[y], fibres[x]) for t, x, y in zip(pull, base.source, base.target)]
+    form = FormInstance(base, fibres, push, pull)
     return PartitionForm(form, list(sizes), parts, index, functions)

@@ -24,7 +24,7 @@ from typing import BinaryIO, Iterable, NoReturn, Optional
 
 from .checks import CHECKS, CheckContext
 from .forms import CategoryPresentation, FormInstance
-from .lattice import FiniteLattice, MonotoneMap, bits, columns, upper_adjoint
+from .lattice import FiniteLattice, bits, columns, upper_adjoint
 from .topogenous import TopogenousOrder
 
 MAX_POSET_POINTS = 3
@@ -76,12 +76,12 @@ def _random_left_adjoint(
     below_src: list[int],
     src: tuple[FiniteLattice, tuple[int, ...], dict[int, int]],
     tgt: tuple[FiniteLattice, tuple[int, ...], dict[int, int]],
-) -> MonotoneMap:
-    """Join-preserving map out of a down-set lattice: choose a monotone
-    image for each poset point, then push a down-set to the union of its
-    points' images."""
-    src_lat, src_masks, _ = src
-    tgt_lat, tgt_masks, tgt_idx = tgt
+) -> tuple[int, ...]:
+    """The table of a join-preserving map out of a down-set lattice: choose
+    a monotone image for each poset point, then push a down-set to the
+    union of its points' images."""
+    _, src_masks, _ = src
+    _, tgt_masks, tgt_idx = tgt
     k = len(below_src)
     point_img = [0] * k
     for j in range(k):
@@ -96,7 +96,7 @@ def _random_left_adjoint(
         for j in bits(m):
             out |= point_img[j]
         table.append(tgt_idx[out])
-    return MonotoneMap(src_lat, tgt_lat, table)
+    return tuple(table)
 
 
 # -- random forms ---------------------------------------------------------------
@@ -158,17 +158,17 @@ def random_form(rng: random.Random) -> FormInstance:
     # The identity is its own upper adjoint, and pull(g.f) = pull f . pull g:
     # upper adjoints on posets are unique, so these are the tables
     # upper_adjoint would derive. The random maps are drawn in SHAPES order.
-    push: list[MonotoneMap] = [None] * len(base.names)
-    pull: list[MonotoneMap] = [None] * len(base.names)
+    push: list[tuple[int, ...]] = [()] * len(base.names)
+    pull: list[tuple[int, ...]] = [()] * len(base.names)
     for fib, i in zip(fibres, base.identity_of):
-        push[i] = pull[i] = MonotoneMap.identity(fib)
+        push[i] = pull[i] = tuple(range(fib.size))
     for f, (_, d, c) in zip(arrows, SHAPES[shape][1]):
         push[f] = _random_left_adjoint(rng, posets[d], data[d], data[c])
-        pull[f] = upper_adjoint(push[f])
+        pull[f] = upper_adjoint(push[f], fibres[d], fibres[c])
     if shape == 3:
         f, g, gf = arrows
-        push[gf] = push[g].compose(push[f])
-        pull[gf] = pull[f].compose(pull[g])
+        push[gf] = tuple(map(push[g].__getitem__, push[f]))
+        pull[gf] = tuple(map(pull[f].__getitem__, pull[g]))
     return FormInstance(base, fibres, push, pull)
 
 
@@ -205,7 +205,7 @@ def _close_order(form: FormInstance, rel: list[list[int]], want: str) -> None:
     fibres = list(zip(form.fibres, rel))
     transfers = []
     for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
-        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        push, pull = form.push[f], form.pull[f]
         if x == y and push == pull == tuple(range(len(push))):
             continue  # T3 along an identity adds nothing
         transfers.append((rel[x], rel[y], push, pull, {}))

@@ -13,7 +13,7 @@ from itertools import chain, combinations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, MonotoneMap, bits, columns, low_bit
+from .lattice import FiniteLattice, bits, columns, low_bit, monotone_violation, preimages
 from .report import Record, Report
 
 EXHAUSTIVE_SUBSET_LIMIT = 12
@@ -90,14 +90,15 @@ def leq_order(form: FormInstance) -> TopogenousOrder:
 def pulled_rows(form: FormInstance, order: TopogenousOrder, f: int) -> list[int]:
     """The pulled rows of f: x -> y. Per element a of the domain fibre, the
     mask of every b in the codomain fibre with pull(b) related to a: the
-    preimage of ``rows_x[a]`` under pull (:meth:`MonotoneMap.preimages`).
+    preimage of ``rows_x[a]`` under pull (:func:`formkit.lattice.preimages`).
     T3, the pull form, strictness and finality are mask tests on it."""
-    return form.pull_maps[f].preimages(order.rel[form.base.source[f]])
+    x = form.base.source[f]
+    return preimages(form.pull[f], form.fibres[x], order.rel[x])
 
 
 def pulled_table(form: FormInstance, order: TopogenousOrder) -> list[list[int]]:
     """:func:`pulled_rows` of every morphism, by number."""
-    return [pulled_rows(form, order, f) for f in range(len(form.pull_maps))]
+    return [pulled_rows(form, order, f) for f in range(len(form.pull))]
 
 
 def verify_order(form: FormInstance, order: TopogenousOrder, pulled: Sequence[Sequence[int]]) -> Report:
@@ -143,7 +144,7 @@ def _t3_bad(form: FormInstance, order: TopogenousOrder, f: int, pulled: Sequence
     """Per element a of the domain fibre, the b related to push(a) whose
     pull is not related to a, read from f's pulled rows: T3 as
     order-axioms and t3-pull-agreement state it."""
-    rows_y, push = order.rel[form.base.target[f]], form.push_maps[f].table
+    rows_y, push = order.rel[form.base.target[f]], form.push[f]
     return [rows_y[push[a]] & ~pre for a, pre in enumerate(pulled)]
 
 
@@ -178,7 +179,7 @@ def check_T3_pull_form(form: FormInstance, order: TopogenousOrder, pulled: Seque
     rep = Report()
     names = form.base.names
     for f, pulled_f in enumerate(pulled):
-        rows_y, pull = order.rel[form.base.target[f]], form.pull_maps[f].table
+        rows_y, pull = order.rel[form.base.target[f]], form.pull[f]
         pull_ok = True
         for a, row in enumerate(rows_y):
             rep.count("pull-form", row.bit_count())
@@ -316,9 +317,10 @@ def interior_from_order(form: FormInstance, order: TopogenousOrder) -> Operator:
 def order_from_interior(form: FormInstance, intr: Operator) -> TopogenousOrder:
     """a related to b iff a is below the interior of b: row a is the
     preimage of ``up[a]`` under the interior table
-    (:meth:`MonotoneMap.preimages`), the set ``order_from_interior_dense``
-    in ``tests/oracles.py`` collects one pair at a time."""
-    return TopogenousOrder(MonotoneMap(fib, fib, t).preimages(fib.up) for fib, t in zip(form.fibres, intr.maps))
+    (:func:`formkit.lattice.preimages`), the set
+    ``order_from_interior_dense`` in ``tests/oracles.py`` collects one pair
+    at a time."""
+    return TopogenousOrder(preimages(t, fib, fib.up) for fib, t in zip(form.fibres, intr.maps))
 
 
 def verify_closure(form: FormInstance, clo: Operator) -> Report:
@@ -339,25 +341,23 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
     pair sweep of :func:`verify_closure_dense` runs instead, so a
     disagreement of the transfer tables raises the same
     :class:`CorruptFormError` there."""
-    if not all(map(form.is_adjoint, range(len(form.push_maps)))):
+    if not all(map(form.is_adjoint, range(len(form.push)))):
         return verify_closure_dense(form, clo)
     rep = Report()
     base = form.base
-    maps, above, below = [], [], []
+    above, below = [], []
     for x, fib, table in zip(base.objects, form.fibres, clo.maps):
-        t = MonotoneMap(fib, fib, table)
-        maps.append(t)
         rep.count("C1", fib.size)
-        for a, c in enumerate(t.table):
+        for a, c in enumerate(table):
             if not (fib.up[a] >> c) & 1:
                 rep.add("C1", where=x, witness=(a,))
-        above.append(t.preimages(fib.up))
-        below.append(t.preimages(fib.down))
+        above.append(preimages(table, fib, fib.up))
+        below.append(preimages(table, fib, fib.down))
     v_main = v_pull = v_split = True
     for f, (x, y) in enumerate(zip(base.source, base.target)):
         fx, fy = form.fibres[x], form.fibres[y]
         cx, cy = clo.maps[x], clo.maps[y]
-        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        push, pull = form.push[f], form.pull[f]
         above_y, below_x = above[y], below[x]
         rep.count("C2", fx.size * fy.size)
         for a in range(fx.size):
@@ -370,7 +370,7 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
             v_split = False
     # leq_over is the push test here, so the push phrasing is the main one
     v_push = v_main
-    if v_split and any(t.monotone_violation() for t in maps):
+    if v_split and any(monotone_violation(t, fib, fib) for fib, t in zip(form.fibres, clo.maps)):
         v_split = False
     rep.count("C2-form-agreement")
     if not (v_main == v_push == v_pull == v_split):
@@ -398,7 +398,7 @@ def verify_closure_dense(form: FormInstance, clo: Operator) -> Report:
     for f, (x, y) in enumerate(zip(base.source, base.target)):
         fx, fy = form.fibres[x], form.fibres[y]
         cx, cy = clo.maps[x], clo.maps[y]
-        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        push, pull = form.push[f], form.pull[f]
         for a in range(fx.size):
             for b in range(fy.size):
                 rep.count("C2")
@@ -433,12 +433,12 @@ def verify_interior(form: FormInstance, intr: Operator) -> Report:
     Mask tests, with the same violations and counts as the pair loops of
     ``verify_interior_dense`` in ``tests/oracles.py``: the I2 violations
     at a are the bits of ``up[a]`` outside the preimage of ``up[i(a)]``
-    under the interior table (:meth:`MonotoneMap.preimages`), and I1 and
+    under the interior table (:func:`formkit.lattice.preimages`), and I1 and
     I3 are one bit test per element."""
     rep = Report()
     base = form.base
     for x, fib, table in zip(base.objects, form.fibres, intr.maps):
-        up, above = fib.up, MonotoneMap(fib, fib, table).preimages(fib.up)
+        up, above = fib.up, preimages(table, fib, fib.up)
         rep.count("I1", fib.size)
         for a in range(fib.size):
             if not (up[table[a]] >> a) & 1:
@@ -449,7 +449,7 @@ def verify_interior(form: FormInstance, intr: Operator) -> Report:
     for f, (x, y) in enumerate(zip(base.source, base.target)):
         up_x = form.fibres[x].up
         ix, iy = intr.maps[x], intr.maps[y]
-        pull = form.pull_maps[f].table
+        pull = form.pull[f]
         size_y = form.fibres[y].size
         rep.count("I3", size_y)
         for b in range(size_y):

@@ -15,7 +15,7 @@ from operator import and_, or_
 from typing import Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, MonotoneMap, bits
+from .lattice import FiniteLattice, bits
 from .report import InputError, Record
 from .setmaps import SetFunction, function_category
 from .topogenous import TopogenousOrder
@@ -288,13 +288,9 @@ def build_top_form(sizes: Sequence[int]) -> TopForm:
             masks += [m | point for m in masks]
         pre = bytes(masks)
         pad = pre.ljust(256, b"\0")
-        push.append(MonotoneMap(
-            fibres[x], fibres[y],
-            list(map(by_flags[y].__getitem__, map(pre.translate, flags[x]))),
-        ))
-        pull.append(MonotoneMap(
-            fibres[y], fibres[x],
-            list(map(by_succ[x].__getitem__, map(bytes.translate, map(bytes(fn.table).translate, succ[y]), repeat(pad)))),
+        push.append(tuple(map(by_flags[y].__getitem__, map(pre.translate, flags[x]))))
+        pull.append(tuple(
+            map(by_succ[x].__getitem__, map(bytes.translate, map(bytes(fn.table).translate, succ[y]), repeat(pad)))
         ))
     form = FormInstance(base, fibres, push, pull)
     return TopForm(form, list(sizes), tops, index, functions)

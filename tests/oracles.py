@@ -6,8 +6,10 @@ computes a builder's table entry on its own, and is written apart from the
 kernel it checks. An oracle may call the dense fallbacks that production
 itself runs when a fast sweep fails (the base's ``_dense_associativity``
 and ``_totality_faults``, the form's ``_dense_functoriality`` and
-``MonotoneMap.monotone_violation_dense``), and never the fast helpers it
-checks.
+``formkit.lattice.monotone_violation_dense``), and never the fast helpers
+it checks. The predicates on map tables that only tests ask
+(:func:`is_monotone`, :func:`preserves_joins`, :func:`preserves_meets`)
+live here too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterator, Optional
 
 from formkit.forms import CategoryPresentation, FormInstance, MorphismKind
 from formkit.groups import FiniteGroup, GroupHom
-from formkit.lattice import MonotoneMap, bits
+from formkit.lattice import FiniteLattice, bits, monotone_violation, monotone_violation_dense
 from formkit.morphisms import _kind_clauses, _reflection_flags
 from formkit.partitions import Partition
 from formkit.report import Report
@@ -28,22 +30,47 @@ from formkit.topologies import FiniteTopology
 # -- Galois connections ------------------------------------------------------------
 
 
-def galois_check(left: MonotoneMap, right: MonotoneMap) -> Report:
+def galois_check(left, right, source: FiniteLattice, target: FiniteLattice) -> Report:
     """Every (A, B) where exactly one side of left(A) <= B iff
-    A <= right(B) holds: the oracle of the adjoints that
+    A <= right(B) holds, for tables ``left``: ``source`` -> ``target`` and
+    ``right`` back: the oracle of the adjoints that
     :func:`formkit.lattice.upper_adjoint` and
     :func:`formkit.lattice.lower_adjoint` derive. ValueError when the two
-    maps do not connect the same two lattices in opposite directions."""
-    if left.source != right.target or left.target != right.source:
+    tables do not have one entry per element of their sources."""
+    if len(left) != source.size or len(right) != target.size:
         raise ValueError("left/right must connect the same two lattices in opposite directions")
     rep = Report()
-    for a in range(left.source.size):
-        fa = left.table[a]
-        for b in range(left.target.size):
+    for a in range(source.size):
+        for b in range(target.size):
             rep.count("galois")
-            if left.target.leq(fa, b) != left.source.leq(a, right.table[b]):
+            if target.leq(left[a], b) != source.leq(a, right[b]):
                 rep.add("galois", witness=(a, b))
     return rep
+
+
+def is_monotone(table, source: FiniteLattice, target: FiniteLattice) -> bool:
+    return monotone_violation(table, source, target) is None
+
+
+def preserves_joins(table, source: FiniteLattice, target: FiniteLattice) -> bool:
+    """Empty and binary joins (hence all joins, the lattice is finite)."""
+    return _preserves(table, source, target, "bottom", "join")
+
+
+def preserves_meets(table, source: FiniteLattice, target: FiniteLattice) -> bool:
+    """Empty and binary meets, the dual of :func:`preserves_joins`."""
+    return _preserves(table, source, target, "top", "meet")
+
+
+def _preserves(table, source: FiniteLattice, target: FiniteLattice, empty: str, kind: str) -> bool:
+    if table[getattr(source, empty)] != getattr(target, empty):
+        return False
+    bound_s, bound_t = getattr(source, kind), getattr(target, kind)
+    return all(
+        table[bound_s((a, b))] == bound_t((table[a], table[b]))
+        for a in range(source.size)
+        for b in range(a, source.size)
+    )
 
 
 # -- the base category by name ------------------------------------------------------
@@ -124,7 +151,7 @@ def verify_laws_dense(form: FormInstance) -> Report:
     """The laws of :meth:`FormInstance.verify_laws` with every sweep dense:
     monotonicity over every pair a <= b, the Galois test, unit and counit
     through ``leq`` on every fibre pair, and functoriality over every
-    composable pair when every push and pull joins the right fibres."""
+    composable pair."""
     base = form.base
     rep = Report(violations=[v for v in base._totality_faults if v.check == "compose-undefined"])
     if not rep.ok:
@@ -137,30 +164,22 @@ def verify_laws_dense(form: FormInstance) -> Report:
     for x, fib in zip(base.objects, form.fibres):
         i = base.ids[identity(base, x)]
         rep.count("identity-lifting", 2)
-        for check, table in (("identity-push", form.push_maps[i].table), ("identity-pull", form.pull_maps[i].table)):
+        for check, table in (("identity-push", form.push[i]), ("identity-pull", form.pull[i])):
             if len(table) != fib.size or any(v != a for a, v in enumerate(table)):
                 rep.add(check, where=x)
-    miswired = False
     for f, name in enumerate(base.names):
         fx, fy = form.fibres[base.source[f]], form.fibres[base.target[f]]
-        push, pull = form.push_maps[f], form.pull_maps[f]
-        if push.source != fx or push.target != fy:
-            rep.add("push-wiring", where=name)
-            miswired = True
-            continue
-        if pull.source != fy or pull.target != fx:
-            rep.add("pull-wiring", where=name)
-            miswired = True
-            continue
+        pt, qt = form.push[f], form.pull[f]
         rep.count("monotone", 2)
-        for check, m in (("push-monotone", push), ("pull-monotone", pull)):
-            bad = m.monotone_violation_dense()
+        for check, bad in (
+            ("push-monotone", monotone_violation_dense(pt, fx, fy)),
+            ("pull-monotone", monotone_violation_dense(qt, fy, fx)),
+        ):
             if bad:
                 rep.add(check, where=name, witness=bad)
         rep.count("unit", fx.size)
         rep.count("counit", fy.size)
         rep.count("galois", fx.size * fy.size)
-        pt, qt = push.table, pull.table
         for a in range(fx.size):
             for b in range(fy.size):
                 if fy.leq(pt[a], b) != fx.leq(a, qt[b]):
@@ -171,8 +190,7 @@ def verify_laws_dense(form: FormInstance) -> Report:
         for b in range(fy.size):
             if not fy.leq(pt[qt[b]], b):
                 rep.add("counit", where=name, witness=(b,))
-    if not miswired:
-        form._dense_functoriality(rep)
+    form._dense_functoriality(rep)
     return rep
 
 
@@ -203,7 +221,7 @@ def verify_order_dense(form: FormInstance, order: TopogenousOrder) -> Report:
                     rep.add("T2", where=x, witness=(a2, a, missing[0]))
     for f, (name, x, y) in enumerate(zip(base.names, base.source, base.target)):
         rows_x, rows_y = order.rel[x], order.rel[y]
-        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        push, pull = form.push[f], form.pull[f]
         for a in range(form.fibres[x].size):
             rep.count("T3")
             bad = [
@@ -222,7 +240,7 @@ def check_T3_pull_form_dense(form: FormInstance, order: TopogenousOrder) -> Repo
     names = form.base.names
     for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
         rows_x, rows_y = order.rel[x], order.rel[y]
-        push, pull = form.push_maps[f].table, form.pull_maps[f].table
+        push, pull = form.push[f], form.pull[f]
         size_x, size_y = form.fibres[x].size, form.fibres[y].size
         pull_ok = True
         for a in range(size_y):
@@ -272,7 +290,7 @@ def verify_interior_dense(form: FormInstance, intr: Operator) -> Report:
     for f, (x, y) in enumerate(zip(base.source, base.target)):
         fx = form.fibres[x]
         ix, iy = intr.maps[x], intr.maps[y]
-        pull = form.pull_maps[f].table
+        pull = form.pull[f]
         for b in range(form.fibres[y].size):
             rep.count("I3")
             if not fx.leq(pull[iy[b]], ix[pull[b]]):
@@ -288,7 +306,7 @@ def strict_violation_dense(form: FormInstance, order: TopogenousOrder, f: int) -
     sweep of every pair (a, b)."""
     x, y = form.base.source[f], form.base.target[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
-    push, pull = form.push_maps[f].table, form.pull_maps[f].table
+    push, pull = form.push[f], form.pull[f]
     for a in range(form.fibres[x].size):
         row_a = rows_x[a]
         for b in range(form.fibres[y].size):
@@ -302,7 +320,7 @@ def final_violation_dense(form: FormInstance, order: TopogenousOrder, f: int) ->
     sweep of every pair (b, b')."""
     x, y = form.base.source[f], form.base.target[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
-    pull = form.pull_maps[f].table
+    pull = form.pull[f]
     for b in range(form.fibres[y].size):
         row_pb = rows_x[pull[b]]
         for b2 in range(form.fibres[y].size):
@@ -316,7 +334,7 @@ def push_preserves_order_dense(form: FormInstance, order: TopogenousOrder, f: in
     sweep of every related pair."""
     x, y = form.base.source[f], form.base.target[f]
     rows_x, rows_y = order.rel[x], order.rel[y]
-    push = form.push_maps[f].table
+    push = form.push[f]
     for a in range(form.fibres[x].size):
         for b in bits(rows_x[a]):
             if not (rows_y[push[a]] >> push[b]) & 1:
@@ -455,7 +473,7 @@ def _close_order_dense(form: FormInstance, rel: list[list[int]], want: str) -> N
                             rows[j] |= 1 << b
                             changed = True
         for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
-            push, pull = form.push_maps[f].table, form.pull_maps[f].table
+            push, pull = form.push[f], form.pull[f]
             rows_x, rows_y = rel[x], rel[y]
             for a in range(form.fibres[x].size):
                 for b in bits(rows_y[push[a]]):

@@ -9,11 +9,12 @@ from collections import Counter
 
 import pytest
 
-from formkit import morphisms
+from formkit import lattice, morphisms
 from formkit.checks import BATTERY, CHECKS, FORM_CHECKS, CheckContext, run_checks
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.groups import build_grp_form, normal_interval_order, standard_corpus
-from formkit.lattice import FiniteLattice, MonotoneMap
+from formkit.lattice import FiniteLattice
+from formkit.morphisms import cohereditary_operator_check, strict_via_operators
 from formkit.partitions import build_quot_form
 from formkit.topogenous import Operator, TopogenousOrder, leq_order, roundtrip_check, verify_closure
 from formkit.topologies import build_top_form, theta_order
@@ -64,23 +65,28 @@ def test_checks_look_up_no_names(build, order, order_name):
 def test_battery_computes_each_fact_once(bundle_name, order_fixture, order_name, request, monkeypatch):
     bundle, order = request.getfixturevalue(bundle_name), request.getfixturevalue(order_fixture)
     form = bundle.form
-    asked = Counter()  # (map object, masks) -> preimages calls
-    preimages = MonotoneMap.preimages
-
-    def counted_preimages(self, masks):
-        masks = tuple(masks)
-        asked[id(self), masks] += 1
-        return preimages(self, masks)
-
-    monkeypatch.setattr(MonotoneMap, "preimages", counted_preimages)
+    originals = {
+        "preimages": lattice.preimages,
+        "strict_violation": morphisms.strict_violation,
+        "final_violation": morphisms.final_violation,
+    }
+    asked = Counter()  # (table object, masks) -> preimages calls
     computed = Counter()  # (kernel, morphism) -> calls
-    for kernel in ("strict_violation", "final_violation"):
-        original = getattr(morphisms, kernel)
 
-        def counted(form, order, f, *rest, kernel=kernel, original=original):
+    def counted_preimages(table, target, masks):
+        masks = tuple(masks)
+        asked[id(table), masks] += 1
+        return originals["preimages"](table, target, masks)
+
+    def counted_kernel(kernel):
+        def counted(form, order, f, *rest):
             computed[kernel, f] += 1
-            return original(form, order, f, *rest)
+            return originals[kernel](form, order, f, *rest)
 
+        return counted
+
+    for kernel, original in originals.items():
+        counted = counted_preimages if kernel == "preimages" else counted_kernel(kernel)
         for name, module in list(sys.modules.items()):
             if name.startswith("formkit") and getattr(module, kernel, None) is original:
                 monkeypatch.setattr(module, kernel, counted)
@@ -90,7 +96,7 @@ def test_battery_computes_each_fact_once(bundle_name, order_fixture, order_name,
     assert [r.name for r in results if r.status == "skipped"] == []
     for f in range(len(form.base.names)):
         rows = order.rel[form.base.source[f]]
-        assert asked[id(form.pull_maps[f]), tuple(rows)] == 1, f
+        assert asked[id(form.pull[f]), tuple(rows)] == 1, f
         assert computed["strict_violation", f] == 1, f
         assert computed["final_violation", f] == 1, f
 
@@ -122,7 +128,7 @@ def undefined_composites_form() -> FormInstance:
         {"X": "idX", "Y": "idY"},
     )
     lat = FiniteLattice.chain(2)
-    ident = [MonotoneMap.identity(lat) for _ in base.names]
+    ident = [(0, 1)] * len(base.names)
     return FormInstance(base, [lat, lat], ident, ident)
 
 
@@ -156,9 +162,9 @@ def test_form_laws_report_the_undefined_composites_of_the_base():
 
 def one_object(fib: FiniteLattice, push=None, pull=None) -> FormInstance:
     """One object X with fibre ``fib`` and its identity, whose push and pull
-    are the identity map unless given."""
+    are the identity table unless given."""
     base = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
-    same = MonotoneMap.identity(fib)
+    same = tuple(range(fib.size))
     return FormInstance(base, [fib], [push or same], [pull or same])
 
 
@@ -176,7 +182,7 @@ def final_thick():
     # the identity of a two-element chain is final for the leq order; its
     # push sends the top to the bottom
     form = one_object(CHAIN2)
-    broken = one_object(CHAIN2, push=MonotoneMap(CHAIN2, CHAIN2, [0, 0]))
+    broken = one_object(CHAIN2, push=(0, 0))
     return [CHECKS["final-thick"].run(CheckContext(f, leq_order(f))) for f in (form, broken)]
 
 
@@ -198,7 +204,7 @@ def c2_form_agreement():
     # to the top (an adjoint pair, though not the identity), the closure
     # sending everything to the top passes; moved to fix the middle element
     # it is no longer monotone, which only the split phrasing sees
-    form = one_object(CHAIN3, push=MonotoneMap(CHAIN3, CHAIN3, [0, 0, 0]), pull=MonotoneMap(CHAIN3, CHAIN3, [2, 2, 2]))
+    form = one_object(CHAIN3, push=(0, 0, 0), pull=(2, 2, 2))
     assert form.is_adjoint(0)  # the mask path runs
     return [verify_closure(form, Operator("closure", [t])) for t in ((2, 2, 2), (2, 1, 2))]
 
@@ -228,15 +234,50 @@ def operator_roundtrip(kind):
     return [roundtrip_check(one_object(fib), Operator(kind, [(0, 1)])) for fib in (CHAIN2, PREORDER2)]
 
 
-def wiring(direction):
-    # the transfer map of 1pt->2pt:0 replaced by that of 2pt->2pt:0.0,
-    # which leaves from or lands on the wrong fibre
-    form = build_top_form([1, 2]).form
-    ids = form.base.ids
-    maps = list(form.push_maps if direction == "push" else form.pull_maps)
-    maps[ids["1pt->2pt:0"]] = maps[ids["2pt->2pt:0.0"]]
-    push, pull = (maps, form.pull_maps) if direction == "push" else (form.push_maps, maps)
-    return [form.verify_laws(), FormInstance(form.base, form.fibres, push, pull).verify_laws()]
+def form_law(changed):
+    # the form-laws of one object on a two-element chain, then with the
+    # identity's pull replaced: by a constant to the top, which breaks the
+    # identity lifting alone (every constant is monotone), or by the swap,
+    # which is no longer monotone
+    return [one_object(CHAIN2).verify_laws(), one_object(CHAIN2, pull=changed).verify_laws()]
+
+
+def arrow() -> FormInstance:
+    """X -> Y, both fibres the two-element chain, push and pull of f the
+    identity table."""
+    base = CategoryPresentation(
+        ["X", "Y"],
+        {("X", "X"): ["idX"], ("X", "Y"): ["f"], ("Y", "Y"): ["idY"]},
+        {("idX", "idX"): "idX", ("f", "idX"): "f", ("idY", "f"): "f", ("idY", "idY"): "idY"},
+        {"X": "idX", "Y": "idY"},
+    )
+    same = [(0, 1)] * 3
+    return FormInstance(base, [CHAIN2, CHAIN2], same, same)
+
+
+def via_operators(name):
+    # the leq order of X -> Y, where every morphism is strict, with the
+    # operators it derives (both the identity); then Y's top no longer
+    # related to itself, which makes f not strict, beside the same
+    # operators, which still commute with push and pull
+    form = arrow()
+    ctx = CheckContext(form, leq_order(form))
+    corrupted = CheckContext(form, TopogenousOrder([CHAIN2.up, (0b11, 0)]))
+    return [strict_via_operators(form, c.strict, ctx.cls, ctx.closure, ctx.interior) for c in (ctx, corrupted)]
+
+
+def cohereditary():
+    # the leq order of top[1,2], whose retractions are all final, with its
+    # derived closure (the identity); then that closure moved to send the
+    # topology {∅, {0}, X} on 2pt to the discrete one, which the swap of
+    # 2pt, a retraction, no longer restricts to
+    tf = build_top_form([1, 2])
+    ctx = CheckContext(tf.form, leq_order(tf.form))
+    two = tf.form.base.objects.index("2pt")
+    table = list(ctx.closure.maps[two])
+    table[tf.index[two][(0, 1, 3)]] = tf.index[two][(0, 1, 2, 3)]
+    moved = Operator("closure", [table if x == two else t for x, t in enumerate(ctx.closure.maps)])
+    return [cohereditary_operator_check(tf.form, c, ctx.final) for c in (ctx.closure, moved)]
 
 
 CAN_FAIL = {
@@ -248,8 +289,11 @@ CAN_FAIL = {
     "idempotent-iff-interpolative": idempotent_iff_interpolative,
     "closure-order-closure": lambda: operator_roundtrip("closure"),
     "interior-order-interior": lambda: operator_roundtrip("interior"),
-    "push-wiring": lambda: wiring("push"),
-    "pull-wiring": lambda: wiring("pull"),
+    "identity-pull": lambda: form_law((1, 1)),
+    "pull-monotone": lambda: form_law((1, 0)),
+    "strict-iff-closure-commutes": lambda: via_operators("closure"),
+    "interior-commutes-implies-strict": lambda: via_operators("interior"),
+    "cohereditary-iff-closure-restricts": cohereditary,
     "antisymmetric": lambda: [CHAIN2.verify(), PREORDER2.verify()],
 }
 
@@ -259,3 +303,19 @@ def test_every_check_can_fail(name):
     clean, broken = CAN_FAIL[name]()
     assert clean.ok and clean.checks_run > 0
     assert name in {v.check for v in broken.violations}, broken.to_dict()
+
+
+def test_form_refuses_a_table_off_its_fibres():
+    # the push or pull table of 1pt->2pt:0 replaced by that of 2pt->2pt:0.0,
+    # which leaves from or lands on the wrong fibre
+    form = build_top_form([1, 2]).form
+    f, g = form.base.ids["1pt->2pt:0"], form.base.ids["2pt->2pt:0.0"]
+    refusals = {
+        "push": (ValueError, "table length must match source size"),
+        "pull": (IndexError, r"table value [1-3] out of range for target of size 1"),
+    }
+    for direction, (error, message) in refusals.items():
+        tables = {"push": list(form.push), "pull": list(form.pull)}
+        tables[direction][f] = tables[direction][g]
+        with pytest.raises(error, match=f"^morphism '1pt->2pt:0': {message}$"):
+            FormInstance(form.base, form.fibres, tables["push"], tables["pull"])

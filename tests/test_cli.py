@@ -193,8 +193,15 @@ def _good(paths, key):
     return json.loads(Path(paths[key]).read_text())
 
 
+# Nested past the parser's recursion limit.
+NESTED = "[" * 100_000 + "]" * 100_000
+
 MALFORMED = {
     "invalid-json": lambda t, p: ["verify", "form", "--file", _write(t, "{not json")],
+    "json-nested-too-deeply": lambda t, p: ["verify", "form", "--file", _write(t, NESTED)],
+    "lattice-nested-too-deeply": lambda t, p: ["verify", "lattice", "--file", _write(t, NESTED)],
+    "replay-nested-too-deeply": lambda t, p: ["replay", _write(t, NESTED)],
+    "lattice-integer-too-long": lambda t, p: ["verify", "lattice", "--file", _write(t, '{"size": ' + "1" * 5000 + "}")],
     "form-missing-key": lambda t, p: ["verify", "form", "--file", _write(t, {"objects": ["X"]})],
     "operator-non-int-entry": lambda t, p: [
         "verify", "closure", "--form", p["form"],
@@ -266,6 +273,10 @@ MALFORMED = {
 # A fragment of the message that locates the fault.
 MALFORMED_WHERE = {
     "invalid-json": "bad.json:1:2",
+    "json-nested-too-deeply": "bad.json: invalid JSON: nested too deeply",
+    "lattice-nested-too-deeply": "bad.json: invalid JSON: nested too deeply",
+    "replay-nested-too-deeply": "bad.json: invalid JSON: nested too deeply",
+    "lattice-integer-too-long": "bad.json: invalid JSON: an integer literal longer than 4300 digits",
     "form-missing-key": "missing key 'homs'",
     "operator-non-int-entry": "map[2pt]",
     "form-float-push-entry": "push[2pt->2pt:0.1]",

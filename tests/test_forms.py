@@ -9,10 +9,10 @@ import pytest
 import formkit
 from formkit.forms import ROUNDTRIP_CHECKS, CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, cyclic, symmetric3
-from formkit.lattice import FiniteLattice, MonotoneMap, upper_adjoint
+from formkit.lattice import FiniteLattice, monotone_violation_dense, upper_adjoint
 from formkit.partitions import build_quot_form
 from formkit.topologies import build_top_form
-from oracles import identity, verify_dense, verify_laws_dense
+from oracles import identity, preserves_joins, preserves_meets, verify_dense, verify_laws_dense
 
 
 def arrow_form(push_table, src_size=2, tgt_size=3):
@@ -32,20 +32,20 @@ def arrow_form(push_table, src_size=2, tgt_size=3):
         {"X": "idX", "Y": "idY"},
     )
     push = {
-        "idX": MonotoneMap.identity(x_fib),
-        "idY": MonotoneMap.identity(y_fib),
-        "f": MonotoneMap(x_fib, y_fib, push_table),
+        "idX": (range(src_size), x_fib, x_fib),
+        "idY": (range(tgt_size), y_fib, y_fib),
+        "f": (push_table, x_fib, y_fib),
     }
-    pull = {name: upper_adjoint(m) for name, m in push.items()}
-    return FormInstance(base, [x_fib, y_fib], [push[m] for m in base.names], [pull[m] for m in base.names])
+    pull = {name: upper_adjoint(*m) for name, m in push.items()}
+    return FormInstance(base, [x_fib, y_fib], [push[m][0] for m in base.names], [pull[m] for m in base.names])
 
 
-def _replaced(maps, base, **by_name):
-    """``maps`` by number with the entries of the named morphisms replaced."""
-    maps = list(maps)
-    for name, m in by_name.items():
-        maps[base.ids[name]] = m
-    return maps
+def _replaced(tables, base, **by_name):
+    """``tables`` by number with the entries of the named morphisms replaced."""
+    tables = list(tables)
+    for name, t in by_name.items():
+        tables[base.ids[name]] = t
+    return tables
 
 
 def test_arrow_form_laws_pass():
@@ -59,8 +59,8 @@ def test_identity_lifting_required():
     broken = FormInstance(
         form.base,
         form.fibres,
-        _replaced(form.push_maps, form.base, idX=MonotoneMap(form.fibres[0], form.fibres[0], [0, 0])),
-        form.pull_maps,
+        _replaced(form.push, form.base, idX=(0, 0)),
+        form.pull,
     )
     rep = broken.verify_laws()
     assert any(v.check == "identity-push" for v in rep.violations)
@@ -68,8 +68,7 @@ def test_identity_lifting_required():
 
 def test_corrupted_push_reports_galois_with_morphism():
     form = arrow_form([0, 2])
-    swapped = MonotoneMap(form.fibres[0], form.fibres[1], [2, 0])
-    broken = FormInstance(form.base, form.fibres, _replaced(form.push_maps, form.base, f=swapped), form.pull_maps)
+    broken = FormInstance(form.base, form.fibres, _replaced(form.push, form.base, f=(2, 0)), form.pull)
     rep = broken.verify_laws()
     assert not rep.ok
     galois = [v for v in rep.violations if v.check == "galois"]
@@ -82,31 +81,67 @@ def test_leq_over_runs_both_tests_and_detects_corruption():
     assert form.leq_over(f, 0, 0)
     assert form.leq_over(f, 1, 2)
     assert not form.leq_over(f, 1, 1)
-    bad_pull = MonotoneMap(form.fibres[1], form.fibres[0], [1, 1, 1])
-    broken = FormInstance(form.base, form.fibres, form.push_maps, _replaced(form.pull_maps, form.base, f=bad_pull))
+    broken = FormInstance(form.base, form.fibres, form.push, _replaced(form.pull, form.base, f=(1, 1, 1)))
     with pytest.raises(CorruptFormError):
         for a in range(2):
             for b in range(3):
                 broken.leq_over(f, a, b)
 
 
+def test_identity_law_bodies_test_nothing(monkeypatch):
+    """The law body of an endomorphism whose push and pull are the
+    identity table on a partial order is the clean one, with no
+    monotonicity test (and so no unit or counit sweep) run: the body the
+    dense tests give it. Every other morphism is tested, push and pull once
+    each, and the violations are still the dense sweep's."""
+    import formkit.forms
+
+    tested = []  # the tables monotone_violation was asked about
+    original = formkit.forms.monotone_violation
+    monkeypatch.setattr(
+        formkit.forms, "monotone_violation", lambda table, *fibres: tested.append(table) or original(table, *fibres)
+    )
+    bad_identity = arrow_form([0, 2])
+    bad_identity.push[bad_identity.base.ids["idX"]] = (0, 0)
+    one = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
+    preorder = FiniteLattice.from_up_masks([0b11, 0b11])  # not a partial order: its identity is tested
+    forms = [build_top_form([1, 2]).form, arrow_form([0, 2]), arrow_form([2, 0]), bad_identity]
+    forms.append(FormInstance(one, [preorder], [(0, 1)], [(0, 1)]))
+    for form in forms:
+        tested.clear()
+        assert form.verify_laws().violations == verify_laws_dense(form).violations
+        skipped = [
+            f for f, (x, y) in enumerate(zip(form.base.source, form.base.target))
+            if x == y and form.push[f] == form.pull[f] == tuple(range(form.fibres[x].size))
+            and form.fibres[x].is_partial_order()
+        ]
+        assert len(tested) == 2 * (len(form.base.names) - len(skipped))
+        assert not {id(form.push[f]) for f in skipped} & set(map(id, tested))
+        for f in skipped:
+            fib, table = form.fibres[form.base.source[f]], form.push[f]
+            dense = monotone_violation_dense(table, fib, fib)
+            assert form._laws[f] == (dense, dense, [], [], True) == (None, None, [], [], True)
+    assert skipped == [] and len(tested) == 2  # the preorder's identity
+
+
 def test_unit_counit_hold_on_arrow_form():
     form = arrow_form([0, 2])
     x_fib, y_fib = form.fibres
-    push, pull = form.push_maps[form.base.ids["f"]], form.pull_maps[form.base.ids["f"]]
+    push, pull = form.push[form.base.ids["f"]], form.pull[form.base.ids["f"]]
     for a in range(x_fib.size):
-        assert x_fib.leq(a, pull(push(a)))
+        assert x_fib.leq(a, pull[push[a]])
     for b in range(y_fib.size):
-        assert y_fib.leq(push(pull(b)), b)
+        assert y_fib.leq(push[pull[b]], b)
 
 
 def test_push_preserves_joins_pull_preserves_meets(top12, quot123):
     small_grp = build_grp_form([symmetric3(), cyclic(2)])
     for bundle in (top12, quot123, small_grp):
         form = bundle.form
-        for f in range(len(form.base.names)):
-            assert form.push_maps[f].preserves_joins(), f
-            assert form.pull_maps[f].preserves_meets(), f
+        for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
+            fx, fy = form.fibres[x], form.fibres[y]
+            assert preserves_joins(form.push[f], fx, fy), f
+            assert preserves_meets(form.pull[f], fy, fx), f
 
 
 def test_morphism_kind_in_set_category(top12):
@@ -142,11 +177,12 @@ def test_no_roundtrip_failure_on_instances(top12, grp8, quot123):
         assert bundle.form.first_roundtrip_failure == {}
 
 
-def _corrupted(m: MonotoneMap, i: int) -> MonotoneMap:
-    """``m`` with the entry at ``i`` moved to the next element of its target."""
-    table = list(m.table)
-    table[i] = (table[i] + 1) % m.target.size
-    return MonotoneMap(m.source, m.target, table)
+def _corrupted(table: tuple, i: int, size: int) -> tuple:
+    """``table`` with the entry at ``i`` moved to the next element of its
+    target, a fibre of ``size`` elements."""
+    table = list(table)
+    table[i] = (table[i] + 1) % size
+    return tuple(table)
 
 
 def test_first_roundtrip_failure_is_the_first_lifting_violation(quot123):
@@ -164,10 +200,11 @@ def test_first_roundtrip_failure_is_the_first_lifting_violation(quot123):
     section = next(f for f, k in kinds.items() if k.is_section and not k.is_retraction)
     retraction = next(f for f, k in kinds.items() if k.is_retraction and not k.is_section)
     iso = next(f for f, k in kinds.items() if k.is_iso)
-    push, pull = list(form.push_maps), list(form.pull_maps)
-    pull[section] = _corrupted(pull[section], push[section].table[0])
-    push[retraction] = _corrupted(push[retraction], pull[retraction].table[0])
-    push[iso] = _corrupted(push[iso], 0)
+    push, pull = list(form.push), list(form.pull)
+    size = [fib.size for fib in form.fibres]
+    pull[section] = _corrupted(pull[section], push[section][0], size[base.source[section]])
+    push[retraction] = _corrupted(push[retraction], pull[retraction][0], size[base.target[retraction]])
+    push[iso] = _corrupted(push[iso], 0, size[base.target[iso]])
     broken = FormInstance(form.base, form.fibres, push, pull)
     rep = broken.verify_lifting_iso_laws()
     failing = {(v.check, v.where) for v in rep.violations}
@@ -194,8 +231,8 @@ def test_lifting_iso_laws_count_one_check_per_fibre_element(top12, quot123):
         expected = 0
         for f in range(len(form.base.names)):
             mk = form.base.kinds[f]
-            expected += mk.is_section * form.push_maps[f].source.size
-            expected += mk.is_retraction * form.pull_maps[f].source.size
+            expected += mk.is_section * form.fibres[form.base.source[f]].size
+            expected += mk.is_retraction * form.fibres[form.base.target[f]].size
             expected += mk.is_iso
         assert form.verify_lifting_iso_laws().checks_run == expected
 
@@ -205,9 +242,9 @@ def test_retraction_roundtrip_on_partitions(quot123):
     form = quot123.form
     f = form.base.ids["3pt->2pt:0.0.1"]
     assert form.base.kinds[f].is_retraction
-    pull, push = form.pull_maps[f], form.push_maps[f]
+    pull, push = form.pull[f], form.push[f]
     for d in range(form.fibres[form.base.objects.index("2pt")].size):
-        assert push.table[pull.table[d]] == d
+        assert push[pull[d]] == d
 
 
 def test_bounds_per_instance(top12, grp8, quot123):
@@ -339,7 +376,7 @@ def test_form_laws_report_an_object_without_identity():
     liftings, which it could not look up."""
     base = CategoryPresentation(["X", "Y"], TWO_HOMS, TWO_COMPOSE, {"X": "idX"})
     lat = FiniteLattice.chain(2)
-    ident = [MonotoneMap.identity(lat) for _ in base.names]
+    ident = [(0, 1)] * len(base.names)
     form = FormInstance(base, [lat, lat], ident, ident)
     for rep in (base.verify(), form.verify_laws(), verify_laws_dense(form)):
         assert [(v.check, v.where, v.witness) for v in rep.violations] == [("identity-missing", "Y", ())]

@@ -233,7 +233,7 @@ def test_push_tables_are_the_image_subgroups(grp8):
     base = grp8.form.base
     for f, name in enumerate(base.names):
         hom, x, y = grp8.homs[f], base.source[f], base.target[f]
-        assert grp8.form.push_maps[f].table == tuple(
+        assert grp8.form.push[f] == tuple(
             grp8.index[y][hom.image_mask(m)] for m in grp8.masks[x]
         ), name
 

@@ -35,7 +35,7 @@ from formkit.jsonio import (
     partition_to_dict,
     topology_to_dict,
 )
-from formkit.lattice import FiniteLattice, MonotoneMap
+from formkit.lattice import FiniteLattice
 from formkit.partitions import Partition
 from formkit.topogenous import Operator, closure_from_order, leq_order
 from formkit.topologies import FiniteTopology
@@ -72,8 +72,8 @@ def test_form_roundtrip(top12):
     assert again.base.objects == top12.form.base.objects
     assert again.base.names == top12.form.base.names
     for f in range(len(again.base.names)):
-        assert again.push_maps[f].table == top12.form.push_maps[f].table
-        assert again.pull_maps[f].table == top12.form.pull_maps[f].table
+        assert again.push[f] == top12.form.push[f]
+        assert again.pull[f] == top12.form.pull[f]
     assert again.verify_laws().ok
 
 
@@ -404,8 +404,8 @@ def test_one_pass_reader_is_the_checked_reader(name, request):
         assert fib.up == made.up
         assert fib.labels == made.labels
     for f in range(len(form.base.names)):
-        assert read.push_maps[f].table == form.push_maps[f].table
-        assert read.pull_maps[f].table == form.pull_maps[f].table
+        assert read.push[f] == form.push[f]
+        assert read.pull[f] == form.pull[f]
 
 
 # sha256 of the bytes formkit writes, recorded from json.dump(indent=2,
@@ -519,7 +519,7 @@ def _hand_form(objects, homs, compose, identities):
     chain, every transfer table the identity."""
     base = CategoryPresentation(objects, homs, compose, identities)
     two = FiniteLattice([[True, True], [False, True]])
-    same = [MonotoneMap(two, two, (0, 1)) for _ in base.names]
+    same = [(0, 1)] * len(base.names)
     return FormInstance(base, [two for _ in objects], same, same)
 
 
@@ -558,7 +558,7 @@ HAND_FORMS = {
 def _with_push(form, f, table):
     """``form`` with the push table of ``f`` replaced by ``table``."""
     f = form.base.ids[f]
-    form.push_maps[f] = MonotoneMap(form.fibres[form.base.source[f]], form.fibres[form.base.target[f]], table)
+    form.push[f] = table
     return form
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formkit.lattice import FiniteLattice, MonotoneMap, bits, cached_fact, lower_adjoint, upper_adjoint
-from oracles import galois_check
+from formkit.lattice import FiniteLattice, bits, cached_fact, check_table, lower_adjoint, monotone_violation, upper_adjoint
+from oracles import galois_check, is_monotone, preserves_joins, preserves_meets
 
 
 def diamond():
@@ -56,9 +56,6 @@ def test_meet_join_empty_and_singleton():
     assert lat.join(()) == lat.bottom == 0
     assert lat.meet((1,)) == 1
     assert lat.join((1,)) == 1
-    assert lat.bound("meet", ()) == 2
-    with pytest.raises(ValueError):
-        lat.bound("sup", (0,))
 
 
 def test_bounds_on_a_non_lattice_raise():
@@ -138,96 +135,93 @@ def test_broken_transitivity_reported():
 
 def test_monotone_identity_and_constant():
     lat = FiniteLattice.chain(3)
-    assert MonotoneMap.identity(lat).is_monotone()
-    const = MonotoneMap(lat, lat, [0, 0, 0])
-    assert const.is_monotone()
-    bad = MonotoneMap(lat, lat, [1, 0, 2])
-    assert bad.monotone_violation() == (0, 1)
+    assert is_monotone((0, 1, 2), lat, lat)
+    assert is_monotone((0, 0, 0), lat, lat)
+    assert monotone_violation((1, 0, 2), lat, lat) == (0, 1)
 
 
 def test_monotone_map_validation():
     lat = FiniteLattice.chain(2)
-    with pytest.raises(ValueError):
-        MonotoneMap(lat, lat, [0])
+    with pytest.raises(ValueError, match="^table length must match source size$"):
+        check_table((0,), lat, lat)
     # the error names the first value out of range, at either end
     three = FiniteLattice.chain(3)
-    with pytest.raises(IndexError, match="table value 5 out of range"):
-        MonotoneMap(three, lat, [0, 5, -1])
+    with pytest.raises(IndexError, match="^table value 5 out of range for target of size 2$"):
+        check_table((0, 5, -1), three, lat)
     with pytest.raises(IndexError, match="table value 2 out of range"):
-        MonotoneMap(three, lat, [0, 2, 1])
+        check_table((0, 2, 1), three, lat)
     with pytest.raises(IndexError, match="table value -1 out of range"):
-        MonotoneMap(three, lat, [1, -1, 0])
+        check_table((1, -1, 0), three, lat)
+    check_table((0, 1, 1), three, lat)
 
 
 def test_galois_identity_pair_valid():
     lat = diamond()
-    assert galois_check(MonotoneMap.identity(lat), MonotoneMap.identity(lat)).ok
+    same = tuple(range(lat.size))
+    assert galois_check(same, same, lat, lat).ok
 
 
 def test_galois_invalid_pair_has_witness():
     lat = FiniteLattice.chain(2)
-    left = MonotoneMap(lat, lat, [1, 1])  # constant to top
-    right = MonotoneMap.identity(lat)
-    rep = galois_check(left, right)
+    rep = galois_check((1, 1), (0, 1), lat, lat)  # constant to top, and the identity
     assert not rep.ok
     assert (0, 0) in {v.witness for v in rep.violations}
 
 
 def test_galois_wiring_mismatch_rejected():
+    # the identities of a two- and a three-element chain, as a pair on the two-element chain
+    two = FiniteLattice.chain(2)
     with pytest.raises(ValueError):
-        galois_check(
-            MonotoneMap.identity(FiniteLattice.chain(2)),
-            MonotoneMap.identity(FiniteLattice.chain(3)),
-        )
+        galois_check((0, 1), (0, 1, 2), two, two)
 
 
 def test_derived_adjoint_is_valid_and_preserves_bounds():
     src = FiniteLattice.chain(4)
     tgt = pentagon()
     # join-preserving: determined by images of the chain's join-irreducibles
-    left = MonotoneMap(src, tgt, [0, 2, 3, 4])
-    right = upper_adjoint(left)
-    assert galois_check(left, right).ok
-    assert left.preserves_joins()
-    assert right.preserves_meets()
+    left = (0, 2, 3, 4)
+    right = upper_adjoint(left, src, tgt)
+    assert galois_check(left, right, src, tgt).ok
+    assert preserves_joins(left, src, tgt)
+    assert preserves_meets(right, tgt, src)
 
 
 def test_derived_lower_adjoint_is_valid():
     src = FiniteLattice.chain(4)
     tgt = pentagon()
-    right = upper_adjoint(MonotoneMap(src, tgt, [0, 2, 3, 4]))
-    left = lower_adjoint(right)
-    assert galois_check(left, right).ok
-    assert left.table == (0, 2, 3, 4)
+    right = upper_adjoint((0, 2, 3, 4), src, tgt)
+    left = lower_adjoint(right, tgt, src)
+    assert galois_check(left, right, src, tgt).ok
+    assert left == (0, 2, 3, 4)
 
 
 def test_lower_adjoint_of_a_map_keeping_no_meets_raises():
     # monotone on M3, every atom to the top: the atoms 1 and 2 meet to the
     # bottom but their images meet to the top, and the B with 1 <= right(B)
     # are 1, 2, 3 and 4, no element's up-set
-    right = MonotoneMap(diamond(), diamond(), [0, 4, 4, 4, 4])
-    assert right.is_monotone() and not right.preserves_meets()
+    m3, right = diamond(), (0, 4, 4, 4, 4)
+    assert is_monotone(right, m3, m3) and not preserves_meets(right, m3, m3)
     with pytest.raises(ValueError, match="element 1 <= right"):
-        lower_adjoint(right)
+        lower_adjoint(right, m3, m3)
 
 
 def test_preserving_bounds_fails_on_the_empty_bound_alone():
     # on chains every monotone map keeps binary meets and joins
     two, three = FiniteLattice.chain(2), FiniteLattice.chain(3)
-    raised = MonotoneMap(two, three, [1, 2])  # misses the bottom
-    assert not raised.preserves_joins() and raised.preserves_meets()
-    lowered = MonotoneMap(two, three, [0, 1])  # misses the top
-    assert not lowered.preserves_meets() and lowered.preserves_joins()
+    raised = (1, 2)  # misses the bottom
+    assert not preserves_joins(raised, two, three) and preserves_meets(raised, two, three)
+    lowered = (0, 1)  # misses the top
+    assert not preserves_meets(lowered, two, three) and preserves_joins(lowered, two, three)
 
 
 def test_preserving_bounds_fails_on_a_binary_bound_alone():
     # M3 onto the chain 0 < 1 < 2, every atom to 1: bottom and top are
     # kept, but two atoms join to the top (sent to 2) and meet to the
     # bottom (sent to 0), while their images join and meet to 1
-    squash = MonotoneMap(diamond(), FiniteLattice.chain(3), [0, 1, 1, 1, 2])
-    assert squash.is_monotone()
-    assert not squash.preserves_joins()
-    assert not squash.preserves_meets()
+    m3, three, squash = diamond(), FiniteLattice.chain(3), (0, 1, 1, 1, 2)
+    assert is_monotone(squash, m3, three)
+    assert not preserves_joins(squash, m3, three)
+    assert not preserves_meets(squash, m3, three)
 
 
 def poset_downset_lattice(below):
@@ -268,11 +262,10 @@ def test_downset_join_preserving_maps_are_left_adjoints(below_src, below_tgt, rn
         for j in bits(m):
             out |= point_img[j]
         table.append(tgt_idx[out])
-    left = MonotoneMap(src, tgt, table)
-    assert left.preserves_joins()
-    right = upper_adjoint(left)
-    assert galois_check(left, right).ok
-    assert right.preserves_meets()
+    assert preserves_joins(table, src, tgt)
+    right = upper_adjoint(table, src, tgt)
+    assert galois_check(table, right, src, tgt).ok
+    assert preserves_meets(right, tgt, src)
 
 
 def test_cached_fact_is_computed_once_per_instance():

@@ -4,7 +4,7 @@ they replace.
 `CategoryPresentation.verify` tests associativity with a generator in the
 middle, `FormInstance.verify_laws` tests functoriality at generators and
 skips the Galois sweep where monotonicity, unit and counit hold, and
-`MonotoneMap.monotone_violation` tests cover pairs only. Each falls back to
+`formkit.lattice.monotone_violation` tests cover pairs only. Each falls back to
 its dense sweep on failure, so the violations must always be those of
 `verify_dense`, `verify_laws_dense` (in `oracles`) and
 `monotone_violation_dense`.
@@ -31,7 +31,17 @@ from itertools import combinations
 from formkit.checks import CheckContext
 from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, normal_interval_order, standard_corpus
-from formkit.lattice import TABLE_BITS, FiniteLattice, MonotoneMap, _bits_of_large, bits, lower_adjoint, upper_adjoint
+from formkit.lattice import (
+    TABLE_BITS,
+    FiniteLattice,
+    _bits_of_large,
+    bits,
+    lower_adjoint,
+    monotone_violation,
+    monotone_violation_dense,
+    preimages,
+    upper_adjoint,
+)
 from formkit.morphisms import final_violation, push_preserves_order, strict_violation, transfer_laws_check
 from formkit.partitions import build_quot_form
 from formkit.report import Report
@@ -84,19 +94,15 @@ def with_compose(form: FormInstance, pair: tuple[str, str], h: str) -> FormInsta
     compose = dict(base.compose_table)
     compose[pair] = h
     changed = CategoryPresentation(base.objects, base.homs, compose, base.identities)
-    return FormInstance(changed, form.fibres, form.push_maps, form.pull_maps)
+    return FormInstance(changed, form.fibres, form.push, form.pull)
 
 
 def with_table(form: FormInstance, direction: str, f: int, index: int, value: int) -> FormInstance:
-    maps = form.push_maps if direction == "push" else form.pull_maps
-    old = maps[f]
-    table = list(old.table)
+    tables = {"push": list(form.push), "pull": list(form.pull)}
+    table = list(tables[direction][f])
     table[index] = value
-    changed = list(maps)
-    changed[f] = MonotoneMap(old.source, old.target, table)
-    if direction == "push":
-        return FormInstance(form.base, form.fibres, changed, form.pull_maps)
-    return FormInstance(form.base, form.fibres, form.push_maps, changed)
+    tables[direction][f] = table
+    return FormInstance(form.base, form.fibres, tables["push"], tables["pull"])
 
 
 def corrupt(form: FormInstance, rng: random.Random):
@@ -113,11 +119,13 @@ def corrupt(form: FormInstance, rng: random.Random):
         others = [h for h in hom(base, base.dom[f], base.cod[g]) if h != compose(base, g, f)]
         return with_compose(form, (g, f), rng.choice(others))
     f = rng.choice(range(len(base.names)))
-    m = (form.push_maps if kind == "push" else form.pull_maps)[f]
-    if m.target.size < 2:
+    table = (form.push if kind == "push" else form.pull)[f]
+    x, y = base.source[f], base.target[f]
+    target = form.fibres[y if kind == "push" else x].size
+    if target < 2:
         return None
-    index = rng.randrange(m.source.size)
-    value = rng.choice([v for v in range(m.target.size) if v != m.table[index]])
+    index = rng.randrange(len(table))
+    value = rng.choice([v for v in range(target) if v != table[index]])
     return with_table(form, kind, f, index, value)
 
 
@@ -221,7 +229,7 @@ def test_monotone_violation_matches_dense_scan_on_topology_lattice():
     assert lat.size == 29
     rng = random.Random(SEED)
     form = build_top_form([3]).form
-    monotone = [m.table for m in form.push_maps]
+    monotone = form.push
     outcomes = set()
     for trial in range(600):
         if trial % 3 == 0:
@@ -230,9 +238,8 @@ def test_monotone_violation_matches_dense_scan_on_topology_lattice():
             table = list(rng.choice(monotone))
             if trial % 3 == 2:
                 table[rng.randrange(lat.size)] = rng.randrange(lat.size)
-        m = MonotoneMap(lat, lat, table)
-        got = m.monotone_violation()
-        assert got == m.monotone_violation_dense()
+        got = monotone_violation(table, lat, lat)
+        assert got == monotone_violation_dense(table, lat, lat)
         outcomes.add(got is None)
     assert outcomes == {True, False}
 
@@ -249,9 +256,9 @@ def test_monotone_violation_falls_back_on_a_non_order():
     # every cover, yet it is not monotone into this relation
     rel = FiniteLattice.from_up_masks([0b011, 0b110, 0b100])
     assert not rel.is_partial_order()
-    m = MonotoneMap(FiniteLattice.chain(3), rel, [0, 1, 2])
-    assert m._preserves_covers()
-    assert m.monotone_violation() == m.monotone_violation_dense() == (0, 2)
+    chain = FiniteLattice.chain(3)
+    assert all((rel.up[a] >> b) & 1 for a, above in enumerate(chain.covers()) for b in above)
+    assert monotone_violation((0, 1, 2), chain, rel) == monotone_violation_dense((0, 1, 2), chain, rel) == (0, 2)
 
 
 # -- the order/operator battery ---------------------------------------------------
@@ -412,11 +419,11 @@ def test_preimage_masks_match_table_scan():
         source, target = FiniteLattice.chain(n), FiniteLattice.chain(m)
         image = rng.sample(range(m), rng.randint(1, m))
         table = [rng.choice(image) for _ in range(n)]
-        fn = MonotoneMap(source, target, table)
         masks = [rng.randrange(1 << m) for _ in range(5)]
-        assert fn.preimages(masks) == [sum(1 << a for a in range(n) if (mask >> table[a]) & 1) for mask in masks]
-        assert fn.preimages(()) == []
-        assert sorted(vars(fn)) == ["source", "table", "target"]  # nothing kept between batches
+        assert preimages(table, target, masks) == [
+            sum(1 << a for a in range(n) if (mask >> table[a]) & 1) for mask in masks
+        ]
+        assert preimages(table, target, ()) == []
 
 
 def test_morphism_kind_names_the_first_inverse_in_hom_order():
@@ -430,7 +437,7 @@ def test_morphism_kind_names_the_first_inverse_in_hom_order():
         compose.update({(g, "idY"): g, ("idX", g): g, (g, "f"): "idX", ("f", g): "idY"})
     base = CategoryPresentation(objects, homs, compose, {"X": "idX", "Y": "idY"})
     point = FiniteLattice.chain(1)
-    same = [MonotoneMap.identity(point) for _ in base.names]
+    same = [(0,)] * len(base.names)
     form = FormInstance(base, [point, point], same, same)
     for m in range(len(base.names)):
         assert base.kinds[m] == morphism_kind_dense(form.base, m)
@@ -614,7 +621,7 @@ def test_classify_order_scans_fibres_that_are_not_lattices():
     fib = FiniteLattice.from_up_masks(up)
     assert fib.is_partial_order() and not fib.is_lattice()
     base = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
-    same = MonotoneMap.identity(fib)
+    same = tuple(range(fib.size))
     form = FormInstance(base, [fib], [same], [same])
     order = leq_order(form)
     assert verify_order(form, order, pulled_table(form, order)).ok
@@ -630,7 +637,7 @@ def test_subset_scan_on_a_fibre_that_is_not_a_lattice(monkeypatch):
 
     fib = FiniteLattice.from_up_masks([0b111111, 0b111010, 0b111100, 0b101000, 0b110000, 0b100000])
     base = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
-    same = MonotoneMap.identity(fib)
+    same = tuple(range(fib.size))
     form = FormInstance(base, [fib], [same], [same])
     joins_missing = TopogenousOrder([(0b011111, 0b000100, 0b000100, 0, 0, 0)])
     empty = TopogenousOrder([(0,) * 6])
@@ -658,22 +665,20 @@ def test_derived_operators_match_scans():
 
 
 def test_from_left_adjoint_matches_leq_comprehension():
-    def comprehension(left):
-        src, tgt = left.source, left.target
-        return tuple(
-            src.join([a for a in range(src.size) if tgt.leq(left.table[a], b)]) for b in range(tgt.size)
-        )
+    def comprehension(left, src, tgt):
+        return tuple(src.join([a for a in range(src.size) if tgt.leq(left[a], b)]) for b in range(tgt.size))
 
     forms = [random_form(case_rng(SEED, i)) for i in range(200)]
     forms.append(build_top_form([1, 2]).form)
     forms.append(build_grp_form(standard_corpus(4)).form)
     derived = 0
     for form in forms:
-        for f in range(len(form.base.names)):
-            right = upper_adjoint(form.push_maps[f])
-            assert right.table == comprehension(form.push_maps[f]), f
+        for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
+            args = form.push[f], form.fibres[x], form.fibres[y]
+            right = upper_adjoint(*args)
+            assert right == comprehension(*args), f
             # the generator takes identities and composites without deriving
-            assert right.table == form.pull_maps[f].table, f
+            assert right == form.pull[f], f
             derived += 1
     assert derived > 500
 
@@ -683,8 +688,8 @@ def test_from_right_adjoint_matches_the_built_push(top123, quot1234, grp8):
     # derivation, tested against their one-entry oracles in their own files
     derived = 0
     for form in (top123.form, quot1234.form, grp8.form):
-        for f in range(len(form.base.names)):
-            assert lower_adjoint(form.pull_maps[f]).table == form.push_maps[f].table, f
+        for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
+            assert lower_adjoint(form.pull[f], form.fibres[y], form.fibres[x]) == form.push[f], f
             derived += 1
     assert derived > 1000
 
@@ -693,8 +698,8 @@ def test_from_right_adjoint_inverts_from_left_adjoint():
     forms = [random_form(case_rng(SEED, i)) for i in range(200)]
     derived = 0
     for form in forms:
-        for f in range(len(form.base.names)):
-            left = form.push_maps[f]
-            assert lower_adjoint(upper_adjoint(left)).table == left.table, f
+        for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
+            fx, fy = form.fibres[x], form.fibres[y]
+            assert lower_adjoint(upper_adjoint(form.push[f], fx, fy), fy, fx) == form.push[f], f
             derived += 1
     assert derived > 500

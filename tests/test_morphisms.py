@@ -7,7 +7,7 @@ from itertools import permutations
 from formkit.checks import CheckContext
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.groups import build_grp_form, cyclic, normal_interval_order, symmetric3
-from formkit.lattice import FiniteLattice, MonotoneMap, upper_adjoint
+from formkit.lattice import FiniteLattice, upper_adjoint
 from formkit.morphisms import (
     DISPUTED_CHECKS,
     PAIR_CLAUSES,
@@ -119,7 +119,7 @@ def test_b_finality_counterexample_pinned(top12):
     assert witness is not None
     b_idx, b2_idx = witness
     one, two = (form.base.objects.index(x) for x in ("1pt", "2pt"))
-    assert order.has(one, form.pull_maps[f](b_idx), form.pull_maps[f](b2_idx))
+    assert order.has(one, form.pull[f][b_idx], form.pull[f][b2_idx])
     assert not order.has(two, b_idx, b2_idx)
 
 
@@ -144,13 +144,9 @@ def test_final_thick_hypothesis_respected():
         {("idX", "idX"): "idX", ("idY", "idY"): "idY", ("f", "idX"): "f", ("idY", "f"): "f"},
         {"X": "idX", "Y": "idY"},
     )
-    push = {
-        "idX": MonotoneMap.identity(x_fib),
-        "idY": MonotoneMap.identity(y_fib),
-        "f": MonotoneMap(x_fib, y_fib, [0]),
-    }
-    pull = {k: upper_adjoint(m) for k, m in push.items()}
-    form = FormInstance(base, [x_fib, y_fib], [push[m] for m in base.names], [pull[m] for m in base.names])
+    push = {"idX": ((0,), x_fib, x_fib), "idY": ((0, 1), y_fib, y_fib), "f": ((0,), x_fib, y_fib)}
+    pull = {k: upper_adjoint(*m) for k, m in push.items()}
+    form = FormInstance(base, [x_fib, y_fib], [push[m][0] for m in base.names], [pull[m] for m in base.names])
     empty = TopogenousOrder([(0,), (0, 0)])
     assert verify_order(form, empty, pulled_table(form, empty)).ok
     # f pulls everything to the singleton and pushes to the bottom: final
@@ -329,15 +325,9 @@ def test_strictness_invariant_under_fibre_relabeling():
     new_push = []
     new_pull = []
     for f, (x, y) in enumerate(zip(form.base.source, form.base.target)):
-        push, pull = form.push_maps[f], form.pull_maps[f]
-        new_push.append(MonotoneMap(
-            new_fibres[x], new_fibres[y],
-            [inv[y][push(perm[x][a])] for a in range(form.fibres[x].size)],
-        ))
-        new_pull.append(MonotoneMap(
-            new_fibres[y], new_fibres[x],
-            [inv[x][pull(perm[y][b])] for b in range(form.fibres[y].size)],
-        ))
+        push, pull = form.push[f], form.pull[f]
+        new_push.append([inv[y][push[perm[x][a]]] for a in range(form.fibres[x].size)])
+        new_pull.append([inv[x][pull[perm[y][b]]] for b in range(form.fibres[y].size)])
     relabeled = FormInstance(form.base, new_fibres, new_push, new_pull)
     assert relabeled.verify_laws().ok
     new_rel = []

@@ -166,10 +166,10 @@ def test_transfer_tables_match_push_and_pull_partition(sizes):
     base = pf.form.base
     for f, name in enumerate(base.names):
         fn, x, y = pf.functions[f], base.source[f], base.target[f]
-        assert pf.form.push_maps[f].table == tuple(
+        assert pf.form.push[f] == tuple(
             pf.index[y][push_partition(fn, p).blocks] for p in pf.partitions[x]
         ), name
-        assert pf.form.pull_maps[f].table == tuple(
+        assert pf.form.pull[f] == tuple(
             pf.index[x][pull_partition(fn, p).blocks] for p in pf.partitions[y]
         ), name
 

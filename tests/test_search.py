@@ -165,8 +165,8 @@ def case_payload(claim, seed, index):
     out = {
         "fibres": [list(fib.up) for fib in form.fibres],
         "maps": [
-            [f, list(push.table), list(pull.table)]
-            for f, push, pull in zip(form.base.names, form.push_maps, form.pull_maps)
+            [f, list(push), list(pull)]
+            for f, push, pull in zip(form.base.names, form.push, form.pull)
         ],
         "orders": [],
     }

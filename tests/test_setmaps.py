@@ -5,7 +5,7 @@ import pytest
 
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.groups import build_grp_form, standard_corpus
-from formkit.lattice import FiniteLattice, MonotoneMap
+from formkit.lattice import FiniteLattice
 from formkit.report import InputError
 from formkit.setmaps import MAX_CARRIER, concrete_category, function_category
 from oracles import morphism_kind_dense
@@ -58,7 +58,7 @@ def test_compose_callable_of_the_wrong_length_is_refused():
 def point_form(base):
     """A form over ``base`` with one-point fibres, to read its kinds."""
     point = FiniteLattice.chain(1)
-    same = [MonotoneMap.identity(point) for _ in base.names]
+    same = [(0,)] * len(base.names)
     return FormInstance(base, [point for _ in base.objects], same, same)
 
 

@@ -8,7 +8,7 @@ import pytest
 from formkit.checks import CHECKS, SKIP_NOTES, CheckContext, run_checks
 from formkit.forms import CategoryPresentation, FormInstance
 from formkit.jsonio import order_from_dict
-from formkit.lattice import FiniteLattice, MonotoneMap, upper_adjoint
+from formkit.lattice import FiniteLattice, upper_adjoint
 from formkit.topogenous import (
     Operator,
     TopogenousOrder,
@@ -34,7 +34,7 @@ def single_object_form(lat: FiniteLattice) -> FormInstance:
     base = CategoryPresentation(
         ["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"}
     )
-    ident = MonotoneMap.identity(lat)
+    ident = tuple(range(lat.size))
     return FormInstance(base, [lat], [ident], [ident])
 
 
@@ -49,13 +49,9 @@ def collapse_form() -> FormInstance:
         {("idX", "idX"): "idX", ("idY", "idY"): "idY", ("f", "idX"): "f", ("idY", "f"): "f"},
         {"X": "idX", "Y": "idY"},
     )
-    push = {
-        "idX": MonotoneMap.identity(x_fib),
-        "idY": MonotoneMap.identity(y_fib),
-        "f": MonotoneMap(x_fib, y_fib, [0]),
-    }
-    pull = {name: upper_adjoint(m) for name, m in push.items()}
-    return FormInstance(base, [x_fib, y_fib], [push[m] for m in base.names], [pull[m] for m in base.names])
+    push = {"idX": ((0,), x_fib, x_fib), "idY": ((0, 1), y_fib, y_fib), "f": ((0,), x_fib, y_fib)}
+    pull = {name: upper_adjoint(*m) for name, m in push.items()}
+    return FormInstance(base, [x_fib, y_fib], [push[m][0] for m in base.names], [pull[m] for m in base.names])
 
 
 def test_leq_order_is_topogenous_everywhere(top123, grp8, quot123):
