@@ -305,17 +305,20 @@ def test_every_check_can_fail(name):
     assert name in {v.check for v in broken.violations}, broken.to_dict()
 
 
-def test_form_refuses_a_table_off_its_fibres():
+REFUSALS = {
+    "push": (ValueError, "table length must match source size"),
+    "pull": (IndexError, r"table value [1-3] out of range for target of size 1"),
+}
+
+
+@pytest.mark.parametrize("direction", REFUSALS)
+def test_form_refuses_a_table_off_its_fibres(direction):
     # the push or pull table of 1pt->2pt:0 replaced by that of 2pt->2pt:0.0,
     # which leaves from or lands on the wrong fibre
     form = build_top_form([1, 2]).form
     f, g = form.base.ids["1pt->2pt:0"], form.base.ids["2pt->2pt:0.0"]
-    refusals = {
-        "push": (ValueError, "table length must match source size"),
-        "pull": (IndexError, r"table value [1-3] out of range for target of size 1"),
-    }
-    for direction, (error, message) in refusals.items():
-        tables = {"push": list(form.push), "pull": list(form.pull)}
-        tables[direction][f] = tables[direction][g]
-        with pytest.raises(error, match=f"^morphism '1pt->2pt:0': {message}$"):
-            FormInstance(form.base, form.fibres, tables["push"], tables["pull"])
+    error, message = REFUSALS[direction]
+    tables = {"push": list(form.push), "pull": list(form.pull)}
+    tables[direction][f] = tables[direction][g]
+    with pytest.raises(error, match=f"^morphism '1pt->2pt:0': {message}$"):
+        FormInstance(form.base, form.fibres, tables["push"], tables["pull"])
