@@ -46,53 +46,28 @@ from .topologies import TopForm, clopen_targets
 WITNESS_SCHEMA = 1
 
 
-class CheckResult:
-    def __init__(
-        self,
-        name: str,
-        status: str,  # pass | fail | reported | skipped
-        checks_run: int = 0,
-        violations: Optional[list[dict]] = None,
-        notes: Optional[list[str]] = None,
-        data: Optional[dict] = None,
-        witness: Optional[dict] = None,
-    ):
-        self.name, self.status, self.checks_run, self.data, self.witness = name, status, checks_run, data, witness
-        self.violations = [] if violations is None else violations
-        self.notes = [] if notes is None else notes
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "status": self.status,
-            "checks_run": self.checks_run,
-            "violations": self.violations,
-            "notes": self.notes,
-        }
-        if self.data is not None:
-            out["data"] = self.data
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
 def check_from_report(
     name: str,
     rep: Report,
     witness: Optional[dict] = None,
     reported_only: bool = False,
     data: Optional[dict] = None,
-) -> CheckResult:
-    status = "pass" if rep.ok else ("reported" if reported_only else "fail")
-    return CheckResult(
-        name=name,
-        status=status,
-        checks_run=rep.checks_run,
-        violations=[v.to_dict() for v in sorted(rep.violations, key=lambda v: (v.check, v.where, str(v.witness)))],
-        notes=list(rep.notes),
-        data=data,
-        witness=witness if not rep.ok else None,
-    )
+) -> dict:
+    """A check's entry in a run report: its name, status (pass, fail or
+    reported), ``checks_run``, violations in a stable order and notes, with
+    ``data`` when given and ``witness`` when given and the check failed."""
+    out = {
+        "name": name,
+        "status": "pass" if rep.ok else ("reported" if reported_only else "fail"),
+        "checks_run": rep.checks_run,
+        "violations": [v.to_dict() for v in sorted(rep.violations, key=lambda v: (v.check, v.where, str(v.witness)))],
+        "notes": list(rep.notes),
+    }
+    if data is not None:
+        out["data"] = data
+    if witness is not None and not rep.ok:
+        out["witness"] = witness
+    return out
 
 
 def make_witness(check: str, recipe: dict) -> dict:
@@ -375,16 +350,16 @@ def battery_selection(selected: Collection[str]) -> tuple[str, ...]:
     return tuple(c.name for c in REGISTRY if c.name in selected or c.selected_by in selected)
 
 
-def _result(check: Check, ctx: CheckContext, recipe: Optional[dict]) -> CheckResult:
+def _result(check: Check, ctx: CheckContext, recipe: Optional[dict]) -> dict:
     if not check.admits(ctx):
-        return CheckResult(check.name, "skipped", notes=[SKIP_NOTES[check.stable]])
+        return dict(check_from_report(check.name, Report(notes=[SKIP_NOTES[check.stable]])), status="skipped")
     rep = check.run(ctx)
     witness = make_witness(check.name, recipe) if recipe is not None and not rep.ok else None
     data = check.data(ctx) if check.data else None
     return check_from_report(check.name, rep, witness, check.reported_only, data)
 
 
-def run_checks(ctx: CheckContext, names: Collection[str], recipe: Optional[dict] = None) -> list[CheckResult]:
+def run_checks(ctx: CheckContext, names: Collection[str], recipe: Optional[dict] = None) -> list[dict]:
     """The named checks that apply to ``ctx``, in registry order; failing
     ones carry a witness of ``recipe`` when one is given.
 

@@ -28,7 +28,6 @@ from .checks import (
     FORM_CHECKS,
     WITNESS_SCHEMA,
     CheckContext,
-    CheckResult,
     battery_selection,
     check_from_report,
     make_witness,
@@ -82,7 +81,7 @@ class RunReport:
         self,
         command: list[str],
         inputs: Optional[dict[str, str]] = None,
-        checks: Optional[list[CheckResult]] = None,
+        checks: Optional[list[dict]] = None,  # check_from_report entries
         payload: dict | FormInstance | None = None,  # a form is written from its tables
     ):
         self.command, self.payload = command, payload
@@ -91,14 +90,14 @@ class RunReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
+        return all(c["status"] != "fail" for c in self.checks)
 
     def to_dict(self) -> dict:
         out = {
             "command": self.command,
             "version": __version__,
             "inputs": dict(sorted(self.inputs.items())),
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": self.checks,
             "ok": self.ok,
         }
         if self.payload is not None:
@@ -110,12 +109,13 @@ class RunReport:
         for path, digest in sorted(self.inputs.items()):
             lines.append(f"input {path} {digest}")
         for c in self.checks:
-            lines.append(f"[{c.status.upper():8s}] {c.name} ({c.checks_run} checks)")
-            for v in c.violations[:5]:
+            lines.append(f"[{c['status'].upper():8s}] {c['name']} ({c['checks_run']} checks)")
+            violations = c["violations"]
+            for v in violations[:5]:
                 lines.append(f"    witness: {v}")
-            if len(c.violations) > 5:
-                lines.append(f"    ... {len(c.violations) - 5} more")
-            for n in c.notes:
+            if len(violations) > 5:
+                lines.append(f"    ... {len(violations) - 5} more")
+            for n in c["notes"]:
                 lines.append(f"    note: {n}")
         lines.append("OK" if self.ok else "FAIL")
         return "\n".join(lines)
@@ -312,11 +312,11 @@ def run_and_witness(checks: tuple[str, ...]):
 
     def action(report: RunReport, checked: CheckContext, flags: Namespace) -> RunReport:
         results = run_checks(checked, checks)
-        flagged = [r for r in results if r.violations]
+        flagged = [r for r in results if r["violations"]]
         if flagged:
             recipe = inline_recipe(checked)
             for r in flagged:
-                r.witness = make_witness(r.name, recipe)
+                r["witness"] = make_witness(r["name"], recipe)
         report.checks.extend(results)
         return report
 
@@ -471,7 +471,7 @@ def replay_cmd(flags: Namespace) -> RunReport:
         # Replayed order checks carry their witness again; form and
         # operator checks do not.
         for result in run_checks(checked, (check,), recipe if needs == "order" else None):
-            result.name = f"replay:{result.name}"
+            result["name"] = f"replay:{result['name']}"
             report.checks.append(result)
     return report
 

@@ -12,8 +12,9 @@ from .report import InputError, Report, Violation
 
 
 class CorruptFormError(InputError):
-    """Raised when the two equivalent transfer tests disagree, which can
-    only happen if the push/pull tables are inconsistent."""
+    """Raised by :func:`formkit.topogenous.verify_closure` where the two
+    equivalent transfer tests, push(a) <= b and a <= pull(b), disagree for
+    a morphism: its push and pull tables are no adjoint pair."""
 
 
 class IdentityError(ValueError):
@@ -408,21 +409,6 @@ class FormInstance:
         self.push, self.pull = list(map(tuple, push)), list(map(tuple, pull))
         check_tables(base, self.fibres, self.push, self.pull)
 
-    def leq_over(self, f: int, a: int, b: int) -> bool:
-        """The transfer order between fibres: push(f, a) <= b, equivalently
-        a <= pull(f, b). Both are evaluated and must agree."""
-        base = self.base
-        fx, fy = self.fibres[base.source[f]], self.fibres[base.target[f]]
-        fx._check(a)
-        via_push = fy.leq(self.push[f][a], b)
-        via_pull = fx.leq(a, self.pull[f][b])
-        if via_push != via_pull:
-            raise CorruptFormError(
-                f"transfer tests disagree for morphism {base.names[f]!r} at ({a}, {b}); "
-                "push/pull tables are not an adjoint pair"
-            )
-        return via_push
-
     def is_thick(self, f: int) -> bool:
         """push sends the fibre top to the fibre top."""
         top_src = self.fibres[self.base.source[f]].top
@@ -436,8 +422,9 @@ class FormInstance:
         every a and push(pull b) <= b for every b. On partial orders this
         is equivalent to push(a) <= b iff a <= pull(b) for all a and b (a
         Galois connection; Davey & Priestley, *Introduction to Lattices and
-        Order*, 2nd ed., ch. 7), so :meth:`leq_over` cannot raise for
-        ``f``. Costs O(covers + |fibres|) per morphism, once per form,
+        Order*, 2nd ed., ch. 7), so the two transfer tests of ``f`` agree
+        and :func:`formkit.topogenous.verify_closure` need not walk them.
+        Costs O(covers + |fibres|) per morphism, once per form,
         shared with :meth:`verify_laws`."""
         return self._laws[f][-1]
 

@@ -75,16 +75,3 @@ class Report:
         self.checks_run += other.checks_run
         self.notes.extend(other.notes)
         return self
-
-    def to_dict(self) -> dict:
-        # Stable ordering so reports are byte-identical across runs.
-        ordered = sorted(
-            self.violations,
-            key=lambda v: (v.check, v.where, tuple(map(str, v.witness)), v.detail),
-        )
-        return {
-            "ok": self.ok,
-            "checks_run": self.checks_run,
-            "violations": [v.to_dict() for v in ordered],
-            "notes": list(self.notes),
-        }

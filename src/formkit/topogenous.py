@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .forms import FormInstance
+from .forms import CorruptFormError, FormInstance
 from .lattice import FiniteLattice, bits, columns, low_bit, monotone_violation, preimages
 from .report import Record, Report
 
@@ -327,22 +327,24 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
     """Extensivity plus transfer-compatibility in its four equivalent
     phrasings, with a cross-check that all four verdicts coincide.
 
-    When every morphism's push and pull are certified an adjoint pair
-    (:meth:`FormInstance.is_adjoint`), :meth:`FormInstance.leq_over` cannot
-    raise and equals ``push(a) <= b``, and each phrasing is one mask test
-    per element. Per object, ``above[e] = {b : e <= c(b)}`` and
-    ``below[e] = {a : c(a) <= e}`` are preimages of ``up[e]`` and
-    ``down[e]`` under the closure table. For f: x -> y, the C2 violations
-    at a are the bits of ``up_y[push a] & ~above_y[push c_x(a)]``, in
-    (a, b) order; the push phrasing is that same test; the pull phrasing
-    fails at b when ``down_x[pull b] & ~below_x[pull c_y(b)]`` is not
-    empty; the split phrasing tests push c_x(a) <= c_y(push a) per a and
-    monotonicity of c on covers. When a morphism is not certified, the
-    pair sweep of :func:`verify_closure_dense` runs instead, so a
-    disagreement of the transfer tables raises the same
-    :class:`CorruptFormError` there."""
-    if not all(map(form.is_adjoint, range(len(form.push)))):
-        return verify_closure_dense(form, clo)
+    A morphism whose push and pull are not certified an adjoint pair
+    (:meth:`FormInstance.is_adjoint`) first has its transfer tests walked
+    (:func:`_refuse_disagreement`); on partial-order fibres it always has
+    a pair where they disagree. Past the walk, push(a) <= b iff
+    a <= pull(b), and each phrasing is one mask test per element, with the
+    verdicts and counts of a sweep of every fibre pair (its oracle in
+    ``tests/oracles.py``), on preorder fibres too. Per object,
+    ``above[e] = {b : e <= c(b)}`` and ``below[e] = {a : c(a) <= e}`` are
+    preimages of ``up[e]`` and ``down[e]`` under the closure table. For
+    f: x -> y, the C2 violations at a are the bits of
+    ``up_y[push a] & ~above_y[push c_x(a)]``, in (a, b) order; the push
+    phrasing is that same test; the pull phrasing fails at b when
+    ``down_x[pull b] & ~below_x[pull c_y(b)]`` is not empty; the split
+    phrasing tests push c_x(a) <= c_y(push a) per a and monotonicity of c
+    on covers."""
+    for f in range(len(form.push)):
+        if not form.is_adjoint(f):
+            _refuse_disagreement(form, clo, f)
     rep = Report()
     base = form.base
     above, below = [], []
@@ -368,7 +370,7 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
             v_pull = False
         if v_split and not all((fy.up[push[cx[a]]] >> cy[push[a]]) & 1 for a in range(fx.size)):
             v_split = False
-    # leq_over is the push test here, so the push phrasing is the main one
+    # the transfer tests agree here, so the push phrasing is the main one
     v_push = v_main
     if v_split and any(monotone_violation(t, fib, fib) for fib, t in zip(form.fibres, clo.maps)):
         v_split = False
@@ -382,49 +384,28 @@ def verify_closure(form: FormInstance, clo: Operator) -> Report:
     return rep
 
 
-def verify_closure_dense(form: FormInstance, clo: Operator) -> Report:
-    """The same checks as a sweep over every fibre pair (a, b) of every
-    morphism, through :meth:`FormInstance.leq_over`: the fallback that
-    raises on inconsistent transfer tables, and the oracle of the mask
-    tests."""
-    rep = Report()
+def _refuse_disagreement(form: FormInstance, clo: Operator, f: int) -> None:
+    """Raise :class:`CorruptFormError` at the first transfer test of f where
+    push(a) <= b and a <= pull(b) disagree, in the order of C2's pair
+    sweep: (a, b), then (c(a), c(b)) wherever push(a) <= b."""
     base = form.base
-    for x, fib, t in zip(base.objects, form.fibres, clo.maps):
-        for a in range(fib.size):
-            rep.count("C1")
-            if not fib.leq(a, t[a]):
-                rep.add("C1", where=x, witness=(a,))
-    v_main = v_push = v_pull = v_split = True
-    for f, (x, y) in enumerate(zip(base.source, base.target)):
-        fx, fy = form.fibres[x], form.fibres[y]
-        cx, cy = clo.maps[x], clo.maps[y]
-        push, pull = form.push[f], form.pull[f]
-        for a in range(fx.size):
-            for b in range(fy.size):
-                rep.count("C2")
-                if form.leq_over(f, a, b) and not form.leq_over(f, cx[a], cy[b]):
-                    rep.add("C2", where=base.names[f], witness=(a, b))
-                    v_main = False
-                if fy.leq(push[a], b) and not fy.leq(push[cx[a]], cy[b]):
-                    v_push = False
-                if fx.leq(a, pull[b]) and not fx.leq(cx[a], pull[cy[b]]):
-                    v_pull = False
-        for a in range(fx.size):
-            if not fy.leq(push[cx[a]], cy[push[a]]):
-                v_split = False
-    for fib, t in zip(form.fibres, clo.maps):
-        for a in range(fib.size):
-            for b in bits(fib.up[a]):
-                if not fib.leq(t[a], t[b]):
-                    v_split = False
-    rep.count("C2-form-agreement")
-    if not (v_main == v_push == v_pull == v_split):
-        rep.add(
-            "C2-form-agreement",
-            witness=(v_main, v_push, v_pull, v_split),
-            detail="equivalent phrasings of transfer-compatibility disagree",
-        )
-    return rep
+    x, y = base.source[f], base.target[f]
+    up_x, up_y = form.fibres[x].up, form.fibres[y].up
+    push, pull, cx, cy = form.push[f], form.pull[f], clo.maps[x], clo.maps[y]
+
+    def transfer_leq(a: int, b: int) -> int:
+        via_push = (up_y[push[a]] >> b) & 1
+        if via_push != (up_x[a] >> pull[b]) & 1:
+            raise CorruptFormError(
+                f"transfer tests disagree for morphism {base.names[f]!r} at ({a}, {b}); "
+                "push/pull tables are not an adjoint pair"
+            )
+        return via_push
+
+    for a in range(len(up_x)):
+        for b in range(len(up_y)):
+            if transfer_leq(a, b):
+                transfer_leq(cx[a], cy[b])
 
 
 def verify_interior(form: FormInstance, intr: Operator) -> Report:

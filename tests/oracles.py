@@ -9,7 +9,8 @@ and ``_totality_faults``, the form's ``_dense_functoriality`` and
 ``formkit.lattice.monotone_violation_dense``), and never the fast helpers
 it checks. The predicates on map tables that only tests ask
 (:func:`is_monotone`, :func:`preserves_joins`, :func:`preserves_meets`)
-live here too.
+and :func:`report_dict`, the form in which tests compare reports, live
+here too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Optional
 
-from formkit.forms import CategoryPresentation, FormInstance, MorphismKind
+from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance, MorphismKind
 from formkit.groups import FiniteGroup, GroupHom
 from formkit.lattice import FiniteLattice, bits, monotone_violation, monotone_violation_dense
 from formkit.morphisms import _kind_clauses, _reflection_flags
@@ -26,6 +27,21 @@ from formkit.report import Report
 from formkit.setmaps import SetFunction
 from formkit.topogenous import Operator, TopogenousOrder
 from formkit.topologies import FiniteTopology
+
+# -- reports ------------------------------------------------------------------------
+
+
+def report_dict(rep: Report) -> dict:
+    """A report in comparable form: ok, checks_run, the violations as
+    dicts in a stable order, and the notes."""
+    ordered = sorted(rep.violations, key=lambda v: (v.check, v.where, tuple(map(str, v.witness)), v.detail))
+    return {
+        "ok": rep.ok,
+        "checks_run": rep.checks_run,
+        "violations": [v.to_dict() for v in ordered],
+        "notes": list(rep.notes),
+    }
+
 
 # -- Galois connections ------------------------------------------------------------
 
@@ -261,6 +277,67 @@ def check_T3_pull_form_dense(form: FormInstance, order: TopogenousOrder) -> Repo
         rep.count("pull-form-agrees-T3")
         if pull_ok != t3_ok:
             rep.add("pull-form-agrees-T3", where=names[f], witness=(pull_ok, t3_ok))
+    return rep
+
+
+def leq_over(form: FormInstance, f: int, a: int, b: int) -> bool:
+    """The transfer order between the fibres of f: push(f, a) <= b,
+    equivalently a <= pull(f, b). Both are evaluated and must agree;
+    IndexError when a is outside the domain fibre."""
+    base = form.base
+    fx, fy = form.fibres[base.source[f]], form.fibres[base.target[f]]
+    fx._check(a)
+    via_push = fy.leq(form.push[f][a], b)
+    via_pull = fx.leq(a, form.pull[f][b])
+    if via_push != via_pull:
+        raise CorruptFormError(
+            f"transfer tests disagree for morphism {base.names[f]!r} at ({a}, {b}); "
+            "push/pull tables are not an adjoint pair"
+        )
+    return via_push
+
+
+def verify_closure_dense(form: FormInstance, clo: Operator) -> Report:
+    """The checks of :func:`formkit.topogenous.verify_closure` as a sweep
+    over every fibre pair (a, b) of every morphism, through
+    :func:`leq_over`, which raises on inconsistent transfer tables."""
+    rep = Report()
+    base = form.base
+    for x, fib, t in zip(base.objects, form.fibres, clo.maps):
+        for a in range(fib.size):
+            rep.count("C1")
+            if not fib.leq(a, t[a]):
+                rep.add("C1", where=x, witness=(a,))
+    v_main = v_push = v_pull = v_split = True
+    for f, (x, y) in enumerate(zip(base.source, base.target)):
+        fx, fy = form.fibres[x], form.fibres[y]
+        cx, cy = clo.maps[x], clo.maps[y]
+        push, pull = form.push[f], form.pull[f]
+        for a in range(fx.size):
+            for b in range(fy.size):
+                rep.count("C2")
+                if leq_over(form, f, a, b) and not leq_over(form, f, cx[a], cy[b]):
+                    rep.add("C2", where=base.names[f], witness=(a, b))
+                    v_main = False
+                if fy.leq(push[a], b) and not fy.leq(push[cx[a]], cy[b]):
+                    v_push = False
+                if fx.leq(a, pull[b]) and not fx.leq(cx[a], pull[cy[b]]):
+                    v_pull = False
+        for a in range(fx.size):
+            if not fy.leq(push[cx[a]], cy[push[a]]):
+                v_split = False
+    for fib, t in zip(form.fibres, clo.maps):
+        for a in range(fib.size):
+            for b in bits(fib.up[a]):
+                if not fib.leq(t[a], t[b]):
+                    v_split = False
+    rep.count("C2-form-agreement")
+    if not (v_main == v_push == v_pull == v_split):
+        rep.add(
+            "C2-form-agreement",
+            witness=(v_main, v_push, v_pull, v_split),
+            detail="equivalent phrasings of transfer-compatibility disagree",
+        )
     return rep
 
 

@@ -6,19 +6,27 @@ write a report."""
 
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from formkit import lattice, morphisms
 from formkit.checks import BATTERY, CHECKS, FORM_CHECKS, CheckContext, run_checks
-from formkit.forms import CategoryPresentation, FormInstance
+from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance
 from formkit.groups import build_grp_form, normal_interval_order, standard_corpus
 from formkit.lattice import FiniteLattice
 from formkit.morphisms import cohereditary_operator_check, strict_via_operators
 from formkit.partitions import build_quot_form
-from formkit.topogenous import Operator, TopogenousOrder, leq_order, roundtrip_check, verify_closure
+from formkit.topogenous import (
+    Operator,
+    TopogenousOrder,
+    closure_from_order,
+    leq_order,
+    roundtrip_check,
+    verify_closure,
+)
 from formkit.topologies import build_top_form, theta_order
-from oracles import verify_laws_dense
+from oracles import leq_over, report_dict, verify_closure_dense, verify_laws_dense
 
 
 class Unreadable:
@@ -53,7 +61,7 @@ def test_checks_look_up_no_names(build, order, order_name):
             for table in ("ids", "dom", "cod", "homs", "identities"):
                 setattr(bundle.form.base, table, Unreadable())
         ctx = CheckContext(bundle.form, order(bundle), bundle=bundle, recipe={"order": order_name})
-        reports.append([r.to_dict() for r in run_checks(ctx, FORM_CHECKS + BATTERY)])
+        reports.append(run_checks(ctx, FORM_CHECKS + BATTERY))
     assert len(reports[0]) >= 15  # all but the other instances' propositions
     assert reports[1] == reports[0]
 
@@ -93,7 +101,7 @@ def test_battery_computes_each_fact_once(bundle_name, order_fixture, order_name,
 
     ctx = CheckContext(form, order, bundle=bundle, recipe={"order": order_name})
     results = run_checks(ctx, BATTERY)
-    assert [r.name for r in results if r.status == "skipped"] == []
+    assert [r["name"] for r in results if r["status"] == "skipped"] == []
     for f in range(len(form.base.names)):
         rows = order.rel[form.base.source[f]]
         assert asked[id(form.pull[f]), tuple(rows)] == 1, f
@@ -242,17 +250,27 @@ def form_law(changed):
     return [one_object(CHAIN2).verify_laws(), one_object(CHAIN2, pull=changed).verify_laws()]
 
 
-def arrow() -> FormInstance:
+def arrow(push=(0, 1), pull=(0, 1)) -> FormInstance:
     """X -> Y, both fibres the two-element chain, push and pull of f the
-    identity table."""
+    identity table unless given."""
     base = CategoryPresentation(
         ["X", "Y"],
         {("X", "X"): ["idX"], ("X", "Y"): ["f"], ("Y", "Y"): ["idY"]},
         {("idX", "idX"): "idX", ("f", "idX"): "f", ("idY", "f"): "f", ("idY", "idY"): "idY"},
         {"X": "idX", "Y": "idY"},
     )
-    same = [(0, 1)] * 3
-    return FormInstance(base, [CHAIN2, CHAIN2], same, same)
+    pushes, pulls = [(0, 1)] * 3, [(0, 1)] * 3
+    pushes[base.ids["f"]], pulls[base.ids["f"]] = push, pull
+    return FormInstance(base, [CHAIN2, CHAIN2], pushes, pulls)
+
+
+def on_arrow(check, corrupted_rows):
+    # the registry check on the leq order of X -> Y, where f pushes to the
+    # bottom and pulls to the top (an adjoint pair, though not the
+    # identity), then on the order with X's and Y's rows
+    # ``corrupted_rows``
+    form = arrow(push=(0, 0), pull=(1, 1))
+    return [CHECKS[check].run(CheckContext(form, o)) for o in (leq_order(form), TopogenousOrder(corrupted_rows))]
 
 
 def via_operators(name):
@@ -284,6 +302,17 @@ CAN_FAIL = {
     "final-thick": final_thick,
     "theta-clopen-strict-per-pair": theta_clopen_per_pair,
     "C2-form-agreement": c2_form_agreement,
+    # X's top no longer related to itself: f's pull of any related pair in
+    # Y, (X's top, X's top), is unrelated, and T3 fails with it
+    "pull-form": lambda: on_arrow("t3-pull-agreement", [(0b11, 0), CHAIN2.up]),
+    # X's bottom no longer related to X's top, which breaks T2: T3 fails
+    # at X's bottom, while every pull is X's top, still self-related
+    "pull-form-agrees-T3": lambda: on_arrow("t3-pull-agreement", [(0b01, 0b10), CHAIN2.up]),
+    # Y's bottom related to itself only, which breaks T2: f is no longer
+    # strict (X's bottom is related to pull(Y's top), but push of it, Y's
+    # bottom, is not related to Y's top), while its push, constant at Y's
+    # bottom, still sends related pairs to a related pair
+    "strict-iff-push": lambda: on_arrow("strict-iff-push", [CHAIN2.up, (0b01, 0b10)]),
     "order-closure-order": order_closure_order,
     "order-interior-order": order_interior_order,
     "idempotent-iff-interpolative": idempotent_iff_interpolative,
@@ -302,7 +331,7 @@ CAN_FAIL = {
 def test_every_check_can_fail(name):
     clean, broken = CAN_FAIL[name]()
     assert clean.ok and clean.checks_run > 0
-    assert name in {v.check for v in broken.violations}, broken.to_dict()
+    assert name in {v.check for v in broken.violations}, report_dict(broken)
 
 
 REFUSALS = {
@@ -322,3 +351,53 @@ def test_form_refuses_a_table_off_its_fibres(direction):
     tables[direction][f] = tables[direction][g]
     with pytest.raises(error, match=f"^morphism '1pt->2pt:0': {message}$"):
         FormInstance(form.base, form.fibres, tables["push"], tables["pull"])
+
+
+def test_closure_refuses_at_the_closed_pair_first():
+    # top[1,2] with the pull of 2pt->1pt:0.0 sending the point's topology to
+    # {∅, {0}, 2pt} (element 1) instead of the indiscrete one (3): the two
+    # transfer tests disagree at the 2pt topologies not below element 1, so
+    # (2, 0) is the first disagreeing pair in (a, b) order. The theta
+    # closure sends the discrete topology (0) to the indiscrete one, so the
+    # C2 sweep meets the disagreement earlier, at (c(0), c(0)) = (3, 0)
+    # while at the pair (0, 0)
+    tf = build_top_form([1, 2])
+    form = tf.form
+    f = form.base.ids["2pt->1pt:0.0"]
+    pull = list(form.pull)
+    pull[f] = (1,)
+    broken = FormInstance(form.base, form.fibres, form.push, pull)
+    assert not broken.is_adjoint(f)
+
+    def disagree(a, b):
+        try:
+            leq_over(broken, f, a, b)
+        except CorruptFormError:
+            return True
+        return False
+
+    assert [a for a in range(4) if disagree(a, 0)] == [2, 3]
+    clo = closure_from_order(form, theta_order(tf))
+    message = "transfer tests disagree for morphism '2pt->1pt:0.0' at (3, 0); push/pull tables are not an adjoint pair"
+    for check in (verify_closure, verify_closure_dense):
+        with pytest.raises(CorruptFormError) as raised:
+            check(broken, clo)
+        assert str(raised.value) == message, check.__name__
+
+
+def test_closure_on_a_preorder_fibre_matches_the_pair_sweep():
+    # the form of the closure-order-closure row, whose fibre's two elements
+    # are equivalent, and one whose fibre has them below a third: the
+    # identity's law body certifies nothing, the transfer tests all agree,
+    # and the mask tests run. Every table on the fibre gets the pair
+    # sweep's report, and some fail C1 and C2
+    failed = set()
+    for fib in (PREORDER2, FiniteLattice.from_up_masks([0b111, 0b111, 0b100])):
+        form = one_object(fib)
+        assert not form.is_adjoint(0)
+        for table in product(range(fib.size), repeat=fib.size):
+            clo = Operator("closure", [table])
+            got = report_dict(verify_closure(form, clo))
+            assert got == report_dict(verify_closure_dense(form, clo)), (fib.up, table)
+            failed.update(v["check"] for v in got["violations"])
+    assert failed == {"C1", "C2"}

@@ -10,10 +10,10 @@ its dense sweep on failure, so the violations must always be those of
 `monotone_violation_dense`.
 
 The order and operator battery runs on masks: `verify_closure` under a
-per-morphism adjunction certificate with a fallback to its pair sweep, the
-other kernels exactly. Each must agree with its `*_dense` oracle, raised
-`CorruptFormError` messages included; the oracles other than
-`verify_closure_dense` are in `oracles`.
+per-morphism adjunction certificate, walking the transfer tests of a
+morphism without one until they disagree, the other kernels exactly. Each
+must agree with its `*_dense` oracle in `oracles`, raised
+`CorruptFormError` messages included.
 
 The search runs on mask tables: `FiniteLattice.meet_mask`/`join_mask`
 against the `meet`/`join` scans, `classify_order`'s principal-filter test
@@ -59,7 +59,6 @@ from formkit.topogenous import (
     order_from_interior,
     pulled_table,
     verify_closure,
-    verify_closure_dense,
     verify_interior,
     verify_order,
 )
@@ -74,8 +73,10 @@ from oracles import (
     morphism_kind_dense,
     order_from_interior_dense,
     push_preserves_order_dense,
+    report_dict,
     strict_violation_dense,
     transfer_laws_check_dense,
+    verify_closure_dense,
     verify_dense,
     verify_interior_dense,
     verify_laws_dense,
@@ -86,7 +87,7 @@ SEED = 20230130
 
 
 def violations(rep):
-    return rep.to_dict()["violations"]
+    return report_dict(rep)["violations"]
 
 
 def with_compose(form: FormInstance, pair: tuple[str, str], h: str) -> FormInstance:
@@ -271,7 +272,7 @@ def outcome(fn, *args):
         out = fn(*args)
     except CorruptFormError as exc:
         return ("raises", str(exc))
-    return out.to_dict() if isinstance(out, Report) else out
+    return report_dict(out) if isinstance(out, Report) else out
 
 
 def axioms(form: FormInstance, order: TopogenousOrder) -> Report:
@@ -316,7 +317,7 @@ def with_entry(form: FormInstance, op: Operator, rng: random.Random):
 
 def assert_kernels_agree(form: FormInstance, order: TopogenousOrder, clo: Operator, intr: Operator) -> set[str]:
     """Every kernel equals its dense oracle; returns the names of the
-    checks that failed, plus "raises" when the closure sweep raised."""
+    checks that failed, plus "raises" when verify_closure raised."""
     found = set()
     for kernel, dense, arg in (
         (axioms, verify_order_dense, order),
@@ -366,7 +367,7 @@ def battery_cases(rng: random.Random):
 
 def test_order_kernels_match_dense_oracles_under_corruption():
     rng = random.Random(SEED)
-    tried = fallbacks = 0
+    tried = uncertified = 0
     failed: Counter = Counter()
     for form, order, draws in battery_cases(rng):
         clo, intr = closure_from_order(form, order), interior_from_order(form, order)
@@ -386,8 +387,8 @@ def test_order_kernels_match_dense_oracles_under_corruption():
             found = assert_kernels_agree(*args)
             failed.update(found)
             if not all(args[0].is_adjoint(f) for f in range(len(args[0].base.names))):
-                fallbacks += 1
-                assert "raises" in found  # the closure sweep fell back and raised
+                uncertified += 1
+                assert "raises" in found  # verify_closure refused the transfer tables
     # no draw breaks retraction-final-strict: relating partition 0|0|1 to
     # 0|1|0 in the leq order of quot[2,3] leaves the retractions
     # 3pt->2pt:0.1.0 and 3pt->2pt:1.0.1 final but not strict
@@ -400,9 +401,9 @@ def test_order_kernels_match_dense_oracles_under_corruption():
     order = TopogenousOrder(rel)
     failed.update(assert_kernels_agree(quot23, order, closure_from_order(quot23, leq), interior_from_order(quot23, leq)))
     assert tried >= 400
-    # the certificate sent some corruptions to the pair sweep, and the mask
+    # the certificate sent some corruptions to the refusal walk, and the mask
     # sweeps found violations of every kind on the others
-    assert fallbacks > 0
+    assert uncertified > 0
     for check in ("T1", "T2", "T3", "pull-form", "C1", "C2", "I1", "I2", "I3", "push-unrelated",
                   "retraction-final-strict", "section-strict-final", "iso-strict", "iso-final",
                   "compose-strict", "compose-final", "cancel-strict", "cancel-final",

@@ -28,6 +28,7 @@ from formkit.topogenous import (
     roundtrip_check,
     verify_order,
 )
+from oracles import report_dict
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -175,7 +176,7 @@ def case_payload(claim, seed, index):
         out["orders"].append([
             [list(rows) for rows in order.rel],
             classify_order(form, order).to_dict(),
-            CHECKS[check].run(CheckContext(form, order)).to_dict(),
+            report_dict(CHECKS[check].run(CheckContext(form, order))),
         ])
     return out
 

@@ -4,7 +4,8 @@ Every command starts a new interpreter and pays for this import. It loads
 only the standard library and formkit: the command line is built on
 `argparse`, not on a third-party package. No record in formkit is
 generated code, so `dataclasses` is never loaded, and `hashlib` is loaded
-only by a command that records the digest of an input file. The benchmark's tracer patches modules through ``sys.modules`` right
+only by a command that records the digest of an input file; neither
+`multiprocessing` nor `concurrent` is loaded. The benchmark's tracer patches modules through ``sys.modules`` right
 after this import, so it must load every module the tracer names.
 """
 
@@ -33,6 +34,8 @@ def test_cli_import_loads_every_traced_module_and_no_generator():
     loaded = _loaded_after("import formkit.cli")
     assert "dataclasses" not in loaded
     assert "hashlib" not in loaded
+    # search forks its workers itself: no process or thread pool
+    assert not {"multiprocessing", "concurrent"} & loaded
     assert {module for module, _ in TRACED} <= loaded
 
 

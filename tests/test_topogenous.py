@@ -361,8 +361,9 @@ def test_roundtrip_skips_wrong_class():
     assert not cls.is_TM and not cls.is_TJ
     gated = {name: CHECKS[name].stable for name in ("strict-via-operators", "cohereditary-operator", "roundtrip")}
     results = run_checks(CheckContext(form, empty), gated)
-    assert [(r.name, r.status, r.checks_run, r.notes) for r in results] == [
-        (name, "skipped", 0, [SKIP_NOTES[stable]]) for name, stable in gated.items()
+    assert results == [
+        {"name": name, "status": "skipped", "checks_run": 0, "violations": [], "notes": [SKIP_NOTES[stable]]}
+        for name, stable in gated.items()
     ]
 
 
