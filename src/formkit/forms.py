@@ -8,7 +8,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .lattice import FiniteLattice, cached_fact, check_table, monotone_violation
-from .report import InputError, Report, Violation
+from .report import InputError, Report
 
 
 class CorruptFormError(InputError):
@@ -18,7 +18,8 @@ class CorruptFormError(InputError):
 
 
 class IdentityError(ValueError):
-    """An ``identities`` entry that is not an endomorphism of a declared object."""
+    """An object without an entry in ``identities``, or an entry that is not
+    an endomorphism of a declared object."""
 
 
 class MorphismKind(NamedTuple):
@@ -48,24 +49,25 @@ class CategoryPresentation:
 
     ``source[i]`` and ``target[i]`` are the object numbers of morphism i's
     domain and codomain, and ``identity_of[x]`` is the number of object x's
-    identity (None when it has none); ``by_source[x]`` and ``by_target[x]``
-    list the morphisms out of and into
-    object x in ascending order, ``by_source[x]`` as a ``range`` since each
-    hom-set is numbered consecutively, and ``blocks[x][y]`` is the range of
-    hom(x, y). Composition is held once, in the flat table ``comp`` of n²
-    entries for n morphisms: ``comp[g * n + f]`` is the number of g∘f, and
-    -1 where f and g are not composable or the composite is undefined.
+    identity; ``by_source[x]`` and ``by_target[x]`` list the morphisms out
+    of and into object x in ascending order, ``by_source[x]`` as a
+    ``range`` since each hom-set is numbered consecutively, and
+    ``blocks[x][y]`` is the range of hom(x, y). Composition is total, and
+    held once in the flat table ``comp`` of n² entries for n morphisms:
+    ``comp[g * n + f]`` is the number of g∘f, -1 only where f and g do not
+    compose.
 
-    ``compose`` gives the composites: either a callable ``compose(g, fs)``
-    on morphism numbers, called once per morphism g and nonempty hom-set
-    into its domain, with ``fs`` the range of that hom-set, and returning
-    the numbers of the composites g∘f for f in ``fs`` in order (-1 where
-    undefined), which fill the slice ``comp[g * n + fs.start : g * n +
-    fs.stop]``; or a mapping from name pairs ``(g, f)`` to the composite's
-    name, for tests and hand-built presentations, where a pair left out or a
-    name that is not a morphism is undefined and an entry at a pair that
-    does not compose is ignored. A form document is read into an empty
-    mapping's table by :func:`fill_composites`.
+    Every object needs an identity (else :class:`IdentityError`).
+    ``compose`` gives the composites: a callable ``compose(g, fs)`` on
+    morphism numbers, called once per morphism g and nonempty hom-set
+    ``fs`` (a range) into its domain, returning the numbers of g∘f for f in
+    ``fs``; its producers (:func:`formkit.setmaps.concrete_category` and
+    the search shapes) compose total tables, not walked again. Or a mapping
+    from name pairs ``(g, f)`` to the composite's name, for tests and
+    hand-built presentations: the first composable pair (f outer, g inner)
+    it leaves out or maps outside hom(dom f, cod g) raises ValueError, and
+    pairs that do not compose are ignored. Or None, for the form reader,
+    which fills ``comp`` by :func:`fill_composites`.
 
     ``kinds``, when given, lists each morphism's :class:`MorphismKind` by
     number, for a builder that knows them without composing (see
@@ -76,7 +78,7 @@ class CategoryPresentation:
         self,
         objects: Sequence[str],
         homs: dict[tuple[str, str], Sequence[str]],
-        compose: Callable[[int, range], Sequence[int]] | Mapping[tuple[str, str], str],
+        compose: Callable[[int, range], Sequence[int]] | Mapping[tuple[str, str], str] | None,
         identities: dict[str, str],
         kinds: Optional[Sequence[MorphismKind]] = None,
     ):
@@ -98,13 +100,16 @@ class CategoryPresentation:
                 raise IdentityError(f"{x!r} is not a declared object")
             if self.dom.get(i) != x or self.cod.get(i) != x:
                 raise IdentityError(f"identity of {x!r} must be an endomorphism of {x!r}")
+        for x in self.objects:
+            if x not in self.identities:
+                raise IdentityError(f"object {x!r} has no identity")
         self.names = tuple(m for x in self.objects for y in self.objects for m in self.homs.get((x, y), ()))
         self.ids = {m: i for i, m in enumerate(self.names)}
         n = len(self.names)
         number = {x: k for k, x in enumerate(self.objects)}
         self.source = [number[self.dom[m]] for m in self.names]
         self.target = [number[self.cod[m]] for m in self.names]
-        self.identity_of = [self.ids[self.identities[x]] if x in self.identities else None for x in self.objects]
+        self.identity_of = [self.ids[self.identities[x]] for x in self.objects]
         self.blocks: list[list[range]] = []
         self.by_source: list[range] = []
         start = 0
@@ -131,12 +136,14 @@ class CategoryPresentation:
                             f"compose({g}, {fs}) gave {len(composites)} composites for {len(fs)} morphisms"
                         )
                     comp[row + fs.start : row + fs.stop] = composites
-        else:
-            ids, source, target = self.ids, self.source, self.target
-            for (g_name, f_name), h in compose.items():
-                g, f = ids.get(g_name), ids.get(f_name)
-                if g is not None and f is not None and source[g] == target[f]:
-                    comp[g * n + f] = ids.get(h, -1)
+        elif compose is not None:
+            names, ids, source, target = self.names, self.ids, self.source, self.target
+            for f in range(n):
+                for g in self.by_source[target[f]]:
+                    comp[g * n + f] = i = ids.get(h := compose.get((names[g], names[f])), -1)
+                    if i < 0 or source[i] != source[f] or target[i] != target[g]:
+                        pair = f"{names[g]!r} after {names[f]!r}"
+                        raise ValueError(f"{pair} is undefined" if h is None else f"{h!r} is not a composite of {pair}")
         if kinds is not None:
             if len(kinds) != n:
                 raise ValueError(f"{len(kinds)} kinds for {n} morphisms")
@@ -144,23 +151,23 @@ class CategoryPresentation:
 
     def after(self, f: int) -> Iterable[tuple[int, int]]:
         """(g, g∘f) by number for every g out of the codomain of f, in
-        number order (g∘f -1 where undefined). Walks of the composable
-        pairs read ``comp`` only through here, :meth:`composites` and
-        :meth:`before`, so its layout stays inside this module."""
+        number order. Walks of the composable pairs read ``comp`` only
+        through here, :meth:`composites` and :meth:`before`, so its layout
+        stays inside this module."""
         return enumerate(self.composites(f), self.by_source[self.target[f]].start)
 
     def composites(self, f: int) -> list[int]:
         """g∘f by number for every g out of the codomain of f, in number
-        order, so g∘f is at ``g - by_source[target[f]].start`` (-1 where
-        undefined): one strided slice of :attr:`comp`, since the morphisms
-        out of an object are numbered consecutively."""
+        order, so g∘f is at ``g - by_source[target[f]].start``: one strided
+        slice of :attr:`comp`, since the morphisms out of an object are
+        numbered consecutively."""
         n, gs = len(self.names), self.by_source[self.target[f]]
         return self.comp[gs.start * n + f : gs.stop * n + f : n]
 
     def before(self, g: int) -> list[int]:
         """g∘f by number for every morphism f, indexed by f (-1 where f
-        is not into the domain of g or g∘f is undefined): one contiguous
-        slice of :attr:`comp`, a copy."""
+        is not into the domain of g): one contiguous slice of :attr:`comp`,
+        a copy."""
         n = len(self.names)
         return self.comp[g * n : g * n + n]
 
@@ -197,13 +204,13 @@ class CategoryPresentation:
 
     @property
     def compose_table(self) -> dict[tuple[str, str], str]:
-        """The defined composites by name, ``(g, f) -> g∘f``: a view built
-        from :attr:`comp` on each access, for reports and tests."""
+        """The composites by name, ``(g, f) -> g∘f``: a view built from
+        :attr:`comp` on each access, for reports and tests."""
         names = self.names
-        return {(names[g], names[f]): names[h] for f in range(len(names)) for g, h in self.after(f) if h >= 0}
+        return {(names[g], names[f]): names[h] for f in range(len(names)) for g, h in self.after(f)}
 
     def verify(self) -> Report:
-        """Identity neutrality, closure of composition, associativity.
+        """Identity neutrality and associativity.
 
         Associativity is swept only with a generator in the middle,
         (h∘s)∘f = h∘(s∘f) for s in :attr:`generators`, h and f arbitrary:
@@ -215,24 +222,18 @@ class CategoryPresentation:
         generator triple fails, the dense sweep of every composable triple
         runs and reports its first witness, so violations are those of
         the all-triples sweep (``verify_dense`` in ``tests/oracles.py``);
-        ``checks_run`` counts the triples actually tested. The presentation
-        must not change after construction: the report, and the walk of the
-        composable pairs for closure of composition
-        (:attr:`_totality_faults`), are computed once and shared with
-        :meth:`FormInstance.verify_laws`."""
+        ``checks_run`` counts the triples actually tested, after one
+        "compose-defined" per composable pair: those pairs were checked
+        where the presentation was built or read. The presentation must not
+        change after construction: the report is computed once and shared
+        with :meth:`FormInstance.verify_laws`."""
         rep = self._report
         return Report(list(rep.violations), rep.checks_run, list(rep.notes))
 
     @cached_fact
     def _report(self) -> Report:
         rep = Report()
-        for x, i in zip(self.objects, self.identity_of):
-            if i is None:
-                rep.add("identity-missing", where=x)
         rep.count("compose-defined", sum(len(fs) * len(gs) for fs, gs in zip(self.by_target, self.by_source)))
-        rep.violations.extend(self._totality_faults)
-        if rep.violations:
-            return rep
         names, n, comp, source, target = self.names, len(self.names), self.comp, self.source, self.target
         identity = self.identity_of
         for f in range(n):
@@ -246,23 +247,6 @@ class CategoryPresentation:
         return rep
 
     @cached_fact
-    def _totality_faults(self) -> tuple[Violation, ...]:
-        """The composable pairs, f outer and g inner, whose composite is
-        undefined ("compose-undefined", witness (g, f)) or outside
-        hom(dom f, cod g) ("compose-escapes-hom", witness (g, f, g∘f)):
-        one walk per presentation, read by :meth:`verify` and
-        :meth:`FormInstance.verify_laws`."""
-        names, source, target = self.names, self.source, self.target
-        faults = []
-        for f in range(len(names)):
-            for g, h in self.after(f):
-                if h < 0:
-                    faults.append(Violation("compose-undefined", witness=(names[g], names[f])))
-                elif source[h] != source[f] or target[h] != target[g]:
-                    faults.append(Violation("compose-escapes-hom", witness=(names[g], names[f], names[h])))
-        return tuple(faults)
-
-    @cached_fact
     def generators(self) -> tuple[int, ...]:
         """A generating set S, by number: every morphism is s1∘…∘sk∘id for
         some s1, …, sk in S and an identity id.
@@ -271,12 +255,10 @@ class CategoryPresentation:
         factorisations g∘f through two non-identity morphisms (ties in
         number order), so hard-to-factor morphisms come first; a candidate
         joins S when the closure of the identities under left composition
-        by S does not reach it yet. Needs total composition."""
+        by S does not reach it yet."""
         n, comp, source, target = len(self.names), self.comp, self.source, self.target
-        reached = [False] * n
-        for i in self.identity_of:
-            if i is not None:
-                reached[i] = True
+        identities = set(self.identity_of)
+        reached = [i in identities for i in range(n)]
         factorisations = [0] * n
         for fi in range(n):
             if reached[fi]:
@@ -338,7 +320,9 @@ def fill_composites(
     base: CategoryPresentation | None, compose: Mapping[str, object]
 ) -> tuple[str | None, str | None]:
     """Fill ``base.comp`` in one pass over a form document's ``compose``,
-    which maps the key "g;f" (g after f, by name) to the composite's name.
+    which maps the key "g;f" (g after f, by name) to the composite's name,
+    into a ``base`` built with ``compose=None``; the form reader then
+    refuses a document that leaves a composable pair undefined.
 
     Returns the first key that is not two parts around one ';' or whose
     value is not a string, and the first entry that is not a declared
@@ -488,20 +472,10 @@ class FormInstance:
         Each morphism's monotonicity, unit and counit come from its law
         body (:meth:`_morphism_laws`), computed once per form and shared
         with :meth:`is_adjoint`. Base category axioms are
-        :meth:`CategoryPresentation.verify`'s job; here the undefined
-        composites its walk of the composable pairs found, and the objects
-        without an identity, are reported, not raised; either ends the
-        sweep."""
+        :meth:`CategoryPresentation.verify`'s job."""
         base = self.base
         names = base.names
-        rep = Report(violations=[v for v in base._totality_faults if v.check == "compose-undefined"])
-        if not rep.ok:
-            return rep
-        for x, i in zip(base.objects, base.identity_of):
-            if i is None:
-                rep.add("identity-missing", where=x)
-        if not rep.ok:
-            return rep
+        rep = Report()
         for x, fib, i in zip(base.objects, self.fibres, base.identity_of):
             rep.count("identity-lifting", 2)
             if self.push[i] != tuple(range(fib.size)):

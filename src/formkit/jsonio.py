@@ -118,9 +118,7 @@ def form_to_dict(form: FormInstance) -> dict:
     sections = _sections(form)
     sections["fibres"] = {x: lattice_to_dict(lat) for x, lat in sections["fibres"].items()}
     return {
-        "compose": {
-            f"{names[g]};{names[f]}": names[h] for f in range(len(names)) for g, h in base.after(f) if h >= 0
-        },
+        "compose": {f"{g};{f}": h for (g, f), h in base.compose_table.items()},
         **sections,
         "push": {f: list(t) for f, t in zip(names, form.push)},
         "pull": {f: list(t) for f, t in zip(names, form.pull)},
@@ -157,8 +155,8 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
     The base category is read in one pass over ``compose``
     (:func:`~formkit.forms.fill_composites`), and the first defect is
     named in this order: a key or value of the wrong shape, the identities'
-    types, the presentation, an object without an identity, the first
-    entry that is not a composite at a composable pair, and the first
+    types, the presentation (an object without an identity included), the
+    first entry that is not a composite at a composable pair, and the first
     composable pair left undefined."""
     objects = _strs(_need(doc, "objects", where), f"{where}.objects")
     if any("," in x for x in objects):
@@ -210,7 +208,7 @@ def _base(doc: dict, objects: list[str], homs: dict, compose: dict, where: str) 
     base = problem = None
     if typed:
         try:
-            base = CategoryPresentation(objects, homs, {}, identities)
+            base = CategoryPresentation(objects, homs, None, identities)
         except ValueError as exc:
             problem = exc
     shapeless, bad = fill_composites(base, compose)
@@ -222,9 +220,6 @@ def _base(doc: dict, objects: list[str], homs: dict, compose: dict, where: str) 
     if problem is not None:
         at = f"{where}.identities" if isinstance(problem, IdentityError) else where
         raise SchemaError(f"{at}: {problem}") from problem
-    for x in objects:
-        if x not in identities:
-            raise SchemaError(f"{where}.identities: object {x!r} has no identity")
     if bad is not None:
         g, f = bad.split(";")
         h = compose[bad]
@@ -535,19 +530,15 @@ def _compose_chunks(base: CategoryPresentation, escaped: list[str], nl: str) -> 
     for g in sorted(range(len(names)), key=lambda g: names[g] + ";"):
         x = base.source[g]
         fs, ts = into[x], into_tails[x]
-        hs = list(map(base.before(g).__getitem__, fs))
-        if -1 in hs:  # undefined composites have no entry
-            defined = [h >= 0 for h in hs]
-            ts, hs = list(compress(ts, defined)), list(compress(hs, defined))
-        if hs:
-            head = '"' + escaped[g] + ";"
-            # tail, text and separator per entry, joined once
-            pieces = [sep + head] * (3 * len(hs))
-            pieces[0::3] = ts
-            pieces[1::3] = map(texts.__getitem__, hs)
-            pieces.pop()
-            yield prefix + head + "".join(pieces)
-            prefix = sep
+        hs = list(map(base.before(g).__getitem__, fs))  # nonempty: the identity of x is in fs
+        head = '"' + escaped[g] + ";"
+        # tail, text and separator per entry, joined once
+        pieces = [sep + head] * (3 * len(hs))
+        pieces[0::3] = ts
+        pieces[1::3] = map(texts.__getitem__, hs)
+        pieces.pop()
+        yield prefix + head + "".join(pieces)
+        prefix = sep
     yield nl + "}" if prefix is sep else "{}"
 
 

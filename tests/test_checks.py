@@ -1,8 +1,8 @@
 """The check registry's shared facts: one battery run computes each
-morphism's pulled rows, strict witness and final witness once, and the
-base and form-law checks walk the composable pairs once between them.
-The checks read morphisms and objects by number, and their names only to
-write a report."""
+morphism's pulled rows, strict witness and final witness once, and a base
+whose composition is not total is refused where it is built, so no check
+walks the composable pairs for it. The checks read morphisms and objects
+by number, and their names only to write a report."""
 
 import sys
 from collections import Counter
@@ -26,7 +26,7 @@ from formkit.topogenous import (
     verify_closure,
 )
 from formkit.topologies import build_top_form, theta_order
-from oracles import leq_over, report_dict, verify_closure_dense, verify_laws_dense
+from oracles import leq_over, report_dict, totality_faults, verify_closure_dense
 
 
 class Unreadable:
@@ -109,54 +109,30 @@ def test_battery_computes_each_fact_once(bundle_name, order_fixture, order_name,
         assert computed["final_violation", f] == 1, f
 
 
-@pytest.mark.parametrize("build, sizes", [(build_top_form, [1, 2, 3]), (build_quot_form, [1, 2, 3, 4])])
-def test_totality_walk_reads_each_morphisms_composites_once(build, sizes, monkeypatch):
-    form = build(sizes).form  # built here: the session fixtures may have walked already
-    form.base.generators  # the generator search reads after() too; done before counting
-    reads = Counter()  # morphism number -> after() calls
-    after = CategoryPresentation.after
-
-    def counted(self, f):
-        reads[f] += 1
-        return after(self, f)
-
-    monkeypatch.setattr(CategoryPresentation, "after", counted)
-    assert form.base.verify().ok
-    assert form.verify_laws().ok
-    assert reads == Counter(range(len(form.base.names)))
-
-
-def undefined_composites_form() -> FormInstance:
-    """idX, e: X -> X, f: X -> Y and idY, with e∘e, f∘e and idY∘f left
-    undefined and f∘idX outside hom(X, Y)."""
-    base = CategoryPresentation(
-        ["X", "Y"],
-        {("X", "X"): ["idX", "e"], ("X", "Y"): ["f"], ("Y", "Y"): ["idY"]},
-        {("idX", "idX"): "idX", ("e", "idX"): "e", ("idX", "e"): "e", ("f", "idX"): "idX", ("idY", "idY"): "idY"},
-        {"X": "idX", "Y": "idY"},
-    )
-    lat = FiniteLattice.chain(2)
-    ident = [(0, 1)] * len(base.names)
-    return FormInstance(base, [lat, lat], ident, ident)
-
-
-def test_form_laws_report_the_undefined_composites_of_the_base():
-    """verify_laws reports the undefined composites of the base's walk, in
-    its order, whichever of the two checks runs first."""
-    for laws_first in (False, True):
-        form = undefined_composites_form()
-        if laws_first:
-            laws, base = form.verify_laws(), form.base.verify()
-        else:
-            base, laws = form.base.verify(), form.verify_laws()
-        assert [(v.check, v.witness) for v in base.violations] == [
-            ("compose-escapes-hom", ("f", "idX", "idX")),
-            ("compose-undefined", ("e", "e")),
-            ("compose-undefined", ("f", "e")),
-            ("compose-undefined", ("idY", "f")),
-        ]
-        assert laws.violations == base.violations[1:]
-        assert verify_laws_dense(form).violations == laws.violations
+def test_partial_presentation_is_refused_at_its_first_pair_in_walk_order():
+    """idX, e: X -> X, f: X -> Y and idY, with f∘idX outside hom(X, Y) and
+    e∘e, f∘e and idY∘f left undefined. The constructor names the first of
+    these in the walk order of the oracle (f outer, g inner); with that
+    pair mended, the next one."""
+    objects, identities = ["X", "Y"], {"X": "idX", "Y": "idY"}
+    homs = {("X", "X"): ["idX", "e"], ("X", "Y"): ["f"], ("Y", "Y"): ["idY"]}
+    compose = {("idX", "idX"): "idX", ("e", "idX"): "e", ("idX", "e"): "e", ("f", "idX"): "idX", ("idY", "idY"): "idY"}
+    unfilled = CategoryPresentation(objects, homs, None, identities)
+    n = len(unfilled.names)
+    for (g, f), h in compose.items():
+        unfilled.comp[unfilled.ids[g] * n + unfilled.ids[f]] = unfilled.ids[h]
+    faults = [("f", "idX", "idX"), ("e", "e"), ("f", "e"), ("idY", "f")]
+    assert totality_faults(unfilled) == faults
+    mends = {("f", "idX"): "f", ("e", "e"): "e", ("f", "e"): "f", ("idY", "f"): "f"}
+    for fault in faults:
+        g, f, *h = fault
+        message = f"{h[0]!r} is not a composite of {g!r} after {f!r}" if h else f"{g!r} after {f!r} is undefined"
+        with pytest.raises(ValueError) as refused:
+            CategoryPresentation(objects, homs, compose, identities)
+        assert str(refused.value) == message
+        compose[g, f] = mends[g, f]
+    base = CategoryPresentation(objects, homs, compose, identities)
+    assert base.verify().ok and totality_faults(base) == []
 
 
 # -- every check can fail ------------------------------------------------------------

@@ -7,12 +7,22 @@ from pathlib import Path
 import pytest
 
 import formkit
-from formkit.forms import ROUNDTRIP_CHECKS, CategoryPresentation, CorruptFormError, FormInstance
-from formkit.groups import build_grp_form, cyclic, symmetric3
+from formkit.forms import ROUNDTRIP_CHECKS, CategoryPresentation, CorruptFormError, FormInstance, IdentityError
+from formkit.groups import build_grp_form, cyclic, standard_corpus, symmetric3
 from formkit.lattice import FiniteLattice, monotone_violation_dense, upper_adjoint
 from formkit.partitions import build_quot_form
+from formkit.search import SHAPES
+from formkit.search import _base as search_base
 from formkit.topologies import build_top_form
-from oracles import identity, leq_over, preserves_joins, preserves_meets, verify_dense, verify_laws_dense
+from oracles import (
+    identity,
+    leq_over,
+    preserves_joins,
+    preserves_meets,
+    totality_faults,
+    verify_dense,
+    verify_laws_dense,
+)
 
 
 def arrow_form(push_table, src_size=2, tgt_size=3):
@@ -276,34 +286,41 @@ def test_thickness_examples(top12):
 
 def test_name_keyed_composition_matches_the_callable():
     """A mapping's composites land where the callable puts them; an entry
-    at a pair that does not compose, or naming no morphism, stays -1."""
+    at a pair that does not compose, or keyed by no morphism, is ignored."""
     base = arrow_form([0, 2]).base
     table = dict(base.compose_table)
     table[("idX", "f")] = "f"  # f then idX: not composable
-    table[("idY", "idY")] = "ghost"
     table[("ghost", "f")] = "f"
-    del table[("idX", "idX")]
     named = CategoryPresentation(base.objects, base.homs, table, base.identities)
     ids, n = base.ids, len(base.names)
-    expected = list(base.comp)
-    expected[ids["idY"] * n + ids["idY"]] = -1
-    expected[ids["idX"] * n + ids["idX"]] = -1
-    assert named.comp == expected
+    assert named.comp == base.comp
     assert named.comp[ids["idX"] * n + ids["f"]] == -1
 
 
 def test_after_reads_the_composites_after_f():
     """after(f) is (g, comp[g * n + f]) for every g out of f's codomain, in
-    number order, -1 included where the composite is undefined."""
-    arrow = arrow_form([0, 2]).base
-    table = dict(arrow.compose_table)
-    del table[("idY", "f")]
-    named = CategoryPresentation(arrow.objects, arrow.homs, table, arrow.identities)
-    for base in (build_top_form([0, 1, 2]).form.base, build_quot_form([3, 3, 3]).form.base, named):
+    number order."""
+    for base in (build_top_form([0, 1, 2]).form.base, build_quot_form([3, 3, 3]).form.base, arrow_form([0, 2]).base):
         n, comp = len(base.names), base.comp
         for f in range(n):
             assert list(base.after(f)) == [(g, comp[g * n + f]) for g in base.by_source[base.target[f]]]
-    assert (named.ids["idY"], -1) in named.after(named.ids["f"])
+
+
+TOTAL_BUILDS = {
+    "top[0,1,2,3]": lambda: build_top_form([0, 1, 2, 3]).form.base,
+    "quot[0,1,2,3]": lambda: build_quot_form([0, 1, 2, 3]).form.base,
+    "grp corpus": lambda: build_grp_form(standard_corpus()).form.base,
+    **{f"search shape {k}": (lambda k=k: search_base(k)[0]) for k in range(len(SHAPES))},
+}
+
+
+@pytest.mark.parametrize("name", TOTAL_BUILDS)
+def test_every_builder_composes_a_total_table(name):
+    """A callable ``compose`` is not walked where the presentation is
+    built, so the oracle walk stands in for that walk here: every object
+    of every builder's base and search shape has an identity, and every
+    composable pair a composite in its hom-set."""
+    assert totality_faults(TOTAL_BUILDS[name]()) == []
 
 
 def test_only_forms_reads_the_composition_table():
@@ -346,40 +363,30 @@ TWO_COMPOSE = {("idX", "idX"): "idX", ("idY", "idY"): "idY", ("f", "idX"): "f", 
 
 
 @pytest.mark.parametrize(
-    "homs, compose, identities, check, where, witness",
+    "homs, compose, identities, error, message",
     [
-        (TWO_HOMS, TWO_COMPOSE, {"X": "idX"}, "identity-missing", "Y", ()),
+        (TWO_HOMS, TWO_COMPOSE, {"X": "idX"}, IdentityError, "object 'Y' has no identity"),
         (
             {("X", "X"): ["id", "e"]},
             {("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "e"},
             {"X": "id"},
-            "compose-undefined", "", ("e", "e"),
+            ValueError, "'e' after 'e' is undefined",
         ),
         (
             TWO_HOMS, {**TWO_COMPOSE, ("f", "idX"): "idX"}, {"X": "idX", "Y": "idY"},
-            "compose-escapes-hom", "", ("f", "idX", "idX"),
+            ValueError, "'idX' is not a composite of 'f' after 'idX'",
         ),
     ],
     ids=["identity-missing", "compose-undefined", "compose-escapes-hom"],
 )
-def test_presentation_axioms_report_their_witness(homs, compose, identities, check, where, witness):
+def test_presentation_axioms_report_their_witness(homs, compose, identities, error, message):
+    """Composition is total by construction: the constructor refuses an
+    object without an identity, an undefined composite and a composite
+    outside its hom-set, and names the witness."""
     objects = sorted({x for pair in homs for x in pair})
-    base = CategoryPresentation(objects, homs, compose, identities)
-    for rep in (base.verify(), verify_dense(base)):
-        assert [(v.check, v.where, v.witness) for v in rep.violations] == [(check, where, witness)]
-        assert rep.checks_run == 4  # one per composable pair; the later sweeps do not run
-
-
-def test_form_laws_report_an_object_without_identity():
-    """The base check and the law check both report the object without an
-    identity, and neither raises: the law sweep stops before the identity
-    liftings, which it could not look up."""
-    base = CategoryPresentation(["X", "Y"], TWO_HOMS, TWO_COMPOSE, {"X": "idX"})
-    lat = FiniteLattice.chain(2)
-    ident = [(0, 1)] * len(base.names)
-    form = FormInstance(base, [lat, lat], ident, ident)
-    for rep in (base.verify(), form.verify_laws(), verify_laws_dense(form)):
-        assert [(v.check, v.where, v.witness) for v in rep.violations] == [("identity-missing", "Y", ())]
+    with pytest.raises(error) as refused:
+        CategoryPresentation(objects, homs, compose, identities)
+    assert str(refused.value) == message
 
 
 def test_dense_associativity_counts_triples_up_to_its_witness(top12):

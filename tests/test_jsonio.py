@@ -523,13 +523,11 @@ def _hand_form(objects, homs, compose, identities):
     return FormInstance(base, [two for _ in objects], same, same)
 
 
-def _one_object(names, leave_out=()):
+def _one_object(names):
     """One object whose first morphism is the identity and where g∘f = g
-    otherwise (a left-zero semigroup), less the pairs ``leave_out``."""
+    otherwise (a left-zero semigroup)."""
     unit = names[0]
     compose = {(g, f): f if g == unit else g for g in names for f in names}
-    for pair in leave_out:
-        del compose[pair]
     return _hand_form(["X"], {("X", "X"): names}, compose, {"X": unit})
 
 
@@ -538,19 +536,17 @@ HAND_FORMS = {
     "escaping": lambda: _one_object(["id\u00e9", 'q"', "b\\s", "c\x01", "\n", "\ud800", "\u4e2d"]),
     # ';' sorts after the digits and ':' and before '<': "a1;" < "a:;" < "a;" < "a<;"
     "semicolon order": lambda: _one_object(["a", "a1", "a:", "a<", "a0", "a="]),
-    # b∘f undefined for every f, so b has no entry at all
-    "undefined composites": lambda: _one_object(
-        ["i", "a", "a1", "b"], leave_out=[("a", "a1"), *(("b", f) for f in ("i", "a", "a1", "b"))]
-    ),
-    # hom(X, Z) declared empty, and W with no morphism at all
+    # hom(X, Z) declared empty, and W with its identity alone
     "empty hom-sets": lambda: _hand_form(
         ["X", "Z", "W", "Y"],
-        {("X", "X"): ["1X"], ("X", "Z"): [], ("Z", "Z"): ["1Z"], ("X", "Y"): ["v", "u"], ("Y", "Y"): ["1Y"]},
-        {("1X", "1X"): "1X", ("1Z", "1Z"): "1Z", ("1Y", "1Y"): "1Y",
+        {("X", "X"): ["1X"], ("X", "Z"): [], ("Z", "Z"): ["1Z"], ("W", "W"): ["1W"], ("X", "Y"): ["v", "u"],
+         ("Y", "Y"): ["1Y"]},
+        {("1X", "1X"): "1X", ("1Z", "1Z"): "1Z", ("1W", "1W"): "1W", ("1Y", "1Y"): "1Y",
          ("v", "1X"): "v", ("u", "1X"): "u", ("1Y", "v"): "v", ("1Y", "u"): "u"},
-        {"X": "1X", "Z": "1Z", "Y": "1Y"},
+        {"X": "1X", "Z": "1Z", "W": "1W", "Y": "1Y"},
     ),
-    "no morphisms": lambda: _hand_form(["W"], {}, {}, {}),
+    # every object has its identity, so only the empty category has none
+    "no morphisms": lambda: _hand_form([], {}, {}, {}),
     "boolean table": lambda: _with_push(_one_object(["i", "a"]), "a", (False, True)),
 }
 
