@@ -161,10 +161,15 @@ def named_order(name: str, form, bundle, kind: Optional[str], where: str):
 
 
 def parse_sizes(text: str) -> list[int]:
+    """The sizes of a --sizes value, empty items skipped; refused unless
+    there is at least one and every item is an integer."""
     try:
-        return [int(s) for s in text.split(",") if s != ""]
+        sizes = [int(s) for s in text.split(",") if s != ""]
     except ValueError:
+        sizes = []
+    if not sizes:
         fail_usage(f"--sizes expects comma-separated integers, got {text!r}")
+    return sizes
 
 
 # The input flags each instance kind does not read; a form file reads none.
@@ -180,7 +185,7 @@ def instance_recipe(kind: str, sizes: Optional[str], corpus: Optional[str], max_
             "corpus": "standard" if corpus is None else corpus,
             "max_order": 8 if max_order is None else max_order,
         }
-    return {"kind": kind, "sizes": parse_sizes(sizes or "2")}
+    return {"kind": kind, "sizes": parse_sizes("2" if sizes is None else sizes)}
 
 
 def _field(recipe: dict, key: str, ok, where: str, default=None):
@@ -191,16 +196,22 @@ def _field(recipe: dict, key: str, ok, where: str, default=None):
 
 
 def build_instance(recipe: dict, where: str):
-    """The built-in instance an instance recipe names."""
+    """The built-in instance an instance recipe names. Its refusals, and
+    the builder's, are prefixed with ``where``."""
     kind = recipe["kind"]
     if kind == "grp":
         if recipe.get("corpus", "standard") != "standard":
             fail_usage(f"{where}: unknown corpus {recipe['corpus']!r}; only 'standard' is built in")
-        return build_grp_form(standard_corpus(_field(recipe, "max_order", is_int, where, 8)))
-    if kind in ("top", "quot"):
+        build, arg = build_grp_form, standard_corpus(_field(recipe, "max_order", is_int, where, 8))
+    elif kind in ("top", "quot"):
         sizes = _field(recipe, "sizes", lambda v: isinstance(v, list) and all(map(is_int, v)), where, [])
-        return (build_top_form if kind == "top" else build_quot_form)(sizes or [2])
-    fail_usage(f"{where}: unknown instance kind {kind!r}")
+        build, arg = (build_top_form if kind == "top" else build_quot_form), sizes or [2]
+    else:
+        fail_usage(f"{where}: unknown instance kind {kind!r}")
+    try:
+        return build(arg)
+    except InputError as exc:
+        fail_usage(f"{where}: {exc}")
 
 
 def recipe_from_flags(flags: Namespace, order_path: Optional[str], order_name: Optional[str]) -> dict:

@@ -251,11 +251,14 @@ MALFORMED = {
         "replay", _write(t, _witness({"kind": "quot", "sizes": [1], "order": "theta"})),
     ],
     "replay-unusable-sizes": lambda t, p: ["replay", _write(t, _witness({"kind": "top", "sizes": "2"}))],
+    "replay-top-over-cap": lambda t, p: ["replay", _write(t, _witness({"kind": "top", "sizes": [9]}))],
     "instance-top-over-cap": lambda t, p: ["instance", "top", "--sizes", "5"],
     "instance-quot-over-cap": lambda t, p: ["instance", "quot", "--sizes", "6"],
     "derive-theta-over-cap": lambda t, p: ["derive", "theta", "--n", "9"],
     "search-budget-negative": lambda t, p: ["search", "--claim", "roundtrip-TM", "--budget", "-3"],
     "check-theorems-sizes-not-ints": lambda t, p: ["check-theorems", "--instance", "top", "--sizes", "x"],
+    "check-theorems-sizes-none": lambda t, p: ["check-theorems", "--instance", "top", "--sizes", ","],
+    "instance-quot-sizes-empty": lambda t, p: ["instance", "quot", "--sizes", ""],
     "check-theorems-no-form": lambda t, p: ["check-theorems"],
     "check-theorems-form-named-order": lambda t, p: ["check-theorems", "--form", p["form"], "--order", "theta"],
     "enumerate-unknown-group": lambda t, p: ["enumerate", "subgroups", "--group", "Nope"],
@@ -298,11 +301,14 @@ MALFORMED_WHERE = {
     "replay-unknown-corpus": "bad.json: unknown corpus 'other'",
     "replay-undefined-order": "bad.json: order 'theta' is not defined for instance kind 'quot'",
     "replay-unusable-sizes": "bad.json: recipe field 'sizes' has an unusable value '2'",
+    "replay-top-over-cap": "bad.json: carrier size 9 exceeds the cap of 4",
     "instance-top-over-cap": "carrier size 5",
     "instance-quot-over-cap": "ground size 6",
     "derive-theta-over-cap": "between 0 and 4, got 9",
     "search-budget-negative": "--budget",
     "check-theorems-sizes-not-ints": "--sizes expects comma-separated integers, got 'x'",
+    "check-theorems-sizes-none": "--sizes expects comma-separated integers, got ','",
+    "instance-quot-sizes-empty": "--sizes expects comma-separated integers, got ''",
     "check-theorems-no-form": "provide --form FILE (with --order FILE) or --instance KIND",
     "check-theorems-form-named-order": "named orders other than 'leq' need --instance; otherwise pass --order FILE",
     "enumerate-unknown-group": "unknown corpus group 'Nope'",
