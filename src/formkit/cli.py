@@ -161,15 +161,11 @@ def named_order(name: str, form, bundle, kind: Optional[str], where: str):
 
 
 def parse_sizes(text: str) -> list[int]:
-    """The sizes of a --sizes value, empty items skipped; refused unless
-    there is at least one and every item is an integer."""
     try:
         sizes = [int(s) for s in text.split(",") if s != ""]
     except ValueError:
         sizes = []
-    if not sizes:
-        fail_usage(f"--sizes expects comma-separated integers, got {text!r}")
-    return sizes
+    return sizes or fail_usage(f"--sizes expects comma-separated integers, got {text!r}")
 
 
 # The input flags each instance kind does not read; a form file reads none.
@@ -196,8 +192,7 @@ def _field(recipe: dict, key: str, ok, where: str, default=None):
 
 
 def build_instance(recipe: dict, where: str):
-    """The built-in instance an instance recipe names. Its refusals, and
-    the builder's, are prefixed with ``where``."""
+    """The built-in instance a recipe names, every refusal prefixed with ``where``."""
     kind = recipe["kind"]
     if kind == "grp":
         if recipe.get("corpus", "standard") != "standard":

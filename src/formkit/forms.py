@@ -18,8 +18,7 @@ class CorruptFormError(InputError):
 
 
 class IdentityError(ValueError):
-    """An object without an entry in ``identities``, or an entry that is not
-    an endomorphism of a declared object."""
+    """An object without an identity, or an identity that is not an endomorphism of a declared object."""
 
 
 class MorphismKind(NamedTuple):
@@ -151,18 +150,12 @@ class CategoryPresentation:
 
     def after(self, f: int) -> Iterable[tuple[int, int]]:
         """(g, g∘f) by number for every g out of the codomain of f, in
-        number order. Walks of the composable pairs read ``comp`` only
-        through here, :meth:`composites` and :meth:`before`, so its layout
-        stays inside this module."""
-        return enumerate(self.composites(f), self.by_source[self.target[f]].start)
-
-    def composites(self, f: int) -> list[int]:
-        """g∘f by number for every g out of the codomain of f, in number
-        order, so g∘f is at ``g - by_source[target[f]].start``: one strided
-        slice of :attr:`comp`, since the morphisms out of an object are
-        numbered consecutively."""
+        number order: one strided slice of :attr:`comp`, since the morphisms
+        out of an object are numbered consecutively. Walks of the composable
+        pairs read ``comp`` only through here and :meth:`before`, so its
+        layout stays inside this module."""
         n, gs = len(self.names), self.by_source[self.target[f]]
-        return self.comp[gs.start * n + f : gs.stop * n + f : n]
+        return enumerate(self.comp[gs.start * n + f : gs.stop * n + f : n], gs.start)
 
     def before(self, g: int) -> list[int]:
         """g∘f by number for every morphism f, indexed by f (-1 where f
@@ -234,13 +227,12 @@ class CategoryPresentation:
     def _report(self) -> Report:
         rep = Report()
         rep.count("compose-defined", sum(len(fs) * len(gs) for fs, gs in zip(self.by_target, self.by_source)))
-        names, n, comp, source, target = self.names, len(self.names), self.comp, self.source, self.target
-        identity = self.identity_of
-        for f in range(n):
+        names, n, comp, identity = self.names, len(self.names), self.comp, self.identity_of
+        for f, (x, y) in enumerate(zip(self.source, self.target)):
             rep.count("identity-neutral", 2)
-            if comp[identity[target[f]] * n + f] != f:
+            if comp[identity[y] * n + f] != f:
                 rep.add("identity-left", witness=(names[f],))
-            if comp[f * n + identity[source[f]]] != f:
+            if comp[f * n + identity[x]] != f:
                 rep.add("identity-right", witness=(names[f],))
         if not (rep.ok and self._associative_at_generators(rep)):
             self._dense_associativity(rep)
@@ -319,10 +311,9 @@ class CategoryPresentation:
 def fill_composites(
     base: CategoryPresentation | None, compose: Mapping[str, object]
 ) -> tuple[str | None, str | None]:
-    """Fill ``base.comp`` in one pass over a form document's ``compose``,
-    which maps the key "g;f" (g after f, by name) to the composite's name,
-    into a ``base`` built with ``compose=None``; the form reader then
-    refuses a document that leaves a composable pair undefined.
+    """Fill ``base.comp``, built with ``compose=None``, in one pass over a
+    form document's ``compose``, which maps the key "g;f" (g after f, by
+    name) to the composite's name; the reader refuses the pairs left out.
 
     Returns the first key that is not two parts around one ';' or whose
     value is not a string, and the first entry that is not a declared

@@ -112,13 +112,12 @@ def form_to_dict(form: FormInstance) -> dict:
     """The form document as a dict. Files and reports, inline witness
     recipes included, are written by :func:`_form_chunks` instead, from the
     integer tables; this dict serves the tests and the benchmark tracer."""
-    base = form.base
-    names = base.names
+    names = form.base.names
     _escaped(names)  # raises on a name holding ';'
     sections = _sections(form)
     sections["fibres"] = {x: lattice_to_dict(lat) for x, lat in sections["fibres"].items()}
     return {
-        "compose": {f"{g};{f}": h for (g, f), h in base.compose_table.items()},
+        "compose": {f"{g};{f}": h for (g, f), h in form.base.compose_table.items()},
         **sections,
         "push": {f: list(t) for f, t in zip(names, form.push)},
         "pull": {f: list(t) for f, t in zip(names, form.pull)},
@@ -529,12 +528,11 @@ def _compose_chunks(base: CategoryPresentation, escaped: list[str], nl: str) -> 
     prefix = "{" + inner
     for g in sorted(range(len(names)), key=lambda g: names[g] + ";"):
         x = base.source[g]
-        fs, ts = into[x], into_tails[x]
-        hs = list(map(base.before(g).__getitem__, fs))  # nonempty: the identity of x is in fs
+        hs = list(map(base.before(g).__getitem__, into[x]))  # never empty: the identity of x is one of the f
         head = '"' + escaped[g] + ";"
         # tail, text and separator per entry, joined once
         pieces = [sep + head] * (3 * len(hs))
-        pieces[0::3] = ts
+        pieces[0::3] = into_tails[x]
         pieces[1::3] = map(texts.__getitem__, hs)
         pieces.pop()
         yield prefix + head + "".join(pieces)
