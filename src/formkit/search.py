@@ -314,11 +314,11 @@ def run_case(claim: str, seed: int, index: int) -> Optional[dict]:
 # Xeon, 500 cases a claim: 0.08 on strict-iff-push, 0.16 on the round
 # trips). A two-way split saves half the cases' time for that 2 ms, so it
 # breaks even near 4 ms / 0.08 ms = 50 cases on the cheapest claim, below
-# budget 64. On that VM, measured since the cases got cheaper, two busy
-# processes each ran 1.5-1.7 times slower than one, and the split lost at
-# every budget from 32 to 1000 (strict-iff-push 85 ms serial, 90 ms split
-# at 1000): a contended second CPU, which places no break-even, so the
-# constant stays.
+# budget 64. On that VM the split lost at every budget from 32 to 1000 on a
+# contended day (strict-iff-push 85 ms serial, 90 ms split at 1000), and at
+# 1000 won 7 of 7 interleaved pairs against `taskset -c 0` on a quieter one
+# (transfer-laws 0.114 vs 0.162 s, roundtrip-TM 0.140 vs 0.209 s). Neither
+# places the break-even elsewhere, so the constant stays.
 MIN_CASES_PER_PROCESS = 64
 
 
