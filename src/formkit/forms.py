@@ -139,7 +139,8 @@ class CategoryPresentation:
             names, ids, source, target = self.names, self.ids, self.source, self.target
             for f in range(n):
                 for g in self.by_source[target[f]]:
-                    comp[g * n + f] = i = ids.get(h := compose.get((names[g], names[f])), -1)
+                    h = compose.get((names[g], names[f]))
+                    comp[g * n + f] = i = ids.get(h, -1)
                     if i < 0 or source[i] != source[f] or target[i] != target[g]:
                         pair = f"{names[g]!r} after {names[f]!r}"
                         raise ValueError(f"{pair} is undefined" if h is None else f"{h!r} is not a composite of {pair}")

@@ -229,10 +229,8 @@ def _base(doc: dict, objects: list[str], homs: dict, compose: dict, where: str) 
     # defined exactly when there are as many entries as pairs.
     if len(compose) != sum(len(i) * len(o) for i, o in zip(base.by_target, base.by_source)):
         names = base.names
-        for f in range(len(names)):
-            for g, h in base.after(f):
-                if h < 0:
-                    raise SchemaError(f"{where}.compose: {names[g]!r} after {names[f]!r} is undefined")
+        g, f = next((g, f) for f in range(len(names)) for g, h in base.after(f) if h < 0)
+        raise SchemaError(f"{where}.compose: {names[g]!r} after {names[f]!r} is undefined")
     return base
 
 
