@@ -9,6 +9,7 @@ import pytest
 import formkit
 from formkit.forms import ROUNDTRIP_CHECKS, CategoryPresentation, CorruptFormError, FormInstance, IdentityError
 from formkit.groups import build_grp_form, cyclic, standard_corpus, symmetric3
+from formkit.jsonio import SchemaError, form_from_dict, form_to_dict
 from formkit.lattice import FiniteLattice, monotone_violation_dense, upper_adjoint
 from formkit.partitions import build_quot_form
 from formkit.search import SHAPES
@@ -387,6 +388,22 @@ def test_presentation_axioms_report_their_witness(homs, compose, identities, err
     with pytest.raises(error) as refused:
         CategoryPresentation(objects, homs, compose, identities)
     assert str(refused.value) == message
+
+
+def test_form_laws_report_an_object_without_identity():
+    """A form over an object without an identity cannot be built, so its
+    laws are never swept: the presentation refuses the base, and the form
+    reader refuses the encoding of a sound form whose identity of that
+    object is dropped, both naming the object."""
+    with pytest.raises(IdentityError, match="^object 'Y' has no identity$"):
+        CategoryPresentation(["X", "Y"], TWO_HOMS, TWO_COMPOSE, {"X": "idX"})
+    base = CategoryPresentation(["X", "Y"], TWO_HOMS, TWO_COMPOSE, {"X": "idX", "Y": "idY"})
+    lat = FiniteLattice.chain(2)
+    ident = [(0, 1)] * len(base.names)
+    doc = form_to_dict(FormInstance(base, [lat, lat], ident, ident))
+    del doc["identities"]["Y"]
+    with pytest.raises(SchemaError, match="^form.identities: object 'Y' has no identity$"):
+        form_from_dict(doc)
 
 
 def test_dense_associativity_counts_triples_up_to_its_witness(top12):
