@@ -199,8 +199,8 @@ def build_instance(recipe: dict, where: str):
             fail_usage(f"{where}: unknown corpus {recipe['corpus']!r}; only 'standard' is built in")
         build, arg = build_grp_form, standard_corpus(_field(recipe, "max_order", is_int, where, 8))
     elif kind in ("top", "quot"):
-        sizes = _field(recipe, "sizes", lambda v: isinstance(v, list) and all(map(is_int, v)), where, [])
-        build, arg = (build_top_form if kind == "top" else build_quot_form), sizes or [2]
+        build = build_top_form if kind == "top" else build_quot_form
+        arg = _field(recipe, "sizes", lambda v: isinstance(v, list) and v != [] and all(map(is_int, v)), where, [2])
     else:
         fail_usage(f"{where}: unknown instance kind {kind!r}")
     try:

@@ -20,6 +20,7 @@ import os
 import random
 import signal
 import threading
+from itertools import chain
 from typing import BinaryIO, Iterable, NoReturn, Optional
 
 from .checks import CHECKS, CheckContext
@@ -146,6 +147,21 @@ def _base(shape: int) -> tuple[CategoryPresentation, list[int]]:
     return out
 
 
+# The memo of the search share a thread runs (_counterexamples); outside one
+# a reader gets a dict to drop. Keys are tuples of ints led by the kind: a
+# form under its shape, posets and push draws; ``[context, the claim's
+# violations on it]`` under (form, class, seed rows) and (form, closed rows).
+# One form per content is kept, and holds the id its contexts' keys name.
+_SHARE = threading.local()
+_FORM, _CLOSED, _SEEDED = 3, 4, {"any": 0, "TM": 1, "TJ": 2}
+
+# The entries a share's memo holds before it is emptied: 980-1,740 in a share
+# of a two-way split at budget 1000 (seed 7), 7,000-13,300 uncapped at 10,000,
+# where the cap holds the command's peak RSS to 16.3-17.1 MB, not 19.2-21.8
+# (15.5-15.6 without a memo; all six claims, Python 3.11, 2-vCPU Xeon).
+MEMO_CAP = 2048
+
+
 def random_form(rng: random.Random) -> FormInstance:
     """A small form over one of four base shapes: a lone object, a single
     arrow, a parallel pair, or a composable chain."""
@@ -153,6 +169,10 @@ def random_form(rng: random.Random) -> FormInstance:
     base, arrows = _base(shape)
     posets = [_random_poset(rng) for _ in base.objects]
     data = [_downset_lattice(p) for p in posets]
+    drawn = [_random_left_adjoint(rng, posets[d], data[d], data[c]) for _, d, c in SHAPES[shape][1]]
+    memo, key = getattr(_SHARE, "memo", {}), (_FORM, shape, *map(tuple, posets), *drawn)
+    if (form := memo.get(key)) is not None:
+        return form
     fibres = [lat for lat, _, _ in data]
 
     # The identity is its own upper adjoint, and pull(g.f) = pull f . pull g:
@@ -162,14 +182,15 @@ def random_form(rng: random.Random) -> FormInstance:
     pull: list[tuple[int, ...]] = [()] * len(base.names)
     for fib, i in zip(fibres, base.identity_of):
         push[i] = pull[i] = tuple(range(fib.size))
-    for f, (_, d, c) in zip(arrows, SHAPES[shape][1]):
-        push[f] = _random_left_adjoint(rng, posets[d], data[d], data[c])
-        pull[f] = upper_adjoint(push[f], fibres[d], fibres[c])
+    for f, (_, d, c), table in zip(arrows, SHAPES[shape][1], drawn):
+        push[f] = table
+        pull[f] = upper_adjoint(table, fibres[d], fibres[c])
     if shape == 3:
         f, g, gf = arrows
         push[gf] = tuple(map(push[g].__getitem__, push[f]))
         pull[gf] = tuple(map(pull[f].__getitem__, pull[g]))
-    return FormInstance(base, fibres, push, pull)
+    memo[key] = form = FormInstance(base, fibres, push, pull)
+    return form
 
 
 # -- random orders ----------------------------------------------------------------
@@ -256,7 +277,8 @@ def random_order(rng: random.Random, form: FormInstance, want: str = "any") -> T
 def _random_context(rng: random.Random, form: FormInstance, want: str) -> CheckContext:
     """The check context of a :func:`random_order` draw. Its axioms are the
     generator's self-check, so the checks run on it reuse the pulled-rows
-    table that check built."""
+    table that check built. In a search share each distinct draw is closed,
+    and each distinct order built and self-checked, once."""
     rel: list[list[int]] = []
     for fib in form.fibres:
         rows = [0] * fib.size
@@ -265,11 +287,20 @@ def _random_context(rng: random.Random, form: FormInstance, want: str) -> CheckC
             b = rng.choice(list(bits(fib.up[a])))
             rows[a] |= 1 << b
         rel.append(rows)
-    _close_order(form, rel, want)
-    ctx = CheckContext(form, TopogenousOrder(rel))
-    if not ctx.axioms.ok:
-        raise AssertionError(f"generator produced a non-topogenous order: {ctx.axioms.violations}")
-    return ctx
+    memo, seeded = getattr(_SHARE, "memo", {}), (_SEEDED[want], id(form), *chain.from_iterable(rel))
+    entry = memo.get(seeded)
+    if entry is None:
+        _close_order(form, rel, want)
+        order = TopogenousOrder(rel)
+        closed = (_CLOSED, id(form), order.rel)
+        entry = memo.get(closed)
+        if entry is None:
+            ctx = CheckContext(form, order)
+            if not ctx.axioms.ok:
+                raise AssertionError(f"generator produced a non-topogenous order: {ctx.axioms.violations}")
+            entry = [ctx, None]
+        memo[closed] = memo[seeded] = entry
+    return entry[0]
 
 
 # -- claims ---------------------------------------------------------------------
@@ -298,11 +329,20 @@ def run_case(claim: str, seed: int, index: int) -> Optional[dict]:
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {sorted(CLAIMS)}")
     check, classes = CLAIMS[claim]
+    memo = getattr(_SHARE, "memo", {})
+    if len(memo) + 1 + 2 * len(classes) > MEMO_CAP:  # no room for this case's form and orders
+        memo.clear()
     rng = case_rng(seed, index)
     form = random_form(rng)
     violations = []
     for want in classes:
-        violations.extend(CHECKS[check].run(_random_context(rng, form, want)).violations)
+        ctx = _random_context(rng, form, want)
+        entry = memo.get((_CLOSED, id(ctx.form), ctx.order.rel))
+        if entry is None or entry[0] is not ctx:  # a context from outside the memo
+            entry = [ctx, None]
+        if entry[1] is None:  # a share runs one claim; the facts its check cached are dropped
+            entry[:] = CheckContext(ctx.form, ctx.order), tuple(CHECKS[check].run(ctx).violations)
+        violations.extend(entry[1])
     if not violations:
         return None
     return {"seed": seed, "index": index, "claim": claim, "violations": [v.to_dict() for v in violations]}
@@ -310,15 +350,16 @@ def run_case(claim: str, seed: int, index: int) -> Optional[dict]:
 
 # The fewest cases one process of a split search runs. A worker costs about
 # 2 ms to fork, pipe back and reap (1.6-2.1 ms measured), and fills its own
-# fibre-lattice memo; a case costs 0.08-0.17 ms (Python 3.11 on a 2-vCPU
-# Xeon, 500 cases a claim: 0.08 on strict-iff-push, 0.16 on the round
-# trips). A two-way split saves half the cases' time for that 2 ms, so it
-# breaks even near 4 ms / 0.08 ms = 50 cases on the cheapest claim, below
-# budget 64. On that VM the split lost at every budget from 32 to 1000 on a
-# contended day (strict-iff-push 85 ms serial, 90 ms split at 1000), and at
-# 1000 won 7 of 7 interleaved pairs against `taskset -c 0` on a quieter one
-# (transfer-laws 0.114 vs 0.162 s, roundtrip-TM 0.140 vs 0.209 s). Neither
-# places the break-even elsewhere, so the constant stays.
+# fibre-lattice and search memos; a case costs 0.08-0.17 ms with the search
+# memo as without it (Python 3.11 on a 2-vCPU Xeon, minima over shares of 32
+# to 1000 cases: 0.08 on strict-iff-push, 0.17 on final-thick), since a
+# share near the break-even repeats few cases. A two-way split saves half
+# the cases' time for that 2 ms, so it breaks even near 4 ms / 0.08 ms = 50
+# cases on the cheapest claim, below budget 64. On that VM the split lost at
+# every budget from 32 to 1000 on a contended day (strict-iff-push 85 ms
+# serial, 90 ms split at 1000), and at 1000 won 7 of 7 interleaved pairs
+# against `taskset -c 0` on a quieter one (transfer-laws 0.114 vs 0.162 s,
+# roundtrip-TM 0.140 vs 0.209 s). Neither places the break-even elsewhere.
 MIN_CASES_PER_PROCESS = 64
 
 
@@ -339,9 +380,12 @@ def search_width(budget: int) -> int:
 
 def _counterexamples(claim: str, seed: int, indices: Iterable[int]) -> list[dict]:
     """The counterexamples among the cases ``indices``, in that order, as
-    dicts."""
-    found = (run_case(claim, seed, i) for i in indices)
-    return [c for c in found if c is not None]
+    dicts, found with a memo (``_SHARE``) that lives as long."""
+    _SHARE.memo = {}
+    try:
+        return [c for c in (run_case(claim, seed, i) for i in indices) if c is not None]
+    finally:
+        del _SHARE.memo
 
 
 def _serve_share(write_end: int, claim: str, seed: int, share: range) -> NoReturn:

@@ -251,6 +251,7 @@ MALFORMED = {
         "replay", _write(t, _witness({"kind": "quot", "sizes": [1], "order": "theta"})),
     ],
     "replay-unusable-sizes": lambda t, p: ["replay", _write(t, _witness({"kind": "top", "sizes": "2"}))],
+    "replay-empty-sizes": lambda t, p: ["replay", _write(t, _witness({"kind": "top", "sizes": [], "order": "theta"}))],
     "replay-top-over-cap": lambda t, p: ["replay", _write(t, _witness({"kind": "top", "sizes": [9]}))],
     "instance-top-over-cap": lambda t, p: ["instance", "top", "--sizes", "5"],
     "instance-quot-over-cap": lambda t, p: ["instance", "quot", "--sizes", "6"],
@@ -301,6 +302,7 @@ MALFORMED_WHERE = {
     "replay-unknown-corpus": "bad.json: unknown corpus 'other'",
     "replay-undefined-order": "bad.json: order 'theta' is not defined for instance kind 'quot'",
     "replay-unusable-sizes": "bad.json: recipe field 'sizes' has an unusable value '2'",
+    "replay-empty-sizes": "bad.json: recipe field 'sizes' has an unusable value []",
     "replay-top-over-cap": "bad.json: carrier size 9 exceeds the cap of 4",
     "instance-top-over-cap": "carrier size 5",
     "instance-quot-over-cap": "ground size 6",

@@ -237,17 +237,31 @@ PLANTED = {0, 1, 2, 3, 4, 6, 10, 501, 998, 999}
 
 @pytest.fixture
 def planted(monkeypatch, case_index):
-    """strict-iff-push replaced by a check that fails exactly on PLANTED."""
+    """strict-iff-push replaced by a check that fails exactly on PLANTED.
+    A search share reuses the verdict of a memoised context, so the index
+    is planted in the context: a PLANTED case draws its order as before,
+    then is checked on a fresh context, outside the memo, whose recipe
+    names the index."""
     from formkit.checks import CHECKS
     from formkit.report import Report
+
+    real = search._random_context
+
+    def marking(rng, form, want):
+        ctx = real(rng, form, want)
+        if case_index[0] in PLANTED:
+            ctx = CheckContext(ctx.form, ctx.order, recipe={"planted": case_index[0]})
+        return ctx
 
     def run(ctx):
         rep = Report()
         rep.count("planted")
-        if case_index[0] in PLANTED:
-            rep.add("planted", where=f"index {case_index[0]}", witness=(case_index[0],))
+        if "planted" in ctx.recipe:
+            index = ctx.recipe["planted"]
+            rep.add("planted", where=f"index {index}", witness=(index,))
         return rep
 
+    monkeypatch.setattr(search, "_random_context", marking)
     monkeypatch.setitem(CHECKS, "strict-iff-push", CHECKS["strict-iff-push"]._replace(run=run))
 
 
@@ -366,3 +380,115 @@ def test_search_counterexamples_reach_the_report_and_replay(planted, tmp_path):
     assert replayed["name"] == "replay:search:strict-iff-push" and replayed["status"] == "fail"
     assert [(v["check"], v["where"]) for v in replayed["violations"]] == [("counterexample", f"index {first}")]
     assert [json.loads(v["detail"]) for v in replayed["violations"]] == json.loads(found[f"index {first}"]["detail"])
+
+
+# -- the memo of a search share -----------------------------------------------------
+
+
+def _form_tables(form):
+    """A form's content: the fibres' up masks and the push and pull tables."""
+    return tuple(tuple(fib.up) for fib in form.fibres), tuple(form.push), tuple(form.pull)
+
+
+def _one_apart(a, b):
+    """Whether two tables of tables of ints, shaped alike, differ in exactly
+    one entry."""
+    flat_a, flat_b = [x for row in a for x in row], [x for row in b for x in row]
+    return len(flat_a) == len(flat_b) and sum(x != y for x, y in zip(flat_a, flat_b)) == 1
+
+
+@pytest.fixture
+def echoing(monkeypatch):
+    """Every claim's check runs as before, then fails with what it was run
+    on, so every case is a counterexample that names its form and order."""
+    from formkit.checks import CHECKS
+
+    for name in {check for check, _ in CLAIMS.values()}:
+        def run(ctx, real=CHECKS[name].run):
+            rep = real(ctx)
+            rep.add("echo", where=repr((_form_tables(ctx.form), ctx.order.rel)))
+            return rep
+
+        monkeypatch.setitem(CHECKS, name, CHECKS[name]._replace(run=run))
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_memoised_search_reports_what_each_case_reports_alone(monkeypatch, echoing, claim, seed):
+    # run_case called on its own runs without a memo; a search runs its
+    # shares with one, serial or split, and reports every case as its own,
+    # those whose form and orders repeat an earlier case's included
+    budget = 200
+    alone = [run_case(claim, seed, index) for index in range(budget)]
+    assert [(c["seed"], c["index"]) for c in alone] == [(seed, index) for index in range(budget)]
+    assert len({json.dumps(c["violations"]) for c in alone}) < budget
+    monkeypatch.setattr(search, "MIN_CASES_PER_PROCESS", 1)
+    for cpus in (1, 2):
+        _widths(monkeypatch, cpus)
+        assert run_search(claim, budget, seed)["counterexamples"] == alone
+
+
+def test_a_share_builds_each_distinct_form_and_checks_each_distinct_order_once(monkeypatch):
+    # the claim's check runs once per (form, closed order); forms that differ
+    # in one push entry, and orders on one form that differ in one row, are
+    # kept apart
+    from formkit.checks import CHECKS
+
+    budget, drawn, checked = 400, [], []
+    draw_form, check = search.random_form, CHECKS["final-thick"]
+
+    def run(ctx):
+        checked.append((id(ctx.form), ctx.order.rel))
+        return check.run(ctx)
+
+    monkeypatch.setattr(search, "random_form", lambda rng: drawn.append(draw_form(rng)) or drawn[-1])
+    monkeypatch.setitem(CHECKS, "final-thick", check._replace(run=run))
+    _widths(monkeypatch, 1)
+    run_search("final-thick", budget, 7)
+
+    forms = {_form_tables(form): form for form in drawn}
+    assert [_form_tables(form) for form in drawn] == [_form_tables(draw_form(case_rng(7, i))) for i in range(budget)]
+    assert all(form is forms[_form_tables(form)] for form in drawn)
+    assert len(forms) < budget
+    assert any(
+        x[0] == y[0] and x[1] != y[1] and _one_apart(x[1], y[1]) for x in forms for y in forms
+    )
+
+    assert len(set(checked)) == len(checked) < 2 * budget
+    orders = {}
+    for form, rel in checked:
+        orders.setdefault(form, []).append(rel)
+    assert any(_one_apart(a, b) for rels in orders.values() for a in rels for b in rels)
+
+
+def test_the_memo_lives_for_one_share_and_keeps_to_its_cap(monkeypatch, echoing, case_index):
+    _widths(monkeypatch, 1)
+    full = run_search("roundtrip-TM", 300, 7)
+    assert not hasattr(search._SHARE, "memo")
+
+    sizes, draw_form, draw_context = [], search.random_form, search._random_context
+
+    def sizing(draw):
+        def sized(*args):
+            out = draw(*args)
+            sizes.append(len(search._SHARE.memo))
+            return out
+
+        return sized
+
+    monkeypatch.setattr(search, "random_form", sizing(draw_form))
+    monkeypatch.setattr(search, "_random_context", sizing(draw_context))
+    monkeypatch.setattr(search, "MEMO_CAP", 16)
+    assert run_search("roundtrip-TM", 300, 7) == full
+    assert max(sizes) == 16 and any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied when full
+    assert not hasattr(search._SHARE, "memo")
+
+    def failing(rng, form, want):
+        if case_index[0] == 250:
+            raise RuntimeError("planted failure")
+        return draw_context(rng, form, want)
+
+    monkeypatch.setattr(search, "_random_context", failing)
+    with pytest.raises(RuntimeError):
+        run_search("roundtrip-TM", 300, 7)
+    assert not hasattr(search._SHARE, "memo")
