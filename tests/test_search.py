@@ -1,6 +1,6 @@
 """Random-form generator validity, determinism, the claim checkers'
-ability to actually detect planted faults, and the split search reporting
-what the serial one does."""
+ability to actually detect planted faults, the split search reporting
+what the serial one does, and the memo of a search share."""
 
 import json
 import os
