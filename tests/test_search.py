@@ -443,6 +443,7 @@ def test_a_share_builds_each_distinct_form_and_checks_each_distinct_order_once(m
 
     monkeypatch.setattr(search, "random_form", lambda rng: drawn.append(draw_form(rng)) or drawn[-1])
     monkeypatch.setitem(CHECKS, "final-thick", check._replace(run=run))
+    monkeypatch.setattr(search, "MEMO_CAP", 10 * budget)  # never emptied here
     _widths(monkeypatch, 1)
     run_search("final-thick", budget, 7)
 
