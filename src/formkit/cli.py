@@ -162,10 +162,9 @@ def named_order(name: str, form, bundle, kind: Optional[str], where: str):
 
 def parse_sizes(text: str) -> list[int]:
     try:
-        sizes = [int(s) for s in text.split(",") if s != ""]
+        return [int(s) for s in text.split(",")]
     except ValueError:
-        sizes = []
-    return sizes or fail_usage(f"--sizes expects comma-separated integers, got {text!r}")
+        fail_usage(f"--sizes expects comma-separated integers, got {text!r}")
 
 
 # The input flags each instance kind does not read; a form file reads none.
@@ -197,7 +196,10 @@ def build_instance(recipe: dict, where: str):
     if kind == "grp":
         if recipe.get("corpus", "standard") != "standard":
             fail_usage(f"{where}: unknown corpus {recipe['corpus']!r}; only 'standard' is built in")
-        build, arg = build_grp_form, standard_corpus(_field(recipe, "max_order", is_int, where, 8))
+        max_order = _field(recipe, "max_order", is_int, where, 8)
+        build, arg = build_grp_form, standard_corpus(max_order)
+        if not arg:
+            fail_usage(f"{where}: max_order {max_order} selects no group; the standard corpus starts at order 1")
     elif kind in ("top", "quot"):
         build = build_top_form if kind == "top" else build_quot_form
         arg = _field(recipe, "sizes", lambda v: isinstance(v, list) and v != [] and all(map(is_int, v)), where, [2])

@@ -61,12 +61,9 @@ class CategoryPresentation:
     morphism numbers, called once per morphism g and nonempty hom-set
     ``fs`` (a range) into its domain, returning the numbers of g∘f for f in
     ``fs``; its producers (:func:`formkit.setmaps.concrete_category` and
-    the search shapes) compose total tables, not walked again. Or a mapping
-    from name pairs ``(g, f)`` to the composite's name, for tests and
-    hand-built presentations: the first composable pair (f outer, g inner)
-    it leaves out or maps outside hom(dom f, cod g) raises ValueError, and
-    pairs that do not compose are ignored. Or None, for the form reader,
-    which fills ``comp`` by :func:`fill_composites`.
+    the search shapes) compose total tables, not walked again. Or None,
+    for the form reader, which fills ``comp`` by :func:`fill_composites`
+    and refuses its own undefined pairs.
 
     ``kinds``, when given, lists each morphism's :class:`MorphismKind` by
     number, for a builder that knows them without composing (see
@@ -77,7 +74,7 @@ class CategoryPresentation:
         self,
         objects: Sequence[str],
         homs: dict[tuple[str, str], Sequence[str]],
-        compose: Callable[[int, range], Sequence[int]] | Mapping[tuple[str, str], str] | None,
+        compose: Callable[[int, range], Sequence[int]] | None,
         identities: dict[str, str],
         kinds: Optional[Sequence[MorphismKind]] = None,
     ):
@@ -125,7 +122,7 @@ class CategoryPresentation:
         into = list(zip(*self.blocks))
         self.by_target: list[list[int]] = [[f for fs in blocks for f in fs] for blocks in into]
         self.comp = comp = [-1] * (n * n)
-        if callable(compose):
+        if compose is not None:
             for g in range(n):
                 row = g * n
                 for fs in filter(None, into[self.source[g]]):
@@ -135,15 +132,6 @@ class CategoryPresentation:
                             f"compose({g}, {fs}) gave {len(composites)} composites for {len(fs)} morphisms"
                         )
                     comp[row + fs.start : row + fs.stop] = composites
-        elif compose is not None:
-            names, ids, source, target = self.names, self.ids, self.source, self.target
-            for f in range(n):
-                for g in self.by_source[target[f]]:
-                    h = compose.get((names[g], names[f]))
-                    comp[g * n + f] = i = ids.get(h, -1)
-                    if i < 0 or source[i] != source[f] or target[i] != target[g]:
-                        pair = f"{names[g]!r} after {names[f]!r}"
-                        raise ValueError(f"{pair} is undefined" if h is None else f"{h!r} is not a composite of {pair}")
         if kinds is not None:
             if len(kinds) != n:
                 raise ValueError(f"{len(kinds)} kinds for {n} morphisms")
@@ -423,14 +411,14 @@ class FormInstance:
         x, y = self.base.source[f], self.base.target[f]
         fx, fy = self.fibres[x], self.fibres[y]
         pt, qt, up_x, up_y = self.push[f], self.pull[f], fx.up, fy.up
-        if x == y and pt == qt == tuple(range(fx.size)) and fx.is_partial_order():
+        if x == y and pt == qt == tuple(range(fx.size)) and fx.is_partial_order:
             return None, None, [], [], True
         bad_push = monotone_violation(pt, fx, fy)
         bad_pull = monotone_violation(qt, fy, fx)
         bad_unit = [a for a in range(fx.size) if not (up_x[a] >> qt[pt[a]]) & 1]
         bad_counit = [b for b in range(fy.size) if not (up_y[pt[qt[b]]] >> b) & 1]
         adjoint = (
-            not (bad_push or bad_pull or bad_unit or bad_counit) and fx.is_partial_order() and fy.is_partial_order()
+            not (bad_push or bad_pull or bad_unit or bad_counit) and fx.is_partial_order and fy.is_partial_order
         )
         return bad_push, bad_pull, bad_unit, bad_counit, adjoint
 

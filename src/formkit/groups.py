@@ -9,10 +9,10 @@ preimage.
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .forms import FormInstance
-from .lattice import FiniteLattice, bits, lower_adjoint
+from .lattice import FiniteLattice, bits, cached_fact, lower_adjoint
 from .report import Report
 from .setmaps import SetFunction, concrete_category, distinct_names
 from .topogenous import TopogenousOrder
@@ -31,11 +31,30 @@ class FiniteGroup:
             if len(row) != n or any(not 0 <= v < n for v in row):
                 raise ValueError("cayley table must be square over 0..n-1")
         self.inverse = tuple(self._find_inverse(a) for a in range(n))
-        self._subgroups: Optional[tuple[int, ...]] = None
-        self._normals: Optional[tuple[int, ...]] = None
 
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
+
+    @cached_fact
+    def _subgroups(self) -> tuple[int, ...]:
+        """All subgroups as bit vectors, sorted by (order, mask)."""
+        found = {1}
+        frontier = [1]
+        while frontier:
+            h = frontier.pop()
+            for a in range(self.n):
+                if (h >> a) & 1:
+                    continue
+                bigger = close_subset(self, h | (1 << a))
+                if bigger not in found:
+                    found.add(bigger)
+                    frontier.append(bigger)
+        return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+
+    @cached_fact
+    def _normals(self) -> tuple[int, ...]:
+        """The normal subgroups in :attr:`_subgroups` order."""
+        return tuple(m for m in subgroup_masks(self) if is_normal(self, m))
 
     def _find_inverse(self, a: int) -> int:
         for b in range(self.n):
@@ -141,24 +160,7 @@ def subgroup_masks(g: FiniteGroup) -> list[int]:
     per group."""
     if g.n > MAX_GROUP_ORDER:
         raise ValueError(f"group order {g.n} exceeds the cap of {MAX_GROUP_ORDER}")
-    if g._subgroups is None:
-        g._subgroups = _find_subgroups(g)
     return list(g._subgroups)
-
-
-def _find_subgroups(g: FiniteGroup) -> tuple[int, ...]:
-    found = {1}
-    frontier = [1]
-    while frontier:
-        h = frontier.pop()
-        for a in range(g.n):
-            if (h >> a) & 1:
-                continue
-            bigger = close_subset(g, h | (1 << a))
-            if bigger not in found:
-                found.add(bigger)
-                frontier.append(bigger)
-    return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 
 
 def is_subgroup(g: FiniteGroup, mask: int) -> bool:
@@ -184,8 +186,6 @@ def is_normal(g: FiniteGroup, mask: int) -> bool:
 def normal_subgroup_masks(g: FiniteGroup) -> list[int]:
     """The normal subgroups in :func:`subgroup_masks` order; computed once
     per group."""
-    if g._normals is None:
-        g._normals = tuple(m for m in subgroup_masks(g) if is_normal(g, m))
     return list(g._normals)
 
 
@@ -193,9 +193,9 @@ def subgroup_lattice(g: FiniteGroup) -> tuple[FiniteLattice, list[int]]:
     """Subgroups under inclusion; meet is intersection, join the generated
     subgroup (both realized by the generic lattice bounds)."""
     masks = subgroup_masks(g)
-    rows = [[m1 & ~m2 == 0 for m2 in masks] for m1 in masks]
+    up = [sum(1 << j for j, m2 in enumerate(masks) if m1 & ~m2 == 0) for m1 in masks]
     labels = ["{" + ",".join(map(str, bits(m))) + "}" for m in masks]
-    return FiniteLattice(rows, labels), masks
+    return FiniteLattice(up, labels), masks
 
 
 def normal_closure(g: FiniteGroup, mask: int) -> int:

@@ -102,7 +102,7 @@ def lattice_from_dict(doc: dict, where: str = "lattice") -> FiniteLattice:
     labels = doc.get("labels")
     if labels is not None and len(_strs(labels, f"{where}.labels")) != size:
         raise SchemaError(f"{where}.labels: expected {size} names")
-    return FiniteLattice.from_up_masks(_up_masks(leq), labels)
+    return FiniteLattice(_up_masks(leq), labels)
 
 
 # -- form ---------------------------------------------------------------------
@@ -174,8 +174,8 @@ def form_from_dict(doc: dict, where: str = "form") -> FormInstance:
         at = f"{where}.fibres[{x}]"
         fib = lattice_from_dict(_need(fibres_doc, x, f"{where}.fibres"), at)
         # A finite order with a top and all pairwise meets is a lattice, so
-        # verify() agrees with is_lattice(); it runs only to name a defect.
-        if not fib.is_lattice():
+        # verify() agrees with is_lattice; it runs only to name a defect.
+        if not fib.is_lattice:
             bad = fib.verify()
             if fib.size == 0 or not bad.ok:
                 raise SchemaError(f"{at}: not a lattice ({bad.violations[0].check if bad.violations else 'empty'})")

@@ -84,54 +84,33 @@ class cached_fact:
 class FiniteLattice:
     """A finite poset with all meets and joins (checked by :meth:`verify`).
 
-    ``up[a]`` is the bitmask of every b with a <= b; ``down[b]`` the dual.
-    Immutable after construction, apart from facts memoised on first use:
-    partial order, lattice, covers, the cone index and, on a lattice of at
-    most TABLE_BITS elements, the tables :attr:`up_closure_table`,
-    :attr:`meet_table` and :attr:`join_table`. Safe to share between
-    workers.
+    ``up[a]`` is the bitmask of every b with a <= b; bits at or beyond
+    ``len(up)`` are dropped. ``down[b]`` is the dual, every a with a <= b:
+    derived by :func:`columns`, or taken as given from a caller that has
+    it. Immutable after construction, apart from facts memoised on first
+    use, each a :class:`cached_fact`: partial order, lattice, covers, the
+    cone index and, on a lattice of at most TABLE_BITS elements, the tables
+    :attr:`up_closure_table`, :attr:`meet_table` and :attr:`join_table`.
+    Safe to share between workers.
     """
 
-    def __init__(self, leq_rows: Sequence[Sequence[bool]], labels: Optional[Sequence[str]] = None):
-        n = len(leq_rows)
-        for row in leq_rows:
-            if len(row) != n:
-                raise ValueError("leq matrix must be square")
-        self._init(tuple(sum(1 << b for b in range(n) if leq_rows[a][b]) for a in range(n)), labels)
-
-    def _init(
-        self, up: tuple[int, ...], labels: Optional[Sequence[str]], down: Optional[tuple[int, ...]] = None
-    ) -> None:
+    def __init__(
+        self, up: Sequence[int], labels: Optional[Sequence[str]] = None, down: Optional[Sequence[int]] = None
+    ):
         n = len(up)
         if labels is not None and len(labels) != n:
             raise ValueError("labels length must match size")
         self.size = n
-        self.up = up
-        self.down = tuple(columns(up)) if down is None else down
+        self._full = full = (1 << n) - 1
+        self.up = tuple(m & full for m in up)
+        self.down = tuple(columns(self.up)) if down is None else tuple(m & full for m in down)
         self._cones = (self.down, self.up)  # by side: 0 for meets, 1 for joins
         self.labels = tuple(labels) if labels is not None else None
-        self._full = (1 << n) - 1
-        self._is_order: Optional[bool] = None
-        self._covers: Optional[tuple[tuple[int, ...], ...]] = None
-        self._is_lattice: Optional[bool] = None
-        self._by_cone: Optional[tuple[dict[int, int], dict[int, int]]] = None
-
-    @classmethod
-    def from_up_masks(
-        cls, up: Sequence[int], labels: Optional[Sequence[str]] = None, down: Optional[Sequence[int]] = None
-    ) -> "FiniteLattice":
-        """The relation with ``up[a]`` as the mask of every b with a <= b;
-        bits at or beyond ``len(up)`` are dropped. A caller that has the
-        transpose passes it as ``down`` (``down[b]``, every a with a <= b),
-        which is then taken as given instead of derived by :func:`columns`."""
-        lat = cls.__new__(cls)
-        full = (1 << len(up)) - 1
-        lat._init(tuple(m & full for m in up), labels, None if down is None else tuple(m & full for m in down))
-        return lat
 
     @classmethod
     def chain(cls, n: int) -> "FiniteLattice":
-        return cls([[a <= b for b in range(n)] for a in range(n)])
+        full = (1 << n) - 1
+        return cls([full & ~((1 << a) - 1) for a in range(n)])
 
     def leq(self, a: int, b: int) -> bool:
         self._check(a)
@@ -159,28 +138,19 @@ class FiniteLattice:
 
     def meet(self, elems: Iterable[int]) -> int:
         """Greatest lower bound; top for the empty family."""
-        return self._bound(elems, 0)
+        return self.meet_mask(self._members(elems))
 
     def join(self, elems: Iterable[int]) -> int:
         """Least upper bound; bottom for the empty family."""
-        return self._bound(elems, 1)
+        return self.join_mask(self._members(elems))
 
-    def _bound(self, elems: Iterable[int], side: int) -> int:
-        """The meet (side 0, on ``down`` masks) or the join (side 1, on
-        ``up`` masks) of ``elems``: :meth:`_scan` of the AND of their cones."""
-        cones = self._cones[side]
-        common = self._full
+    def _members(self, elems: Iterable[int]) -> int:
+        """The mask of ``elems``, each range-checked."""
+        mask = 0
         for a in elems:
             self._check(a)
-            common &= cones[a]
-        return self._scan(common, side)
-
-    def _scan(self, common: int, side: int) -> int:
-        """The first c in ``common`` whose cone contains all of ``common``."""
-        for c in bits(common):
-            if common & ~self._cones[side][c] == 0:
-                return c
-        raise ValueError(("no greatest lower bound; not a lattice", "no least upper bound; not a lattice")[side])
+            mask |= 1 << a
+        return mask
 
     def meet_mask(self, mask: int) -> int:
         """:meth:`meet` of the members of ``mask``, without range checks.
@@ -194,8 +164,8 @@ class FiniteLattice:
         of them, and antisymmetry makes it unique), so a dict from down
         masks to elements, built once per lattice, finds it in one lookup.
         When the relation is not a partial order, or the lookup misses,
-        :meth:`meet`'s scan runs on the same AND and returns or raises as
-        :meth:`meet` does."""
+        :meth:`_scan` runs on the same AND: ValueError where it finds no
+        bound."""
         table = self.meet_table
         out = None if table is None else table[mask]
         return self._bound_mask(mask, 0) if out is None else out
@@ -212,32 +182,38 @@ class FiniteLattice:
         common = self._full
         for b in bits(mask):
             common &= cones[b]
-        return self._bound_of_common(common, side)
+        out = self._bound_of_common(common, side)
+        if out is None:
+            raise ValueError(("no greatest lower bound; not a lattice", "no least upper bound; not a lattice")[side])
+        return out
 
-    def _bound_of_common(self, common: int, side: int) -> int:
+    def _bound_of_common(self, common: int, side: int) -> Optional[int]:
         """The bound whose cone is ``common``, the AND of the members'
-        cones: one cone-index lookup, else :meth:`_scan`."""
-        out = self._cone_index()[side].get(common)
+        cones, or None: one cone-index lookup, else :meth:`_scan`."""
+        out = self._cone_index[side].get(common)
         return self._scan(common, side) if out is None else out
 
+    def _scan(self, common: int, side: int) -> Optional[int]:
+        """The first c in ``common`` whose cone contains all of ``common``,
+        or None."""
+        cones = self._cones[side]
+        for c in bits(common):
+            if common & ~cones[c] == 0:
+                return c
+        return None
+
     def _bound_table(self, side: int) -> Optional[tuple[Optional[int], ...]]:
-        """Per mask, :meth:`_bound_mask` on ``side``, or None where it
-        raises; None for a lattice of more than TABLE_BITS elements. The
-        AND of the cones of a mask's members is that of the mask less its
-        top bit, ANDed with the top bit's cone, so the ANDs double from
-        ``[full]`` one element at a time."""
+        """Per mask, the bound :meth:`_bound_mask` returns on ``side``, or
+        None where it raises; None for a lattice of more than TABLE_BITS
+        elements. The AND of the cones of a mask's members is that of the
+        mask less its top bit, ANDed with the top bit's cone, so the ANDs
+        double from ``[full]`` one element at a time."""
         if self.size > TABLE_BITS:
             return None
         common = [self._full]
         for cone in self._cones[side]:
             common += [c & cone for c in common]
-        table = []
-        for c in common:
-            try:
-                table.append(self._bound_of_common(c, side))
-            except ValueError:
-                table.append(None)
-        return tuple(table)
+        return tuple(self._bound_of_common(c, side) for c in common)
 
     @cached_fact
     def meet_table(self) -> Optional[tuple[Optional[int], ...]]:
@@ -263,18 +239,17 @@ class FiniteLattice:
             table += [m | up for m in table]
         return tuple(table)
 
+    @cached_fact
     def _cone_index(self) -> tuple[dict[int, int], dict[int, int]]:
         """(down mask -> element, up mask -> element), the lowest index
         winning; both empty unless this is a partial order."""
-        if self._by_cone is None:
-            by_down: dict[int, int] = {}
-            by_up: dict[int, int] = {}
-            if self.is_partial_order():
-                for c in range(self.size - 1, -1, -1):
-                    by_down[self.down[c]] = c
-                    by_up[self.up[c]] = c
-            self._by_cone = (by_down, by_up)
-        return self._by_cone
+        by_down: dict[int, int] = {}
+        by_up: dict[int, int] = {}
+        if self.is_partial_order:
+            for c in range(self.size - 1, -1, -1):
+                by_down[self.down[c]] = c
+                by_up[self.up[c]] = c
+        return by_down, by_up
 
     def up_closure(self, mask: int) -> int:
         """The mask of every element above some member of ``mask``: one
@@ -310,59 +285,52 @@ class FiniteLattice:
         for a in range(n):
             rep.count("bounds", 2 * (n - a))
             for b in range(a, n):
-                if not self._has_bound(self.down[a] & self.down[b], self.down):
+                if self._scan(self.down[a] & self.down[b], 0) is None:
                     rep.add("missing-meet", witness=(a, b))
-                if not self._has_bound(self.up[a] & self.up[b], self.up):
+                if self._scan(self.up[a] & self.up[b], 1) is None:
                     rep.add("missing-join", witness=(a, b))
         if n > 0:
             rep.count("global-bounds", 2)
-            if not self._has_bound(self._full, self.down):
+            if self._scan(self._full, 0) is None:
                 rep.add("missing-top")
-            if not self._has_bound(self._full, self.up):
+            if self._scan(self._full, 1) is None:
                 rep.add("missing-bottom")
         return rep
 
+    @cached_fact
     def is_partial_order(self) -> bool:
-        """Reflexive, antisymmetric and transitive; memoised. Fast paths
-        that reason along covers or chain inequalities rely on it."""
-        if self._is_order is None:
-            up = self.up
-            self._is_order = all(
-                (up[a] >> a) & 1
-                and not any((up[b] >> a) & 1 or up[b] & ~up[a] for b in bits(up[a] & ~(1 << a)))
-                for a in range(self.size)
-            )
-        return self._is_order
+        """Reflexive, antisymmetric and transitive. Fast paths that reason
+        along covers or chain inequalities rely on it."""
+        up = self.up
+        return all(
+            (up[a] >> a) & 1
+            and not any((up[b] >> a) & 1 or up[b] & ~up[a] for b in bits(up[a] & ~(1 << a)))
+            for a in range(self.size)
+        )
 
+    @cached_fact
     def is_lattice(self) -> bool:
         """A partial order with a top in which every pair has a meet, hence
-        one in which every family has a meet and a join; memoised. One
-        lookup per pair (see :meth:`meet_mask`), so :meth:`verify`'s
-        witnesses are not needed to take a fast path that relies on it."""
-        if self._is_lattice is None:
-            by_down, down, n = self._cone_index()[0], self.down, self.size
-            self._is_lattice = (
-                self.is_partial_order()
-                and self._full in by_down
-                and all(down[a] & down[b] in by_down for a in range(n) for b in range(a + 1, n))
-            )
-        return self._is_lattice
+        one in which every family has a meet and a join. One lookup per
+        pair (see :meth:`meet_mask`), so :meth:`verify`'s witnesses are not
+        needed to take a fast path that relies on it."""
+        by_down, down, n = self._cone_index[0], self.down, self.size
+        return (
+            self.is_partial_order
+            and self._full in by_down
+            and all(down[a] & down[b] in by_down for a in range(n) for b in range(a + 1, n))
+        )
 
+    @cached_fact
     def covers(self) -> tuple[tuple[int, ...], ...]:
-        """``covers()[a]``: every b > a with nothing strictly between, in
-        increasing order; memoised. On a finite partial order, a <= b iff a
-        chain of covers leads from a to b."""
-        if self._covers is None:
-            out = []
-            for a in range(self.size):
-                above = self.up[a] & ~(1 << a)
-                out.append(tuple(b for b in bits(above) if not above & self.down[b] & ~(1 << b)))
-            self._covers = tuple(out)
-        return self._covers
-
-    @staticmethod
-    def _has_bound(common: int, cones: tuple) -> bool:
-        return any(common & ~cones[c] == 0 for c in bits(common))
+        """``covers[a]``: every b > a with nothing strictly between, in
+        increasing order. On a finite partial order, a <= b iff a chain of
+        covers leads from a to b."""
+        out = []
+        for a in range(self.size):
+            above = self.up[a] & ~(1 << a)
+            out.append(tuple(b for b in bits(above) if not above & self.down[b] & ~(1 << b)))
+        return tuple(out)
 
     def leq_matrix(self) -> list[list[bool]]:
         return [[bool((self.up[a] >> b) & 1) for b in range(self.size)] for a in range(self.size)]
@@ -399,9 +367,9 @@ def monotone_violation(table: Sequence[int], source: FiniteLattice, target: Fini
     cover fails, or either side is not a partial order, this falls back to
     :func:`monotone_violation_dense`, so the pair returned is the first one
     of the full scan."""
-    if source.is_partial_order() and target.is_partial_order():
+    if source.is_partial_order and target.is_partial_order:
         up = target.up
-        for a, above in enumerate(source.covers()):
+        for a, above in enumerate(source.covers):
             fa = up[table[a]]
             for b in above:
                 if not (fa >> table[b]) & 1:
@@ -468,7 +436,7 @@ def lower_adjoint(right: Sequence[int], source: FiniteLattice, target: FiniteLat
     mask of left(A), one lookup in the cone index. A preimage that is no
     element's up-set means ``right`` has no lower adjoint: ValueError,
     naming that A."""
-    table = tuple(map(source._cone_index()[1].get, preimages(right, target, target.up)))
+    table = tuple(map(source._cone_index[1].get, preimages(right, target, target.up)))
     if None in table:
         a = table.index(None)
         raise ValueError(f"no least B with element {a} <= right(B); not a right adjoint")

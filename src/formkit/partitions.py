@@ -79,9 +79,9 @@ def partition_lattice(n: int) -> tuple[FiniteLattice, list[Partition]]:
     """Partitions ordered by refinement: all singletons at the bottom, one
     block at the top."""
     parts = enumerate_partitions(n)
-    rows = [[p.refines(q) for q in parts] for p in parts]
+    up = [sum(1 << j for j, q in enumerate(parts) if p.refines(q)) for p in parts]
     labels = ["|".join(map(str, p.blocks)) for p in parts]
-    return FiniteLattice(rows, labels), parts
+    return FiniteLattice(up, labels), parts
 
 
 class PartitionForm:

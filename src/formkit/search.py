@@ -68,7 +68,7 @@ def _downset_lattice(below: list[int]) -> tuple[FiniteLattice, tuple[int, ...], 
             if all(below[j] & ~s == 0 for j in range(k) if (s >> j) & 1)
         )
         up = [sum(1 << j for j, m2 in enumerate(masks) if m1 & ~m2 == 0) for m1 in masks]
-        out = _LATTICES[key] = (FiniteLattice.from_up_masks(up), masks, {m: i for i, m in enumerate(masks)})
+        out = _LATTICES[key] = (FiniteLattice(up), masks, {m: i for i, m in enumerate(masks)})
     return out
 
 
@@ -234,7 +234,7 @@ def _close_order(form: FormInstance, rel: list[list[int]], want: str) -> None:
     while changed:
         changed = False
         for fib, rows in fibres:
-            up, up_closure, meet, above = fib.up, fib.up_closure_table, fib.meet_table, fib.covers()
+            up, up_closure, meet, above = fib.up, fib.up_closure_table, fib.meet_table, fib.covers
             for a in range(fib.size - 1, -1, -1):
                 m = rows[a]
                 for c in above[a]:
@@ -355,11 +355,16 @@ def run_case(claim: str, seed: int, index: int) -> Optional[dict]:
 # to 1000 cases: 0.08 on strict-iff-push, 0.17 on final-thick), since a
 # share near the break-even repeats few cases. A two-way split saves half
 # the cases' time for that 2 ms, so it breaks even near 4 ms / 0.08 ms = 50
-# cases on the cheapest claim, below budget 64. On that VM the split lost at
-# every budget from 32 to 1000 on a contended day (strict-iff-push 85 ms
-# serial, 90 ms split at 1000), and at 1000 won 7 of 7 interleaved pairs
-# against `taskset -c 0` on a quieter one (transfer-laws 0.114 vs 0.162 s,
-# roundtrip-TM 0.140 vs 0.209 s). Neither places the break-even elsewhere.
+# cases on the cheapest claim, below budget 64. At budget 1000 on that VM,
+# 8 alternating pairs of `perfbench/run.py --workload search --seconds 10`
+# read `search` wall_s 0.84-0.98 s (median 0.90) at full width against
+# 1.14-1.19 s (median 1.18) under `taskset -c 0`, 8 of 8 with no failed
+# operation; that pins the harness's calibration too, and the raw pass walls
+# of 3 such pairs differed by about 15%. Timed one by one from an unpinned
+# parent, roundtrip-TM and final-thick came out even (full width won 5 and 6
+# of 10 pairs), and at budget 128 the split lost (strict-iff-push 18-26 ms
+# split, 13-23 ms serial). So the split stays, and its break-even may sit
+# above 64 on a busy VM.
 MIN_CASES_PER_PROCESS = 64
 
 

@@ -153,9 +153,9 @@ def _rows_t2(fib: FiniteLattice, rows: Sequence[int], upclosed: Sequence[int]) -
     each row equals its up-closure ``upclosed[a]`` and contains the rows
     of the covers of a, hence, along chains of covers, of every element
     above a."""
-    if not fib.is_partial_order():
+    if not fib.is_partial_order:
         return False
-    for a, above in enumerate(fib.covers()):
+    for a, above in enumerate(fib.covers):
         row = rows[a]
         if upclosed[a] != row:
             return False
@@ -209,7 +209,7 @@ def classify_order(form: FormInstance, order: TopogenousOrder) -> OrderClass:
     """Meet-stability (second argument), join-stability (first argument),
     and interpolativity.
 
-    When every fibre is a lattice (:meth:`FiniteLattice.is_lattice`) on
+    When every fibre is a lattice (:attr:`FiniteLattice.is_lattice`) on
     which the rows satisfy T2 (each row an up-set containing the rows
     above it, see :func:`_rows_t2`), the stability laws are
     principal-filter tests. On a finite lattice an up-set is closed under
@@ -230,7 +230,7 @@ def classify_order(form: FormInstance, order: TopogenousOrder) -> OrderClass:
     elements, where the scan tries only pairs and the empty and full
     families."""
     fibres = list(zip(form.fibres, order.rel))
-    if not all(fib.is_lattice() and _rows_t2(fib, rows, [fib.up_closure(row) for row in rows]) for fib, rows in fibres):
+    if not all(fib.is_lattice and _rows_t2(fib, rows, [fib.up_closure(row) for row in rows]) for fib, rows in fibres):
         return classify_order_dense(form, order)
     is_tm = is_tj = is_int = True
     for fib, rows in fibres:

@@ -135,7 +135,7 @@ def _fibre(n: int, tops: Sequence[FiniteTopology]) -> FiniteLattice:
     up = [~reduce(or_, map(member.__getitem__, subsets - t.opens), 0) for t in tops]
     down = [reduce(and_, map(member.__getitem__, t.opens)) for t in tops]
     labels = ["{" + ",".join(map(str, t.key())) + "}" for t in tops]
-    return FiniteLattice.from_up_masks(up, labels, down)
+    return FiniteLattice(up, labels, down)
 
 
 def topology_fibre(n: int) -> tuple[FiniteLattice, list[FiniteTopology]]:

@@ -10,13 +10,15 @@ the form's ``_dense_functoriality`` and
 it checks. The predicates on map tables that only tests ask
 (:func:`is_monotone`, :func:`preserves_joins`, :func:`preserves_meets`)
 and :func:`report_dict`, the form in which tests compare reports, live
-here too.
+here too, with the two builders tests use in place of the integer
+constructors: :func:`lattice_from_rows` (a boolean matrix) and
+:func:`presentation` (composites keyed by name pairs).
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from formkit.forms import CategoryPresentation, CorruptFormError, FormInstance, MorphismKind
 from formkit.groups import FiniteGroup, GroupHom
@@ -41,6 +43,34 @@ def report_dict(rep: Report) -> dict:
         "violations": [v.to_dict() for v in ordered],
         "notes": list(rep.notes),
     }
+
+
+# -- lattices ------------------------------------------------------------------------
+
+
+def lattice_from_rows(rows: Sequence[Sequence[bool]], labels: Optional[Sequence[str]] = None) -> FiniteLattice:
+    """The relation with a <= b where ``rows[a][b]`` holds, a boolean
+    matrix, through the up-mask constructor."""
+    return FiniteLattice([sum(1 << b for b, leq in enumerate(row) if leq) for row in rows], labels)
+
+
+def bound_dense(lat: FiniteLattice, mask: int, side: int) -> int:
+    """The meet (side 0) or the join (side 1) of the members of ``mask`` by
+    its definition, read from the ``up`` masks alone: of the common lower
+    (upper) bounds in index order, the first that every other one is below
+    (above). ValueError with :class:`FiniteLattice`'s message where there
+    is none: the oracle of ``meet_mask`` and ``join_mask``, whose cone
+    index, tables and scan it does not use."""
+    n, up = lat.size, lat.up
+    if side == 0:
+        common = [c for c in range(n) if mask & ~up[c] == 0]
+        best = [c for c in common if all((up[d] >> c) & 1 for d in common)]
+    else:
+        common = [c for c in range(n) if all((up[a] >> c) & 1 for a in bits(mask))]
+        best = [c for c in common if all((up[c] >> d) & 1 for d in common)]
+    if not best:
+        raise ValueError(("no greatest lower bound; not a lattice", "no least upper bound; not a lattice")[side])
+    return best[0]
 
 
 # -- Galois connections ------------------------------------------------------------
@@ -124,9 +154,9 @@ def totality_faults(base: CategoryPresentation) -> list[tuple[str, ...]]:
     """Every object without an identity, as (x,), and every composable
     (g, f) by name, f in number order, then g, whose composite is
     undefined, as (g, f), or outside hom(dom f, cod g), as (g, f, g∘f).
-    The constructor refuses such a presentation when it walks a name-keyed
-    table; this walk stands in for it on the callable tables, which are
-    not walked."""
+    The constructor refuses an object without an identity, and
+    :func:`presentation` refuses the first fault of this walk; it stands
+    in for a walk of the callable tables, which are not walked."""
     faults: list[tuple[str, ...]] = [(x,) for x in base.objects if x not in base.identities]
     for g, f in composable_pairs(base):
         try:
@@ -137,6 +167,29 @@ def totality_faults(base: CategoryPresentation) -> list[tuple[str, ...]]:
         if h not in hom(base, base.dom[f], base.cod[g]):
             faults.append((g, f, h))
     return faults
+
+
+def presentation(
+    objects: Sequence[str],
+    homs: dict[tuple[str, str], Sequence[str]],
+    compose: Mapping[tuple[str, str], str],
+    identities: dict[str, str],
+) -> CategoryPresentation:
+    """The presentation whose composites ``compose`` names, ``(g, f)`` to
+    g∘f: built with ``compose=None``, and each entry at a composable pair
+    written into ``comp`` by number; entries at pairs that do not compose
+    are ignored. ValueError naming the first fault :func:`totality_faults`
+    finds: a composable pair left out, or mapped outside
+    hom(dom f, cod g)."""
+    base = CategoryPresentation(objects, homs, None, identities)
+    ids, n = base.ids, len(base.names)
+    for (g, f), h in compose.items():
+        if g in ids and f in ids and base.dom[g] == base.cod[f]:
+            base.comp[ids[g] * n + ids[f]] = ids[h]
+    for g, f, *h in totality_faults(base):
+        pair = f"{g!r} after {f!r}"
+        raise ValueError(f"{h[0]!r} is not a composite of {pair}" if h else f"{pair} is undefined")
+    return base
 
 
 def assert_total(base: CategoryPresentation) -> None:

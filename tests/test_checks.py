@@ -26,7 +26,7 @@ from formkit.topogenous import (
     verify_closure,
 )
 from formkit.topologies import build_top_form, theta_order
-from oracles import leq_over, report_dict, totality_faults, verify_closure_dense
+from oracles import leq_over, presentation, report_dict, totality_faults, verify_closure_dense
 
 
 class Unreadable:
@@ -111,9 +111,9 @@ def test_battery_computes_each_fact_once(bundle_name, order_fixture, order_name,
 
 def test_partial_presentation_is_refused_at_its_first_pair_in_walk_order():
     """idX, e: X -> X, f: X -> Y and idY, with f∘idX outside hom(X, Y) and
-    e∘e, f∘e and idY∘f left undefined. The constructor names the first of
-    these in the walk order of the oracle (f outer, g inner); with that
-    pair mended, the next one."""
+    e∘e, f∘e and idY∘f left undefined. The name-pair builder names the
+    first of these in the walk order of the oracle (f outer, g inner); with
+    that pair mended, the next one."""
     objects, identities = ["X", "Y"], {"X": "idX", "Y": "idY"}
     homs = {("X", "X"): ["idX", "e"], ("X", "Y"): ["f"], ("Y", "Y"): ["idY"]}
     compose = {("idX", "idX"): "idX", ("e", "idX"): "e", ("idX", "e"): "e", ("f", "idX"): "idX", ("idY", "idY"): "idY"}
@@ -128,10 +128,10 @@ def test_partial_presentation_is_refused_at_its_first_pair_in_walk_order():
         g, f, *h = fault
         message = f"{h[0]!r} is not a composite of {g!r} after {f!r}" if h else f"{g!r} after {f!r} is undefined"
         with pytest.raises(ValueError) as refused:
-            CategoryPresentation(objects, homs, compose, identities)
+            presentation(objects, homs, compose, identities)
         assert str(refused.value) == message
         compose[g, f] = mends[g, f]
-    base = CategoryPresentation(objects, homs, compose, identities)
+    base = presentation(objects, homs, compose, identities)
     assert base.verify().ok and totality_faults(base) == []
 
 
@@ -147,13 +147,13 @@ def test_partial_presentation_is_refused_at_its_first_pair_in_walk_order():
 def one_object(fib: FiniteLattice, push=None, pull=None) -> FormInstance:
     """One object X with fibre ``fib`` and its identity, whose push and pull
     are the identity table unless given."""
-    base = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
+    base = presentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
     same = tuple(range(fib.size))
     return FormInstance(base, [fib], [push or same], [pull or same])
 
 
 CHAIN2, CHAIN3 = FiniteLattice.chain(2), FiniteLattice.chain(3)
-PREORDER2 = FiniteLattice.from_up_masks([0b11, 0b11])  # 0 <= 1 and 1 <= 0
+PREORDER2 = FiniteLattice([0b11, 0b11])  # 0 <= 1 and 1 <= 0
 
 
 def on_order(check, form, rows, corrupted_rows):
@@ -229,7 +229,7 @@ def form_law(changed):
 def arrow(push=(0, 1), pull=(0, 1)) -> FormInstance:
     """X -> Y, both fibres the two-element chain, push and pull of f the
     identity table unless given."""
-    base = CategoryPresentation(
+    base = presentation(
         ["X", "Y"],
         {("X", "X"): ["idX"], ("X", "Y"): ["f"], ("Y", "Y"): ["idY"]},
         {("idX", "idX"): "idX", ("f", "idX"): "f", ("idY", "f"): "f", ("idY", "idY"): "idY"},
@@ -274,7 +274,60 @@ def cohereditary():
     return [cohereditary_operator_check(tf.form, c, ctx.final) for c in (ctx.closure, moved)]
 
 
+def base_category():
+    # top[1,2]; then the swap of 2pt composed with itself sent to a constant
+    # instead of the identity, the corruption of
+    # test_forms.py::test_dense_associativity_counts_triples_up_to_its_witness:
+    # the identity laws still hold, and associativity fails
+    form = build_top_form([1, 2]).form
+    base = form.base
+    compose = dict(base.compose_table)
+    swap = "2pt->2pt:1.0"
+    compose[swap, swap] = "2pt->2pt:0.0"
+    changed = presentation(base.objects, base.homs, compose, base.identities)
+    broken = FormInstance(changed, form.fibres, form.push, form.pull)
+    return [CHECKS["base-category"].run(CheckContext(f)) for f in (form, broken)]
+
+
+def lifting_section():
+    # quot[1,2,3]; then the pull of its first section that is no retraction,
+    # between fibres of more than one element, moved at the image of the
+    # domain's element 0, the corruption of
+    # test_forms.py::test_first_roundtrip_failure_is_the_first_lifting_violation
+    from test_forms import _corrupted
+
+    form = build_quot_form([1, 2, 3]).form
+    base = form.base
+    section = next(
+        f for f, k in enumerate(base.kinds)
+        if k.is_section and not k.is_retraction
+        and min(form.fibres[base.source[f]].size, form.fibres[base.target[f]].size) > 1
+    )
+    pull = list(form.pull)
+    pull[section] = _corrupted(pull[section], form.push[section][0], form.fibres[base.source[section]].size)
+    broken = FormInstance(base, form.fibres, form.push, pull)
+    return [CHECKS["lifting-iso-laws"].run(CheckContext(f)) for f in (form, broken)]
+
+
+def interior_contractive():
+    # the identity interior on a two-element chain; then the bottom sent to
+    # the top, which is not below it
+    form = one_object(CHAIN2)
+    operators = [Operator("interior", [t]) for t in ((0, 1), (1, 1))]
+    return [CHECKS["interior-axioms"].run(CheckContext(form, operator=o)) for o in operators]
+
+
 CAN_FAIL = {
+    "associative": base_category,
+    "section-roundtrip": lifting_section,
+    # the leq order of a two-element chain; then the top related to the
+    # bottom, which is not above it
+    "T1": lambda: on_order("order-axioms", one_object(CHAIN2), CHAIN2.up, (0b11, 0b11)),
+    # the order of the pull-form-agrees-T3 row: X's bottom no longer
+    # related to pull(b) = X's top for any b, though push(X's bottom) is
+    # related to every b
+    "T3": lambda: on_arrow("order-axioms", [(0b01, 0b10), CHAIN2.up]),
+    "I1": interior_contractive,
     "final-thick": final_thick,
     "theta-clopen-strict-per-pair": theta_clopen_per_pair,
     "C2-form-agreement": c2_form_agreement,
@@ -368,7 +421,7 @@ def test_closure_on_a_preorder_fibre_matches_the_pair_sweep():
     # and the mask tests run. Every table on the fibre gets the pair
     # sweep's report, and some fail C1 and C2
     failed = set()
-    for fib in (PREORDER2, FiniteLattice.from_up_masks([0b111, 0b111, 0b100])):
+    for fib in (PREORDER2, FiniteLattice([0b111, 0b111, 0b100])):
         form = one_object(fib)
         assert not form.is_adjoint(0)
         for table in product(range(fib.size), repeat=fib.size):

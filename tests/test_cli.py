@@ -253,13 +253,18 @@ MALFORMED = {
     "replay-unusable-sizes": lambda t, p: ["replay", _write(t, _witness({"kind": "top", "sizes": "2"}))],
     "replay-empty-sizes": lambda t, p: ["replay", _write(t, _witness({"kind": "top", "sizes": [], "order": "theta"}))],
     "replay-top-over-cap": lambda t, p: ["replay", _write(t, _witness({"kind": "top", "sizes": [9]}))],
+    "replay-max-order-zero": lambda t, p: ["replay", _write(t, _witness({"kind": "grp", "max_order": 0}))],
+    "instance-grp-max-order-zero": lambda t, p: ["instance", "grp", "--max-order", "0"],
+    "check-theorems-grp-max-order-negative": lambda t, p: ["check-theorems", "--instance", "grp", "--max-order", "-1"],
     "instance-top-over-cap": lambda t, p: ["instance", "top", "--sizes", "5"],
     "instance-quot-over-cap": lambda t, p: ["instance", "quot", "--sizes", "6"],
     "derive-theta-over-cap": lambda t, p: ["derive", "theta", "--n", "9"],
     "search-budget-negative": lambda t, p: ["search", "--claim", "roundtrip-TM", "--budget", "-3"],
     "check-theorems-sizes-not-ints": lambda t, p: ["check-theorems", "--instance", "top", "--sizes", "x"],
     "check-theorems-sizes-none": lambda t, p: ["check-theorems", "--instance", "top", "--sizes", ","],
+    "check-theorems-sizes-trailing-comma": lambda t, p: ["check-theorems", "--instance", "top", "--sizes", "2,"],
     "instance-quot-sizes-empty": lambda t, p: ["instance", "quot", "--sizes", ""],
+    "instance-quot-sizes-empty-item": lambda t, p: ["instance", "quot", "--sizes", "1,,2"],
     "check-theorems-no-form": lambda t, p: ["check-theorems"],
     "check-theorems-form-named-order": lambda t, p: ["check-theorems", "--form", p["form"], "--order", "theta"],
     "enumerate-unknown-group": lambda t, p: ["enumerate", "subgroups", "--group", "Nope"],
@@ -304,13 +309,18 @@ MALFORMED_WHERE = {
     "replay-unusable-sizes": "bad.json: recipe field 'sizes' has an unusable value '2'",
     "replay-empty-sizes": "bad.json: recipe field 'sizes' has an unusable value []",
     "replay-top-over-cap": "bad.json: carrier size 9 exceeds the cap of 4",
+    "replay-max-order-zero": "bad.json: max_order 0 selects no group; the standard corpus starts at order 1",
+    "instance-grp-max-order-zero": "instance: max_order 0 selects no group; the standard corpus starts at order 1",
+    "check-theorems-grp-max-order-negative": "recipe: max_order -1 selects no group; the standard corpus starts at order 1",
     "instance-top-over-cap": "carrier size 5",
     "instance-quot-over-cap": "ground size 6",
     "derive-theta-over-cap": "between 0 and 4, got 9",
     "search-budget-negative": "--budget",
     "check-theorems-sizes-not-ints": "--sizes expects comma-separated integers, got 'x'",
     "check-theorems-sizes-none": "--sizes expects comma-separated integers, got ','",
+    "check-theorems-sizes-trailing-comma": "--sizes expects comma-separated integers, got '2,'",
     "instance-quot-sizes-empty": "--sizes expects comma-separated integers, got ''",
+    "instance-quot-sizes-empty-item": "--sizes expects comma-separated integers, got '1,,2'",
     "check-theorems-no-form": "provide --form FILE (with --order FILE) or --instance KIND",
     "check-theorems-form-named-order": "named orders other than 'leq' need --instance; otherwise pass --order FILE",
     "enumerate-unknown-group": "unknown corpus group 'Nope'",

@@ -18,6 +18,7 @@ from formkit.topologies import build_top_form
 from oracles import (
     identity,
     leq_over,
+    presentation,
     preserves_joins,
     preserves_meets,
     totality_faults,
@@ -31,7 +32,7 @@ def arrow_form(push_table, src_size=2, tgt_size=3):
     map derived as the upper adjoint of the given push table."""
     x_fib = FiniteLattice.chain(src_size)
     y_fib = FiniteLattice.chain(tgt_size)
-    base = CategoryPresentation(
+    base = presentation(
         ["X", "Y"],
         {("X", "X"): ["idX"], ("Y", "Y"): ["idY"], ("X", "Y"): ["f"], ("Y", "X"): []},
         {
@@ -114,8 +115,8 @@ def test_identity_law_bodies_test_nothing(monkeypatch):
     )
     bad_identity = arrow_form([0, 2])
     bad_identity.push[bad_identity.base.ids["idX"]] = (0, 0)
-    one = CategoryPresentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
-    preorder = FiniteLattice.from_up_masks([0b11, 0b11])  # not a partial order: its identity is tested
+    one = presentation(["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"})
+    preorder = FiniteLattice([0b11, 0b11])  # not a partial order: its identity is tested
     forms = [build_top_form([1, 2]).form, arrow_form([0, 2]), arrow_form([2, 0]), bad_identity]
     forms.append(FormInstance(one, [preorder], [(0, 1)], [(0, 1)]))
     for form in forms:
@@ -124,7 +125,7 @@ def test_identity_law_bodies_test_nothing(monkeypatch):
         skipped = [
             f for f, (x, y) in enumerate(zip(form.base.source, form.base.target))
             if x == y and form.push[f] == form.pull[f] == tuple(range(form.fibres[x].size))
-            and form.fibres[x].is_partial_order()
+            and form.fibres[x].is_partial_order
         ]
         assert len(tested) == 2 * (len(form.base.names) - len(skipped))
         assert not {id(form.push[f]) for f in skipped} & set(map(id, tested))
@@ -286,13 +287,14 @@ def test_thickness_examples(top12):
 
 
 def test_name_keyed_composition_matches_the_callable():
-    """A mapping's composites land where the callable puts them; an entry
-    at a pair that does not compose, or keyed by no morphism, is ignored."""
+    """The name-pair builder ``presentation`` puts a mapping's composites
+    where the callable puts them; an entry at a pair that does not
+    compose, or keyed by no morphism, is ignored."""
     base = arrow_form([0, 2]).base
     table = dict(base.compose_table)
     table[("idX", "f")] = "f"  # f then idX: not composable
     table[("ghost", "f")] = "f"
-    named = CategoryPresentation(base.objects, base.homs, table, base.identities)
+    named = presentation(base.objects, base.homs, table, base.identities)
     ids, n = base.ids, len(base.names)
     assert named.comp == base.comp
     assert named.comp[ids["idX"] * n + ids["f"]] == -1
@@ -340,7 +342,7 @@ def test_only_forms_reads_the_composition_table():
 
 
 def test_base_category_verify_catches_bad_associativity():
-    base = CategoryPresentation(
+    base = presentation(
         ["X"],
         {("X", "X"): ["id", "e"]},
         {("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "e", ("e", "e"): "id"},
@@ -349,7 +351,7 @@ def test_base_category_verify_catches_bad_associativity():
     # e∘e = id makes e self-inverse; that IS associative, so tweak:
     rep = base.verify()
     assert rep.ok
-    bad = CategoryPresentation(
+    bad = presentation(
         ["X"],
         {("X", "X"): ["id", "e"]},
         {("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "id", ("e", "e"): "e"},
@@ -381,12 +383,13 @@ TWO_COMPOSE = {("idX", "idX"): "idX", ("idY", "idY"): "idY", ("f", "idX"): "f", 
     ids=["identity-missing", "compose-undefined", "compose-escapes-hom"],
 )
 def test_presentation_axioms_report_their_witness(homs, compose, identities, error, message):
-    """Composition is total by construction: the constructor refuses an
-    object without an identity, an undefined composite and a composite
-    outside its hom-set, and names the witness."""
+    """The constructor refuses an object without an identity, and the
+    name-pair builder ``presentation`` an undefined composite and a
+    composite outside its hom-set, each naming the witness. The form
+    reader's refusals of the same faults are pinned in test_jsonio.py."""
     objects = sorted({x for pair in homs for x in pair})
     with pytest.raises(error) as refused:
-        CategoryPresentation(objects, homs, compose, identities)
+        presentation(objects, homs, compose, identities)
     assert str(refused.value) == message
 
 
@@ -396,8 +399,8 @@ def test_form_laws_report_an_object_without_identity():
     reader refuses the encoding of a sound form whose identity of that
     object is dropped, both naming the object."""
     with pytest.raises(IdentityError, match="^object 'Y' has no identity$"):
-        CategoryPresentation(["X", "Y"], TWO_HOMS, TWO_COMPOSE, {"X": "idX"})
-    base = CategoryPresentation(["X", "Y"], TWO_HOMS, TWO_COMPOSE, {"X": "idX", "Y": "idY"})
+        CategoryPresentation(["X", "Y"], TWO_HOMS, None, {"X": "idX"})
+    base = presentation(["X", "Y"], TWO_HOMS, TWO_COMPOSE, {"X": "idX", "Y": "idY"})
     lat = FiniteLattice.chain(2)
     ident = [(0, 1)] * len(base.names)
     doc = form_to_dict(FormInstance(base, [lat, lat], ident, ident))
@@ -411,7 +414,7 @@ def test_dense_associativity_counts_triples_up_to_its_witness(top12):
     compose = dict(base.compose_table)
     swap = "2pt->2pt:1.0"
     compose[(swap, swap)] = "2pt->2pt:0.0"  # was the identity
-    bad = CategoryPresentation(base.objects, base.homs, compose, base.identities)
+    bad = presentation(base.objects, base.homs, compose, base.identities)
     names = list(base.names)
     pairs = [(g, f) for f in names for g in names if bad.dom[g] == bad.cod[f]]
     triples = [(h, g, f) for g, f in pairs for h in names if bad.dom[h] == bad.cod[g]]
@@ -460,6 +463,6 @@ def test_duplicate_morphism_name_rejected():
         CategoryPresentation(
             ["X", "Y"],
             {("X", "X"): ["m"], ("Y", "Y"): ["m"]},
-            {},
+            None,
             {"X": "m", "Y": "m"},
         )

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import formkit
 from cli_runner import CliRunner
 from formkit import jsonio
-from formkit.forms import CategoryPresentation, FormInstance
+from formkit.forms import FormInstance
 from formkit.groups import symmetric3
 from formkit.jsonio import (
     SchemaError,
@@ -39,6 +39,7 @@ from formkit.lattice import FiniteLattice
 from formkit.partitions import Partition
 from formkit.topogenous import Operator, closure_from_order, leq_order
 from formkit.topologies import FiniteTopology
+from oracles import lattice_from_rows, presentation
 
 
 def test_lattice_roundtrip():
@@ -49,7 +50,7 @@ def test_lattice_roundtrip():
 
 
 def test_lattice_labels_preserved():
-    lat = FiniteLattice([[True, True], [False, True]], labels=["lo", "hi"])
+    lat = lattice_from_rows([[True, True], [False, True]], labels=["lo", "hi"])
     doc = lattice_to_dict(lat)
     again = lattice_from_dict(doc)
     assert again.labels == ("lo", "hi")
@@ -387,20 +388,20 @@ def test_emitted_forms_are_pinned(name, request):
 @pytest.mark.parametrize("name", sorted(EMITTED_DIGESTS))
 def test_one_pass_reader_is_the_checked_reader(name, request):
     """On every built-in emitted document the one-pass reader fills the
-    table that the constructor builds from the document's name pairs; each
-    fibre is the relation the boolean matrix constructor builds from its
-    rows."""
+    table that the name-pair builder ``presentation`` fills from the
+    document's name pairs; each fibre is the relation ``lattice_from_rows``
+    builds from its rows."""
     form = request.getfixturevalue(name).form
     doc = json.loads(dumps(form))
     read = form_from_dict(doc)
     homs = {tuple(key.split(",")): ms for key, ms in doc["homs"].items()}
     pairs = {tuple(key.split(";")): h for key, h in doc["compose"].items()}
-    named = CategoryPresentation(doc["objects"], homs, pairs, doc["identities"])
+    named = presentation(doc["objects"], homs, pairs, doc["identities"])
     assert read.base.names == named.names == form.base.names
     assert read.base.comp == named.comp == form.base.comp
     for x, fib in zip(form.base.objects, read.fibres):
         fibre = doc["fibres"][x]
-        made = FiniteLattice(fibre["leq"], fibre.get("labels"))
+        made = lattice_from_rows(fibre["leq"], fibre.get("labels"))
         assert fib.up == made.up
         assert fib.labels == made.labels
     for f in range(len(form.base.names)):
@@ -517,8 +518,8 @@ def test_form_documents_skip_the_stdlib_encoder(name, request, fallbacks, tmp_pa
 def _hand_form(objects, homs, compose, identities):
     """A form over a hand-built presentation: every fibre the two-element
     chain, every transfer table the identity."""
-    base = CategoryPresentation(objects, homs, compose, identities)
-    two = FiniteLattice([[True, True], [False, True]])
+    base = presentation(objects, homs, compose, identities)
+    two = lattice_from_rows([[True, True], [False, True]])
     same = [(0, 1)] * len(base.names)
     return FormInstance(base, [two for _ in objects], same, same)
 
@@ -569,8 +570,8 @@ def test_streamed_form_is_the_dict_encoding(name, request):
 @pytest.mark.parametrize("lat", [
     FiniteLattice([]),
     FiniteLattice.chain(1),
-    FiniteLattice([[True, True, True], [False, True, True], [False, False, True]], labels=['a"', "\u00e9", ""]),
-    FiniteLattice.from_up_masks([0b1111, 0b1010, 0b1100, 0b1000]),
+    lattice_from_rows([[True, True, True], [False, True, True], [False, False, True]], labels=['a"', "\u00e9", ""]),
+    FiniteLattice([0b1111, 0b1010, 0b1100, 0b1000]),
 ], ids=["empty", "point", "labelled chain", "diamond"])
 def test_lattice_written_from_masks_is_the_dict_encoding(lat):
     doc = {"fibres": {"X": lat}}

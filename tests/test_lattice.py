@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formkit.lattice import FiniteLattice, bits, cached_fact, check_table, lower_adjoint, monotone_violation, upper_adjoint
-from oracles import galois_check, is_monotone, preserves_joins, preserves_meets
+from formkit.lattice import (
+    TABLE_BITS,
+    FiniteLattice,
+    bits,
+    cached_fact,
+    check_table,
+    lower_adjoint,
+    monotone_violation,
+    upper_adjoint,
+)
+from oracles import galois_check, is_monotone, lattice_from_rows, preserves_joins, preserves_meets
 
 
 def diamond():
@@ -17,14 +26,14 @@ def diamond():
         rows[a][a] = True
         rows[0][a] = True
         rows[a][4] = True
-    return FiniteLattice(rows)
+    return lattice_from_rows(rows)
 
 
 def pentagon():
     # N5: 0 < 1 < 4, 0 < 2 < 3 < 4, with 1 incomparable to 2 and 3
     pairs = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)}
     rows = [[a == b or (a, b) in pairs for b in range(5)] for a in range(5)]
-    return FiniteLattice(rows)
+    return lattice_from_rows(rows)
 
 
 def brute_meet(lat, elems):
@@ -60,7 +69,7 @@ def test_meet_join_empty_and_singleton():
 
 def test_bounds_on_a_non_lattice_raise():
     # an antichain of two: no bottom, no top, no meet or join of the pair
-    lat = FiniteLattice([[True, False], [False, True]])
+    lat = lattice_from_rows([[True, False], [False, True]])
     for family in ((), (0, 1)):
         with pytest.raises(ValueError, match=r"^no greatest lower bound; not a lattice$"):
             lat.meet(family)
@@ -70,6 +79,41 @@ def test_bounds_on_a_non_lattice_raise():
         lat.top
     with pytest.raises(ValueError, match=r"^lattice has no bottom element$"):
         lat.bottom
+
+
+MASK_KERNEL_CASES = {
+    "diamond": diamond,
+    "pentagon": pentagon,
+    "chain4": lambda: FiniteLattice.chain(4),
+    "preorder2": lambda: FiniteLattice([0b11, 0b11]),  # PREORDER2 of test_checks: 0 <= 1 and 1 <= 0
+    # the 3 x 3 grid, the down-sets of two 2-chains: TABLE_BITS + 1 elements, no tables
+    "grid9": lambda: poset_downset_lattice([0, 0b01, 0, 0b100])[0],
+}
+
+
+def _bound_or_error(bound, arg):
+    try:
+        return bound(arg)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", MASK_KERNEL_CASES)
+def test_meet_and_join_agree_with_the_mask_kernels(name):
+    """On every subset, meet and join give the element meet_mask and
+    join_mask give, or raise the same ValueError; an element out of range
+    raises IndexError."""
+    lat = MASK_KERNEL_CASES[name]()
+    assert (lat.size > TABLE_BITS) == (name == "grid9")
+    for mask in range(1 << lat.size):
+        members = list(bits(mask))
+        assert _bound_or_error(lat.meet, members) == _bound_or_error(lat.meet_mask, mask), mask
+        assert _bound_or_error(lat.join, members) == _bound_or_error(lat.join_mask, mask), mask
+    for stray in (-1, lat.size):
+        with pytest.raises(IndexError, match=f"^element {stray} out of range for lattice of size {lat.size}$"):
+            lat.meet([0, stray])
+        with pytest.raises(IndexError, match=f"^element {stray} out of range for lattice of size {lat.size}$"):
+            lat.join([stray])
 
 
 def test_chain_leq_reflexive_transitive():
@@ -105,7 +149,7 @@ def test_bound_associative_in_sets():
 
 def test_antichain_reports_missing_bounds():
     rows = [[True, False], [False, True]]
-    rep = FiniteLattice(rows).verify()
+    rep = lattice_from_rows(rows).verify()
     assert not rep.ok
     checks = {v.check for v in rep.violations}
     assert "missing-meet" in checks or "missing-top" in checks
@@ -120,7 +164,7 @@ def test_verify_counts_every_relation_check():
         [False, False, True],
     ]
     # stops before the bounds: 3 reflexive, 2 x 2 strict pairs
-    assert FiniteLattice(rows).verify().checks_run == 3 + 4
+    assert lattice_from_rows(rows).verify().checks_run == 3 + 4
 
 
 def test_broken_transitivity_reported():
@@ -129,7 +173,7 @@ def test_broken_transitivity_reported():
         [False, True, True],
         [False, False, True],
     ]
-    rep = FiniteLattice(rows).verify()
+    rep = lattice_from_rows(rows).verify()
     assert any(v.check == "transitive" for v in rep.violations)
 
 
@@ -230,7 +274,7 @@ def poset_downset_lattice(below):
         if all(below[j] & ~s == 0 for j in range(len(below)) if (s >> j) & 1)
     ]
     rows = [[m1 & ~m2 == 0 for m2 in masks] for m1 in masks]
-    return FiniteLattice(rows), masks
+    return lattice_from_rows(rows), masks
 
 
 @st.composite

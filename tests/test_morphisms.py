@@ -5,7 +5,7 @@ import random
 from itertools import permutations
 
 from formkit.checks import CheckContext
-from formkit.forms import CategoryPresentation, FormInstance
+from formkit.forms import FormInstance
 from formkit.groups import build_grp_form, cyclic, normal_interval_order, symmetric3
 from formkit.lattice import FiniteLattice, upper_adjoint
 from formkit.morphisms import (
@@ -31,7 +31,7 @@ from formkit.topogenous import (
     pulled_table,
     verify_order,
 )
-from oracles import _transfer_laws, composable_pairs, compose, morphism_kind_dense, transfer_laws_check_dense
+from oracles import _transfer_laws, composable_pairs, compose, lattice_from_rows, morphism_kind_dense, presentation, transfer_laws_check_dense
 
 S3_PERMS = sorted(permutations(range(3)))
 
@@ -138,7 +138,7 @@ def test_final_thick_hypothesis_respected():
     # a non-thick final morphism is fine when neither hypothesis holds
     x_fib = FiniteLattice.chain(1)
     y_fib = FiniteLattice.chain(2)
-    base = CategoryPresentation(
+    base = presentation(
         ["X", "Y"],
         {("X", "X"): ["idX"], ("Y", "Y"): ["idY"], ("X", "Y"): ["f"], ("Y", "X"): []},
         {("idX", "idX"): "idX", ("idY", "idY"): "idY", ("f", "idX"): "f", ("idY", "f"): "f"},
@@ -319,7 +319,7 @@ def test_strictness_invariant_under_fibre_relabeling():
             [fib.leq(p[a], p[b]) for b in range(fib.size)]
             for a in range(fib.size)
         ]
-        return FiniteLattice(rows)
+        return lattice_from_rows(rows)
 
     new_fibres = [relabel_lattice(x) for x in range(len(form.base.objects))]
     new_push = []

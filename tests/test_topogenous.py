@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from formkit.checks import CHECKS, SKIP_NOTES, CheckContext, run_checks
-from formkit.forms import CategoryPresentation, FormInstance
+from formkit.forms import FormInstance
 from formkit.jsonio import order_from_dict
 from formkit.lattice import FiniteLattice, upper_adjoint
 from formkit.topogenous import (
@@ -28,10 +28,11 @@ from formkit.topogenous import (
     verify_order,
 )
 from formkit.topologies import b_order, theta_order
+from oracles import lattice_from_rows, presentation
 
 
 def single_object_form(lat: FiniteLattice) -> FormInstance:
-    base = CategoryPresentation(
+    base = presentation(
         ["X"], {("X", "X"): ["id"]}, {("id", "id"): "id"}, {"X": "id"}
     )
     ident = tuple(range(lat.size))
@@ -43,7 +44,7 @@ def collapse_form() -> FormInstance:
     adjunction; the smallest stage for transfer-axiom failures."""
     x_fib = FiniteLattice.chain(1)
     y_fib = FiniteLattice.chain(2)
-    base = CategoryPresentation(
+    base = presentation(
         ["X", "Y"],
         {("X", "X"): ["idX"], ("Y", "Y"): ["idY"], ("X", "Y"): ["f"], ("Y", "X"): []},
         {("idX", "idX"): "idX", ("idY", "idY"): "idY", ("f", "idX"): "f", ("idY", "f"): "f"},
@@ -186,11 +187,11 @@ def test_intersection_is_greatest_common_suborder():
 
 
 def test_intersection_greatest_on_five_element_fibres():
-    diamond = FiniteLattice(
+    diamond = lattice_from_rows(
         [[a == b or a == 0 or b == 4 for b in range(5)] for a in range(5)]
     )
     pentagon_pairs = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)}
-    pentagon = FiniteLattice(
+    pentagon = lattice_from_rows(
         [[a == b or (a, b) in pentagon_pairs for b in range(5)] for a in range(5)]
     )
     for lat in (diamond, pentagon):

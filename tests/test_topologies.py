@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from formkit.lattice import FiniteLattice, columns
+from formkit.lattice import columns
 from formkit.setmaps import SetFunction, function_category
 from formkit.topogenous import (
     classify_order,
@@ -34,7 +34,7 @@ from formkit.topologies import (
     theta_topology,
     topology_fibre,
 )
-from oracles import final_topology, galois_check, hom, initial_topology, is_clopen_map, is_monotone
+from oracles import final_topology, galois_check, hom, initial_topology, is_clopen_map, is_monotone, lattice_from_rows
 
 
 def naive_topologies(n):
@@ -76,10 +76,10 @@ def pattern_topologies(n):
 
 def matrix_fibre(tops):
     """The fibre route the membership columns replaced: the boolean matrix
-    of reverse inclusion, through ``FiniteLattice(rows)``."""
+    of reverse inclusion, through ``lattice_from_rows``."""
     rows = [[t2.opens <= t1.opens for t2 in tops] for t1 in tops]
     labels = ["{" + ",".join(map(str, sorted(t.opens))) + "}" for t in tops]
-    return FiniteLattice(rows, labels)
+    return lattice_from_rows(rows, labels)
 
 
 def frozenset_pull(tf, f):
@@ -105,7 +105,7 @@ def test_fibre_matches_the_pattern_walk_and_the_matrix(n, count):
 @pytest.mark.parametrize("n", range(5))
 def test_fibre_down_masks_are_the_transpose_of_up(n):
     # _fibre passes its down masks (ANDs of open-set membership columns) to
-    # from_up_masks instead of having them derived from up
+    # the constructor instead of having them derived from up
     lat, _ = topology_fibre(n)
     assert lat.down == tuple(columns(lat.up))
 
