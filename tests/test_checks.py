@@ -138,8 +138,8 @@ def test_partial_presentation_is_refused_at_its_first_pair_in_walk_order():
 # -- every check can fail ------------------------------------------------------------
 #
 # Per clause, a small input on which it passes and one named corruption of a
-# form, an order or an operator on which it reports a violation. The
-# clauses below are the ones no other tier-1 test sees fail. The checks run
+# form, an order or an operator on which it reports a violation; a row that
+# reuses another test's corruption names that test. The checks run
 # directly, without the order-axioms gate of run_checks: the round-trip
 # clauses on an order fail only on orders that break T1 or T2.
 

@@ -311,7 +311,7 @@ MALFORMED_WHERE = {
     "replay-top-over-cap": "bad.json: carrier size 9 exceeds the cap of 4",
     "replay-max-order-zero": "bad.json: max_order 0 selects no group; the standard corpus starts at order 1",
     "instance-grp-max-order-zero": "instance: max_order 0 selects no group; the standard corpus starts at order 1",
-    "check-theorems-grp-max-order-negative": "recipe: max_order -1 selects no group; the standard corpus starts at order 1",
+    "check-theorems-grp-max-order-negative": "recipe: max_order -1 selects no group",
     "instance-top-over-cap": "carrier size 5",
     "instance-quot-over-cap": "ground size 6",
     "derive-theta-over-cap": "between 0 and 4, got 9",

@@ -31,7 +31,15 @@ from formkit.topogenous import (
     pulled_table,
     verify_order,
 )
-from oracles import _transfer_laws, composable_pairs, compose, lattice_from_rows, morphism_kind_dense, presentation, transfer_laws_check_dense
+from oracles import (
+    _transfer_laws,
+    composable_pairs,
+    compose,
+    lattice_from_rows,
+    morphism_kind_dense,
+    presentation,
+    transfer_laws_check_dense,
+)
 
 S3_PERMS = sorted(permutations(range(3)))
 
